@@ -26,13 +26,14 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use corion_core::{ClassId, Oid, Value};
 use corion_protocol::{
-    decode_response, encode_request, read_frame, write_frame, Delta, ErrorClass, ErrorCode,
-    FrameError, Request, Response, WireAttrDef, WireAuth, WireAuthObject, WireMakeSpec,
+    decode_response, encode_request_into, Delta, ErrorClass, ErrorCode, FrameError, FrameReader,
+    FrameWriter, Request, Response, WireAttrDef, WireAuth, WireAuthObject, WireMakeSpec,
     WirePredicate, MAGIC, VERSION,
 };
 
@@ -116,11 +117,17 @@ pub struct Event {
     pub deltas: Vec<Delta>,
 }
 
-/// A connected, handshaken session.
-pub struct Client {
-    stream: TcpStream,
+/// A connected, handshaken session. Generic over the byte stream so a
+/// test can count its calls; every public constructor yields a
+/// `Client<TcpStream>`.
+pub struct Client<S = TcpStream> {
+    stream: S,
     /// Server-assigned session id (diagnostics).
     session: u64,
+    /// Per-connection frame buffers: a round trip is one `write` and one
+    /// `read` on `stream`, and allocates nothing for framing.
+    reader: FrameReader,
+    writer: FrameWriter,
 }
 
 type Result<T> = std::result::Result<T, ClientError>;
@@ -131,7 +138,7 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs, user: u32) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let mut client = Client { stream, session: 0 };
+        let mut client = Client::over(stream);
         match client.call(&Request::Hello {
             magic: MAGIC,
             version: VERSION,
@@ -145,6 +152,32 @@ impl Client {
         }
     }
 
+    /// Turns this session into a change-stream subscription
+    /// (superuser only). Consumes the client: the connection becomes
+    /// one-way.
+    pub fn subscribe(mut self) -> Result<Subscriber> {
+        match self.call(&Request::Subscribe)? {
+            Response::SubscribeOk { start_lsn } => Ok(Subscriber {
+                stream: self.stream,
+                // Events may already sit behind SubscribeOk in the buffer.
+                reader: self.reader,
+                start_lsn,
+            }),
+            other => Err(unexpected("SubscribeOk", &other)),
+        }
+    }
+}
+
+impl<S: Read + Write> Client<S> {
+    fn over(stream: S) -> Self {
+        Client {
+            stream,
+            session: 0,
+            reader: FrameReader::new(),
+            writer: FrameWriter::new(),
+        }
+    }
+
     /// The server-assigned session id.
     pub fn session(&self) -> u64 {
         self.session
@@ -153,9 +186,10 @@ impl Client {
     /// Sends one request and reads one response, surfacing wire-level
     /// `Error` responses as [`ClientError::Server`].
     pub fn call(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.stream, &encode_request(req))?;
-        let payload = read_frame(&mut self.stream)?;
-        match decode_response(&payload).map_err(|e| ClientError::Io(e.to_string()))? {
+        self.writer
+            .write(&mut self.stream, |buf| encode_request_into(req, buf))?;
+        let payload = self.reader.read_frame(&mut self.stream)?;
+        match decode_response(payload).map_err(|e| ClientError::Io(e.to_string()))? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             resp => Ok(resp),
         }
@@ -185,14 +219,19 @@ impl Client {
 
     /// Runs `body` inside a transaction, retrying on retryable errors
     /// (deadlock victims) up to `attempts` times. The client-side
-    /// mirror of the engine's `run_write`.
+    /// mirror of the engine's `run_write`. From the third attempt on it
+    /// pauses for a bounded, jittered moment first: two transactions
+    /// that lock the same composites in opposite order are otherwise
+    /// victimised alternately, each immediate retry re-taking its first
+    /// lock before the parked survivor wakes.
     pub fn with_txn<R>(
         &mut self,
         attempts: u32,
-        mut body: impl FnMut(&mut Client) -> Result<R>,
+        mut body: impl FnMut(&mut Client<S>) -> Result<R>,
     ) -> Result<R> {
         let mut last = None;
-        for _ in 0..attempts.max(1) {
+        for attempt in 0..attempts.max(1) {
+            std::thread::sleep(retry_pause(self.session, attempt));
             self.begin()?;
             match body(self) {
                 Ok(r) => match self.commit() {
@@ -431,19 +470,6 @@ impl Client {
         self.expect_ok(&Request::Shutdown)
     }
 
-    /// Turns this session into a change-stream subscription
-    /// (superuser only). Consumes the client: the connection becomes
-    /// one-way.
-    pub fn subscribe(mut self) -> Result<Subscriber> {
-        match self.call(&Request::Subscribe)? {
-            Response::SubscribeOk { start_lsn } => Ok(Subscriber {
-                stream: self.stream,
-                start_lsn,
-            }),
-            other => Err(unexpected("SubscribeOk", &other)),
-        }
-    }
-
     fn expect_ok(&mut self, req: &Request) -> Result<()> {
         match self.call(req)? {
             Response::Ok => Ok(()),
@@ -459,8 +485,34 @@ impl Client {
     }
 }
 
+/// The pause before (0-based) `attempt` of a transaction: none for the
+/// first two, then below `100 µs × attempt`, capped at 3.2 ms. The draw
+/// is a SplitMix64 finalizer over the session id and the attempt, so two
+/// colliding sessions fall out of lockstep without a `rand` dependency
+/// and a session's schedule is reproducible.
+fn retry_pause(session: u64, attempt: u32) -> Duration {
+    if attempt < 2 {
+        return Duration::ZERO;
+    }
+    let mut z = session
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(u64::from(attempt));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    Duration::from_micros(z % (100 * u64::from(attempt.min(32))))
+}
+
 fn unexpected(wanted: &str, got: &Response) -> ClientError {
     ClientError::Unexpected(format!("wanted {wanted}, got {got:?}"))
+}
+
+fn decode_event(payload: &[u8]) -> Result<Event> {
+    match decode_response(payload).map_err(|e| ClientError::Io(e.to_string()))? {
+        Response::Event { commit_lsn, deltas } => Ok(Event { commit_lsn, deltas }),
+        Response::Error { code, message } => Err(ClientError::Server { code, message }),
+        other => Err(unexpected("Event", &other)),
+    }
 }
 
 /// The receiving half of a change stream. Events arrive in commit-LSN
@@ -468,6 +520,7 @@ fn unexpected(wanted: &str, got: &Response) -> ClientError {
 /// [`Subscriber::start_lsn`].
 pub struct Subscriber {
     stream: TcpStream,
+    reader: FrameReader,
     start_lsn: u64,
 }
 
@@ -481,12 +534,7 @@ impl Subscriber {
     /// `ShuttingDown`) surfaces as [`ClientError::Server`]; a closed
     /// connection as [`ClientError::Io`].
     pub fn next_event(&mut self) -> Result<Event> {
-        let payload = read_frame(&mut self.stream)?;
-        match decode_response(&payload).map_err(|e| ClientError::Io(e.to_string()))? {
-            Response::Event { commit_lsn, deltas } => Ok(Event { commit_lsn, deltas }),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(unexpected("Event", &other)),
-        }
+        decode_event(self.reader.read_frame(&mut self.stream)?)
     }
 
     /// Like [`Subscriber::next_event`] but gives up after `timeout`,
@@ -494,16 +542,10 @@ impl Subscriber {
     /// events".
     pub fn next_event_timeout(&mut self, timeout: Duration) -> Result<Option<Event>> {
         self.stream.set_read_timeout(Some(timeout))?;
-        let result = match read_frame(&mut self.stream) {
-            Ok(payload) => {
-                match decode_response(&payload).map_err(|e| ClientError::Io(e.to_string()))? {
-                    Response::Event { commit_lsn, deltas } => {
-                        Ok(Some(Event { commit_lsn, deltas }))
-                    }
-                    Response::Error { code, message } => Err(ClientError::Server { code, message }),
-                    other => Err(unexpected("Event", &other)),
-                }
-            }
+        let result = match self.reader.read_frame(&mut self.stream) {
+            Ok(payload) => decode_event(payload).map(Some),
+            // A frame cut short by the timeout stays buffered for the
+            // next call.
             Err(FrameError::Io(e))
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -514,5 +556,147 @@ impl Subscriber {
         };
         self.stream.set_read_timeout(None)?;
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corion_protocol::{encode_response, read_frame, write_frame};
+    use std::collections::VecDeque;
+    use std::io;
+
+    /// A scripted peer that counts calls: each `read` delivers one queued
+    /// arrival (a whole response frame, as one TCP segment would), each
+    /// `write` is recorded as one call.
+    struct Counting {
+        arrivals: VecDeque<Vec<u8>>,
+        reads: usize,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for Counting {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(arrival) = self.arrivals.pop_front() else {
+                return Ok(0);
+            };
+            buf[..arrival.len()].copy_from_slice(&arrival);
+            Ok(arrival.len())
+        }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frame(resp: &Response) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_response(resp)).unwrap();
+        wire
+    }
+
+    #[test]
+    fn a_round_trip_is_one_write_and_one_read() {
+        let oids = vec![Oid::new(ClassId(3), 9); 50];
+        let stream = Counting {
+            arrivals: [Response::Pong, Response::OkOids(oids.clone()), Response::Ok]
+                .iter()
+                .map(frame)
+                .collect(),
+            reads: 0,
+            writes: Vec::new(),
+        };
+        let mut client = Client::over(stream);
+        client.ping().unwrap();
+        assert_eq!(client.subtree_of(oids[0]).unwrap(), oids);
+        client.begin().unwrap();
+        assert_eq!(client.stream.reads, 3, "one read per whole-frame arrival");
+        assert_eq!(client.stream.writes.len(), 3, "one write per frame");
+        // Each write is exactly one well-formed frame.
+        for (written, want) in client.stream.writes.iter().zip([
+            Request::Ping,
+            Request::SubtreeOf { oid: oids[0] },
+            Request::Begin,
+        ]) {
+            let mut r = &written[..];
+            let payload = read_frame(&mut r).unwrap();
+            assert!(r.is_empty());
+            assert_eq!(corion_protocol::decode_request(&payload).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn with_txn_retries_a_deadlock_victim_past_the_pause_and_then_commits() {
+        let deadlock = Response::Error {
+            code: ErrorCode::Deadlock,
+            message: "victim".into(),
+        };
+        let no_txn = Response::Error {
+            code: ErrorCode::TransactionState,
+            message: "no open transaction".into(),
+        };
+        // Three victimised attempts (Begin, failing op, Abort answered
+        // TransactionState), then a clean fourth.
+        let mut script = Vec::new();
+        for _ in 0..3 {
+            script.extend([Response::Ok, deadlock.clone(), no_txn.clone()]);
+        }
+        script.extend([Response::Ok, Response::Ok, Response::OkLsn(9)]);
+        let stream = Counting {
+            arrivals: script.iter().map(frame).collect(),
+            reads: 0,
+            writes: Vec::new(),
+        };
+        let mut client = Client::over(stream);
+        client.session = 5;
+        let mut attempts = 0;
+        client
+            .with_txn(8, |c| {
+                attempts += 1;
+                c.ping_ok()
+            })
+            .unwrap();
+        assert_eq!(attempts, 4);
+        assert_eq!(client.stream.writes.len(), 12);
+
+        // With the budget exhausted the last retryable error surfaces.
+        let stream = Counting {
+            arrivals: script[..6].iter().map(frame).collect(),
+            reads: 0,
+            writes: Vec::new(),
+        };
+        let mut client = Client::over(stream);
+        let err = client.with_txn(2, |c| c.ping_ok()).unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::Deadlock));
+    }
+
+    impl Client<Counting> {
+        /// Any request the script answers `Ok` or a typed error.
+        fn ping_ok(&mut self) -> Result<()> {
+            self.expect_ok(&Request::Ping)
+        }
+    }
+
+    #[test]
+    fn retry_pause_is_bounded_jittered_and_starts_at_the_third_attempt() {
+        for session in 1..50u64 {
+            assert_eq!(retry_pause(session, 0), Duration::ZERO);
+            assert_eq!(retry_pause(session, 1), Duration::ZERO);
+            for attempt in 2..100 {
+                let pause = retry_pause(session, attempt);
+                assert!(pause < Duration::from_micros(100 * u64::from(attempt.min(32))));
+                assert_eq!(pause, retry_pause(session, attempt), "deterministic");
+            }
+        }
+        // Two sessions in lockstep do not draw the same schedule.
+        let schedule = |s| (2..10).map(|a| retry_pause(s, a)).collect::<Vec<_>>();
+        assert_ne!(schedule(1), schedule(2));
     }
 }

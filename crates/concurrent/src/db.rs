@@ -30,6 +30,17 @@ pub(crate) struct EngineMetrics {
     /// `corion_mvcc_txn_deadlocks_total`: transactions aborted as
     /// deadlock victims (also counted in `aborts`).
     pub(crate) deadlocks: Counter,
+    /// `corion_mvcc_snapshot_traversals_total`: §3 traversals answered
+    /// from a [`Snapshot`]. This and the two counters below are bumped
+    /// once per traversal, not per object.
+    pub(crate) traversals: Counter,
+    /// `corion_mvcc_snapshot_objects_visited_total`: objects those
+    /// traversals asked their view about.
+    pub(crate) objects_visited: Counter,
+    /// `corion_mvcc_snapshot_records_read_total`: of those, the ones
+    /// whose record was materialised (chain image decoded or base record
+    /// read) — the rest were leaves answered on visibility alone.
+    pub(crate) records_read: Counter,
     /// `corion_shard_latch_wait_ns`: time spent *acquiring* the engine
     /// latch (either side) for operation execution or commit publish.
     /// With shards > 1 the operation side is shared, so waits cluster
@@ -48,6 +59,9 @@ impl EngineMetrics {
             commits: registry.counter("corion_mvcc_txn_commits_total"),
             aborts: registry.counter("corion_mvcc_txn_aborts_total"),
             deadlocks: registry.counter("corion_mvcc_txn_deadlocks_total"),
+            traversals: registry.counter("corion_mvcc_snapshot_traversals_total"),
+            objects_visited: registry.counter("corion_mvcc_snapshot_objects_visited_total"),
+            records_read: registry.counter("corion_mvcc_snapshot_records_read_total"),
             latch_wait: registry.histogram("corion_shard_latch_wait_ns", LATENCY_BOUNDS_NS),
             latch_hold: registry.histogram("corion_shard_latch_hold_ns", LATENCY_BOUNDS_NS),
         }

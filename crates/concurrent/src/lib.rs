@@ -61,7 +61,9 @@ pub mod db;
 pub mod plan;
 pub mod snapshot;
 pub mod txn;
+pub mod view;
 
 pub use db::ConcurrentDb;
 pub use snapshot::Snapshot;
 pub use txn::WriteTxn;
+pub use view::ReadView;

@@ -1,27 +1,48 @@
-//! Lock-free snapshot reads.
+//! Snapshot reads.
 //!
 //! A [`Snapshot`] pins a commit LSN `S` and observes exactly the
-//! transactions that committed with LSN ≤ `S`. Reads resolve against
-//! the version store's chains first — entirely latch- and lock-free —
-//! and fall back to the base store only for objects no concurrent
-//! transaction has versioned. The fallback takes the engine's *shared*
-//! latch and re-checks the chain under it, which closes the race with a
-//! commit in flight: commits mutate the base only under the exclusive
-//! latch, and they seed every pre-image before doing so, so "no chain
-//! under the latch" proves the base value is the snapshot value.
+//! transactions that committed with LSN ≤ `S`. An object resolves
+//! against the version store's chain if it has one, else against the
+//! base store — and "has no chain" is only meaningful **under the
+//! engine's shared latch**: commits mutate the base only under the
+//! exclusive latch, and they seed every pre-image before doing so, so
+//! "no chain under the latch" proves the base value is the snapshot
+//! value. One probe under the latch is therefore the whole argument, per
+//! object per acquisition.
+//!
+//! * Point reads ([`Snapshot::get`], [`Snapshot::exists`]) probe the
+//!   chain lock-free first — a hit needs no latch at all — and take the
+//!   latch only for the base fallback, re-probing under it.
+//! * Traversals ([`Snapshot::subtree_of`] and friends) run the shared
+//!   walks of [`crate::view`] over a latched view: the latch is taken
+//!   once per batch of 256 objects, each object is probed and
+//!   resolved once under it, and objects of a class with no composite
+//!   attribute are never read at all. Because the argument holds per
+//!   object per acquisition, dropping and re-taking the latch between
+//!   batches changes nothing about what the snapshot sees; it only bounds
+//!   how long one large walk can keep commit publish waiting.
 //!
 //! Snapshots never take lock-manager locks, so they can neither block a
 //! writer nor deadlock; writers never wait for snapshots (only the
 //! version-store vacuum does, by skipping pinned versions).
 
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use corion_core::schema::lattice;
-use corion_core::{ClassId, DbError, DbResult, Object, Oid, Value};
+use corion_core::{ClassId, Database, DbError, DbResult, Object, Oid, Value};
 use corion_storage::{Lsn, Resolution, VersionKey};
+use parking_lot::RwLockReadGuard;
 
 use crate::db::Shared;
+use crate::view::{self, ReadView};
+
+/// Objects a traversal resolves per acquisition of the shared engine
+/// latch. A constant, not a setting: correctness does not depend on it
+/// (see the module docs), and 256 record visits are tens of
+/// microseconds — far below a commit section.
+const LATCH_BATCH: u64 = 256;
 
 fn vkey(oid: Oid) -> VersionKey {
     VersionKey {
@@ -62,29 +83,46 @@ impl Snapshot {
         Ok(())
     }
 
+    /// What the version chain alone says about `oid` at the snapshot
+    /// LSN; `None` means "no chain — ask the base, under the latch".
+    fn chain_verdict(&self, oid: Oid) -> DbResult<Option<Option<Object>>> {
+        Ok(match self.shared.versions.resolve(vkey(oid), self.lsn) {
+            Resolution::Image(bytes) => Some(Some(Object::decode(&bytes).map_err(DbError::from)?)),
+            Resolution::Deleted | Resolution::Unborn => Some(None),
+            Resolution::Base => None,
+        })
+    }
+
+    /// Resolve one object with the shared latch held (`db` is the
+    /// guard's engine): chain image if there is a chain, else the base.
+    fn resolve_latched(&self, db: &Database, oid: Oid) -> DbResult<Option<Object>> {
+        if let Some(verdict) = self.chain_verdict(oid)? {
+            return Ok(verdict);
+        }
+        view::get_visible(db, oid)
+    }
+
     /// Resolve one object at the snapshot LSN: `Ok(None)` means "not
     /// visible" (never existed, unborn, or deleted by then).
     fn read(&self, oid: Oid) -> DbResult<Option<Object>> {
         self.ensure_valid()?;
-        match self.shared.versions.resolve(vkey(oid), self.lsn) {
-            Resolution::Image(bytes) => Ok(Some(Object::decode(&bytes).map_err(DbError::from)?)),
-            Resolution::Deleted | Resolution::Unborn => Ok(None),
-            Resolution::Base => {
-                let db = self.shared.db.read();
-                // Re-check under the latch: a commit may have seeded a
-                // chain (and changed the base) since the lock-free probe.
-                match self.shared.versions.resolve(vkey(oid), self.lsn) {
-                    Resolution::Image(bytes) => {
-                        Ok(Some(Object::decode(&bytes).map_err(DbError::from)?))
-                    }
-                    Resolution::Deleted | Resolution::Unborn => Ok(None),
-                    Resolution::Base => match db.get(oid) {
-                        Ok(obj) => Ok(Some(obj)),
-                        Err(DbError::NoSuchObject(_)) => Ok(None),
-                        Err(e) => Err(e),
-                    },
-                }
-            }
+        if let Some(verdict) = self.chain_verdict(oid)? {
+            return Ok(verdict);
+        }
+        // A commit may have seeded a chain (and changed the base) since
+        // the lock-free probe: probe again under the latch.
+        let db = self.shared.db.read();
+        self.resolve_latched(&db, oid)
+    }
+
+    /// A latched view for one traversal; its counters land in the
+    /// registry when it drops.
+    fn latched(&self) -> Latched<'_> {
+        Latched {
+            snap: self,
+            db: None,
+            visited: 0,
+            records: 0,
         }
     }
 
@@ -101,22 +139,21 @@ impl Snapshot {
 
     /// Read one attribute by name.
     pub fn get_attr(&self, oid: Oid, attr: &str) -> DbResult<Value> {
-        let obj = self.get(oid)?;
+        // The class layout needs the latch anyway: resolve under it.
         let db = self.shared.db.read();
-        let class = db.class(oid.class)?;
-        let idx = class
+        self.ensure_valid()?;
+        let obj = self
+            .resolve_latched(&db, oid)?
+            .ok_or(DbError::NoSuchObject(oid))?;
+        let no_such_attr = || DbError::NoSuchAttribute {
+            class: oid.class,
+            attr: attr.into(),
+        };
+        let idx = db
+            .class(oid.class)?
             .attr_index(attr)
-            .ok_or_else(|| DbError::NoSuchAttribute {
-                class: oid.class,
-                attr: attr.into(),
-            })?;
-        obj.attrs
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| DbError::NoSuchAttribute {
-                class: oid.class,
-                attr: attr.into(),
-            })
+            .ok_or_else(no_such_attr)?;
+        obj.attrs.get(idx).cloned().ok_or_else(no_such_attr)
     }
 
     /// Direct (or, with `deep`, subclass-inclusive) instances of `class`
@@ -131,10 +168,11 @@ impl Snapshot {
             }
             (db.instances_of(class, deep), classes)
         };
-        base.sort();
         // Overlay the version chains: objects deleted after base-read
         // but visible at the snapshot come back; objects in the base
-        // that are unborn or deleted at the snapshot drop out.
+        // that are unborn or deleted at the snapshot drop out. Verdicts
+        // are collected first and merged in one pass.
+        let mut gone = HashSet::new();
         for c in classes {
             for (key, res) in self.shared.versions.resolve_class(c.0, self.lsn) {
                 let oid = Oid {
@@ -142,80 +180,108 @@ impl Snapshot {
                     serial: key.serial,
                 };
                 match res {
-                    Resolution::Image(_) => {
-                        if base.binary_search(&oid).is_err() {
-                            base.push(oid);
-                            base.sort();
-                        }
-                    }
+                    Resolution::Image(_) => base.push(oid),
                     Resolution::Deleted | Resolution::Unborn => {
-                        if let Ok(i) = base.binary_search(&oid) {
-                            base.remove(i);
-                        }
+                        gone.insert(oid);
                     }
                     Resolution::Base => {}
                 }
             }
         }
+        base.retain(|oid| !gone.contains(oid));
+        base.sort();
+        base.dedup();
         Ok(base)
     }
 
     /// The direct components of `oid`: every reference held in one of
     /// its composite attributes, as visible at this snapshot.
     pub fn components_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        let obj = self.get(oid)?;
-        let db = self.shared.db.read();
-        let class = db.class(oid.class)?;
-        let mut out = Vec::new();
-        for (def, value) in class.attrs.iter().zip(obj.attrs.iter()) {
-            if def.composite.is_some() {
-                out.extend(value.refs());
-            }
-        }
-        Ok(out)
+        view::components_of(&mut self.latched(), oid)
     }
 
     /// The composite parents of `oid` (from its reverse references).
     pub fn parents_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        Ok(self.get(oid)?.composite_parents())
+        view::parents_of(&mut self.latched(), oid)
     }
 
     /// Every ancestor of `oid` reachable through composite parents
     /// (transitive closure, `oid` excluded), sorted.
     pub fn ancestors_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        let mut seen = std::collections::HashSet::new();
-        let mut queue = self.parents_of(oid)?;
-        let mut out = Vec::new();
-        while let Some(p) = queue.pop() {
-            if !seen.insert(p) {
-                continue;
-            }
-            out.push(p);
-            if let Some(obj) = self.read(p)? {
-                queue.extend(obj.composite_parents());
-            }
-        }
-        out.sort();
-        Ok(out)
+        view::ancestors_of(&mut self.latched(), oid)
     }
 
     /// The full component subtree below `oid` (transitive closure,
-    /// `oid` included), in discovery order.
+    /// `oid` included), in discovery order. Objects of a class with no
+    /// composite attribute are listed on visibility alone: their records
+    /// are not read, so a corrupt leaf page fails [`Snapshot::get`] on
+    /// that leaf but not a traversal through it.
     pub fn subtree_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        let mut seen = std::collections::HashSet::new();
-        let mut queue = vec![oid];
-        let mut out = Vec::new();
-        while let Some(o) = queue.pop() {
-            if !seen.insert(o) {
-                continue;
-            }
-            if self.read(o)?.is_none() {
-                continue;
-            }
-            out.push(o);
-            queue.extend(self.components_of(o)?);
+        view::subtree_of(&mut self.latched(), oid)
+    }
+}
+
+/// A snapshot under the shared engine latch, for the length of one
+/// traversal: the latch is taken on first use and re-taken every
+/// [`LATCH_BATCH`] objects.
+struct Latched<'a> {
+    snap: &'a Snapshot,
+    db: Option<RwLockReadGuard<'a, Database>>,
+    visited: u64,
+    records: u64,
+}
+
+impl Latched<'_> {
+    /// The engine under the latch, for the next object; every
+    /// [`LATCH_BATCH`]th object starts a new acquisition.
+    fn next(&mut self) -> DbResult<&Database> {
+        if self.visited.is_multiple_of(LATCH_BATCH) {
+            self.db = None;
         }
-        Ok(out)
+        self.visited += 1;
+        self.latch()
+    }
+
+    fn latch(&mut self) -> DbResult<&Database> {
+        if self.db.is_none() {
+            self.db = Some(self.snap.shared.db.read());
+            // `recover()` bumps the epoch under the exclusive latch, so a
+            // check under the shared side holds for the whole batch.
+            self.snap.ensure_valid()?;
+        }
+        Ok(self.db.as_deref().expect("latched above"))
+    }
+}
+
+impl ReadView for Latched<'_> {
+    fn resolve(&mut self, oid: Oid) -> DbResult<Option<Object>> {
+        let snap = self.snap;
+        let obj = snap.resolve_latched(self.next()?, oid)?;
+        self.records += u64::from(obj.is_some());
+        Ok(obj)
+    }
+
+    fn visible(&mut self, oid: Oid) -> DbResult<bool> {
+        let snap = self.snap;
+        let db = self.next()?;
+        Ok(match snap.shared.versions.resolve(vkey(oid), snap.lsn) {
+            Resolution::Image(_) => true,
+            Resolution::Deleted | Resolution::Unborn => false,
+            Resolution::Base => db.exists(oid),
+        })
+    }
+
+    fn composite_attrs(&mut self, class: ClassId) -> DbResult<Vec<usize>> {
+        view::composite_positions(self.latch()?, class)
+    }
+}
+
+impl Drop for Latched<'_> {
+    fn drop(&mut self) {
+        let metrics = &self.snap.shared.metrics;
+        metrics.traversals.inc();
+        metrics.objects_visited.add(self.visited);
+        metrics.records_read.add(self.records);
     }
 }
 

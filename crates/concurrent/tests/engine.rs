@@ -247,6 +247,10 @@ fn recover_fences_live_snapshots_and_transactions() {
         Err(DbError::TransactionState { .. })
     ));
     assert!(matches!(
+        snap.subtree_of(root),
+        Err(DbError::TransactionState { .. })
+    ));
+    assert!(matches!(
         txn.make(part, vec![], vec![(root, "parts")]),
         Err(DbError::TransactionState { .. })
     ));
@@ -271,6 +275,88 @@ fn mvcc_and_txn_metrics_are_recorded() {
     assert!(counter("corion_mvcc_versions_published_total") >= 1);
     assert!(counter("corion_mvcc_snapshots_total") >= 1);
     assert!(counter("corion_lock_acquires_total") >= 1);
+}
+
+#[test]
+fn a_traversal_spanning_latch_batches_is_whole_and_counted_once() {
+    // 600 leaves under one root: the walk re-takes the engine latch twice
+    // on the way (every 256 objects) and must still list everything, with
+    // a commit landing while the snapshot is pinned.
+    const LEAVES: usize = 600;
+    let cdb = ConcurrentDb::new();
+    let (part, asm) = setup(&cdb);
+    let root = mk_root(&cdb, asm, "R");
+    let leaves: Vec<Oid> = cdb
+        .run_write(|t| {
+            (0..LEAVES)
+                .map(|_| t.make(part, vec![], vec![(root, "parts")]))
+                .collect()
+        })
+        .unwrap();
+    let snap = cdb.begin_read();
+    cdb.run_write(|t| t.delete(leaves[300])).unwrap();
+
+    let counter = |name: &str| {
+        let m = cdb.metrics_snapshot();
+        m.counters.get(name).copied().unwrap_or(0)
+    };
+    let before = [
+        counter("corion_mvcc_snapshot_traversals_total"),
+        counter("corion_mvcc_snapshot_objects_visited_total"),
+        counter("corion_mvcc_snapshot_records_read_total"),
+    ];
+    let mut got = snap.subtree_of(root).unwrap();
+    assert_eq!(got[0], root, "discovery order starts at the root");
+    got.sort();
+    let mut want = leaves.clone();
+    want.push(root);
+    want.sort();
+    assert_eq!(got, want, "the pinned view still has the deleted leaf");
+    assert_eq!(
+        counter("corion_mvcc_snapshot_traversals_total") - before[0],
+        1
+    );
+    assert_eq!(
+        counter("corion_mvcc_snapshot_objects_visited_total") - before[1],
+        LEAVES as u64 + 1
+    );
+    assert_eq!(
+        counter("corion_mvcc_snapshot_records_read_total") - before[2],
+        1,
+        "only the root has a composite attribute; leaves are not read"
+    );
+    assert_eq!(cdb.begin_read().subtree_of(root).unwrap().len(), LEAVES);
+}
+
+#[test]
+fn a_corrupt_leaf_page_fails_get_but_not_a_traversal_through_it() {
+    // The documented consequence of the schema-aware leaf skip: a leaf's
+    // record is not read by a walk, so rot in it surfaces where the leaf
+    // itself is read and nowhere else.
+    let cdb = ConcurrentDb::new();
+    let (part, asm) = setup(&cdb);
+    let root = mk_root(&cdb, asm, "R");
+    let leaf = cdb
+        .run_write(|t| {
+            t.make(
+                part,
+                vec![("tag", Value::Str("x".repeat(64)))],
+                vec![(root, "parts")],
+            )
+        })
+        .unwrap();
+    cdb.vacuum();
+    cdb.with_exclusive(|db| {
+        db.checkpoint().unwrap();
+        let pages = db.pages_of(db.segment_of(part).unwrap()).unwrap();
+        for page in pages {
+            db.corrupt_page_byte(page, 40, 0xff).unwrap();
+        }
+    });
+    let snap = cdb.begin_read();
+    assert!(snap.get(leaf).is_err(), "the leaf's own record is rotten");
+    assert_eq!(snap.subtree_of(root).unwrap(), vec![root, leaf]);
+    assert_eq!(snap.components_of(root).unwrap(), vec![leaf]);
 }
 
 #[test]

@@ -35,11 +35,11 @@ pub mod frame;
 pub mod message;
 
 pub use error::{ErrorClass, ErrorCode};
-pub use frame::{read_frame, write_frame, FrameError};
+pub use frame::{read_frame, write_frame, FrameError, FrameReader, FrameWriter};
 pub use message::{
-    decode_request, decode_response, encode_request, encode_response, kind_names, Delta, Request,
-    Response, WireAttrDef, WireAuth, WireAuthObject, WireDomain, WireMakeSpec, WireParent,
-    WirePredicate,
+    decode_request, decode_response, encode_request, encode_request_into, encode_response,
+    encode_response_into, kind_names, Delta, Request, Response, WireAttrDef, WireAuth,
+    WireAuthObject, WireDomain, WireMakeSpec, WireParent, WirePredicate,
 };
 
 /// Protocol magic, first field of the `Hello` payload: `b"CRIO"` read as a

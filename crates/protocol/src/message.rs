@@ -639,6 +639,13 @@ fn put_auth_object(buf: &mut impl BufMut, o: WireAuthObject) {
 /// Encodes a request into a frame payload (kind byte + fields).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut buf = Vec::new();
+    encode_request_into(req, &mut buf);
+    buf
+}
+
+/// Appends a request's frame payload to `buf` — the allocation-free form
+/// a connection uses with its reused [`crate::FrameWriter`] buffer.
+pub fn encode_request_into(req: &Request, mut buf: &mut Vec<u8>) {
     match req {
         Request::Hello {
             magic,
@@ -812,12 +819,18 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Shutdown => codec::put_u8(&mut buf, K_SHUTDOWN),
     }
-    buf
 }
 
 /// Encodes a response into a frame payload (kind byte + fields).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut buf = Vec::new();
+    encode_response_into(resp, &mut buf);
+    buf
+}
+
+/// Appends a response's frame payload to `buf`; see
+/// [`encode_request_into`].
+pub fn encode_response_into(resp: &Response, mut buf: &mut Vec<u8>) {
     match resp {
         Response::HelloOk { version, session } => {
             codec::put_u8(&mut buf, K_HELLO_OK);
@@ -920,7 +933,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             codec::put_string(&mut buf, message);
         }
     }
-    buf
 }
 
 // ---------------------------------------------------------------------

@@ -5,8 +5,8 @@
 use corion_core::{ClassId, Oid, Value};
 use corion_protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    Delta, ErrorCode, FrameError, Request, Response, WireAttrDef, WireAuth, WireAuthObject,
-    WireDomain, WireMakeSpec, WireParent, WirePredicate, MAX_FRAME,
+    Delta, ErrorCode, FrameError, FrameReader, Request, Response, WireAttrDef, WireAuth,
+    WireAuthObject, WireDomain, WireMakeSpec, WireParent, WirePredicate, MAX_FRAME,
 };
 use proptest::prelude::*;
 
@@ -327,6 +327,68 @@ proptest! {
         prop_assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
     }
 
+    /// The buffered reader is the one-shot reader under any chunking: a
+    /// stream of legal frames, optionally ended by a hostile length or a
+    /// truncated frame, delivered `chunks[i]` bytes per `read` (1 byte at
+    /// a time, many frames per read, frames split across reads), yields
+    /// the same payloads and then the same verdict — `Closed` at a frame
+    /// boundary, an i/o error inside a frame, `BadLength` for zero and
+    /// oversize lengths.
+    #[test]
+    fn buffered_reader_agrees_with_read_frame_under_any_chunking(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..40), 0..6),
+        big in 8_000usize..20_000,
+        tail in 0usize..5,
+        cut in 1usize..8,
+        chunks in prop::collection::vec(
+            prop_oneof![Just(1usize), 1usize..64, Just(usize::MAX)],
+            1..8,
+        ),
+    ) {
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_frame(&mut wire, p).expect("write");
+        }
+        // One frame larger than the reader's steady-state buffer.
+        write_frame(&mut wire, &vec![0x5a; big]).expect("write");
+        match tail {
+            0 => {}                                                     // EOF at a boundary
+            1 => wire.extend_from_slice(&0u32.to_le_bytes()),           // zero length
+            2 => wire.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes()),
+            3 => wire.extend_from_slice(&[9, 0][..cut.min(2)]),         // EOF inside the prefix
+            _ => {                                                      // EOF inside the payload
+                wire.extend_from_slice(&8u32.to_le_bytes());
+                wire.extend_from_slice(&[1; 7][..cut.min(7)]);
+            }
+        }
+
+        let verdict = |e: &FrameError| match e {
+            FrameError::Closed => "closed".to_string(),
+            FrameError::BadLength(n) => format!("bad length {n}"),
+            FrameError::Io(e) => format!("io {:?}", e.kind()),
+        };
+        let mut one_shot = &wire[..];
+        let mut chunked = Chunked { bytes: &wire, chunks: &chunks, reads: 0 };
+        let mut reader = FrameReader::new();
+        loop {
+            let want = read_frame(&mut one_shot);
+            let got = reader.read_frame(&mut chunked);
+            match (want, got) {
+                (Ok(want), Ok(got)) => prop_assert_eq!(&want[..], got),
+                (Err(want), Err(got)) => {
+                    prop_assert_eq!(verdict(&want), verdict(&got));
+                    break;
+                }
+                (want, got) => prop_assert!(
+                    false,
+                    "read_frame {:?} vs FrameReader {:?}",
+                    want.map(|p| p.len()).map_err(|e| verdict(&e)),
+                    got.map(|p| p.len()).map_err(|e| verdict(&e))
+                ),
+            }
+        }
+    }
+
     /// Arbitrary bytes into the frame reader: never a panic, never an
     /// oversized allocation (lengths beyond MAX_FRAME are rejected before
     /// the payload is read).
@@ -335,5 +397,24 @@ proptest! {
         if let Ok(payload) = read_frame(&mut &bytes[..]) {
             prop_assert!(!payload.is_empty() && payload.len() <= MAX_FRAME);
         }
+    }
+}
+
+/// Hands out `bytes` at most `chunks[i mod len]` bytes per `read`.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    chunks: &'a [usize],
+    reads: usize,
+}
+
+impl std::io::Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunks[self.reads % self.chunks.len()]
+            .min(buf.len())
+            .min(self.bytes.len());
+        self.reads += 1;
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
     }
 }

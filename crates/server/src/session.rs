@@ -27,6 +27,7 @@
 //! auth store **outside** engine latch.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::RecvTimeoutError;
@@ -34,39 +35,56 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use corion_authz::{AuthObject, AuthType, Authorization, Decision, Sign, Strength, UserId};
-use corion_concurrent::{Snapshot, WriteTxn};
+use corion_concurrent::{view, Snapshot, WriteTxn};
 use corion_core::schema::lattice;
 use corion_core::{
     query, ClassBuilder, ClassId, CompositeSpec, Database, DbError, DbResult, Domain, MakeSpec,
     Object, Oid, ParentRef, Value,
 };
 use corion_protocol::{
-    decode_request, encode_response, read_frame, write_frame, ErrorCode, FrameError, Request,
-    Response, WireAuth, WireAuthObject, WireDomain, WireParent, WirePredicate, MAGIC, VERSION,
+    decode_request, encode_response_into, ErrorCode, FrameError, FrameReader, FrameWriter, Request,
+    Response, WireAuth, WireAuthObject, WireDomain, WireParent, WirePredicate, MAGIC, MAX_FRAME,
+    VERSION,
 };
 
 use crate::Inner;
 
-/// Granularity of the idle/shutdown poll while waiting for a request.
+/// Granularity of the idle/shutdown poll while waiting for a request:
+/// the connection's read timeout, set once when the session starts.
 pub(crate) const POLL: Duration = Duration::from_millis(50);
-/// Once a frame has started arriving, how long the rest may take.
+/// Once a frame has started arriving, how long the rest may stall.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
+/// Read timeout of a subscribed connection: the event loop only probes
+/// the socket for a departed peer and must not hold events up.
+const SUBSCRIBER_PROBE: Duration = Duration::from_millis(1);
 
-/// Why the wait-for-request loop returned.
-enum Wait {
-    /// A frame is ready to read.
-    Ready,
-    /// The peer closed the connection.
-    Closed,
-    /// The session sat idle past the configured timeout.
-    Idle,
-    /// The server is shutting down.
-    ShuttingDown,
+/// What a session needs of its connection. `TcpStream` in production; a
+/// scripted stream in the unit tests below.
+pub(crate) trait Conn: Read + Write {
+    /// Bounds every later `read`; `WouldBlock`/`TimedOut` when it fires.
+    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()>;
 }
 
-struct Session<'a> {
+impl Conn for TcpStream {
+    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
+        TcpStream::set_read_timeout(self, Some(timeout))
+    }
+}
+
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+struct Session<'a, S> {
     inner: &'a Arc<Inner>,
-    stream: TcpStream,
+    stream: S,
+    /// Per-connection frame buffers: a round trip costs the server one
+    /// `read` and one `write`, and allocates nothing for framing.
+    reader: FrameReader,
+    writer: FrameWriter,
     id: u64,
     user: UserId,
     txn: Option<WriteTxn>,
@@ -80,24 +98,41 @@ struct Session<'a> {
 /// modes close the connection.
 pub(crate) fn run(inner: Arc<Inner>, stream: TcpStream, id: u64) {
     let _ = stream.set_nodelay(true);
-    let mut session = Session {
-        inner: &inner,
-        stream,
-        id,
-        user: UserId(0),
-        txn: None,
-        created: HashSet::new(),
-    };
-    let _ = session.serve();
+    let _ = Session::new(&inner, stream, id).serve();
     // An abandoned open transaction aborts on drop (WriteTxn::drop).
 }
 
-impl Session<'_> {
+impl<'a, S: Conn> Session<'a, S> {
+    fn new(inner: &'a Arc<Inner>, stream: S, id: u64) -> Self {
+        Session {
+            inner,
+            stream,
+            reader: FrameReader::new(),
+            writer: FrameWriter::new(),
+            id,
+            user: UserId(0),
+            txn: None,
+            created: HashSet::new(),
+        }
+    }
+
     fn send(&mut self, resp: &Response) -> Result<(), FrameError> {
-        if matches!(resp, Response::Error { .. }) {
+        let is_error = matches!(resp, Response::Error { .. });
+        if is_error {
             self.inner.metrics.errors.inc();
         }
-        Ok(write_frame(&mut self.stream, &encode_response(resp))?)
+        let sent = self
+            .writer
+            .write(&mut self.stream, |buf| encode_response_into(resp, buf));
+        match sent {
+            // The writer refuses a payload the client's reader would drop
+            // the connection on; answer with an error the client can type.
+            Err(e) if e.kind() == io::ErrorKind::InvalidInput && !is_error => self.send_error(
+                ErrorCode::Internal,
+                format!("response exceeds MAX_FRAME ({MAX_FRAME} bytes); narrow the request"),
+            ),
+            sent => Ok(sent?),
+        }
     }
 
     fn send_error(
@@ -111,68 +146,57 @@ impl Session<'_> {
         })
     }
 
-    /// Blocks until a frame is available, the peer closes, the idle
-    /// timeout elapses, or the server shuts down. Uses short `peek`
-    /// timeouts so shutdown is noticed promptly and a frame is only read
-    /// once its first byte has arrived (no torn mid-frame timeouts).
-    fn wait_for_frame(&mut self) -> Wait {
-        let mut idle = Duration::ZERO;
-        let mut byte = [0u8; 1];
+    /// Blocks until a request arrives. `Ok(None)` ends the session: the
+    /// peer closed at a frame boundary, sat idle past the configured
+    /// timeout, or the server is shutting down (the latter two get an
+    /// error frame first). One loop over the frame reader: a lap is one
+    /// `read` bounded by [`POLL`], so shutdown is noticed within one
+    /// `POLL`; a timed-out lap counts toward `idle_timeout` when nothing
+    /// is buffered and toward [`FRAME_TIMEOUT`] when a frame is cut short.
+    fn read_request(&mut self) -> Result<Option<Request>, FrameError> {
+        // Timed-out laps with nothing buffered, and inside a frame.
+        let (mut idle, mut stalled) = (Duration::ZERO, Duration::ZERO);
         loop {
             if self.inner.shutdown.load(Ordering::SeqCst) {
-                return Wait::ShuttingDown;
+                let _ = self.send_error(ErrorCode::ShuttingDown, "server is shutting down");
+                return Ok(None);
             }
-            if self.stream.set_read_timeout(Some(POLL)).is_err() {
-                return Wait::Closed;
-            }
-            match self.stream.peek(&mut byte) {
-                Ok(0) => return Wait::Closed,
-                Ok(_) => return Wait::Ready,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    idle += POLL;
-                    if idle >= self.inner.idle_timeout {
-                        return Wait::Idle;
+            let decoded = match self.reader.read_frame(&mut self.stream) {
+                Ok(payload) => decode_request(payload),
+                Err(FrameError::Closed) => return Ok(None),
+                Err(FrameError::Io(e)) if timed_out(&e) => {
+                    if self.reader.buffered() > 0 {
+                        stalled += POLL;
+                        if stalled >= FRAME_TIMEOUT {
+                            return Err(FrameError::Io(e));
+                        }
+                    } else {
+                        idle += POLL;
+                        if idle >= self.inner.idle_timeout {
+                            self.inner.metrics.idle_timeouts.inc();
+                            let _ = self.send_error(ErrorCode::IdleTimeout, "session idle timeout");
+                            return Ok(None);
+                        }
                     }
+                    continue;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Wait::Closed,
-            }
-        }
-    }
-
-    fn read_request(&mut self) -> Result<Option<Request>, FrameError> {
-        loop {
-            match self.wait_for_frame() {
-                Wait::Ready => {}
-                Wait::Closed => return Ok(None),
-                Wait::Idle => {
-                    self.inner.metrics.idle_timeouts.inc();
-                    let _ = self.send_error(ErrorCode::IdleTimeout, "session idle timeout");
-                    return Ok(None);
-                }
-                Wait::ShuttingDown => {
-                    let _ = self.send_error(ErrorCode::ShuttingDown, "server is shutting down");
-                    return Ok(None);
-                }
-            }
-            let _ = self.stream.set_read_timeout(Some(FRAME_TIMEOUT));
-            let payload = read_frame(&mut self.stream)?;
-            match decode_request(&payload) {
+                Err(e) => return Err(e),
+            };
+            match decoded {
                 Ok(req) => return Ok(Some(req)),
                 Err(e) => {
                     // Framing is still in sync (the length prefix was
                     // valid); the error *is* the response — wait for the
                     // next request.
                     self.send_error(ErrorCode::Protocol, e.to_string())?;
+                    (idle, stalled) = (Duration::ZERO, Duration::ZERO);
                 }
             }
         }
     }
 
     fn serve(&mut self) -> Result<(), FrameError> {
+        self.stream.set_read_timeout(POLL)?;
         // Handshake: the first frame must be Hello.
         let Some(req) = self.read_request()? else {
             return Ok(());
@@ -264,6 +288,7 @@ impl Session<'_> {
         self.send(&Response::SubscribeOk {
             start_lsn: sub.start_lsn,
         })?;
+        self.stream.set_read_timeout(SUBSCRIBER_PROBE)?;
         let mut byte = [0u8; 1];
         loop {
             if self.inner.shutdown.load(Ordering::SeqCst) {
@@ -279,14 +304,11 @@ impl Session<'_> {
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     // Detect a departed subscriber so the tailer's sender
-                    // list stays clean.
-                    let _ = self.stream.set_read_timeout(Some(Duration::from_millis(1)));
-                    match self.stream.peek(&mut byte) {
+                    // list stays clean. The stream is one-way from here:
+                    // anything the peer still sends is read and dropped.
+                    match self.stream.read(&mut byte) {
                         Ok(0) => return Ok(()),
-                        Err(e)
-                            if e.kind() != std::io::ErrorKind::WouldBlock
-                                && e.kind() != std::io::ErrorKind::TimedOut =>
-                        {
+                        Err(e) if !timed_out(&e) && e.kind() != io::ErrorKind::Interrupted => {
                             return Ok(());
                         }
                         _ => {}
@@ -580,7 +602,7 @@ impl Session<'_> {
             Request::ComponentsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |db| direct_components(db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |mut db| view::components_of(&mut db, oid)),
                     None => self.inner.db.begin_read().components_of(oid),
                 };
                 match r {
@@ -591,7 +613,7 @@ impl Session<'_> {
             Request::ParentsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |db| Ok(db.get(oid)?.composite_parents())),
+                    Some(txn) => txn.with_view(&[oid], |mut db| view::parents_of(&mut db, oid)),
                     None => self.inner.db.begin_read().parents_of(oid),
                 };
                 match r {
@@ -602,7 +624,7 @@ impl Session<'_> {
             Request::AncestorsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |db| ancestors(db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |mut db| view::ancestors_of(&mut db, oid)),
                     None => self.inner.db.begin_read().ancestors_of(oid),
                 };
                 match r {
@@ -613,7 +635,7 @@ impl Session<'_> {
             Request::SubtreeOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |db| subtree(db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |mut db| view::subtree_of(&mut db, oid)),
                     None => self.inner.db.begin_read().subtree_of(oid),
                 };
                 match r {
@@ -815,54 +837,6 @@ impl Session<'_> {
 // Read helpers shared by the transaction and snapshot paths
 // -------------------------------------------------------------------
 
-/// Direct components: references held in the object's composite
-/// attributes (same definition as `Snapshot::components_of`).
-fn direct_components(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
-    let obj = db.get(oid)?;
-    let class = db.class(oid.class)?;
-    let mut out = Vec::new();
-    for (def, value) in class.attrs.iter().zip(obj.attrs.iter()) {
-        if def.composite.is_some() {
-            out.extend(value.refs());
-        }
-    }
-    Ok(out)
-}
-
-fn ancestors(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
-    let mut seen = HashSet::new();
-    let mut queue = db.get(oid)?.composite_parents();
-    let mut out = Vec::new();
-    while let Some(p) = queue.pop() {
-        if !seen.insert(p) {
-            continue;
-        }
-        out.push(p);
-        if let Ok(obj) = db.get(p) {
-            queue.extend(obj.composite_parents());
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-fn subtree(db: &Database, oid: Oid) -> DbResult<Vec<Oid>> {
-    let mut seen = HashSet::new();
-    let mut queue = vec![oid];
-    let mut out = Vec::new();
-    while let Some(o) = queue.pop() {
-        if !seen.insert(o) {
-            continue;
-        }
-        if !db.exists(o) {
-            continue;
-        }
-        out.push(o);
-        queue.extend(direct_components(db, o)?);
-    }
-    Ok(out)
-}
-
 /// A read view the predicate evaluator is generic over: an MVCC
 /// snapshot (no transaction) or the engine under a transaction's
 /// overlay (inside `with_view`).
@@ -919,7 +893,7 @@ impl View<'_> {
     fn subtree(&self, oid: Oid) -> DbResult<Vec<Oid>> {
         match self {
             View::Snap(s) => s.subtree_of(oid),
-            View::Db(d) => subtree(d, oid),
+            View::Db(mut d) => view::subtree_of(&mut d, oid),
         }
     }
 }
@@ -1070,5 +1044,293 @@ fn to_auth_object(w: WireAuthObject) -> AuthObject {
         WireAuthObject::Database => AuthObject::Database,
         WireAuthObject::Class(c) => AuthObject::Class(c),
         WireAuthObject::Instance(o) => AuthObject::Instance(o),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corion_authz::AuthStore;
+    use corion_concurrent::ConcurrentDb;
+    use corion_protocol::{decode_response, encode_request, read_frame, write_frame};
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+
+    use crate::metrics::ServerMetrics;
+    use crate::stream::ChangeStreams;
+
+    fn inner(idle_timeout: Duration) -> Arc<Inner> {
+        let db = ConcurrentDb::new();
+        let registry = db.with_read(|d| d.metrics_registry().clone());
+        Arc::new(Inner {
+            db,
+            auth: parking_lot::RwLock::new(AuthStore::new()),
+            streams: Arc::new(ChangeStreams::new(4)),
+            metrics: Arc::new(ServerMetrics::new(&registry)),
+            shutdown: AtomicBool::new(false),
+            idle_timeout,
+            sessions: AtomicUsize::new(0),
+            max_sessions: 1,
+            next_session: AtomicU64::new(1),
+        })
+    }
+
+    /// What the scripted peer does at one `read`.
+    enum Step {
+        /// These bytes arrive (one segment).
+        Arrive(Vec<u8>),
+        /// The read times out this many times in a row.
+        Stall(usize),
+        /// The server's shutdown flag is raised while the read waits.
+        Shutdown(Arc<Inner>),
+    }
+
+    /// A connection that follows a script and counts calls. After the
+    /// script it stalls forever if `then_stall`, else reports EOF.
+    struct Scripted {
+        script: VecDeque<Step>,
+        then_stall: bool,
+        /// Reads that delivered bytes / reads in all (timeouts, EOF too).
+        data_reads: usize,
+        reads: usize,
+        writes: Vec<Vec<u8>>,
+        timeouts_set: std::cell::RefCell<Vec<Duration>>,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<Step>, then_stall: bool) -> Self {
+            Scripted {
+                script: script.into(),
+                then_stall,
+                data_reads: 0,
+                reads: 0,
+                writes: Vec::new(),
+                timeouts_set: Default::default(),
+            }
+        }
+
+        fn responses(&self) -> Vec<Response> {
+            self.writes
+                .iter()
+                .map(|w| {
+                    let mut r = &w[..];
+                    let payload = read_frame(&mut r).expect("each write is one frame");
+                    assert!(r.is_empty(), "and nothing but that frame");
+                    decode_response(&payload).unwrap()
+                })
+                .collect()
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let stall = || Err(io::Error::from(io::ErrorKind::WouldBlock));
+            match self.script.pop_front() {
+                Some(Step::Arrive(bytes)) => {
+                    self.data_reads += 1;
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Step::Stall(n)) => {
+                    if n > 1 {
+                        self.script.push_front(Step::Stall(n - 1));
+                    }
+                    stall()
+                }
+                Some(Step::Shutdown(inner)) => {
+                    inner.shutdown.store(true, Ordering::SeqCst);
+                    stall()
+                }
+                None if self.then_stall => stall(),
+                None => Ok(0),
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Conn for &mut Scripted {
+        fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
+            self.timeouts_set.borrow_mut().push(timeout);
+            Ok(())
+        }
+    }
+
+    fn frames(reqs: &[Request]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for req in reqs {
+            write_frame(&mut wire, &encode_request(req)).unwrap();
+        }
+        wire
+    }
+
+    fn hello() -> Step {
+        Step::Arrive(frames(&[Request::Hello {
+            magic: MAGIC,
+            version: VERSION,
+            user: 0,
+        }]))
+    }
+
+    fn error_code(resp: &Response) -> Option<ErrorCode> {
+        match resp {
+            Response::Error { code, .. } => Some(*code),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_request_costs_one_read_and_one_write() {
+        let inner = inner(Duration::from_secs(300));
+        let mut conn = Scripted::new(
+            vec![
+                hello(),
+                Step::Arrive(frames(&[Request::Ping])),
+                Step::Arrive(frames(&[Request::ListClasses])),
+                Step::Arrive(frames(&[Request::Ping])),
+            ],
+            false,
+        );
+        Session::new(&inner, &mut conn, 7).serve().unwrap();
+        assert_eq!(conn.data_reads, 4, "one read per whole-frame arrival");
+        assert_eq!(conn.reads, 5, "plus the one that saw the close");
+        assert_eq!(conn.writes.len(), 4, "one write per response frame");
+        assert_eq!(
+            conn.timeouts_set.take(),
+            [POLL],
+            "set once, at session start"
+        );
+        assert!(matches!(
+            conn.responses()[..],
+            [
+                Response::HelloOk { session: 7, .. },
+                Response::Pong,
+                Response::OkClasses(_),
+                Response::Pong
+            ]
+        ));
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_and_a_bad_payload_keeps_framing() {
+        let inner = inner(Duration::from_secs(300));
+        // One segment: Ping, an undecodable payload in a well-formed
+        // frame, ListClasses, Ping.
+        let mut segment = frames(&[Request::Ping]);
+        write_frame(&mut segment, &[0xff, 1, 2]).unwrap();
+        segment.extend(frames(&[Request::ListClasses, Request::Ping]));
+        let mut conn = Scripted::new(vec![hello(), Step::Arrive(segment)], false);
+        Session::new(&inner, &mut conn, 1).serve().unwrap();
+        assert_eq!(conn.data_reads, 2, "the whole pipeline came in one read");
+        let responses = conn.responses();
+        assert!(matches!(
+            responses[..],
+            [
+                Response::HelloOk { .. },
+                Response::Pong,
+                Response::Error { .. },
+                Response::OkClasses(_),
+                Response::Pong
+            ]
+        ));
+        assert_eq!(error_code(&responses[2]), Some(ErrorCode::Protocol));
+    }
+
+    #[test]
+    fn a_bad_length_closes_the_connection_without_a_reply() {
+        let inner = inner(Duration::from_secs(300));
+        let mut conn = Scripted::new(
+            vec![hello(), Step::Arrive(0u32.to_le_bytes().to_vec())],
+            true,
+        );
+        let end = Session::new(&inner, &mut conn, 1).serve();
+        assert!(matches!(end, Err(FrameError::BadLength(0))));
+        assert_eq!(conn.writes.len(), 1, "only HelloOk was ever sent");
+    }
+
+    #[test]
+    fn an_idle_session_gets_the_typed_timeout_frame() {
+        let inner = inner(3 * POLL);
+        let mut conn = Scripted::new(vec![hello()], true);
+        Session::new(&inner, &mut conn, 1).serve().unwrap();
+        assert_eq!(conn.reads, 1 + 3, "three timed-out laps reach 3 × POLL");
+        let responses = conn.responses();
+        assert_eq!(responses.len(), 2);
+        assert_eq!(error_code(&responses[1]), Some(ErrorCode::IdleTimeout));
+    }
+
+    #[test]
+    fn a_mid_frame_stall_is_closed_after_frame_timeout_not_idle_timeout() {
+        // Idle timeout far below FRAME_TIMEOUT: a frame cut short must
+        // not be mistaken for idleness (and gets no IdleTimeout frame).
+        let inner = inner(2 * POLL);
+        let ping = frames(&[Request::Ping]);
+        let mut conn = Scripted::new(vec![hello(), Step::Arrive(ping[..3].to_vec())], true);
+        let end = Session::new(&inner, &mut conn, 1).serve();
+        assert!(matches!(end, Err(FrameError::Io(e)) if timed_out(&e)));
+        let laps = (FRAME_TIMEOUT.as_millis() / POLL.as_millis()) as usize;
+        assert_eq!(conn.reads, 2 + laps);
+        assert_eq!(conn.writes.len(), 1, "only HelloOk was ever sent");
+
+        // The rest of the frame arriving in time is served normally, and
+        // laps spent idle before the frame began do not count against it.
+        let inner = self::inner(Duration::from_secs(300));
+        let mut conn = Scripted::new(
+            vec![
+                hello(),
+                Step::Stall(laps / 2),
+                Step::Arrive(ping[..3].to_vec()),
+                Step::Stall(laps - 1),
+                Step::Arrive(ping[3..].to_vec()),
+            ],
+            false,
+        );
+        Session::new(&inner, &mut conn, 1).serve().unwrap();
+        assert!(matches!(
+            conn.responses()[..],
+            [Response::HelloOk { .. }, Response::Pong]
+        ));
+    }
+
+    #[test]
+    fn shutdown_is_noticed_within_one_poll() {
+        let inner = inner(Duration::from_secs(300));
+        let mut conn = Scripted::new(
+            vec![hello(), Step::Stall(2), Step::Shutdown(Arc::clone(&inner))],
+            true,
+        );
+        Session::new(&inner, &mut conn, 1).serve().unwrap();
+        assert_eq!(
+            conn.reads, 4,
+            "no read after the one during which the flag was raised"
+        );
+        let responses = conn.responses();
+        assert_eq!(error_code(&responses[1]), Some(ErrorCode::ShuttingDown));
+    }
+
+    #[test]
+    fn a_response_over_max_frame_becomes_a_typed_error() {
+        let inner = inner(Duration::from_secs(300));
+        let mut conn = Scripted::new(vec![], false);
+        let mut session = Session::new(&inner, &mut conn, 1);
+        session
+            .send(&Response::OkText("x".repeat(MAX_FRAME + 1)))
+            .unwrap();
+        session.send(&Response::Pong).unwrap();
+        drop(session);
+        let responses = conn.responses();
+        assert_eq!(error_code(&responses[0]), Some(ErrorCode::Internal));
+        assert!(matches!(&responses[0], Response::Error { message, .. }
+            if message.contains("exceeds MAX_FRAME")));
+        assert_eq!(responses[1], Response::Pong, "the connection lives on");
     }
 }

@@ -11,7 +11,7 @@ use corion_concurrent::ConcurrentDb;
 use corion_core::{ClassBuilder, CompositeSpec, Database, Domain, Oid, Value};
 use corion_protocol::{
     decode_response, encode_request, read_frame, write_frame, Delta, ErrorCode, Request, Response,
-    WireAuth, WireAuthObject, MAGIC, VERSION,
+    WireAuth, WireAuthObject, MAGIC, MAX_FRAME, VERSION,
 };
 use corion_server::{Server, ServerConfig};
 
@@ -355,4 +355,80 @@ fn wire_shutdown_stops_the_server() {
             Ok(_) => panic!("server still accepting after shutdown"),
         }
     }
+}
+
+/// Regression: an answer over `MAX_FRAME` used to be sent anyway in
+/// release builds (the guard was a `debug_assert!`), and the *client*
+/// then killed the connection with `BadLength`. Now the server answers a
+/// typed error and the session stays usable. (One object too large for a
+/// frame stands in for an extension of 700 000 instances: same `send`
+/// path, a thousandth of the set-up time.)
+#[test]
+fn an_answer_over_max_frame_is_a_typed_error_not_a_dead_connection() {
+    let mut db = Database::new();
+    let blob = db
+        .define_class(ClassBuilder::new("Blob").attr("text", Domain::String))
+        .unwrap();
+    let big = db
+        .make(
+            blob,
+            vec![("text", Value::Str("x".repeat(MAX_FRAME)))],
+            vec![],
+        )
+        .unwrap();
+    let small = db
+        .make(blob, vec![("text", Value::Str("y".into()))], vec![])
+        .unwrap();
+    let server = Server::start(
+        ConcurrentDb::from_database(db),
+        AuthStore::new(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+
+    let mut c = Client::connect(server.local_addr(), 0).unwrap();
+    match c.get(big) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Internal);
+            assert!(message.contains("exceeds MAX_FRAME"), "{message}");
+        }
+        other => panic!(
+            "wanted a typed Internal error, got {:?}",
+            other.map(|o| o.oid)
+        ),
+    }
+    // Same connection, next requests: still in sync.
+    c.ping().unwrap();
+    assert_eq!(c.get_attr(small, "text").unwrap(), Value::Str("y".into()));
+    assert_eq!(c.instances_of(blob, false).unwrap(), vec![big, small]);
+    server.shutdown();
+}
+
+/// A peer may pipeline: two requests written back to back (one segment)
+/// are answered in order.
+#[test]
+fn pipelined_requests_over_tcp_are_answered_in_order() {
+    let server = start_default();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut wire = Vec::new();
+    for req in [
+        Request::Hello {
+            magic: MAGIC,
+            version: VERSION,
+            user: 0,
+        },
+        Request::Ping,
+        Request::ListClasses,
+    ] {
+        write_frame(&mut wire, &encode_request(&req)).unwrap();
+    }
+    std::io::Write::write_all(&mut stream, &wire).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut next = || decode_response(&read_frame(&mut stream).unwrap()).unwrap();
+    assert!(matches!(next(), Response::HelloOk { .. }));
+    assert_eq!(next(), Response::Pong);
+    assert!(matches!(next(), Response::OkClasses(cs) if cs.len() == 2));
+    server.shutdown();
 }

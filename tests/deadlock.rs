@@ -248,3 +248,74 @@ fn victim_transaction_handle_fails_fast_afterwards() {
         Err(other) => panic!("unexpected error: {other:?}"),
     }
 }
+
+#[test]
+fn client_with_txn_absorbs_barrier_forced_inversions_through_the_wire() {
+    // The same 2-cycle as `run_inversion`, driven through two `Client`s:
+    // each round's first attempt parks both sessions between their first
+    // and second root, so the server must pick a victim; the victim sees
+    // the retryable `Deadlock` wire error and `with_txn` retries it
+    // (pausing from the third attempt on) while the survivor commits.
+    use corion::{AuthStore, Client, ErrorCode, Server, ServerConfig};
+
+    let cdb = ConcurrentDb::new();
+    let (_part, asm) = setup(&cdb);
+    let a = mk_root(&cdb, asm, "a");
+    let b = mk_root(&cdb, asm, "b");
+    let server = Server::start(cdb.clone(), AuthStore::new(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    const ROUNDS: u64 = 10;
+    // Two parties between the locks; two more at the end of a round, so
+    // the survivor cannot start the next round's first lock while the
+    // victim still retries this one.
+    let between = Arc::new(Barrier::new(2));
+    let round_end = Arc::new(Barrier::new(2));
+    let victims = Arc::new(AtomicU64::new(0));
+
+    let spawn = |first: Oid, second: Oid, name: &'static str| {
+        let between = Arc::clone(&between);
+        let round_end = Arc::clone(&round_end);
+        let victims = Arc::clone(&victims);
+        thread::spawn(move || {
+            let mut client = Client::connect(addr, 0).unwrap();
+            for i in 0..ROUNDS {
+                let mut attempt = 0;
+                client
+                    .with_txn(8, |c| {
+                        attempt += 1;
+                        c.set_attr(first, "label", Value::Str(format!("{name}-{i}")))?;
+                        if attempt == 1 {
+                            between.wait();
+                        }
+                        c.set_attr(second, "label", Value::Str(format!("{name}-{i}")))
+                            .inspect_err(|e| {
+                                assert_eq!(e.code(), Some(ErrorCode::Deadlock), "{e}");
+                                assert!(e.is_retryable());
+                                victims.fetch_add(1, Ordering::SeqCst);
+                            })
+                    })
+                    .unwrap();
+                round_end.wait();
+            }
+        })
+    };
+    let h1 = spawn(a, b, "t1");
+    let h2 = spawn(b, a, "t2");
+    h1.join().unwrap();
+    h2.join().unwrap();
+
+    // At least the forced victim of each round. More when a retry
+    // re-takes its first root before the parked survivor wakes and the
+    // cycle closes again — the alternation the pause exists to break.
+    assert!(victims.load(Ordering::SeqCst) >= ROUNDS);
+    cdb.with_read(|db| {
+        for &r in &[a, b] {
+            match db.get_attr(r, "label").unwrap() {
+                Value::Str(s) => assert!(s.ends_with(&format!("-{}", ROUNDS - 1)), "{s}"),
+                other => panic!("label must be a string, got {other:?}"),
+            }
+        }
+    });
+    server.shutdown();
+}
