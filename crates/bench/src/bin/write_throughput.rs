@@ -15,10 +15,16 @@
 //!      vs on and compare WAL bytes/op.
 //!
 //! Results land in `BENCH_txn.json` and `BENCH_wal.json` (working
-//! directory, or `$CORION_BENCH_OUT`). The process exits nonzero if the
-//! asserted floors regress: transactions (or `make_many`) must be ≥ 5×
-//! autocommit ops/s on the ingest, and delta logging must cut WAL
-//! bytes/op by ≥ 2× on the update mix.
+//! directory, or `$CORION_BENCH_OUT`), each stamped with the core count
+//! and git revision it ran on. The process exits nonzero if the asserted
+//! floors regress: transactions (or `make_many`) must be ≥ 2× autocommit
+//! ops/s on the ingest, and delta logging must cut WAL bytes/op by ≥ 2×
+//! on the update mix. The ingest floor protects *batching* — one flush
+//! for many operations must stay clearly cheaper than one flush each. It
+//! is a ratio whose denominator is the autocommit path, so both absolute
+//! rates are recorded: a slower batched path must not hide behind a
+//! slower autocommit, nor a faster autocommit read as a regression
+//! (docs/PERFORMANCE.md has the history of the number).
 //!
 //! Knobs (for CI smoke runs): `CORION_BENCH_OBJECTS` (default 1000),
 //! `CORION_BENCH_RUNS` (default 3), `CORION_BENCH_UPDATE_OPS`
@@ -28,6 +34,7 @@
 //! pipelines with `std::time::Instant` and persists machine-readable
 //! baselines for later PRs to compare against.
 
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use corion::storage::StoreConfig;
@@ -255,6 +262,23 @@ fn measure_mode(name: &'static str, objects: usize, runs: usize) -> ModeResult {
     }
 }
 
+/// `"cores": N, "git_rev": "…"` — where and on what a result file was
+/// measured (the same two fields `e2ebench/history.jsonl` carries; the
+/// revision gains `-dirty` when the tree has uncommitted changes).
+fn json_machine() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rev = Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .stderr(Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into());
+    format!("\"cores\": {cores},\n  \"git_rev\": \"{rev}\"")
+}
+
 fn json_mode(m: &ModeResult) -> String {
     format!(
         "    \"{}\": {{ \"median_ns_per_op\": {}, \"ops_per_sec\": {:.1}, \
@@ -289,12 +313,14 @@ fn main() {
          make_many {many_speedup:.1}x, group {group_speedup:.1}x"
     );
 
+    let machine = json_machine();
     let txn_json = format!(
-        "{{\n  \"experiment\": \"hierarchy_ingest\",\n  \"objects\": {objects},\n  \
+        "{{\n  \"experiment\": \"hierarchy_ingest\",\n  {machine},\n  \"objects\": {objects},\n  \
          \"runs\": {runs},\n  \"modes\": {{\n{}\n  }},\n  \
          \"speedup_transaction_vs_autocommit\": {txn_speedup:.2},\n  \
          \"speedup_make_many_vs_autocommit\": {many_speedup:.2},\n  \
-         \"speedup_group_vs_autocommit\": {group_speedup:.2}\n}}\n",
+         \"speedup_group_vs_autocommit\": {group_speedup:.2},\n  \
+         \"floor_batched_vs_autocommit\": 2.0\n}}\n",
         modes.iter().map(json_mode).collect::<Vec<_>>().join(",\n")
     );
     std::fs::write(format!("{out_dir}/BENCH_txn.json"), &txn_json).unwrap();
@@ -321,7 +347,7 @@ fn main() {
     );
 
     let wal_json = format!(
-        "{{\n  \"experiment\": \"update_mix_delta_logging\",\n  \"ops\": {mix_ops},\n  \
+        "{{\n  \"experiment\": \"update_mix_delta_logging\",\n  {machine},\n  \"ops\": {mix_ops},\n  \
          \"runs\": {runs},\n  \"full_image\": {{ \"median_ns_per_op\": {}, \
          \"wal_bytes_per_op\": {full_per_op:.1} }},\n  \
          \"delta\": {{ \"median_ns_per_op\": {}, \"wal_bytes_per_op\": {delta_per_op:.1} }},\n  \
@@ -332,14 +358,27 @@ fn main() {
     std::fs::write(format!("{out_dir}/BENCH_wal.json"), &wal_json).unwrap();
 
     // ---- Floors ------------------------------------------------------
-    let best_speedup = txn_speedup.max(many_speedup);
+    let best = if txn_speedup >= many_speedup {
+        &modes[1]
+    } else {
+        &modes[2]
+    };
+    let best_speedup = best.ops_per_sec / auto.ops_per_sec;
     assert!(
-        best_speedup >= 5.0,
-        "regression: grouped ingest must be >= 5x autocommit ops/s, got {best_speedup:.2}x"
+        best_speedup >= 2.0,
+        "regression: batched ingest must be >= 2x autocommit ops/s, got {best_speedup:.2}x \
+         ({} {:.0} ops/s vs autocommit {:.0} ops/s)",
+        best.name,
+        best.ops_per_sec,
+        auto.ops_per_sec
     );
     assert!(
         reduction >= 2.0,
         "regression: delta logging must cut WAL bytes/op by >= 2x, got {reduction:.2}x"
     );
-    println!("[write_throughput] floors held: {best_speedup:.1}x ingest, {reduction:.1}x WAL");
+    println!(
+        "[write_throughput] floors held: {best_speedup:.1}x ingest ({} {:.0} ops/s vs \
+         autocommit {:.0} ops/s), {reduction:.1}x WAL",
+        best.name, best.ops_per_sec, auto.ops_per_sec
+    );
 }

@@ -397,6 +397,10 @@ fn run_workload(db: &mut Database, corpus: &Corpus, crash: bool) -> Result<(), c
     lm.release_all(t1);
     lm.lock(t2, root, LockMode::X).ok();
     lm.release_all(t2);
+    // Commits write no pages: everything above is still only in the pool
+    // and the log. The checkpoint is where it reaches the disk, so the
+    // corion_buffer_writebacks_checkpoint / dirty_frames metrics go live.
+    db.checkpoint()?;
     // Crash + recovery: exercises the WAL replay path so the
     // corion_storage_recover* counters go live.
     if crash {

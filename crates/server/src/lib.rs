@@ -109,8 +109,10 @@ struct SessionPermit {
 
 impl Drop for SessionPermit {
     fn drop(&mut self) {
-        let n = self.inner.sessions.fetch_sub(1, Ordering::SeqCst) - 1;
-        self.inner.metrics.sessions_active.set(n as i64);
+        self.inner.sessions.fetch_sub(1, Ordering::SeqCst);
+        // A delta, not `set(count)`: two sessions ending together could
+        // store their counts out of order and leave the gauge stuck at 1.
+        self.inner.metrics.sessions_active.add(-1);
     }
 }
 
@@ -250,7 +252,7 @@ fn admit(mut stream: TcpStream, inner: &Arc<Inner>) {
         );
         return; // dropping the stream closes it
     }
-    inner.metrics.sessions_active.set((prev + 1) as i64);
+    inner.metrics.sessions_active.add(1);
     let permit = SessionPermit {
         inner: Arc::clone(inner),
     };

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use corion_obs::Registry;
 use parking_lot::RwLock;
 
 use crate::device::BlockDevice;
@@ -38,11 +39,15 @@ pub struct BufferStats {
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
-    /// Dirty frames written back on eviction or flush.
+    /// Dirty frames written back, by eviction or by a flush. The registry
+    /// splits the two causes: `corion_buffer_writebacks_eviction_total`
+    /// here, `corion_buffer_writebacks_checkpoint_total` at the store.
     pub writebacks: u64,
     /// Fetches that grew a full shard past its budget because every
     /// resident frame was dirty and pinned by the no-steal policy. Bounded
-    /// by the largest atomic batch; commit drains the debt.
+    /// by the pages dirtied since the last checkpoint plus the largest
+    /// atomic batch; the debt drains through write-back eviction once the
+    /// batch closes, and a checkpoint cleans every frame.
     pub overcommits: u64,
 }
 
@@ -67,7 +72,9 @@ pub struct BufferPool {
     shard_capacity: usize,
     /// While set, eviction may not write dirty frames back (the WAL's
     /// *no-steal* policy: an open atomic batch's pages must never reach the
-    /// disk before their log records are durable).
+    /// disk before their log records are durable). While clear, every dirty
+    /// frame holds a committed image whose log record is synced — commits
+    /// leave their frames dirty — so eviction may write it back.
     no_steal: AtomicBool,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -75,6 +82,9 @@ pub struct BufferPool {
     evictions: AtomicU64,
     writebacks: AtomicU64,
     overcommits: AtomicU64,
+    /// `corion_buffer_writebacks_eviction_total`: the share of
+    /// `writebacks` issued by eviction (possibly from a `&self` read path).
+    eviction_writebacks: corion_obs::Counter,
 }
 
 impl BufferPool {
@@ -94,6 +104,15 @@ impl BufferPool {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn with_shared(disk: Arc<dyn BlockDevice>, capacity: usize) -> Self {
+        Self::with_registry(disk, capacity, &Registry::new())
+    }
+
+    /// Like [`BufferPool::with_shared`], interning the pool's registry
+    /// counter in `registry` (the store passes its own).
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn with_registry(disk: Arc<dyn BlockDevice>, capacity: usize, registry: &Registry) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         let shard_count = if capacity < SHARDING_THRESHOLD {
             1
@@ -113,6 +132,7 @@ impl BufferPool {
             evictions: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),
             overcommits: AtomicU64::new(0),
+            eviction_writebacks: registry.counter("corion_buffer_writebacks_eviction_total"),
         }
     }
 
@@ -182,8 +202,9 @@ impl BufferPool {
                     // Every evictable frame is dirty and pinned by an open
                     // atomic batch. The batch must be able to finish (its
                     // pages cannot reach the disk before commit), so the
-                    // shard overcommits; commit cleans the frames and the
-                    // debt drains through ordinary eviction.
+                    // shard overcommits; once the batch closes the frames
+                    // may be written back and the debt drains through
+                    // ordinary eviction.
                     Err(StorageError::PoolExhausted) if self.no_steal.load(Ordering::Relaxed) => {
                         self.overcommits.fetch_add(1, Ordering::Relaxed);
                         break;
@@ -214,28 +235,50 @@ impl BufferPool {
             .min_by_key(|(_, f)| f.last_used.load(Ordering::Relaxed))
             .map(|(&id, _)| id)
             .ok_or(StorageError::PoolExhausted)?;
-        let frame = frames.remove(&victim).expect("victim exists");
+        // Write first, remove after: a dirty frame may be the only copy of
+        // a committed image outside the log, so a failed write-back must
+        // leave it resident (and dirty) rather than expose the stale disk
+        // page to the next fetch.
+        let frame = &frames[&victim];
         if frame.dirty {
             self.disk.write(victim, &frame.page)?;
             self.writebacks.fetch_add(1, Ordering::Relaxed);
+            self.eviction_writebacks.inc();
         }
+        frames.remove(&victim);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Writes every dirty frame back to disk.
-    pub fn flush_all(&self) -> StorageResult<()> {
+    /// Ids of every dirty resident frame, ascending.
+    pub fn dirty_pages(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = Vec::new();
         for shard in &self.shards {
-            let mut frames = shard.write();
-            for (&id, frame) in frames.iter_mut() {
-                if frame.dirty {
-                    self.disk.write(id, &frame.page)?;
-                    frame.dirty = false;
-                    self.writebacks.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let frames = shard.read();
+            ids.extend(frames.iter().filter(|(_, f)| f.dirty).map(|(&id, _)| id));
+        }
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Writes the frame for `id` back to disk if it is resident and dirty,
+    /// and marks it clean. On error the frame stays dirty.
+    pub fn write_back(&self, id: u64) -> StorageResult<()> {
+        let mut frames = self.shard(id).write();
+        if let Some(frame) = frames.get_mut(&id).filter(|f| f.dirty) {
+            self.disk.write(id, &frame.page)?;
+            frame.dirty = false;
+            self.writebacks.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
+    }
+
+    /// Writes every dirty frame back to disk, in ascending page order
+    /// (clustered neighbours are adjacent pages, §2.3).
+    pub fn flush_all(&self) -> StorageResult<()> {
+        self.dirty_pages()
+            .into_iter()
+            .try_for_each(|id| self.write_back(id))
     }
 
     /// Switches the *no-steal* eviction policy on or off. While on, dirty
@@ -248,8 +291,9 @@ impl BufferPool {
 
     /// Applies a committed page image: writes `page` to disk and, if a
     /// frame for `id` is resident, marks it clean (its contents are by
-    /// construction the image being applied). This is the commit/redo write
-    /// path — it must not fault the page in.
+    /// construction the image being applied). This is the redo write path
+    /// (recovery replay, scrub salvage) — commits do not write pages — and
+    /// it must not fault the page in.
     pub fn apply_page(&self, id: u64, page: &Page) -> StorageResult<()> {
         self.disk.write(id, page)?;
         let mut frames = self.shard(id).write();
@@ -262,11 +306,11 @@ impl BufferPool {
 
     /// Overwrites (or creates) the frame for `id` with `page` *in memory
     /// only*, leaving it dirty — the disk is not touched. Aborting a batch
-    /// under a deferred-commit window uses this to rewind a frame to the
-    /// window's last committed-but-unflushed image: the disk still holds the
-    /// pre-window contents, so a plain discard would time-travel past
-    /// commits that already returned success. The frame stays dirty (and
-    /// therefore pinned by no-steal) until the window seals and applies it.
+    /// uses this to rewind a frame to the page's last committed image: the
+    /// disk may still hold an older one (commits do not write pages), so a
+    /// plain discard would time-travel past commits that already returned
+    /// success. The frame stays dirty until a checkpoint or an eviction
+    /// writes it back.
     pub fn install_frame(&self, id: u64, page: &Page) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut frames = self.shard(id).write();
@@ -278,7 +322,7 @@ impl BufferPool {
             }
             None => {
                 // May push a full shard over budget; the overcommit drains
-                // through ordinary eviction once the window seals.
+                // through ordinary eviction.
                 frames.insert(
                     id,
                     Frame {
@@ -291,9 +335,10 @@ impl BufferPool {
         }
     }
 
-    /// Drops the frames for `pages` *without* writing them back — aborting
-    /// a batch discards its uncommitted after-images so the next fetch
-    /// re-reads the committed contents from disk.
+    /// Drops the frames for `pages` *without* writing them back. Only
+    /// correct for pages whose committed contents are on disk (abort uses
+    /// it for pages no commit since the last checkpoint touched): the next
+    /// fetch re-reads them from there.
     pub fn discard_pages(&self, pages: impl IntoIterator<Item = u64>) {
         for id in pages {
             self.shard(id).write().remove(&id);
@@ -368,9 +413,12 @@ impl BufferPool {
     }
 
     /// Injects bit rot into page `id` on disk (see
-    /// [`BlockDevice::corrupt_page_byte`]), dropping any resident frame so
-    /// the corruption is observable through the cache.
+    /// [`BlockDevice::corrupt_page_byte`]), writing back and dropping any
+    /// resident frame so the corruption lands on the committed image and is
+    /// observable through the cache. Not for use while `id` holds
+    /// uncommitted bytes.
     pub fn corrupt_page_byte(&self, id: u64, offset: usize, mask: u8) -> StorageResult<()> {
+        self.write_back(id)?;
         self.shard(id).write().remove(&id);
         self.disk.corrupt_page_byte(id, offset, mask)
     }
@@ -400,6 +448,7 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::disk::SimDisk;
+    use crate::page::PAGE_SIZE;
 
     fn pool(capacity: usize) -> BufferPool {
         BufferPool::new(SimDisk::new(), capacity)
@@ -501,6 +550,73 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_eviction_writeback_keeps_the_frame() {
+        let bp = pool(1);
+        let a = bp.allocate().unwrap();
+        let b = bp.allocate().unwrap();
+        let slot = bp
+            .with_page_mut(a, |p| p.insert(b"only copy").unwrap())
+            .unwrap();
+        // Faulting b in must evict a, whose write-back fails: the error
+        // surfaces and a stays resident and dirty — the disk still holds
+        // the empty page, so dropping the frame would lose the insert.
+        bp.fail_after(0);
+        assert!(bp.with_page(b, |_| ()).is_err());
+        bp.heal();
+        let s = bp.stats();
+        assert_eq!((s.writebacks, s.evictions), (0, 0));
+        assert_eq!(bp.dirty_pages(), vec![a]);
+        let data = bp.with_page(a, |p| p.read(slot).unwrap().to_vec()).unwrap();
+        assert_eq!(data, b"only copy");
+        assert_eq!(bp.stats().misses, 2, "a was served from the pool");
+        // Healed, the same eviction goes through and nothing is lost.
+        bp.with_page(b, |_| ()).unwrap();
+        assert_eq!(bp.stats().writebacks, 1);
+        let data = bp.with_page(a, |p| p.read(slot).unwrap().to_vec()).unwrap();
+        assert_eq!(data, b"only copy");
+    }
+
+    #[test]
+    fn corrupt_page_byte_writes_a_dirty_frame_back_first() {
+        let bp = pool(4);
+        let a = bp.allocate().unwrap();
+        let slot = bp
+            .with_page_mut(a, |p| p.insert(b"committed, not yet on disk").unwrap())
+            .unwrap();
+        // A failed write-back must not drop the frame either.
+        bp.fail_after(0);
+        assert!(bp.corrupt_page_byte(a, PAGE_SIZE / 2, 0xff).is_err());
+        bp.heal();
+        assert_eq!(bp.dirty_pages(), vec![a]);
+        // The rot lands on the written-back image, not on a stale page.
+        bp.corrupt_page_byte(a, PAGE_SIZE / 2, 0xff).unwrap();
+        assert_eq!(bp.stats().writebacks, 1);
+        assert!(!bp.verify_page(a).unwrap());
+        let data = bp.with_page(a, |p| p.read(slot).unwrap().to_vec()).unwrap();
+        assert_eq!(data, b"committed, not yet on disk");
+    }
+
+    #[test]
+    fn dirty_pages_are_listed_and_flushed_in_ascending_order() {
+        let bp = pool(256); // sharded: consecutive pages live in different shards
+        let ids: Vec<u64> = (0..40).map(|_| bp.allocate().unwrap()).collect();
+        for &id in ids.iter().rev().step_by(3) {
+            bp.with_page_mut(id, |p| p.insert(b"d").unwrap()).unwrap();
+        }
+        let dirty = bp.dirty_pages();
+        assert_eq!(dirty.len(), 14);
+        assert!(dirty.windows(2).all(|w| w[0] < w[1]));
+        // A flush that fails midway leaves exactly the unwritten suffix dirty.
+        bp.fail_after(5);
+        assert!(bp.flush_all().is_err());
+        bp.heal();
+        assert_eq!(bp.dirty_pages(), dirty[5..]);
+        bp.flush_all().unwrap();
+        assert!(bp.dirty_pages().is_empty());
+        assert_eq!(bp.stats().writebacks, 14);
+    }
+
+    #[test]
     fn discard_pages_drops_uncommitted_contents() {
         let bp = pool(4);
         let a = bp.allocate().unwrap();
@@ -534,7 +650,7 @@ mod tests {
     fn install_frame_rewinds_in_memory_without_touching_disk() {
         let bp = pool(4);
         let a = bp.allocate().unwrap();
-        // Committed-but-unflushed image of a deferred window.
+        // A committed image the disk does not have yet.
         bp.with_page_mut(a, |p| p.insert(b"window").unwrap())
             .unwrap();
         let window_image = bp.with_page(a, |p| p.clone()).unwrap();

@@ -80,8 +80,8 @@ pub use retry::{Clock, RetryPolicy};
 pub use segment::{Segment, SegmentId};
 pub use store::{
     page_records, CommitPolicy, HealthState, ObjectStore, PhysId, RecoveryReport, ScrubReport,
-    StoreConfig, CP_COMMIT_APPLY, CP_COMMIT_DONE, CP_COMMIT_FLUSH, CP_COMMIT_LOG, CP_GROUP_SEAL,
-    CP_PAGE_WRITE, CRASH_POINTS,
+    StoreConfig, CP_CHECKPOINT_WRITE, CP_COMMIT_DONE, CP_COMMIT_FLUSH, CP_COMMIT_LOG,
+    CP_GROUP_SEAL, CP_PAGE_WRITE, CRASH_POINTS,
 };
 pub use version::{Resolution, VersionKey, VersionStore};
 pub use wal::{

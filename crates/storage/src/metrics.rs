@@ -44,15 +44,23 @@ pub struct StoreMetrics {
     /// automatic).
     pub wal_checkpoints: corion_obs::Counter,
     /// `corion_wal_checkpoint_latency_ns`: time per checkpoint,
-    /// including the defensive pool flush.
+    /// including the write-back of every dirty frame and the device sync.
     pub wal_checkpoint_latency: corion_obs::Histogram,
+    /// `corion_buffer_writebacks_checkpoint_total`: dirty frames a
+    /// checkpoint wrote back (the eviction share is
+    /// `corion_buffer_writebacks_eviction_total`, counted by the pool).
+    pub checkpoint_writebacks: corion_obs::Counter,
+    /// `corion_buffer_dirty_frames`: dirty frames in the pool when the
+    /// last checkpoint began — the write-back work it had to do.
+    pub dirty_frames: corion_obs::Gauge,
     /// `corion_storage_commits_total`: atomic batches committed.
     pub commits: corion_obs::Counter,
     /// `corion_storage_aborts_total`: atomic batches rolled back
     /// (explicit aborts and error-path autocommit rollbacks).
     pub aborts: corion_obs::Counter,
     /// `corion_storage_commit_latency_ns`: full `commit_atomic` time —
-    /// image snapshot, log append, flush, and page apply.
+    /// image snapshot, log append, flush (and an auto-checkpoint when the
+    /// commit trips one).
     pub commit_latency: corion_obs::Histogram,
     /// `corion_storage_recoveries_total`: `recover()` runs.
     pub recoveries: corion_obs::Counter,
@@ -109,6 +117,8 @@ impl StoreMetrics {
             wal_checkpoints: registry.counter("corion_wal_checkpoints_total"),
             wal_checkpoint_latency: registry
                 .histogram("corion_wal_checkpoint_latency_ns", LATENCY_BOUNDS_NS),
+            checkpoint_writebacks: registry.counter("corion_buffer_writebacks_checkpoint_total"),
+            dirty_frames: registry.gauge("corion_buffer_dirty_frames"),
             commits: registry.counter("corion_storage_commits_total"),
             aborts: registry.counter("corion_storage_aborts_total"),
             commit_latency: registry

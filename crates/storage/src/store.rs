@@ -28,10 +28,13 @@
 //! Page writes are routed through the [`crate::wal`] — the pool runs
 //! *no-steal* while a batch is open, so the disk never sees uncommitted
 //! bytes, and [`ObjectStore::commit_atomic`] logs every dirty page's
-//! after-image plus a commit marker *before* writing the pages themselves.
-//! [`ObjectStore::recover`] rebuilds a consistent store from the durable
-//! half of the crash model: the disk's pages and the flushed log. Crashes
-//! are injected deterministically at the named [`CRASH_POINTS`].
+//! after-image plus a commit marker and stops there (*no-force*): the
+//! synced log alone makes the commit durable, and the pages themselves
+//! reach the disk later, when [`ObjectStore::checkpoint`] flushes or the
+//! pool evicts a frame. [`ObjectStore::recover`] rebuilds a consistent
+//! store from the durable half of the crash model: the disk's pages and
+//! the flushed log. Crashes are injected deterministically at the named
+//! [`CRASH_POINTS`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
@@ -74,14 +77,14 @@ impl std::fmt::Display for PhysId {
 /// flushes before returning, so a successful commit is durable. `Group`
 /// trades a bounded durability lag for throughput: consecutive commits are
 /// absorbed into a deferred *window* — their after-images deduped per page,
-/// their frames pinned dirty — and one flush covers the whole window when it
+/// their frames pinned in memory — and one flush covers the whole window when it
 /// *seals* (at either threshold, at [`ObjectStore::sync`], or before a
 /// checkpoint/scrub). A crash loses at most the open window, and recovery
 /// always lands on a window boundary, which is by construction a commit
 /// boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitPolicy {
-    /// Flush and apply at every commit (the default).
+    /// Flush the log at every commit (the default).
     #[default]
     Immediate,
     /// Defer commits into a window sealed by whichever threshold trips
@@ -101,8 +104,11 @@ pub struct StoreConfig {
     /// Frames in the buffer pool.
     pub buffer_capacity: usize,
     /// Durable WAL size that triggers an automatic checkpoint after a
-    /// commit. Every commit logs full page images, so without truncation
-    /// the log would grow without bound.
+    /// commit. Commits do not write pages, so the log is the only durable
+    /// copy of every page committed since the last checkpoint (one full
+    /// image at first touch, deltas after); the checkpoint writes those
+    /// pages back and truncates it, bounding the log, the replay, and the
+    /// pool's dirty set.
     pub wal_checkpoint_bytes: usize,
     /// Bounded-backoff policy for retrying transient I/O faults on the
     /// store's hot paths (page reads/writes, the commit protocol).
@@ -135,15 +141,17 @@ impl Default for StoreConfig {
 /// all-or-nothing poison flag.
 ///
 /// ```text
-/// Healthy ──(post-durability apply fault / torn flush)──▶ Degraded
+/// Healthy ──(fault after the durability point / torn flush /
+///           checkpoint write-back fault)──▶ Degraded
 /// Healthy │ Degraded ──(simulated crash)──▶ Poisoned
 /// Degraded │ Poisoned ──(recover)──▶ Healthy
 /// ```
 ///
-/// *Degraded* means a committed batch could not be fully applied (or a
-/// torn flush left the log ahead of the disk): reads keep answering —
-/// the buffer pool still holds a consistent view — while mutations fail
-/// fast with [`StorageError::ReadOnly`]. *Poisoned* means the volatile
+/// *Degraded* means the commit protocol or a checkpoint write-back faulted
+/// with the log ahead of the disk (or ending in a torn tail): reads keep
+/// answering — the buffer pool holds the last committed image of every
+/// page the disk lacks, pinned — while mutations fail fast with
+/// [`StorageError::ReadOnly`]. *Poisoned* means the volatile
 /// state is gone (a crash): nothing is trustworthy until
 /// [`ObjectStore::recover`] rebuilds from durable state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,20 +202,19 @@ pub const CP_GROUP_SEAL: &str = "group:seal";
 /// Crash point: at the durability point itself. The only torn-capable
 /// point — armed torn, a prefix of the pending log bytes survives.
 pub const CP_COMMIT_FLUSH: &str = "commit:flush";
-/// Crash point: before each page write-back after the commit is durable
-/// (the countdown selects which page).
-pub const CP_COMMIT_APPLY: &str = "commit:apply";
-/// Crash point: after the batch is fully applied, before it is closed.
+/// Crash point: after the batch is durable, before it is closed.
 pub const CP_COMMIT_DONE: &str = "commit:done";
+/// Crash point: before each page write-back of a checkpoint (the countdown
+/// selects which page). Not in [`CRASH_POINTS`] — no commit passes it.
+pub const CP_CHECKPOINT_WRITE: &str = "checkpoint:write";
 
-/// Every named crash point, in the order a commit passes them — what the
+/// Every named crash point a commit passes, in order — what the
 /// crash-matrix test sweeps.
 pub const CRASH_POINTS: &[&str] = &[
     CP_PAGE_WRITE,
     CP_COMMIT_LOG,
     CP_GROUP_SEAL,
     CP_COMMIT_FLUSH,
-    CP_COMMIT_APPLY,
     CP_COMMIT_DONE,
 ];
 
@@ -241,6 +248,35 @@ struct BatchState {
     /// any earlier unsealed group window intact — and reuses the erased
     /// LSNs so the durable sequence never gaps.
     wal_mark: WalMark,
+}
+
+/// Why [`ObjectStore::log_and_flush`] did not reach the durability point.
+enum FlushFault {
+    /// The retry budget ran out on transient faults; nothing reached the
+    /// log device.
+    Exhausted,
+    /// A clean injected crash; nothing reached the log device.
+    Crashed,
+    /// A torn prefix reached the log device. The commit marker did not, so
+    /// the pre-flush state is the truth and only recovery may truncate the
+    /// torn tail.
+    Torn,
+    /// The log device itself failed; the store is already poisoned.
+    Device(StorageError),
+}
+
+impl From<FlushFault> for StorageError {
+    fn from(fault: FlushFault) -> Self {
+        match fault {
+            FlushFault::Exhausted => StorageError::TransientFault {
+                op: CP_COMMIT_FLUSH,
+            },
+            FlushFault::Crashed | FlushFault::Torn => StorageError::InjectedFault {
+                op: CP_COMMIT_FLUSH,
+            },
+            FlushFault::Device(e) => e,
+        }
+    }
 }
 
 /// One deferred group-commit window (see [`CommitPolicy::Group`]).
@@ -339,8 +375,7 @@ pub struct ObjectStore {
     wal: Wal,
     crash: CrashPoints,
     batch: Option<BatchState>,
-    /// Current health (see [`HealthState`]): degraded after a
-    /// post-durability apply fault, poisoned after a crash.
+    /// Current health (see [`HealthState`]).
     health: HealthState,
     wal_checkpoint_bytes: usize,
     retry_policy: RetryPolicy,
@@ -349,9 +384,13 @@ pub struct ObjectStore {
     /// Open deferred-commit window (always `None` under
     /// [`CommitPolicy::Immediate`]).
     group: Option<GroupState>,
-    /// Delta base map: the last image logged for each page *in the current
-    /// log*. Entries die with the log — cleared at checkpoint, recovery,
-    /// and crash — so a delta record always has a committed base on scan.
+    /// The last image logged for each page *in the current log* — the last
+    /// committed image of every page the disk may be behind on. It is the
+    /// delta base for the page's next record and what an abort rewinds the
+    /// frame to. Entries die with the log — cleared at checkpoint (which
+    /// has just written every one of them back), recovery, and crash — so
+    /// a delta record always has a committed base on scan, and a page
+    /// without an entry is current on disk.
     last_logged: HashMap<u64, Page>,
     /// Highest object-serial high-water mark noted by the engine above
     /// (see [`WalRecord::SerialFloor`]); carried into checkpoint
@@ -385,7 +424,11 @@ impl ObjectStore {
     /// snapshot covers this store alongside the layers above it.
     pub fn with_registry(config: StoreConfig, registry: &Registry) -> Self {
         let store = ObjectStore {
-            pool: BufferPool::new(SimDisk::new(), config.buffer_capacity),
+            pool: BufferPool::with_registry(
+                Arc::new(SimDisk::new()),
+                config.buffer_capacity,
+                registry,
+            ),
             segments: HashMap::new(),
             next_segment: 0,
             wal: Wal::new(),
@@ -421,7 +464,7 @@ impl ObjectStore {
         lock: Option<DirLock>,
     ) -> StorageResult<Self> {
         let mut store = ObjectStore {
-            pool: BufferPool::with_shared(disk, config.buffer_capacity),
+            pool: BufferPool::with_registry(disk, config.buffer_capacity, registry),
             segments: HashMap::new(),
             next_segment: 0,
             wal: Wal::with_device(log)?,
@@ -498,6 +541,15 @@ impl ObjectStore {
         let rm = self.metrics.retry();
         retry::run(&self.retry_policy, &rm, &self.clock, || {
             self.pool.with_page(page, &mut f)
+        })
+    }
+
+    /// Passes the named crash point `point`, retrying transient arms per
+    /// the configured [`RetryPolicy`].
+    fn hit(&self, point: &'static str) -> StorageResult<()> {
+        let rm = self.metrics.retry();
+        retry::run(&self.retry_policy, &rm, &self.clock, || {
+            self.crash.hit(point)
         })
     }
 
@@ -1028,8 +1080,7 @@ impl ObjectStore {
     /// Refused while a batch is open *or a group window is unsealed* —
     /// flushing would write unlogged pages to disk, violating write-ahead
     /// ordering (call [`ObjectStore::sync`] first) — and when degraded,
-    /// where pinned frames are the only consistent copy of a half-applied
-    /// commit.
+    /// where a store writes no pages.
     pub fn clear_cache(&self) -> StorageResult<()> {
         match self.health {
             HealthState::Poisoned => return Err(StorageError::NeedsRecovery),
@@ -1079,14 +1130,16 @@ impl ObjectStore {
     }
 
     /// Commits the open batch: logs every dirty page's after-image and a
-    /// commit marker, flushes the log (the durability point), then writes
-    /// the pages through to disk.
+    /// commit marker and flushes the log — the durability point, and the
+    /// end of the commit. The pages stay dirty in the pool; a checkpoint or
+    /// an eviction writes them back later, and until then the log holds
+    /// what recovery needs to rebuild them.
     ///
     /// On an error *before* the durability point the batch is rolled back
     /// in memory — the store keeps serving its pre-batch state. On an error
-    /// *after* it (a crash mid-apply, or a torn log flush) the store is
-    /// poisoned and every subsequent mutation reports
-    /// [`StorageError::NeedsRecovery`] until [`ObjectStore::recover`] runs.
+    /// *at or after* it (a torn log flush, a fault before the batch closes)
+    /// the store degrades to read-only, and on a log-device failure it is
+    /// poisoned, until [`ObjectStore::recover`] runs.
     pub fn commit_atomic(&mut self) -> StorageResult<()> {
         let dirty: Vec<u64> = match &self.batch {
             Some(b) => b.dirty.iter().copied().collect(),
@@ -1095,25 +1148,20 @@ impl ObjectStore {
         let _span = corion_obs::span("storage", "commit_atomic");
         let _commit_timer = self.metrics.commit_latency.start_timer();
         // Phase 1 (volatile): snapshot the after-image of every page the
-        // batch dirtied and append it, then the commit marker, to the
-        // pending log. A crash here loses only pending bytes: abort.
-        let mut images = Vec::with_capacity(dirty.len());
+        // batch dirtied. A crash here loses only memory: abort.
+        let mut images = BTreeMap::new();
         for &page in &dirty {
             match self.with_page_retry(page, |p| p.clone()) {
-                Ok(image) => images.push((page, image)),
+                Ok(image) => {
+                    images.insert(page, image);
+                }
                 Err(e) => {
                     self.abort_open_batch();
                     return Err(e);
                 }
             }
         }
-        let logged = {
-            let (crash, rm) = (&self.crash, self.metrics.retry());
-            retry::run(&self.retry_policy, &rm, &self.clock, || {
-                crash.hit(CP_COMMIT_LOG)
-            })
-        };
-        if let Err(e) = logged {
+        if let Err(e) = self.hit(CP_COMMIT_LOG) {
             self.abort_open_batch();
             return Err(e);
         }
@@ -1126,9 +1174,7 @@ impl ObjectStore {
             // remains on between batches), so the disk never runs ahead of
             // the log.
             let group = self.group.get_or_insert_with(GroupState::default);
-            for (page, image) in images {
-                group.deferred.insert(page, image);
-            }
+            group.deferred.extend(images);
             group.commits += 1;
             let full = group.commits >= max_ops || group.deferred.len() * PAGE_SIZE >= max_bytes;
             self.batch = None;
@@ -1139,13 +1185,46 @@ impl ObjectStore {
             }
             return Ok(());
         }
-        for (page, image) in &images {
-            self.log_page_record(*page, image);
+        // Phase 2: the durability point.
+        if let Err(fault) = self.log_and_flush(&images) {
+            match fault {
+                FlushFault::Exhausted | FlushFault::Crashed => self.abort_open_batch(),
+                FlushFault::Torn => self.degrade_discarding_batch(),
+                FlushFault::Device(_) => {}
+            }
+            return Err(fault.into());
+        }
+        self.last_logged.extend(images);
+        // The commit is durable and its frames hold exactly the committed
+        // after-images. A fault from here on degrades to read-only rather
+        // than refusing all work: reads stay correct from the pool, and
+        // recovery replays these very images.
+        if let Err(e) = self.hit(CP_COMMIT_DONE) {
+            self.batch = None;
+            self.degrade();
+            return Err(e);
+        }
+        self.batch = None;
+        self.pool.set_no_steal(false);
+        self.metrics.commits.inc();
+        if self.wal.stats().durable_bytes > self.wal_checkpoint_bytes {
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// The step [`ObjectStore::commit_atomic`] and
+    /// [`ObjectStore::seal_group`] share: appends one page record per
+    /// image plus the commit marker, then reaches the durability point. A
+    /// transient flush fault is retried in place (nothing durable happened
+    /// yet). On `Ok` the records are durable and the caller installs
+    /// `images` as the new delta bases; on `Err` the caller decides what
+    /// becomes of the batch or window the images came from.
+    fn log_and_flush(&mut self, images: &BTreeMap<u64, Page>) -> Result<(), FlushFault> {
+        for (&page, image) in images {
+            self.log_page_record(page, image);
         }
         self.log_append(&WalRecord::Commit);
-        // Phase 2: the durability point. A transient flush fault is
-        // retried in place (nothing durable happened yet); only once the
-        // budget is spent does the batch abort.
         let mut attempt: u32 = 0;
         let outcome = loop {
             match self.crash.fire(CP_COMMIT_FLUSH) {
@@ -1167,93 +1246,32 @@ impl ObjectStore {
                 let _flush_timer = self.metrics.wal_flush_latency.start_timer();
                 if let Err(e) = self.wal.flush() {
                     self.poison_after_device_failure();
-                    return Err(e);
+                    return Err(FlushFault::Device(e));
                 }
                 self.metrics.wal_flushes.inc();
+                Ok(())
             }
             FireOutcome::Transient => {
-                // Retry budget exhausted before the durability point:
-                // nothing reached the log device, so abort cleanly.
                 self.metrics.retry_exhausted.inc();
-                self.abort_open_batch();
-                return Err(StorageError::TransientFault {
-                    op: CP_COMMIT_FLUSH,
-                });
+                Err(FlushFault::Exhausted)
             }
-            FireOutcome::Crash { torn: None } => {
-                // Clean crash: nothing reached the log device.
-                self.abort_open_batch();
-                return Err(StorageError::InjectedFault {
-                    op: CP_COMMIT_FLUSH,
-                });
-            }
+            FireOutcome::Crash { torn: None } => Err(FlushFault::Crashed),
             FireOutcome::Crash { torn: Some(keep) } => {
-                // Torn crash: a prefix became durable and the log now ends
-                // in a torn tail that only recovery may truncate. The
-                // batch's commit marker did not make it, so the pre-batch
-                // state is the truth: discard the batch's dirty frames and
-                // degrade to read-only over the (consistent) disk state.
                 // A device failure *while persisting the torn prefix* only
                 // shortens what recovery will find — recovery re-reads the
-                // device either way, so degrade regardless.
+                // device either way.
                 let _ = self.wal.flush_torn(keep);
-                self.degrade_discarding_batch();
-                return Err(StorageError::InjectedFault {
-                    op: CP_COMMIT_FLUSH,
-                });
+                Err(FlushFault::Torn)
             }
         }
-        // The records above are durable now: their images become the delta
-        // bases for the next commit of the same pages.
-        if self.delta_pages {
-            for (page, image) in &images {
-                self.last_logged.insert(*page, image.clone());
-            }
-        }
-        // Phase 3: apply. The commit is durable — any failure from here on
-        // leaves the disk behind the log. The buffer pool's frames hold
-        // exactly the committed after-images, so the store degrades to
-        // read-only (reads stay correct from the pool) instead of refusing
-        // all work; recovery replays these very images idempotently.
-        for (page, image) in &images {
-            let applied = {
-                let (crash, pool) = (&self.crash, &self.pool);
-                let rm = self.metrics.retry();
-                retry::run(&self.retry_policy, &rm, &self.clock, || {
-                    crash.hit(CP_COMMIT_APPLY)?;
-                    pool.apply_page(*page, image)
-                })
-            };
-            if let Err(e) = applied {
-                self.degrade_keeping_frames();
-                return Err(e);
-            }
-        }
-        let done = {
-            let (crash, rm) = (&self.crash, self.metrics.retry());
-            retry::run(&self.retry_policy, &rm, &self.clock, || {
-                crash.hit(CP_COMMIT_DONE)
-            })
-        };
-        if let Err(e) = done {
-            self.degrade_keeping_frames();
-            return Err(e);
-        }
-        self.batch = None;
-        self.pool.set_no_steal(false);
-        self.metrics.commits.inc();
-        if self.wal.stats().durable_bytes > self.wal_checkpoint_bytes {
-            self.checkpoint()?;
-        }
-        Ok(())
     }
 
     /// Seals the deferred group-commit window: logs the deduped after-images
-    /// and one commit marker, reaches the durability point, installs the
-    /// delta bases, and applies the images — one merged batch covering every
-    /// commit the window absorbed. No-op when no window is open. Callers
-    /// guarantee no batch is open (sealing mid-batch would commit the
-    /// batch's pending segment records half-done).
+    /// and one commit marker, reaches the durability point, and installs
+    /// the delta bases — one merged batch covering every commit the window
+    /// absorbed. No-op when no window is open. Callers guarantee no batch
+    /// is open (sealing mid-batch would commit the batch's pending segment
+    /// records half-done).
     fn seal_group(&mut self, auto_checkpoint: bool) -> StorageResult<()> {
         let Some(group) = self.group.take() else {
             return Ok(());
@@ -1267,111 +1285,36 @@ impl ObjectStore {
         // *keeping* its frames, so reads keep serving the states callers
         // saw committed while recovery rewinds to the last sealed
         // boundary (always a commit boundary).
-        let sealed = {
-            let (crash, rm) = (&self.crash, self.metrics.retry());
-            retry::run(&self.retry_policy, &rm, &self.clock, || {
-                crash.hit(CP_GROUP_SEAL)
-            })
-        };
-        if let Err(e) = sealed {
+        if let Err(e) = self.hit(CP_GROUP_SEAL) {
             if e.is_transient() {
                 self.group = Some(group);
             } else {
-                self.set_health(HealthState::Degraded);
+                self.degrade();
             }
             return Err(e);
         }
         let mark = self.wal.mark();
-        for (page, image) in &group.deferred {
-            self.log_page_record(*page, image);
-        }
-        self.log_append(&WalRecord::Commit);
-        // The durability point, under the same transient-retry contract as
-        // an immediate commit.
-        let mut attempt: u32 = 0;
-        let outcome = loop {
-            match self.crash.fire(CP_COMMIT_FLUSH) {
-                FireOutcome::Transient if attempt < self.retry_policy.max_retries => {
-                    self.metrics.retry_attempts.inc();
-                    let delay = self.retry_policy.delay_for(attempt);
-                    self.metrics.retry_backoff_us.add(delay);
-                    (self.clock)(delay);
-                    attempt += 1;
+        if let Err(fault) = self.log_and_flush(&group.deferred) {
+            match fault {
+                // Rewind the freshly appended seal records and put the
+                // window back intact — a later `sync` retries the whole seal.
+                FlushFault::Exhausted => {
+                    self.wal.rollback_to(mark);
+                    self.group = Some(group);
                 }
-                other => break other,
-            }
-        };
-        match outcome {
-            FireOutcome::Pass => {
-                if attempt > 0 {
-                    self.metrics.retry_success.inc();
+                // The window is lost; its frames keep serving reads.
+                FlushFault::Crashed => {
+                    self.wal.drop_pending();
+                    self.degrade();
                 }
-                let _flush_timer = self.metrics.wal_flush_latency.start_timer();
-                if let Err(e) = self.wal.flush() {
-                    self.poison_after_device_failure();
-                    return Err(e);
-                }
-                self.metrics.wal_flushes.inc();
+                FlushFault::Torn => self.degrade(),
+                FlushFault::Device(_) => {}
             }
-            FireOutcome::Transient => {
-                // Budget exhausted before durability: rewind the freshly
-                // appended seal records and put the window back intact — a
-                // later `sync` retries the whole seal.
-                self.metrics.retry_exhausted.inc();
-                self.wal.rollback_to(mark);
-                self.group = Some(group);
-                return Err(StorageError::TransientFault {
-                    op: CP_COMMIT_FLUSH,
-                });
-            }
-            FireOutcome::Crash { torn: None } => {
-                // Nothing reached the log device; the window is lost.
-                self.wal.drop_pending();
-                self.set_health(HealthState::Degraded);
-                return Err(StorageError::InjectedFault {
-                    op: CP_COMMIT_FLUSH,
-                });
-            }
-            FireOutcome::Crash { torn: Some(keep) } => {
-                // A prefix became durable but the window's commit marker
-                // did not: the durable truth is the pre-window state, and
-                // only recovery may truncate the torn tail. (On a device
-                // failure the prefix is shorter still; recovery re-reads
-                // the device either way.)
-                let _ = self.wal.flush_torn(keep);
-                self.set_health(HealthState::Degraded);
-                return Err(StorageError::InjectedFault {
-                    op: CP_COMMIT_FLUSH,
-                });
-            }
+            return Err(fault.into());
         }
-        if self.delta_pages {
-            for (page, image) in &group.deferred {
-                self.last_logged.insert(*page, image.clone());
-            }
-        }
-        for (page, image) in &group.deferred {
-            let applied = {
-                let (crash, pool) = (&self.crash, &self.pool);
-                let rm = self.metrics.retry();
-                retry::run(&self.retry_policy, &rm, &self.clock, || {
-                    crash.hit(CP_COMMIT_APPLY)?;
-                    pool.apply_page(*page, image)
-                })
-            };
-            if let Err(e) = applied {
-                self.set_health(HealthState::Degraded);
-                return Err(e);
-            }
-        }
-        let done = {
-            let (crash, rm) = (&self.crash, self.metrics.retry());
-            retry::run(&self.retry_policy, &rm, &self.clock, || {
-                crash.hit(CP_COMMIT_DONE)
-            })
-        };
-        if let Err(e) = done {
-            self.set_health(HealthState::Degraded);
+        self.last_logged.extend(group.deferred);
+        if let Err(e) = self.hit(CP_COMMIT_DONE) {
+            self.degrade();
             return Err(e);
         }
         self.metrics.wal_group_seals.inc();
@@ -1398,9 +1341,8 @@ impl ObjectStore {
         self.seal_group(true)
     }
 
-    /// Abandons the open batch: its log records are rewound, dirty
-    /// frames are discarded or restored to the group window's images (the
-    /// disk still holds the pre-batch state otherwise), and
+    /// Abandons the open batch: its log records are rewound, its dirty
+    /// frames are restored to their last committed images, and
     /// segment-directory changes are taken back.
     pub fn abort_atomic(&mut self) -> StorageResult<()> {
         if self.batch.is_none() {
@@ -1420,12 +1362,22 @@ impl ObjectStore {
         // stay pending, and the erased LSNs are reused so the durable
         // sequence stays gapless.
         self.wal.rollback_to(batch.wal_mark);
-        // Rewind the frames. Under a group window a page may carry a
-        // committed-but-unsealed after-image the disk does not have yet;
-        // reinstall that image in memory. Otherwise drop the frame — the
-        // disk still holds the committed contents.
+        self.undo_batch(batch);
+        // An open window still pins its unsealed images in memory.
+        self.pool.set_no_steal(self.group.is_some());
+    }
+
+    /// The pool's rollback: rewinds every frame `batch` dirtied to the
+    /// page's last committed image and takes its segment-directory changes
+    /// back. The disk cannot serve as the source — it may be behind the
+    /// last commit — so the image comes from the open group window if the
+    /// page has one there (committed, not yet logged), else from the base
+    /// map (committed and logged since the last checkpoint). A page in
+    /// neither is current on disk, and its frame is simply dropped.
+    fn undo_batch(&mut self, batch: BatchState) {
         for &page in &batch.dirty {
-            match self.group.as_ref().and_then(|g| g.deferred.get(&page)) {
+            let windowed = self.group.as_ref().and_then(|g| g.deferred.get(&page));
+            match windowed.or_else(|| self.last_logged.get(&page)) {
                 Some(image) => self.pool.install_frame(page, image),
                 None => self.pool.discard_pages([page]),
             }
@@ -1441,25 +1393,23 @@ impl ObjectStore {
                 self.next_segment = segment.0;
             }
         }
-        // An open window still pins its unsealed images in memory.
-        self.pool.set_no_steal(self.group.is_some());
     }
 
-    /// Degrades to read-only after a post-durability apply failure,
-    /// *keeping* the batch's dirty frames pinned: they hold exactly the
-    /// committed after-images (the truth the durable log promises), so
-    /// reads served from the pool remain correct. `no_steal` stays on so
-    /// an unapplied dirty frame can never be evicted over the stale disk
-    /// image.
-    fn degrade_keeping_frames(&mut self) {
-        self.batch = None;
+    /// Degrades to read-only *keeping* every frame: the pool holds the
+    /// state callers saw committed, so reads served from it remain
+    /// correct. A degraded store writes no pages — `no_steal` pins every
+    /// dirty frame, which also keeps a lost group window's never-logged
+    /// images off the disk — until recovery rebuilds from the log.
+    fn degrade(&mut self) {
+        self.pool.set_no_steal(true);
         self.set_health(HealthState::Degraded);
     }
 
     /// Poisons the store after the log *device* failed at a durability
     /// point (append or fsync raised a real error, as opposed to the
     /// simulated crash points). How many bytes reached the media is
-    /// unknowable from here, so no in-memory state is trustworthy;
+    /// unknowable from here, so no in-memory state is trustworthy — the
+    /// frames go too, lest an eviction write an uncommitted one back;
     /// [`ObjectStore::recover`] re-reads the device and lands on its
     /// committed prefix.
     fn poison_after_device_failure(&mut self) {
@@ -1467,31 +1417,19 @@ impl ObjectStore {
         self.group = None;
         self.last_logged.clear();
         self.wal.drop_pending();
+        self.pool.discard_all();
         self.pool.set_no_steal(false);
         self.set_health(HealthState::Poisoned);
     }
 
     /// Degrades to read-only after a torn flush: the commit marker never
-    /// became durable, so the *pre-batch* state is the truth. The batch's
-    /// dirty frames (uncommitted after-images) are discarded; reads then
-    /// fall through to the consistent pre-batch disk pages.
+    /// became durable, so the *pre-batch* state is the truth, and the
+    /// batch's dirty frames are rewound to it exactly as an abort would.
     fn degrade_discarding_batch(&mut self) {
         if let Some(batch) = self.batch.take() {
-            self.pool.discard_pages(batch.dirty.iter().copied());
-            for (segment, page) in batch.adopted.into_iter().rev() {
-                if let Some(seg) = self.segments.get_mut(&segment) {
-                    seg.drop_page(page);
-                }
-            }
-            for segment in batch.created.into_iter().rev() {
-                self.segments.remove(&segment);
-                if segment.0 + 1 == self.next_segment {
-                    self.next_segment = segment.0;
-                }
-            }
+            self.undo_batch(batch);
         }
-        self.pool.set_no_steal(false);
-        self.set_health(HealthState::Degraded);
+        self.degrade();
     }
 
     // ------------------------------------------------------------------
@@ -1578,8 +1516,9 @@ impl ObjectStore {
         Ok(report)
     }
 
-    /// Truncates the log down to a checkpoint record carrying a snapshot of
-    /// the segment directory. The swap is atomic (see
+    /// Writes every dirty frame back, syncs the page device, and only then
+    /// truncates the log down to a checkpoint record carrying a snapshot
+    /// of the segment directory. The swap is atomic (see
     /// [`Wal::install_checkpoint`]); runs automatically when the durable
     /// log outgrows [`StoreConfig::wal_checkpoint_bytes`].
     pub fn checkpoint(&mut self) -> StorageResult<()> {
@@ -1597,12 +1536,31 @@ impl ObjectStore {
         self.seal_group(false)?;
         let _span = corion_obs::span("storage", "checkpoint");
         let _timer = self.metrics.wal_checkpoint_latency.start_timer();
-        // Outside a batch every frame is clean (commit applies eagerly),
-        // but flush defensively: a checkpoint asserts "the disk is current".
-        // On a real device that assertion needs an fsync — the log is about
-        // to be truncated, so the pages must not be sitting in a volatile
-        // write cache when it is.
-        self.pool.flush_all()?;
+        // Commits leave their pages dirty in the pool; this is where they
+        // reach the disk, in ascending page order (§2.3 neighbours are
+        // adjacent). A write-back fault leaves the disk behind a log that
+        // still holds every image: degrade keeping the frames, truncate
+        // nothing, and let recovery replay.
+        let dirty = self.pool.dirty_pages();
+        self.metrics.dirty_frames.set(dirty.len() as i64);
+        for page in dirty {
+            let written = {
+                let (crash, pool) = (&self.crash, &self.pool);
+                let rm = self.metrics.retry();
+                retry::run(&self.retry_policy, &rm, &self.clock, || {
+                    crash.hit(CP_CHECKPOINT_WRITE)?;
+                    pool.write_back(page)
+                })
+            };
+            if let Err(e) = written {
+                self.degrade();
+                return Err(e);
+            }
+            self.metrics.checkpoint_writebacks.inc();
+        }
+        // "The disk is current" needs an fsync on a real device — the log
+        // is about to be truncated, so the pages must not be sitting in a
+        // volatile write cache when it is.
         self.pool.sync_device()?;
         let mut segments: Vec<(SegmentId, Vec<u64>)> = self
             .segments
@@ -1621,7 +1579,8 @@ impl ObjectStore {
             return Err(e);
         }
         // The images the delta bases refer to were just truncated out of
-        // the log; the next record for each page must be a full image.
+        // the log; the next record for each page must be a full image —
+        // the log's only protection against a torn write of that page.
         self.last_logged.clear();
         self.metrics.wal_checkpoints.inc();
         Ok(())
@@ -1730,7 +1689,12 @@ impl ObjectStore {
     /// Injects bit rot into one on-disk page byte without refreshing its
     /// checksum (see
     /// [`SimDisk::corrupt_page_byte`](crate::disk::SimDisk::corrupt_page_byte)).
+    /// The page's committed image is written back first, which the WAL
+    /// rule forbids while a batch or a group window is open.
     pub fn corrupt_page_byte(&self, page: u64, offset: usize, mask: u8) -> StorageResult<()> {
+        if self.batch.is_some() || self.group.is_some() {
+            return Err(StorageError::BatchAlreadyOpen);
+        }
         self.pool.corrupt_page_byte(page, offset, mask)
     }
 
@@ -1773,9 +1737,10 @@ impl ObjectStore {
     }
 
     /// A copy of one committed page image. WAL tailers use this to seed
-    /// their shadow pages at attach time; under the no-steal policy the
-    /// buffer pool never holds uncommitted data between atomic batches,
-    /// so outside a batch this is exactly the committed image.
+    /// their shadow pages at attach time. Served through the pool, which —
+    /// not the disk — is the authority on committed contents: outside a
+    /// batch every frame holds a committed image (uncommitted ones never
+    /// outlive their batch), possibly one the disk has not received yet.
     pub fn page_image(&self, page: u64) -> StorageResult<Page> {
         self.with_page_retry(page, |p| p.clone())
     }
@@ -2119,7 +2084,7 @@ mod fault_tests {
     }
 
     #[test]
-    fn fault_during_eviction_is_reported() {
+    fn fault_during_eviction_is_reported_and_the_frame_survives_it() {
         let mut st = ObjectStore::new(StoreConfig {
             buffer_capacity: 1,
             ..Default::default()
@@ -2128,13 +2093,26 @@ mod fault_tests {
         // Two pages worth of data so accessing the second evicts the first.
         let a = st.insert(seg, &[1u8; 3000], None).unwrap();
         let b = st.insert(seg, &[2u8; 3000], None).unwrap();
-        st.read(a).unwrap();
+        st.clear_cache().unwrap();
+        // The one frame now holds a's page with a committed update the
+        // disk has not received.
+        st.update(a, &[3u8; 3000]).unwrap();
+        let reads = st.disk_stats().reads;
         st.fail_after(0);
-        // Reading b must evict (write back) a's dirty page or read b's page:
-        // either way the fault surfaces as an error.
-        assert!(st.read(b).is_err());
+        // Reading b must evict a's page, and its write-back faults.
+        assert!(matches!(
+            st.read(b),
+            Err(StorageError::InjectedFault { .. })
+        ));
         st.heal();
-        st.read(b).unwrap();
+        // The frame survived: the update is served from the pool, not from
+        // the stale disk page.
+        assert_eq!(st.read(a).unwrap(), vec![3u8; 3000]);
+        assert_eq!(st.disk_stats().reads, reads, "a never left the pool");
+        // Healed, the eviction writes a back and nothing is lost.
+        assert_eq!(st.read(b).unwrap(), vec![2u8; 3000]);
+        assert_eq!(st.read(a).unwrap(), vec![3u8; 3000]);
+        assert!(st.disk_stats().reads > reads, "a came back from the disk");
     }
 }
 
@@ -2248,14 +2226,14 @@ mod recovery_tests {
     }
 
     #[test]
-    fn mid_apply_fault_degrades_to_read_only_until_recovered() {
+    fn fault_after_the_durability_point_degrades_to_read_only_until_recovered() {
         let mut st = ObjectStore::default();
         let seg = st.create_segment().unwrap();
-        st.arm_crash_point(CP_COMMIT_APPLY, 1);
+        st.arm_crash_point(CP_COMMIT_DONE, 1);
         assert!(st.insert(seg, b"x", None).is_err());
-        // The commit was durable but not fully applied: the store is
-        // degraded, not poisoned — reads still answer (from the pinned
-        // frames that hold the committed images), mutations are rejected.
+        // The commit was durable but never closed: the store is degraded,
+        // not poisoned — reads still answer (from the pinned frames that
+        // hold the committed images), mutations are rejected.
         assert_eq!(st.health(), HealthState::Degraded);
         assert!(matches!(
             st.insert(seg, b"y", None),
@@ -2268,6 +2246,47 @@ mod recovery_tests {
         // The crash hit after the durability point, so "x" committed.
         st.insert(seg, b"y", None).unwrap();
         assert_eq!(st.scan(seg).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn checkpoint_writeback_fault_degrades_keeping_the_frames_and_the_log() {
+        // Ten commits over three pages, then a checkpoint whose k-th page
+        // write-back faults, for every k the checkpoint reaches.
+        for countdown in 1..8 {
+            let mut st = ObjectStore::default();
+            let seg = st.create_segment().unwrap();
+            for i in 0..10u8 {
+                st.insert(seg, &[i; 1000], None).unwrap();
+            }
+            let fp = fingerprint(&st, seg);
+            let log = st.wal_stats().durable_bytes;
+            st.arm_crash_point(CP_CHECKPOINT_WRITE, countdown);
+            let res = st.checkpoint();
+            if st.crash_point_remaining(CP_CHECKPOINT_WRITE).is_some() {
+                st.heal_crash_points();
+                res.unwrap();
+                assert!(countdown > 3, "three dirty pages, three write-backs");
+                break;
+            }
+            assert!(matches!(res, Err(StorageError::InjectedFault { .. })));
+            assert_eq!(st.health(), HealthState::Degraded);
+            assert_eq!(
+                st.wal_stats().durable_bytes,
+                log,
+                "the log is truncated only after every write-back"
+            );
+            assert_eq!(st.buffer_stats().writebacks, countdown - 1);
+            assert_eq!(fingerprint(&st, seg), fp, "degraded reads keep answering");
+            assert!(matches!(
+                st.insert(seg, b"y", None),
+                Err(StorageError::ReadOnly)
+            ));
+            // A crash on top loses the unwritten frames; the log has them.
+            st.simulate_crash();
+            st.recover().unwrap();
+            assert_eq!(fingerprint(&st, seg), fp);
+            st.checkpoint().unwrap();
+        }
     }
 
     #[test]
@@ -2374,6 +2393,221 @@ mod recovery_tests {
             let recs = st.scan(seg).unwrap();
             assert_eq!(recs.len(), 1, "countdown={countdown}");
             assert_eq!(recs[0].1, b"anchor");
+        }
+    }
+}
+
+/// No-force: a commit ends at the synced log, so the disk may be behind
+/// the last commit and only the pool (and the log) know better.
+#[cfg(test)]
+mod no_force_tests {
+    use super::*;
+
+    fn grouped_config() -> StoreConfig {
+        StoreConfig {
+            commit_policy: CommitPolicy::Group {
+                max_ops: u64::MAX,
+                max_bytes: usize::MAX,
+            },
+            ..StoreConfig::default()
+        }
+    }
+
+    #[test]
+    fn commits_write_no_pages_and_a_checkpoint_writes_each_dirty_page_once() {
+        let mut st = ObjectStore::default();
+        let seg = st.create_segment().unwrap();
+        let id = st.insert(seg, &[0u8; 600], None).unwrap();
+        st.checkpoint().unwrap();
+        let writes = st.disk_stats().writes;
+        for i in 1..=20u8 {
+            st.update(id, &[i; 600]).unwrap();
+        }
+        assert_eq!(st.disk_stats().writes, writes, "no page write per commit");
+        st.checkpoint().unwrap();
+        assert_eq!(st.disk_stats().writes, writes + 1, "one page, written once");
+        st.checkpoint().unwrap();
+        assert_eq!(st.disk_stats().writes, writes + 1, "nothing left dirty");
+        st.simulate_crash();
+        st.recover().unwrap();
+        assert_eq!(st.read(id).unwrap(), vec![20u8; 600]);
+    }
+
+    /// Durability argument (a): a frame is written only once its image's
+    /// log record is synced. One frame of pool, so every fetch wants to
+    /// evict — and must overcommit instead while the batch (or the group
+    /// window) holding the dirty frames is open.
+    #[test]
+    fn no_page_is_written_before_its_log_record_is_synced() {
+        for mut st in [
+            ObjectStore::new(StoreConfig {
+                buffer_capacity: 1,
+                ..StoreConfig::default()
+            }),
+            ObjectStore::new(StoreConfig {
+                buffer_capacity: 1,
+                ..grouped_config()
+            }),
+        ] {
+            let seg = st.create_segment().unwrap();
+            st.sync().unwrap();
+            st.checkpoint().unwrap();
+            let writes = st.disk_stats().writes;
+            st.begin_atomic().unwrap();
+            let ids: Vec<PhysId> = (0..4u8)
+                .map(|i| st.insert(seg, &[i; 3000], None).unwrap())
+                .collect();
+            for &id in &ids {
+                st.read(id).unwrap();
+            }
+            assert_eq!(st.disk_stats().writes, writes, "uncommitted frames");
+            st.commit_atomic().unwrap();
+            if st.group.is_some() {
+                // Committed but unsealed: still nothing in the durable log.
+                for &id in &ids {
+                    st.read(id).unwrap();
+                }
+                st.clear_cache().unwrap_err();
+                assert_eq!(st.disk_stats().writes, writes, "unsealed frames");
+                st.sync().unwrap();
+            }
+            // Durable now: the overcommit drains by writing frames back.
+            st.clear_cache().unwrap();
+            assert_eq!(st.disk_stats().writes, writes + 4);
+        }
+    }
+
+    /// Durability argument (c), abort: commit A dirties page P, batch B
+    /// rewrites P and aborts. The disk still holds the pre-A page, so the
+    /// frame must come back from the committed image, not from there.
+    #[test]
+    fn an_abort_restores_the_last_committed_image_not_the_disks() {
+        let mut st = ObjectStore::default();
+        let seg = st.create_segment().unwrap();
+        let id = st.insert(seg, b"pre-A", None).unwrap();
+        st.checkpoint().unwrap();
+        st.update(id, b"A").unwrap();
+        st.begin_atomic().unwrap();
+        st.update(id, b"B").unwrap();
+        st.insert(seg, b"B's sibling", None).unwrap();
+        st.abort_atomic().unwrap();
+        assert_eq!(st.read(id).unwrap(), b"A");
+        assert_eq!(st.scan(seg).unwrap().len(), 1);
+        // The restored frame is what later commits build on...
+        st.insert(seg, b"C", None).unwrap();
+        assert_eq!(st.read(id).unwrap(), b"A");
+        // ...and what a crash recovers to.
+        st.simulate_crash();
+        st.recover().unwrap();
+        assert_eq!(st.read(id).unwrap(), b"A");
+        assert_eq!(st.scan(seg).unwrap().len(), 2);
+    }
+
+    /// The same under a group window, where A is committed but not even
+    /// logged yet, and across the seal that follows.
+    #[test]
+    fn an_abort_under_a_window_restores_the_unsealed_image() {
+        let mut st = ObjectStore::new(grouped_config());
+        let seg = st.create_segment().unwrap();
+        let id = st.insert(seg, b"sealed", None).unwrap();
+        st.sync().unwrap();
+        // P carries a sealed image the disk lacks, then an unsealed one.
+        st.begin_atomic().unwrap();
+        st.update(id, b"B").unwrap();
+        st.abort_atomic().unwrap();
+        assert_eq!(st.read(id).unwrap(), b"sealed", "from the base map");
+        st.update(id, b"A").unwrap();
+        st.begin_atomic().unwrap();
+        st.update(id, b"B").unwrap();
+        st.abort_atomic().unwrap();
+        assert_eq!(st.read(id).unwrap(), b"A", "from the window");
+        st.simulate_crash();
+        st.recover().unwrap();
+        assert_eq!(st.read(id).unwrap(), b"sealed", "A never sealed");
+        st.update(id, b"A").unwrap();
+        st.begin_atomic().unwrap();
+        st.update(id, b"B").unwrap();
+        st.abort_atomic().unwrap();
+        st.sync().unwrap();
+        st.simulate_crash();
+        st.recover().unwrap();
+        assert_eq!(st.read(id).unwrap(), b"A");
+    }
+
+    /// Durability argument (c), torn flush: B's commit marker never became
+    /// durable, so degraded reads — and recovery — must see A.
+    #[test]
+    fn a_torn_flush_restores_the_last_committed_image_not_the_disks() {
+        let mut st = ObjectStore::default();
+        let seg = st.create_segment().unwrap();
+        let id = st.insert(seg, b"pre-A", None).unwrap();
+        st.checkpoint().unwrap();
+        st.update(id, b"A").unwrap();
+        st.arm_torn_crash(CP_COMMIT_FLUSH, 1, 40);
+        st.update(id, b"B").unwrap_err();
+        assert_eq!(st.health(), HealthState::Degraded);
+        assert_eq!(st.read(id).unwrap(), b"A");
+        st.recover().unwrap();
+        assert_eq!(st.read(id).unwrap(), b"A");
+    }
+
+    /// Two readers thrash an 8-frame pool — evicting committed-dirty
+    /// frames, i.e. issuing write-backs from `&self` — between the commits
+    /// and checkpoints of a writer. Every read equals the model; no page
+    /// image is lost on the way to the disk.
+    #[test]
+    fn readers_evicting_committed_dirty_frames_never_lose_an_image() {
+        use parking_lot::RwLock;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        const RECORDS: usize = 48; // one per page: six times the pool
+        let mut st = ObjectStore::new(StoreConfig {
+            buffer_capacity: 8,
+            ..StoreConfig::default()
+        });
+        let seg = st.create_segment().unwrap();
+        let ids: Vec<PhysId> = (0..RECORDS)
+            .map(|i| st.insert(seg, &[i as u8; 3000], None).unwrap())
+            .collect();
+        // model[i] is the byte record i holds; it changes only under the
+        // store's write lock, so a reader holding the read lock sees both
+        // in step.
+        let model: Vec<u8> = (0..RECORDS).map(|i| i as u8).collect();
+        let shared = RwLock::new((st, model));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..2usize {
+                let (shared, done, ids) = (&shared, &done, &ids);
+                s.spawn(move || {
+                    let mut i = t * 17;
+                    while !done.load(Ordering::Acquire) {
+                        let guard = shared.read();
+                        let (st, model) = &*guard;
+                        i = (i * 31 + 7) % RECORDS;
+                        assert_eq!(st.read(ids[i]).unwrap(), vec![model[i]; 3000]);
+                    }
+                });
+            }
+            for round in 0..300usize {
+                let mut guard = shared.write();
+                let (st, model) = &mut *guard;
+                let i = (round * 13) % RECORDS;
+                model[i] = model[i].wrapping_add(101);
+                st.update(ids[i], &[model[i]; 3000]).unwrap();
+                if round % 40 == 39 {
+                    st.checkpoint().unwrap();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        let (mut st, model) = shared.into_inner();
+        assert!(st.buffer_stats().writebacks > 0, "evictions wrote back");
+        for pass in 0..2 {
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(st.read(id).unwrap(), vec![model[i]; 3000], "pass {pass}");
+            }
+            st.simulate_crash();
+            st.recover().unwrap();
         }
     }
 }

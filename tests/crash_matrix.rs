@@ -712,17 +712,17 @@ mod file_backed {
     }
 
     fn open_fixture(tag: &str) -> Fixture {
+        open_fixture_with(tag, DbConfig::default())
+    }
+
+    fn open_fixture_with(tag: &str, config: DbConfig) -> Fixture {
         let dir = fresh_dir(tag);
         let dm = DeviceMetrics::detached();
         let disk = FaultyDevice::new(FileDisk::open(&dir, dm.clone()).unwrap(), dm.clone());
         let log = FaultyDevice::new(FileWal::open(&dir, dm.clone()).unwrap(), dm);
-        let db = Database::with_devices(
-            &dir,
-            DbConfig::default(),
-            Arc::new(disk.clone()),
-            Arc::new(log.clone()),
-        )
-        .unwrap();
+        let db =
+            Database::with_devices(&dir, config, Arc::new(disk.clone()), Arc::new(log.clone()))
+                .unwrap();
         Fixture { db, disk, log, dir }
     }
 
@@ -1001,6 +1001,167 @@ mod file_backed {
             drop(db);
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// Twelve parts of ~900 bytes (several pages) plus rewrites of every
+    /// third — all committed, none written: commits stop at the synced
+    /// log, so the checkpoint that follows has every one of these pages to
+    /// write back. Returns the fixture and the committed fingerprint.
+    fn unwritten_commits(tag: &str) -> (Fixture, Vec<(Oid, Vec<u8>)>) {
+        let mut fx = open_fixture(tag);
+        let (part, _) = parts_schema(&mut fx.db);
+        fx.db.checkpoint().unwrap();
+        let parts: Vec<Oid> = (0..12)
+            .map(|i| {
+                let text = Value::Str(format!("{i:x}").repeat(900));
+                fx.db.make(part, vec![("text", text)], vec![]).unwrap()
+            })
+            .collect();
+        for &p in parts.iter().step_by(3) {
+            fx.db
+                .set_attr(p, "text", Value::Str("rewritten".repeat(90)))
+                .unwrap();
+        }
+        let committed = fingerprint(&fx.db);
+        (fx, committed)
+    }
+
+    /// Reopens and demands every acknowledged commit, a clean audit, and a
+    /// checkpoint that now goes through.
+    fn assert_nothing_lost(fx: Fixture, what: &str, committed: &[(Oid, Vec<u8>)]) {
+        let (mut db, dir) = reopen(fx);
+        assert!(
+            fingerprint(&db) == committed,
+            "{what}: an acknowledged commit did not survive the reopen"
+        );
+        db.verify_integrity()
+            .unwrap_or_else(|e| panic!("{what}: integrity audit failed after reopen: {e}"));
+        db.checkpoint().unwrap();
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_writeback_faults_lose_no_commit_across_reopen() {
+        use corion::storage::{HealthState, CP_CHECKPOINT_WRITE};
+        // How many pages the checkpoint writes back, from an unfaulted run.
+        let (mut fx, _) = unwritten_commits("ckptwb_probe");
+        fx.db.checkpoint().unwrap();
+        let pages = fx
+            .db
+            .metrics_snapshot()
+            .counter("corion_buffer_writebacks_checkpoint_total");
+        assert!(pages >= 3, "the fixture must dirty several pages");
+        std::fs::remove_dir_all(&fx.dir).ok();
+
+        // A fault at every write-back: the crash point (a clean crash
+        // before the k-th write), then the device tearing the k-th write
+        // itself at several sector boundaries and mid-sector.
+        for k in 0..pages {
+            let keeps = [None, Some(0), Some(512), Some(2000), Some(4095)];
+            for keep in keeps {
+                let what = format!("checkpoint write-back {k} of {pages}, torn {keep:?}");
+                let (mut fx, committed) = unwritten_commits("ckptwb");
+                let log = fx.db.wal_stats().durable_bytes;
+                match keep {
+                    None => fx.db.arm_crash_point(CP_CHECKPOINT_WRITE, k + 1),
+                    Some(keep) => fx.disk.arm_torn_write(k, keep),
+                }
+                let result = fx.db.checkpoint();
+                assert!(
+                    matches!(result, Err(DbError::Storage(_))),
+                    "{what}: must surface, got {result:?}"
+                );
+                if keep.is_some() {
+                    assert_eq!(fx.disk.injected().torn_writes, 1, "{what}");
+                }
+                assert_eq!(fx.db.health(), HealthState::Degraded, "{what}");
+                assert_eq!(
+                    fx.db.wal_stats().durable_bytes,
+                    log,
+                    "{what}: the log must not be truncated"
+                );
+                assert!(
+                    fingerprint(&fx.db) == committed,
+                    "{what}: degraded reads must keep answering"
+                );
+                fx.db.heal_crash_points();
+                fx.disk.heal_faults();
+                assert_nothing_lost(fx, &what, &committed);
+            }
+        }
+        // One past the last write-back, the point no longer fires.
+        let (mut fx, committed) = unwritten_commits("ckptwb_past");
+        fx.db.arm_crash_point(CP_CHECKPOINT_WRITE, pages + 1);
+        fx.db.checkpoint().unwrap();
+        assert!(fx.db.crash_point_remaining(CP_CHECKPOINT_WRITE).is_some());
+        fx.db.heal_crash_points();
+        assert_nothing_lost(fx, "unfaulted checkpoint", &committed);
+    }
+
+    #[test]
+    fn the_log_is_swapped_only_after_the_page_device_is_synced() {
+        // A page device with a volatile write cache: while it lies, page
+        // writes are acknowledged into a cache that dies with the power.
+        // Over an 8-frame pool, the reads between the commits below miss
+        // and evict — and so write back — committed frames into that
+        // cache. Nothing may be lost: no checkpoint ran since, so the log
+        // still holds every image.
+        let mut fx = open_fixture_with(
+            "pagecache",
+            DbConfig {
+                store: StoreConfig {
+                    buffer_capacity: 8,
+                    ..StoreConfig::default()
+                },
+                ..DbConfig::default()
+            },
+        );
+        let (part, _) = parts_schema(&mut fx.db);
+        let parts: Vec<Oid> = (0..40)
+            .map(|i| {
+                let text = Value::Str(format!("{i:x}").repeat(1500));
+                fx.db.make(part, vec![("text", text)], vec![]).unwrap()
+            })
+            .collect();
+        fx.db.checkpoint().unwrap();
+        fx.db.clear_cache().unwrap();
+        fx.disk.set_lying_fsync(true).unwrap();
+        for (i, &p) in parts.iter().enumerate() {
+            let text = Value::Str(format!("{i:x}").repeat(1400));
+            fx.db.set_attr(p, "text", text).unwrap();
+            fx.db.get_attr(parts[(i * 7 + 3) % 40], "text").unwrap();
+        }
+        assert!(
+            fx.db
+                .metrics_snapshot()
+                .counter("corion_buffer_writebacks_eviction_total")
+                > 0
+                && fx.disk.lying_bytes_buffered(),
+            "evictions must have written committed frames into the cache"
+        );
+        let committed = fingerprint(&fx.db);
+        assert_nothing_lost(fx, "power loss with cached page writes", &committed);
+
+        // And when the checkpoint's own sync fails, the swap must not
+        // happen: the write-backs went through (EIO is armed past them),
+        // the sync did not, the log stays.
+        let (mut fx, committed) = unwritten_commits("pagesync");
+        let log = fx.db.wal_stats().durable_bytes;
+        fx.db.clear_cache().unwrap(); // every frame clean: the sync is the next device op
+        fx.disk.arm_eio(0);
+        let result = fx.db.checkpoint();
+        assert!(
+            matches!(result, Err(DbError::Storage(_))),
+            "a failed page sync must surface, got {result:?}"
+        );
+        assert_eq!(
+            fx.db.wal_stats().durable_bytes,
+            log,
+            "an unsynced page device must keep its log"
+        );
+        fx.disk.heal_faults();
+        assert_nothing_lost(fx, "failed page sync", &committed);
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Graceful degradation: a permanent fault after the commit point must
 //! leave the engine *read-only*, not dead.
 //!
-//! The scenario: a batch's commit record reaches the WAL, then a page
-//! write-back faults permanently (`CP_COMMIT_APPLY`). The disk is behind
-//! the log, but the buffer pool still pins the committed after-images —
-//! so every §3 traversal, predicate, and plain read keeps answering the
-//! *committed* state, while every mutation fails fast with the typed
+//! Two scenarios. A batch's commit record reaches the WAL and the commit
+//! then faults before it closes (`CP_COMMIT_DONE`); or commits succeed and
+//! a later checkpoint's page write-back faults permanently
+//! (`CP_CHECKPOINT_WRITE`). Either way the disk is behind the log, but the
+//! buffer pool still pins the committed after-images — so every §3
+//! traversal, predicate, and plain read keeps answering the *committed*
+//! state, while every mutation fails fast with the typed
 //! [`DbError::ReadOnly`] until [`Database::recover`] replays the log and
 //! promotes the engine back to `Healthy`.
 
-use corion::storage::CP_COMMIT_APPLY;
+use corion::storage::{CP_CHECKPOINT_WRITE, CP_COMMIT_DONE};
 use corion::{ClassBuilder, CompositeSpec, Database, DbError, Domain, Filter, HealthState, Value};
 
 /// Part/Assembly schema: a dependent-shared set attribute plus a string.
@@ -32,7 +34,7 @@ fn build() -> (Database, corion::ClassId, corion::ClassId) {
 }
 
 #[test]
-fn post_commit_apply_fault_degrades_to_read_only_and_recovers() {
+fn post_commit_fault_degrades_to_read_only_and_recovers() {
     let (mut db, part, asm) = build();
     let p1 = db
         .make(part, vec![("text", Value::Str("one".into()))], vec![])
@@ -49,9 +51,9 @@ fn post_commit_apply_fault_degrades_to_read_only_and_recovers() {
         .unwrap();
     assert_eq!(db.health(), HealthState::Healthy);
 
-    // The faulting batch: an attribute write whose apply phase dies after
-    // the commit record is durable.
-    db.arm_crash_point(CP_COMMIT_APPLY, 1);
+    // The faulting batch: an attribute write that dies after its commit
+    // record is durable, before the batch closes.
+    db.arm_crash_point(CP_COMMIT_DONE, 1);
     let err = db
         .set_attr(p1, "text", Value::Str("updated".into()))
         .unwrap_err();
@@ -132,6 +134,59 @@ fn post_commit_apply_fault_degrades_to_read_only_and_recovers() {
 }
 
 #[test]
+fn checkpoint_writeback_fault_degrades_to_read_only_and_recovers() {
+    let (mut db, part, asm) = build();
+    let p1 = db
+        .make(part, vec![("text", Value::Str("one".into()))], vec![])
+        .unwrap();
+    let a = db
+        .make(
+            asm,
+            vec![("parts", Value::Set(vec![Value::Ref(p1)]))],
+            vec![],
+        )
+        .unwrap();
+    db.checkpoint().unwrap();
+    // Committed and acknowledged; the page has not been written since.
+    db.set_attr(p1, "text", Value::Str("updated".into()))
+        .unwrap();
+    let log = db.wal_stats().durable_bytes;
+
+    db.arm_crash_point(CP_CHECKPOINT_WRITE, 1);
+    let err = db.checkpoint().unwrap_err();
+    assert!(matches!(err, DbError::Storage(_)), "got {err}");
+    db.heal_crash_points();
+    assert_eq!(db.health(), HealthState::Degraded);
+    assert_eq!(
+        db.wal_stats().durable_bytes,
+        log,
+        "a failed write-back must not truncate the log"
+    );
+
+    // Reads serve the committed update from the frame the fault left
+    // dirty; mutations (and a second checkpoint) are refused.
+    assert_eq!(
+        db.get_attr(p1, "text").unwrap(),
+        Value::Str("updated".into())
+    );
+    assert_eq!(db.components_of(a, &Filter::all()).unwrap(), vec![p1]);
+    assert!(matches!(
+        db.set_attr(p1, "text", Value::Str("nope".into())),
+        Err(DbError::ReadOnly)
+    ));
+    assert!(matches!(db.checkpoint(), Err(DbError::ReadOnly)));
+
+    db.recover().unwrap();
+    assert_eq!(db.health(), HealthState::Healthy);
+    assert_eq!(
+        db.get_attr(p1, "text").unwrap(),
+        Value::Str("updated".into())
+    );
+    db.checkpoint().unwrap();
+    db.verify_integrity().unwrap();
+}
+
+#[test]
 fn degraded_health_is_visible_in_the_metrics_gauge() {
     let (mut db, part, _) = build();
     let p = db.make(part, vec![], vec![]).unwrap();
@@ -139,7 +194,7 @@ fn degraded_health_is_visible_in_the_metrics_gauge() {
         db.metrics_snapshot().gauges.get("corion_db_health"),
         Some(&0)
     );
-    db.arm_crash_point(CP_COMMIT_APPLY, 1);
+    db.arm_crash_point(CP_COMMIT_DONE, 1);
     db.set_attr(p, "text", Value::Str("x".into())).unwrap_err();
     db.heal_crash_points();
     assert_eq!(
@@ -159,7 +214,7 @@ fn crash_while_degraded_poisons_then_recovery_still_heals() {
     let p = db
         .make(part, vec![("text", Value::Str("v".into()))], vec![])
         .unwrap();
-    db.arm_crash_point(CP_COMMIT_APPLY, 1);
+    db.arm_crash_point(CP_COMMIT_DONE, 1);
     db.set_attr(p, "text", Value::Str("w".into())).unwrap_err();
     db.heal_crash_points();
     assert_eq!(db.health(), HealthState::Degraded);

@@ -11,12 +11,17 @@
 //! operation or everything through it (the crash may land on either side
 //! of the durability point) — never anything in between.
 //!
+//! Commits do not write pages, so for most of a sequence the disk is
+//! *behind* the log. `Abort` ops (a transaction rolled back over pages
+//! earlier commits left dirty) and `Checkpoint` ops (the write-back that
+//! catches the disk up, itself a crash target) keep that gap in play.
+//!
 //! The oracle is a twin database replaying the same deterministic
 //! operations with no faults armed — the same style as the PR-1
 //! `_uncached` traversal oracles: recompute the answer the slow, safe way
 //! and demand equality.
 
-use corion::storage::{CP_COMMIT_FLUSH, CRASH_POINTS};
+use corion::storage::{CP_CHECKPOINT_WRITE, CP_COMMIT_FLUSH, CRASH_POINTS};
 use corion::{
     AttributeDef, ClassBuilder, ClassId, CompositeSpec, Database, DbError, Domain, Oid, Value,
 };
@@ -45,6 +50,20 @@ enum Op {
     Detach { child: usize, parent: usize },
     /// Weak reference write.
     SetBuddy { obj: usize, target: usize },
+    /// A transaction that rewrites both attributes (a long string
+    /// relocates) and rolls back: logically a no-op, physically a rewind
+    /// of every frame it touched to the last *committed* image.
+    Abort { obj: usize, v: i64, len: usize },
+    /// Write every dirty page back and truncate the log.
+    Checkpoint,
+}
+
+/// The commit-path points plus the checkpoint's write-back point.
+fn crash_point(idx: usize) -> &'static str {
+    CRASH_POINTS
+        .get(idx)
+        .copied()
+        .unwrap_or(CP_CHECKPOINT_WRITE)
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -60,6 +79,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(child, parent)| Op::Detach { child, parent }),
         1 => (0..64usize, 0..64usize)
             .prop_map(|(obj, target)| Op::SetBuddy { obj, target }),
+        2 => (0..64usize, any::<i64>(), 0..6000usize)
+            .prop_map(|(obj, v, len)| Op::Abort { obj, v, len }),
+        2 => Just(Op::Checkpoint),
     ]
 }
 
@@ -145,6 +167,17 @@ fn apply(db: &mut Database, node: ClassId, op: &Op) -> Result<(), DbError> {
             (Some(o), Some(t)) => db.set_attr(o, "buddy", Value::Ref(t)),
             _ => Ok(()),
         },
+        Op::Abort { obj, v, len } => match pick(*obj) {
+            Some(o) => db.begin_transaction().and_then(|()| {
+                let wrote = db
+                    .set_attr(o, "n", Value::Int(*v))
+                    .and_then(|()| db.set_attr(o, "text", Value::Str("a".repeat(*len))));
+                let aborted = db.abort_transaction();
+                wrote.and(aborted)
+            }),
+            None => Ok(()),
+        },
+        Op::Checkpoint => db.checkpoint(),
     };
     match result {
         Ok(()) => Ok(()),
@@ -186,12 +219,12 @@ proptest! {
     #[test]
     fn recovery_equals_replay_of_committed_prefix(
         ops in prop::collection::vec(op_strategy(), 1..30),
-        point_idx in 0..5usize,
+        point_idx in 0..=CRASH_POINTS.len(),
         countdown in 1..40u64,
         torn in any::<bool>(),
         torn_keep in 0..4096usize,
     ) {
-        let point = CRASH_POINTS[point_idx % CRASH_POINTS.len()];
+        let point = crash_point(point_idx);
         let (mut db, node) = node_db();
         // Arm once for the whole sequence: the countdown decides which
         // operation (if any) the crash lands in.
@@ -292,12 +325,12 @@ proptest! {
     #[test]
     fn file_backed_recovery_equals_replay_of_committed_prefix(
         ops in prop::collection::vec(op_strategy(), 1..20),
-        point_idx in 0..5usize,
+        point_idx in 0..=CRASH_POINTS.len(),
         countdown in 1..24u64,
         torn in any::<bool>(),
         torn_keep in 0..4096usize,
     ) {
-        let point = CRASH_POINTS[point_idx % CRASH_POINTS.len()];
+        let point = crash_point(point_idx);
         let (mut db, dir) = file_db();
         let node = node_schema(&mut db);
         if torn && point == CP_COMMIT_FLUSH {
