@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use corion_core::{Database, DbConfig, DbResult};
+use corion_core::{ChangeSet, Database, DbConfig, DbResult};
 use corion_lock::LockManager;
 use corion_obs::{Counter, Histogram, Registry, LATENCY_BOUNDS_NS};
 use corion_storage::{Lsn, VersionStore};
@@ -68,6 +68,21 @@ impl EngineMetrics {
     }
 }
 
+/// Where the engine's change stream goes: the one registered consumer of
+/// the [`ChangeSet`]s the core releases at each durable commit
+/// (`corion_core::capture`).
+pub trait ChangeSink: Send + Sync {
+    /// Called once per released set, in commit order, by the thread that
+    /// committed it, while it still holds the exclusive latch: the commit
+    /// is already visible to a new snapshot, no later commit can overtake
+    /// the call, and nobody else can be attaching (that takes the shared
+    /// latch). The implementation must not block — a committer, and every
+    /// other committer behind it, waits for it to return. `db` is there to
+    /// switch capture off ([`Database::set_change_capture`]) when the last
+    /// listener is gone.
+    fn deliver(&self, db: &Database, set: ChangeSet);
+}
+
 /// State shared by every handle, snapshot, and transaction of one engine.
 pub(crate) struct Shared {
     /// The single-threaded engine behind a reader-writer latch. Readers
@@ -94,6 +109,8 @@ pub(crate) struct Shared {
     pub(crate) epoch: AtomicU64,
     /// Commits since the last automatic vacuum.
     pub(crate) commits_since_vacuum: AtomicU64,
+    /// See [`ConcurrentDb::set_change_sink`].
+    sink: RwLock<Option<Arc<dyn ChangeSink>>>,
     pub(crate) metrics: EngineMetrics,
 }
 
@@ -127,11 +144,13 @@ impl Drop for OpLatch<'_> {
     }
 }
 
-/// An *exclusive* latch acquisition — the commit-publish critical section
-/// and installed-overlay views. Records the hold duration on release.
+/// An *exclusive* latch acquisition — the commit-publish critical section,
+/// installed-overlay views, and every maintenance path. On release it
+/// hands the change sets its holder made durable to the registered
+/// [`ChangeSink`], then records the hold duration.
 pub(crate) struct ExclusiveLatch<'a> {
     guard: RwLockWriteGuard<'a, Database>,
-    hold: Histogram,
+    shared: &'a Shared,
     since: Instant,
 }
 
@@ -150,7 +169,20 @@ impl DerefMut for ExclusiveLatch<'_> {
 
 impl Drop for ExclusiveLatch<'_> {
     fn drop(&mut self) {
-        self.hold.record(self.since.elapsed().as_nanos() as u64);
+        // Still latched: delivery order is latch order is commit order.
+        // Empty (and allocation-free) whenever capture is off.
+        let released = self.guard.take_released_changes();
+        if !released.is_empty() {
+            if let Some(sink) = self.shared.sink.read().as_ref() {
+                for set in released {
+                    sink.deliver(&self.guard, set);
+                }
+            }
+        }
+        self.shared
+            .metrics
+            .latch_hold
+            .record(self.since.elapsed().as_nanos() as u64);
     }
 }
 
@@ -178,8 +210,10 @@ impl Shared {
     }
 
     /// Latch the engine exclusively — the short commit-publish critical
-    /// section (overlay apply, LSN allocation, version publish) and
-    /// installed-overlay views. Acquisition time lands in
+    /// section (overlay apply, LSN allocation, version publish),
+    /// installed-overlay views, `with_exclusive`, recovery and vacuum: no
+    /// path takes the write side any other way, so none can commit past
+    /// the change sink. Acquisition time lands in
     /// `corion_shard_latch_wait_ns`.
     pub(crate) fn exclusive_latch(&self) -> ExclusiveLatch<'_> {
         let wait = Instant::now();
@@ -189,7 +223,7 @@ impl Shared {
             .record(wait.elapsed().as_nanos() as u64);
         ExclusiveLatch {
             guard,
-            hold: self.metrics.latch_hold.clone(),
+            shared: self,
             since: Instant::now(),
         }
     }
@@ -232,6 +266,7 @@ impl ConcurrentDb {
                 versions: VersionStore::with_registry(&registry),
                 epoch: AtomicU64::new(0),
                 commits_since_vacuum: AtomicU64::new(0),
+                sink: RwLock::new(None),
                 metrics: EngineMetrics::new(&registry),
             }),
         }
@@ -311,7 +346,16 @@ impl ConcurrentDb {
     /// exclusive mutation may observe it (the base fallback changes
     /// under them).
     pub fn with_exclusive<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.shared.db.write())
+        f(&mut self.shared.exclusive_latch())
+    }
+
+    /// Registers `sink` as the consumer of this engine's change stream,
+    /// replacing any earlier one. Registering captures nothing by itself:
+    /// the sink raises [`Database::set_change_capture`] while it has
+    /// listeners (under [`ConcurrentDb::with_read`], so no batch is half
+    /// captured) and lowers it when the last one leaves.
+    pub fn set_change_sink(&self, sink: Arc<dyn ChangeSink>) {
+        *self.shared.sink.write() = Some(sink);
     }
 
     // ----------------------------------------------------------------
@@ -322,7 +366,7 @@ impl ConcurrentDb {
     /// derived state, clear all version chains, and fence every live
     /// snapshot and transaction (their epoch check fails from now on).
     pub fn recover(&self) -> DbResult<corion_storage::RecoveryReport> {
-        let mut db = self.shared.db.write();
+        let mut db = self.shared.exclusive_latch();
         let report = db.recover()?;
         self.shared.versions.clear();
         self.shared.epoch.fetch_add(1, Ordering::SeqCst);
@@ -332,7 +376,7 @@ impl ConcurrentDb {
     /// Vacuum the version store now (commits are excluded while it
     /// runs). Returns the number of version entries reclaimed.
     pub fn vacuum(&self) -> u64 {
-        let _guard = self.shared.db.write();
+        let _guard = self.shared.exclusive_latch();
         self.shared.versions.vacuum()
     }
 

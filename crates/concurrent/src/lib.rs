@@ -30,6 +30,13 @@
 //!   LSN, publishes after-images to the version store, and only then
 //!   releases locks (strict two-phase locking).
 //!
+//! * Every exclusive acquisition of the engine latch — commit, DDL and
+//!   maintenance through [`ConcurrentDb::with_exclusive`], recovery,
+//!   vacuum — goes through one guard, and that guard's release hands the
+//!   change sets the engine made durable meanwhile to the registered
+//!   [`ChangeSink`], in commit order, with the commit already visible
+//!   (`DESIGN.md` §15). Nothing is captured until a sink asks for it.
+//!
 //! Two writers on disjoint composite objects of the same class hierarchy
 //! hold compatible lock sets (IX+IX, X on different roots, IXO+IXO) and
 //! proceed concurrently; their base applies serialise only for the short
@@ -63,7 +70,7 @@ pub mod snapshot;
 pub mod txn;
 pub mod view;
 
-pub use db::ConcurrentDb;
+pub use db::{ChangeSink, ConcurrentDb};
 pub use snapshot::Snapshot;
 pub use txn::WriteTxn;
 pub use view::ReadView;

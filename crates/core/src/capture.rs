@@ -1,0 +1,249 @@
+//! Change capture at the source: what each committed batch did to which
+//! objects, recorded by the code that does it.
+//!
+//! Every object write of the engine passes one seam —
+//! `Database::note_touch`, called by `save`, `insert_object`, `erase`,
+//! `raw_overwrite_object` and the bulk-ingest build phase *before* they
+//! mutate. While capture is on, the seam keeps, per OID and per storage
+//! batch, the stored image at the first touch and the image of the last
+//! write. A batch therefore yields exactly the object-level diff of the
+//! states around it — relocation and overflow chains never show, because
+//! nothing here looks at pages.
+//!
+//! A captured batch is **released** as a [`ChangeSet`] only at the store's
+//! durability point, which the engine recognises by watching
+//! [`ObjectStore::durable_commit_lsn`](corion_storage::ObjectStore::durable_commit_lsn)
+//! across the store calls that can sync the log: under
+//! `CommitPolicy::Immediate` that is each commit; under `Group` the batches
+//! of a window merge (first before-image, last after-image per OID, as the
+//! log merges their pages) and go out together when the window seals. An
+//! aborted batch, a window lost to a crash, and everything pending at
+//! [`Database::recover`] release nothing. Released sets queue in commit
+//! order until [`Database::take_released_changes`] drains them —
+//! `corion-concurrent` does so when it drops the exclusive latch.
+//!
+//! With capture off (the default, and whenever nobody listens) the seam
+//! costs one atomic load and the engine reads no before-image for it.
+
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
+
+use corion_storage::{Lsn, ObjectStore, StorageResult};
+
+use crate::db::Database;
+use crate::error::DbResult;
+use crate::object::Object;
+use crate::oid::Oid;
+
+/// The net effect of one committed batch on one object. Edges are the §2.4
+/// reverse composite references stored in the object itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Change {
+    /// The object did not exist before the batch.
+    Made {
+        /// The new object.
+        oid: Oid,
+        /// Its composite parents.
+        parents: Vec<Oid>,
+    },
+    /// The object's stored image differs from the one before the batch.
+    Changed {
+        /// The object.
+        oid: Oid,
+        /// Composite parents it gained.
+        parents_added: Vec<Oid>,
+        /// Composite parents it lost.
+        parents_removed: Vec<Oid>,
+    },
+    /// The object no longer exists.
+    Deleted {
+        /// The object.
+        oid: Oid,
+        /// The composite parents it had.
+        parents: Vec<Oid>,
+    },
+}
+
+/// Everything one durable batch (or sealed group window) changed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChangeSet {
+    /// WAL LSN of the commit marker that made the batch durable.
+    pub commit_lsn: Lsn,
+    /// Made and changed objects in OID order, then deleted ones in OID
+    /// order. Never empty.
+    pub changes: Vec<Change>,
+    /// Time the committer spent capturing (before-image reads, image
+    /// copies), for the emit-cost histogram of whoever delivers the set.
+    pub capture_ns: u64,
+}
+
+/// One object across one batch: `None` = did not / does not exist.
+struct Touch {
+    before: Option<Object>,
+    after: Option<Object>,
+}
+
+/// Capture state of one engine.
+#[derive(Default)]
+pub(crate) struct Capture {
+    /// Flipped through `&Database` (under the concurrent layer's shared
+    /// latch), read by writers that hold `&mut Database` (its exclusive
+    /// latch) — the latch orders the two, so the flag publishes nothing.
+    on: AtomicBool,
+    /// Objects the open storage batch touched.
+    open: BTreeMap<Oid, Touch>,
+    /// Committed, not yet durable. Outlives a batch only under
+    /// `CommitPolicy::Group`.
+    window: BTreeMap<Oid, Touch>,
+    /// Capture time accumulated for the pending sets.
+    ns: u64,
+    released: Vec<ChangeSet>,
+}
+
+impl Capture {
+    fn on(&self) -> bool {
+        self.on.load(Ordering::Relaxed)
+    }
+
+    /// Drops everything not yet durable.
+    pub(crate) fn discard_pending(&mut self) {
+        self.open.clear();
+        self.window.clear();
+        self.ns = 0;
+    }
+}
+
+impl Database {
+    /// Turns change capture on or off. Takes `&self` so a subscriber can
+    /// attach under a shared latch: batches run under the exclusive one,
+    /// so each is captured whole or not at all.
+    pub fn set_change_capture(&self, on: bool) {
+        self.capture.on.store(on, Ordering::Relaxed);
+    }
+
+    /// Drains the change sets released since the last call, in commit
+    /// order. Allocation-free while capture is off.
+    pub fn take_released_changes(&mut self) -> Vec<ChangeSet> {
+        std::mem::take(&mut self.capture.released)
+    }
+
+    /// WAL LSN of the last durable commit — a released [`ChangeSet`]
+    /// carries a higher one.
+    pub fn durable_commit_lsn(&self) -> Lsn {
+        self.store.durable_commit_lsn()
+    }
+
+    /// The first-touch seam: call before mutating `oid`, with the image
+    /// about to be written (`None` for an erase). Records the object-table
+    /// entry for transaction rollback and, while capture is on, the stored
+    /// before-image (first touch of the batch only) and `after`.
+    pub(crate) fn note_touch(&mut self, oid: Oid, after: Option<&Object>) -> DbResult<()> {
+        self.txn_note_touch(oid);
+        if !self.capture.on() {
+            return Ok(());
+        }
+        let started = Instant::now();
+        let after = after.cloned();
+        match self.capture.open.get_mut(&oid) {
+            Some(touch) => touch.after = after,
+            None => {
+                let before = match self.shards.get(oid) {
+                    Some(phys) => Some(Object::decode(&self.store.read(phys)?)?),
+                    None => None,
+                };
+                self.capture.open.insert(oid, Touch { before, after });
+            }
+        }
+        self.capture.ns += started.elapsed().as_nanos() as u64;
+        Ok(())
+    }
+
+    /// Commits the open storage batch and releases what became durable.
+    /// Whether the batch made it is read off the store, not off the
+    /// result: a fault *after* the durability point reports an error for a
+    /// commit recovery will replay.
+    pub(crate) fn commit_batch(&mut self) -> StorageResult<()> {
+        if !self.capture.on() && self.capture.open.is_empty() && self.capture.window.is_empty() {
+            return self.store.commit_atomic();
+        }
+        let (lsn, unsealed) = (
+            self.store.durable_commit_lsn(),
+            self.store.unsealed_commits(),
+        );
+        let result = self.store.commit_atomic();
+        let open = std::mem::take(&mut self.capture.open);
+        // Durable itself, or absorbed by the group window; else rolled back.
+        if self.store.durable_commit_lsn() > lsn || self.store.unsealed_commits() > unsealed {
+            for (oid, touch) in open {
+                match self.capture.window.entry(oid) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(touch);
+                    }
+                    Entry::Occupied(mut slot) => slot.get_mut().after = touch.after,
+                }
+            }
+        }
+        self.release_if_synced(lsn);
+        result
+    }
+
+    /// Abandons the open storage batch and what it captured.
+    pub(crate) fn abort_batch(&mut self) -> StorageResult<()> {
+        self.capture.open.clear();
+        self.store.abort_atomic()
+    }
+
+    /// Runs a store call that seals an open group window (`sync`,
+    /// `checkpoint`, `scrub`, a segment creation's own commit) and releases
+    /// the window's changes if it did.
+    pub(crate) fn sealing<R>(&mut self, f: impl FnOnce(&mut ObjectStore) -> R) -> R {
+        let lsn = self.store.durable_commit_lsn();
+        let result = f(&mut self.store);
+        self.release_if_synced(lsn);
+        result
+    }
+
+    /// Releases the pending window if the durable commit LSN moved past
+    /// `was`, stamped with the new one.
+    fn release_if_synced(&mut self, was: Lsn) {
+        let commit_lsn = self.store.durable_commit_lsn();
+        if commit_lsn <= was {
+            return;
+        }
+        let capture_ns = std::mem::take(&mut self.capture.ns);
+        let mut changes = Vec::new();
+        let mut deleted = Vec::new();
+        for (oid, touch) in std::mem::take(&mut self.capture.window) {
+            match (touch.before, touch.after) {
+                (None, Some(obj)) => changes.push(Change::Made {
+                    oid,
+                    parents: obj.composite_parents(),
+                }),
+                (Some(prev), Some(obj)) if prev != obj => {
+                    let (old, new) = (prev.composite_parents(), obj.composite_parents());
+                    changes.push(Change::Changed {
+                        oid,
+                        parents_added: new.iter().filter(|p| !old.contains(p)).copied().collect(),
+                        parents_removed: old.iter().filter(|p| !new.contains(p)).copied().collect(),
+                    });
+                }
+                (Some(prev), None) => deleted.push(Change::Deleted {
+                    oid,
+                    parents: prev.composite_parents(),
+                }),
+                // Rewritten unchanged, or made and deleted in one batch.
+                _ => {}
+            }
+        }
+        changes.append(&mut deleted);
+        if !changes.is_empty() {
+            self.capture.released.push(ChangeSet {
+                commit_lsn,
+                changes,
+                capture_ns,
+            });
+        }
+    }
+}

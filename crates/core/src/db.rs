@@ -95,6 +95,7 @@ pub struct Database {
     pub(crate) undo: Option<crate::undo::UndoLog>,
     pub(crate) txn: Option<crate::txn::TxnState>,
     pub(crate) overlay: Option<crate::overlay::Overlay>,
+    pub(crate) capture: crate::capture::Capture,
     pub(crate) traversal_cache: crate::composite::cache::TraversalCache,
     pub(crate) registry: corion_obs::Registry,
     pub(crate) metrics: crate::metrics::CoreMetrics,
@@ -153,6 +154,7 @@ impl Database {
             undo: None,
             txn: None,
             overlay: None,
+            capture: Default::default(),
             traversal_cache: crate::composite::cache::TraversalCache::new(&registry),
             metrics,
             registry,
@@ -270,18 +272,18 @@ impl Database {
         self.store.begin_atomic()?;
         match f(self) {
             Ok(out) => {
-                self.store.commit_atomic()?;
+                self.commit_batch()?;
                 self.metrics.atomic_commits.inc();
                 Ok(out)
             }
             Err(e) if matches!(e, DbError::Storage(_) | DbError::ReadOnly) => {
-                let _ = self.store.abort_atomic();
+                let _ = self.abort_batch();
                 self.metrics.atomic_aborts.inc();
                 self.traversal_cache.bump();
                 Err(e)
             }
             Err(e) => {
-                self.store.commit_atomic()?;
+                self.commit_batch()?;
                 self.metrics.atomic_commits.inc();
                 Err(e)
             }
@@ -302,7 +304,7 @@ impl Database {
         self.traversal_cache.bump();
         let segment = match builder.share_segment_with {
             Some(other) => self.catalog.class(other)?.segment,
-            None => self.store.create_segment()?,
+            None => self.sealing(|store| store.create_segment())?,
         };
         let id = self.catalog.define(builder, segment)?;
         self.shards.ensure_class(id);
@@ -401,11 +403,11 @@ impl Database {
             return Ok(());
         }
         self.note_hierarchy_change();
-        self.txn_note_touch(obj.oid);
         let phys = self
             .shards
             .get(obj.oid)
             .ok_or(DbError::NoSuchObject(obj.oid))?;
+        self.note_touch(obj.oid, Some(obj))?;
         if self.undo.is_some() {
             let before = Object::decode(&self.store.read(phys)?)?;
             self.undo_note_touch(obj.oid, Some(before));
@@ -429,8 +431,8 @@ impl Database {
             return Ok(());
         }
         self.note_hierarchy_change();
-        self.txn_note_touch(obj.oid);
         let segment = self.catalog.class(obj.oid.class)?.segment;
+        self.note_touch(obj.oid, Some(obj))?;
         let near_phys = near.and_then(|o| self.shards.get(o));
         let mut buf = Vec::new();
         obj.encode(&mut buf);
@@ -457,7 +459,7 @@ impl Database {
             return Ok(());
         }
         self.note_hierarchy_change();
-        self.txn_note_touch(oid);
+        self.note_touch(oid, None)?;
         let phys = self.shards.remove(oid).ok_or(DbError::NoSuchObject(oid))?;
         if self.undo.is_some() {
             let before = Object::decode(&self.store.read(phys)?)?;
@@ -720,6 +722,8 @@ impl Database {
     /// beyond the rescan.
     pub fn recover(&mut self) -> DbResult<corion_storage::RecoveryReport> {
         let report = self.store.recover()?;
+        // Whatever was captured and not yet durable did not happen.
+        self.capture.discard_pending();
         self.undo = None;
         // A transaction open at the crash never committed; the rebuild
         // below restores the pre-transaction truth from storage.
@@ -812,7 +816,7 @@ impl Database {
     /// [`Database::repair`] afterwards to restore referential integrity
     /// around them. Requires a healthy store and no open batch.
     pub fn scrub(&mut self) -> DbResult<corion_storage::ScrubReport> {
-        let report = self.store.scrub()?;
+        let report = self.sealing(|store| store.scrub())?;
         self.rebuild_derived_state()?;
         Ok(report)
     }
@@ -822,7 +826,7 @@ impl Database {
     /// transaction is open (the open batch's images are not yet
     /// committed truth).
     pub fn checkpoint(&mut self) -> DbResult<()> {
-        self.store.checkpoint()?;
+        self.sealing(|store| store.checkpoint())?;
         // Refresh the persisted OID-serial floor: the sidecar is otherwise
         // only written at DDL time, and the post-reopen scan can only see
         // serials of *live* objects — without a floor, the serial of a
@@ -836,38 +840,12 @@ impl Database {
     /// [`corion_storage::CommitPolicy::Group`]). A no-op under the
     /// immediate policy; refused while a transaction is open.
     pub fn sync(&mut self) -> DbResult<()> {
-        Ok(self.store.sync()?)
+        Ok(self.sealing(|store| store.sync())?)
     }
 
     /// Write-ahead-log counters (durable/pending bytes, records, flushes).
     pub fn wal_stats(&self) -> corion_storage::WalStats {
         self.store.wal_stats()
-    }
-
-    /// A WAL tail cursor at the current end of the durable log. Change
-    /// streams attach here and then poll [`Database::wal_tail`].
-    pub fn wal_cursor(&self) -> corion_storage::WalCursor {
-        self.store.wal_cursor()
-    }
-
-    /// Batches committed to the WAL since `cursor` last looked, oldest
-    /// first (see [`corion_storage::Wal::tail`]).
-    pub fn wal_tail(
-        &self,
-        cursor: &mut corion_storage::WalCursor,
-    ) -> Vec<corion_storage::TailBatch> {
-        self.store.wal_tail(cursor)
-    }
-
-    /// Every live segment id, ascending.
-    pub fn segment_ids(&self) -> Vec<SegmentId> {
-        self.store.segment_ids()
-    }
-
-    /// A copy of one committed page image (WAL tailers seed their shadow
-    /// pages from this at attach time).
-    pub fn page_image(&self, page: u64) -> DbResult<corion_storage::Page> {
-        Ok(self.store.page_image(page)?)
     }
 
     /// Arms a named crash point (see [`corion_storage::CRASH_POINTS`]): the
@@ -937,11 +915,11 @@ impl Database {
     pub fn raw_overwrite_object(&mut self, obj: &Object) -> DbResult<()> {
         self.atomic(|db| {
             db.note_hierarchy_change();
-            db.txn_note_touch(obj.oid);
             let phys = db
                 .shards
                 .get(obj.oid)
                 .ok_or(DbError::NoSuchObject(obj.oid))?;
+            db.note_touch(obj.oid, Some(obj))?;
             let mut buf = Vec::new();
             obj.encode(&mut buf);
             let new_phys = db.store.update(phys, &buf)?;

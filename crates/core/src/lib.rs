@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod capture;
 pub mod composite;
 pub mod db;
 pub mod error;
@@ -68,6 +69,7 @@ pub mod txn;
 pub mod undo;
 pub mod value;
 
+pub use capture::{Change, ChangeSet};
 pub use composite::cache::TraversalCacheStats;
 pub use composite::Filter;
 pub use corion_obs::{MetricsSnapshot, Registry};

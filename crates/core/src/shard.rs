@@ -5,14 +5,14 @@
 //! write. The paper's premise is that composite objects partition the
 //! database into independently lockable subtrees (§7); once the lock
 //! protocol admits disjoint-composite writers in parallel, a single flat
-//! map re-serialises them. [`Shards`] splits both maps by OID hash into a
+//! map re-serialises them. `Shards` splits both maps by OID hash into a
 //! fixed power-of-two number of segments, each behind its own
 //! reader-writer stripe, so lookups touch exactly one stripe and
 //! placement work can fan out shard-local.
 //!
 //! Invariants:
 //!
-//! * **Deterministic placement** — [`Shards::shard_of`] hashes the OID
+//! * **Deterministic placement** — `Shards::shard_of` hashes the OID
 //!   with the same FNV-1a the storage layer uses for checksums, never a
 //!   per-process random state, so a given OID lands in the same shard in
 //!   every process and every run. The shard *count* still never leaks
@@ -23,7 +23,7 @@
 //!   class), so one lock covers the table entry and the extension entry
 //!   of any object, and bulk placement partitions cleanly by shard.
 //! * **Incremental counts** — each stripe maintains a live-object
-//!   counter; [`Shards::len`] sums them instead of walking any map, so
+//!   counter; `Shards::len` sums them instead of walking any map, so
 //!   statistics paths never take a stripe lock.
 //!
 //! Locking discipline: every method locks at most one stripe at a time

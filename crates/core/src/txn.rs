@@ -189,7 +189,7 @@ impl Database {
                 reason: "the transaction hit a storage fault and was rolled back".into(),
             });
         }
-        let result = self.store.commit_atomic();
+        let result = self.commit_batch();
         self.traversal_cache.set_suppressed(false);
         self.traversal_cache.bump();
         match result {
@@ -218,7 +218,7 @@ impl Database {
         let txn = self.txn.take().ok_or_else(|| DbError::TransactionState {
             reason: "no transaction is open".into(),
         })?;
-        let result = self.store.abort_atomic();
+        let result = self.abort_batch();
         if self.store.health() == HealthState::Healthy {
             self.restore_txn_maps(txn);
         }
@@ -279,7 +279,7 @@ impl Database {
 
     /// Records the object-table entry of `oid` before its first mutation
     /// in the open transaction (no-op outside one). Must run *before* the
-    /// mutation changes the table.
+    /// mutation changes the table — [`Database::note_touch`] sees to that.
     pub(crate) fn txn_note_touch(&mut self, oid: Oid) {
         if self.txn.is_some() {
             let before = self.shards.get(oid);
@@ -466,7 +466,7 @@ impl Database {
                 crate::composite::ParentSets::of(&obj).check(oid).is_ok(),
                 "plan_bulk_ingest admitted a topology violation"
             );
-            self.txn_note_touch(oid);
+            self.note_touch(oid, Some(&obj))?;
             for &(pref, idx, _) in &plan.parents {
                 let poid = resolve(pref, &created);
                 if let std::collections::hash_map::Entry::Vacant(slot) = buffer.entry(poid) {

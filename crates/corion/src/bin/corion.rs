@@ -32,7 +32,11 @@
 //! repaired) database, so the pair works as a CI smoke test.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use corion::concurrent::ChangeSink;
+use corion::server::metrics::ServerMetrics;
+use corion::server::stream::ChangeStreams;
 use corion::workload::{Corpus, CorpusParams};
 use corion::{
     AuthStore, ClassId, Client, ClientError, ConcurrentDb, Database, DbConfig, Filter, LockManager,
@@ -416,8 +420,15 @@ fn run_workload(db: &mut Database, corpus: &Corpus, crash: bool) -> Result<(), c
 /// Concurrent MVCC transactions (DESIGN.md §14): two writer threads add
 /// a section to different documents while a snapshot pinned beforehand
 /// keeps observing the pre-write state, then a vacuum reclaims the
-/// version chains the dropped snapshot no longer pins.
+/// version chains the dropped snapshot no longer pins. One in-process
+/// change-stream subscriber is attached for the round, so the
+/// `corion_server_stream_*` family — the emit-cost histogram included —
+/// goes live without a socket (DESIGN.md §15).
 fn run_concurrent(cdb: &ConcurrentDb, corpus: &Corpus) -> Result<(), corion::DbError> {
+    let registry = cdb.with_read(|db| db.metrics_registry().clone());
+    let streams = ChangeStreams::new(16, Arc::new(ServerMetrics::new(&registry)));
+    cdb.set_change_sink(Arc::clone(&streams) as Arc<dyn ChangeSink>);
+    let subscription = streams.subscribe(cdb);
     // The crash cycle in `run_workload` deletes the last document, so
     // pick targets from whatever is still alive.
     let live: Vec<_> = cdb.with_read(|db| {
@@ -452,6 +463,11 @@ fn run_concurrent(cdb: &ConcurrentDb, corpus: &Corpus) -> Result<(), corion::DbE
     // latest state sees one more.
     assert_eq!(pinned.components_of(doc_a)?.len(), before);
     drop(pinned);
+    assert_eq!(
+        subscription.events.try_iter().count(),
+        2,
+        "one event per commit"
+    );
     cdb.vacuum();
     Ok(())
 }

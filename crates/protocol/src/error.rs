@@ -42,7 +42,7 @@ pub enum ErrorCode {
     /// whole point). Reconnect after a backoff.
     Overloaded,
     /// A change-stream subscriber fell behind its bounded buffer and was
-    /// disconnected instead of stalling the tailer or growing the queue.
+    /// disconnected instead of stalling a committer or growing the queue.
     SlowConsumer,
     /// The handshake version differs from the server's.
     VersionMismatch,

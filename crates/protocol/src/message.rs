@@ -497,8 +497,8 @@ pub enum Response {
     OkText(String),
     /// The subscription is live; events follow.
     SubscribeOk {
-        /// The WAL position the stream starts tailing from. Every event
-        /// on this stream has `commit_lsn` strictly greater than this.
+        /// WAL LSN of the last commit that was durable at attach. Every
+        /// event on this stream has `commit_lsn` strictly greater than this.
         start_lsn: u64,
     },
     /// One committed transaction's composite-graph deltas.

@@ -3,9 +3,9 @@
 //! A thin, dependency-free network layer over the §7/MVCC concurrent
 //! engine. One listener thread accepts connections; each session runs on
 //! its own thread (the engine's locks are thread-blocking, so an async
-//! runtime would buy nothing); one tailer thread turns the WAL into
-//! change streams. The wire protocol lives in `corion-protocol` and is
-//! specified in `docs/PROTOCOL.md`.
+//! runtime would buy nothing); change streams need no thread — the
+//! committing session feeds them. The wire protocol lives in
+//! `corion-protocol` and is specified in `docs/PROTOCOL.md`.
 //!
 //! Responsibilities of this crate, and where each lives:
 //!
@@ -14,16 +14,17 @@
 //!   error and are closed immediately — never queued unboundedly.
 //! - **Sessions** (`session`, private): handshake, request dispatch, the
 //!   snapshot/transaction read paths, idle timeouts, §6 authorization.
-//! - **Change streams** ([`stream`]): a WAL tailer decodes committed
-//!   batches into composite-graph deltas and broadcasts them to bounded
-//!   subscriber queues.
+//! - **Change streams** ([`stream`]): the engine's change sink — each
+//!   durable commit arrives as the set of objects it changed, is mapped to
+//!   composite-graph deltas and offered to bounded subscriber queues, by
+//!   the committer, before it releases the commit latch.
 //! - **Metrics** ([`metrics`]): the `corion_server_*` family, interned
 //!   in the same registry as the engine's metrics so one `Metrics`
 //!   request reports the whole stack.
 //!
 //! ```no_run
 //! use corion_authz::AuthStore;
-//! use corion_concurrent::ConcurrentDb;
+//! use corion_concurrent::{ChangeSink, ConcurrentDb};
 //! use corion_server::{Server, ServerConfig};
 //!
 //! let server = Server::start(
@@ -48,12 +49,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use corion_authz::AuthStore;
-use corion_concurrent::ConcurrentDb;
+use corion_concurrent::{ChangeSink, ConcurrentDb};
 use corion_protocol::{encode_response, write_frame, ErrorCode, Response};
 use parking_lot::RwLock;
 
 use metrics::ServerMetrics;
-use stream::{ChangeStreams, WalTailer};
+use stream::ChangeStreams;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -70,8 +71,6 @@ pub struct ServerConfig {
     /// A subscriber that falls this far behind is disconnected with
     /// `SlowConsumer`.
     pub stream_buffer: usize,
-    /// How often the WAL tailer polls for newly committed batches.
-    pub tail_poll: Duration,
 }
 
 impl Default for ServerConfig {
@@ -81,7 +80,6 @@ impl Default for ServerConfig {
             max_sessions: 64,
             idle_timeout: Duration::from_secs(300),
             stream_buffer: 256,
-            tail_poll: Duration::from_millis(20),
         }
     }
 }
@@ -122,14 +120,13 @@ pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    tailer_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the accept loop and the WAL tailer, and returns.
-    /// Every session runs against `db` through MVCC snapshots and §7
-    /// write transactions; `auth` gates every request (user 0 is the
-    /// superuser and bypasses checks).
+    /// Binds, registers the change-stream sink on `db`, spawns the accept
+    /// loop, and returns. Every session runs against `db` through MVCC
+    /// snapshots and §7 write transactions; `auth` gates every request
+    /// (user 0 is the superuser and bypasses checks).
     pub fn start(
         db: ConcurrentDb,
         auth: AuthStore,
@@ -141,24 +138,19 @@ impl Server {
 
         let registry = db.with_read(|d| d.metrics_registry().clone());
         let metrics = Arc::new(ServerMetrics::new(&registry));
-        let streams = Arc::new(ChangeStreams::new(config.stream_buffer));
+        let streams = ChangeStreams::new(config.stream_buffer, Arc::clone(&metrics));
+        db.set_change_sink(Arc::clone(&streams) as Arc<dyn ChangeSink>);
         let inner = Arc::new(Inner {
-            db: db.clone(),
+            db,
             auth: RwLock::new(auth),
-            streams: Arc::clone(&streams),
-            metrics: Arc::clone(&metrics),
+            streams,
+            metrics,
             shutdown: AtomicBool::new(false),
             idle_timeout: config.idle_timeout,
             sessions: AtomicUsize::new(0),
             max_sessions: config.max_sessions,
             next_session: AtomicU64::new(1),
         });
-
-        let tailer = WalTailer::attach(db, Arc::clone(&streams), Arc::clone(&metrics));
-        let tail_poll = config.tail_poll;
-        let tailer_thread = std::thread::Builder::new()
-            .name("corion-wal-tailer".into())
-            .spawn(move || tailer.run(tail_poll))?;
 
         let accept_inner = Arc::clone(&inner);
         let accept_thread = std::thread::Builder::new()
@@ -169,7 +161,6 @@ impl Server {
             inner,
             addr,
             accept_thread: Some(accept_thread),
-            tailer_thread: Some(tailer_thread),
         })
     }
 
@@ -184,9 +175,9 @@ impl Server {
         self.inner.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Signals shutdown and joins the accept and tailer threads.
-    /// In-flight sessions observe the flag at their next poll tick
-    /// (≤ ~50 ms) and close with `ShuttingDown`.
+    /// Signals shutdown and joins the accept thread. In-flight sessions —
+    /// subscribed ones included — observe the flag at their next poll
+    /// tick (≤ ~50 ms) and close with `ShuttingDown`.
     pub fn shutdown(mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.join_threads();
@@ -200,10 +191,6 @@ impl Server {
 
     fn join_threads(&mut self) {
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        self.inner.streams.stop();
-        if let Some(t) = self.tailer_thread.take() {
             let _ = t.join();
         }
     }

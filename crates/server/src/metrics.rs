@@ -4,7 +4,7 @@
 //! so one `Metrics` request (or `render_prometheus`) reports the whole
 //! stack: storage, core, lock, MVCC, and server.
 
-use corion_obs::{Counter, Gauge, Registry};
+use corion_obs::{Counter, Gauge, Histogram, Registry, LATENCY_BOUNDS_NS};
 
 /// Handles to every server metric (see `docs/OBSERVABILITY.md`).
 pub struct ServerMetrics {
@@ -25,7 +25,8 @@ pub struct ServerMetrics {
     /// `corion_server_idle_timeouts_total`: sessions closed for sitting
     /// idle past the timeout.
     pub idle_timeouts: Counter,
-    /// `corion_server_streams_active`: live change-stream subscribers.
+    /// `corion_server_streams_active`: live change-stream subscribers
+    /// (moved by ±1 at attach, detach and lag cut-off).
     pub streams_active: Gauge,
     /// `corion_server_stream_events_total`: change-stream events
     /// delivered to subscriber queues.
@@ -33,9 +34,15 @@ pub struct ServerMetrics {
     /// `corion_server_stream_lagged_total`: subscribers disconnected for
     /// overflowing their bounded queue.
     pub stream_lagged: Counter,
-    /// `corion_server_stream_batches_total`: committed WAL batches the
-    /// tailer decoded into composite-graph deltas.
+    /// `corion_server_stream_batches_total`: change sets the engine
+    /// released to the stream — one per durable batch that changed an
+    /// object while somebody was subscribed.
     pub stream_batches: Counter,
+    /// `corion_server_stream_emit_ns`: time a committer spent on one event
+    /// under the commit latch — capturing it in the engine (before-image
+    /// reads, image copies), mapping it to deltas, offering it to every
+    /// queue. Empty while nobody subscribes.
+    pub stream_emit: Histogram,
 }
 
 impl ServerMetrics {
@@ -52,6 +59,7 @@ impl ServerMetrics {
             stream_events: registry.counter("corion_server_stream_events_total"),
             stream_lagged: registry.counter("corion_server_stream_lagged_total"),
             stream_batches: registry.counter("corion_server_stream_batches_total"),
+            stream_emit: registry.histogram("corion_server_stream_emit_ns", LATENCY_BOUNDS_NS),
         }
     }
 }

@@ -280,11 +280,7 @@ impl<'a, S: Conn> Session<'a, S> {
             )?;
             return Ok(());
         }
-        let sub = self.inner.streams.subscribe();
-        self.inner
-            .metrics
-            .streams_active
-            .set(self.inner.streams.subscriber_count() as i64);
+        let sub = self.inner.streams.subscribe(&self.inner.db);
         self.send(&Response::SubscribeOk {
             start_lsn: sub.start_lsn,
         })?;
@@ -303,9 +299,10 @@ impl<'a, S: Conn> Session<'a, S> {
                     })?;
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    // Detect a departed subscriber so the tailer's sender
-                    // list stays clean. The stream is one-way from here:
-                    // anything the peer still sends is read and dropped.
+                    // Detect a departed peer, so its subscription detaches
+                    // now and not at the next event. The stream is one-way
+                    // from here: anything the peer still sends is read and
+                    // dropped.
                     match self.stream.read(&mut byte) {
                         Ok(0) => return Ok(()),
                         Err(e) if !timed_out(&e) && e.kind() != io::ErrorKind::Interrupted => {
@@ -1062,11 +1059,12 @@ mod tests {
     fn inner(idle_timeout: Duration) -> Arc<Inner> {
         let db = ConcurrentDb::new();
         let registry = db.with_read(|d| d.metrics_registry().clone());
+        let metrics = Arc::new(ServerMetrics::new(&registry));
         Arc::new(Inner {
             db,
             auth: parking_lot::RwLock::new(AuthStore::new()),
-            streams: Arc::new(ChangeStreams::new(4)),
-            metrics: Arc::new(ServerMetrics::new(&registry)),
+            streams: ChangeStreams::new(4, Arc::clone(&metrics)),
+            metrics,
             shutdown: AtomicBool::new(false),
             idle_timeout,
             sessions: AtomicUsize::new(0),

@@ -1,47 +1,48 @@
-//! WAL-tailed change streams.
+//! Change streams fed by the commit.
 //!
-//! One tailer thread per server turns the storage layer's page-granular
-//! redo log into **composite-graph deltas**: object made / changed /
-//! deleted, composite edge added / removed. The pipeline per committed
-//! batch:
+//! `corion-core` captures, at the seam every object write passes, what
+//! each storage batch did to which objects, and releases it as a
+//! [`ChangeSet`] at the store's durability point (`corion_core::capture`).
+//! `corion-concurrent` hands each released set to the one registered
+//! [`ChangeSink`] when the exclusive latch that committed it is released.
+//! [`ChangeStreams`] is that sink: it maps the set to wire [`Delta`]s —
+//! object made / changed / deleted, composite edge added / removed, the
+//! edges read off the §2.4 reverse composite references stored in the
+//! written object — and offers the event to every subscriber's queue.
 //!
-//! 1. [`corion_storage::Wal::tail`] (through the engine's read latch)
-//!    yields the batch's page records and its commit LSN.
-//! 2. The tailer keeps *shadow copies* of every committed page, seeded
-//!    from the store at attach time. Objects are decoded from the touched
-//!    shadow pages **before** and **after** applying the batch's records;
-//!    because [`corion_core::Object::encode`] embeds the OID, every page
-//!    record is self-identifying.
-//! 3. The two object sets are diffed by OID *across all touched pages*,
-//!    which makes record relocation (an object moving between pages under
-//!    compaction) read as `Changed`, not a spurious delete + make. Edge
-//!    deltas come from diffing each object's reverse composite references
-//!    (§2.4) — no schema knowledge needed.
+//! What follows from delivering under the committing latch:
 //!
-//! Delivery: each subscriber owns a **bounded** queue. The tailer never
-//! blocks on a subscriber and never buffers unboundedly — a queue that
-//! overflows marks its subscriber lagged and drops it, and the session
-//! ends with the typed `SlowConsumer` error. Events on one stream carry
-//! strictly increasing commit LSNs in commit order (the WAL *is* the
-//! commit order: WAL LSNs and MVCC commit LSNs are allocated under the
-//! same exclusive latch, so their orders coincide even though the
-//! numbers differ — see `docs/PROTOCOL.md` §7).
+//! * **Order is commit order.** Latch order is commit order is WAL-LSN
+//!   order, so events carry strictly increasing commit LSNs with no
+//!   sequencer, cursor or dedup watermark, and a checkpoint (which
+//!   rewrites the log) cannot open a gap: nothing here reads the log.
+//! * **Durable only.** Nothing is released for an aborted batch, a torn
+//!   flush, or a group window lost to a crash.
+//! * **Visible on receipt.** The commit's versions are published before
+//!   the latch drops, so a read begun on receipt of an event sees it.
+//! * **Nobody listening, nothing done.** [`ChangeStreams::subscribe`]
+//!   raises the engine's capture flag under the shared latch and the last
+//!   detach lowers it; with no subscriber a commit pays one atomic load.
+//!
+//! Each subscriber owns a **bounded** queue. A committer only ever
+//! `try_send`s: a queue that overflows marks its subscriber lagged and
+//! drops it, and the session ends with the typed `SlowConsumer` error.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
-use corion_concurrent::ConcurrentDb;
-use corion_core::Object;
+use corion_concurrent::{ChangeSink, ConcurrentDb};
+use corion_core::{Change, ChangeSet, Database, Object, Oid};
 use corion_protocol::Delta;
-use corion_storage::{apply_delta, page_records, Lsn, Page, WalCursor, WalRecord};
+use corion_storage::Lsn;
 use parking_lot::Mutex;
 
 use crate::metrics::ServerMetrics;
 
-/// One decoded change-stream event.
+/// One change-stream event.
 #[derive(Debug, Clone)]
 pub struct StreamEvent {
     /// WAL commit LSN of the transaction.
@@ -51,262 +52,172 @@ pub struct StreamEvent {
 }
 
 /// A live subscription handed to a session: the receiving end of the
-/// bounded queue plus the lag flag the tailer sets on overflow.
+/// bounded queue plus the lag flag a committer sets on overflow. Dropping
+/// it detaches the subscriber.
 pub struct Subscription {
     /// Events, in commit-LSN order.
     pub events: Receiver<StreamEvent>,
     /// Set (before the sender is dropped) when the queue overflowed.
     pub lagged: Arc<AtomicBool>,
-    /// The watermark at attach: every event's LSN is strictly above it.
+    /// The engine's last durable commit LSN at attach: the stream holds
+    /// every commit above it, and nothing at or below it.
     pub start_lsn: Lsn,
+    id: u64,
+    streams: Arc<ChangeStreams>,
+    db: ConcurrentDb,
+}
+
+impl Drop for Subscription {
+    fn drop(&mut self) {
+        // Under the shared latch, like the attach: the capture flag never
+        // moves while a batch is running.
+        self.db.with_read(|d| self.streams.detach(d, self.id));
+    }
 }
 
 struct Subscriber {
+    id: u64,
     tx: SyncSender<StreamEvent>,
     lagged: Arc<AtomicBool>,
 }
 
-struct SubscriberState {
-    subs: Vec<Subscriber>,
-    /// Commit LSN of the last batch broadcast — the `start_lsn` handed to
-    /// new subscribers. Read and written only under this mutex, which is
-    /// also held while broadcasting, so an attach can never land between
-    /// "watermark updated" and "event sent".
-    last_commit_lsn: Lsn,
-}
-
-/// The shared half of the change-stream subsystem: sessions attach here,
-/// the tailer thread broadcasts through it.
+/// The subscriber registry, and the engine's [`ChangeSink`].
 pub struct ChangeStreams {
-    state: Mutex<SubscriberState>,
+    subs: Mutex<Vec<Subscriber>>,
     queue_depth: usize,
-    stopped: AtomicBool,
+    next_id: AtomicU64,
+    metrics: Arc<ServerMetrics>,
 }
 
 impl ChangeStreams {
     /// Creates the registry; `queue_depth` bounds every subscriber queue.
-    pub fn new(queue_depth: usize) -> Self {
-        ChangeStreams {
-            state: Mutex::new(SubscriberState {
-                subs: Vec::new(),
-                last_commit_lsn: 0,
-            }),
+    /// Register it with [`ConcurrentDb::set_change_sink`].
+    pub fn new(queue_depth: usize, metrics: Arc<ServerMetrics>) -> Arc<Self> {
+        Arc::new(ChangeStreams {
+            subs: Mutex::new(Vec::new()),
             queue_depth,
-            stopped: AtomicBool::new(false),
-        }
+            next_id: AtomicU64::new(0),
+            metrics,
+        })
     }
 
-    /// Attaches a new subscriber.
-    pub fn subscribe(&self) -> Subscription {
-        let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_depth);
+    /// Attaches a new subscriber under the engine's shared latch: no batch
+    /// is running, so none is half captured, and `start_lsn` is exact.
+    pub fn subscribe(self: &Arc<Self>, db: &ConcurrentDb) -> Subscription {
+        let (tx, events) = std::sync::mpsc::sync_channel(self.queue_depth);
         let lagged = Arc::new(AtomicBool::new(false));
-        let mut state = self.state.lock();
-        let start_lsn = state.last_commit_lsn;
-        state.subs.push(Subscriber {
-            tx,
-            lagged: Arc::clone(&lagged),
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let start_lsn = db.with_read(|d| {
+            self.subs.lock().push(Subscriber {
+                id,
+                tx,
+                lagged: Arc::clone(&lagged),
+            });
+            self.metrics.streams_active.add(1);
+            d.set_change_capture(true);
+            d.durable_commit_lsn()
         });
         Subscription {
-            events: rx,
+            events,
             lagged,
             start_lsn,
+            id,
+            streams: Arc::clone(self),
+            db: db.clone(),
         }
     }
 
     /// Live subscriber count.
     pub fn subscriber_count(&self) -> usize {
-        self.state.lock().subs.len()
+        self.subs.lock().len()
     }
 
-    /// Tells the tailer to exit; dropping its senders disconnects every
-    /// subscriber, which sessions surface as `ShuttingDown`.
-    pub fn stop(&self) {
-        self.stopped.store(true, Ordering::SeqCst);
-    }
-
-    fn broadcast(&self, events: &[StreamEvent], metrics: &ServerMetrics) {
-        let mut state = self.state.lock();
-        for event in events {
-            state.last_commit_lsn = event.commit_lsn;
-            state
-                .subs
-                .retain(|sub| match sub.tx.try_send(event.clone()) {
-                    Ok(()) => {
-                        metrics.stream_events.inc();
-                        true
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        // Never block the tailer, never grow the queue: the
-                        // slow consumer is cut loose (typed SlowConsumer).
-                        sub.lagged.store(true, Ordering::SeqCst);
-                        metrics.stream_lagged.inc();
-                        false
-                    }
-                    Err(TrySendError::Disconnected(_)) => false,
-                });
+    fn detach(&self, db: &Database, id: u64) {
+        let mut subs = self.subs.lock();
+        // Already gone if a committer cut it loose for lagging.
+        if let Some(at) = subs.iter().position(|s| s.id == id) {
+            subs.swap_remove(at);
+            self.metrics.streams_active.add(-1);
         }
-        metrics.streams_active.set(state.subs.len() as i64);
+        if subs.is_empty() {
+            db.set_change_capture(false);
+        }
     }
 }
 
-/// The tailer: shadow pages + a WAL cursor.
-pub struct WalTailer {
-    db: ConcurrentDb,
-    streams: Arc<ChangeStreams>,
-    metrics: Arc<ServerMetrics>,
-    cursor: WalCursor,
-    shadow: HashMap<u64, Page>,
-}
-
-impl WalTailer {
-    /// Attaches to the engine's WAL: pins the cursor at the current end
-    /// of the durable log and seeds shadow copies of every committed
-    /// page. Runs under the read latch, so the seed is one consistent
-    /// committed state (the no-steal buffer policy guarantees no
-    /// uncommitted bytes are visible between atomic batches).
-    pub fn attach(
-        db: ConcurrentDb,
-        streams: Arc<ChangeStreams>,
-        metrics: Arc<ServerMetrics>,
-    ) -> Self {
-        let (cursor, shadow) = db.with_read(|d| {
-            let cursor = d.wal_cursor();
-            let mut shadow = HashMap::new();
-            for seg in d.segment_ids() {
-                for page in d.pages_of(seg).unwrap_or_default() {
-                    if let Ok(image) = d.page_image(page) {
-                        shadow.insert(page, image);
-                    }
-                }
-            }
-            (cursor, shadow)
-        });
-        WalTailer {
-            db,
-            streams,
-            metrics,
-            cursor,
-            shadow,
-        }
-    }
-
-    /// Polls until [`ChangeStreams::stop`]; the server runs this on its
-    /// tailer thread.
-    pub fn run(mut self, poll: Duration) {
-        while !self.streams.stopped.load(Ordering::SeqCst) {
-            let events = self.poll_once();
-            if events.is_empty() {
-                std::thread::sleep(poll);
-            } else {
-                self.streams.broadcast(&events, &self.metrics);
-            }
-        }
-        // Dropping `self` drops nothing shared; subscribers disconnect
-        // when ChangeStreams::state's senders are cleared by the final
-        // broadcast or the streams handle is dropped by the server.
-        self.streams.state.lock().subs.clear();
-    }
-
-    /// Tails the WAL once and decodes every newly committed batch.
-    pub fn poll_once(&mut self) -> Vec<StreamEvent> {
-        let batches = {
-            let cursor = &mut self.cursor;
-            self.db.with_read(|d| d.wal_tail(cursor))
+impl ChangeSink for ChangeStreams {
+    fn deliver(&self, db: &Database, set: ChangeSet) {
+        let started = Instant::now();
+        self.metrics.stream_batches.inc();
+        let event = StreamEvent {
+            commit_lsn: set.commit_lsn,
+            deltas: deltas_of(&set.changes),
         };
-        let mut events = Vec::new();
-        for batch in batches {
-            self.metrics.stream_batches.inc();
-            let deltas = self.decode_batch(&batch.records);
-            if !deltas.is_empty() {
-                events.push(StreamEvent {
-                    commit_lsn: batch.commit_lsn,
-                    deltas,
-                });
+        let mut subs = self.subs.lock();
+        subs.retain(|sub| match sub.tx.try_send(event.clone()) {
+            Ok(()) => {
+                self.metrics.stream_events.inc();
+                true
             }
-        }
-        events
-    }
-
-    /// Applies one committed batch to the shadow pages and returns the
-    /// object-graph diff.
-    fn decode_batch(&mut self, records: &[WalRecord]) -> Vec<Delta> {
-        // Pages this batch touches, in first-touch order.
-        let mut touched: Vec<u64> = Vec::new();
-        for rec in records {
-            let page = match rec {
-                WalRecord::PageImage { page, .. } | WalRecord::PageDelta { page, .. } => *page,
-                _ => continue,
-            };
-            if !touched.contains(&page) {
-                touched.push(page);
+            Err(TrySendError::Full(_)) => {
+                // Never block the committer, never grow the queue: the
+                // slow consumer is cut loose (typed SlowConsumer).
+                sub.lagged.store(true, Ordering::SeqCst);
+                self.metrics.stream_lagged.inc();
+                self.metrics.streams_active.add(-1);
+                false
             }
+            // The receiver lives in a `Subscription`, whose drop detaches
+            // under the shared latch — never while a set is delivered.
+            Err(TrySendError::Disconnected(_)) => true,
+        });
+        if subs.is_empty() {
+            db.set_change_capture(false);
         }
-        if touched.is_empty() {
-            // Pure metadata (segment create/adopt, checkpoint): nothing
-            // object-visible changed.
-            for rec in records {
-                self.apply(rec);
-            }
-            return Vec::new();
-        }
-        let before = self.decode_objects(&touched);
-        for rec in records {
-            self.apply(rec);
-        }
-        let after = self.decode_objects(&touched);
-        diff_objects(&before, &after)
-    }
-
-    fn apply(&mut self, rec: &WalRecord) {
-        match rec {
-            WalRecord::PageImage { page, image } => {
-                self.shadow.insert(*page, (**image).clone());
-            }
-            WalRecord::PageDelta { page, ranges } => {
-                // A delta's base is always present: the shadow tracked
-                // every image since attach, and the store logs a full
-                // image whenever it has no logged base. A miss can only
-                // mean a hand-built log; skip rather than misapply.
-                if let Some(base) = self.shadow.get(page) {
-                    let next = apply_delta(base, ranges);
-                    self.shadow.insert(*page, next);
-                }
-            }
-            WalRecord::Commit
-            | WalRecord::SegCreate { .. }
-            | WalRecord::SegAdopt { .. }
-            | WalRecord::SerialFloor { .. }
-            | WalRecord::Checkpoint { .. } => {}
-        }
-    }
-
-    /// Every decodable object on the given shadow pages, keyed by OID.
-    /// [`page_records`] reassembles overflow chains through the shadow
-    /// set, so objects larger than a page diff correctly too; slots whose
-    /// bytes do not decode as objects (e.g. continuation fragments) are
-    /// skipped.
-    fn decode_objects(&self, pages: &[u64]) -> BTreeMap<corion_core::Oid, Object> {
-        let fetch = |page: u64| self.shadow.get(&page).cloned();
-        let mut out = BTreeMap::new();
-        for page in pages {
-            let Some(p) = self.shadow.get(page) else {
-                continue;
-            };
-            for bytes in page_records(p, &fetch) {
-                if let Ok(obj) = Object::decode(&bytes) {
-                    out.insert(obj.oid, obj);
-                }
-            }
-        }
-        out
+        self.metrics
+            .stream_emit
+            .record(set.capture_ns + started.elapsed().as_nanos() as u64);
     }
 }
 
-/// Diffs two OID-keyed object maps into wire deltas.
-pub(crate) fn diff_objects(
-    before: &BTreeMap<corion_core::Oid, Object>,
-    after: &BTreeMap<corion_core::Oid, Object>,
-) -> Vec<Delta> {
+/// Maps a released change set to wire deltas, in [`diff_objects`]' order.
+pub fn deltas_of(changes: &[Change]) -> Vec<Delta> {
+    fn edges(parents: &[Oid], child: Oid, added: bool) -> impl Iterator<Item = Delta> + '_ {
+        parents.iter().map(move |&parent| match added {
+            true => Delta::EdgeAdded { parent, child },
+            false => Delta::EdgeRemoved { parent, child },
+        })
+    }
+    let mut deltas = Vec::new();
+    for change in changes {
+        match change {
+            Change::Made { oid, parents } => {
+                deltas.push(Delta::Made(*oid));
+                deltas.extend(edges(parents, *oid, true));
+            }
+            Change::Changed {
+                oid,
+                parents_added,
+                parents_removed,
+            } => {
+                deltas.push(Delta::Changed(*oid));
+                deltas.extend(edges(parents_added, *oid, true));
+                deltas.extend(edges(parents_removed, *oid, false));
+            }
+            Change::Deleted { oid, parents } => {
+                deltas.push(Delta::Deleted(*oid));
+                deltas.extend(edges(parents, *oid, false));
+            }
+        }
+    }
+    deltas
+}
+
+/// Diffs two OID-keyed object maps into wire deltas — the definition of
+/// what an event holds, kept as the reference the capture path is tested
+/// against (`tests/change_streams.rs` compares every released change set
+/// with the diff of *all* objects before and after it).
+pub fn diff_objects(before: &BTreeMap<Oid, Object>, after: &BTreeMap<Oid, Object>) -> Vec<Delta> {
     let mut deltas = Vec::new();
     for (oid, obj) in after {
         match before.get(oid) {
@@ -360,60 +271,99 @@ pub(crate) fn diff_objects(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corion_core::{ClassId, Oid, ReverseRef, Value};
+    use corion_core::{ClassBuilder, ClassId, Domain, ReverseRef, Value};
     use corion_obs::Registry;
 
-    fn metrics() -> ServerMetrics {
-        ServerMetrics::new(&Registry::new())
+    fn streams(depth: usize) -> (Arc<ChangeStreams>, Arc<ServerMetrics>) {
+        let metrics = Arc::new(ServerMetrics::new(&Registry::new()));
+        (ChangeStreams::new(depth, Arc::clone(&metrics)), metrics)
     }
 
-    fn event(lsn: Lsn) -> StreamEvent {
-        StreamEvent {
-            commit_lsn: lsn,
-            deltas: vec![Delta::Made(Oid::new(ClassId(1), lsn))],
+    /// An engine with one class, its change stream wired to `streams`.
+    fn engine(streams: &Arc<ChangeStreams>) -> (ConcurrentDb, ClassId) {
+        let db = ConcurrentDb::new();
+        let class = db
+            .with_exclusive(|d| d.define_class(ClassBuilder::new("C").attr("n", Domain::Integer)))
+            .unwrap();
+        db.set_change_sink(Arc::clone(streams) as Arc<dyn ChangeSink>);
+        (db, class)
+    }
+
+    fn commit(db: &ConcurrentDb, class: ClassId, n: i64) -> Oid {
+        db.run_write(|t| t.make(class, vec![("n", Value::Int(n))], vec![]))
+            .unwrap()
+    }
+
+    #[test]
+    fn subscribers_see_only_commits_after_their_watermark() {
+        let (streams, _) = streams(16);
+        let (db, class) = engine(&streams);
+        commit(&db, class, 1); // nobody subscribed: no event, the LSN moves
+        let sub = streams.subscribe(&db);
+        assert_eq!(sub.start_lsn, db.with_read(|d| d.durable_commit_lsn()));
+        assert!(sub.start_lsn > 0);
+        let made = [commit(&db, class, 2), commit(&db, class, 3)];
+        let events: Vec<StreamEvent> = sub.events.try_iter().collect();
+        assert_eq!(events.len(), 2);
+        assert!(sub.start_lsn < events[0].commit_lsn);
+        assert!(events[0].commit_lsn < events[1].commit_lsn);
+        for (event, oid) in events.iter().zip(made) {
+            assert_eq!(event.deltas, vec![Delta::Made(oid)]);
         }
     }
 
     #[test]
-    fn subscribers_see_only_events_after_their_watermark() {
-        let streams = ChangeStreams::new(16);
-        let m = metrics();
-        streams.broadcast(&[event(5)], &m);
-        // Nobody was subscribed: event 5 is gone, but the watermark moved.
-        let sub = streams.subscribe();
-        assert_eq!(sub.start_lsn, 5);
-        streams.broadcast(&[event(6), event(7)], &m);
-        let lsns: Vec<Lsn> = sub.events.try_iter().map(|e| e.commit_lsn).collect();
-        assert_eq!(lsns, vec![6, 7]);
-        assert!(lsns.iter().all(|&l| l > sub.start_lsn));
-    }
-
-    #[test]
     fn overflowing_subscriber_is_cut_loose_with_lag_flag() {
-        let streams = ChangeStreams::new(2);
-        let m = metrics();
-        let sub = streams.subscribe();
+        let (streams, metrics) = streams(2);
+        let (db, class) = engine(&streams);
+        let sub = streams.subscribe(&db);
         assert_eq!(streams.subscriber_count(), 1);
-        // Three events into a depth-2 queue: the third overflows and the
-        // subscriber is dropped rather than blocking the tailer.
-        streams.broadcast(&[event(1), event(2), event(3)], &m);
+        // Three commits into a depth-2 queue: the third overflows and the
+        // subscriber is dropped rather than blocking the committer.
+        for n in 0..3 {
+            commit(&db, class, n);
+        }
         assert_eq!(streams.subscriber_count(), 0);
         assert!(sub.lagged.load(Ordering::SeqCst));
+        assert_eq!(metrics.streams_active.get(), 0);
         // The two buffered events still drain, then the channel reports
         // the disconnect the session turns into SlowConsumer.
-        assert_eq!(sub.events.recv().unwrap().commit_lsn, 1);
-        assert_eq!(sub.events.recv().unwrap().commit_lsn, 2);
+        assert!(sub.events.recv().is_ok());
+        assert!(sub.events.recv().is_ok());
         assert!(sub.events.recv().is_err());
+        // Cutting the last subscriber lowered the capture flag: the next
+        // commit releases nothing, and dropping the handle changes nothing.
+        commit(&db, class, 9);
+        drop(sub);
+        assert_eq!(metrics.stream_batches.get(), 3);
+        assert_eq!(metrics.streams_active.get(), 0);
     }
 
+    /// Regression (fails at the parent, where a departed sender stayed in
+    /// the list until the next broadcast and the gauge was `set` from a
+    /// racing count at attach only).
     #[test]
-    fn departed_subscriber_is_dropped_on_next_broadcast() {
-        let streams = ChangeStreams::new(4);
-        let m = metrics();
-        let sub = streams.subscribe();
-        drop(sub.events);
-        streams.broadcast(&[event(1)], &m);
-        assert_eq!(streams.subscriber_count(), 0);
+    fn attach_and_detach_move_the_gauge_with_no_commit_in_between() {
+        let (streams, metrics) = streams(4);
+        let (db, class) = engine(&streams);
+        let a = streams.subscribe(&db);
+        assert_eq!(metrics.streams_active.get(), 1);
+        let b = streams.subscribe(&db);
+        assert_eq!(metrics.streams_active.get(), 2);
+        drop(a);
+        assert_eq!(
+            (streams.subscriber_count(), metrics.streams_active.get()),
+            (1, 1)
+        );
+        commit(&db, class, 1);
+        assert_eq!(b.events.try_iter().count(), 1, "b is still attached");
+        drop(b);
+        assert_eq!(
+            (streams.subscriber_count(), metrics.streams_active.get()),
+            (0, 0)
+        );
+        commit(&db, class, 2);
+        assert_eq!(metrics.stream_batches.get(), 1, "nobody left: no capture");
     }
 
     fn obj(oid: Oid, n: i64, parents: &[Oid]) -> Object {
@@ -455,6 +405,23 @@ mod tests {
             child: gone
         }));
         assert_eq!(deltas.len(), 6);
+        // The same three changes, as the capture path states them.
+        let changes = [
+            Change::Changed {
+                oid: kept,
+                parents_added: vec![parent],
+                parents_removed: vec![],
+            },
+            Change::Made {
+                oid: new,
+                parents: vec![parent],
+            },
+            Change::Deleted {
+                oid: gone,
+                parents: vec![parent],
+            },
+        ];
+        assert_eq!(deltas_of(&changes), deltas);
     }
 
     #[test]

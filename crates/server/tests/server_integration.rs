@@ -8,16 +8,20 @@ use std::time::{Duration, Instant};
 use corion_authz::AuthStore;
 use corion_client::{Client, ClientError};
 use corion_concurrent::ConcurrentDb;
-use corion_core::{ClassBuilder, CompositeSpec, Database, Domain, Oid, Value};
+use corion_core::{ClassBuilder, CompositeSpec, Database, DbConfig, Domain, Oid, Value};
 use corion_protocol::{
     decode_response, encode_request, read_frame, write_frame, Delta, ErrorCode, Request, Response,
-    WireAuth, WireAuthObject, MAGIC, MAX_FRAME, VERSION,
+    WireAuth, WireAuthObject, WireMakeSpec, WireParent, MAGIC, MAX_FRAME, VERSION,
 };
 use corion_server::{Server, ServerConfig};
 
 /// `Part (n: int)` and `Doc (Parts: set-of Part, composite)`.
 fn test_db() -> ConcurrentDb {
-    let mut db = Database::new();
+    test_db_with(DbConfig::default())
+}
+
+fn test_db_with(config: DbConfig) -> ConcurrentDb {
+    let mut db = Database::with_config(config);
     let part = db
         .define_class(ClassBuilder::new("Part").attr("n", Domain::Integer))
         .unwrap();
@@ -173,6 +177,169 @@ fn parallel_commits_reach_subscriber_in_commit_lsn_order() {
         child: oid_b
     }));
 
+    server.shutdown();
+}
+
+/// "No gaps while connected" (docs/PROTOCOL.md §5), through the wire and
+/// across log rewrites. An 8 KiB log checkpoints itself every few dozen
+/// commits; two connections make 2 000 commits between them with one
+/// subscriber attached first. Exactly one event per commit, in strictly
+/// increasing LSN order, every acknowledged `Made` among them. Fails at
+/// the parent: its stream was read back out of the log every 20 ms, and
+/// whatever committed between the last look and a checkpoint's swap of the
+/// log was never seen (`server.stream_gap_free` 0 on the benchmark).
+#[test]
+fn a_subscriber_misses_no_commit_across_auto_checkpoints() {
+    const PER_WRITER: usize = 1_000;
+    let mut config = DbConfig::default();
+    config.store.wal_checkpoint_bytes = 8 << 10;
+    let db = test_db_with(config);
+    let server = Server::start(db.clone(), AuthStore::new(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let part = Client::connect(addr, 0)
+        .unwrap()
+        .class_by_name("Part")
+        .unwrap();
+    let checkpoints = || {
+        db.metrics_snapshot()
+            .counter("corion_wal_checkpoints_total")
+    };
+    let checkpoints_before = checkpoints();
+
+    let mut sub = Client::connect(addr, 0).unwrap().subscribe().unwrap();
+    let (events, acked) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut events = Vec::new();
+            // Ends on the quiet after the last commit (or far too early,
+            // which the count below reports).
+            while let Some(event) = sub.next_event_timeout(Duration::from_secs(3)).unwrap() {
+                events.push(event);
+            }
+            events
+        });
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                s.spawn(move || {
+                    let mut c = Client::connect(addr, 0).unwrap();
+                    (0..PER_WRITER)
+                        .map(|i| {
+                            c.begin().unwrap();
+                            let n = Value::Int((w * PER_WRITER + i) as i64);
+                            let oid = c.make(part, vec![("n".into(), n)], vec![]).unwrap();
+                            c.commit().unwrap();
+                            oid
+                        })
+                        .collect::<Vec<Oid>>()
+                })
+            })
+            .collect();
+        let acked: Vec<Oid> = writers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect();
+        (reader.join().unwrap(), acked)
+    });
+
+    assert!(
+        checkpoints() - checkpoints_before >= 5,
+        "the log was to be rewritten under the stream"
+    );
+    assert_eq!(events.len(), 2 * PER_WRITER, "one event per commit");
+    assert!(events.windows(2).all(|w| w[0].commit_lsn < w[1].commit_lsn));
+    assert!(events[0].commit_lsn > sub.start_lsn());
+    let made: std::collections::HashSet<Oid> = events
+        .iter()
+        .flat_map(|e| &e.deltas)
+        .filter_map(|d| match d {
+            Delta::Made(oid) => Some(*oid),
+            _ => None,
+        })
+        .collect();
+    assert!(acked.iter().all(|oid| made.contains(oid)));
+    server.shutdown();
+}
+
+/// The stream reports the durable effect whatever route wrote it: a served
+/// `MakeMany` — exclusive access, no transaction, no version chain — is
+/// one event carrying every `Made` and every composite edge.
+#[test]
+fn served_make_many_is_one_event_with_every_made_and_edge() {
+    let server = start_default();
+    let addr = server.local_addr();
+    let mut admin = Client::connect(addr, 0).unwrap();
+    let doc = admin.class_by_name("Doc").unwrap();
+    let part = admin.class_by_name("Part").unwrap();
+    let mut sub = Client::connect(addr, 0).unwrap().subscribe().unwrap();
+
+    let mut specs = vec![WireMakeSpec {
+        class: doc,
+        values: vec![],
+        parents: vec![],
+    }];
+    specs.extend((0..3).map(|n| WireMakeSpec {
+        class: part,
+        values: vec![("n".into(), Value::Int(n))],
+        parents: vec![(WireParent::Created(0), "Parts".into())],
+    }));
+    let oids = admin.make_many(specs).unwrap();
+
+    let event = sub
+        .next_event_timeout(Duration::from_secs(10))
+        .unwrap()
+        .expect("the ingest streams");
+    let mut want: Vec<Delta> = oids.iter().map(|&oid| Delta::Made(oid)).collect();
+    want.extend(oids[1..].iter().map(|&child| Delta::EdgeAdded {
+        parent: oids[0],
+        child,
+    }));
+    assert_eq!(event.deltas.len(), want.len(), "{:?}", event.deltas);
+    assert!(want.iter().all(|d| event.deltas.contains(d)));
+    let next = sub.next_event_timeout(Duration::from_millis(200)).unwrap();
+    assert!(next.is_none(), "one batch, one event: {next:?}");
+    server.shutdown();
+}
+
+/// An event is delivered after its commit is visible: a read begun on
+/// receipt — here from another session, a fresh snapshot per request —
+/// finds every object the event names. (The event may even overtake the
+/// committer's own `OkLsn`; the reader below does not wait for it.)
+#[test]
+fn an_events_objects_are_readable_by_a_snapshot_begun_on_its_receipt() {
+    let server = start_default();
+    let addr = server.local_addr();
+    let part = Client::connect(addr, 0)
+        .unwrap()
+        .class_by_name("Part")
+        .unwrap();
+    let mut sub = Client::connect(addr, 0).unwrap().subscribe().unwrap();
+
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut c = Client::connect(addr, 0).unwrap();
+            for n in 0..200 {
+                c.begin().unwrap();
+                c.make(part, vec![("n".into(), Value::Int(n))], vec![])
+                    .unwrap();
+                c.commit().unwrap();
+            }
+        });
+        let mut reader = Client::connect(addr, 0).unwrap();
+        for _ in 0..200 {
+            let event = sub
+                .next_event_timeout(Duration::from_secs(10))
+                .unwrap()
+                .expect("200 commits, 200 events");
+            for delta in &event.deltas {
+                if let Delta::Made(oid) = delta {
+                    assert!(
+                        reader.exists(*oid).unwrap(),
+                        "{oid:?} at {}",
+                        event.commit_lsn
+                    );
+                }
+            }
+        }
+    });
     server.shutdown();
 }
 

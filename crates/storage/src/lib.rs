@@ -79,12 +79,9 @@ pub use page::{Page, SlotId, PAGE_SIZE};
 pub use retry::{Clock, RetryPolicy};
 pub use segment::{Segment, SegmentId};
 pub use store::{
-    page_records, CommitPolicy, HealthState, ObjectStore, PhysId, RecoveryReport, ScrubReport,
-    StoreConfig, CP_CHECKPOINT_WRITE, CP_COMMIT_DONE, CP_COMMIT_FLUSH, CP_COMMIT_LOG,
-    CP_GROUP_SEAL, CP_PAGE_WRITE, CRASH_POINTS,
+    CommitPolicy, HealthState, ObjectStore, PhysId, RecoveryReport, ScrubReport, StoreConfig,
+    CP_CHECKPOINT_WRITE, CP_COMMIT_DONE, CP_COMMIT_FLUSH, CP_COMMIT_LOG, CP_GROUP_SEAL,
+    CP_PAGE_WRITE, CRASH_POINTS,
 };
 pub use version::{Resolution, VersionKey, VersionStore};
-pub use wal::{
-    apply_delta, delta_encoded_len, diff_pages, fnv1a64, Lsn, TailBatch, Wal, WalCursor, WalMark,
-    WalRecord, WalStats,
-};
+pub use wal::{delta_encoded_len, diff_pages, fnv1a64, Lsn, Wal, WalMark, WalRecord, WalStats};

@@ -52,7 +52,7 @@ use crate::metrics::StoreMetrics;
 use crate::page::{Page, SlotId, MAX_RECORD, PAGE_SIZE};
 use crate::retry::{self, Clock, RetryPolicy};
 use crate::segment::{Segment, SegmentId};
-use crate::wal::{self, replay, TailBatch, Wal, WalCursor, WalMark, WalRecord, WalStats};
+use crate::wal::{self, replay, Lsn, Wal, WalMark, WalRecord, WalStats};
 
 /// Physical address of a stored record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -319,54 +319,6 @@ fn get_ptr(r: &mut Reader<'_>) -> StorageResult<PhysId> {
     })
 }
 
-/// Reassembles every addressable record on `page` from an out-of-store
-/// page set — the building block of WAL-tailing change streams, which
-/// decode objects from *shadow* pages the store has no handle to.
-///
-/// Inline records are returned directly; overflow-chain heads are
-/// stitched by following their continuation pointers through `fetch`
-/// (page number → shadow copy). Continuation chunks are skipped — they
-/// are not addressable records. A record whose chain cannot be resolved
-/// in the shadow set is skipped rather than erroring: the caller diffs
-/// before/after snapshots, and an unresolvable chain is unresolvable in
-/// both.
-pub fn page_records(page: &Page, fetch: &dyn Fn(u64) -> Option<Page>) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    for (_slot, raw) in page.iter() {
-        match raw.first() {
-            Some(&TAG_INLINE) => out.push(raw[1..].to_vec()),
-            Some(&TAG_HEAD) => {
-                let stitched = (|| {
-                    let mut r = Reader::new(raw);
-                    let _ = r.u8("record tag").ok()?;
-                    let total = r.u64("chain total length").ok()? as usize;
-                    let mut next = Some(get_ptr(&mut r).ok()?);
-                    let mut buf = Vec::with_capacity(total);
-                    buf.extend_from_slice(raw.get(HEAD_OVERHEAD..)?);
-                    while let Some(ptr) = next {
-                        let p = fetch(ptr.page)?;
-                        let chunk = p.read(ptr.slot).ok()?.to_vec();
-                        let mut cr = Reader::new(&chunk);
-                        if cr.u8("chunk tag").ok()? != TAG_CHUNK {
-                            return None;
-                        }
-                        let has_next = cr.u8("chunk has_next").ok()? != 0;
-                        let np = get_ptr(&mut cr).ok()?;
-                        next = has_next.then_some(np);
-                        buf.extend_from_slice(chunk.get(CHUNK_OVERHEAD..)?);
-                    }
-                    (buf.len() == total).then_some(buf)
-                })();
-                if let Some(rec) = stitched {
-                    out.push(rec);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 /// A segmented, buffered record store.
 pub struct ObjectStore {
     pool: BufferPool,
@@ -392,6 +344,9 @@ pub struct ObjectStore {
     /// a delta record always has a committed base on scan, and a page
     /// without an entry is current on disk.
     last_logged: HashMap<u64, Page>,
+    /// Commit-marker LSN of the last batch (or sealed group window) whose
+    /// log records were synced — see [`ObjectStore::durable_commit_lsn`].
+    durable_commit_lsn: Lsn,
     /// Highest object-serial high-water mark noted by the engine above
     /// (see [`WalRecord::SerialFloor`]); carried into checkpoint
     /// truncations and restored by recovery so serials are never reused.
@@ -441,6 +396,7 @@ impl ObjectStore {
             delta_pages: config.delta_pages,
             group: None,
             last_logged: HashMap::new(),
+            durable_commit_lsn: 0,
             serial_floor: 0,
             clock: retry::noop_clock(),
             metrics: StoreMetrics::new(registry),
@@ -477,6 +433,7 @@ impl ObjectStore {
             delta_pages: config.delta_pages,
             group: None,
             last_logged: HashMap::new(),
+            durable_commit_lsn: 0,
             serial_floor: 0,
             clock: retry::noop_clock(),
             metrics: StoreMetrics::new(registry),
@@ -553,13 +510,15 @@ impl ObjectStore {
         })
     }
 
-    /// Appends one record to the WAL, counting records and encoded bytes.
-    fn log_append(&mut self, record: &WalRecord) {
+    /// Appends one record to the WAL, counting records and encoded bytes;
+    /// returns the record's LSN.
+    fn log_append(&mut self, record: &WalRecord) -> Lsn {
         let before = self.wal.stats().pending_bytes;
-        self.wal.append(record);
+        let lsn = self.wal.append(record);
         let appended = self.wal.stats().pending_bytes.saturating_sub(before);
         self.metrics.wal_append_records.inc();
         self.metrics.wal_append_bytes.add(appended as u64);
+        lsn
     }
 
     /// Logs the after-image of `page`, choosing the cheapest faithful
@@ -1224,7 +1183,7 @@ impl ObjectStore {
         for (&page, image) in images {
             self.log_page_record(page, image);
         }
-        self.log_append(&WalRecord::Commit);
+        let commit_lsn = self.log_append(&WalRecord::Commit);
         let mut attempt: u32 = 0;
         let outcome = loop {
             match self.crash.fire(CP_COMMIT_FLUSH) {
@@ -1249,6 +1208,7 @@ impl ObjectStore {
                     return Err(FlushFault::Device(e));
                 }
                 self.metrics.wal_flushes.inc();
+                self.durable_commit_lsn = commit_lsn;
                 Ok(())
             }
             FireOutcome::Transient => {
@@ -1480,6 +1440,9 @@ impl ObjectStore {
         let state = replay(&scan);
         self.wal.truncate_durable(scan.valid_len)?;
         self.wal.set_next_lsn(scan.next_lsn);
+        // The retained prefix ends at a commit marker (a batch's or a
+        // checkpoint's): every later commit is numbered above it.
+        self.durable_commit_lsn = scan.next_lsn - 1;
 
         self.segments.clear();
         let mut next_segment = state.next_segment;
@@ -1725,24 +1688,20 @@ impl ObjectStore {
         self.wal.stats()
     }
 
-    /// A WAL tail cursor positioned at the current end of the durable log
-    /// (see [`Wal::cursor`]). Change streams attach here.
-    pub fn wal_cursor(&self) -> WalCursor {
-        self.wal.cursor()
+    /// Commit-marker LSN of the last batch — or sealed group window —
+    /// whose log records were synced: it moves at the durability point and
+    /// nowhere else (a checkpoint's own marker does not count; recovery
+    /// resets it to the end of the log it kept). Whoever watches it across
+    /// a call learns whether that call made a commit durable, and under
+    /// which LSN.
+    pub fn durable_commit_lsn(&self) -> Lsn {
+        self.durable_commit_lsn
     }
 
-    /// Batches committed since `cursor` last looked (see [`Wal::tail`]).
-    pub fn wal_tail(&self, cursor: &mut WalCursor) -> Vec<TailBatch> {
-        self.wal.tail(cursor)
-    }
-
-    /// A copy of one committed page image. WAL tailers use this to seed
-    /// their shadow pages at attach time. Served through the pool, which —
-    /// not the disk — is the authority on committed contents: outside a
-    /// batch every frame holds a committed image (uncommitted ones never
-    /// outlive their batch), possibly one the disk has not received yet.
-    pub fn page_image(&self, page: u64) -> StorageResult<Page> {
-        self.with_page_retry(page, |p| p.clone())
+    /// Commits absorbed by the open group window and not yet synced (zero
+    /// under [`CommitPolicy::Immediate`]).
+    pub fn unsealed_commits(&self) -> u64 {
+        self.group.as_ref().map_or(0, |g| g.commits)
     }
 
     /// XORs one durable log byte with `mask` — bit-flip injection for

@@ -734,108 +734,6 @@ pub fn replay(scan: &WalScan) -> ReplayState {
     state
 }
 
-/// A resumable position in the durable log, for change-stream tailers.
-///
-/// A cursor created by [`Wal::cursor`] points at the current end of the
-/// durable region; each [`Wal::tail`] call returns the committed batches
-/// flushed since and advances the cursor. The cursor survives checkpoint
-/// truncation: [`Wal::install_checkpoint`] replaces the whole durable
-/// region, which the cursor detects via the checkpoint counter and handles
-/// by rescanning from the start while suppressing batches whose commit LSN
-/// it has already delivered (checkpoint batches are written with fresh,
-/// higher LSNs, so nothing is delivered twice and nothing new is missed).
-#[derive(Debug, Clone, Copy)]
-pub struct WalCursor {
-    /// Byte offset into the durable region where the next scan starts.
-    /// Always a record boundary (the end of a committed batch).
-    offset: usize,
-    /// LSN of the last record consumed at `offset`; `0` means unknown, in
-    /// which case the next record's LSN is accepted as-is (the sequence
-    /// check resumes from it).
-    last_lsn: Lsn,
-    /// `Wal::checkpoints` when the cursor last observed the log; a change
-    /// means the durable region was replaced underneath us.
-    checkpoints_seen: u64,
-    /// Highest commit LSN ever returned through this cursor — the
-    /// dedup watermark used after a checkpoint rescan.
-    last_commit_lsn: Lsn,
-}
-
-/// One committed batch returned by [`Wal::tail`].
-#[derive(Debug, Clone)]
-pub struct TailBatch {
-    /// LSN of the batch's commit marker. Strictly increasing across the
-    /// batches a single cursor returns, and identical to commit order.
-    pub commit_lsn: Lsn,
-    /// The batch's records, commit marker excluded — same shape as one
-    /// entry of [`WalScan::committed`].
-    pub records: Vec<WalRecord>,
-}
-
-impl Wal {
-    /// A cursor positioned at the current end of the durable region:
-    /// [`Wal::tail`] will return only batches that become durable later.
-    pub fn cursor(&self) -> WalCursor {
-        WalCursor {
-            offset: self.durable.len(),
-            last_lsn: 0,
-            checkpoints_seen: self.checkpoints,
-            last_commit_lsn: 0,
-        }
-    }
-
-    /// Returns every batch committed (flushed with its commit marker)
-    /// since `cursor` last observed the log, oldest first, and advances
-    /// the cursor past them.
-    ///
-    /// The cursor only ever advances to committed-batch boundaries, so a
-    /// batch whose commit marker has not been flushed yet is re-examined
-    /// on the next call rather than half-delivered. A torn or corrupt
-    /// tail stops the walk at the same place recovery would; after the
-    /// recovery truncates and renumbers, the shrink is detected and the
-    /// cursor rescans from the start under its dedup watermark.
-    pub fn tail(&self, cursor: &mut WalCursor) -> Vec<TailBatch> {
-        if cursor.checkpoints_seen != self.checkpoints || cursor.offset > self.durable.len() {
-            // The durable region was replaced (checkpoint) or truncated
-            // (recovery): our offset no longer means anything. Rescan from
-            // the start; `last_commit_lsn` suppresses re-delivery.
-            cursor.offset = 0;
-            cursor.last_lsn = 0;
-            cursor.checkpoints_seen = self.checkpoints;
-        }
-        let buf = &self.durable;
-        let mut out = Vec::new();
-        let mut batch = Vec::new();
-        let mut offset = cursor.offset;
-        let mut expect = (cursor.last_lsn != 0).then(|| cursor.last_lsn + 1);
-        while offset < buf.len() {
-            match decode_record(&buf[offset..], expect) {
-                Ok((lsn, record, consumed)) => {
-                    expect = Some(lsn + 1);
-                    offset += consumed;
-                    match record {
-                        WalRecord::Commit => {
-                            let records = std::mem::take(&mut batch);
-                            if lsn > cursor.last_commit_lsn {
-                                cursor.last_commit_lsn = lsn;
-                                out.push(TailBatch {
-                                    commit_lsn: lsn,
-                                    records,
-                                });
-                            }
-                            cursor.offset = offset;
-                            cursor.last_lsn = lsn;
-                        }
-                        rec => batch.push(rec),
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        out
-    }
-}
-
 /// The world according to the committed log: what [`replay`] produces.
 #[derive(Debug, Default)]
 pub struct ReplayState {
@@ -1285,84 +1183,5 @@ mod tests {
         assert!(!scan.torn_tail);
         assert_eq!(scan.valid_len, 0);
         assert_eq!(scan.next_lsn, 1);
-    }
-
-    #[test]
-    fn tail_sees_only_batches_after_attach() {
-        let mut wal = Wal::new();
-        committed_batch(&mut wal, &[(0, 1)]);
-        let mut cursor = wal.cursor();
-        assert!(wal.tail(&mut cursor).is_empty(), "history is not replayed");
-        committed_batch(&mut wal, &[(0, 2)]);
-        committed_batch(&mut wal, &[(1, 3)]);
-        let batches = wal.tail(&mut cursor);
-        assert_eq!(batches.len(), 2);
-        assert!(batches[0].commit_lsn < batches[1].commit_lsn);
-        assert!(
-            matches!(batches[0].records[0], WalRecord::PageImage { page: 0, .. }),
-            "first new batch carries page 0"
-        );
-        assert!(wal.tail(&mut cursor).is_empty(), "no double delivery");
-    }
-
-    #[test]
-    fn tail_withholds_a_batch_until_its_commit_is_durable() {
-        let mut wal = Wal::new();
-        let mut cursor = wal.cursor();
-        wal.append(&WalRecord::PageImage {
-            page: 0,
-            image: Box::new(page_with_byte(1)),
-        });
-        wal.flush().unwrap(); // image durable, commit not yet
-        assert!(wal.tail(&mut cursor).is_empty());
-        wal.append(&WalRecord::Commit);
-        wal.flush().unwrap();
-        let batches = wal.tail(&mut cursor);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].records.len(), 1);
-    }
-
-    #[test]
-    fn tail_survives_checkpoint_truncation_without_duplicates() {
-        let mut wal = Wal::new();
-        let mut cursor = wal.cursor();
-        committed_batch(&mut wal, &[(0, 1)]);
-        assert_eq!(wal.tail(&mut cursor).len(), 1);
-        // The checkpoint replaces the whole durable region.
-        wal.install_checkpoint(1, vec![(SegmentId(0), vec![0])], 0)
-            .unwrap();
-        let after = wal.tail(&mut cursor);
-        assert_eq!(after.len(), 1, "the checkpoint batch itself is new");
-        assert!(matches!(after[0].records[0], WalRecord::Checkpoint { .. }));
-        committed_batch(&mut wal, &[(0, 2)]);
-        let next = wal.tail(&mut cursor);
-        assert_eq!(next.len(), 1);
-        assert!(next[0].commit_lsn > after[0].commit_lsn);
-    }
-
-    #[test]
-    fn tail_stops_at_a_torn_tail_and_resumes_after_recovery() {
-        let mut wal = Wal::new();
-        let mut cursor = wal.cursor();
-        committed_batch(&mut wal, &[(0, 1)]);
-        wal.append(&WalRecord::PageImage {
-            page: 0,
-            image: Box::new(page_with_byte(2)),
-        });
-        wal.append(&WalRecord::Commit);
-        wal.flush_torn(10).unwrap();
-        let batches = wal.tail(&mut cursor);
-        assert_eq!(batches.len(), 1, "committed prefix only");
-        // Recovery truncates the torn tail; the cursor detects the shrink.
-        let scan = wal.scan();
-        wal.truncate_durable(scan.valid_len).unwrap();
-        wal.set_next_lsn(scan.next_lsn);
-        committed_batch(&mut wal, &[(1, 9)]);
-        let resumed = wal.tail(&mut cursor);
-        assert_eq!(resumed.len(), 1);
-        assert!(matches!(
-            resumed[0].records[0],
-            WalRecord::PageImage { page: 1, .. }
-        ));
     }
 }
