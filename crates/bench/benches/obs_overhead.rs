@@ -39,7 +39,7 @@ const MAX_DISABLED_OVERHEAD: f64 = 0.02;
 
 /// One round: build a small document corpus (every `make` is an
 /// autocommit batch → WAL append + flush per object) and traverse it
-/// twice (cold then cached). Returns the elapsed time and the number of
+/// twice. Returns the elapsed time and the number of
 /// instrumentation events the round executed, split into
 /// (counter-or-gauge updates, timed sections).
 fn round(enabled: bool) -> (Duration, u64, u64) {
@@ -80,8 +80,9 @@ fn round(enabled: bool) -> (Duration, u64, u64) {
     // Every histogram observation is one RAII timer (two `Instant` reads
     // plus the bucket update when enabled; one relaxed load when not).
     let timer_events: u64 = snap.histograms.values().map(|h| h.count).sum();
-    // The generation gauge is set once per hierarchy bump.
-    let gauge_events = snap.gauge("corion_hierarchy_generation").max(0) as u64;
+    // Gauges are set, not counted: `corion_buffer_dirty_frames` once per
+    // checkpoint, the shard-count and health gauges once per engine.
+    let gauge_events = snap.counter("corion_wal_checkpoints_total") + 2;
     (elapsed, counter_events + gauge_events, timer_events)
 }
 

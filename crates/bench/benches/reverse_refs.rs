@@ -14,14 +14,13 @@
 //!   * object-size overhead printed at setup (bytes with vs without
 //!     reverse references)
 //!
-//! Plus the traversal-cache ablation: repeat `components-of` /
-//! `ancestors-of` over a ~10k-object hierarchy with the generation-
-//! invalidated cache on (`components_of`) and off (`components_of_uncached`),
-//! and the same batch fanned out over scoped threads. The warm cached
-//! traversal must be at least 2× faster than the uncached walk — asserted,
-//! not just reported.
+//! Plus the in-process cost of the one §3 walk (DESIGN.md §9): repeat
+//! `components-of` / `ancestors-of` over a ~10k-object one-class
+//! hierarchy, and the same batch fanned out over scoped threads. The
+//! series keep the names they had when a traversal cache answered the
+//! repeats, so the numbers stay comparable across that change.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use corion::workload::{Corpus, CorpusParams, DagParams, GeneratedDag};
 use corion::{Database, Filter, Oid, Value};
@@ -129,20 +128,9 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Times `op` over `iters` repetitions (after one warm-up call).
-fn time_repeats(iters: u32, mut op: impl FnMut()) -> Duration {
-    op();
-    let start = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    start.elapsed()
-}
-
-/// The traversal-cache ablation on a ~10k-object hierarchy (one root,
-/// fanout 10, depth 4 → 11 111 parts): repeat traversals with the
-/// hierarchy cache versus the uncached oracle walk.
-fn bench_traversal_cache(c: &mut Criterion) {
+/// The §3 walk on a ~10k-object hierarchy (one root, fanout 10, depth 4
+/// → 11 110 parts below it): every repeat walks the records again.
+fn bench_traversals(c: &mut Criterion) {
     let mut db = Database::new();
     let dag = GeneratedDag::generate(
         &mut db,
@@ -160,29 +148,20 @@ fn bench_traversal_cache(c: &mut Criterion) {
     let all = dag.all();
     let leaf = *all.last().unwrap();
     let n = all.len();
-    eprintln!(
-        "traversal_cache: hierarchy of {n} objects, {} edges",
-        dag.edges
-    );
+    eprintln!("traversals: hierarchy of {n} objects, {} edges", dag.edges);
 
-    let mut group = c.benchmark_group("traversal_cache");
+    let mut group = c.benchmark_group("traversals");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(900));
-    group.bench_function(BenchmarkId::new("components_repeat_cached", n), |b| {
+    group.bench_function(BenchmarkId::new("components_repeat", n), |b| {
         b.iter(|| db.components_of(root, &Filter::all()).unwrap())
     });
-    group.bench_function(BenchmarkId::new("components_repeat_uncached", n), |b| {
-        b.iter(|| db.components_of_uncached(root, &Filter::all()).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("ancestors_repeat_cached", n), |b| {
+    group.bench_function(BenchmarkId::new("ancestors_repeat", n), |b| {
         b.iter(|| db.ancestors_of(leaf, &Filter::all()).unwrap())
     });
-    group.bench_function(BenchmarkId::new("ancestors_repeat_uncached", n), |b| {
-        b.iter(|| db.ancestors_of_uncached(leaf, &Filter::all()).unwrap())
-    });
-    // Parallel batch over every object, sharing one warm cache.
+    // Parallel batch over every object.
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
@@ -190,33 +169,7 @@ fn bench_traversal_cache(c: &mut Criterion) {
         b.iter(|| db.ancestors_of_many(&all, &Filter::all()))
     });
     group.finish();
-
-    // The acceptance gate: warm cached repeat-traversal must beat the
-    // uncached walk by at least 2× on this hierarchy.
-    let cached = time_repeats(10, || {
-        db.components_of(root, &Filter::all()).unwrap();
-    });
-    let uncached = time_repeats(10, || {
-        db.components_of_uncached(root, &Filter::all()).unwrap();
-    });
-    let speedup = uncached.as_secs_f64() / cached.as_secs_f64();
-    eprintln!(
-        "traversal_cache: cached {:?} vs uncached {:?} per 10 repeats — {speedup:.1}× speedup",
-        cached, uncached
-    );
-    assert!(
-        speedup >= 2.0,
-        "cached repeat traversal must be ≥2× faster than uncached (got {speedup:.2}×)"
-    );
-    let snap = db.metrics_snapshot();
-    eprintln!(
-        "traversal_cache: {} hits, {} misses, {} invalidations at generation {}",
-        snap.counter("corion_traversal_cache_hits_total"),
-        snap.counter("corion_traversal_cache_misses_total"),
-        snap.counter("corion_traversal_cache_invalidations_total"),
-        db.hierarchy_generation()
-    );
 }
 
-criterion_group!(benches, bench, bench_traversal_cache);
+criterion_group!(benches, bench, bench_traversals);
 criterion_main!(benches);

@@ -68,9 +68,7 @@ pub mod db;
 pub mod plan;
 pub mod snapshot;
 pub mod txn;
-pub mod view;
 
 pub use db::{ChangeSink, ConcurrentDb};
 pub use snapshot::Snapshot;
 pub use txn::WriteTxn;
-pub use view::ReadView;

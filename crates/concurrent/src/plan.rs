@@ -21,7 +21,10 @@
 
 use std::collections::HashSet;
 
-use corion_core::{ClassId, Database, Object, Oid, Overlay};
+use corion_core::schema::catalog::Catalog;
+use corion_core::{
+    view, ClassId, CompositeSpec, Database, DbResult, Object, Oid, Overlay, ReadView,
+};
 use corion_lock::protocol::composite_lockset;
 use corion_lock::{LockIntent, LockMode, Lockable};
 
@@ -35,68 +38,59 @@ pub enum OpTarget {
     NewInstance(ClassId),
 }
 
-/// Read one object through the overlay-then-base view. The overlay is
-/// *not* installed during planning (planning holds only the shared
-/// latch), so the layering is done by hand here.
-fn view_get(db: &Database, overlay: &Overlay, oid: Oid) -> Option<Object> {
-    match overlay.lookup(oid) {
-        Some(img) => img.cloned(),
-        None => db.get(oid).ok(),
+/// What the planner sees: the transaction's overlay, then the base. The
+/// overlay is *not* installed during planning (planning holds only the
+/// shared latch), so the layering is done here. An object this view
+/// cannot read (already deleted, of an unknown class, behind a storage
+/// fault) **answers itself**: it is there, with no parents and no
+/// components — its own root and its own whole subtree — so the caller
+/// still serialises on the instance before discovering what is wrong
+/// with it.
+struct Planning<'a> {
+    db: &'a Database,
+    overlay: &'a Overlay,
+}
+
+impl ReadView for Planning<'_> {
+    fn resolve(&mut self, oid: Oid) -> DbResult<Option<Object>> {
+        let seen = self.db.overlay_get(self.overlay, oid);
+        let bare = |_| Object::new(oid, Vec::new(), 0);
+        Ok(Some(seen.unwrap_or_else(bare)))
+    }
+
+    fn visible(&mut self, _: Oid) -> DbResult<bool> {
+        Ok(true)
+    }
+
+    fn catalog(&mut self) -> DbResult<&Catalog> {
+        Ok(self.db.catalog())
+    }
+
+    fn composite_attrs(&mut self, class: ClassId) -> DbResult<Vec<(usize, CompositeSpec)>> {
+        Ok((&mut self.db).composite_attrs(class).unwrap_or_default())
     }
 }
 
-/// The composite roots above `oid`: walk reverse composite references
-/// transitively; objects with no composite parent are their own root.
-/// Unreadable objects (already deleted) answer themselves so the caller
-/// still serialises on the instance before discovering the deletion.
-pub fn roots_of_view(db: &Database, overlay: &Overlay, oid: Oid) -> Vec<Oid> {
-    let mut roots = Vec::new();
-    let mut visited: HashSet<Oid> = HashSet::new();
-    let mut queue = vec![oid];
-    while let Some(o) = queue.pop() {
-        if !visited.insert(o) {
-            continue;
-        }
-        let parents = match view_get(db, overlay, o) {
-            Some(obj) => obj.composite_parents(),
-            None => Vec::new(),
-        };
-        if parents.is_empty() {
-            roots.push(o);
-        } else {
-            queue.extend(parents);
-        }
-    }
+/// The composite roots above `oid`, sorted: the §3 walk up through the
+/// planning view, so freshly attached parents count and an unreadable
+/// `oid` is its own root.
+fn roots(db: &Database, overlay: &Overlay, oid: Oid) -> Vec<Oid> {
+    let mut roots =
+        view::roots_of(&mut Planning { db, overlay }, oid).unwrap_or_else(|_| vec![oid]);
     roots.sort();
     roots
 }
 
-/// The components reachable *down* from `oid` through composite
-/// attributes, `oid` included. Used for cascading operations (`delete`),
+/// `oid` and the components reachable *down* from it through composite
+/// attributes, as targets. Used for cascading operations (`delete`),
 /// whose effects can touch shared components that also belong to other
 /// composite objects — each of those roots must be locked too.
-pub fn subtree_of_view(db: &Database, overlay: &Overlay, oid: Oid) -> Vec<Oid> {
-    let mut out = Vec::new();
-    let mut visited: HashSet<Oid> = HashSet::new();
-    let mut queue = vec![oid];
-    while let Some(o) = queue.pop() {
-        if !visited.insert(o) {
-            continue;
-        }
-        out.push(o);
-        let Some(obj) = view_get(db, overlay, o) else {
-            continue;
-        };
-        let Ok(class) = db.class(o.class) else {
-            continue;
-        };
-        for (def, value) in class.attrs.iter().zip(obj.attrs.iter()) {
-            if def.composite.is_some() {
-                queue.extend(value.refs());
-            }
-        }
-    }
-    out
+pub fn targets_below(db: &Database, overlay: &Overlay, oid: Oid) -> Vec<OpTarget> {
+    view::subtree_of(&mut Planning { db, overlay }, oid)
+        .unwrap_or_else(|_| vec![oid])
+        .into_iter()
+        .map(OpTarget::Object)
+        .collect()
 }
 
 /// Compute the full lock set for an operation touching `targets` with
@@ -115,7 +109,7 @@ pub fn plan(
     for target in targets {
         match target {
             OpTarget::Object(oid) => {
-                for root in roots_of_view(db, overlay, *oid) {
+                for root in roots(db, overlay, *oid) {
                     if planned_roots.insert(root) {
                         locks.extend(composite_lockset(db, root, intent).locks);
                     }
@@ -136,7 +130,7 @@ pub fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corion_core::{ClassBuilder, CompositeSpec, Domain, Value};
+    use corion_core::{ClassBuilder, CompositeSpec, Domain};
 
     fn tree_db() -> (Database, ClassId, ClassId) {
         let mut db = Database::new();
@@ -189,10 +183,9 @@ mod tests {
         db.make_component(free, root, "parts").unwrap();
         let ov = db.overlay_take().unwrap();
 
-        let roots = roots_of_view(&db, &ov, free);
-        assert_eq!(roots, vec![root]);
+        assert_eq!(roots(&db, &ov, free), vec![root]);
         // Without the overlay the object is still its own root.
-        assert_eq!(roots_of_view(&db, &Overlay::new(), free), vec![free]);
+        assert_eq!(roots(&db, &Overlay::new(), free), vec![free]);
     }
 
     #[test]
@@ -201,12 +194,37 @@ mod tests {
         let root = db.make(asm, vec![], vec![]).unwrap();
         let a = db.make(part, vec![], vec![(root, "parts")]).unwrap();
         let b = db.make(part, vec![], vec![(root, "parts")]).unwrap();
-        let ov = Overlay::new();
-        let mut sub = subtree_of_view(&db, &ov, root);
-        sub.sort();
-        let mut want = vec![root, a, b];
-        want.sort();
-        assert_eq!(sub, want);
-        let _ = Value::Null;
+        let below = targets_below(&db, &Overlay::new(), root);
+        assert_eq!(below, [root, a, b].map(OpTarget::Object));
+    }
+
+    #[test]
+    fn a_deleted_target_still_serialises_on_its_own_instance() {
+        let (mut db, part, asm) = tree_db();
+        let root = db.make(asm, vec![], vec![]).unwrap();
+        let child = db.make(part, vec![], vec![(root, "parts")]).unwrap();
+
+        // Deleted by this transaction: the overlay hides the base record,
+        // and the object answers itself — its own root, its own subtree.
+        let mut ov = Overlay::new();
+        db.overlay_delete(&mut ov, child).unwrap();
+        assert_eq!(roots(&db, &ov, child), vec![child]);
+        assert_eq!(targets_below(&db, &ov, child), [OpTarget::Object(child)]);
+
+        // Deleted in the base (the cascade took it with its root): the
+        // plan is the direct protocol on the instance that is gone.
+        db.delete(root).unwrap();
+        let locks = plan(
+            &db,
+            &Overlay::new(),
+            &[OpTarget::Object(child)],
+            LockIntent::Write,
+        );
+        assert_eq!(locks[0], (Lockable::Class(part), LockMode::IX));
+        assert_eq!(locks[1], (Lockable::Instance(child), LockMode::X));
+        assert_eq!(
+            targets_below(&db, &Overlay::new(), root),
+            [OpTarget::Object(root)]
+        );
     }
 }

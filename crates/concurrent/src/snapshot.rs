@@ -13,8 +13,8 @@
 //! * Point reads ([`Snapshot::get`], [`Snapshot::exists`]) probe the
 //!   chain lock-free first — a hit needs no latch at all — and take the
 //!   latch only for the base fallback, re-probing under it.
-//! * Traversals ([`Snapshot::subtree_of`] and friends) run the shared
-//!   walks of [`crate::view`] over a latched view: the latch is taken
+//! * Traversals ([`Snapshot::subtree_of`] and friends) run the one §3
+//!   walk of [`corion_core::view`] over a latched view: the latch is taken
 //!   once per batch of 256 objects, each object is probed and
 //!   resolved once under it, and objects of a class with no composite
 //!   attribute are never read at all. Because the argument holds per
@@ -30,13 +30,15 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use corion_core::schema::catalog::Catalog;
 use corion_core::schema::lattice;
-use corion_core::{ClassId, Database, DbError, DbResult, Object, Oid, Value};
+use corion_core::{
+    view, ClassId, Database, DbError, DbResult, Filter, Object, Oid, ReadView, Value,
+};
 use corion_storage::{Lsn, Resolution, VersionKey};
 use parking_lot::RwLockReadGuard;
 
 use crate::db::Shared;
-use crate::view::{self, ReadView};
 
 /// Objects a traversal resolves per acquisition of the shared engine
 /// latch. A constant, not a setting: correctness does not depend on it
@@ -95,11 +97,18 @@ impl Snapshot {
 
     /// Resolve one object with the shared latch held (`db` is the
     /// guard's engine): chain image if there is a chain, else the base.
-    fn resolve_latched(&self, db: &Database, oid: Oid) -> DbResult<Option<Object>> {
-        if let Some(verdict) = self.chain_verdict(oid)? {
-            return Ok(verdict);
+    /// The schema is not versioned, so either way the reverse-reference
+    /// flags are brought up to the deferred changes (§4.3) of the schema
+    /// as it is now.
+    fn resolve_latched(&self, mut db: &Database, oid: Oid) -> DbResult<Option<Object>> {
+        match self.chain_verdict(oid)? {
+            Some(Some(mut obj)) => {
+                db.apply_pending_changes(&mut obj)?;
+                Ok(Some(obj))
+            }
+            Some(None) => Ok(None),
+            None => db.resolve(oid),
         }
-        view::get_visible(db, oid)
     }
 
     /// Resolve one object at the snapshot LSN: `Ok(None)` means "not
@@ -115,9 +124,12 @@ impl Snapshot {
         self.resolve_latched(&db, oid)
     }
 
-    /// A latched view for one traversal; its counters land in the
-    /// registry when it drops.
-    fn latched(&self) -> Latched<'_> {
+    /// This snapshot as a [`ReadView`] for one traversal — the door to
+    /// the filtered §3 questions ([`corion_core::view`] with a
+    /// [`Filter`]). It takes the shared engine latch on first use and
+    /// re-takes it every 256 objects, so drop it when the answer is in;
+    /// its counters land in the registry when it drops.
+    pub fn view(&self) -> impl ReadView + '_ {
         Latched {
             snap: self,
             db: None,
@@ -194,30 +206,31 @@ impl Snapshot {
         Ok(base)
     }
 
-    /// The direct components of `oid`: every reference held in one of
-    /// its composite attributes, as visible at this snapshot.
+    /// The direct (level-1) components of `oid` visible at this
+    /// snapshot, each once.
     pub fn components_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        view::components_of(&mut self.latched(), oid)
+        view::components_of(&mut self.view(), oid, &Filter::all().level(1))
     }
 
-    /// The composite parents of `oid` (from its reverse references).
+    /// The composite parents of `oid` (from its reverse references),
+    /// each once.
     pub fn parents_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        view::parents_of(&mut self.latched(), oid)
+        view::parents_of(&mut self.view(), oid, &Filter::all())
     }
 
-    /// Every ancestor of `oid` reachable through composite parents
-    /// (transitive closure, `oid` excluded), sorted.
+    /// Every ancestor of `oid` visible at this snapshot (transitive
+    /// closure, `oid` excluded), nearest first.
     pub fn ancestors_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        view::ancestors_of(&mut self.latched(), oid)
+        view::ancestors_of(&mut self.view(), oid, &Filter::all())
     }
 
     /// The full component subtree below `oid` (transitive closure,
-    /// `oid` included), in discovery order. Objects of a class with no
+    /// `oid` included), level by level. Objects of a class with no
     /// composite attribute are listed on visibility alone: their records
     /// are not read, so a corrupt leaf page fails [`Snapshot::get`] on
     /// that leaf but not a traversal through it.
     pub fn subtree_of(&self, oid: Oid) -> DbResult<Vec<Oid>> {
-        view::subtree_of(&mut self.latched(), oid)
+        view::subtree_of(&mut self.view(), oid)
     }
 }
 
@@ -271,8 +284,8 @@ impl ReadView for Latched<'_> {
         })
     }
 
-    fn composite_attrs(&mut self, class: ClassId) -> DbResult<Vec<usize>> {
-        view::composite_positions(self.latch()?, class)
+    fn catalog(&mut self) -> DbResult<&Catalog> {
+        Ok(self.latch()?.catalog())
     }
 }
 

@@ -46,7 +46,7 @@ use corion_lock::{LockError, LockIntent, LockMode, Lockable, TxnId};
 use corion_storage::{Lsn, VersionKey};
 
 use crate::db::{ConcurrentDb, Shared};
-use crate::plan::{plan, subtree_of_view, OpTarget};
+use crate::plan::{plan, targets_below, OpTarget};
 
 fn vkey(oid: Oid) -> VersionKey {
     VersionKey {
@@ -314,10 +314,7 @@ impl WriteTxn {
         let targets: Vec<OpTarget> = {
             let db = self.shared.db.read();
             let overlay = self.overlay.as_ref().expect("open txn has an overlay");
-            subtree_of_view(&db, overlay, root)
-                .into_iter()
-                .map(OpTarget::Object)
-                .collect()
+            targets_below(&db, overlay, root)
         };
         self.run_op(&targets, LockIntent::Write, |db, ov| {
             db.overlay_delete(ov, root)
@@ -340,10 +337,7 @@ impl WriteTxn {
         let targets: Vec<OpTarget> = {
             let db = self.shared.db.read();
             let overlay = self.overlay.as_ref().expect("open txn has an overlay");
-            let mut t: Vec<OpTarget> = subtree_of_view(&db, overlay, child)
-                .into_iter()
-                .map(OpTarget::Object)
-                .collect();
+            let mut t = targets_below(&db, overlay, child);
             t.push(OpTarget::Object(parent));
             t
         };

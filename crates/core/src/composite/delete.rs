@@ -19,7 +19,6 @@ use crate::db::Database;
 use crate::error::DbResult;
 use crate::exec::DirectEng;
 use crate::oid::Oid;
-use crate::schema::attr::CompositeSpec;
 
 impl Database {
     /// Deletes `root` and recursively every component required by the
@@ -31,40 +30,6 @@ impl Database {
     /// never a hierarchy with half its members gone.
     pub fn delete(&mut self, root: Oid) -> DbResult<Vec<Oid>> {
         self.atomic(|db| crate::exec::delete_inner(&mut DirectEng(db), root))
-    }
-
-    /// Every forward composite reference held by `oid` — its *level-1
-    /// component set* — as `(attribute spec, referenced component)` pairs.
-    /// Memoised in the traversal cache.
-    pub(crate) fn forward_composite_refs(
-        &self,
-        oid: Oid,
-    ) -> DbResult<std::sync::Arc<Vec<(CompositeSpec, Oid)>>> {
-        if let Some(cached) = self.traversal_cache.children(oid) {
-            return Ok(cached);
-        }
-        let out = std::sync::Arc::new(self.forward_composite_refs_uncached(oid)?);
-        self.traversal_cache.store_children(oid, out.clone());
-        Ok(out)
-    }
-
-    /// [`Database::forward_composite_refs`] recomputed from storage,
-    /// bypassing the traversal cache (the equivalence oracle).
-    pub(crate) fn forward_composite_refs_uncached(
-        &self,
-        oid: Oid,
-    ) -> DbResult<Vec<(CompositeSpec, Oid)>> {
-        let obj = self.get(oid)?;
-        let class = self.catalog.class(oid.class)?;
-        let mut out = Vec::new();
-        for (idx, def) in class.attrs.iter().enumerate() {
-            if let Some(spec) = def.composite {
-                for child in obj.attrs[idx].refs() {
-                    out.push((spec, child));
-                }
-            }
-        }
-        Ok(out)
     }
 }
 

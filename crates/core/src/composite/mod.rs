@@ -5,17 +5,17 @@
 //! * [`make`] — the §2.4 algorithm for making an existing object a
 //!   component (attach/detach with reverse-reference bookkeeping);
 //! * [`delete`] — the recursive Deletion Rule;
-//! * [`ops`] — `components-of`, `parents-of`, `ancestors-of` and the
-//!   predicate messages of §3;
-//! * [`cache`] — the generation-invalidated hierarchy cache behind the
-//!   shared-read (`&self`) traversal engine.
+//! * [`view`] — the §3 walks (`components-of`, `parents-of`,
+//!   `ancestors-of`), written once over a [`ReadView`];
+//! * [`ops`] — the §3 messages and predicates of the engine, as adapters
+//!   over those walks.
 
-pub mod cache;
 pub mod delete;
 pub mod make;
 pub mod ops;
 pub mod topology;
+pub mod view;
 
-pub use cache::TraversalCacheStats;
 pub use ops::Filter;
 pub use topology::ParentSets;
+pub use view::ReadView;

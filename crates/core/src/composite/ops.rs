@@ -9,14 +9,15 @@
 //! `shared-compositep`, `dependent-compositep` on classes, and
 //! `component-of`, `child-of`, `exclusive-component-of`,
 //! `shared-component-of` on instances.
+//!
+//! The walks themselves live in [`view`]; what is here is the
+//! [`Filter`] and the engine's messages as adapters over them — a span,
+//! one latency sample, and the engine as the view.
 
-use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
-
+use crate::composite::view;
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::oid::{ClassId, Oid};
-use crate::refs::ReverseRef;
 
 /// Argument bundle for the §3.1 traversal messages: `[ListofClasses]
 /// [Exclusive] [Shared]` (+ `[Level]` for `components-of`).
@@ -75,34 +76,9 @@ impl Filter {
             (false, true) => !edge_exclusive,
         }
     }
-
-    fn admits_class(&self, db: &Database, class: ClassId) -> bool {
-        match &self.classes {
-            None => true,
-            Some(cs) => cs.iter().any(|&c| db.is_subclass_of(class, c)),
-        }
-    }
-
-    /// True if the filter admits every edge and every class — the traversal
-    /// result is then a pure function of the hierarchy and can be served
-    /// from the closure caches.
-    fn is_transparent(&self) -> bool {
-        self.classes.is_none() && self.exclusive == self.shared
-    }
 }
 
 impl Database {
-    /// The reverse composite references of `oid` (§2.4), post-deferred-
-    /// maintenance, memoised in the traversal cache.
-    pub(crate) fn reverse_composite_refs(&self, oid: Oid) -> DbResult<Arc<Vec<ReverseRef>>> {
-        if let Some(cached) = self.traversal_cache.parents(oid) {
-            return Ok(cached);
-        }
-        let out = Arc::new(self.get(oid)?.reverse_refs.clone());
-        self.traversal_cache.store_parents(oid, out.clone());
-        Ok(out)
-    }
-
     /// `(components-of Object [ListofClasses] [Exclusive] [Shared] [Level])`
     ///
     /// Returns the component set of `object`: "all objects directly or
@@ -111,51 +87,7 @@ impl Database {
     pub fn components_of(&self, object: Oid, filter: &Filter) -> DbResult<Vec<Oid>> {
         let _span = corion_obs::span("core", "components_of");
         let _timer = self.metrics.components_of_latency.start_timer();
-        self.components_walk(object, filter, true)
-    }
-
-    /// [`Database::components_of`] recomputed from storage, bypassing the
-    /// traversal cache — the oracle the equivalence test suite compares
-    /// cached traversals against.
-    pub fn components_of_uncached(&self, object: Oid, filter: &Filter) -> DbResult<Vec<Oid>> {
-        let _timer = self.metrics.components_of_latency.start_timer();
-        self.components_walk(object, filter, false)
-    }
-
-    fn components_walk(&self, object: Oid, filter: &Filter, cached: bool) -> DbResult<Vec<Oid>> {
-        if !self.exists(object) {
-            return Err(DbError::NoSuchObject(object));
-        }
-        let mut seen: HashSet<Oid> = HashSet::new();
-        seen.insert(object);
-        let mut out = Vec::new();
-        let mut frontier: VecDeque<(Oid, usize)> = VecDeque::new();
-        frontier.push_back((object, 0));
-        while let Some((oid, depth)) = frontier.pop_front() {
-            if let Some(max) = filter.level {
-                if depth >= max {
-                    continue;
-                }
-            }
-            let edges = if cached {
-                self.forward_composite_refs(oid)?
-            } else {
-                Arc::new(self.forward_composite_refs_uncached(oid)?)
-            };
-            for &(spec, child) in edges.iter() {
-                if !filter.admits_edge(spec.exclusive) {
-                    continue;
-                }
-                if !self.exists(child) || !seen.insert(child) {
-                    continue;
-                }
-                if filter.admits_class(self, child.class) {
-                    out.push(child);
-                }
-                frontier.push_back((child, depth + 1));
-            }
-        }
-        Ok(out)
+        view::components_of(&mut &*self, object, filter)
     }
 
     /// `(parents-of Object [ListofClasses] [Exclusive] [Shared])` — the
@@ -164,128 +96,24 @@ impl Database {
     pub fn parents_of(&self, object: Oid, filter: &Filter) -> DbResult<Vec<Oid>> {
         let _span = corion_obs::span("core", "parents_of");
         let _timer = self.metrics.parents_of_latency.start_timer();
-        let rrs = self.reverse_composite_refs(object)?;
-        Ok(self.filter_parents(&rrs, filter))
-    }
-
-    /// [`Database::parents_of`] bypassing the traversal cache.
-    pub fn parents_of_uncached(&self, object: Oid, filter: &Filter) -> DbResult<Vec<Oid>> {
-        let _timer = self.metrics.parents_of_latency.start_timer();
-        let obj = self.get(object)?;
-        Ok(self.filter_parents(&obj.reverse_refs, filter))
-    }
-
-    fn filter_parents(&self, rrs: &[ReverseRef], filter: &Filter) -> Vec<Oid> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for rr in rrs {
-            if !filter.admits_edge(rr.exclusive) {
-                continue;
-            }
-            if !filter.admits_class(self, rr.parent.class) {
-                continue;
-            }
-            if seen.insert(rr.parent) {
-                out.push(rr.parent);
-            }
-        }
-        out
+        view::parents_of(&mut &*self, object, filter)
     }
 
     /// `(ancestors-of Object [ListofClasses] [Exclusive] [Shared])` — the
     /// *ancestor set*: objects with a direct **or indirect** composite
-    /// reference to `object`. The unfiltered closure is memoised per
-    /// object; filtered queries walk edge-by-edge (a filtered closure is
-    /// not derivable from the unfiltered one) but still hit the cached
-    /// reverse-reference lists.
+    /// reference to `object`, nearest first.
     pub fn ancestors_of(&self, object: Oid, filter: &Filter) -> DbResult<Vec<Oid>> {
         let _span = corion_obs::span("core", "ancestors_of");
         let _timer = self.metrics.ancestors_of_latency.start_timer();
-        if filter.is_transparent() {
-            if let Some(cached) = self.traversal_cache.ancestors(object) {
-                return Ok((*cached).clone());
-            }
-            let out = self.ancestors_walk(object, filter, true)?;
-            self.traversal_cache
-                .store_ancestors(object, Arc::new(out.clone()));
-            return Ok(out);
-        }
-        self.ancestors_walk(object, filter, true)
-    }
-
-    /// [`Database::ancestors_of`] recomputed from storage, bypassing the
-    /// traversal cache.
-    pub fn ancestors_of_uncached(&self, object: Oid, filter: &Filter) -> DbResult<Vec<Oid>> {
-        let _timer = self.metrics.ancestors_of_latency.start_timer();
-        self.ancestors_walk(object, filter, false)
-    }
-
-    fn ancestors_walk(&self, object: Oid, filter: &Filter, cached: bool) -> DbResult<Vec<Oid>> {
-        if !self.exists(object) {
-            return Err(DbError::NoSuchObject(object));
-        }
-        let mut seen: HashSet<Oid> = HashSet::new();
-        seen.insert(object);
-        let mut out = Vec::new();
-        let mut frontier: VecDeque<Oid> = VecDeque::new();
-        frontier.push_back(object);
-        while let Some(oid) = frontier.pop_front() {
-            let rrs = if cached {
-                self.reverse_composite_refs(oid)?
-            } else {
-                Arc::new(self.get(oid)?.reverse_refs.clone())
-            };
-            for rr in rrs.iter() {
-                if !filter.admits_edge(rr.exclusive) {
-                    continue;
-                }
-                if !self.exists(rr.parent) || !seen.insert(rr.parent) {
-                    continue;
-                }
-                if filter.admits_class(self, rr.parent.class) {
-                    out.push(rr.parent);
-                }
-                frontier.push_back(rr.parent);
-            }
-        }
-        Ok(out)
+        view::ancestors_of(&mut &*self, object, filter)
     }
 
     /// The roots of every composite object containing `object`: its
-    /// ancestors (plus itself) that have no composite parents. Memoised per
-    /// object.
+    /// ancestors (plus itself) that have no composite parents.
     pub fn roots_of(&self, object: Oid) -> DbResult<Vec<Oid>> {
         let _span = corion_obs::span("core", "roots_of");
         let _timer = self.metrics.ancestors_of_latency.start_timer();
-        if let Some(cached) = self.traversal_cache.roots(object) {
-            return Ok((*cached).clone());
-        }
-        let mut candidates = self.ancestors_of(object, &Filter::all())?;
-        candidates.insert(0, object);
-        let mut out = Vec::new();
-        for c in candidates {
-            if self.reverse_composite_refs(c)?.is_empty() {
-                out.push(c);
-            }
-        }
-        self.traversal_cache
-            .store_roots(object, Arc::new(out.clone()));
-        Ok(out)
-    }
-
-    /// [`Database::roots_of`] recomputed from storage, bypassing the
-    /// traversal cache.
-    pub fn roots_of_uncached(&self, object: Oid) -> DbResult<Vec<Oid>> {
-        let _timer = self.metrics.ancestors_of_latency.start_timer();
-        let mut candidates = self.ancestors_of_uncached(object, &Filter::all())?;
-        candidates.insert(0, object);
-        let mut out = Vec::new();
-        for c in candidates {
-            if self.get(c)?.reverse_refs.is_empty() {
-                out.push(c);
-            }
-        }
-        Ok(out)
+        view::roots_of(&mut &*self, object)
     }
 
     // ------------------------------------------------------------------
@@ -409,47 +237,20 @@ impl Database {
     pub fn component_of(&self, o1: Oid, o2: Oid) -> DbResult<bool> {
         let _span = corion_obs::span("core", "component_of");
         let _timer = self.metrics.predicate_latency.start_timer();
-        if !self.exists(o1) {
-            return Err(DbError::NoSuchObject(o1));
-        }
-        if o1 == o2 {
-            return Ok(false);
-        }
-        let mut seen = HashSet::new();
-        let mut frontier = vec![o1];
-        while let Some(oid) = frontier.pop() {
-            if !seen.insert(oid) {
-                continue;
-            }
-            for rr in self.reverse_composite_refs(oid)?.iter() {
-                if rr.parent == o2 {
-                    return Ok(true);
-                }
-                frontier.push(rr.parent);
-            }
-        }
-        Ok(false)
+        view::component_of(&mut &*self, o1, o2)
     }
 
     /// `(child-of Object1 Object2)`: is `o1` a **direct** component of `o2`?
     pub fn child_of(&self, o1: Oid, o2: Oid) -> DbResult<bool> {
         let _timer = self.metrics.predicate_latency.start_timer();
-        Ok(self
-            .reverse_composite_refs(o1)?
-            .iter()
-            .any(|rr| rr.parent == o2))
+        Ok(view::parents_of(&mut &*self, o1, &Filter::all())?.contains(&o2))
     }
 
     /// `(exclusive-component-of Object1 Object2)`: True if `o1` is an
     /// exclusive component of `o2`; Nil if it is not a component at all or a
     /// shared one.
     pub fn exclusive_component_of(&self, o1: Oid, o2: Oid) -> DbResult<bool> {
-        let _timer = self.metrics.predicate_latency.start_timer();
-        let is_exclusive = self
-            .reverse_composite_refs(o1)?
-            .iter()
-            .any(|rr| rr.exclusive);
-        Ok(is_exclusive && self.component_of(o1, o2)?)
+        self.component_held(o1, o2, &Filter::all().exclusive())
     }
 
     /// `(shared-component-of Object1 Object2)`: True if `o1` is a shared
@@ -457,17 +258,22 @@ impl Database {
     /// ¬`exclusive-component-of`, which by Topology Rule 3 reduces to a flag
     /// test on `o1`.
     pub fn shared_component_of(&self, o1: Oid, o2: Oid) -> DbResult<bool> {
+        self.component_held(o1, o2, &Filter::all().shared())
+    }
+
+    /// Is `o1` a component of `o2` *and* held by some parent through a
+    /// reference of the kind `held` admits?
+    fn component_held(&self, o1: Oid, o2: Oid, held: &Filter) -> DbResult<bool> {
         let _timer = self.metrics.predicate_latency.start_timer();
-        let is_shared = self
-            .reverse_composite_refs(o1)?
-            .iter()
-            .any(|rr| !rr.exclusive);
-        Ok(is_shared && self.component_of(o1, o2)?)
+        let view = &mut &*self;
+        Ok(!view::parents_of(view, o1, held)?.is_empty() && view::component_of(view, o1, o2)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::schema::attr::{CompositeSpec, Domain};
     use crate::schema::class::ClassBuilder;
@@ -739,10 +545,8 @@ mod tests {
         assert!(f.db.components_of(ghost, &Filter::all()).is_err());
         assert!(f.db.ancestors_of(ghost, &Filter::all()).is_err());
         assert!(f.db.parents_of(ghost, &Filter::all()).is_err());
-        assert!(f.db.components_of_uncached(ghost, &Filter::all()).is_err());
-        assert!(f.db.ancestors_of_uncached(ghost, &Filter::all()).is_err());
-        assert!(f.db.parents_of_uncached(ghost, &Filter::all()).is_err());
-        assert!(f.db.roots_of_uncached(ghost).is_err());
+        assert!(f.db.roots_of(ghost).is_err());
+        assert!(f.db.component_of(ghost, ghost).is_err());
     }
 
     #[test]
@@ -875,58 +679,5 @@ mod tests {
             }
         }
         assert!(f.db.components_of_many(&[], &Filter::all()).is_empty());
-    }
-
-    #[test]
-    fn traversal_cache_serves_repeat_reads_and_invalidates_on_write() {
-        // Cache accounting is read through the registry counters; they are
-        // monotonic, so the test works in before/after deltas.
-        let misses = |f: &Fixture| {
-            f.db.metrics_snapshot()
-                .counter("corion_traversal_cache_misses_total")
-        };
-        let mut f = fixture();
-        let b = build(&mut f);
-        let base_misses = misses(&f);
-        let first = f.db.components_of(b.book, &Filter::all()).unwrap();
-        let warm_misses = misses(&f);
-        let obs_on = cfg!(feature = "obs");
-        if obs_on {
-            assert!(
-                warm_misses > base_misses,
-                "cold traversal populates the cache"
-            );
-        }
-        let second = f.db.components_of(b.book, &Filter::all()).unwrap();
-        assert_eq!(first, second);
-        let snap = f.db.metrics_snapshot();
-        if obs_on {
-            assert_eq!(
-                snap.counter("corion_traversal_cache_misses_total"),
-                warm_misses,
-                "repeat traversal is all hits"
-            );
-            assert!(snap.counter("corion_traversal_cache_hits_total") > 0);
-        }
-        // A write bumps the generation; the next read drops the cache and
-        // sees the new hierarchy.
-        let gen_before = f.db.hierarchy_generation();
-        f.db.delete(b.ch2).unwrap();
-        assert!(f.db.hierarchy_generation() > gen_before);
-        let after = f.db.components_of(b.book, &Filter::all()).unwrap();
-        let set: HashSet<Oid> = after.iter().copied().collect();
-        assert_eq!(set, [b.ch1, b.p1, b.p2, b.img].into_iter().collect());
-        if obs_on {
-            let snap = f.db.metrics_snapshot();
-            assert!(snap.counter("corion_traversal_cache_invalidations_total") >= 1);
-            assert_eq!(
-                snap.gauge("corion_hierarchy_generation") as u64,
-                f.db.hierarchy_generation()
-            );
-        }
-        assert_eq!(
-            after,
-            f.db.components_of_uncached(b.book, &Filter::all()).unwrap()
-        );
     }
 }

@@ -96,7 +96,6 @@ pub struct Database {
     pub(crate) txn: Option<crate::txn::TxnState>,
     pub(crate) overlay: Option<crate::overlay::Overlay>,
     pub(crate) capture: crate::capture::Capture,
-    pub(crate) traversal_cache: crate::composite::cache::TraversalCache,
     pub(crate) registry: corion_obs::Registry,
     pub(crate) metrics: crate::metrics::CoreMetrics,
     /// `Some(dir)` when the engine was opened on a data directory
@@ -127,8 +126,8 @@ impl Database {
     /// Creates an engine with explicit configuration.
     ///
     /// Every layer shares one metrics [`Registry`](corion_obs::Registry):
-    /// the storage substrate, the lock-free traversal cache, and the engine
-    /// itself all intern their counters here, so
+    /// the storage substrate and the engine itself intern their counters
+    /// here, so
     /// [`Database::metrics_snapshot`] sees the whole stack at once.
     pub fn with_config(config: DbConfig) -> Self {
         let registry = corion_obs::Registry::new();
@@ -155,7 +154,6 @@ impl Database {
             txn: None,
             overlay: None,
             capture: Default::default(),
-            traversal_cache: crate::composite::cache::TraversalCache::new(&registry),
             metrics,
             registry,
             data_dir: None,
@@ -279,7 +277,6 @@ impl Database {
             Err(e) if matches!(e, DbError::Storage(_) | DbError::ReadOnly) => {
                 let _ = self.abort_batch();
                 self.metrics.atomic_aborts.inc();
-                self.traversal_cache.bump();
                 Err(e)
             }
             Err(e) => {
@@ -301,7 +298,6 @@ impl Database {
     /// parent clustering between the two classes.
     pub fn define_class(&mut self, builder: ClassBuilder) -> DbResult<ClassId> {
         self.undo_forbid_ddl()?;
-        self.traversal_cache.bump();
         let segment = match builder.share_segment_with {
             Some(other) => self.catalog.class(other)?.segment,
             None => self.sealing(|store| store.create_segment())?,
@@ -372,19 +368,8 @@ impl Database {
 
     /// Applies pending deferred flag changes; returns `true` if the object
     /// was modified. Implemented in `evolution::deferred`.
-    pub(crate) fn apply_pending_changes(&self, obj: &mut Object) -> DbResult<bool> {
+    pub fn apply_pending_changes(&self, obj: &mut Object) -> DbResult<bool> {
         crate::evolution::deferred::apply_pending(self, obj)
-    }
-
-    /// Declares that the part hierarchy may have changed. Outside a
-    /// transaction every write invalidates the traversal cache
-    /// immediately; inside one the bumps are deferred to a single bump at
-    /// commit/abort (the cache is suppressed meanwhile, so no stale entry
-    /// can be served).
-    pub(crate) fn note_hierarchy_change(&self) {
-        if self.txn.is_none() && self.overlay.is_none() {
-            self.traversal_cache.bump();
-        }
     }
 
     /// Persists an object at its current address (relocating if it grew).
@@ -402,7 +387,6 @@ impl Database {
             ov.record_save(obj);
             return Ok(());
         }
-        self.note_hierarchy_change();
         let phys = self
             .shards
             .get(obj.oid)
@@ -430,7 +414,6 @@ impl Database {
             ov.record_insert(obj, near);
             return Ok(());
         }
-        self.note_hierarchy_change();
         let segment = self.catalog.class(obj.oid.class)?.segment;
         self.note_touch(obj.oid, Some(obj))?;
         let near_phys = near.and_then(|o| self.shards.get(o));
@@ -458,7 +441,6 @@ impl Database {
             ov.record_erase(oid, in_base);
             return Ok(());
         }
-        self.note_hierarchy_change();
         self.note_touch(oid, None)?;
         let phys = self.shards.remove(oid).ok_or(DbError::NoSuchObject(oid))?;
         if self.undo.is_some() {
@@ -612,7 +594,7 @@ impl Database {
     }
 
     /// Point-in-time snapshot of every metric the engine records — WAL,
-    /// commit, recovery, traversal-cache, lock, and per-operation latency
+    /// commit, recovery, lock, and per-operation latency
     /// counters, keyed by the names catalogued in `docs/OBSERVABILITY.md`.
     ///
     /// The snapshot is a plain data structure: it serialises with
@@ -659,26 +641,9 @@ impl Database {
         self.shards.shard_count()
     }
 
-    /// Traversal-cache counters (hits, misses, invalidations, generation).
-    #[deprecated(
-        since = "0.1.0",
-        note = "read the `corion_traversal_cache_*` counters from `Database::metrics_snapshot` instead"
-    )]
-    pub fn traversal_cache_stats(&self) -> crate::composite::cache::TraversalCacheStats {
-        self.traversal_cache.stats()
-    }
-
-    /// The current hierarchy generation — bumped by every object write and
-    /// every DDL entry point; the traversal cache is valid for exactly one
-    /// generation.
-    pub fn hierarchy_generation(&self) -> u64 {
-        self.traversal_cache.generation()
-    }
-
-    /// Resets storage and traversal-cache counters (not the generation).
+    /// Resets the storage counters.
     pub fn reset_io_stats(&self) {
         self.store.reset_stats();
-        self.traversal_cache.reset_stats();
     }
 
     /// Flushes and empties the page cache (cold-cache experiments).
@@ -708,7 +673,6 @@ impl Database {
     /// [`Database::recover`] runs.
     pub fn simulate_crash(&mut self) {
         self.store.simulate_crash();
-        self.traversal_cache.bump();
     }
 
     /// Recovers after a crash (simulated or injected): replays the
@@ -728,15 +692,13 @@ impl Database {
         // A transaction open at the crash never committed; the rebuild
         // below restores the pre-transaction truth from storage.
         self.txn = None;
-        self.traversal_cache.set_suppressed(false);
         self.rebuild_derived_state()?;
         Ok(report)
     }
 
     /// Rebuilds every in-memory map derived from storage — object table,
-    /// class extensions, serial counter — by scanning all segments, then
-    /// bumps the hierarchy generation so no pre-rebuild traversal can be
-    /// served from cache. Shared by [`Database::recover`] and
+    /// class extensions, serial counter — by scanning all segments.
+    /// Shared by [`Database::recover`] and
     /// [`Database::scrub`], both of which may change what storage holds.
     fn rebuild_derived_state(&mut self) -> DbResult<()> {
         self.shards.clear_objects();
@@ -798,7 +760,6 @@ impl Database {
             maxes.into_iter().max().unwrap_or(floor)
         };
         self.next_serial.store(max_serial, Ordering::Relaxed);
-        self.traversal_cache.bump();
         Ok(())
     }
 
@@ -892,7 +853,6 @@ impl Database {
     /// [`Database::scrub`] tests.
     pub fn corrupt_page_byte(&mut self, page: u64, offset: usize, mask: u8) -> DbResult<()> {
         self.store.corrupt_page_byte(page, offset, mask)?;
-        self.traversal_cache.bump();
         Ok(())
     }
 
@@ -914,7 +874,6 @@ impl Database {
     /// The object must already exist.
     pub fn raw_overwrite_object(&mut self, obj: &Object) -> DbResult<()> {
         self.atomic(|db| {
-            db.note_hierarchy_change();
             let phys = db
                 .shards
                 .get(obj.oid)

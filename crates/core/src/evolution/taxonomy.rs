@@ -30,7 +30,6 @@ impl Database {
     /// remove the IS-A edge or drop it on the definer).
     pub fn drop_attribute(&mut self, class: ClassId, attr: &str) -> DbResult<()> {
         self.undo_forbid_ddl()?;
-        self.traversal_cache.bump();
         let c = self.catalog.class(class)?;
         let def = c.attr(attr).ok_or_else(|| DbError::NoSuchAttribute {
             class,
@@ -58,7 +57,6 @@ impl Database {
     /// and of inheriting subclasses) take the attribute's `:init` value.
     pub fn add_attribute(&mut self, class: ClassId, def: AttributeDef) -> DbResult<()> {
         self.undo_forbid_ddl()?;
-        self.traversal_cache.bump();
         def.validate()?;
         let c = self.catalog.class(class)?;
         if c.attr(&def.name).is_some() {
@@ -78,7 +76,6 @@ impl Database {
     /// newly inherited attributes at their `:init` values.
     pub fn add_superclass(&mut self, class: ClassId, superclass: ClassId) -> DbResult<()> {
         self.undo_forbid_ddl()?;
-        self.traversal_cache.bump();
         let old = self.old_layouts(class);
         self.catalog.add_superclass(class, superclass)?;
         self.detach_lost_and_realign(&old)?;
@@ -91,7 +88,6 @@ impl Database {
     /// deleted according to (1)."
     pub fn remove_superclass(&mut self, class: ClassId, superclass: ClassId) -> DbResult<()> {
         self.undo_forbid_ddl()?;
-        self.traversal_cache.bump();
         let old = self.old_layouts(class);
         self.catalog.remove_superclass(class, superclass)?;
         self.detach_lost_and_realign(&old)?;
@@ -108,7 +104,6 @@ impl Database {
     /// provided.
     pub fn drop_class(&mut self, class: ClassId) -> DbResult<()> {
         self.undo_forbid_ddl()?;
-        self.traversal_cache.bump();
         self.catalog.class(class)?;
         // Delete direct instances first — their composite references cascade
         // per the Deletion Rule.
@@ -140,7 +135,6 @@ impl Database {
         provider: ClassId,
     ) -> DbResult<()> {
         self.undo_forbid_ddl()?;
-        self.traversal_cache.bump();
         let old = self.old_layouts(class);
         self.catalog.set_preferred_provider(class, attr, provider)?;
         // Force re-initialisation of this attribute by pretending the old

@@ -84,7 +84,6 @@ impl Database {
         maintenance: Maintenance,
     ) -> DbResult<()> {
         self.undo_forbid_ddl()?;
-        self.traversal_cache.bump();
         let class = self.catalog.class(referencing)?;
         let def = class
             .attr(attr)

@@ -11,8 +11,8 @@
 //! * [`DirectEng`] wraps `&mut Database` and delegates to the engine's own
 //!   primitives, so the single-threaded entry points (`Database::make`,
 //!   `Database::set_attr`, …) keep their exact semantics: undo
-//!   before-images, transaction touch notes, traversal-cache generation
-//!   bumps, and serial-floor WAL notes all happen inside the primitives.
+//!   before-images, transaction touch notes and serial-floor WAL notes all
+//!   happen inside the primitives.
 //! * [`OverlayEng`] runs the same semantics against `&Database` plus an
 //!   **external** [`Overlay`]: reads answer overlay-first, writes land
 //!   only in the overlay, and serial allocation uses the atomic counter
@@ -26,12 +26,11 @@
 //! `&mut Database` at all — the only engine state it touches is the atomic
 //! serial counter — so any number of §7-disjoint writers can run their
 //! operation bodies in parallel and serialise only for the short
-//! commit-publish section. The traversal cache is bypassed throughout
-//! (these walks recompute from `get`), so no overlay-derived entry can
-//! leak between transactions.
+//! commit-publish section.
 
 use std::collections::{BTreeSet, HashSet};
 
+use crate::composite::view::{self, ReadView};
 use crate::db::{Database, OrphanPolicy};
 use crate::error::{DbError, DbResult};
 use crate::object::Object;
@@ -39,6 +38,7 @@ use crate::oid::{ClassId, Oid};
 use crate::overlay::Overlay;
 use crate::refs::ReverseRef;
 use crate::schema::attr::{AttributeDef, CompositeSpec, Domain};
+use crate::schema::catalog::Catalog;
 use crate::value::Value;
 
 /// The storage primitives the composite-object semantics are generic
@@ -62,9 +62,24 @@ pub(crate) trait Eng {
     /// handling, which may recursively delete).
     fn delete_cascade(&mut self, oid: Oid) -> DbResult<Vec<Oid>>;
     /// Is `o1` a (direct or indirect) component of `o2`? The acyclicity
-    /// check of attach. Default: an uncached upward walk over this view.
+    /// check of attach: the §3.2 walk over this view.
     fn component_of(&self, o1: Oid, o2: Oid) -> DbResult<bool> {
-        is_component_of(self, o1, o2)
+        view::component_of(&mut EngView(self), o1, o2)
+    }
+}
+
+/// Any execution mode as a [`ReadView`].
+struct EngView<'a, E: ?Sized>(&'a E);
+
+impl<E: Eng + ?Sized> ReadView for EngView<'_, E> {
+    fn resolve(&mut self, oid: Oid) -> DbResult<Option<Object>> {
+        view::found(self.0.get(oid))
+    }
+    fn visible(&mut self, oid: Oid) -> DbResult<bool> {
+        Ok(self.0.exists(oid))
+    }
+    fn catalog(&mut self) -> DbResult<&Catalog> {
+        Ok(&self.0.base().catalog)
     }
 }
 
@@ -105,12 +120,6 @@ impl Eng for DirectEng<'_> {
         // Route through the public entry point so the cascade joins the
         // enclosing atomic batch with the usual op accounting.
         self.0.delete(oid)
-    }
-    fn component_of(&self, o1: Oid, o2: Oid) -> DbResult<bool> {
-        // The cached §3.2 predicate: same answer as the generic walk, but
-        // it keeps the traversal cache warm and the predicate metrics
-        // counting, as the single-threaded entry points always have.
-        self.0.component_of(o1, o2)
     }
 }
 
@@ -229,12 +238,11 @@ fn check_domain<E: Eng>(e: &E, def: &AttributeDef, value: &Value) -> DbResult<()
 }
 
 // ----------------------------------------------------------------------
-// Uncached hierarchy walks
+// The Deletion Rule's view of one object
 // ----------------------------------------------------------------------
 
-/// Every forward composite reference held by `oid`, recomputed from the
-/// view (never the traversal cache — overlay execution must not read or
-/// seed cross-transaction cache entries).
+/// Every forward composite reference held by `oid`, with the D/X flags
+/// the Deletion Rule decides by.
 pub(crate) fn forward_composite_refs_of<E: Eng>(
     e: &E,
     oid: Oid,
@@ -250,29 +258,6 @@ pub(crate) fn forward_composite_refs_of<E: Eng>(
         }
     }
     Ok(out)
-}
-
-/// Is `o1` a (direct or indirect) component of `o2`? Walks **up** from
-/// `o1` through reverse references, like `Database::component_of`, but
-/// against the view and without the cache.
-fn is_component_of<E: Eng + ?Sized>(e: &E, o1: Oid, o2: Oid) -> DbResult<bool> {
-    if o1 == o2 {
-        return Ok(false);
-    }
-    let mut seen = HashSet::new();
-    let mut frontier = vec![o1];
-    while let Some(oid) = frontier.pop() {
-        if !seen.insert(oid) {
-            continue;
-        }
-        for rr in &e.get(oid)?.reverse_refs {
-            if rr.parent == o2 {
-                return Ok(true);
-            }
-            frontier.push(rr.parent);
-        }
-    }
-    Ok(false)
 }
 
 // ----------------------------------------------------------------------

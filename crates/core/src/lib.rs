@@ -17,7 +17,8 @@
 //!   references (parent OID plus D and X flags) stored inside each
 //!   component object ([`object`]);
 //! * the **operations** of §3 — `components-of`, `parents-of`,
-//!   `ancestors-of` and the predicate messages ([`composite::ops`]);
+//!   `ancestors-of` and the predicate messages, one walk over any
+//!   [`ReadView`] ([`composite::view`], [`composite::ops`]);
 //! * **schema evolution** of §4 — the revised drop semantics, the
 //!   state-independent changes I1–I4 (immediate *and* deferred via
 //!   operation logs and change counts), and the state-dependent changes
@@ -70,8 +71,7 @@ pub mod undo;
 pub mod value;
 
 pub use capture::{Change, ChangeSet};
-pub use composite::cache::TraversalCacheStats;
-pub use composite::Filter;
+pub use composite::{view, Filter, ReadView};
 pub use corion_obs::{MetricsSnapshot, Registry};
 pub use corion_storage::{HealthState, ScrubReport};
 pub use db::{Database, DbConfig, OrphanPolicy};

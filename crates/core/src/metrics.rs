@@ -18,7 +18,7 @@ const FANOUT_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 65536];
 /// the registry's values.
 pub struct CoreMetrics {
     /// `corion_components_of_latency_ns`: time per `components-of`
-    /// traversal (§3.1), cached or uncached, single or batched.
+    /// traversal (§3.1), single or batched.
     pub components_of_latency: corion_obs::Histogram,
     /// `corion_parents_of_latency_ns`: time per `parents-of` traversal
     /// (§3.1).

@@ -29,9 +29,7 @@
 //!   references) run unchanged;
 //! * the internal `save` / `insert_object` / `erase` primitives write
 //!   only the overlay;
-//! * atomic batches are skipped — there is nothing to journal yet;
-//! * the traversal cache is suppressed, so no overlay-derived entry can
-//!   leak to other transactions.
+//! * atomic batches are skipped — there is nothing to journal yet.
 //!
 //! At commit, [`Database::overlay_apply`] replays the net effect into
 //! the base store as **one** atomic batch: a single contiguous WAL run
@@ -160,9 +158,9 @@ impl Overlay {
 impl Database {
     /// Install a transaction-private write overlay. Until
     /// [`overlay_take`](Database::overlay_take), every mutation lands in
-    /// the overlay and every read answers overlay-first; the traversal
-    /// cache is suppressed. Exclusive with the single-threaded
-    /// transaction/undo scopes and with an open storage batch.
+    /// the overlay and every read answers overlay-first. Exclusive with
+    /// the single-threaded transaction/undo scopes and with an open
+    /// storage batch.
     ///
     /// This is engine plumbing for `corion-concurrent`, which installs
     /// the overlay only while holding its exclusive latch.
@@ -183,19 +181,14 @@ impl Database {
                 reason: "overlays cannot be installed inside an open atomic batch".into(),
             });
         }
-        self.traversal_cache.set_suppressed(true);
         self.overlay = Some(overlay);
         Ok(())
     }
 
-    /// Remove and return the installed overlay, re-enabling the
-    /// traversal cache. Returns `None` if no overlay is installed.
+    /// Remove and return the installed overlay; `None` if no overlay is
+    /// installed.
     pub fn overlay_take(&mut self) -> Option<Overlay> {
-        let ov = self.overlay.take();
-        if ov.is_some() {
-            self.traversal_cache.set_suppressed(false);
-        }
-        ov
+        self.overlay.take()
     }
 
     /// True while a write overlay is installed.

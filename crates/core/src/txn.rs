@@ -11,8 +11,7 @@
 //! A transaction amortises that cost. Between [`Database::begin_transaction`]
 //! and [`Database::commit_transaction`] every mutation joins one open
 //! storage batch: pages are logged once (deduplicated by the batch),
-//! one commit marker is appended, one flush happens, and the traversal
-//! cache's hierarchy generation is bumped once instead of per write.
+//! one commit marker is appended, and one flush happens.
 //! [`Database::abort_transaction`] rolls everything back: the storage
 //! layer rewinds its log and frames (no-steal policy — dirty pages never
 //! reach disk before commit), and the engine restores its derived maps
@@ -121,8 +120,7 @@ struct PlannedMake {
 impl Database {
     /// Opens a transaction. Until [`commit_transaction`] (or
     /// [`abort_transaction`]) every mutation joins one storage batch:
-    /// one WAL commit marker, one flush, one traversal-cache generation
-    /// bump for the whole group.
+    /// one WAL commit marker and one flush for the whole group.
     ///
     /// Transactions do not nest, exclude the [`begin_undo`] scope, and
     /// reject DDL ([`define_class`] and the schema-evolution entry
@@ -150,10 +148,6 @@ impl Database {
             });
         }
         self.store.begin_atomic()?;
-        // Defer cache invalidation to one bump at commit/abort; the cache
-        // stands aside meanwhile so mid-transaction traversals are neither
-        // served pre-transaction entries nor cached prematurely.
-        self.traversal_cache.set_suppressed(true);
         self.txn = Some(TxnState {
             table_before: HashMap::new(),
             next_serial: self.next_serial.load(std::sync::atomic::Ordering::Relaxed),
@@ -190,8 +184,6 @@ impl Database {
             });
         }
         let result = self.commit_batch();
-        self.traversal_cache.set_suppressed(false);
-        self.traversal_cache.bump();
         match result {
             Ok(()) => {
                 self.metrics.txn_commits.inc();
@@ -222,8 +214,6 @@ impl Database {
         if self.store.health() == HealthState::Healthy {
             self.restore_txn_maps(txn);
         }
-        self.traversal_cache.set_suppressed(false);
-        self.traversal_cache.bump();
         self.metrics.txn_aborts.inc();
         result?;
         Ok(())

@@ -62,12 +62,13 @@ pub use corion_concurrent::{ConcurrentDb, Snapshot, WriteTxn};
 pub use corion_core::composite::Filter;
 pub use corion_core::query;
 pub use corion_core::query::{Predicate, Query};
+pub use corion_core::view;
 pub use corion_core::Overlay;
 pub use corion_core::{
     AttributeDef, Class, ClassBuilder, ClassId, CompositeSpec, Database, DbConfig, DbError,
     DbResult, Domain, HealthState, IntegrityReport, MakeSpec, MetricsSnapshot, Object, Oid,
-    OrphanPolicy, ParentRef, RefKind, Registry, RepairReport, ReverseRef, ScrubReport,
-    TraversalCacheStats, Value,
+    OrphanPolicy, ParentRef, ReadView, RefKind, Registry, RepairReport, ReverseRef, ScrubReport,
+    Value,
 };
 pub use corion_lang::Interpreter;
 pub use corion_lock::{

@@ -35,11 +35,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use corion_authz::{AuthObject, AuthType, Authorization, Decision, Sign, Strength, UserId};
-use corion_concurrent::{view, Snapshot, WriteTxn};
+use corion_concurrent::{Snapshot, WriteTxn};
 use corion_core::schema::lattice;
 use corion_core::{
-    query, ClassBuilder, ClassId, CompositeSpec, Database, DbError, DbResult, Domain, MakeSpec,
-    Object, Oid, ParentRef, Value,
+    query, view, ClassBuilder, ClassId, CompositeSpec, Database, DbError, DbResult, Domain, Filter,
+    MakeSpec, Object, Oid, ParentRef, Value,
 };
 use corion_protocol::{
     decode_request, encode_response_into, ErrorCode, FrameError, FrameReader, FrameWriter, Request,
@@ -599,7 +599,9 @@ impl<'a, S: Conn> Session<'a, S> {
             Request::ComponentsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |mut db| view::components_of(&mut db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |mut db| {
+                        view::components_of(&mut db, oid, &Filter::all().level(1))
+                    }),
                     None => self.inner.db.begin_read().components_of(oid),
                 };
                 match r {
@@ -610,7 +612,9 @@ impl<'a, S: Conn> Session<'a, S> {
             Request::ParentsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |mut db| view::parents_of(&mut db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |mut db| {
+                        view::parents_of(&mut db, oid, &Filter::all())
+                    }),
                     None => self.inner.db.begin_read().parents_of(oid),
                 };
                 match r {
@@ -621,7 +625,9 @@ impl<'a, S: Conn> Session<'a, S> {
             Request::AncestorsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |mut db| view::ancestors_of(&mut db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |mut db| {
+                        view::ancestors_of(&mut db, oid, &Filter::all())
+                    }),
                     None => self.inner.db.begin_read().ancestors_of(oid),
                 };
                 match r {

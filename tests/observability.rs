@@ -4,11 +4,10 @@
 //! Covers, in order: (1) a crash-matrix-style soak proving the WAL
 //! append/flush/recovery counters are live after repeated armed crashes
 //! and recoveries; (2) line-by-line validation of the Prometheus text
-//! exposition; (3) equivalence of the deprecated
-//! [`Database::traversal_cache_stats`] shim with the registry counters,
-//! including monotonicity across `reset_io_stats`; (4) span events from
-//! §3 traversals and the autocommit path reaching a global subscriber;
-//! (5) snapshot text round-trip and merge semantics on live engine data.
+//! exposition; (3) span events from §3 traversals and the autocommit path
+//! reaching a global subscriber; (4) snapshot text round-trip and merge
+//! semantics on live engine data; (5) one latency sample per public §3
+//! message.
 
 use std::sync::Arc;
 
@@ -57,8 +56,8 @@ fn parts_db() -> (Database, Vec<Oid>, Vec<Oid>) {
 }
 
 /// Run a mixed read/write workload so that every instrumented subsystem
-/// records at least once: traversals (cold + cached), predicates, an
-/// attribute write (cache invalidation + WAL commit), and a checkpoint.
+/// records at least once: traversals, predicates, an attribute write
+/// (WAL commit), and a checkpoint.
 fn soak(db: &mut Database, parts: &[Oid], asms: &[Oid]) {
     for _ in 0..2 {
         for &a in asms {
@@ -124,9 +123,6 @@ fn crash_matrix_soak_shows_nonzero_wal_and_recovery_counters() {
         "corion_storage_recovered_pages_total",
         "corion_atomic_commits_total",
         "corion_atomic_aborts_total",
-        "corion_traversal_cache_hits_total",
-        "corion_traversal_cache_misses_total",
-        "corion_traversal_cache_invalidations_total",
     ] {
         assert!(snap.counter(name) > 0, "{name} stayed zero after the soak");
     }
@@ -256,59 +252,7 @@ fn prometheus_rendering_parses_line_by_line() {
 }
 
 // ---------------------------------------------------------------------
-// (3) Deprecated shim equivalence
-// ---------------------------------------------------------------------
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_cache_stats_shim_mirrors_registry_counters() {
-    let (mut db, parts, asms) = parts_db();
-    soak(&mut db, &parts, &asms);
-
-    let stats = db.traversal_cache_stats();
-    let snap = db.metrics_snapshot();
-    assert!(stats.hits > 0 && stats.misses > 0 && stats.invalidations > 0);
-    assert_eq!(
-        stats.hits,
-        snap.counter("corion_traversal_cache_hits_total")
-    );
-    assert_eq!(
-        stats.misses,
-        snap.counter("corion_traversal_cache_misses_total")
-    );
-    assert_eq!(
-        stats.invalidations,
-        snap.counter("corion_traversal_cache_invalidations_total")
-    );
-    assert_eq!(
-        snap.gauge("corion_hierarchy_generation"),
-        i64::try_from(db.hierarchy_generation()).unwrap()
-    );
-
-    // The shim is resettable; the registry counters are monotonic and
-    // survive the reset untouched.
-    db.reset_io_stats();
-    let stats = db.traversal_cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.invalidations), (0, 0, 0));
-    let after = db.metrics_snapshot();
-    assert_eq!(
-        after.counter("corion_traversal_cache_hits_total"),
-        snap.counter("corion_traversal_cache_hits_total")
-    );
-    // And both sides keep counting in step from their own baselines.
-    db.components_of(asms[0], &Filter::all()).unwrap();
-    db.components_of(asms[0], &Filter::all()).unwrap();
-    let stats = db.traversal_cache_stats();
-    let now = db.metrics_snapshot();
-    assert_eq!(
-        stats.hits,
-        now.counter("corion_traversal_cache_hits_total")
-            - snap.counter("corion_traversal_cache_hits_total")
-    );
-}
-
-// ---------------------------------------------------------------------
-// (4) Tracing — engine operations reach the global subscriber
+// (3) Tracing — engine operations reach the global subscriber
 // ---------------------------------------------------------------------
 
 #[test]
@@ -342,7 +286,7 @@ fn engine_spans_reach_a_global_subscriber() {
 }
 
 // ---------------------------------------------------------------------
-// (5) Snapshot round-trip and merge on live engine data
+// (4) Snapshot round-trip and merge on live engine data
 // ---------------------------------------------------------------------
 
 #[test]
@@ -363,9 +307,10 @@ fn live_snapshot_text_round_trips_and_merges() {
         2 * snap.counter("corion_wal_append_records_total")
     );
     assert_eq!(
-        doubled.gauge("corion_hierarchy_generation"),
-        snap.gauge("corion_hierarchy_generation")
+        doubled.gauge("corion_shard_count"),
+        snap.gauge("corion_shard_count")
     );
+    assert!(snap.gauge("corion_shard_count") > 0);
     let before = snap.histogram("corion_atomic_latency_ns").unwrap();
     let after = doubled.histogram("corion_atomic_latency_ns").unwrap();
     assert_eq!(after.count, 2 * before.count);
@@ -374,4 +319,72 @@ fn live_snapshot_text_round_trips_and_merges() {
         after.buckets.iter().sum::<u64>(),
         2 * before.buckets.iter().sum::<u64>()
     );
+}
+
+// ---------------------------------------------------------------------
+// (5) One latency sample per public §3 message
+// ---------------------------------------------------------------------
+
+/// Every §3 message is an adapter over the one walk: whatever it calls
+/// inside, it records exactly one sample in its own histogram
+/// (`roots_of` used to record two — its own and the nested
+/// `ancestors_of` one — and the `*-component-of` predicates likewise).
+#[test]
+fn each_public_traversal_call_records_one_latency_sample() {
+    let (db, parts, asms) = parts_db();
+    let (p, a) = (parts[0], asms[0]);
+    let all = Filter::all();
+    let samples = |name: &str| db.metrics_snapshot().histogram(name).map_or(0, |h| h.count);
+    let calls: [(&str, &str, &dyn Fn()); 8] = [
+        ("components_of", "corion_components_of_latency_ns", &|| {
+            db.components_of(a, &all).unwrap();
+        }),
+        ("parents_of", "corion_parents_of_latency_ns", &|| {
+            db.parents_of(p, &all).unwrap();
+        }),
+        ("ancestors_of", "corion_ancestors_of_latency_ns", &|| {
+            db.ancestors_of(p, &all).unwrap();
+        }),
+        ("roots_of", "corion_ancestors_of_latency_ns", &|| {
+            db.roots_of(p).unwrap();
+        }),
+        ("component_of", "corion_predicate_latency_ns", &|| {
+            db.component_of(p, a).unwrap();
+        }),
+        ("child_of", "corion_predicate_latency_ns", &|| {
+            db.child_of(p, a).unwrap();
+        }),
+        (
+            "exclusive_component_of",
+            "corion_predicate_latency_ns",
+            &|| {
+                db.exclusive_component_of(p, a).unwrap();
+            },
+        ),
+        (
+            "shared_component_of",
+            "corion_predicate_latency_ns",
+            &|| {
+                assert!(db.shared_component_of(p, a).unwrap());
+            },
+        ),
+    ];
+    const HISTOGRAMS: [&str; 4] = [
+        "corion_components_of_latency_ns",
+        "corion_parents_of_latency_ns",
+        "corion_ancestors_of_latency_ns",
+        "corion_predicate_latency_ns",
+    ];
+    for (message, histogram, call) in calls {
+        let before = HISTOGRAMS.map(samples);
+        call();
+        let after = HISTOGRAMS.map(samples);
+        for ((name, before), after) in HISTOGRAMS.iter().zip(before).zip(after) {
+            assert_eq!(
+                after - before,
+                u64::from(*name == histogram),
+                "{message}: samples recorded in {name}"
+            );
+        }
+    }
 }

@@ -267,104 +267,96 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Traversal-cache equivalence: cached == fresh uncached walk
+// The one §3 walk == the reference walk
 // ---------------------------------------------------------------------
 
-/// Compares every cached §3 traversal against its uncached oracle for every
-/// live object in `pool`. Runs each cached traversal twice so at least one
-/// pass is answered from a warm cache.
-fn assert_traversals_match_oracle(
-    db: &Database,
+mod reference;
+
+use corion::ConcurrentDb;
+use reference::filter_for;
+
+/// Compares the §3 answers of the engine's messages (the one walk over
+/// `&Database`) and of a snapshot pinned now (the same walk over MVCC
+/// chains) against the reference walk, for every object in `pool` — dead
+/// ones included, where all three must refuse.
+fn assert_walks_match_reference(
+    cdb: &ConcurrentDb,
     pool: &[Oid],
     filter: &Filter,
 ) -> Result<(), TestCaseError> {
-    for &o in pool {
-        if !db.exists(o) {
-            continue;
+    let snap = cdb.begin_read();
+    cdb.with_read(|db| {
+        for &o in pool {
+            let want = reference::answers(db, o, filter);
+            prop_assert_eq!(&reference::engine_answers(db, o, filter), &want);
+            prop_assert_eq!(&reference::walk_answers(&mut snap.view(), o, filter), &want);
         }
-        for _pass in 0..2 {
-            prop_assert_eq!(
-                db.components_of(o, filter).unwrap(),
-                db.components_of_uncached(o, filter).unwrap()
-            );
-            prop_assert_eq!(
-                db.ancestors_of(o, filter).unwrap(),
-                db.ancestors_of_uncached(o, filter).unwrap()
-            );
-            prop_assert_eq!(
-                db.parents_of(o, filter).unwrap(),
-                db.parents_of_uncached(o, filter).unwrap()
-            );
-            prop_assert_eq!(db.roots_of(o).unwrap(), db.roots_of_uncached(o).unwrap());
-        }
-    }
-    Ok(())
-}
-
-fn filter_for(kind: u8, class: corion::ClassId) -> Filter {
-    match kind % 6 {
-        0 => Filter::all(),
-        1 => Filter::all().exclusive(),
-        2 => Filter::all().shared(),
-        3 => Filter::all().exclusive().shared(),
-        4 => Filter::all().level(2),
-        _ => Filter::all().classes(vec![class]),
-    }
+        Ok(())
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The tentpole equivalence property: after every step of a random
-    /// make_component / remove_component / delete / set_attr interleaving,
-    /// each cached traversal equals a fresh walk that bypasses the cache.
+    /// After every step of a random make_component / remove_component /
+    /// delete / set_attr interleaving, the one walk equals the reference
+    /// walk — over the engine and over a pinned snapshot. `versioned`
+    /// runs the steps as write transactions (every touched object gets a
+    /// version chain, so the snapshot resolves through MVCC); otherwise
+    /// they go through the single-threaded engine and the snapshot falls
+    /// back to the base. (The name dates from the traversal cache this
+    /// property used to guard.)
     #[test]
     fn cached_traversals_equal_uncached_walks_under_random_interleavings(
         ops in prop::collection::vec(op_strategy(), 1..16),
         fkind in 0u8..6,
+        versioned in any::<bool>(),
     ) {
         let (mut db, part) = part_db();
         let filter = filter_for(fkind, part);
         let mut pool: Vec<Oid> = (0..5).map(|_| db.make(part, vec![], vec![]).unwrap()).collect();
-        // Warm + check before the interleaving…
-        assert_traversals_match_oracle(&db, &pool, &filter)?;
+        let cdb = ConcurrentDb::from_database(db);
+        assert_walks_match_reference(&cdb, &pool, &filter)?;
+        // `WriteTxn` and `Database` spell the mutations alike.
+        macro_rules! step {
+            (|$e:ident| $body:expr) => {
+                if versioned {
+                    cdb.run_write(|$e| $body)
+                } else {
+                    cdb.with_exclusive(|$e| $body)
+                }
+            };
+        }
         for op in ops {
+            let pick = |i: usize| pool[i % pool.len()];
+            // A step the topology rules refuse changes nothing, which is
+            // as good a step as any.
             match op {
-                Op::Create => pool.push(db.make(part, vec![], vec![]).unwrap()),
+                Op::Create => pool.push(step!(|e| e.make(part, vec![], vec![])).unwrap()),
                 Op::Attach { child, parent, attr } => {
-                    let (c, p) = (pool[child % pool.len()], pool[parent % pool.len()]);
-                    if db.exists(c) && db.exists(p) {
-                        let _ = db.make_component(c, p, ATTRS[attr % 4]);
-                    }
+                    let (c, p, a) = (pick(child), pick(parent), ATTRS[attr % 4]);
+                    let _ = step!(|e| e.make_component(c, p, a));
                 }
                 Op::Detach { child, parent, attr } => {
-                    let (c, p) = (pool[child % pool.len()], pool[parent % pool.len()]);
-                    if db.exists(c) && db.exists(p) {
-                        let _ = db.remove_component(c, p, ATTRS[attr % 4]);
-                    }
+                    let (c, p, a) = (pick(child), pick(parent), ATTRS[attr % 4]);
+                    let _ = step!(|e| e.remove_component(c, p, a));
                 }
                 Op::Delete { obj } => {
-                    let o = pool[obj % pool.len()];
-                    if db.exists(o) {
-                        db.delete(o).unwrap();
-                    }
+                    let o = pick(obj);
+                    let _ = step!(|e| e.delete(o));
                 }
                 Op::SetWeak { obj, target } => {
-                    let (o, t) = (pool[obj % pool.len()], pool[target % pool.len()]);
-                    if db.exists(o) && db.exists(t) {
-                        let _ = db.set_attr(o, "buddy", Value::Ref(t));
-                    }
+                    let (o, t) = (pick(obj), pick(target));
+                    let _ = step!(|e| e.set_attr(o, "buddy", Value::Ref(t)));
                 }
             }
-            // …and again after every mutation: the generation bump must
-            // have dropped any entry the mutation could have staled.
-            assert_traversals_match_oracle(&db, &pool, &filter)?;
+            assert_walks_match_reference(&cdb, &pool, &filter)?;
         }
     }
 
     /// Deferred schema evolution changes reference flags *without* writing
-    /// any object — the DDL generation bump alone must keep cached
-    /// traversals honest.
+    /// any object (§4.3): filtered walks must see the new flags at once,
+    /// in base records and in version-chain images alike.
     #[test]
     fn cached_traversals_survive_deferred_flag_changes(
         seed in 0u64..200,
@@ -379,28 +371,37 @@ proptest! {
                 share_fraction: 0.0, dependent_fraction: 1.0, seed,
             },
         ).unwrap();
-        let pool = dag.all();
+        let mut pool = dag.all();
         let node_class = pool[0].class;
         let filter = filter_for(fkind, node_class);
-        // Warm the cache with exclusive edges in place…
-        assert_traversals_match_oracle(&db, &pool, &filter)?;
-        // …then flip every composite attribute of the DAG class shared,
+        let cdb = ConcurrentDb::from_database(db);
+        // One write transaction first, so some reverse references live in
+        // version-chain images rather than base records.
+        let leaf = *pool.last().unwrap();
+        pool.push(cdb.run_write(|t| t.make(node_class, vec![], vec![(leaf, "kids_de")])).unwrap());
+        assert_walks_match_reference(&cdb, &pool, &filter)?;
+        // Flip every composite attribute of the DAG class shared,
         // deferred: no object is touched until its next access.
-        let class_def = db.class(node_class).unwrap().clone();
-        for attr in class_def.attrs.iter().filter(|a| {
-            a.composite.map(|s| s.exclusive).unwrap_or(false)
-        }) {
-            db.change_attribute_type(
-                node_class,
-                &attr.name,
-                AttrTypeChange::ExclusiveToShared,
-                Maintenance::Deferred,
-            ).unwrap();
-        }
-        assert_traversals_match_oracle(&db, &pool, &filter)?;
-        // An exclusive-only walk now finds nothing below any root.
-        for &root in &dag.roots {
-            prop_assert_eq!(db.components_of(root, &Filter::all().exclusive()).unwrap(), vec![]);
+        cdb.with_exclusive(|db| {
+            let class_def = db.class(node_class).unwrap().clone();
+            for attr in class_def.attrs.iter().filter(|a| {
+                a.composite.map(|s| s.exclusive).unwrap_or(false)
+            }) {
+                db.change_attribute_type(
+                    node_class,
+                    &attr.name,
+                    AttrTypeChange::ExclusiveToShared,
+                    Maintenance::Deferred,
+                ).unwrap();
+            }
+        });
+        assert_walks_match_reference(&cdb, &pool, &filter)?;
+        // An exclusive-only walk now finds nothing below or above anything.
+        let snap = cdb.begin_read();
+        let exclusive = Filter::all().exclusive();
+        for &o in &pool {
+            prop_assert_eq!(cdb.with_read(|db| db.components_of(o, &exclusive)).unwrap(), vec![]);
+            prop_assert_eq!(corion::view::ancestors_of(&mut snap.view(), o, &exclusive).unwrap(), vec![]);
         }
     }
 }

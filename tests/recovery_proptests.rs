@@ -17,9 +17,9 @@
 //! catches the disk up, itself a crash target) keep that gap in play.
 //!
 //! The oracle is a twin database replaying the same deterministic
-//! operations with no faults armed — the same style as the PR-1
-//! `_uncached` traversal oracles: recompute the answer the slow, safe way
-//! and demand equality.
+//! operations with no faults armed — the same style as the reference
+//! traversal walks (`tests/reference`): recompute the answer the slow,
+//! safe way and demand equality.
 
 use corion::storage::{CP_CHECKPOINT_WRITE, CP_COMMIT_FLUSH, CRASH_POINTS};
 use corion::{

@@ -4,74 +4,90 @@
 //! A writer commits between pins — deleting, re-parenting, creating and
 //! rewriting objects of a random composite graph — and every pinned
 //! [`Snapshot`]'s `subtree_of` / `components_of` / `parents_of` /
-//! `ancestors_of` must keep equalling the `_uncached` core answer that
-//! was captured when it was pinned, for every object the run ever knew:
-//! ones deleted since, ones re-parented since, and ones that did not
-//! exist yet. The `vehicles` graphs have leaf classes (no composite
-//! attribute), which the snapshot walk lists on visibility alone; the
-//! `dag` graphs have none and shared components. Also here: the
-//! `instances_of` merge under a bulk commit.
+//! `ancestors_of`, and its filtered walks under all six filter kinds,
+//! must keep equalling the reference-walk answer (`tests/reference`) that
+//! was captured from the engine when it was pinned, for every object the
+//! run ever knew: ones deleted since, ones re-parented since, and ones
+//! that did not exist yet. Answers are compared as the lists they are —
+//! same members, same nearest-first order, nothing twice. The `vehicles`
+//! graphs have leaf classes (no composite attribute), which the snapshot
+//! walk lists on visibility alone; the `dag` graphs have none and shared
+//! components. Also here: the `instances_of` merge under a bulk commit,
+//! and the two answers the snapshot walk used to get wrong.
 
 use std::collections::HashMap;
 
 use corion::workload::dag::{DagParams, GeneratedDag};
 use corion::workload::vehicles::Fleet;
-use corion::{ClassBuilder, ClassId, ConcurrentDb, Database, Domain, Filter, Oid, Snapshot, Value};
+use corion::{
+    ClassBuilder, ClassId, CompositeSpec, ConcurrentDb, Database, Domain, Filter, Oid, Snapshot,
+    Value,
+};
 use proptest::prelude::*;
 
-/// What the core engine says about one object; `None` where it errors
-/// (the object does not exist).
+mod reference;
+
+/// What is known about one object: the four wire answers (`None` where
+/// the object does not exist) and the filtered answers, one per filter
+/// kind.
 #[derive(Debug, Clone, PartialEq)]
 struct Answers {
-    /// The object and everything below it, sorted (empty if absent).
+    /// The object and everything below it (empty if absent).
     subtree: Vec<Oid>,
     components: Option<Vec<Oid>>,
     parents: Option<Vec<Oid>>,
     ancestors: Option<Vec<Oid>>,
+    filtered: Vec<reference::Answers>,
 }
 
-/// As a set: `Snapshot::components_of` lists a component once per
-/// composite attribute that holds it, the core once.
 fn sorted(mut v: Vec<Oid>) -> Vec<Oid> {
     v.sort();
-    v.dedup();
     v
 }
 
-fn absent() -> Answers {
+/// The six filter kinds, the class list naming the object's own class.
+fn filters(oid: Oid) -> impl Iterator<Item = Filter> {
+    (0..6).map(move |kind| reference::filter_for(kind, oid.class))
+}
+
+fn absent(oid: Oid) -> Answers {
+    let none = reference::Answers {
+        components: None,
+        parents: None,
+        ancestors: None,
+        roots: None,
+    };
     Answers {
         subtree: vec![],
         components: None,
         parents: None,
         ancestors: None,
+        filtered: filters(oid).map(|_| none.clone()).collect(),
     }
 }
 
 fn core_answers(db: &Database, oid: Oid) -> Answers {
     let all = Filter::all();
     Answers {
-        subtree: db
-            .components_of_uncached(oid, &all)
-            .map(|mut below| {
-                below.push(oid);
-                sorted(below)
-            })
-            .unwrap_or_default(),
-        components: db
-            .components_of_uncached(oid, &Filter::all().level(1))
-            .ok()
-            .map(sorted),
-        parents: db.parents_of_uncached(oid, &all).ok().map(sorted),
-        ancestors: db.ancestors_of_uncached(oid, &all).ok().map(sorted),
+        subtree: reference::subtree_of(db, oid),
+        components: reference::components_of(db, oid, &Filter::all().level(1)).ok(),
+        parents: reference::parents_of(db, oid, &all).ok(),
+        ancestors: reference::ancestors_of(db, oid, &all).ok(),
+        filtered: filters(oid)
+            .map(|f| reference::answers(db, oid, &f))
+            .collect(),
     }
 }
 
 fn snapshot_answers(snap: &Snapshot, oid: Oid) -> Answers {
     Answers {
-        subtree: sorted(snap.subtree_of(oid).unwrap()),
-        components: snap.components_of(oid).ok().map(sorted),
-        parents: snap.parents_of(oid).ok().map(sorted),
-        ancestors: snap.ancestors_of(oid).ok().map(sorted),
+        subtree: snap.subtree_of(oid).unwrap(),
+        components: snap.components_of(oid).ok(),
+        parents: snap.parents_of(oid).ok(),
+        ancestors: snap.ancestors_of(oid).ok(),
+        filtered: filters(oid)
+            .map(|f| reference::walk_answers(&mut snap.view(), oid, &f))
+            .collect(),
     }
 }
 
@@ -211,7 +227,7 @@ fn check_pins_survive_writes(mut graph: Graph, steps: Vec<(u8, u16, u16, u8)>) {
         graph.write(step);
         for (n, (snap, at_pin)) in pins.iter().enumerate() {
             for &oid in &graph.known {
-                let want = at_pin.get(&oid).cloned().unwrap_or_else(absent);
+                let want = at_pin.get(&oid).cloned().unwrap_or_else(|| absent(oid));
                 assert_eq!(
                     snapshot_answers(snap, oid),
                     want,
@@ -221,11 +237,16 @@ fn check_pins_survive_writes(mut graph: Graph, steps: Vec<(u8, u16, u16, u8)>) {
             }
         }
     }
-    // And a fresh snapshot agrees with the engine as it is now.
+    // And a fresh snapshot agrees with the engine as it is now — with the
+    // reference and with the engine's own messages.
     let now = graph.cdb.begin_read();
     graph.cdb.with_read(|db| {
         for &oid in &graph.known {
-            assert_eq!(snapshot_answers(&now, oid), core_answers(db, oid));
+            let want = core_answers(db, oid);
+            assert_eq!(snapshot_answers(&now, oid), want);
+            for (f, want) in filters(oid).zip(&want.filtered) {
+                assert_eq!(&reference::engine_answers(db, oid, &f), want);
+            }
         }
     });
 }
@@ -331,4 +352,91 @@ fn instances_of_merges_a_thousand_versioned_instances() {
         survivors,
         "and the base agrees with the newest pin"
     );
+}
+
+/// One `Item` held by one `Holder` through two shared composite
+/// attributes at once, in a served engine.
+fn doubly_held() -> (ConcurrentDb, Oid, Oid) {
+    let shared = CompositeSpec {
+        exclusive: false,
+        dependent: false,
+    };
+    let cdb = ConcurrentDb::new();
+    // Built through the single-threaded engine, so no version chain stands
+    // between a snapshot and what the base record says.
+    let (item, holder) = cdb.with_exclusive(|db| {
+        let item_class = db.define_class(ClassBuilder::new("Item")).unwrap();
+        let set_of_items = || Domain::SetOf(Box::new(Domain::Class(item_class)));
+        let holder_class = db
+            .define_class(
+                ClassBuilder::new("Holder")
+                    .attr_composite("left", set_of_items(), shared)
+                    .attr_composite("right", set_of_items(), shared),
+            )
+            .unwrap();
+        let item = db.make(item_class, vec![], vec![]).unwrap();
+        let holder = db.make(holder_class, vec![], vec![]).unwrap();
+        db.make_component(item, holder, "left").unwrap();
+        db.make_component(item, holder, "right").unwrap();
+        (item, holder)
+    });
+    (cdb, item, holder)
+}
+
+/// The served `ComponentsOf` / `ParentsOf` answers are sets: a component
+/// held through two composite attributes of one parent is one component
+/// with one parent (the snapshot walk used to list each once per
+/// attribute).
+#[test]
+fn a_component_held_through_two_attributes_is_reported_once() {
+    let (cdb, item, holder) = doubly_held();
+    let snap = cdb.begin_read();
+    assert_eq!(snap.components_of(holder).unwrap(), vec![item]);
+    assert_eq!(snap.parents_of(item).unwrap(), vec![holder]);
+    assert_eq!(snap.subtree_of(holder).unwrap(), vec![holder, item]);
+    assert_eq!(snap.ancestors_of(item).unwrap(), vec![holder]);
+    // Inside a write transaction the same questions get the same answers.
+    let mut txn = cdb.begin_write();
+    let all = Filter::all();
+    let (components, parents) = txn
+        .with_view(&[holder], |mut db| {
+            Ok((
+                corion::view::components_of(&mut db, holder, &all.clone().level(1))?,
+                corion::view::parents_of(&mut db, item, &all)?,
+            ))
+        })
+        .unwrap();
+    assert_eq!((components, parents), (vec![item], vec![holder]));
+    cdb.with_read(|db| {
+        assert_eq!(db.components_of(holder, &all).unwrap(), vec![item]);
+        assert_eq!(db.parents_of(item, &all).unwrap(), vec![holder]);
+    });
+}
+
+/// `ancestors_of` over any view skips a parent that a reverse reference
+/// names but the view cannot see, as `Database::ancestors_of` always has
+/// (the snapshot walk used to report it and stop there).
+#[test]
+fn a_named_but_invisible_parent_is_not_an_ancestor() {
+    let (cdb, item, holder) = doubly_held();
+    // Corrupt the item on purpose: a reverse reference to a holder that
+    // never existed, next to the real one.
+    let ghost = Oid::new(holder.class, 9_999);
+    cdb.with_exclusive(|db| {
+        let mut obj = db.get(item).unwrap();
+        let mut dangling = obj.reverse_refs[0];
+        dangling.parent = ghost;
+        obj.reverse_refs.push(dangling);
+        db.raw_overwrite_object(&obj).unwrap();
+    });
+    let snap = cdb.begin_read();
+    assert_eq!(snap.ancestors_of(item).unwrap(), vec![holder]);
+    cdb.with_read(|db| {
+        assert_eq!(
+            db.ancestors_of(item, &Filter::all()).unwrap(),
+            reference::ancestors_of(db, item, &Filter::all()).unwrap()
+        );
+        assert_eq!(db.ancestors_of(item, &Filter::all()).unwrap(), vec![holder]);
+        assert_eq!(db.roots_of(item).unwrap(), vec![holder]);
+    });
 }

@@ -272,13 +272,9 @@ fn transient_fault_soak_is_invisible_to_the_workload() {
 /// crash/recover cycles and verify readers never observe stale or partial
 /// state.
 ///
-/// The freshness argument is the PR-1 cache contract, checked through the
-/// metrics snapshot (`corion_hierarchy_generation`, cache hit counters):
-/// the traversal cache is valid for exactly one
-/// hierarchy generation, reads never move the generation, and every
-/// recovery strictly advances it — so a traversal answered after recovery
-/// can only have been computed from (or validated against) post-recovery
-/// state, never served from a pre-crash cache line.
+/// There is no traversal cache to go stale: every traversal is computed
+/// from the state it runs against, so after recovery it can only see
+/// post-recovery state — which is what the audit checks.
 #[test]
 fn readers_interleave_with_crash_recover_cycles() {
     use corion::storage::CRASH_POINTS;
@@ -301,7 +297,6 @@ fn readers_interleave_with_crash_recover_cycles() {
 
     for cycle in 0..3 * CRASH_POINTS.len() {
         // --- Read phase: four threads traverse the shared engine. -------
-        let gen_before = db.hierarchy_generation();
         let documents = db.instances_of(schema.document, false);
         std::thread::scope(|s| {
             for t in 0..4 {
@@ -323,11 +318,6 @@ fn readers_interleave_with_crash_recover_cycles() {
                 });
             }
         });
-        assert_eq!(
-            db.hierarchy_generation(),
-            gen_before,
-            "pure reads must not move the hierarchy generation"
-        );
 
         // --- Crash phase: fail a cascading delete at a rotating point. --
         let victim = documents[cycle % documents.len()];
@@ -344,16 +334,8 @@ fn readers_interleave_with_crash_recover_cycles() {
         }
         db.heal_crash_points();
         db.recover().unwrap();
-        assert!(
-            db.hierarchy_generation() > gen_before,
-            "recovery must strictly advance the generation (cycle {cycle})"
-        );
 
-        // --- Freshness audit: cached traversals equal a recomputation. --
-        db.reset_io_stats();
-        let hits_before = db
-            .metrics_snapshot()
-            .counter("corion_traversal_cache_hits_total");
+        // --- Freshness audit: traversals are stable and see live state. --
         let live_docs: Vec<Oid> = db.instances_of(schema.document, false);
         for &d in &live_docs {
             let first = db.components_of(d, &Filter::all()).unwrap();
@@ -363,16 +345,6 @@ fn readers_interleave_with_crash_recover_cycles() {
                 assert!(db.exists(c), "stale component {c} survived recovery");
             }
         }
-        let snap = db.metrics_snapshot();
-        assert_eq!(
-            snap.gauge("corion_hierarchy_generation") as u64,
-            db.hierarchy_generation(),
-            "cache gauge must report the live generation"
-        );
-        assert!(
-            snap.counter("corion_traversal_cache_hits_total") > hits_before,
-            "second traversal round should hit the rebuilt cache"
-        );
         db.verify_integrity().unwrap();
 
         // The engine keeps accepting writes between cycles (and re-grows

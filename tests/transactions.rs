@@ -200,21 +200,6 @@ mod public_txn {
     }
 
     #[test]
-    fn the_hierarchy_generation_bumps_once_per_transaction() {
-        let (mut db, part, _) = schema();
-        let gen_before = db.hierarchy_generation();
-        db.transaction(|db| {
-            for i in 0..5 {
-                db.make(part, vec![("n", Value::Int(i))], vec![])?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        // Five writes outside a transaction bump five times; inside, once.
-        assert_eq!(db.hierarchy_generation(), gen_before + 1);
-    }
-
-    #[test]
     fn abort_restores_maps_attributes_and_the_serial_counter() {
         let (mut db, part, asm) = schema();
         let p = db.make(part, vec![("n", Value::Int(1))], vec![]).unwrap();
