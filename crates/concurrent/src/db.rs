@@ -43,12 +43,12 @@ pub(crate) struct EngineMetrics {
     pub(crate) records_read: Counter,
     /// `corion_shard_latch_wait_ns`: time spent *acquiring* the engine
     /// latch (either side) for operation execution or commit publish.
-    /// With shards > 1 the operation side is shared, so waits cluster
-    /// near zero; the single-stripe baseline serializes here.
+    /// The operation side is shared, so its waits cluster near zero
+    /// unless a commit is publishing.
     pub(crate) latch_wait: Histogram,
     /// `corion_shard_latch_hold_ns`: time the engine latch was *held*
-    /// per acquisition — operation execution, commit publish, or an
-    /// installed-overlay view.
+    /// per acquisition — operation execution (in-transaction reads
+    /// included) or commit publish.
     pub(crate) latch_hold: Histogram,
 }
 
@@ -86,19 +86,12 @@ pub trait ChangeSink: Send + Sync {
 /// State shared by every handle, snapshot, and transaction of one engine.
 pub(crate) struct Shared {
     /// The single-threaded engine behind a reader-writer latch. Readers
-    /// (snapshot base fallbacks, lock planning, and — when the engine
-    /// has more than one object-table stripe — per-operation overlay
-    /// execution) take the shared side; only the commit-publish critical
-    /// section, installed-overlay views, and maintenance take the
-    /// exclusive side *briefly* — transactions never hold either side
-    /// across lock waits or between operations. With a single stripe
-    /// (`DbConfig::shards == 1`) operations fall back to the exclusive
-    /// side: that is the honest single-latch baseline the shard-scaling
-    /// bench compares against.
+    /// (snapshot base fallbacks, lock planning, per-operation overlay
+    /// execution, in-transaction reads) take the shared side; only the
+    /// commit-publish critical section and maintenance take the exclusive
+    /// side *briefly* — transactions never hold either side across lock
+    /// waits or between operations.
     pub(crate) db: RwLock<Database>,
-    /// Whether the engine has more than one object-table stripe — decides
-    /// the latch side [`Shared::op_latch`] takes.
-    pub(crate) sharded: bool,
     /// The §7 lock manager. Lock waits block **outside** the latch.
     pub(crate) locks: LockManager,
     /// MVCC version chains + snapshot pins + visible-LSN watermark.
@@ -114,27 +107,18 @@ pub(crate) struct Shared {
     pub(crate) metrics: EngineMetrics,
 }
 
-/// A latch acquisition for *operation execution*: shared when the engine
-/// is sharded, exclusive in the single-stripe baseline. Records the hold
-/// duration into `corion_shard_latch_hold_ns` on release.
+/// A *shared* latch acquisition for operation execution. Records the
+/// hold duration into `corion_shard_latch_hold_ns` on release.
 pub(crate) struct OpLatch<'a> {
-    guard: OpLatchInner<'a>,
+    guard: RwLockReadGuard<'a, Database>,
     hold: Histogram,
     since: Instant,
-}
-
-enum OpLatchInner<'a> {
-    Shared(RwLockReadGuard<'a, Database>),
-    Exclusive(RwLockWriteGuard<'a, Database>),
 }
 
 impl Deref for OpLatch<'_> {
     type Target = Database;
     fn deref(&self) -> &Database {
-        match &self.guard {
-            OpLatchInner::Shared(g) => g,
-            OpLatchInner::Exclusive(g) => g,
-        }
+        &self.guard
     }
 }
 
@@ -144,8 +128,8 @@ impl Drop for OpLatch<'_> {
     }
 }
 
-/// An *exclusive* latch acquisition — the commit-publish critical section,
-/// installed-overlay views, and every maintenance path. On release it
+/// An *exclusive* latch acquisition — the commit-publish critical section
+/// and every maintenance path. On release it
 /// hands the change sets its holder made durable to the registered
 /// [`ChangeSink`], then records the hold duration.
 pub(crate) struct ExclusiveLatch<'a> {
@@ -187,18 +171,13 @@ impl Drop for ExclusiveLatch<'_> {
 }
 
 impl Shared {
-    /// Latch the engine for one operation's overlay execution. Sharded
-    /// engines take the shared side — concurrent writers on disjoint
-    /// composites execute in parallel, serialized only by the §7 locks
-    /// they already hold. The single-stripe baseline takes the exclusive
-    /// side. Acquisition time lands in `corion_shard_latch_wait_ns`.
+    /// Latch the engine for one operation's overlay execution: the shared
+    /// side — concurrent writers on disjoint composites execute in
+    /// parallel, serialized only by the §7 locks they already hold.
+    /// Acquisition time lands in `corion_shard_latch_wait_ns`.
     pub(crate) fn op_latch(&self) -> OpLatch<'_> {
         let wait = Instant::now();
-        let guard = if self.sharded {
-            OpLatchInner::Shared(self.db.read())
-        } else {
-            OpLatchInner::Exclusive(self.db.write())
-        };
+        let guard = self.db.read();
         self.metrics
             .latch_wait
             .record(wait.elapsed().as_nanos() as u64);
@@ -211,7 +190,7 @@ impl Shared {
 
     /// Latch the engine exclusively — the short commit-publish critical
     /// section (overlay apply, LSN allocation, version publish),
-    /// installed-overlay views, `with_exclusive`, recovery and vacuum: no
+    /// `with_exclusive`, recovery and vacuum: no
     /// path takes the write side any other way, so none can commit past
     /// the change sink. Acquisition time lands in
     /// `corion_shard_latch_wait_ns`.
@@ -257,11 +236,9 @@ impl ConcurrentDb {
     /// existing `corion_*` metrics.
     pub fn from_database(db: Database) -> Self {
         let registry = db.metrics_registry().clone();
-        let sharded = db.shard_count() > 1;
         ConcurrentDb {
             shared: Arc::new(Shared {
                 db: RwLock::new(db),
-                sharded,
                 locks: LockManager::with_registry(&registry),
                 versions: VersionStore::with_registry(&registry),
                 epoch: AtomicU64::new(0),

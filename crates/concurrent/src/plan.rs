@@ -23,7 +23,7 @@ use std::collections::HashSet;
 
 use corion_core::schema::catalog::Catalog;
 use corion_core::{
-    view, ClassId, CompositeSpec, Database, DbResult, Object, Oid, Overlay, ReadView,
+    view, ClassId, CompositeSpec, Database, DbResult, Object, Oid, Overlay, OverlayView, ReadView,
 };
 use corion_lock::protocol::composite_lockset;
 use corion_lock::{LockIntent, LockMode, Lockable};
@@ -38,24 +38,24 @@ pub enum OpTarget {
     NewInstance(ClassId),
 }
 
-/// What the planner sees: the transaction's overlay, then the base. The
-/// overlay is *not* installed during planning (planning holds only the
-/// shared latch), so the layering is done here. An object this view
-/// cannot read (already deleted, of an unknown class, behind a storage
-/// fault) **answers itself**: it is there, with no parents and no
-/// components — its own root and its own whole subtree — so the caller
-/// still serialises on the instance before discovering what is wrong
-/// with it.
-struct Planning<'a> {
-    db: &'a Database,
-    overlay: &'a Overlay,
+/// What the planner sees: the transaction's view (its overlay, then the
+/// base), except that an object the view cannot read (already deleted,
+/// of an unknown class, behind a storage fault) **answers itself**: it is
+/// there, with no parents and no components — its own root and its own
+/// whole subtree — so the caller still serialises on the instance before
+/// discovering what is wrong with it.
+struct Planning<'a>(OverlayView<'a>);
+
+impl<'a> Planning<'a> {
+    fn new(db: &'a Database, overlay: &'a Overlay) -> Self {
+        Planning(db.view_over(overlay))
+    }
 }
 
 impl ReadView for Planning<'_> {
     fn resolve(&mut self, oid: Oid) -> DbResult<Option<Object>> {
-        let seen = self.db.overlay_get(self.overlay, oid);
         let bare = |_| Object::new(oid, Vec::new(), 0);
-        Ok(Some(seen.unwrap_or_else(bare)))
+        Ok(Some(self.0.get(oid).unwrap_or_else(bare)))
     }
 
     fn visible(&mut self, _: Oid) -> DbResult<bool> {
@@ -63,11 +63,11 @@ impl ReadView for Planning<'_> {
     }
 
     fn catalog(&mut self) -> DbResult<&Catalog> {
-        Ok(self.db.catalog())
+        Ok(self.0.catalog())
     }
 
     fn composite_attrs(&mut self, class: ClassId) -> DbResult<Vec<(usize, CompositeSpec)>> {
-        Ok((&mut self.db).composite_attrs(class).unwrap_or_default())
+        Ok(self.0.composite_attrs(class).unwrap_or_default())
     }
 }
 
@@ -76,7 +76,7 @@ impl ReadView for Planning<'_> {
 /// `oid` is its own root.
 fn roots(db: &Database, overlay: &Overlay, oid: Oid) -> Vec<Oid> {
     let mut roots =
-        view::roots_of(&mut Planning { db, overlay }, oid).unwrap_or_else(|_| vec![oid]);
+        view::roots_of(&mut Planning::new(db, overlay), oid).unwrap_or_else(|_| vec![oid]);
     roots.sort();
     roots
 }
@@ -86,7 +86,7 @@ fn roots(db: &Database, overlay: &Overlay, oid: Oid) -> Vec<Oid> {
 /// whose effects can touch shared components that also belong to other
 /// composite objects — each of those roots must be locked too.
 pub fn targets_below(db: &Database, overlay: &Overlay, oid: Oid) -> Vec<OpTarget> {
-    view::subtree_of(&mut Planning { db, overlay }, oid)
+    view::subtree_of(&mut Planning::new(db, overlay), oid)
         .unwrap_or_else(|_| vec![oid])
         .into_iter()
         .map(OpTarget::Object)
@@ -179,9 +179,9 @@ mod tests {
         let free = db.make(part, vec![], vec![]).unwrap();
 
         // Attach `free` under `root` inside an overlay only.
-        db.overlay_install(Overlay::new()).unwrap();
-        db.make_component(free, root, "parts").unwrap();
-        let ov = db.overlay_take().unwrap();
+        let mut ov = Overlay::new();
+        db.overlay_make_component(&mut ov, free, root, "parts")
+            .unwrap();
 
         assert_eq!(roots(&db, &ov, free), vec![root]);
         // Without the overlay the object is still its own root.

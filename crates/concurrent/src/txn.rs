@@ -14,14 +14,13 @@
 //!    API ([`Database::overlay_make`] and friends) — the full
 //!    single-threaded semantics (topology rules, cascades, clustering
 //!    hints) run unchanged, reading the base through `&Database` and
-//!    writing only this transaction's private overlay. On a sharded
-//!    engine (`DbConfig::shards > 1`) that takes the **shared** side of
-//!    the engine latch, so writers on disjoint composites execute in
-//!    parallel, serialized only by the §7 locks they hold; object-table
-//!    reads stripe across the per-shard locks. With a single stripe the
-//!    exclusive latch is taken instead — the honest single-latch
-//!    baseline. Either way the latch is held for the duration of the
-//!    operation, not the transaction.
+//!    writing only this transaction's private overlay. That takes the
+//!    **shared** side of the engine latch, so writers on disjoint
+//!    composites execute in parallel, serialized only by the §7 locks
+//!    they hold; object-table reads stripe across the per-shard locks.
+//!    The latch is held for the duration of the operation, not the
+//!    transaction, and an operation the engine rejects leaves the
+//!    overlay as it found it.
 //!
 //! [`WriteTxn::commit`] is the only point where the shared page store
 //! changes. After-images are encoded from the overlay with no latch at
@@ -36,12 +35,11 @@
 //! histograms.
 
 use std::collections::HashSet;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use corion_core::{ClassId, Database};
-use corion_core::{DbError, DbResult, Object, Oid, Overlay, Value};
+use corion_core::{DbError, DbResult, Object, Oid, Overlay, OverlayView, Value};
 use corion_lock::{LockError, LockIntent, LockMode, Lockable, TxnId};
 use corion_storage::{Lsn, VersionKey};
 
@@ -68,8 +66,7 @@ pub struct WriteTxn {
     shared: Arc<Shared>,
     txn: TxnId,
     epoch: u64,
-    /// The private write set. `None` only transiently while installed
-    /// into the engine, and permanently once the transaction is done.
+    /// The private write set; `None` once the transaction is done.
     overlay: Option<Overlay>,
     held: HashSet<(Lockable, LockMode)>,
     /// Set when the transaction aborted (deadlock victim or explicit):
@@ -178,9 +175,8 @@ impl WriteTxn {
         })
     }
 
-    /// Execute one operation through this transaction's external overlay,
-    /// under the operation latch — shared on a sharded engine, exclusive
-    /// in the single-stripe baseline.
+    /// Execute one operation through this transaction's overlay, under the
+    /// shared operation latch.
     fn exec_op<R>(
         &mut self,
         f: impl FnOnce(&Database, &mut Overlay) -> DbResult<R>,
@@ -198,39 +194,6 @@ impl WriteTxn {
         drop(db);
         self.ops += 1;
         result
-    }
-
-    /// Run `f` against the engine with this transaction's overlay
-    /// *installed*, under the exclusive latch. Only multi-object view
-    /// logic ([`WriteTxn::with_view`]) still installs the overlay; every
-    /// mutation and single-object read goes through [`WriteTxn::exec_op`]
-    /// and the external-overlay API instead.
-    fn with_installed<R>(&mut self, f: impl FnOnce(&Database) -> DbResult<R>) -> DbResult<R> {
-        let mut db = self.shared.exclusive_latch();
-        if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
-            drop(db);
-            self.abort_internal();
-            return Err(DbError::TransactionState {
-                reason: "the engine recovered while this transaction was open".into(),
-            });
-        }
-        let overlay = self.overlay.take().expect("open txn has an overlay");
-        if let Err(e) = db.overlay_install(overlay) {
-            // Can only happen if an exclusive-access user left the
-            // engine in a transaction scope; surface it, keep the txn.
-            self.overlay = Some(Overlay::new());
-            return Err(e);
-        }
-        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&db)));
-        self.overlay = Some(db.overlay_take().expect("overlay still installed"));
-        drop(db);
-        match result {
-            Ok(r) => {
-                self.ops += 1;
-                r
-            }
-            Err(payload) => panic::resume_unwind(payload),
-        }
     }
 
     /// Plan + acquire + execute one operation.
@@ -354,21 +317,21 @@ impl WriteTxn {
     /// §7 Read lock set for the object's composite (IS/S/ISO…).
     pub fn get(&mut self, oid: Oid) -> DbResult<Object> {
         self.run_op(&[OpTarget::Object(oid)], LockIntent::Read, |db, ov| {
-            db.overlay_get(ov, oid)
+            db.view_over(ov).get(oid)
         })
     }
 
     /// Read one attribute.
     pub fn get_attr(&mut self, oid: Oid, attr: &str) -> DbResult<Value> {
         self.run_op(&[OpTarget::Object(oid)], LockIntent::Read, |db, ov| {
-            db.overlay_get_attr(ov, oid, attr)
+            db.view_over(ov).get_attr(oid, attr)
         })
     }
 
     /// Whether `oid` is live in this transaction's view.
     pub fn exists(&mut self, oid: Oid) -> DbResult<bool> {
         self.run_op(&[OpTarget::Object(oid)], LockIntent::Read, |db, ov| {
-            Ok(db.overlay_exists(ov, oid))
+            Ok(db.view_over(ov).exists(oid))
         })
     }
 
@@ -381,19 +344,18 @@ impl WriteTxn {
         self.acquire_for(&[OpTarget::Object(root)], intent)
     }
 
-    /// Run an arbitrary closure against the engine with this
-    /// transaction's overlay installed, after taking the §7 Read lock
-    /// set for `roots`. Escape hatch for multi-object read logic
-    /// (traversals, predicates) inside a write transaction.
+    /// Run an arbitrary closure against this transaction's view of the
+    /// engine — its overlay, then the committed base — after taking the
+    /// §7 Read lock set for `roots`. Escape hatch for multi-object read
+    /// logic (traversals, predicates) inside a write transaction; like
+    /// every other operation it holds the **shared** latch while it runs.
     pub fn with_view<R>(
         &mut self,
         roots: &[Oid],
-        f: impl FnOnce(&Database) -> DbResult<R>,
+        f: impl FnOnce(OverlayView<'_>) -> DbResult<R>,
     ) -> DbResult<R> {
         let targets: Vec<OpTarget> = roots.iter().copied().map(OpTarget::Object).collect();
-        self.ensure_open()?;
-        self.acquire_for(&targets, LockIntent::Read)?;
-        self.with_installed(f)
+        self.run_op(&targets, LockIntent::Read, |db, ov| f(db.view_over(ov)))
     }
 
     // ----------------------------------------------------------------
@@ -442,9 +404,9 @@ impl WriteTxn {
 
         // Capture pre-images (for first-writer seeding) and after-images
         // (for publication) before the base changes. After-images come
-        // straight from the overlay; pre-images are read under the
-        // *operation* latch — shared on a sharded engine — because every
-        // write-set object is X-locked by this transaction (strict 2PL),
+        // straight from the overlay; pre-images are read under the shared
+        // *operation* latch, because every write-set object is X-locked
+        // by this transaction (strict 2PL),
         // so its base image cannot change between here and publication.
         let mut seeds: Vec<(VersionKey, Vec<u8>)> = Vec::new();
         let mut publishes: Vec<(VersionKey, Option<Vec<u8>>)> = Vec::new();
@@ -471,7 +433,7 @@ impl WriteTxn {
         }
 
         // The commit-publish critical section: the only code that runs
-        // under the exclusive latch on the hot path of a sharded engine.
+        // under the exclusive latch on the hot path.
         let mut db = self.shared.exclusive_latch();
         if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
             // recover() may have slipped in between the two latches.

@@ -215,6 +215,57 @@ fn snapshot_reads_do_not_block_on_an_open_writer() {
 }
 
 #[test]
+fn in_transaction_reads_share_the_latch_with_other_readers() {
+    // A transaction's traversal runs over its own view — overlay, then
+    // base — under the *shared* latch, so it completes while another
+    // thread sits inside `with_read`. (It used to mount the overlay in
+    // the engine under the exclusive latch and would wait here.)
+    let cdb = ConcurrentDb::new();
+    let (part, asm) = setup(&cdb);
+    let root = mk_root(&cdb, asm, "R");
+
+    let (inside_tx, inside_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let parked = {
+        let cdb = cdb.clone();
+        thread::spawn(move || {
+            cdb.with_read(|_db| {
+                inside_tx.send(()).unwrap();
+                // Parked holding the shared latch until told otherwise.
+                let _ = release_rx.recv_timeout(Duration::from_secs(30));
+            })
+        })
+    };
+    inside_rx.recv().unwrap();
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let traversal = {
+        let cdb = cdb.clone();
+        thread::spawn(move || {
+            let mut txn = cdb.begin_write();
+            let fresh = txn
+                .make(
+                    part,
+                    vec![("tag", Value::Str("p".into()))],
+                    vec![(root, "parts")],
+                )
+                .unwrap();
+            let below = txn
+                .with_view(&[root], |mut v| corion_core::view::subtree_of(&mut v, root))
+                .unwrap();
+            done_tx.send((fresh, below)).unwrap();
+            txn.abort();
+        })
+    };
+    let finished = done_rx.recv_timeout(Duration::from_secs(10));
+    release_tx.send(()).unwrap();
+    parked.join().unwrap();
+    traversal.join().unwrap();
+    let (fresh, below) = finished.expect("the in-transaction traversal waited for a reader");
+    assert_eq!(below, vec![root, fresh], "and it sees its own writes");
+}
+
+#[test]
 fn aborted_transactions_leave_no_trace() {
     let cdb = ConcurrentDb::new();
     let (part, asm) = setup(&cdb);

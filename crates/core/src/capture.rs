@@ -2,9 +2,8 @@
 //! objects, recorded by the code that does it.
 //!
 //! Every object write of the engine passes one seam —
-//! `Database::note_touch`, called by `save`, `insert_object`, `erase`,
-//! `raw_overwrite_object` and the bulk-ingest build phase *before* they
-//! mutate. While capture is on, the seam keeps, per OID and per storage
+//! `Database::note_touch`, called by the apply-side primitives `save`,
+//! `insert_object` and `erase` *before* they mutate. While capture is on, the seam keeps, per OID and per storage
 //! batch, the stored image at the first touch and the image of the last
 //! write. A batch therefore yields exactly the object-level diff of the
 //! states around it — relocation and overflow chains never show, because
@@ -136,11 +135,10 @@ impl Database {
     }
 
     /// The first-touch seam: call before mutating `oid`, with the image
-    /// about to be written (`None` for an erase). Records the object-table
-    /// entry for transaction rollback and, while capture is on, the stored
-    /// before-image (first touch of the batch only) and `after`.
+    /// about to be written (`None` for an erase). While capture is on,
+    /// records the stored before-image (first touch of the batch only)
+    /// and `after`.
     pub(crate) fn note_touch(&mut self, oid: Oid, after: Option<&Object>) -> DbResult<()> {
-        self.txn_note_touch(oid);
         if !self.capture.on() {
             return Ok(());
         }

@@ -17,7 +17,6 @@
 
 use crate::db::Database;
 use crate::error::DbResult;
-use crate::exec::DirectEng;
 use crate::oid::Oid;
 
 impl Database {
@@ -29,7 +28,7 @@ impl Database {
     /// to either the full pre-delete state or the full post-delete state,
     /// never a hierarchy with half its members gone.
     pub fn delete(&mut self, root: Oid) -> DbResult<Vec<Oid>> {
-        self.atomic(|db| crate::exec::delete_inner(&mut DirectEng(db), root))
+        self.run_op(1, |db, ov| db.overlay_delete(ov, root))
     }
 }
 

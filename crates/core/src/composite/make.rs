@@ -18,7 +18,6 @@
 
 use crate::db::Database;
 use crate::error::DbResult;
-use crate::exec::DirectEng;
 use crate::oid::Oid;
 use crate::schema::attr::CompositeSpec;
 
@@ -32,15 +31,17 @@ impl Database {
     /// reference are written in one atomic batch — a crash cannot leave one
     /// direction without the other.
     pub fn make_component(&mut self, child: Oid, parent: Oid, attr: &str) -> DbResult<()> {
-        self.atomic(|db| crate::exec::make_component_inner(&mut DirectEng(db), child, parent, attr))
+        self.run_op(1, |db, ov| {
+            db.overlay_make_component(ov, child, parent, attr)
+        })
     }
 
     /// Removes `child` from `parent`'s composite attribute `attr`,
     /// detaching the reverse reference and applying the orphan policy —
     /// including any orphan cascade — in one atomic batch.
     pub fn remove_component(&mut self, child: Oid, parent: Oid, attr: &str) -> DbResult<()> {
-        self.atomic(|db| {
-            crate::exec::remove_component_inner(&mut DirectEng(db), child, parent, attr)
+        self.run_op(1, |db, ov| {
+            db.overlay_remove_component(ov, child, parent, attr)
         })
     }
 
@@ -54,7 +55,11 @@ impl Database {
         spec: CompositeSpec,
         delete_orphans: bool,
     ) -> DbResult<()> {
-        crate::exec::detach_child_with(&mut DirectEng(self), child, parent, spec, delete_orphans)
+        self.run_op(1, |db, ov| {
+            db.scoped(ov, |e| {
+                crate::exec::detach_child_with(e, child, parent, spec, delete_orphans)
+            })
+        })
     }
 }
 

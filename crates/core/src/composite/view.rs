@@ -2,9 +2,9 @@
 //!
 //! `components-of`, `parents-of` and `ancestors-of` ask the same thing of
 //! whatever state they run against — "what does this OID look like to
-//! me?" — whether that state is the engine itself (with a transaction's
-//! overlay installed or not), an MVCC snapshot pinned at a commit LSN, or
-//! the lock planner's "overlay, then base". [`ReadView`] is that
+//! me?" — whether that state is the engine itself, a transaction's
+//! overlay over it ([`crate::overlay::OverlayView`]), an MVCC snapshot
+//! pinned at a commit LSN, or the lock planner's view. [`ReadView`] is that
 //! question; the functions below are the only loops in the workspace
 //! that follow composite attributes down or reverse composite references
 //! (§2.4) up for a §3 answer. `Database::components_of` and friends, the
@@ -63,8 +63,8 @@ pub trait ReadView {
     }
 }
 
-/// The engine as a view: the committed base, or base plus overlay while
-/// a transaction's overlay is installed.
+/// The engine as a view: the committed base, seen through the engine's
+/// own transaction while one is open.
 impl ReadView for &Database {
     fn resolve(&mut self, oid: Oid) -> DbResult<Option<Object>> {
         found(self.get(oid))

@@ -57,10 +57,9 @@ pub struct DbConfig {
     pub orphan_policy: OrphanPolicy,
     /// Storage tuning.
     pub store: StoreConfig,
-    /// Number of object-table / extension shards (rounded up to a power
-    /// of two, minimum 1). `1` collapses the striping entirely — the
-    /// concurrent layer then runs its legacy single-latch protocol. See
-    /// [`crate::shard`].
+    /// Number of object-table / extension stripes (rounded up to a power
+    /// of two, minimum 1). `1` collapses the striping into one map behind
+    /// one lock; it selects no other behaviour. See [`crate::shard`].
     pub shards: usize,
 }
 
@@ -87,14 +86,14 @@ pub struct Database {
     /// Striped object table + class extensions (see [`crate::shard`]).
     pub(crate) shards: crate::shard::Shards,
     pub(crate) oplogs: HashMap<ClassId, OperationLog>,
-    /// Next OID serial. Atomic so overlay execution under a *shared*
-    /// engine latch can mint serials without `&mut self`; all other
-    /// mutation paths hold `&mut self` and use plain load/store.
+    /// Next OID serial. Atomic so operations executing under a *shared*
+    /// engine latch can mint serials without `&mut self`.
     pub(crate) next_serial: AtomicU64,
     pub(crate) config: DbConfig,
-    pub(crate) undo: Option<crate::undo::UndoLog>,
+    /// The open [`Database::begin_transaction`], if any — the engine's
+    /// one write scope: its overlay is where mutations land and what
+    /// reads answer through until commit or abort.
     pub(crate) txn: Option<crate::txn::TxnState>,
-    pub(crate) overlay: Option<crate::overlay::Overlay>,
     pub(crate) capture: crate::capture::Capture,
     pub(crate) registry: corion_obs::Registry,
     pub(crate) metrics: crate::metrics::CoreMetrics,
@@ -150,9 +149,7 @@ impl Database {
             oplogs: HashMap::new(),
             next_serial: AtomicU64::new(0),
             config,
-            undo: None,
             txn: None,
-            overlay: None,
             capture: Default::default(),
             metrics,
             registry,
@@ -228,61 +225,35 @@ impl Database {
     // Atomic batches
     // ------------------------------------------------------------------
 
-    /// Runs `f` inside one storage-level atomic batch: every page the
-    /// operation touches is logged to the WAL and either all of them become
-    /// durable or none do. Nested calls join the enclosing batch, so a
-    /// cascade (`delete`) is one batch no matter how many objects it visits.
+    /// Runs `f` inside one storage-level atomic batch: every page it
+    /// touches is logged to the WAL and either all of them become durable
+    /// or none do. Nested calls join the enclosing batch (`repair` groups
+    /// its rewrites and cascades this way).
     ///
     /// Error handling is split by kind:
     ///
     /// * a [`DbError::Storage`] error means the substrate itself failed
-    ///   (I/O fault, injected crash point) — the batch is **aborted**, the
-    ///   pages roll back to the pre-batch state, and the in-memory maps may
-    ///   now disagree with storage: the caller must run
-    ///   [`Database::recover`] before further mutations;
-    /// * any other error is a semantic rejection that the entry point has
-    ///   already compensated for (e.g. a failed `make` deletes its
-    ///   half-created instance) — those compensation writes are **committed**
-    ///   so storage and the in-memory maps stay in step.
+    ///   (I/O fault, injected crash point) — the batch is **aborted** and
+    ///   the pages roll back to the pre-batch state;
+    /// * any other error leaves writes that already reached the page store
+    ///   and the object table in step, so they are **committed**.
     pub(crate) fn atomic<R>(&mut self, f: impl FnOnce(&mut Self) -> DbResult<R>) -> DbResult<R> {
-        if self.overlay.is_some() {
-            // Overlay writes never reach the page store, so there is
-            // nothing to journal yet; the whole transaction becomes one
-            // batch at `overlay_apply` time.
-            return f(self);
-        }
         if self.store.in_atomic_batch() {
-            let result = f(self);
-            if let Some(txn) = self.txn.as_mut() {
-                // Joined the open transaction: count the logical operation,
-                // and poison the transaction on a substrate failure — the
-                // batch can no longer commit as a unit, only abort.
-                match &result {
-                    Ok(_) => txn.ops += 1,
-                    Err(DbError::Storage(_) | DbError::ReadOnly) => txn.failed = true,
-                    Err(_) => {}
-                }
-            }
-            return result;
+            return f(self);
         }
         let _span = corion_obs::span("core", "atomic");
         let _timer = self.metrics.atomic_latency.start_timer();
         self.store.begin_atomic()?;
         match f(self) {
-            Ok(out) => {
-                self.commit_batch()?;
-                self.metrics.atomic_commits.inc();
-                Ok(out)
-            }
             Err(e) if matches!(e, DbError::Storage(_) | DbError::ReadOnly) => {
                 let _ = self.abort_batch();
                 self.metrics.atomic_aborts.inc();
                 Err(e)
             }
-            Err(e) => {
+            result => {
                 self.commit_batch()?;
                 self.metrics.atomic_commits.inc();
-                Err(e)
+                result
             }
         }
     }
@@ -297,7 +268,7 @@ impl Database {
     /// requested co-location (`same_segment_as`), which is what enables
     /// parent clustering between the two classes.
     pub fn define_class(&mut self, builder: ClassBuilder) -> DbResult<ClassId> {
-        self.undo_forbid_ddl()?;
+        self.forbid_in_transaction("change the schema")?;
         let segment = match builder.share_segment_with {
             Some(other) => self.catalog.class(other)?.segment,
             None => self.sealing(|store| store.create_segment())?,
@@ -334,31 +305,32 @@ impl Database {
 
     /// True if `oid` resolves to a live object.
     pub fn exists(&self, oid: Oid) -> bool {
-        if let Some(ov) = &self.overlay {
-            if let Some(e) = ov.entries.get(&oid) {
-                return e.image.is_some();
-            }
+        match &self.txn {
+            Some(txn) => self.view_over(&txn.overlay).exists(oid),
+            None => self.shards.contains(oid),
         }
-        self.shards.contains(oid)
     }
 
     /// Loads an object, applying any pending deferred schema-evolution
     /// changes first (§4.3: "when an instance of C is accessed, the CC of
     /// the instance is checked against the CC in the operation log").
+    /// Inside a transaction the answer includes the transaction's own
+    /// writes.
     ///
     /// Takes `&self`: deferred changes are applied to the returned copy
     /// only, so a pure read never writes. Persistence is lazy — the next
-    /// `save` of the object stores the caught-up image, and reapplying the
+    /// write of the object stores the caught-up image, and reapplying the
     /// pending log entries on every read until then is idempotent (the
     /// operation log is never pruned, and each flag change is a fixpoint).
     pub fn get(&self, oid: Oid) -> DbResult<Object> {
-        if let Some(ov) = &self.overlay {
-            if let Some(e) = ov.entries.get(&oid) {
-                let mut obj = e.image.clone().ok_or(DbError::NoSuchObject(oid))?;
-                self.apply_pending_changes(&mut obj)?;
-                return Ok(obj);
-            }
+        match &self.txn {
+            Some(txn) => self.view_over(&txn.overlay).get(oid),
+            None => self.base_get(oid),
         }
+    }
+
+    /// [`Database::get`] of the committed base, whatever is open.
+    pub(crate) fn base_get(&self, oid: Oid) -> DbResult<Object> {
         let phys = self.shards.get(oid).ok_or(DbError::NoSuchObject(oid))?;
         let bytes = self.store.read(phys)?;
         let mut obj = Object::decode(&bytes)?;
@@ -372,30 +344,19 @@ impl Database {
         crate::evolution::deferred::apply_pending(self, obj)
     }
 
+    // The three primitives below are the apply side of the write path:
+    // they put one image into the page store and the object table, with
+    // no semantics and no scope. [`Database::overlay_apply`] calls them
+    // for a write set; schema evolution calls `save` for the instances a
+    // DDL change rewrites.
+
     /// Persists an object at its current address (relocating if it grew).
-    /// With a write overlay installed the image lands in the overlay and
-    /// the base store is untouched.
     pub(crate) fn save(&mut self, obj: &Object) -> DbResult<()> {
-        if let Some(ov) = &mut self.overlay {
-            let live = match ov.entries.get(&obj.oid) {
-                Some(e) => e.image.is_some(),
-                None => self.shards.contains(obj.oid),
-            };
-            if !live {
-                return Err(DbError::NoSuchObject(obj.oid));
-            }
-            ov.record_save(obj);
-            return Ok(());
-        }
         let phys = self
             .shards
             .get(obj.oid)
             .ok_or(DbError::NoSuchObject(obj.oid))?;
         self.note_touch(obj.oid, Some(obj))?;
-        if self.undo.is_some() {
-            let before = Object::decode(&self.store.read(phys)?)?;
-            self.undo_note_touch(obj.oid, Some(before));
-        }
         let mut buf = Vec::new();
         obj.encode(&mut buf);
         let new_phys = self.store.update(phys, &buf)?;
@@ -406,14 +367,7 @@ impl Database {
     }
 
     /// Inserts a brand-new object, clustered near `near` when possible.
-    /// With a write overlay installed the object lands in the overlay
-    /// (the clustering hint is captured and honoured at commit).
     pub(crate) fn insert_object(&mut self, obj: &Object, near: Option<Oid>) -> DbResult<()> {
-        if let Some(ov) = &mut self.overlay {
-            self.catalog.class(obj.oid.class)?;
-            ov.record_insert(obj, near);
-            return Ok(());
-        }
         let segment = self.catalog.class(obj.oid.class)?.segment;
         self.note_touch(obj.oid, Some(obj))?;
         let near_phys = near.and_then(|o| self.shards.get(o));
@@ -421,79 +375,45 @@ impl Database {
         obj.encode(&mut buf);
         let phys = self.store.insert(segment, &buf, near_phys)?;
         self.shards.insert(obj.oid, phys);
-        self.undo_note_touch(obj.oid, None);
         Ok(())
     }
 
-    /// Removes an object from storage and the object table (no semantics —
-    /// the Deletion Rule lives in [`crate::composite::delete`]). With a
-    /// write overlay installed this records a private tombstone.
+    /// Removes an object from storage and the object table.
     pub(crate) fn erase(&mut self, oid: Oid) -> DbResult<()> {
-        if let Some(ov) = &mut self.overlay {
-            let in_base = self.shards.contains(oid);
-            let live = match ov.entries.get(&oid) {
-                Some(e) => e.image.is_some(),
-                None => in_base,
-            };
-            if !live {
-                return Err(DbError::NoSuchObject(oid));
-            }
-            ov.record_erase(oid, in_base);
-            return Ok(());
-        }
         self.note_touch(oid, None)?;
         let phys = self.shards.remove(oid).ok_or(DbError::NoSuchObject(oid))?;
-        if self.undo.is_some() {
-            let before = Object::decode(&self.store.read(phys)?)?;
-            self.undo_note_touch(oid, Some(before));
-        }
         self.store.delete(phys)?;
         Ok(())
     }
 
     /// Direct instances of `class`; with `deep`, instances of subclasses too.
     pub fn instances_of(&self, class: ClassId, deep: bool) -> Vec<Oid> {
+        match &self.txn {
+            Some(txn) => self.view_over(&txn.overlay).instances_of(class, deep),
+            None => self.base_instances_of(class, deep),
+        }
+    }
+
+    /// [`Database::instances_of`] of the committed base.
+    pub(crate) fn base_instances_of(&self, class: ClassId, deep: bool) -> Vec<Oid> {
         let mut out: Vec<Oid> = self.shards.class_members_sorted(class);
         if deep {
             for sub in lattice::descendants(&self.catalog, class) {
                 out.extend(self.shards.class_members_sorted(sub));
             }
         }
-        if let Some(ov) = &self.overlay {
-            let in_scope = |c: ClassId| {
-                c == class || (deep && lattice::is_subclass_of(&self.catalog, c, class))
-            };
-            for (oid, e) in &ov.entries {
-                if !in_scope(oid.class) {
-                    continue;
-                }
-                match (&e.image, e.created) {
-                    (Some(_), true) => out.push(*oid),
-                    (None, false) => out.retain(|o| o != oid),
-                    _ => {}
-                }
-            }
-            out.sort();
-            out.dedup();
-        }
         out
     }
 
-    /// Total number of live objects (overlay-adjusted while a write
-    /// overlay is installed). A lock-free sum of per-shard counters —
-    /// never a map walk, so statistics never stall writers.
+    /// Total number of live objects (the open transaction's creations and
+    /// deletions included). Outside a transaction a lock-free sum of
+    /// per-shard counters — never a map walk, so statistics never stall
+    /// writers.
     pub fn object_count(&self) -> usize {
-        let mut n = self.shards.len();
-        if let Some(ov) = &self.overlay {
-            for e in ov.entries.values() {
-                match (&e.image, e.created) {
-                    (Some(_), true) => n += 1,
-                    (None, false) => n -= 1,
-                    _ => {}
-                }
-            }
+        match &self.txn {
+            Some(txn) => self.view_over(&txn.overlay).object_count(),
+            None => self.shards.len(),
         }
-        n
     }
 
     // ------------------------------------------------------------------
@@ -514,16 +434,15 @@ impl Database {
     ///   segment".
     ///
     /// The whole creation — instance insert plus every parent/child wiring
-    /// write — is one atomic batch.
+    /// write — is one atomic batch, and a creation rejected half-way (a
+    /// later `:parent` pair breaks a topology rule, say) leaves no trace.
     pub fn make(
         &mut self,
         class: ClassId,
         values: Vec<(&str, Value)>,
         parents: Vec<(Oid, &str)>,
     ) -> DbResult<Oid> {
-        self.atomic(|db| {
-            crate::exec::make_inner(&mut crate::exec::DirectEng(db), class, values, parents)
-        })
+        self.run_op(1, |db, ov| db.overlay_make(ov, class, values, parents))
     }
 
     // ------------------------------------------------------------------
@@ -547,11 +466,10 @@ impl Database {
     /// references added to a composite attribute go through the
     /// Make-Component Rule; references removed are detached (with orphan
     /// handling per [`OrphanPolicy`]). The write plus all composite
-    /// bookkeeping (attach, detach, orphan cascade) is one atomic batch.
+    /// bookkeeping (attach, detach, orphan cascade) is one atomic batch; a
+    /// write rejected after some of that bookkeeping ran is a no-op.
     pub fn set_attr(&mut self, oid: Oid, attr: &str, value: Value) -> DbResult<()> {
-        self.atomic(|db| {
-            crate::exec::set_attr_inner(&mut crate::exec::DirectEng(db), oid, attr, value)
-        })
+        self.run_op(1, |db, ov| db.overlay_set_attr(ov, oid, attr, value))
     }
 
     /// Writes one attribute **without composite bookkeeping**: the value is
@@ -564,19 +482,7 @@ impl Database {
     /// information lives in the generic instance with a ref-count (§5.3).
     /// Application code should use [`Database::set_attr`].
     pub fn set_attr_weak(&mut self, oid: Oid, attr: &str, value: Value) -> DbResult<()> {
-        self.atomic(|db| {
-            crate::exec::set_attr_weak(&mut crate::exec::DirectEng(db), oid, attr, value)
-        })
-    }
-
-    /// Checks `value` against an attribute's domain: shape, and class
-    /// membership of every referenced object.
-    pub(crate) fn check_domain(
-        &self,
-        def: &crate::schema::attr::AttributeDef,
-        value: &Value,
-    ) -> DbResult<()> {
-        crate::exec::check_domain_with(self, &|o| self.exists(o), def, value)
+        self.run_op(1, |db, ov| db.overlay_set_attr_weak(ov, oid, attr, value))
     }
 
     // ------------------------------------------------------------------
@@ -633,10 +539,6 @@ impl Database {
 
     /// The number of object-table stripes this engine was assembled with
     /// ([`DbConfig::shards`] rounded up to a power of two).
-    /// Concurrency layers use this to pick their latch
-    /// discipline: with one stripe, a single exclusive latch is the
-    /// honest baseline; with more, operation execution can share the
-    /// engine latch.
     pub fn shard_count(&self) -> usize {
         self.shards.shard_count()
     }
@@ -679,8 +581,8 @@ impl Database {
     /// committed WAL tail into the page store, discards any torn or
     /// uncommitted suffix, then rebuilds the engine's in-memory maps —
     /// object table, class extensions, serial counter — by scanning every
-    /// recovered segment. Any open undo scope is discarded (its log may
-    /// reference rolled-back state).
+    /// recovered segment. A transaction open at the crash never
+    /// committed: its write set is dropped.
     ///
     /// Idempotent: recovering an already-consistent engine is a no-op
     /// beyond the rescan.
@@ -688,9 +590,6 @@ impl Database {
         let report = self.store.recover()?;
         // Whatever was captured and not yet durable did not happen.
         self.capture.discard_pending();
-        self.undo = None;
-        // A transaction open at the crash never committed; the rebuild
-        // below restores the pre-transaction truth from storage.
         self.txn = None;
         self.rebuild_derived_state()?;
         Ok(report)
@@ -777,6 +676,7 @@ impl Database {
     /// [`Database::repair`] afterwards to restore referential integrity
     /// around them. Requires a healthy store and no open batch.
     pub fn scrub(&mut self) -> DbResult<corion_storage::ScrubReport> {
+        self.forbid_in_transaction("scrub")?;
         let report = self.sealing(|store| store.scrub())?;
         self.rebuild_derived_state()?;
         Ok(report)
@@ -784,9 +684,9 @@ impl Database {
 
     /// Checkpoints the WAL: the log is compacted to a snapshot of the
     /// current segment directory, bounding replay work. Refused while a
-    /// transaction is open (the open batch's images are not yet
-    /// committed truth).
+    /// transaction is open.
     pub fn checkpoint(&mut self) -> DbResult<()> {
+        self.forbid_in_transaction("checkpoint")?;
         self.sealing(|store| store.checkpoint())?;
         // Refresh the persisted OID-serial floor: the sidecar is otherwise
         // only written at DDL time, and the post-reopen scan can only see
@@ -801,6 +701,7 @@ impl Database {
     /// [`corion_storage::CommitPolicy::Group`]). A no-op under the
     /// immediate policy; refused while a transaction is open.
     pub fn sync(&mut self) -> DbResult<()> {
+        self.forbid_in_transaction("sync")?;
         Ok(self.sealing(|store| store.sync())?)
     }
 
@@ -868,25 +769,13 @@ impl Database {
 
     /// Overwrites an object's stored image **without any composite
     /// bookkeeping**: no Make-Component checks, no reverse-reference
-    /// maintenance, no undo record. This deliberately breaks the engine's
+    /// maintenance, no transaction. This deliberately breaks the engine's
     /// invariants — it exists so integrity tests can construct corrupted
     /// states and so [`Database::repair`] can rewrite objects wholesale.
     /// The object must already exist.
     pub fn raw_overwrite_object(&mut self, obj: &Object) -> DbResult<()> {
-        self.atomic(|db| {
-            let phys = db
-                .shards
-                .get(obj.oid)
-                .ok_or(DbError::NoSuchObject(obj.oid))?;
-            db.note_touch(obj.oid, Some(obj))?;
-            let mut buf = Vec::new();
-            obj.encode(&mut buf);
-            let new_phys = db.store.update(phys, &buf)?;
-            if new_phys != phys {
-                db.shards.set_phys(obj.oid, new_phys);
-            }
-            Ok(())
-        })
+        self.forbid_in_transaction("overwrite a stored image")?;
+        self.atomic(|db| db.save(obj))
     }
 }
 

@@ -94,9 +94,9 @@ pub enum DbError {
     },
     /// A transaction-control request that the engine's current state
     /// forbids: nested `begin_transaction`, `commit`/`abort` with no
-    /// transaction open, DDL or `make_many` forward references inside a
-    /// transaction, mixing transactions with an undo scope, or committing
-    /// a transaction that already hit a storage fault.
+    /// transaction open, `make_many` forward references, or anything that
+    /// needs committed state (DDL, `dump`, `repair`, `scrub`,
+    /// `checkpoint`) inside a transaction.
     TransactionState {
         /// Explanation.
         reason: String,

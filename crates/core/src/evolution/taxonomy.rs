@@ -29,7 +29,7 @@ impl Database {
     /// A must be locally defined on C (to drop an inherited attribute,
     /// remove the IS-A edge or drop it on the definer).
     pub fn drop_attribute(&mut self, class: ClassId, attr: &str) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.forbid_in_transaction("change the schema")?;
         let c = self.catalog.class(class)?;
         let def = c.attr(attr).ok_or_else(|| DbError::NoSuchAttribute {
             class,
@@ -56,7 +56,7 @@ impl Database {
     /// Adds a local attribute to a class; existing instances (of the class
     /// and of inheriting subclasses) take the attribute's `:init` value.
     pub fn add_attribute(&mut self, class: ClassId, def: AttributeDef) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.forbid_in_transaction("change the schema")?;
         def.validate()?;
         let c = self.catalog.class(class)?;
         if c.attr(&def.name).is_some() {
@@ -75,7 +75,7 @@ impl Database {
     /// Adds an IS-A edge; instances of `class` and its subclasses gain the
     /// newly inherited attributes at their `:init` values.
     pub fn add_superclass(&mut self, class: ClassId, superclass: ClassId) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.forbid_in_transaction("change the schema")?;
         let old = self.old_layouts(class);
         self.catalog.add_superclass(class, superclass)?;
         self.detach_lost_and_realign(&old)?;
@@ -87,7 +87,7 @@ impl Database {
     /// … referenced by instances of C and its subclasses through A are
     /// deleted according to (1)."
     pub fn remove_superclass(&mut self, class: ClassId, superclass: ClassId) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.forbid_in_transaction("change the schema")?;
         let old = self.old_layouts(class);
         self.catalog.remove_superclass(class, superclass)?;
         self.detach_lost_and_realign(&old)?;
@@ -103,7 +103,7 @@ impl Database {
     /// instances of subclasses survive, losing only the attributes C
     /// provided.
     pub fn drop_class(&mut self, class: ClassId) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.forbid_in_transaction("change the schema")?;
         self.catalog.class(class)?;
         // Delete direct instances first — their composite references cascade
         // per the Deletion Rule.
@@ -134,7 +134,7 @@ impl Database {
         attr: &str,
         provider: ClassId,
     ) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.forbid_in_transaction("change the schema")?;
         let old = self.old_layouts(class);
         self.catalog.set_preferred_provider(class, attr, provider)?;
         // Force re-initialisation of this attribute by pretending the old

@@ -83,7 +83,7 @@ impl Database {
         change: AttrTypeChange,
         maintenance: Maintenance,
     ) -> DbResult<()> {
-        self.undo_forbid_ddl()?;
+        self.forbid_in_transaction("change the schema")?;
         let class = self.catalog.class(referencing)?;
         let def = class
             .attr(attr)

@@ -1,36 +1,30 @@
-//! Execution engine — the composite-object semantics, generic over *where
-//! writes land*.
+//! Execution engine — the composite-object semantics.
 //!
 //! Every paper operation (`make` §2.3, the Make-Component algorithm §2.4,
 //! `set_attr` with attach/detach bookkeeping, the Deletion Rule §2.2) is
-//! implemented here exactly once, as a free function over the [`Eng`]
-//! trait. `Eng` abstracts the five storage primitives the semantics need —
-//! `exists` / `get` / `save` / `insert_object` / `erase` — plus OID-serial
-//! allocation, and has two implementations:
+//! implemented here exactly once, as a free function over [`OverlayEng`]:
+//! `&Database` plus the [`Overlay`] the operation writes into. Reads answer
+//! overlay-first ([`crate::overlay::OverlayView`]), writes land only in the
+//! overlay, and serial allocation uses the engine's atomic counter plus a
+//! floor *hint* recorded in the overlay (flushed to the WAL by
+//! [`Database::overlay_apply`], inside the commit batch).
 //!
-//! * [`DirectEng`] wraps `&mut Database` and delegates to the engine's own
-//!   primitives, so the single-threaded entry points (`Database::make`,
-//!   `Database::set_attr`, …) keep their exact semantics: undo
-//!   before-images, transaction touch notes and serial-floor WAL notes all
-//!   happen inside the primitives.
-//! * [`OverlayEng`] runs the same semantics against `&Database` plus an
-//!   **external** [`Overlay`]: reads answer overlay-first, writes land
-//!   only in the overlay, and serial allocation uses the atomic counter
-//!   plus a floor *hint* recorded in the overlay (flushed to the WAL by
-//!   [`Database::overlay_apply`], inside the commit batch — an aborted
-//!   transaction's hint is dropped with the overlay, which is harmless
-//!   because its serials never reached committed state).
+//! Execution needs no `&mut Database` at all — the only engine state it
+//! touches is the atomic serial counter — so the concurrent layer runs any
+//! number of §7-disjoint writers' operation bodies in parallel under a
+//! **shared** engine latch and serialises only the short commit-publish
+//! section; the single-threaded entry points are the same calls made with
+//! the latch the borrow checker already gives them.
 //!
-//! `OverlayEng` is what lets the concurrent layer execute write
-//! transactions under a **shared** engine latch: execution needs no
-//! `&mut Database` at all — the only engine state it touches is the atomic
-//! serial counter — so any number of §7-disjoint writers can run their
-//! operation bodies in parallel and serialise only for the short
-//! commit-publish section.
+//! The public entry points at the bottom ([`Database::overlay_make`] and
+//! friends) each run in an **operation scope** of the overlay: when the
+//! operation returns `Err` — rejected by a topology rule half-way through,
+//! say — everything it wrote is taken back out, so a rejected message is a
+//! no-op whoever sent it.
 
 use std::collections::{BTreeSet, HashSet};
 
-use crate::composite::view::{self, ReadView};
+use crate::composite::view;
 use crate::db::{Database, OrphanPolicy};
 use crate::error::{DbError, DbResult};
 use crate::object::Object;
@@ -38,154 +32,64 @@ use crate::oid::{ClassId, Oid};
 use crate::overlay::Overlay;
 use crate::refs::ReverseRef;
 use crate::schema::attr::{AttributeDef, CompositeSpec, Domain};
-use crate::schema::catalog::Catalog;
 use crate::value::Value;
 
-/// The storage primitives the composite-object semantics are generic
-/// over. See the [module docs](self).
-pub(crate) trait Eng {
-    /// The underlying engine (catalog, config, schema — read-only).
-    fn base(&self) -> &Database;
-    /// True if `oid` resolves to a live object in this view.
-    fn exists(&self, oid: Oid) -> bool;
-    /// Loads an object (deferred schema changes applied).
-    fn get(&self, oid: Oid) -> DbResult<Object>;
-    /// Persists an existing object.
-    fn save(&mut self, obj: &Object) -> DbResult<()>;
-    /// Inserts a brand-new object, clustered near `near` when possible.
-    fn insert_object(&mut self, obj: &Object, near: Option<Oid>) -> DbResult<()>;
-    /// Removes an object (no semantics — the Deletion Rule calls this).
-    fn erase(&mut self, oid: Oid) -> DbResult<()>;
-    /// Mints the next OID serial and arranges for its durability floor.
-    fn alloc_serial(&mut self) -> u64;
-    /// Full Deletion-Rule cascade rooted at `oid` (used by orphan
-    /// handling, which may recursively delete).
-    fn delete_cascade(&mut self, oid: Oid) -> DbResult<Vec<Oid>>;
-    /// Is `o1` a (direct or indirect) component of `o2`? The acyclicity
-    /// check of attach: the §3.2 walk over this view.
-    fn component_of(&self, o1: Oid, o2: Oid) -> DbResult<bool> {
-        view::component_of(&mut EngView(self), o1, o2)
-    }
-}
-
-/// Any execution mode as a [`ReadView`].
-struct EngView<'a, E: ?Sized>(&'a E);
-
-impl<E: Eng + ?Sized> ReadView for EngView<'_, E> {
-    fn resolve(&mut self, oid: Oid) -> DbResult<Option<Object>> {
-        view::found(self.0.get(oid))
-    }
-    fn visible(&mut self, oid: Oid) -> DbResult<bool> {
-        Ok(self.0.exists(oid))
-    }
-    fn catalog(&mut self) -> DbResult<&Catalog> {
-        Ok(&self.0.base().catalog)
-    }
-}
-
-/// [`Eng`] over `&mut Database`: the single-threaded execution mode.
-pub(crate) struct DirectEng<'a>(pub &'a mut Database);
-
-impl Eng for DirectEng<'_> {
-    fn base(&self) -> &Database {
-        self.0
-    }
-    fn exists(&self, oid: Oid) -> bool {
-        self.0.exists(oid)
-    }
-    fn get(&self, oid: Oid) -> DbResult<Object> {
-        self.0.get(oid)
-    }
-    fn save(&mut self, obj: &Object) -> DbResult<()> {
-        self.0.save(obj)
-    }
-    fn insert_object(&mut self, obj: &Object, near: Option<Oid>) -> DbResult<()> {
-        self.0.insert_object(obj, near)
-    }
-    fn erase(&mut self, oid: Oid) -> DbResult<()> {
-        self.0.erase(oid)
-    }
-    fn alloc_serial(&mut self) -> u64 {
-        let serial = self
-            .0
-            .next_serial
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // Make the serial high-water mark durable with this batch, so a
-        // reopened engine never re-issues it even if the object is later
-        // deleted (a live-object scan could not see the gap).
-        self.0.store.note_serial_floor(serial + 1);
-        serial
-    }
-    fn delete_cascade(&mut self, oid: Oid) -> DbResult<Vec<Oid>> {
-        // Route through the public entry point so the cascade joins the
-        // enclosing atomic batch with the usual op accounting.
-        self.0.delete(oid)
-    }
-}
-
-/// [`Eng`] over `&Database` + an external [`Overlay`]: the concurrent
-/// execution mode, run under a shared engine latch.
+/// One operation's execution context: the engine (read only) and the
+/// write set its writes land in. See the [module docs](self).
 pub(crate) struct OverlayEng<'a> {
-    pub db: &'a Database,
-    pub ov: &'a mut Overlay,
+    pub(crate) db: &'a Database,
+    pub(crate) ov: &'a mut Overlay,
 }
 
-impl Eng for OverlayEng<'_> {
-    fn base(&self) -> &Database {
-        self.db
+impl OverlayEng<'_> {
+    /// True if `oid` resolves to a live object in this view.
+    pub(crate) fn exists(&self, oid: Oid) -> bool {
+        self.db.view_over(self.ov).exists(oid)
     }
-    fn exists(&self, oid: Oid) -> bool {
-        match self.ov.entries.get(&oid) {
-            Some(e) => e.image.is_some(),
-            None => self.db.exists(oid),
-        }
+    /// Loads an object (deferred schema changes applied).
+    pub(crate) fn get(&self, oid: Oid) -> DbResult<Object> {
+        self.db.view_over(self.ov).get(oid)
     }
-    fn get(&self, oid: Oid) -> DbResult<Object> {
-        if let Some(e) = self.ov.entries.get(&oid) {
-            let mut obj = e.image.clone().ok_or(DbError::NoSuchObject(oid))?;
-            self.db.apply_pending_changes(&mut obj)?;
-            return Ok(obj);
-        }
-        self.db.get(oid)
-    }
-    fn save(&mut self, obj: &Object) -> DbResult<()> {
-        let live = match self.ov.entries.get(&obj.oid) {
-            Some(e) => e.image.is_some(),
-            None => self.db.exists(obj.oid),
-        };
-        if !live {
+    /// Persists an existing object.
+    pub(crate) fn save(&mut self, obj: Object) -> DbResult<()> {
+        if !self.exists(obj.oid) {
             return Err(DbError::NoSuchObject(obj.oid));
         }
         self.ov.record_save(obj);
         Ok(())
     }
-    fn insert_object(&mut self, obj: &Object, near: Option<Oid>) -> DbResult<()> {
+    /// Inserts a brand-new object, clustered near `near` when possible
+    /// (the hint is captured and honoured at apply time).
+    pub(crate) fn insert_object(&mut self, obj: Object, near: Option<Oid>) -> DbResult<()> {
         self.db.catalog.class(obj.oid.class)?;
         self.ov.record_insert(obj, near);
         Ok(())
     }
+    /// Removes an object (no semantics — the Deletion Rule calls this).
     fn erase(&mut self, oid: Oid) -> DbResult<()> {
-        let in_base = self.db.exists(oid);
-        let live = match self.ov.entries.get(&oid) {
-            Some(e) => e.image.is_some(),
-            None => in_base,
-        };
-        if !live {
+        if !self.exists(oid) {
             return Err(DbError::NoSuchObject(oid));
         }
-        self.ov.record_erase(oid, in_base);
+        self.ov.record_erase(oid, self.db.shards.contains(oid));
         Ok(())
     }
-    fn alloc_serial(&mut self) -> u64 {
-        let serial = self
+    /// Mints the next `n` OID serials (returning the first) and notes
+    /// their durability floor in the write set: the apply flushes it to
+    /// the WAL inside the commit batch, so a reopened engine never
+    /// re-issues a serial even if the object is later deleted (a
+    /// live-object scan could not see the gap).
+    pub(crate) fn alloc_serials(&mut self, n: u64) -> u64 {
+        let first = self
             .db
             .next_serial
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.ov.serial_floor = self.ov.serial_floor.max(serial + 1);
-        serial
+            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        self.ov.raise_serial_floor(first + n);
+        first
     }
-    fn delete_cascade(&mut self, oid: Oid) -> DbResult<Vec<Oid>> {
-        delete_inner(self, oid)
+    /// Is `o1` a (direct or indirect) component of `o2`? The acyclicity
+    /// check of attach: the §3.2 walk over this view.
+    fn component_of(&self, o1: Oid, o2: Oid) -> DbResult<bool> {
+        view::component_of(&mut self.db.view_over(self.ov), o1, o2)
     }
 }
 
@@ -194,15 +98,10 @@ impl Eng for OverlayEng<'_> {
 // ----------------------------------------------------------------------
 
 /// Checks `value` against an attribute's domain: shape, and class
-/// membership of every referenced object. `exists` is the view's
-/// liveness predicate (overlay-aware under [`OverlayEng`], so references
-/// to objects created earlier in the same transaction resolve).
-pub(crate) fn check_domain_with(
-    db: &Database,
-    exists: &dyn Fn(Oid) -> bool,
-    def: &AttributeDef,
-    value: &Value,
-) -> DbResult<()> {
+/// membership of every referenced object — live in the operation's view,
+/// so references to objects created earlier in the same transaction
+/// resolve.
+pub(crate) fn check_domain(e: &OverlayEng<'_>, def: &AttributeDef, value: &Value) -> DbResult<()> {
     if !def.domain.admits_shape(value) {
         return Err(DbError::DomainMismatch {
             attr: def.name.clone(),
@@ -212,10 +111,10 @@ pub(crate) fn check_domain_with(
     }
     if let Some(dc) = def.domain.referenced_class() {
         for r in value.refs() {
-            if !exists(r) {
+            if !e.exists(r) {
                 return Err(DbError::NoSuchObject(r));
             }
-            if !db.is_subclass_of(r.class, dc) {
+            if !e.db.is_subclass_of(r.class, dc) {
                 return Err(DbError::DomainMismatch {
                     attr: def.name.clone(),
                     expected: def.domain.describe(),
@@ -225,16 +124,12 @@ pub(crate) fn check_domain_with(
         }
     } else if matches!(def.domain, Domain::Any) {
         for r in value.refs() {
-            if !exists(r) {
+            if !e.exists(r) {
                 return Err(DbError::NoSuchObject(r));
             }
         }
     }
     Ok(())
-}
-
-fn check_domain<E: Eng>(e: &E, def: &AttributeDef, value: &Value) -> DbResult<()> {
-    check_domain_with(e.base(), &|o| e.exists(o), def, value)
 }
 
 // ----------------------------------------------------------------------
@@ -243,12 +138,12 @@ fn check_domain<E: Eng>(e: &E, def: &AttributeDef, value: &Value) -> DbResult<()
 
 /// Every forward composite reference held by `oid`, with the D/X flags
 /// the Deletion Rule decides by.
-pub(crate) fn forward_composite_refs_of<E: Eng>(
-    e: &E,
+pub(crate) fn forward_composite_refs_of(
+    e: &OverlayEng<'_>,
     oid: Oid,
 ) -> DbResult<Vec<(CompositeSpec, Oid)>> {
     let obj = e.get(oid)?;
-    let class = e.base().catalog.class(oid.class)?;
+    let class = e.db.catalog.class(oid.class)?;
     let mut out = Vec::new();
     for (idx, def) in class.attrs.iter().enumerate() {
         if let Some(spec) = def.composite {
@@ -267,8 +162,8 @@ pub(crate) fn forward_composite_refs_of<E: Eng>(
 /// Adds the reverse composite reference for a forward reference
 /// `parent --spec--> child`, enforcing the Make-Component Rule and
 /// acyclicity. (The forward reference itself is written by the caller.)
-pub(crate) fn attach_child<E: Eng>(
-    e: &mut E,
+pub(crate) fn attach_child(
+    e: &mut OverlayEng<'_>,
     child: Oid,
     parent: Oid,
     spec: CompositeSpec,
@@ -289,24 +184,24 @@ pub(crate) fn attach_child<E: Eng>(
     debug_assert!(crate::composite::topology::ParentSets::of(&cobj)
         .check(child)
         .is_ok());
-    e.save(&cobj)
+    e.save(cobj)
 }
 
 /// Removes the reverse composite reference for a forward reference the
 /// caller already removed, then applies the configured orphan policy.
-pub(crate) fn detach_child<E: Eng>(
-    e: &mut E,
+pub(crate) fn detach_child(
+    e: &mut OverlayEng<'_>,
     child: Oid,
     parent: Oid,
     spec: CompositeSpec,
 ) -> DbResult<()> {
-    let delete_orphans = e.base().config.orphan_policy == OrphanPolicy::DeleteDependentOrphans;
+    let delete_orphans = e.db.config.orphan_policy == OrphanPolicy::DeleteDependentOrphans;
     detach_child_with(e, child, parent, spec, delete_orphans)
 }
 
 /// [`detach_child`] with the orphan decision made explicit.
-pub(crate) fn detach_child_with<E: Eng>(
-    e: &mut E,
+pub(crate) fn detach_child_with(
+    e: &mut OverlayEng<'_>,
     child: Oid,
     parent: Oid,
     spec: CompositeSpec,
@@ -322,9 +217,9 @@ pub(crate) fn detach_child_with<E: Eng>(
         return Ok(());
     }
     let lost_last_dependent = spec.dependent && cobj.dx().is_empty() && cobj.ds().is_empty();
-    e.save(&cobj)?;
+    e.save(cobj)?;
     if lost_last_dependent && delete_orphans {
-        e.delete_cascade(child)?;
+        delete_inner(e, child)?;
     }
     Ok(())
 }
@@ -335,15 +230,16 @@ pub(crate) fn detach_child_with<E: Eng>(
 
 /// Creates an instance: defaults + overrides, `:parent` clause
 /// validation (Topology Rule 3 for multi-parent creation), clustering
-/// near the first parent, and full reverse-reference wiring. A failed
-/// make rolls its half-created instance back and is a no-op.
-pub(crate) fn make_inner<E: Eng>(
-    e: &mut E,
+/// near the first parent, and full reverse-reference wiring. A make
+/// rejected after the instance exists relies on the caller's operation
+/// scope to take it back out.
+pub(crate) fn make_inner(
+    e: &mut OverlayEng<'_>,
     class: ClassId,
     values: Vec<(&str, Value)>,
     parents: Vec<(Oid, &str)>,
 ) -> DbResult<Oid> {
-    let class_def = e.base().catalog.class(class)?.clone();
+    let class_def = e.db.catalog.class(class)?.clone();
     // Build the attribute vector: defaults, then overrides.
     let mut attrs: Vec<Value> = class_def.attrs.iter().map(|a| a.init.clone()).collect();
     for (name, value) in values {
@@ -361,13 +257,13 @@ pub(crate) fn make_inner<E: Eng>(
     let mut composite_parents: Vec<(Oid, String)> = Vec::new();
     let mut weak_parents: Vec<(Oid, String)> = Vec::new();
     for (pobj, pattr) in &parents {
-        let pclass = e.base().catalog.class(pobj.class)?;
+        let pclass = e.db.catalog.class(pobj.class)?;
         let def = pclass.attr(pattr).ok_or_else(|| DbError::NoSuchAttribute {
             class: pobj.class,
             attr: (*pattr).into(),
         })?;
         if let Some(dc) = def.domain.referenced_class() {
-            if !e.base().is_subclass_of(class, dc) {
+            if !e.db.is_subclass_of(class, dc) {
                 return Err(DbError::DomainMismatch {
                     attr: (*pattr).into(),
                     expected: def.domain.describe(),
@@ -393,12 +289,11 @@ pub(crate) fn make_inner<E: Eng>(
         // §2.3: simultaneous multi-parent creation requires shared
         // composite attributes (else Topology Rule 3 would be violated).
         for (pobj, pattr) in &composite_parents {
-            let def = e
-                .base()
-                .catalog
-                .class(pobj.class)?
-                .attr(pattr)
-                .expect("checked above");
+            let def =
+                e.db.catalog
+                    .class(pobj.class)?
+                    .attr(pattr)
+                    .expect("checked above");
             let spec = def.composite.expect("composite parent");
             if spec.exclusive {
                 return Err(DbError::TopologyViolation {
@@ -410,35 +305,27 @@ pub(crate) fn make_inner<E: Eng>(
         }
     }
 
-    let oid = Oid::new(class, e.alloc_serial());
+    // The new object's own composite references (it is a parent of those
+    // targets), in class layout order.
+    let own_components: Vec<(CompositeSpec, Oid)> = class_def
+        .attrs
+        .iter()
+        .zip(&attrs)
+        .filter_map(|(def, value)| Some((def.composite?, value.refs())))
+        .flat_map(|(spec, refs)| refs.into_iter().map(move |child| (spec, child)))
+        .collect();
+
+    let oid = Oid::new(class, e.alloc_serials(1));
     let obj = Object::new(oid, attrs, class_def.change_count);
     let cluster_near = parents.first().map(|(p, _)| *p);
-    e.insert_object(&obj, cluster_near)?;
+    e.insert_object(obj, cluster_near)?;
 
-    // Wire up composite references *from* the new object's own composite
-    // attributes (the new object is a parent of those targets).
-    let result: DbResult<()> = (|| {
-        for (idx, def) in class_def.attrs.iter().enumerate() {
-            if let Some(spec) = def.composite {
-                let obj = e.get(oid)?;
-                for child in obj.attrs[idx].refs() {
-                    attach_child(e, child, oid, spec)?;
-                }
-            }
-        }
-        // Wire up the :parent clause.
-        for (pobj, pattr) in &composite_parents {
-            add_to_parent_attr(e, oid, *pobj, pattr)?;
-        }
-        for (pobj, pattr) in &weak_parents {
-            add_to_parent_attr(e, oid, *pobj, pattr)?;
-        }
-        Ok(())
-    })();
-    if let Err(err) = result {
-        // Roll the half-created instance back so a failed make is a no-op.
-        let _ = delete_raw(e, oid);
-        return Err(err);
+    for (spec, child) in own_components {
+        attach_child(e, child, oid, spec)?;
+    }
+    // Wire up the :parent clause.
+    for (pobj, pattr) in composite_parents.iter().chain(&weak_parents) {
+        add_to_parent_attr(e, oid, *pobj, pattr)?;
     }
     Ok(oid)
 }
@@ -446,13 +333,13 @@ pub(crate) fn make_inner<E: Eng>(
 /// Adds `child` to `parent`'s attribute `attr` (forward reference), with
 /// composite bookkeeping when the attribute is composite. Idempotent; a
 /// scalar attribute's previous component is displaced.
-pub(crate) fn add_to_parent_attr<E: Eng>(
-    e: &mut E,
+pub(crate) fn add_to_parent_attr(
+    e: &mut OverlayEng<'_>,
     child: Oid,
     parent: Oid,
     attr: &str,
 ) -> DbResult<()> {
-    let pclass = e.base().catalog.class(parent.class)?;
+    let pclass = e.db.catalog.class(parent.class)?;
     let idx = pclass
         .attr_index(attr)
         .ok_or_else(|| DbError::NoSuchAttribute {
@@ -473,7 +360,7 @@ pub(crate) fn add_to_parent_attr<E: Eng>(
         pobj.attrs[idx].refs()
     };
     pobj.attrs[idx].add_ref(child, def.domain.is_set());
-    e.save(&pobj)?;
+    e.save(pobj)?;
     if let Some(spec) = def.composite {
         for d in displaced {
             detach_child(e, d, parent, spec)?;
@@ -488,13 +375,13 @@ pub(crate) fn add_to_parent_attr<E: Eng>(
 
 /// Writes one attribute, maintaining composite semantics (attach added
 /// references, detach removed ones with orphan handling).
-pub(crate) fn set_attr_inner<E: Eng>(
-    e: &mut E,
+pub(crate) fn set_attr_inner(
+    e: &mut OverlayEng<'_>,
     oid: Oid,
     attr: &str,
     value: Value,
 ) -> DbResult<()> {
-    let class = e.base().catalog.class(oid.class)?;
+    let class = e.db.catalog.class(oid.class)?;
     let idx = class
         .attr_index(attr)
         .ok_or_else(|| DbError::NoSuchAttribute {
@@ -514,7 +401,7 @@ pub(crate) fn set_attr_inner<E: Eng>(
         // the parent's forward reference already gone.
         let mut obj = e.get(oid)?;
         obj.attrs[idx] = value;
-        e.save(&obj)?;
+        e.save(obj)?;
         for removed in old_refs.difference(&new_refs) {
             detach_child(e, *removed, oid, spec)?;
         }
@@ -522,14 +409,19 @@ pub(crate) fn set_attr_inner<E: Eng>(
     } else {
         let mut obj = e.get(oid)?;
         obj.attrs[idx] = value;
-        e.save(&obj)
+        e.save(obj)
     }
 }
 
 /// Writes one attribute **without composite bookkeeping** (references in
 /// the value are treated as weak) — the `corion-versions` seam.
-pub(crate) fn set_attr_weak<E: Eng>(e: &mut E, oid: Oid, attr: &str, value: Value) -> DbResult<()> {
-    let class = e.base().catalog.class(oid.class)?;
+pub(crate) fn set_attr_weak(
+    e: &mut OverlayEng<'_>,
+    oid: Oid,
+    attr: &str,
+    value: Value,
+) -> DbResult<()> {
+    let class = e.db.catalog.class(oid.class)?;
     let idx = class
         .attr_index(attr)
         .ok_or_else(|| DbError::NoSuchAttribute {
@@ -540,7 +432,7 @@ pub(crate) fn set_attr_weak<E: Eng>(e: &mut E, oid: Oid, attr: &str, value: Valu
     check_domain(e, &def, &value)?;
     let mut obj = e.get(oid)?;
     obj.attrs[idx] = value;
-    e.save(&obj)
+    e.save(obj)
 }
 
 // ----------------------------------------------------------------------
@@ -549,13 +441,13 @@ pub(crate) fn set_attr_weak<E: Eng>(e: &mut E, oid: Oid, attr: &str, value: Valu
 
 /// Makes `child` a component of `parent` through composite attribute
 /// `attr` — bottom-up assembly.
-pub(crate) fn make_component_inner<E: Eng>(
-    e: &mut E,
+pub(crate) fn make_component_inner(
+    e: &mut OverlayEng<'_>,
     child: Oid,
     parent: Oid,
     attr: &str,
 ) -> DbResult<()> {
-    let pclass = e.base().catalog.class(parent.class)?;
+    let pclass = e.db.catalog.class(parent.class)?;
     let def = pclass.attr(attr).ok_or_else(|| DbError::NoSuchAttribute {
         class: parent.class,
         attr: attr.into(),
@@ -567,7 +459,7 @@ pub(crate) fn make_component_inner<E: Eng>(
         });
     }
     if let Some(dc) = def.domain.referenced_class() {
-        if !e.base().is_subclass_of(child.class, dc) {
+        if !e.db.is_subclass_of(child.class, dc) {
             return Err(DbError::DomainMismatch {
                 attr: attr.into(),
                 expected: def.domain.describe(),
@@ -580,13 +472,13 @@ pub(crate) fn make_component_inner<E: Eng>(
 
 /// Removes `child` from `parent`'s composite attribute `attr`, detaching
 /// the reverse reference and applying the orphan policy.
-pub(crate) fn remove_component_inner<E: Eng>(
-    e: &mut E,
+pub(crate) fn remove_component_inner(
+    e: &mut OverlayEng<'_>,
     child: Oid,
     parent: Oid,
     attr: &str,
 ) -> DbResult<()> {
-    let pclass = e.base().catalog.class(parent.class)?;
+    let pclass = e.db.catalog.class(parent.class)?;
     let idx = pclass
         .attr_index(attr)
         .ok_or_else(|| DbError::NoSuchAttribute {
@@ -604,7 +496,7 @@ pub(crate) fn remove_component_inner<E: Eng>(
     if pobj.attrs[idx].remove_ref(child) == 0 {
         return Err(DbError::NoSuchObject(child));
     }
-    e.save(&pobj)?;
+    e.save(pobj)?;
     detach_child(e, child, parent, spec)
 }
 
@@ -614,7 +506,7 @@ pub(crate) fn remove_component_inner<E: Eng>(
 
 /// Deletes `root` and recursively every component required by the
 /// Deletion Rule; returns the deleted set in deletion order.
-pub(crate) fn delete_inner<E: Eng>(e: &mut E, root: Oid) -> DbResult<Vec<Oid>> {
+pub(crate) fn delete_inner(e: &mut OverlayEng<'_>, root: Oid) -> DbResult<Vec<Oid>> {
     if !e.exists(root) {
         return Err(DbError::NoSuchObject(root));
     }
@@ -633,16 +525,14 @@ pub(crate) fn delete_inner<E: Eng>(e: &mut E, root: Oid) -> DbResult<Vec<Oid>> {
             }
             let mut cobj = e.get(child)?;
             cobj.remove_reverse_ref(oid, spec.dependent, spec.exclusive);
-            e.save(&cobj)?;
-            if spec.dependent {
-                if spec.exclusive {
-                    // Condition 1 / 3.a.
-                    queue.push(child);
-                } else if cobj.ds().is_empty() && cobj.dx().is_empty() {
-                    // Condition 2 / 3.b: this was the last dependent
-                    // reference; otherwise DS(O) := DS(O) - O'.
-                    queue.push(child);
-                }
+            // Condition 1 / 3.a: a dependent exclusive reference. Condition
+            // 2 / 3.b: this was the last dependent shared reference;
+            // otherwise DS(O) := DS(O) - O'.
+            let propagates = spec.dependent
+                && (spec.exclusive || (cobj.ds().is_empty() && cobj.dx().is_empty()));
+            e.save(cobj)?;
+            if propagates {
+                queue.push(child);
             }
         }
         // 2. Remove the object from its surviving parents' forward
@@ -656,7 +546,7 @@ pub(crate) fn delete_inner<E: Eng>(e: &mut E, root: Oid) -> DbResult<Vec<Oid>> {
             for v in &mut pobj.attrs {
                 v.remove_ref(oid);
             }
-            e.save(&pobj)?;
+            e.save(pobj)?;
         }
         // 3. Physically remove.
         e.erase(oid)?;
@@ -666,53 +556,31 @@ pub(crate) fn delete_inner<E: Eng>(e: &mut E, root: Oid) -> DbResult<Vec<Oid>> {
     Ok(order)
 }
 
-/// Rollback-grade removal: erases `oid` and repairs both directions of
-/// bookkeeping **without** any dependent cascade (undoes a half-created
-/// `make`).
-pub(crate) fn delete_raw<E: Eng>(e: &mut E, oid: Oid) -> DbResult<()> {
-    if !e.exists(oid) {
-        return Ok(());
-    }
-    for (spec, child) in forward_composite_refs_of(e, oid)? {
-        if e.exists(child) {
-            let mut cobj = e.get(child)?;
-            cobj.remove_reverse_ref(oid, spec.dependent, spec.exclusive);
-            e.save(&cobj)?;
-        }
-    }
-    let obj = e.get(oid)?;
-    for rr in obj.reverse_refs.clone() {
-        if e.exists(rr.parent) {
-            let mut pobj = e.get(rr.parent)?;
-            for v in &mut pobj.attrs {
-                v.remove_ref(oid);
-            }
-            e.save(&pobj)?;
-        }
-    }
-    e.erase(oid)
-}
-
 // ----------------------------------------------------------------------
 // Public &self execution API — operations against an external overlay
 // ----------------------------------------------------------------------
 
 impl Database {
-    fn overlay_eng<'a>(&'a self, ov: &'a mut Overlay) -> DbResult<OverlayEng<'a>> {
-        if self.overlay.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "external-overlay execution cannot run while an overlay is installed"
-                    .into(),
-            });
-        }
-        Ok(OverlayEng { db: self, ov })
+    /// Runs one operation against `ov` in an operation scope: on `Err`
+    /// the write set is put back as it was before the call.
+    pub(crate) fn scoped<R>(
+        &self,
+        ov: &mut Overlay,
+        op: impl FnOnce(&mut OverlayEng<'_>) -> DbResult<R>,
+    ) -> DbResult<R> {
+        let mark = ov.begin_op();
+        let result = op(&mut OverlayEng { db: self, ov });
+        ov.end_op(mark, result.is_ok());
+        result
     }
 
     /// [`Database::make`] executed against an external overlay: reads
     /// answer overlay-first, every write lands in `ov`, and the base
     /// engine is untouched — callable under a **shared** reference from
     /// many threads at once (each with its own overlay). Commit the net
-    /// effect later with [`Database::overlay_apply`].
+    /// effect later with [`Database::overlay_apply`]. Like every
+    /// `overlay_*` operation, a call that returns `Err` leaves `ov` as it
+    /// found it.
     pub fn overlay_make(
         &self,
         ov: &mut Overlay,
@@ -720,7 +588,7 @@ impl Database {
         values: Vec<(&str, Value)>,
         parents: Vec<(Oid, &str)>,
     ) -> DbResult<Oid> {
-        make_inner(&mut self.overlay_eng(ov)?, class, values, parents)
+        self.scoped(ov, |e| make_inner(e, class, values, parents))
     }
 
     /// [`Database::set_attr`] against an external overlay (see
@@ -732,7 +600,7 @@ impl Database {
         attr: &str,
         value: Value,
     ) -> DbResult<()> {
-        set_attr_inner(&mut self.overlay_eng(ov)?, oid, attr, value)
+        self.scoped(ov, |e| set_attr_inner(e, oid, attr, value))
     }
 
     /// [`Database::set_attr_weak`] against an external overlay (see
@@ -744,13 +612,13 @@ impl Database {
         attr: &str,
         value: Value,
     ) -> DbResult<()> {
-        set_attr_weak(&mut self.overlay_eng(ov)?, oid, attr, value)
+        self.scoped(ov, |e| set_attr_weak(e, oid, attr, value))
     }
 
     /// [`Database::delete`] against an external overlay (see
     /// [`Database::overlay_make`]).
     pub fn overlay_delete(&self, ov: &mut Overlay, root: Oid) -> DbResult<Vec<Oid>> {
-        delete_inner(&mut self.overlay_eng(ov)?, root)
+        self.scoped(ov, |e| delete_inner(e, root))
     }
 
     /// [`Database::make_component`] against an external overlay (see
@@ -762,7 +630,7 @@ impl Database {
         parent: Oid,
         attr: &str,
     ) -> DbResult<()> {
-        make_component_inner(&mut self.overlay_eng(ov)?, child, parent, attr)
+        self.scoped(ov, |e| make_component_inner(e, child, parent, attr))
     }
 
     /// [`Database::remove_component`] against an external overlay (see
@@ -774,40 +642,6 @@ impl Database {
         parent: Oid,
         attr: &str,
     ) -> DbResult<()> {
-        remove_component_inner(&mut self.overlay_eng(ov)?, child, parent, attr)
-    }
-
-    /// [`Database::get`] answering overlay-first against an external
-    /// overlay.
-    pub fn overlay_get(&self, ov: &Overlay, oid: Oid) -> DbResult<Object> {
-        if let Some(image) = ov.lookup(oid) {
-            let mut obj = image.cloned().ok_or(DbError::NoSuchObject(oid))?;
-            self.apply_pending_changes(&mut obj)?;
-            return Ok(obj);
-        }
-        self.get(oid)
-    }
-
-    /// [`Database::get_attr`] answering overlay-first against an external
-    /// overlay.
-    pub fn overlay_get_attr(&self, ov: &Overlay, oid: Oid, attr: &str) -> DbResult<Value> {
-        let idx = self
-            .catalog
-            .class(oid.class)?
-            .attr_index(attr)
-            .ok_or_else(|| DbError::NoSuchAttribute {
-                class: oid.class,
-                attr: attr.into(),
-            })?;
-        Ok(self.overlay_get(ov, oid)?.attrs[idx].clone())
-    }
-
-    /// [`Database::exists`] answering overlay-first against an external
-    /// overlay.
-    pub fn overlay_exists(&self, ov: &Overlay, oid: Oid) -> bool {
-        match ov.lookup(oid) {
-            Some(image) => image.is_some(),
-            None => self.exists(oid),
-        }
+        self.scoped(ov, |e| remove_component_inner(e, child, parent, attr))
     }
 }

@@ -67,7 +67,6 @@ pub mod repair;
 pub mod schema;
 pub mod shard;
 pub mod txn;
-pub mod undo;
 pub mod value;
 
 pub use capture::{Change, ChangeSet};
@@ -80,7 +79,7 @@ pub use integrity::IntegrityReport;
 pub use metrics::CoreMetrics;
 pub use object::Object;
 pub use oid::{ClassId, Oid};
-pub use overlay::Overlay;
+pub use overlay::{Overlay, OverlayView};
 pub use refs::{RefKind, ReverseRef};
 pub use repair::RepairReport;
 pub use schema::attr::{AttributeDef, CompositeSpec, Domain};

@@ -8,11 +8,6 @@
 
 use corion_obs::{Registry, LATENCY_BOUNDS_NS};
 
-/// Bucket bounds for the `make_many` shard fan-out histogram (distinct
-/// shards touched by one bulk placement; the stripe count is capped at
-/// 2^16).
-const FANOUT_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 65536];
-
 /// Handles to every engine-layer metric. One instance per
 /// [`crate::Database`]; cloning a handle is cheap and all clones share
 /// the registry's values.
@@ -30,12 +25,13 @@ pub struct CoreMetrics {
     /// (`compositep`, `component-of`, and friends).
     pub predicate_latency: corion_obs::Histogram,
     /// `corion_atomic_latency_ns`: wall time of each outermost
-    /// [`crate::Database`] autocommit batch, body included.
+    /// [`crate::Database`] storage batch — a write set being applied, a
+    /// repair pass.
     pub atomic_latency: corion_obs::Histogram,
-    /// `corion_atomic_commits_total`: outermost autocommit batches that
-    /// committed (semantic errors still commit prior writes).
+    /// `corion_atomic_commits_total`: outermost storage batches that
+    /// committed.
     pub atomic_commits: corion_obs::Counter,
-    /// `corion_atomic_aborts_total`: outermost autocommit batches rolled
+    /// `corion_atomic_aborts_total`: outermost storage batches rolled
     /// back because the body hit a storage error.
     pub atomic_aborts: corion_obs::Counter,
     /// `corion_txn_begins_total`: transactions opened
@@ -51,7 +47,7 @@ pub struct CoreMetrics {
     /// `corion_txn_aborts_total`: transactions rolled back — explicit
     /// aborts, closure errors, and commit-time storage failures.
     pub txn_aborts: corion_obs::Counter,
-    /// `corion_txn_ops_total`: logical mutations absorbed into
+    /// `corion_txn_ops_total`: logical mutations absorbed into committed
     /// transactions (each would have been its own autocommit batch).
     pub txn_ops: corion_obs::Counter,
     /// `corion_repair_runs_total`: completed [`Database::repair`] passes.
@@ -74,9 +70,6 @@ pub struct CoreMetrics {
     /// refreshed on every metrics snapshot from the incremental
     /// per-stripe counters.
     pub shard_occupancy: Vec<corion_obs::Gauge>,
-    /// `corion_shard_make_many_fanout`: distinct shards touched by each
-    /// `make_many` bulk placement (cross-shard fan-out).
-    pub make_many_fanout: corion_obs::Histogram,
 }
 
 impl CoreMetrics {
@@ -106,7 +99,6 @@ impl CoreMetrics {
             shard_occupancy: (0..shards)
                 .map(|i| registry.gauge(&format!("corion_shard_occupancy_{i}")))
                 .collect(),
-            make_many_fanout: registry.histogram("corion_shard_make_many_fanout", FANOUT_BOUNDS),
         }
     }
 }

@@ -1,76 +1,87 @@
-//! Transaction-private write overlays for the concurrent engine.
+//! The write path: every logical mutation lands in an [`Overlay`], and
+//! [`Database::overlay_apply`] is the only code that turns one into a
+//! storage batch.
 //!
 //! The paper's §7 lock protocol serialises writers at composite-object
 //! granularity, but the storage substrate journals *pages*, and a page
 //! holds many unrelated objects. If two in-flight transactions wrote
 //! into the shared page store directly, the WAL could not commit one
 //! without capturing torn fragments of the other. The overlay closes
-//! that physical/logical gap: while a concurrent write transaction is
-//! open, every mutation it makes lands in a private [`Overlay`] —
-//! base pages and the WAL are untouched until commit.
+//! that physical/logical gap: base pages and the WAL are untouched until
+//! the overlay is applied, and dropping it is the rollback.
 //!
-//! There are two ways to execute operations against an overlay:
-//!
-//! * the **`&self` execution API** ([`Database::overlay_make`],
-//!   [`Database::overlay_set_attr`], …): the overlay stays external and
-//!   the engine is only read, so any number of §7-disjoint writers can
-//!   execute in parallel under a *shared* engine latch — this is what
-//!   the concurrent layer uses;
-//! * **installation** ([`Database::overlay_install`] /
-//!   [`Database::overlay_take`]): the overlay is mounted inside the
-//!   engine so the ordinary `&mut self` entry points write into it —
-//!   retained for read-only snapshot views and tests.
-//!
-//! With an overlay installed:
-//!
-//! * [`Database::get`] / [`Database::exists`] / [`Database::instances_of`]
-//!   answer overlay-first, so the transaction reads its own writes and
-//!   the full operation semantics (topology rules, cascades, reverse
-//!   references) run unchanged;
-//! * the internal `save` / `insert_object` / `erase` primitives write
-//!   only the overlay;
-//! * atomic batches are skipped — there is nothing to journal yet.
-//!
-//! At commit, [`Database::overlay_apply`] replays the net effect into
-//! the base store as **one** atomic batch: a single contiguous WAL run
-//! with a single commit marker, which is what gives crash recovery its
-//! "prefix of the commit-LSN order" guarantee. On abort the overlay is
-//! simply dropped.
+//! * **Execution** ([`Database::overlay_make`],
+//!   [`Database::overlay_set_attr`], … in `exec`) takes `&Database` plus
+//!   the overlay: the engine is only read, so any number of §7-disjoint
+//!   writers execute in parallel under a *shared* engine latch. The
+//!   single-threaded entry points (`Database::make`, …) are the same
+//!   calls against a one-operation overlay applied at once, or against
+//!   the open transaction's overlay.
+//! * Each operation runs in an **operation scope**: the overlay journals
+//!   every entry the operation displaces (moved, not cloned — one per
+//!   object touched) and puts them back if the operation returns `Err`,
+//!   so a rejected message leaves the write set exactly as it found it.
+//! * **Reads** go through [`OverlayView`] — overlay, then base — so a
+//!   transaction reads its own writes and the full operation semantics
+//!   (topology rules, cascades, reverse references) run unchanged.
+//! * [`Database::overlay_apply`] replays the net effect into the base
+//!   store as **one** atomic batch: a single contiguous WAL run with a
+//!   single commit marker, which is what gives crash recovery its
+//!   "prefix of the commit-LSN order" guarantee.
 
 use std::collections::HashMap;
 
+use corion_storage::{HealthState, PhysId};
+
+use crate::composite::view::{self, ReadView};
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::object::Object;
-use crate::oid::Oid;
+use crate::oid::{ClassId, Oid};
+use crate::schema::catalog::Catalog;
+use crate::schema::lattice;
+use crate::value::Value;
 
-/// One overlay entry: the object's current image within the transaction
-/// (`None` after a delete) and whether the transaction itself created it.
-#[derive(Debug, Clone)]
-pub(crate) struct OverlayEntry {
-    /// Latest image, or `None` if deleted within the transaction.
-    pub(crate) image: Option<Object>,
-    /// True if this transaction created the object (it has no base
-    /// record; a subsequent delete cancels it entirely).
-    pub(crate) created: bool,
+/// One overlay entry: the object's current image within the write set
+/// (`None` after a delete) and whether the write set itself created it.
+#[derive(Debug)]
+struct OverlayEntry {
+    /// Latest image, or `None` if deleted within the write set.
+    image: Option<Object>,
+    /// True if this write set created the object (it has no base record;
+    /// a subsequent delete cancels it entirely).
+    created: bool,
+    /// Clustering hint captured at creation (`:parent` placement).
+    near: Option<Oid>,
+    /// The operation scope that last journaled this entry: a second
+    /// write by the same operation changes it in place.
+    op: u64,
 }
 
-/// A transaction-private write set: object images layered over the base
-/// store. See the [module docs](self) for the protocol.
-#[derive(Debug, Default, Clone)]
+/// A write set: object images layered over the base store. See the
+/// [module docs](self) for the protocol.
+#[derive(Debug, Default)]
 pub struct Overlay {
-    pub(crate) entries: HashMap<Oid, OverlayEntry>,
-    /// OIDs created by this transaction, in creation order — replayed in
+    entries: HashMap<Oid, OverlayEntry>,
+    /// OIDs created by this write set, in creation order — replayed in
     /// order at apply time so clustering hints resolve.
-    pub(crate) created: Vec<Oid>,
-    /// Clustering hints captured at creation (`:parent` placement).
-    pub(crate) near: HashMap<Oid, Oid>,
-    /// Highest OID serial this transaction minted, plus one — flushed to
-    /// the WAL as a serial floor inside the commit batch (zero when the
-    /// transaction minted nothing; an aborted transaction's hint is
-    /// dropped with the overlay, which is safe because its serials never
-    /// reached committed state).
-    pub(crate) serial_floor: u64,
+    created: Vec<Oid>,
+    /// Highest OID serial this write set minted, plus one — flushed to
+    /// the WAL as a serial floor inside the commit batch (zero when it
+    /// minted nothing; a dropped overlay's hint goes with it, which is
+    /// safe because its serials never reached committed state).
+    serial_floor: u64,
+    /// Number of the open (or last) operation scope.
+    op: u64,
+    /// What the open operation scope displaced, once per object: the
+    /// entry as it was (`None` = there was none).
+    journal: Vec<(Oid, Option<OverlayEntry>)>,
+}
+
+/// Where an operation scope started: what [`Overlay::end_op`] rewinds to.
+pub(crate) struct OpMark {
+    created: usize,
+    serial_floor: u64,
 }
 
 impl Overlay {
@@ -79,7 +90,7 @@ impl Overlay {
         Self::default()
     }
 
-    /// True if the transaction has written nothing.
+    /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -89,138 +100,243 @@ impl Overlay {
         self.entries.len()
     }
 
-    /// The overlay's view of one object: `None` if the transaction never
-    /// touched it (the base store is authoritative), `Some(None)` if it
-    /// deleted it, `Some(Some(obj))` if it wrote it.
+    /// The overlay's view of one object: `None` if it never touched it
+    /// (the base store is authoritative), `Some(None)` if it deleted it,
+    /// `Some(Some(obj))` if it wrote it.
     pub fn lookup(&self, oid: Oid) -> Option<Option<&Object>> {
         self.entries.get(&oid).map(|e| e.image.as_ref())
     }
 
-    /// The transaction's write set: `(oid, image, created)` for every
-    /// touched object. `image` is `None` for deletions; `created` marks
-    /// objects with no base record. Iteration order is unspecified.
+    /// The write set: `(oid, image, created)` for every touched object.
+    /// `image` is `None` for deletions; `created` marks objects with no
+    /// base record. Iteration order is unspecified.
     pub fn write_set(&self) -> impl Iterator<Item = (Oid, Option<&Object>, bool)> {
         self.entries
             .iter()
             .map(|(oid, e)| (*oid, e.image.as_ref(), e.created))
     }
 
-    /// Record a write to an object that already exists (in the base or
-    /// the overlay).
-    pub(crate) fn record_save(&mut self, obj: &Object) {
-        match self.entries.get_mut(&obj.oid) {
-            Some(e) => e.image = Some(obj.clone()),
+    /// Opens an operation scope. Scopes do not nest: a cascade inside an
+    /// operation belongs to the operation.
+    pub(crate) fn begin_op(&mut self) -> OpMark {
+        debug_assert!(self.journal.is_empty(), "operation scopes do not nest");
+        self.op += 1;
+        OpMark {
+            created: self.created.len(),
+            serial_floor: self.serial_floor,
+        }
+    }
+
+    /// Closes the operation scope; with `keep` false every entry it
+    /// displaced goes back, and the write set is what it was at
+    /// [`begin_op`](Overlay::begin_op).
+    pub(crate) fn end_op(&mut self, mark: OpMark, keep: bool) {
+        if keep {
+            self.journal.clear();
+            return;
+        }
+        for (oid, displaced) in self.journal.drain(..) {
+            match displaced {
+                Some(entry) => self.entries.insert(oid, entry),
+                None => self.entries.remove(&oid),
+            };
+        }
+        self.created.truncate(mark.created);
+        self.serial_floor = mark.serial_floor;
+    }
+
+    /// The one write primitive: `oid`'s image becomes `image`. An entry
+    /// the open operation has not touched yet is journaled first.
+    fn write(&mut self, oid: Oid, image: Option<Object>, created: bool, near: Option<Oid>) {
+        let op = self.op;
+        match self.entries.get_mut(&oid) {
+            Some(e) if e.op == op => e.image = image,
+            Some(e) => {
+                let fresh = OverlayEntry {
+                    image,
+                    created: e.created,
+                    near: e.near,
+                    op,
+                };
+                let displaced = std::mem::replace(e, fresh);
+                self.journal.push((oid, Some(displaced)));
+            }
             None => {
-                self.entries.insert(
-                    obj.oid,
-                    OverlayEntry {
-                        image: Some(obj.clone()),
-                        created: false,
-                    },
-                );
+                let fresh = OverlayEntry {
+                    image,
+                    created,
+                    near,
+                    op,
+                };
+                self.entries.insert(oid, fresh);
+                self.journal.push((oid, None));
             }
         }
     }
 
+    /// Record a write to an object that already exists (in the base or
+    /// the overlay).
+    pub(crate) fn record_save(&mut self, obj: Object) {
+        self.write(obj.oid, Some(obj), false, None);
+    }
+
     /// Record a brand-new object.
-    pub(crate) fn record_insert(&mut self, obj: &Object, near: Option<Oid>) {
-        self.entries.insert(
-            obj.oid,
-            OverlayEntry {
-                image: Some(obj.clone()),
-                created: true,
-            },
-        );
+    pub(crate) fn record_insert(&mut self, obj: Object, near: Option<Oid>) {
         self.created.push(obj.oid);
-        if let Some(n) = near {
-            self.near.insert(obj.oid, n);
-        }
+        self.write(obj.oid, Some(obj), true, near);
     }
 
     /// Record a deletion. `in_base` says whether the object has a base
     /// record (a created-then-deleted object cancels out entirely).
     pub(crate) fn record_erase(&mut self, oid: Oid, in_base: bool) {
-        match self.entries.get_mut(&oid) {
-            Some(e) => e.image = None,
-            None => {
-                self.entries.insert(
-                    oid,
-                    OverlayEntry {
-                        image: None,
-                        created: !in_base,
-                    },
-                );
+        self.write(oid, None, !in_base, None);
+    }
+
+    /// Note that serials below `floor` are taken.
+    pub(crate) fn raise_serial_floor(&mut self, floor: u64) {
+        self.serial_floor = self.serial_floor.max(floor);
+    }
+}
+
+/// A strict read view of one write set over the engine it will be applied
+/// to: the overlay answers for what it touched, the committed base for
+/// everything else. This is what a transaction reads through —
+/// [`Database`]'s own reads while [`Database::begin_transaction`] is open,
+/// an operation executing against an overlay, and `corion-concurrent`'s
+/// in-transaction reads — and it is a [`ReadView`], so the §3 walks run
+/// over it.
+#[derive(Clone, Copy)]
+pub struct OverlayView<'a> {
+    db: &'a Database,
+    overlay: &'a Overlay,
+}
+
+impl<'a> OverlayView<'a> {
+    /// [`Database::get`] through the write set.
+    pub fn get(&self, oid: Oid) -> DbResult<Object> {
+        match self.overlay.lookup(oid) {
+            Some(image) => {
+                let mut obj = image.cloned().ok_or(DbError::NoSuchObject(oid))?;
+                self.db.apply_pending_changes(&mut obj)?;
+                Ok(obj)
+            }
+            None => self.db.base_get(oid),
+        }
+    }
+
+    /// [`Database::exists`] through the write set.
+    pub fn exists(&self, oid: Oid) -> bool {
+        match self.overlay.lookup(oid) {
+            Some(image) => image.is_some(),
+            None => self.db.shards.contains(oid),
+        }
+    }
+
+    /// [`Database::get_attr`] through the write set.
+    pub fn get_attr(&self, oid: Oid, attr: &str) -> DbResult<Value> {
+        let idx = self
+            .db
+            .catalog
+            .class(oid.class)?
+            .attr_index(attr)
+            .ok_or_else(|| DbError::NoSuchAttribute {
+                class: oid.class,
+                attr: attr.into(),
+            })?;
+        Ok(self.get(oid)?.attrs[idx].clone())
+    }
+
+    /// [`Database::instances_of`] through the write set.
+    pub fn instances_of(&self, class: ClassId, deep: bool) -> Vec<Oid> {
+        let catalog = &self.db.catalog;
+        let mut out = self.db.base_instances_of(class, deep);
+        let in_scope =
+            |c: ClassId| c == class || (deep && lattice::is_subclass_of(catalog, c, class));
+        for (oid, e) in &self.overlay.entries {
+            if !in_scope(oid.class) {
+                continue;
+            }
+            match (&e.image, e.created) {
+                (Some(_), true) => out.push(*oid),
+                (None, false) => out.retain(|o| o != oid),
+                _ => {}
             }
         }
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// [`Database::object_count`] through the write set.
+    pub fn object_count(&self) -> usize {
+        let mut n = self.db.shards.len();
+        for e in self.overlay.entries.values() {
+            match (&e.image, e.created) {
+                (Some(_), true) => n += 1,
+                (None, false) => n -= 1,
+                _ => {}
+            }
+        }
+        n
+    }
+
+    /// The schema catalog of the engine underneath.
+    pub fn catalog(&self) -> &'a Catalog {
+        &self.db.catalog
+    }
+}
+
+impl ReadView for OverlayView<'_> {
+    fn resolve(&mut self, oid: Oid) -> DbResult<Option<Object>> {
+        view::found(self.get(oid))
+    }
+
+    fn visible(&mut self, oid: Oid) -> DbResult<bool> {
+        Ok(self.exists(oid))
+    }
+
+    fn catalog(&mut self) -> DbResult<&Catalog> {
+        Ok(&self.db.catalog)
     }
 }
 
 impl Database {
-    /// Install a transaction-private write overlay. Until
-    /// [`overlay_take`](Database::overlay_take), every mutation lands in
-    /// the overlay and every read answers overlay-first. Exclusive with
-    /// the single-threaded transaction/undo scopes and with an open
-    /// storage batch.
-    ///
-    /// This is engine plumbing for `corion-concurrent`, which installs
-    /// the overlay only while holding its exclusive latch.
-    pub fn overlay_install(&mut self, overlay: Overlay) -> DbResult<()> {
-        if self.overlay.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "an overlay is already installed".into(),
-            });
-        }
-        if self.txn.is_some() || self.undo.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "overlays cannot be mixed with single-threaded transaction or undo scopes"
-                    .into(),
-            });
-        }
-        if self.store.in_atomic_batch() {
-            return Err(DbError::TransactionState {
-                reason: "overlays cannot be installed inside an open atomic batch".into(),
-            });
-        }
-        self.overlay = Some(overlay);
-        Ok(())
+    /// This engine as seen through `overlay`: overlay first, then the
+    /// committed base (an open [`Database::begin_transaction`] of the
+    /// engine's own is *not* part of the base).
+    pub fn view_over<'a>(&'a self, overlay: &'a Overlay) -> OverlayView<'a> {
+        OverlayView { db: self, overlay }
     }
 
-    /// Remove and return the installed overlay; `None` if no overlay is
-    /// installed.
-    pub fn overlay_take(&mut self) -> Option<Overlay> {
-        self.overlay.take()
-    }
-
-    /// True while a write overlay is installed.
-    pub fn overlay_active(&self) -> bool {
-        self.overlay.is_some()
-    }
-
-    /// Replay a transaction's net effect into the base store as **one**
+    /// Replay a write set's net effect into the base store as **one**
     /// atomic batch: creations in creation order (so clustering hints
     /// resolve), then updates, then deletions. A single WAL commit
-    /// marker covers the whole transaction, so crash recovery sees all
+    /// marker covers the whole write set, so crash recovery sees all
     /// of it or none of it.
     ///
-    /// Must be called with no overlay installed (commit first takes the
-    /// overlay out). On a storage error the batch aborts and, as with
-    /// any substrate failure, the caller must run
+    /// On a storage error the batch aborts. If the store rolled it back
+    /// cleanly (it is still [`HealthState::Healthy`]) the object table is
+    /// put back too and the engine carries on at the pre-apply state;
+    /// otherwise, as with any substrate failure, the caller must run
     /// [`Database::recover`] before further mutations.
     pub fn overlay_apply(&mut self, overlay: Overlay) -> DbResult<()> {
-        if self.overlay.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "cannot apply an overlay while another is installed".into(),
-            });
-        }
-        self.atomic(|db| {
+        self.forbid_in_transaction("apply a write set")?;
+        let nested = self.store.in_atomic_batch();
+        // The write set is known up front, and so is the part of the
+        // object table it can change.
+        let before: Vec<(Oid, Option<PhysId>)> = overlay
+            .entries
+            .keys()
+            .map(|&oid| (oid, self.shards.get(oid)))
+            .collect();
+        let result = self.atomic(|db| {
             if overlay.serial_floor > 0 {
                 db.store.note_serial_floor(overlay.serial_floor);
             }
             for oid in &overlay.created {
                 if let Some(e) = overlay.entries.get(oid) {
                     if let (true, Some(img)) = (e.created, e.image.as_ref()) {
-                        let near = overlay.near.get(oid).copied();
-                        db.insert_object(img, near)?;
+                        db.insert_object(img, e.near)?;
                     }
                 }
             }
@@ -234,7 +350,18 @@ impl Database {
                 }
             }
             Ok(())
-        })
+        });
+        if result.is_err() && !nested && self.store.health() == HealthState::Healthy {
+            for (oid, phys) in before {
+                match phys {
+                    Some(phys) => self.shards.insert(oid, phys),
+                    None => {
+                        self.shards.remove(oid);
+                    }
+                }
+            }
+        }
+        result
     }
 
     /// Force the next `make` serial number. Test and replay plumbing:
@@ -257,7 +384,6 @@ mod tests {
     use super::*;
     use crate::schema::attr::Domain;
     use crate::schema::class::ClassBuilder;
-    use crate::value::Value;
 
     fn label(s: &str) -> Value {
         Value::Str(s.into())
@@ -276,15 +402,19 @@ mod tests {
         let (mut db, c) = db_with_class();
         let base = db.make(c, vec![("label", label("base"))], vec![]).unwrap();
 
-        db.overlay_install(Overlay::new()).unwrap();
-        db.set_attr(base, "label", label("changed")).unwrap();
-        let fresh = db.make(c, vec![("label", label("fresh"))], vec![]).unwrap();
-        assert_eq!(db.get_attr(base, "label").unwrap(), label("changed"));
-        assert_eq!(db.get_attr(fresh, "label").unwrap(), label("fresh"));
-        assert_eq!(db.instances_of(c, false).len(), 2);
+        let mut ov = Overlay::new();
+        db.overlay_set_attr(&mut ov, base, "label", label("changed"))
+            .unwrap();
+        let fresh = db
+            .overlay_make(&mut ov, c, vec![("label", label("fresh"))], vec![])
+            .unwrap();
+        let view = db.view_over(&ov);
+        assert_eq!(view.get_attr(base, "label").unwrap(), label("changed"));
+        assert_eq!(view.get_attr(fresh, "label").unwrap(), label("fresh"));
+        assert_eq!(view.instances_of(c, false).len(), 2);
+        assert_eq!(view.object_count(), 2);
 
-        // Dropping the overlay rolls everything back.
-        let ov = db.overlay_take().unwrap();
+        // Dropping the overlay is the rollback: the base never moved.
         assert_eq!(ov.len(), 2);
         assert_eq!(db.get_attr(base, "label").unwrap(), label("base"));
         assert!(!db.exists(fresh));
@@ -299,15 +429,17 @@ mod tests {
             .unwrap();
         let updated = db.make(c, vec![("label", label("old"))], vec![]).unwrap();
 
-        db.overlay_install(Overlay::new()).unwrap();
-        let kept = db.make(c, vec![("label", label("kept"))], vec![]).unwrap();
-        let doomed = db
-            .make(c, vec![("label", label("doomed"))], vec![])
+        let mut ov = Overlay::new();
+        let kept = db
+            .overlay_make(&mut ov, c, vec![("label", label("kept"))], vec![])
             .unwrap();
-        db.delete(doomed).unwrap();
-        db.delete(victim).unwrap();
-        db.set_attr(updated, "label", label("new")).unwrap();
-        let ov = db.overlay_take().unwrap();
+        let doomed = db
+            .overlay_make(&mut ov, c, vec![("label", label("doomed"))], vec![])
+            .unwrap();
+        db.overlay_delete(&mut ov, doomed).unwrap();
+        db.overlay_delete(&mut ov, victim).unwrap();
+        db.overlay_set_attr(&mut ov, updated, "label", label("new"))
+            .unwrap();
 
         db.overlay_apply(ov).unwrap();
         assert!(db.exists(kept));
@@ -317,16 +449,46 @@ mod tests {
     }
 
     #[test]
-    fn overlay_rejects_mixing_with_transactions() {
-        let (mut db, _) = db_with_class();
-        db.begin_transaction().unwrap();
-        let err = db.overlay_install(Overlay::new()).unwrap_err();
-        assert!(matches!(err, DbError::TransactionState { .. }));
-        db.abort_transaction().unwrap();
+    fn a_failed_operation_scope_puts_every_displaced_entry_back() {
+        let (db, c) = db_with_class();
+        let mut ov = Overlay::new();
+        let kept = db
+            .overlay_make(&mut ov, c, vec![("label", label("kept"))], vec![])
+            .unwrap();
+        let floor = ov.serial_floor;
 
-        db.overlay_install(Overlay::new()).unwrap();
-        let err = db.begin_transaction().unwrap_err();
-        assert!(matches!(err, DbError::TransactionState { .. }));
-        db.overlay_take().unwrap();
+        let mark = ov.begin_op();
+        ov.record_save(Object::new(kept, vec![label("scribbled")], 0));
+        ov.record_save(Object::new(kept, vec![label("twice")], 0));
+        ov.record_insert(Object::new(Oid::new(c, 99), vec![Value::Null], 0), None);
+        ov.raise_serial_floor(100);
+        assert_eq!(ov.journal.len(), 2, "one journal entry per object");
+        ov.end_op(mark, false);
+
+        assert_eq!(ov.len(), 1);
+        assert_eq!(ov.created, vec![kept]);
+        assert_eq!(ov.serial_floor, floor);
+        assert_eq!(
+            db.view_over(&ov).get_attr(kept, "label").unwrap(),
+            label("kept")
+        );
+    }
+
+    #[test]
+    fn a_failed_apply_on_a_healthy_store_restores_the_object_table() {
+        let (mut db, c) = db_with_class();
+        let old = db.make(c, vec![("label", label("old"))], vec![]).unwrap();
+        let mut ov = Overlay::new();
+        let fresh = db.overlay_make(&mut ov, c, vec![], vec![]).unwrap();
+        db.overlay_delete(&mut ov, old).unwrap();
+        // A burst the retry budget cannot absorb: the store aborts the
+        // batch cleanly and stays healthy.
+        db.arm_transient_crash(corion_storage::CP_COMMIT_FLUSH, 1, 64);
+        assert!(matches!(db.overlay_apply(ov), Err(DbError::Storage(_))));
+        db.heal_crash_points();
+        assert_eq!(db.health(), HealthState::Healthy);
+        assert!(db.exists(old) && !db.exists(fresh));
+        assert_eq!(db.get_attr(old, "label").unwrap(), label("old"));
+        db.verify_integrity().unwrap();
     }
 }

@@ -41,14 +41,10 @@ pub(crate) const META_FILE: &str = "meta.corion";
 
 impl Database {
     /// Serializes the whole database (schema, operation logs, objects) into
-    /// a self-contained byte image. Fails inside an undo scope (the image
+    /// a self-contained byte image. Fails inside a transaction (the image
     /// must be a committed state).
     pub fn dump(&mut self) -> DbResult<Vec<u8>> {
-        if self.in_undo_scope() {
-            return Err(DbError::SchemaChangeRejected {
-                reason: "cannot dump inside an open undo scope".into(),
-            });
-        }
+        self.forbid_in_transaction("dump")?;
         let mut buf = Vec::new();
         buf.put_slice(MAGIC);
         self.encode_schema(&mut buf);
@@ -668,11 +664,14 @@ mod tests {
     }
 
     #[test]
-    fn dump_inside_undo_scope_is_rejected() {
+    fn dump_inside_a_transaction_is_rejected() {
         let mut db = populated();
-        db.begin_undo().unwrap();
-        assert!(db.dump().is_err());
-        db.commit_undo().unwrap();
+        db.begin_transaction().unwrap();
+        assert!(matches!(
+            db.dump(),
+            Err(crate::DbError::TransactionState { .. })
+        ));
+        db.commit_transaction().unwrap();
         db.dump().unwrap();
     }
 }

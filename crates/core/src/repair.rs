@@ -31,7 +31,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::db::{Database, OrphanPolicy};
-use crate::error::{DbError, DbResult};
+use crate::error::DbResult;
 use crate::oid::Oid;
 use crate::refs::ReverseRef;
 
@@ -79,14 +79,10 @@ impl Database {
     /// detects, in one atomic batch. Returns a census of the changes; a
     /// clean database comes back with [`RepairReport::is_clean`] true.
     ///
-    /// Fails inside an undo scope (repair writes bypass the undo log) and
+    /// Fails inside a transaction (repair works on committed state) and
     /// propagates storage failures like any other mutation.
     pub fn repair(&mut self) -> DbResult<RepairReport> {
-        if self.in_undo_scope() {
-            return Err(DbError::SchemaChangeRejected {
-                reason: "cannot repair inside an open undo scope".into(),
-            });
-        }
+        self.forbid_in_transaction("repair")?;
         let _span = corion_obs::span("core", "repair");
         let report = self.atomic(|db| db.repair_inner())?;
         self.metrics.repair_runs.inc();

@@ -1,59 +1,57 @@
 //! Public transactions — N logical mutations, one durability point.
 //!
 //! Every public mutation of the engine autocommits: `make`, `set_attr`,
-//! `make_component`, `delete` each run one storage-level atomic batch and
-//! pay one WAL flush (`crates/storage`: the durability point). The paper's
+//! `make_component`, `delete` each execute against a one-operation
+//! [`Overlay`] that is applied at once — one storage-level atomic batch,
+//! one WAL flush (`crates/storage`: the durability point). The paper's
 //! workloads, though, are dominated by *multi-object* logical operations —
 //! a bottom-up hierarchy build via `make` with `:parent` clustering (§2.3)
 //! touches hundreds of objects — and per-object flushing makes durability
 //! the bottleneck.
 //!
 //! A transaction amortises that cost. Between [`Database::begin_transaction`]
-//! and [`Database::commit_transaction`] every mutation joins one open
-//! storage batch: pages are logged once (deduplicated by the batch),
+//! and [`Database::commit_transaction`] the engine holds one overlay: every
+//! mutation lands in it, every read of the engine answers through it, and
+//! commit applies it — each touched object is encoded and written once,
 //! one commit marker is appended, and one flush happens.
-//! [`Database::abort_transaction`] rolls everything back: the storage
-//! layer rewinds its log and frames (no-steal policy — dirty pages never
-//! reach disk before commit), and the engine restores its derived maps
-//! (object table, class extensions, serial counter) from per-transaction
-//! before-entries.
+//! [`Database::abort_transaction`] drops the overlay: the page store, the
+//! object table and the class extensions never moved, and the serial
+//! counter goes back to its begin-time value.
 //!
 //! Scope mirrors ORION's transaction management \[GARZ88\]: object state
-//! only. DDL is rejected inside a transaction (the catalog is engine
-//! memory, outside the WAL's crash scope), transactions do not nest, and
-//! a transaction excludes the object-level [`undo`](crate::undo) scope —
-//! the two are alternative rollback mechanisms.
+//! only. DDL, dumps, repair and checkpoints are refused inside a
+//! transaction (they work on committed state), and transactions do not
+//! nest.
 //!
 //! [`Database::begin_transaction`]: Database::begin_transaction
 //! [`Database::commit_transaction`]: Database::commit_transaction
 //! [`Database::abort_transaction`]: Database::abort_transaction
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 
-use corion_storage::{HealthState, PhysId};
+use corion_storage::HealthState;
 
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
+use crate::exec::OverlayEng;
 use crate::object::Object;
 use crate::oid::{ClassId, Oid};
+use crate::overlay::Overlay;
 use crate::refs::ReverseRef;
 use crate::schema::attr::CompositeSpec;
 use crate::value::Value;
 
-/// Book-keeping for one open transaction.
+/// The open transaction: the engine's one write scope.
 pub(crate) struct TxnState {
-    /// Object-table entry of every object touched, at its *first* touch
-    /// (`None` = did not exist). Abort re-installs these; the storage
-    /// rollback makes the recorded `PhysId`s valid again.
-    table_before: HashMap<Oid, Option<PhysId>>,
+    /// Everything the transaction wrote.
+    pub(crate) overlay: Overlay,
     /// Serial counter at begin, restored on abort so rolled-back
     /// creations don't burn OIDs.
     next_serial: u64,
     /// Logical operations absorbed so far (for `corion_txn_ops_total`).
-    pub(crate) ops: u64,
-    /// Set when a joined operation hit a substrate failure: the batch can
-    /// no longer commit as a unit, only abort.
-    pub(crate) failed: bool,
+    ops: u64,
 }
 
 /// A parent reference in a [`MakeSpec`]: either an object that already
@@ -119,40 +117,30 @@ struct PlannedMake {
 
 impl Database {
     /// Opens a transaction. Until [`commit_transaction`] (or
-    /// [`abort_transaction`]) every mutation joins one storage batch:
+    /// [`abort_transaction`]) every mutation lands in one write set:
     /// one WAL commit marker and one flush for the whole group.
     ///
-    /// Transactions do not nest, exclude the [`begin_undo`] scope, and
-    /// reject DDL ([`define_class`] and the schema-evolution entry
-    /// points) — the catalog is engine memory the WAL cannot roll back.
+    /// Transactions do not nest and reject everything that works on
+    /// committed state — DDL ([`define_class`] and the schema-evolution
+    /// entry points: the catalog is engine memory the WAL cannot roll
+    /// back), `dump`, `repair`, `scrub`, `checkpoint`, `sync`.
     ///
     /// [`commit_transaction`]: Database::commit_transaction
     /// [`abort_transaction`]: Database::abort_transaction
-    /// [`begin_undo`]: Database::begin_undo
     /// [`define_class`]: Database::define_class
     pub fn begin_transaction(&mut self) -> DbResult<()> {
-        if self.txn.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "a transaction is already open (transactions do not nest)".into(),
-            });
+        self.forbid_in_transaction("open a transaction (transactions do not nest)")?;
+        match self.store.health() {
+            HealthState::Healthy => {}
+            HealthState::Degraded => return Err(DbError::ReadOnly),
+            HealthState::Poisoned => {
+                return Err(corion_storage::StorageError::NeedsRecovery.into());
+            }
         }
-        if self.undo.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "a transaction cannot open inside an undo scope".into(),
-            });
-        }
-        if self.overlay.is_some() {
-            return Err(DbError::TransactionState {
-                reason: "a transaction cannot open while a concurrent write overlay is installed"
-                    .into(),
-            });
-        }
-        self.store.begin_atomic()?;
         self.txn = Some(TxnState {
-            table_before: HashMap::new(),
-            next_serial: self.next_serial.load(std::sync::atomic::Ordering::Relaxed),
+            overlay: Overlay::new(),
+            next_serial: self.next_serial.load(Ordering::Relaxed),
             ops: 0,
-            failed: false,
         });
         self.metrics.txn_begins.inc();
         Ok(())
@@ -163,28 +151,31 @@ impl Database {
         self.txn.is_some()
     }
 
-    /// Commits the open transaction: one WAL flush makes every grouped
-    /// mutation durable at once.
+    /// The one guard of everything that needs committed state: a typed
+    /// [`DbError::TransactionState`] while a transaction is open.
+    pub(crate) fn forbid_in_transaction(&self, what: &str) -> DbResult<()> {
+        match self.txn {
+            Some(_) => Err(DbError::TransactionState {
+                reason: format!("cannot {what} inside an open transaction"),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Commits the open transaction: its write set is applied as one
+    /// storage batch and one WAL flush makes every grouped mutation
+    /// durable at once.
     ///
-    /// If any operation inside the transaction hit a substrate failure
-    /// the commit is refused and the transaction rolls back instead
-    /// (partial durability is exactly what a transaction promises not to
-    /// deliver). On a commit-time storage failure the engine's maps are
-    /// restored when the store rolled back cleanly; a degraded/poisoned
-    /// store needs [`Database::recover`], which rebuilds them wholesale.
+    /// On a commit-time storage failure the transaction is over and
+    /// nothing of it is visible: the engine is at its pre-transaction
+    /// state when the store rolled back cleanly; a degraded/poisoned
+    /// store needs [`Database::recover`], which rebuilds the derived maps
+    /// wholesale.
     pub fn commit_transaction(&mut self) -> DbResult<()> {
         let txn = self.txn.take().ok_or_else(|| DbError::TransactionState {
             reason: "no transaction is open".into(),
         })?;
-        if txn.failed {
-            self.txn = Some(txn);
-            self.abort_transaction()?;
-            return Err(DbError::TransactionState {
-                reason: "the transaction hit a storage fault and was rolled back".into(),
-            });
-        }
-        let result = self.commit_batch();
-        match result {
+        match self.overlay_apply(txn.overlay) {
             Ok(()) => {
                 self.metrics.txn_commits.inc();
                 self.metrics.txn_ops.add(txn.ops);
@@ -192,30 +183,23 @@ impl Database {
             }
             Err(e) => {
                 if self.store.health() == HealthState::Healthy {
-                    // The store aborted the batch cleanly (e.g. a transient
-                    // flush fault that exhausted its retry budget): restore
-                    // the pre-transaction derived maps to match.
-                    self.restore_txn_maps(txn);
+                    self.next_serial.store(txn.next_serial, Ordering::Relaxed);
                 }
                 self.metrics.txn_aborts.inc();
-                Err(e.into())
+                Err(e)
             }
         }
     }
 
-    /// Rolls the open transaction back: the storage batch aborts (its
-    /// pages never reached disk under the no-steal policy), and the
-    /// engine's derived maps return to their pre-transaction state.
+    /// Rolls the open transaction back: its write set is dropped (nothing
+    /// of it ever reached the page store or the object table) and the
+    /// serial counter returns to its begin-time value.
     pub fn abort_transaction(&mut self) -> DbResult<()> {
         let txn = self.txn.take().ok_or_else(|| DbError::TransactionState {
             reason: "no transaction is open".into(),
         })?;
-        let result = self.abort_batch();
-        if self.store.health() == HealthState::Healthy {
-            self.restore_txn_maps(txn);
-        }
+        self.next_serial.store(txn.next_serial, Ordering::Relaxed);
         self.metrics.txn_aborts.inc();
-        result?;
         Ok(())
     }
 
@@ -251,30 +235,30 @@ impl Database {
         }
     }
 
-    /// Restores the derived maps touched by a rolled-back transaction.
-    /// Only valid after the storage batch aborted cleanly: the recorded
-    /// `PhysId`s point at pre-transaction pages.
-    fn restore_txn_maps(&mut self, txn: TxnState) {
-        for (oid, before) in txn.table_before {
-            match before {
-                Some(phys) => self.shards.insert(oid, phys),
-                None => {
-                    self.shards.remove(oid);
+    /// Runs one mutating operation (`ops` logical operations) the way
+    /// every `&mut self` mutation of the engine runs: against the open
+    /// transaction's overlay, or — autocommit — against a fresh overlay
+    /// that is applied at once. `op` is one of the `overlay_*` executors,
+    /// so an `Err` has already left the overlay as it was.
+    pub(crate) fn run_op<R>(
+        &mut self,
+        ops: u64,
+        op: impl FnOnce(&Database, &mut Overlay) -> DbResult<R>,
+    ) -> DbResult<R> {
+        match self.txn.take() {
+            Some(mut txn) => {
+                let result = op(self, &mut txn.overlay);
+                if result.is_ok() {
+                    txn.ops += ops;
                 }
+                self.txn = Some(txn);
+                result
             }
-        }
-        self.next_serial
-            .store(txn.next_serial, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records the object-table entry of `oid` before its first mutation
-    /// in the open transaction (no-op outside one). Must run *before* the
-    /// mutation changes the table — [`Database::note_touch`] sees to that.
-    pub(crate) fn txn_note_touch(&mut self, oid: Oid) {
-        if self.txn.is_some() {
-            let before = self.shards.get(oid);
-            if let Some(txn) = self.txn.as_mut() {
-                txn.table_before.entry(oid).or_insert(before);
+            None => {
+                let mut overlay = Overlay::new();
+                let out = op(self, &mut overlay)?;
+                self.overlay_apply(overlay)?;
+                Ok(out)
             }
         }
     }
@@ -285,327 +269,322 @@ impl Database {
     /// `:parent` clustering directive of §2.3). Specs may reference
     /// earlier specs of the same call via [`ParentRef::Created`], so a
     /// composite hierarchy builds top-down in one shot. Returns the
-    /// created OIDs in spec order; any failure rolls the whole batch back.
+    /// created OIDs in spec order; any failure makes the whole call a
+    /// no-op.
     ///
     /// Joins an already-open transaction rather than opening its own (the
     /// enclosing commit/abort then governs durability).
     ///
     /// The common bulk shape — set-valued parent attributes, composite
     /// attributes that start empty — takes a batched path: each child's
-    /// reverse references are encoded into its initial image (one write
-    /// per child instead of an insert-then-rewrite), and each parent's
-    /// forward references are accumulated in memory and written exactly
-    /// once, instead of one read-modify-write cycle per child. Shapes
-    /// needing the full `make` protocol (scalar parent attributes with
-    /// displacement, composite attributes pre-seeded with references)
-    /// fall back to per-spec `make` calls, still inside one transaction.
+    /// reverse references are built into its initial image, and each
+    /// parent's forward references are accumulated in memory and written
+    /// exactly once, instead of one read-modify-write cycle per child.
+    /// Shapes needing the full `make` protocol (scalar parent attributes
+    /// with displacement, composite attributes pre-seeded with
+    /// references) run spec by spec, still as one operation.
     pub fn make_many(&mut self, specs: &[MakeSpec]) -> DbResult<Vec<Oid>> {
         if self.in_transaction() {
-            let result = self.make_many_inner(specs);
-            if let (Err(DbError::Storage(_) | DbError::ReadOnly), Some(txn)) =
-                (&result, self.txn.as_mut())
-            {
-                // Match `atomic`'s join bookkeeping: a substrate failure
-                // poisons the enclosing transaction.
-                txn.failed = true;
-            }
-            result
+            self.run_op(specs.len() as u64, |db, ov| {
+                db.scoped(ov, |e| match plan_bulk_ingest(e, specs) {
+                    Some(plans) => run_bulk_ingest(e, plans),
+                    None => make_many_general(e, specs),
+                })
+            })
         } else {
-            self.transaction(|db| db.make_many_inner(specs))
+            self.transaction(|db| db.make_many(specs))
         }
-    }
-
-    fn make_many_inner(&mut self, specs: &[MakeSpec]) -> DbResult<Vec<Oid>> {
-        match self.plan_bulk_ingest(specs) {
-            Some(plans) => self.run_bulk_ingest(plans),
-            None => self.make_many_general(specs),
-        }
-    }
-
-    /// Validates `specs` for the batched ingest path. `None` means "use
-    /// the general path" — either the shape needs the full `make`
-    /// protocol, or a spec has an error the general path will report with
-    /// its usual diagnostics. The fast path therefore only ever runs on
-    /// fully pre-validated input and cannot fail mid-batch for logical
-    /// reasons, which keeps a joined outer transaction consistent.
-    fn plan_bulk_ingest(&self, specs: &[MakeSpec]) -> Option<Vec<PlannedMake>> {
-        let mut plans = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let class_def = self.catalog.class(spec.class).ok()?;
-            let mut attrs: Vec<Value> = class_def.attrs.iter().map(|a| a.init.clone()).collect();
-            for (name, value) in &spec.values {
-                let idx = class_def.attr_index(name)?;
-                self.check_domain(&class_def.attrs[idx], value).ok()?;
-                attrs[idx] = value.clone();
-            }
-            // A composite attribute that starts with references needs the
-            // attach protocol (cycle checks, reverse refs on the targets).
-            for (idx, def) in class_def.attrs.iter().enumerate() {
-                if def.composite.is_some() && !attrs[idx].refs().is_empty() {
-                    return None;
-                }
-            }
-            let mut parents: Vec<(ParentRef, usize, Option<CompositeSpec>)> = Vec::new();
-            for (pref, pattr) in &spec.parents {
-                let pclass_id = match *pref {
-                    ParentRef::Existing(oid) => {
-                        if !self.exists(oid) {
-                            return None;
-                        }
-                        oid.class
-                    }
-                    ParentRef::Created(j) => {
-                        if j >= i {
-                            return None; // forward reference: general path reports it
-                        }
-                        specs[j].class
-                    }
-                };
-                let pclass = self.catalog.class(pclass_id).ok()?;
-                let idx = pclass.attr_index(pattr)?;
-                let def = &pclass.attrs[idx];
-                if let Some(dc) = def.domain.referenced_class() {
-                    if !self.is_subclass_of(spec.class, dc) {
-                        return None;
-                    }
-                }
-                // Scalar parent attributes displace their previous
-                // component; non-reference attributes are an error. Both
-                // go through the general path.
-                if !def.domain.is_set() || !(def.composite.is_some() || def.is_reference()) {
-                    return None;
-                }
-                if parents.iter().any(|&(p, a, _)| p == *pref && a == idx) {
-                    continue; // duplicate pair: `make` treats the repeat as a no-op
-                }
-                parents.push((*pref, idx, def.composite));
-            }
-            let composite = parents.iter().filter(|(_, _, c)| c.is_some()).count();
-            if composite > 1
-                && parents
-                    .iter()
-                    .any(|(_, _, c)| c.is_some_and(|s| s.exclusive))
-            {
-                return None; // Topology Rule 3 violation: general path reports it
-            }
-            plans.push(PlannedMake {
-                class: spec.class,
-                change_count: class_def.change_count,
-                attrs,
-                parents,
-            });
-        }
-        Some(plans)
-    }
-
-    /// Executes a pre-validated bulk plan in four phases:
-    ///
-    /// 1. **Build** (serial): mint the batch's serials with one atomic
-    ///    bump (and one durable high-water note), construct each child
-    ///    with its reverse references pre-encoded, and accumulate parent
-    ///    forward references in a write buffer so each touched parent is
-    ///    written exactly once.
-    /// 2. **Encode** (parallel): serialise every creation-time image;
-    ///    this is pure CPU work with no engine state, so large batches
-    ///    fan it out across threads.
-    /// 3. **Place** (serial, spec order): `store.insert` each image with
-    ///    its `:parent` clustering hint. Placement order is spec order
-    ///    regardless of the shard count, which is what keeps dumps and
-    ///    checkpoints byte-identical across shard configurations.
-    /// 4. **Publish** (shard-parallel): group the new `(oid, phys)`
-    ///    entries by shard and insert each shard's group under its own
-    ///    stripe lock, fanning out across threads when the batch and the
-    ///    machine are big enough; the distinct-shard count is recorded in
-    ///    `corion_shard_make_many_fanout`.
-    fn run_bulk_ingest(&mut self, plans: Vec<PlannedMake>) -> DbResult<Vec<Oid>> {
-        fn resolve(p: ParentRef, created: &[Oid]) -> Oid {
-            match p {
-                ParentRef::Existing(oid) => oid,
-                ParentRef::Created(j) => created[j],
-            }
-        }
-        let n = plans.len() as u64;
-        let base = self
-            .next_serial
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        // One durable high-water note covers the whole batch's allocations.
-        self.store.note_serial_floor(base + n);
-
-        // Phase 1: build children and buffer parent updates.
-        let mut created: Vec<Oid> = Vec::with_capacity(plans.len());
-        // Creation-time image + clustering hint, in spec order.
-        let mut inserts: Vec<(Object, Option<Oid>)> = Vec::with_capacity(plans.len());
-        let mut insert_index: HashMap<Oid, usize> = HashMap::with_capacity(plans.len());
-        // Working copies of every parent touched (batch-created parents
-        // are cloned from their creation image on first touch), so later
-        // specs keep extending a parent without re-reading it.
-        let mut buffer: HashMap<Oid, Object> = HashMap::new();
-        let mut dirty: Vec<Oid> = Vec::new();
-        let mut dirty_set: HashSet<Oid> = HashSet::new();
-        for (k, plan) in plans.into_iter().enumerate() {
-            let oid = Oid::new(plan.class, base + k as u64);
-            let mut obj = Object::new(oid, plan.attrs, plan.change_count);
-            for &(pref, _, cspec) in &plan.parents {
-                if let Some(spec) = cspec {
-                    let poid = resolve(pref, &created);
-                    obj.reverse_refs
-                        .push(ReverseRef::new(poid, spec.dependent, spec.exclusive));
-                }
-            }
-            debug_assert!(
-                crate::composite::ParentSets::of(&obj).check(oid).is_ok(),
-                "plan_bulk_ingest admitted a topology violation"
-            );
-            self.note_touch(oid, Some(&obj))?;
-            for &(pref, idx, _) in &plan.parents {
-                let poid = resolve(pref, &created);
-                if let std::collections::hash_map::Entry::Vacant(slot) = buffer.entry(poid) {
-                    let pobj = match insert_index.get(&poid) {
-                        Some(&i) => inserts[i].0.clone(),
-                        None => self.get(poid)?,
-                    };
-                    slot.insert(pobj);
-                }
-                let pobj = buffer.get_mut(&poid).expect("just inserted");
-                pobj.attrs[idx].add_ref(oid, true);
-                if dirty_set.insert(poid) {
-                    dirty.push(poid);
-                }
-            }
-            let near = plan.parents.first().map(|&(p, _, _)| resolve(p, &created));
-            insert_index.insert(oid, k);
-            inserts.push((obj, near));
-            created.push(oid);
-        }
-
-        // Phase 2: encode creation images, in parallel for large batches.
-        let bufs: Vec<Vec<u8>> = encode_images(&inserts);
-
-        // Phase 3: place into storage, serially in spec order.
-        let mut batch_phys: HashMap<Oid, PhysId> = HashMap::with_capacity(inserts.len());
-        let mut placements: Vec<(Oid, PhysId)> = Vec::with_capacity(inserts.len());
-        for ((obj, near), buf) in inserts.iter().zip(&bufs) {
-            let segment = self.catalog.class(obj.oid.class)?.segment;
-            let near_phys =
-                near.and_then(|o| batch_phys.get(&o).copied().or_else(|| self.shards.get(o)));
-            let phys = self.store.insert(segment, buf, near_phys)?;
-            batch_phys.insert(obj.oid, phys);
-            placements.push((obj.oid, phys));
-        }
-
-        // Phase 4: publish into the striped table, shard-parallel.
-        self.publish_placements(placements);
-
-        // Parents are saved after the children exist so batch-created
-        // parents resolve through the freshly published table.
-        for poid in dirty {
-            let pobj = buffer.remove(&poid).expect("dirtied parents are buffered");
-            self.save(&pobj)?;
-        }
-        if let Some(txn) = self.txn.as_mut() {
-            txn.ops += n;
-        }
-        Ok(created)
-    }
-
-    /// Phase-4 helper: group `(oid, phys)` placements by shard, record
-    /// the cross-shard fan-out, and insert each shard's group under its
-    /// own stripe lock — across threads when both the batch and the
-    /// machine warrant it.
-    fn publish_placements(&mut self, placements: Vec<(Oid, PhysId)>) {
-        const PARALLEL_PUBLISH_MIN: usize = 256;
-        let shard_count = self.shards.shard_count();
-        let mut groups: Vec<Vec<(Oid, PhysId)>> = vec![Vec::new(); shard_count];
-        for (oid, phys) in placements {
-            groups[self.shards.shard_of(oid)].push((oid, phys));
-        }
-        groups.retain(|g| !g.is_empty());
-        let fanout = groups.len();
-        self.metrics.make_many_fanout.record(fanout as u64);
-        let total: usize = groups.iter().map(Vec::len).sum();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(fanout.max(1));
-        if workers > 1 && total >= PARALLEL_PUBLISH_MIN {
-            let shards = &self.shards;
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(group) = groups.get(i) else { break };
-                        for &(oid, phys) in group {
-                            shards.insert(oid, phys);
-                        }
-                    });
-                }
-            });
-        } else {
-            for group in &groups {
-                for &(oid, phys) in group {
-                    self.shards.insert(oid, phys);
-                }
-            }
-        }
-    }
-
-    fn make_many_general(&mut self, specs: &[MakeSpec]) -> DbResult<Vec<Oid>> {
-        let mut created: Vec<Oid> = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let mut parents: Vec<(Oid, &str)> = Vec::with_capacity(spec.parents.len());
-            for (parent, attr) in &spec.parents {
-                let oid = match parent {
-                    ParentRef::Existing(oid) => *oid,
-                    ParentRef::Created(j) => {
-                        *created.get(*j).ok_or_else(|| DbError::TransactionState {
-                            reason: format!(
-                                "make_many spec #{i} references spec #{j}, which is not \
-                                 created yet (forward references are not allowed)"
-                            ),
-                        })?
-                    }
-                };
-                parents.push((oid, attr.as_str()));
-            }
-            let values: Vec<(&str, Value)> = spec
-                .values
-                .iter()
-                .map(|(name, value)| (name.as_str(), value.clone()))
-                .collect();
-            created.push(self.make(spec.class, values, parents)?);
-        }
-        Ok(created)
     }
 }
 
-/// Phase-2 helper: serialise every creation-time image. Encoding is pure
-/// CPU work over immutable data, so large batches fan out across threads.
-fn encode_images(inserts: &[(Object, Option<Oid>)]) -> Vec<Vec<u8>> {
-    const PARALLEL_ENCODE_MIN: usize = 256;
-    fn encode_one(obj: &Object) -> Vec<u8> {
-        let mut buf = Vec::new();
-        obj.encode(&mut buf);
-        buf
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if workers > 1 && inserts.len() >= PARALLEL_ENCODE_MIN {
-        let chunk = inserts.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = inserts
-                .chunks(chunk)
-                .map(|c| scope.spawn(move || c.iter().map(|(obj, _)| encode_one(obj)).collect()))
-                .collect();
-            let mut out: Vec<Vec<u8>> = Vec::with_capacity(inserts.len());
-            for h in handles {
-                let part: Vec<Vec<u8>> = h.join().expect("encode worker panicked");
-                out.extend(part);
+/// Validates `specs` for the batched ingest path. `None` means "use
+/// the general path" — either the shape needs the full `make`
+/// protocol, or a spec has an error the general path will report with
+/// its usual diagnostics. The batched path therefore only ever runs on
+/// fully pre-validated input.
+fn plan_bulk_ingest(e: &OverlayEng<'_>, specs: &[MakeSpec]) -> Option<Vec<PlannedMake>> {
+    let db = e.db;
+    let mut plans = Vec::with_capacity(specs.len());
+    for (i, spec) in specs.iter().enumerate() {
+        let class_def = db.catalog.class(spec.class).ok()?;
+        let mut attrs: Vec<Value> = class_def.attrs.iter().map(|a| a.init.clone()).collect();
+        for (name, value) in &spec.values {
+            let idx = class_def.attr_index(name)?;
+            crate::exec::check_domain(e, &class_def.attrs[idx], value).ok()?;
+            attrs[idx] = value.clone();
+        }
+        // A composite attribute that starts with references needs the
+        // attach protocol (cycle checks, reverse refs on the targets).
+        for (idx, def) in class_def.attrs.iter().enumerate() {
+            if def.composite.is_some() && !attrs[idx].refs().is_empty() {
+                return None;
             }
-            out
-        })
-    } else {
-        inserts.iter().map(|(obj, _)| encode_one(obj)).collect()
+        }
+        let mut parents: Vec<(ParentRef, usize, Option<CompositeSpec>)> = Vec::new();
+        for (pref, pattr) in &spec.parents {
+            let pclass_id = match *pref {
+                ParentRef::Existing(oid) => {
+                    if !e.exists(oid) {
+                        return None;
+                    }
+                    oid.class
+                }
+                ParentRef::Created(j) => {
+                    if j >= i {
+                        return None; // forward reference: general path reports it
+                    }
+                    specs[j].class
+                }
+            };
+            let pclass = db.catalog.class(pclass_id).ok()?;
+            let idx = pclass.attr_index(pattr)?;
+            let def = &pclass.attrs[idx];
+            if let Some(dc) = def.domain.referenced_class() {
+                if !db.is_subclass_of(spec.class, dc) {
+                    return None;
+                }
+            }
+            // Scalar parent attributes displace their previous
+            // component; non-reference attributes are an error. Both
+            // go through the general path.
+            if !def.domain.is_set() || !(def.composite.is_some() || def.is_reference()) {
+                return None;
+            }
+            if parents.iter().any(|&(p, a, _)| p == *pref && a == idx) {
+                continue; // duplicate pair: `make` treats the repeat as a no-op
+            }
+            parents.push((*pref, idx, def.composite));
+        }
+        let composite = parents.iter().filter(|(_, _, c)| c.is_some()).count();
+        if composite > 1
+            && parents
+                .iter()
+                .any(|(_, _, c)| c.is_some_and(|s| s.exclusive))
+        {
+            return None; // Topology Rule 3 violation: general path reports it
+        }
+        plans.push(PlannedMake {
+            class: spec.class,
+            change_count: class_def.change_count,
+            attrs,
+            parents,
+        });
+    }
+    Some(plans)
+}
+
+/// Executes a pre-validated bulk plan: mint the batch's serials with one
+/// atomic bump, construct each child with its reverse references already
+/// in its image, and accumulate forward references in memory — straight
+/// into the image of a parent the batch itself creates, in a working copy
+/// of one that already existed — so each object is recorded, and later
+/// written, exactly once. Creations are recorded in spec order, which is
+/// the order the apply places them in whatever the stripe count: that
+/// keeps dumps and checkpoints byte-identical across shard configurations.
+fn run_bulk_ingest(e: &mut OverlayEng<'_>, plans: Vec<PlannedMake>) -> DbResult<Vec<Oid>> {
+    let base = e.alloc_serials(plans.len() as u64);
+    // Creation-time image + clustering hint, in spec order.
+    let mut made: Vec<(Object, Option<Oid>)> = Vec::with_capacity(plans.len());
+    // Working copies of the pre-existing parents touched.
+    let mut existing: HashMap<Oid, Object> = HashMap::new();
+    for (k, plan) in plans.into_iter().enumerate() {
+        let oid = Oid::new(plan.class, base + k as u64);
+        let mut obj = Object::new(oid, plan.attrs, plan.change_count);
+        let mut near = None;
+        for &(pref, idx, cspec) in &plan.parents {
+            let pobj = match pref {
+                ParentRef::Created(j) => &mut made[j].0,
+                ParentRef::Existing(poid) => match existing.entry(poid) {
+                    Entry::Occupied(slot) => slot.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(e.get(poid)?),
+                },
+            };
+            pobj.attrs[idx].add_ref(oid, true);
+            near = near.or(Some(pobj.oid));
+            if let Some(spec) = cspec {
+                obj.reverse_refs
+                    .push(ReverseRef::new(pobj.oid, spec.dependent, spec.exclusive));
+            }
+        }
+        debug_assert!(
+            crate::composite::ParentSets::of(&obj).check(oid).is_ok(),
+            "plan_bulk_ingest admitted a topology violation"
+        );
+        made.push((obj, near));
+    }
+    let created = made.iter().map(|(obj, _)| obj.oid).collect();
+    for (obj, near) in made {
+        e.insert_object(obj, near)?;
+    }
+    for pobj in existing.into_values() {
+        e.save(pobj)?;
+    }
+    Ok(created)
+}
+
+/// The spec-by-spec path: every spec is a full `make`.
+fn make_many_general(e: &mut OverlayEng<'_>, specs: &[MakeSpec]) -> DbResult<Vec<Oid>> {
+    let mut created: Vec<Oid> = Vec::with_capacity(specs.len());
+    for (i, spec) in specs.iter().enumerate() {
+        let mut parents: Vec<(Oid, &str)> = Vec::with_capacity(spec.parents.len());
+        for (parent, attr) in &spec.parents {
+            let oid = match parent {
+                ParentRef::Existing(oid) => *oid,
+                ParentRef::Created(j) => {
+                    *created.get(*j).ok_or_else(|| DbError::TransactionState {
+                        reason: format!(
+                            "make_many spec #{i} references spec #{j}, which is not \
+                             created yet (forward references are not allowed)"
+                        ),
+                    })?
+                }
+            };
+            parents.push((oid, attr.as_str()));
+        }
+        let values: Vec<(&str, Value)> = spec
+            .values
+            .iter()
+            .map(|(name, value)| (name.as_str(), value.clone()))
+            .collect();
+        created.push(crate::exec::make_inner(e, spec.class, values, parents)?);
+    }
+    Ok(created)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::attr::Domain;
+    use crate::schema::class::ClassBuilder;
+
+    fn setup() -> (Database, ClassId, ClassId) {
+        let mut db = Database::new();
+        let item = db
+            .define_class(ClassBuilder::new("Item").attr("n", Domain::Integer))
+            .unwrap();
+        let holder = db
+            .define_class(ClassBuilder::new("Holder").attr_composite(
+                "slot",
+                Domain::Class(item),
+                CompositeSpec {
+                    exclusive: true,
+                    dependent: true,
+                },
+            ))
+            .unwrap();
+        (db, item, holder)
+    }
+
+    #[test]
+    fn abort_restores_attribute_values() {
+        let (mut db, item, _) = setup();
+        let o = db.make(item, vec![("n", Value::Int(1))], vec![]).unwrap();
+        db.begin_transaction().unwrap();
+        db.set_attr(o, "n", Value::Int(99)).unwrap();
+        assert_eq!(db.get_attr(o, "n").unwrap(), Value::Int(99));
+        db.abort_transaction().unwrap();
+        assert_eq!(db.get_attr(o, "n").unwrap(), Value::Int(1));
+    }
+
+    #[test]
+    fn abort_removes_created_objects() {
+        let (mut db, item, _) = setup();
+        db.begin_transaction().unwrap();
+        let o = db.make(item, vec![], vec![]).unwrap();
+        assert!(db.exists(o));
+        assert_eq!(db.instances_of(item, false), vec![o]);
+        db.abort_transaction().unwrap();
+        assert!(!db.exists(o));
+        assert!(db.instances_of(item, false).is_empty());
+    }
+
+    #[test]
+    fn abort_resurrects_deleted_composite_objects() {
+        let (mut db, item, holder) = setup();
+        let i = db.make(item, vec![("n", Value::Int(7))], vec![]).unwrap();
+        let h = db
+            .make(holder, vec![("slot", Value::Ref(i))], vec![])
+            .unwrap();
+        db.begin_transaction().unwrap();
+        db.delete(h).unwrap();
+        assert!(!db.exists(h) && !db.exists(i), "dependent cascade ran");
+        assert_eq!(db.object_count(), 0);
+        db.abort_transaction().unwrap();
+        assert!(db.exists(h) && db.exists(i), "both resurrected");
+        assert_eq!(db.get_attr(h, "slot").unwrap(), Value::Ref(i));
+        assert_eq!(
+            db.get(i).unwrap().dx(),
+            vec![h],
+            "reverse reference restored"
+        );
+        db.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn abort_undoes_component_attachment() {
+        let (mut db, item, holder) = setup();
+        let i = db.make(item, vec![], vec![]).unwrap();
+        let h = db.make(holder, vec![], vec![]).unwrap();
+        db.begin_transaction().unwrap();
+        db.make_component(i, h, "slot").unwrap();
+        assert!(db.child_of(i, h).unwrap(), "reads see the open transaction");
+        db.abort_transaction().unwrap();
+        assert_eq!(db.get_attr(h, "slot").unwrap(), Value::Null);
+        assert!(db.get(i).unwrap().reverse_refs.is_empty());
+        db.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn commit_makes_changes_permanent() {
+        let (mut db, item, _) = setup();
+        let o = db.make(item, vec![("n", Value::Int(1))], vec![]).unwrap();
+        db.begin_transaction().unwrap();
+        db.set_attr(o, "n", Value::Int(2)).unwrap();
+        db.commit_transaction().unwrap();
+        assert_eq!(db.get_attr(o, "n").unwrap(), Value::Int(2));
+        assert!(
+            db.abort_transaction().is_err(),
+            "transaction already closed"
+        );
+    }
+
+    #[test]
+    fn transactions_do_not_nest_and_ddl_is_rejected() {
+        let (mut db, item, _) = setup();
+        let plain = |name| crate::schema::attr::AttributeDef::plain(name, Domain::Integer);
+        db.begin_transaction().unwrap();
+        assert!(db.begin_transaction().is_err());
+        assert!(matches!(
+            db.add_attribute(item, plain("x")),
+            Err(DbError::TransactionState { .. })
+        ));
+        assert!(matches!(
+            db.drop_attribute(item, "n"),
+            Err(DbError::TransactionState { .. })
+        ));
+        db.commit_transaction().unwrap();
+        // Outside the transaction DDL works again.
+        db.add_attribute(item, plain("x")).unwrap();
+    }
+
+    #[test]
+    fn interleaved_mutations_restore_exactly() {
+        let (mut db, item, holder) = setup();
+        let i1 = db.make(item, vec![("n", Value::Int(1))], vec![]).unwrap();
+        let h = db
+            .make(holder, vec![("slot", Value::Ref(i1))], vec![])
+            .unwrap();
+        db.begin_transaction().unwrap();
+        // A messy transaction: detach, create, attach the new one, mutate.
+        db.set_attr(h, "slot", Value::Null).unwrap(); // deletes i1 (dependent orphan)
+        let i2 = db.make(item, vec![("n", Value::Int(2))], vec![]).unwrap();
+        db.make_component(i2, h, "slot").unwrap();
+        db.set_attr(i2, "n", Value::Int(3)).unwrap();
+        db.abort_transaction().unwrap();
+        assert!(db.exists(i1), "orphan-deleted component resurrected");
+        assert!(!db.exists(i2), "created component removed");
+        assert_eq!(db.get_attr(h, "slot").unwrap(), Value::Ref(i1));
+        assert_eq!(db.get_attr(i1, "n").unwrap(), Value::Int(1));
+        db.verify_integrity().unwrap();
     }
 }

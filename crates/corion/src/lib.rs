@@ -63,13 +63,13 @@ pub use corion_core::composite::Filter;
 pub use corion_core::query;
 pub use corion_core::query::{Predicate, Query};
 pub use corion_core::view;
-pub use corion_core::Overlay;
 pub use corion_core::{
     AttributeDef, Class, ClassBuilder, ClassId, CompositeSpec, Database, DbConfig, DbError,
     DbResult, Domain, HealthState, IntegrityReport, MakeSpec, MetricsSnapshot, Object, Oid,
     OrphanPolicy, ParentRef, ReadView, RefKind, Registry, RepairReport, ReverseRef, ScrubReport,
     Value,
 };
+pub use corion_core::{Overlay, OverlayView};
 pub use corion_lang::Interpreter;
 pub use corion_lock::{
     CompositeLockSet, LockIntent, LockManager, LockMode, Lockable, Transaction, TxnId,

@@ -38,8 +38,8 @@ use corion_authz::{AuthObject, AuthType, Authorization, Decision, Sign, Strength
 use corion_concurrent::{Snapshot, WriteTxn};
 use corion_core::schema::lattice;
 use corion_core::{
-    query, view, ClassBuilder, ClassId, CompositeSpec, Database, DbError, DbResult, Domain, Filter,
-    MakeSpec, Object, Oid, ParentRef, Value,
+    query, view, ClassBuilder, ClassId, CompositeSpec, DbError, DbResult, Domain, Filter, MakeSpec,
+    Object, Oid, OverlayView, ParentRef, Value,
 };
 use corion_protocol::{
     decode_request, encode_response_into, ErrorCode, FrameError, FrameReader, FrameWriter, Request,
@@ -588,7 +588,7 @@ impl<'a, S: Conn> Session<'a, S> {
             Request::InstancesOf { class, deep } => {
                 self.authz_class(AuthType::Read, class)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[], |db| Ok(db.instances_of(class, deep))),
+                    Some(txn) => txn.with_view(&[], |v| Ok(v.instances_of(class, deep))),
                     None => self.inner.db.begin_read().instances_of(class, deep),
                 };
                 match r {
@@ -599,8 +599,8 @@ impl<'a, S: Conn> Session<'a, S> {
             Request::ComponentsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |mut db| {
-                        view::components_of(&mut db, oid, &Filter::all().level(1))
+                    Some(txn) => txn.with_view(&[oid], |mut v| {
+                        view::components_of(&mut v, oid, &Filter::all().level(1))
                     }),
                     None => self.inner.db.begin_read().components_of(oid),
                 };
@@ -612,8 +612,8 @@ impl<'a, S: Conn> Session<'a, S> {
             Request::ParentsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |mut db| {
-                        view::parents_of(&mut db, oid, &Filter::all())
+                    Some(txn) => txn.with_view(&[oid], |mut v| {
+                        view::parents_of(&mut v, oid, &Filter::all())
                     }),
                     None => self.inner.db.begin_read().parents_of(oid),
                 };
@@ -625,8 +625,8 @@ impl<'a, S: Conn> Session<'a, S> {
             Request::AncestorsOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |mut db| {
-                        view::ancestors_of(&mut db, oid, &Filter::all())
+                    Some(txn) => txn.with_view(&[oid], |mut v| {
+                        view::ancestors_of(&mut v, oid, &Filter::all())
                     }),
                     None => self.inner.db.begin_read().ancestors_of(oid),
                 };
@@ -638,7 +638,7 @@ impl<'a, S: Conn> Session<'a, S> {
             Request::SubtreeOf { oid } => {
                 self.authz_instance(AuthType::Read, oid)?;
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[oid], |mut db| view::subtree_of(&mut db, oid)),
+                    Some(txn) => txn.with_view(&[oid], |mut v| view::subtree_of(&mut v, oid)),
                     None => self.inner.db.begin_read().subtree_of(oid),
                 };
                 match r {
@@ -655,10 +655,10 @@ impl<'a, S: Conn> Session<'a, S> {
                 self.authz_class(AuthType::Read, class)?;
                 let limit = (limit != 0).then_some(limit as usize);
                 let r = match &mut self.txn {
-                    Some(txn) => txn.with_view(&[], |db| {
-                        run_select(&View::Db(db), class, deep, &predicate, limit, |c| {
+                    Some(txn) => txn.with_view(&[], |v| {
+                        run_select(&View::Txn(v), class, deep, &predicate, limit, |c| {
                             let mut set: HashSet<ClassId> =
-                                lattice::descendants(db.catalog(), c).into_iter().collect();
+                                lattice::descendants(v.catalog(), c).into_iter().collect();
                             set.insert(c);
                             set
                         })
@@ -801,9 +801,10 @@ impl<'a, S: Conn> Session<'a, S> {
 
     fn read_object(&mut self, oid: Oid) -> Response {
         let result: DbResult<(Object, Vec<String>)> = match &mut self.txn {
-            Some(txn) => txn.with_view(&[oid], |db| {
-                let obj = db.get(oid)?;
-                let names = db
+            Some(txn) => txn.with_view(&[oid], |v| {
+                let obj = v.get(oid)?;
+                let names = v
+                    .catalog()
                     .class(oid.class)?
                     .attrs
                     .iter()
@@ -841,62 +842,49 @@ impl<'a, S: Conn> Session<'a, S> {
 // -------------------------------------------------------------------
 
 /// A read view the predicate evaluator is generic over: an MVCC
-/// snapshot (no transaction) or the engine under a transaction's
-/// overlay (inside `with_view`).
+/// snapshot (no transaction) or a transaction's own view (inside
+/// `with_view`).
 enum View<'a> {
     Snap(&'a Snapshot),
-    Db(&'a Database),
+    Txn(OverlayView<'a>),
 }
 
 impl View<'_> {
     fn get(&self, oid: Oid) -> DbResult<Object> {
         match self {
             View::Snap(s) => s.get(oid),
-            View::Db(d) => d.get(oid),
+            View::Txn(v) => v.get(oid),
         }
     }
 
     fn exists(&self, oid: Oid) -> DbResult<bool> {
         match self {
             View::Snap(s) => s.exists(oid),
-            View::Db(d) => Ok(d.exists(oid)),
+            View::Txn(v) => Ok(v.exists(oid)),
         }
     }
 
     fn attr(&self, oid: Oid, attr: &str) -> DbResult<Value> {
         match self {
             View::Snap(s) => s.get_attr(oid, attr),
-            View::Db(d) => {
-                let obj = d.get(oid)?;
-                let class = d.class(oid.class)?;
-                let idx = class
-                    .attr_index(attr)
-                    .ok_or_else(|| DbError::NoSuchAttribute {
-                        class: oid.class,
-                        attr: attr.into(),
-                    })?;
-                obj.attrs
-                    .get(idx)
-                    .cloned()
-                    .ok_or_else(|| DbError::NoSuchAttribute {
-                        class: oid.class,
-                        attr: attr.into(),
-                    })
-            }
+            View::Txn(v) => v.get_attr(oid, attr),
         }
     }
 
     fn instances_of(&self, class: ClassId, deep: bool) -> DbResult<Vec<Oid>> {
         match self {
             View::Snap(s) => s.instances_of(class, deep),
-            View::Db(d) => Ok(d.instances_of(class, deep)),
+            View::Txn(v) => Ok(v.instances_of(class, deep)),
         }
     }
 
     fn subtree(&self, oid: Oid) -> DbResult<Vec<Oid>> {
         match self {
             View::Snap(s) => s.subtree_of(oid),
-            View::Db(mut d) => view::subtree_of(&mut d, oid),
+            View::Txn(v) => {
+                let mut v = *v;
+                view::subtree_of(&mut v, oid)
+            }
         }
     }
 }

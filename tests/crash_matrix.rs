@@ -538,8 +538,9 @@ fn txn_op(db: &mut Database, part: ClassId, a: Oid) -> DbResult<()> {
 
 #[test]
 fn transaction_crashes_recover_to_pre_or_post_transaction_state() {
-    // A transaction is one batch: wherever its commit pipeline crashes —
-    // including mid-operation, long before commit — recovery must land on
+    // A transaction is one batch, written when it commits (until then its
+    // operations touch only its overlay, so every armed point is met
+    // there): wherever the commit pipeline crashes, recovery must land on
     // the pre-transaction or post-transaction state, never on a prefix of
     // the transaction's operations.
     let post = {

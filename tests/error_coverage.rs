@@ -249,3 +249,72 @@ fn conversion_preserves_the_taxonomy() {
         }
     }
 }
+
+/// Everything that works on committed state — DDL, `dump`, `repair`,
+/// `scrub`, `checkpoint`, `sync`, raw overwrites — is refused inside an
+/// open transaction by one guard with one typed error, and refusing
+/// costs the transaction nothing.
+#[test]
+fn committed_state_operations_refuse_inside_a_transaction_with_one_typed_error() {
+    use corion::core::evolution::{AttrTypeChange, Maintenance};
+    use corion::{AttributeDef, ClassBuilder, CompositeSpec, Database, Domain, Value};
+
+    let mut db = Database::new();
+    let item = db
+        .define_class(ClassBuilder::new("Item").attr("n", Domain::Integer))
+        .unwrap();
+    let holder = db
+        .define_class(ClassBuilder::new("Holder").attr_composite(
+            "slot",
+            Domain::Class(item),
+            CompositeSpec {
+                exclusive: true,
+                dependent: true,
+            },
+        ))
+        .unwrap();
+    let i = db.make(item, vec![("n", Value::Int(1))], vec![]).unwrap();
+    let stored = db.get(i).unwrap();
+
+    db.begin_transaction().unwrap();
+    db.set_attr(i, "n", Value::Int(2)).unwrap();
+    let refusals: Vec<(&str, Result<(), DbError>)> = vec![
+        ("begin_transaction", db.begin_transaction()),
+        (
+            "define_class",
+            db.define_class(ClassBuilder::new("Late")).map(|_| ()),
+        ),
+        (
+            "add_attribute",
+            db.add_attribute(item, AttributeDef::plain("x", Domain::Integer)),
+        ),
+        ("drop_attribute", db.drop_attribute(item, "n")),
+        ("add_superclass", db.add_superclass(holder, item)),
+        ("drop_class", db.drop_class(holder)),
+        (
+            "change_attribute_type",
+            db.change_attribute_type(
+                holder,
+                "slot",
+                AttrTypeChange::ToIndependent,
+                Maintenance::Immediate,
+            ),
+        ),
+        ("dump", db.dump().map(|_| ())),
+        ("repair", db.repair().map(|_| ())),
+        ("scrub", db.scrub().map(|_| ())),
+        ("checkpoint", db.checkpoint()),
+        ("sync", db.sync()),
+        ("raw_overwrite_object", db.raw_overwrite_object(&stored)),
+    ];
+    for (what, result) in refusals {
+        assert!(
+            matches!(result, Err(DbError::TransactionState { .. })),
+            "{what} inside a transaction: {result:?}"
+        );
+    }
+    db.commit_transaction().unwrap();
+    assert_eq!(db.get_attr(i, "n").unwrap(), Value::Int(2));
+    db.dump().unwrap();
+    assert!(db.repair().unwrap().is_clean());
+}

@@ -2,9 +2,12 @@
 //!
 //! N writer threads hammer a set of shared composite trees with random
 //! operations (`make` under a root, parentless `make`, `set_attr`,
-//! `delete`, `make_component`) through real [`corion::WriteTxn`]s, with
+//! `delete`, `make_component`, and a `set_attr` the Make-Component Rule
+//! must refuse half-way) through real [`corion::WriteTxn`]s, with
 //! deadlock-victim retry. Every committed transaction logs its commit
-//! LSN and the concrete operations it performed (actual OIDs minted).
+//! LSN and the concrete operations it performed (actual OIDs minted) —
+//! a refused operation is not one of them: the oracle never hears of it,
+//! so it has to have been a no-op.
 //!
 //! Afterwards a **single-threaded oracle** replays the logged operations
 //! in commit-LSN order against a fresh [`corion::Database`] — minting
@@ -26,7 +29,7 @@
 //! * `CORION_LIN_SEED` — run exactly one schedule with this seed
 //! * `CORION_LIN_THREADS` — writer threads per schedule (default 4; CI
 //!   also runs an 8-thread sweep to exercise the shared-latch execution
-//!   path on sharded engines)
+//!   path)
 //!
 //! On failure the harness prints the seed to rerun.
 
@@ -185,7 +188,7 @@ fn oracle_replay(log: &[(Lsn, Vec<LoggedOp>)], upto: Lsn) -> (Database, ClassId,
 /// overlay included), via the locking read path.
 fn parts_of(txn: &mut corion::WriteTxn, root: Oid) -> Result<Vec<Oid>, DbError> {
     txn.with_view(&[root], |db| {
-        let class = db.class(root.class)?;
+        let class = db.catalog().class(root.class)?;
         let obj = db.get(root)?;
         let mut out = Vec::new();
         for (def, value) in class.attrs.iter().zip(obj.attrs.iter()) {
@@ -226,6 +229,10 @@ enum PlanKind {
     SetTag,
     DeletePart,
     AttachFree,
+    /// Rewrite the root's `parts` to adopt a free part *and* a part some
+    /// other root owns exclusively: the engine attaches one, is refused
+    /// on the other, and must leave nothing behind.
+    AdoptOwned,
 }
 
 /// Run one transaction attempt; `Ok(Some(ops))` on commit-worthy
@@ -309,6 +316,23 @@ fn run_txn_once(
                     }),
                 }
             }
+            PlanKind::AdoptOwned => {
+                let other = roots[(*root_idx + 1) % roots.len()];
+                let owned = parts_of(&mut txn, other)?;
+                let (Some(free), false) = (free_part(&mut txn, part, *pick)?, owned.is_empty())
+                else {
+                    continue;
+                };
+                let mut wanted = parts_of(&mut txn, root)?;
+                wanted.extend([free, owned[(*pick as usize) % owned.len()]]);
+                let wanted = Value::Set(wanted.into_iter().map(Value::Ref).collect());
+                match txn.set_attr(root, "parts", wanted) {
+                    Ok(()) => panic!("{other} owns that part exclusively: adopting it must fail"),
+                    Err(e) if e.is_retryable() => Err(e),
+                    // Refused, nothing logged; the transaction goes on.
+                    Err(_) => Ok(()),
+                }
+            }
         };
         if let Err(e) = r {
             txn.abort();
@@ -385,13 +409,14 @@ fn run_schedule(seed: u64) {
                     let n_ops = rng.gen_range(1..=2usize);
                     let plans: Vec<(PlanKind, usize, u64, String)> = (0..n_ops)
                         .map(|op_no| {
-                            let kind = match rng.gen_range(0..12u32) {
+                            let kind = match rng.gen_range(0..14u32) {
                                 0..=3 => PlanKind::MakeUnderRoot,
                                 4 => PlanKind::MakeFree,
                                 5..=6 => PlanKind::SetLabel,
                                 7..=8 => PlanKind::SetTag,
                                 9..=10 => PlanKind::DeletePart,
-                                _ => PlanKind::AttachFree,
+                                11 => PlanKind::AttachFree,
+                                _ => PlanKind::AdoptOwned,
                             };
                             (
                                 kind,

@@ -100,6 +100,21 @@ enum Op {
         obj: usize,
         target: usize,
     },
+    /// `set_attr` of a whole composite set `{a, b}`: the engine attaches
+    /// `a`, then `b`, so a refusal of `b` comes after `a` was written.
+    SetKids {
+        parent: usize,
+        a: usize,
+        b: usize,
+        attr: usize,
+    },
+    /// `make` with the composite value `{a, b}`: refused, if at all, after
+    /// the instance exists.
+    MakeWith {
+        a: usize,
+        b: usize,
+        attr: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -111,10 +126,36 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(child, parent, attr)| Op::Detach { child, parent, attr }),
         2 => (0..64usize).prop_map(|obj| Op::Delete { obj }),
         1 => (0..64usize, 0..64usize).prop_map(|(obj, target)| Op::SetWeak { obj, target }),
+        2 => (0..64usize, 0..64usize, 0..64usize, 0..4usize)
+            .prop_map(|(parent, a, b, attr)| Op::SetKids { parent, a, b, attr }),
+        1 => (0..64usize, 0..64usize, 0..4usize)
+            .prop_map(|(a, b, attr)| Op::MakeWith { a, b, attr }),
     ]
 }
 
 const ATTRS: [&str; 4] = ["kids_de", "kids_ie", "kids_ds", "kids_is"];
+
+fn kids(a: Oid, b: Oid) -> Value {
+    let mut members = vec![Value::Ref(a)];
+    if b != a {
+        members.push(Value::Ref(b));
+    }
+    Value::Set(members)
+}
+
+/// Every stored object, byte for byte: what a refused operation must
+/// leave exactly as it was.
+fn fingerprint(db: &Database) -> Vec<(Oid, Vec<u8>)> {
+    let mut out = Vec::new();
+    for class in db.catalog().all_classes() {
+        for oid in db.instances_of(class, false) {
+            let mut bytes = Vec::new();
+            db.get(oid).unwrap().encode(&mut bytes);
+            out.push((oid, bytes));
+        }
+    }
+    out
+}
 
 fn part_db() -> (Database, corion::ClassId) {
     let mut db = Database::new();
@@ -151,43 +192,41 @@ proptest! {
         let (mut db, part) = part_db();
         let mut pool: Vec<Oid> = (0..6).map(|_| db.make(part, vec![], vec![]).unwrap()).collect();
         for op in ops {
-            match op {
+            let pick = |i: usize| pool[i % pool.len()];
+            let before = fingerprint(&db);
+            // Any of these may legitimately be refused (topology rules,
+            // cycles, a dead operand) — and then it must be a no-op, even
+            // when the refusal came after the operation's first writes.
+            let refused = match op {
                 Op::Create => {
                     pool.push(db.make(part, vec![], vec![]).unwrap());
+                    false
                 }
-                Op::Attach { child, parent, attr } => {
-                    if pool.is_empty() { continue; }
-                    let c = pool[child % pool.len()];
-                    let p = pool[parent % pool.len()];
-                    if db.exists(c) && db.exists(p) {
-                        // May legitimately fail (topology rules, cycles) —
-                        // failure must leave the database consistent.
-                        let _ = db.make_component(c, p, ATTRS[attr % 4]);
+                Op::Attach { child, parent, attr } => db
+                    .make_component(pick(child), pick(parent), ATTRS[attr % 4])
+                    .is_err(),
+                Op::Detach { child, parent, attr } => db
+                    .remove_component(pick(child), pick(parent), ATTRS[attr % 4])
+                    .is_err(),
+                Op::Delete { obj } => db.delete(pick(obj)).is_err(),
+                Op::SetWeak { obj, target } => db
+                    .set_attr(pick(obj), "buddy", Value::Ref(pick(target)))
+                    .is_err(),
+                Op::SetKids { parent, a, b, attr } => db
+                    .set_attr(pick(parent), ATTRS[attr % 4], kids(pick(a), pick(b)))
+                    .is_err(),
+                Op::MakeWith { a, b, attr } => {
+                    match db.make(part, vec![(ATTRS[attr % 4], kids(pick(a), pick(b)))], vec![]) {
+                        Ok(oid) => {
+                            pool.push(oid);
+                            false
+                        }
+                        Err(_) => true,
                     }
                 }
-                Op::Detach { child, parent, attr } => {
-                    if pool.is_empty() { continue; }
-                    let c = pool[child % pool.len()];
-                    let p = pool[parent % pool.len()];
-                    if db.exists(c) && db.exists(p) {
-                        let _ = db.remove_component(c, p, ATTRS[attr % 4]);
-                    }
-                }
-                Op::Delete { obj } => {
-                    if pool.is_empty() { continue; }
-                    let o = pool[obj % pool.len()];
-                    if db.exists(o) {
-                        db.delete(o).unwrap();
-                    }
-                }
-                Op::SetWeak { obj, target } => {
-                    if pool.is_empty() { continue; }
-                    let o = pool[obj % pool.len()];
-                    let t = pool[target % pool.len()];
-                    if db.exists(o) && db.exists(t) {
-                        let _ = db.set_attr(o, "buddy", Value::Ref(t));
-                    }
-                }
+            };
+            if refused {
+                prop_assert_eq!(&fingerprint(&db), &before, "a refused {:?} left a trace", op);
             }
             audit(&mut db);
         }
@@ -348,6 +387,16 @@ proptest! {
                 Op::SetWeak { obj, target } => {
                     let (o, t) = (pick(obj), pick(target));
                     let _ = step!(|e| e.set_attr(o, "buddy", Value::Ref(t)));
+                }
+                Op::SetKids { parent, a, b, attr } => {
+                    let (p, v, at) = (pick(parent), kids(pick(a), pick(b)), ATTRS[attr % 4]);
+                    let _ = step!(|e| e.set_attr(p, at, v.clone()));
+                }
+                Op::MakeWith { a, b, attr } => {
+                    let (v, at) = (kids(pick(a), pick(b)), ATTRS[attr % 4]);
+                    if let Ok(oid) = step!(|e| e.make(part, vec![(at, v.clone())], vec![])) {
+                        pool.push(oid);
+                    }
                 }
             }
             assert_walks_match_reference(&cdb, &pool, &filter)?;

@@ -12,16 +12,19 @@
 //! same members, same nearest-first order, nothing twice. The `vehicles`
 //! graphs have leaf classes (no composite attribute), which the snapshot
 //! walk lists on visibility alone; the `dag` graphs have none and shared
-//! components. Also here: the `instances_of` merge under a bulk commit,
-//! and the two answers the snapshot walk used to get wrong.
+//! components. The same questions put *inside* a write transaction — to
+//! its own view, overlay then base — must equal the reference over a twin
+//! engine that committed the same steps, objects the transaction itself
+//! created or deleted included. Also here: the `instances_of` merge under
+//! a bulk commit, and the two answers the snapshot walk used to get wrong.
 
 use std::collections::HashMap;
 
 use corion::workload::dag::{DagParams, GeneratedDag};
 use corion::workload::vehicles::Fleet;
 use corion::{
-    ClassBuilder, ClassId, CompositeSpec, ConcurrentDb, Database, Domain, Filter, Oid, Snapshot,
-    Value,
+    ClassBuilder, ClassId, CompositeSpec, ConcurrentDb, Database, DbResult, Domain, Filter, Oid,
+    OverlayView, Snapshot, Value, WriteTxn,
 };
 use proptest::prelude::*;
 
@@ -91,6 +94,24 @@ fn snapshot_answers(snap: &Snapshot, oid: Oid) -> Answers {
     }
 }
 
+/// The same questions put to a write transaction's own view.
+fn txn_answers(txn: &mut WriteTxn, oid: Oid) -> Answers {
+    use corion::view;
+    let all = Filter::all();
+    txn.with_view(&[oid], |mut v: OverlayView<'_>| {
+        Ok(Answers {
+            subtree: view::subtree_of(&mut v, oid)?,
+            components: view::components_of(&mut v, oid, &all.clone().level(1)).ok(),
+            parents: view::parents_of(&mut v, oid, &all).ok(),
+            ancestors: view::ancestors_of(&mut v, oid, &all).ok(),
+            filtered: filters(oid)
+                .map(|f| reference::walk_answers(&mut v, oid, &f))
+                .collect(),
+        })
+    })
+    .unwrap()
+}
+
 /// A generated graph plus what a writer needs to mutate it.
 struct Graph {
     cdb: ConcurrentDb,
@@ -105,6 +126,14 @@ struct Graph {
 }
 
 fn vehicles(n: usize, tires: usize) -> Graph {
+    vehicles_with_twin(n, tires).0
+}
+
+/// The graph plus an identical twin engine (the generators are
+/// deterministic) for an oracle to run beside it.
+fn vehicles_with_twin(n: usize, tires: usize) -> (Graph, Database) {
+    let mut twin = Database::new();
+    Fleet::generate(&mut twin, n, tires).unwrap();
     let mut db = Database::new();
     let fleet = Fleet::generate(&mut db, n, tires).unwrap();
     let known = fleet
@@ -116,7 +145,7 @@ fn vehicles(n: usize, tires: usize) -> Graph {
             all
         })
         .collect();
-    Graph {
+    let graph = Graph {
         cdb: ConcurrentDb::from_database(db),
         known,
         attach: vec![
@@ -126,31 +155,38 @@ fn vehicles(n: usize, tires: usize) -> Graph {
         ],
         composite_attrs: vec!["Tires", "Body", "Drivetrain"],
         scalar: Some("Color"),
-    }
+    };
+    (graph, twin)
 }
 
 fn dag(seed: u64, share: f64) -> Graph {
-    let mut db = Database::new();
-    let dag = GeneratedDag::generate(
-        &mut db,
-        DagParams {
+    dag_with_twin(seed, share).0
+}
+
+fn dag_with_twin(seed: u64, share: f64) -> (Graph, Database) {
+    let generate = || {
+        let mut db = Database::new();
+        let params = DagParams {
             depth: 2,
             fanout: 3,
             roots: 2,
             share_fraction: share,
             dependent_fraction: 0.5,
             seed,
-        },
-    )
-    .unwrap();
+        };
+        let dag = GeneratedDag::generate(&mut db, params).unwrap();
+        (db, dag)
+    };
+    let ((db, dag), (twin, _)) = (generate(), generate());
     let attrs = vec!["kids_de", "kids_ie", "kids_ds", "kids_is"];
-    Graph {
+    let graph = Graph {
         known: dag.all(),
         attach: attrs.iter().map(|&a| (dag.class, a)).collect(),
         composite_attrs: attrs,
         scalar: None,
         cdb: ConcurrentDb::from_database(db),
-    }
+    };
+    (graph, twin)
 }
 
 impl Graph {
@@ -251,6 +287,90 @@ fn check_pins_survive_writes(mut graph: Graph, steps: Vec<(u8, u16, u16, u8)>) {
     });
 }
 
+/// One writer step of [`Graph::write`]'s repertoire, spelled once for the
+/// two engines that must stay in lockstep: `Database` and `WriteTxn` name
+/// the mutations alike. Evaluates to the OID a `make` minted, if any.
+macro_rules! lockstep_step {
+    ($e:expr, $graph:expr, $parent:expr, $step:expr) => {{
+        let (kind, a, b, c) = $step;
+        let (target, other) = ($graph.pick(a), $graph.pick(b));
+        let (class, attr) = $graph.attach[c as usize % $graph.attach.len()];
+        let mut made = None;
+        match kind % 5 {
+            0 => {
+                let _ = $e.delete(target);
+            }
+            1 => made = $e.make(class, vec![], vec![(target, attr)]).ok(),
+            2 | 3 => {
+                if let Some(parent) = $parent {
+                    let mut detached = false;
+                    for a in &$graph.composite_attrs {
+                        detached |= $e.remove_component(target, parent, a).is_ok();
+                    }
+                    if detached && kind % 5 == 3 {
+                        for a in &$graph.composite_attrs {
+                            if $e.make_component(target, other, a).is_ok() {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+            _ => {
+                if let Some(scalar) = $graph.scalar {
+                    let _ = $e.set_attr(target, scalar, Value::Str(format!("c{a}")));
+                }
+            }
+        }
+        made
+    }};
+}
+
+/// Runs every step inside **one** write transaction and, in lockstep, as
+/// autocommits on the twin. After each step the transaction's view must
+/// answer the §3 questions and `instances_of` exactly as the reference
+/// does over the twin's committed state — for every object the run ever
+/// knew, the ones this transaction created or deleted included.
+fn check_transaction_view_equals_reference(
+    (mut graph, mut twin): (Graph, Database),
+    steps: Vec<(u8, u16, u16, u8)>,
+) {
+    let mut classes: Vec<ClassId> = graph.known.iter().map(|o| o.class).collect();
+    classes.extend(graph.attach.iter().map(|(class, _)| *class));
+    classes.sort();
+    classes.dedup();
+    let cdb = graph.cdb.clone();
+    let mut txn = cdb.begin_write();
+    for step in steps {
+        let target = graph.pick(step.1);
+        let parent = twin
+            .get(target)
+            .ok()
+            .and_then(|obj| obj.composite_parents().first().copied());
+        let made = lockstep_step!(txn, graph, parent, step);
+        assert_eq!(made, lockstep_step!(twin, graph, parent, step));
+        graph.known.extend(made);
+        for &oid in &graph.known {
+            assert_eq!(
+                txn_answers(&mut txn, oid),
+                core_answers(&twin, oid),
+                "the transaction's view disagrees with the reference about {oid:?}"
+            );
+        }
+        for &class in &classes {
+            let seen: DbResult<Vec<Oid>> = txn.with_view(&[], |v| Ok(v.instances_of(class, true)));
+            assert_eq!(seen.unwrap(), sorted(twin.instances_of(class, true)));
+        }
+    }
+    // Committed, the engine itself answers the same.
+    txn.commit().unwrap();
+    cdb.with_read(|db| {
+        for &oid in &graph.known {
+            assert_eq!(core_answers(db, oid), core_answers(&twin, oid));
+        }
+    });
+}
+
 fn steps() -> impl Strategy<Value = Vec<(u8, u16, u16, u8)>> {
     prop::collection::vec(
         (any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>()),
@@ -277,6 +397,24 @@ proptest! {
         steps in steps(),
     ) {
         check_pins_survive_writes(dag(seed, share), steps);
+    }
+
+    #[test]
+    fn in_transaction_traversals_equal_the_reference_on_vehicle_fleets(
+        n in 1usize..4,
+        tires in 0usize..5,
+        steps in steps(),
+    ) {
+        check_transaction_view_equals_reference(vehicles_with_twin(n, tires), steps);
+    }
+
+    #[test]
+    fn in_transaction_traversals_equal_the_reference_on_shared_dags(
+        seed in 0u64..1_000,
+        share in 0.0f64..0.8,
+        steps in steps(),
+    ) {
+        check_transaction_view_equals_reference(dag_with_twin(seed, share), steps);
     }
 }
 

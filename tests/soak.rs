@@ -82,13 +82,13 @@ fn mixed_operation_soak() {
             // A transaction that flips a title and aborts half the time.
             6 => {
                 if let Some(&d) = documents.iter().find(|&&d| db.exists(d)) {
-                    db.begin_undo().unwrap();
+                    db.begin_transaction().unwrap();
                     db.set_attr(d, "Title", Value::Str("in-flight".into()))
                         .unwrap();
                     if rng.gen_bool(0.5) {
-                        db.rollback_undo().unwrap();
+                        db.abort_transaction().unwrap();
                     } else {
-                        db.commit_undo().unwrap();
+                        db.commit_transaction().unwrap();
                     }
                 }
             }

@@ -1,6 +1,6 @@
-//! Full transaction semantics: §7 composite locking + engine-level undo.
-//! Locks make conflicting transactions take turns; the undo log makes
-//! aborts restore the exact before state.
+//! Full transaction semantics: §7 composite locking + engine-level
+//! rollback. Locks make conflicting transactions take turns; dropping the
+//! transaction's write set makes aborts restore the exact before state.
 
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn aborted_update_leaves_no_trace() {
     composite_lockset(&db, a, LockIntent::Write)
         .acquire(&lm, txn.id())
         .unwrap();
-    db.begin_undo().unwrap();
+    db.begin_transaction().unwrap();
     // The transaction rips the assembly apart…
     db.set_attr(p, "n", Value::Int(99)).unwrap();
     let extra = db.make(part, vec![], vec![]).unwrap();
@@ -48,7 +48,7 @@ fn aborted_update_leaves_no_trace() {
     db.delete(a).unwrap(); // cascades into p and extra
     assert!(!db.exists(a) && !db.exists(p));
     // …then aborts.
-    db.rollback_undo().unwrap();
+    db.abort_transaction().unwrap();
     txn.abort();
     assert!(db.exists(a) && db.exists(p));
     assert!(!db.exists(extra));
@@ -64,7 +64,7 @@ fn aborted_update_leaves_no_trace() {
 fn serialised_writers_alternate_commit_and_abort() {
     // Two threads run read-modify-write transactions on one composite
     // object; even-numbered rounds abort. The final counter equals the
-    // number of committed rounds — locks serialise, undo erases aborts.
+    // number of committed rounds — locks serialise, aborts leave nothing.
     let mut db = Database::new();
     let counter_class = db
         .define_class(ClassBuilder::new("Counter").attr("n", Domain::Integer))
@@ -86,18 +86,18 @@ fn serialised_writers_alternate_commit_and_abort() {
                 let set = corion::lock::protocol::direct_lockset(c, true);
                 set.acquire(&lm, txn.id()).unwrap();
                 let mut db = db.lock();
-                db.begin_undo().unwrap();
+                db.begin_transaction().unwrap();
                 let Value::Int(n) = db.get_attr(c, "n").unwrap() else {
                     panic!()
                 };
                 db.set_attr(c, "n", Value::Int(n + 1)).unwrap();
                 let abort = (worker + round) % 2 == 0;
                 if abort {
-                    db.rollback_undo().unwrap();
+                    db.abort_transaction().unwrap();
                     drop(db);
                     txn.abort();
                 } else {
-                    db.commit_undo().unwrap();
+                    db.commit_transaction().unwrap();
                     drop(db);
                     txn.commit();
                 }
@@ -114,8 +114,8 @@ fn serialised_writers_alternate_commit_and_abort() {
 
 #[test]
 fn failed_make_is_already_atomic_without_undo() {
-    // The engine's own rollback of half-created `make`s (multi-parent
-    // violation) composes with an open undo scope.
+    // A `make` rejected half-way (multi-parent violation) takes itself
+    // back out of an open transaction, which stays usable.
     let mut db = Database::new();
     let part = db.define_class(ClassBuilder::new("Part")).unwrap();
     let asm = db
@@ -130,12 +130,14 @@ fn failed_make_is_already_atomic_without_undo() {
         .unwrap();
     let a1 = db.make(asm, vec![], vec![]).unwrap();
     let a2 = db.make(asm, vec![], vec![]).unwrap();
-    db.begin_undo().unwrap();
+    db.begin_transaction().unwrap();
     assert!(db
         .make(part, vec![], vec![(a1, "parts"), (a2, "parts")])
         .is_err());
-    db.rollback_undo().unwrap();
     assert_eq!(db.instances_of(part, false).len(), 0);
+    let kept = db.make(part, vec![], vec![(a1, "parts")]).unwrap();
+    db.commit_transaction().unwrap();
+    assert_eq!(db.instances_of(part, false), vec![kept]);
     db.verify_integrity().unwrap();
 }
 
@@ -144,7 +146,7 @@ fn failed_make_is_already_atomic_without_undo() {
 // ---------------------------------------------------------------------
 
 mod public_txn {
-    use corion::storage::{StorageError, StoreConfig};
+    use corion::storage::StoreConfig;
     use corion::{
         ClassBuilder, ClassId, CompositeSpec, Database, DbConfig, DbError, Domain, MakeSpec,
         ParentRef, Value,
@@ -241,7 +243,7 @@ mod public_txn {
     fn checkpoints_defer_until_the_transaction_closes() {
         // A tiny checkpoint threshold plus full-image logging would trip
         // the auto-checkpoint on nearly every write — but never inside an
-        // open transaction, where the WAL tail is the rollback record.
+        // open transaction, which writes nothing until it commits.
         let (mut db, part) = {
             let mut db = Database::with_config(DbConfig {
                 store: StoreConfig {
@@ -270,7 +272,7 @@ mod public_txn {
         // An explicit checkpoint is refused outright.
         assert!(matches!(
             db.checkpoint(),
-            Err(DbError::Storage(StorageError::BatchAlreadyOpen))
+            Err(DbError::TransactionState { .. })
         ));
         db.commit_transaction().unwrap();
         // The deferred work flushes at commit; the threshold (far exceeded
@@ -298,8 +300,8 @@ mod public_txn {
         db.simulate_crash();
         db.recover().unwrap();
 
-        // The no-steal pool never let uncommitted pages reach disk, so the
-        // crash erased the transaction wholesale.
+        // The transaction's writes never left its overlay, so the crash
+        // erased it wholesale.
         assert!(!db.in_transaction());
         assert!(!db.exists(ghost));
         assert_eq!(db.get_attr(p, "n").unwrap(), Value::Int(1));
@@ -400,19 +402,10 @@ mod public_txn {
             db.define_class(ClassBuilder::new("Late")),
             Err(DbError::TransactionState { .. })
         ));
-        // No undo scope inside a transaction…
-        assert!(matches!(
-            db.begin_undo(),
-            Err(DbError::TransactionState { .. })
-        ));
+        // Nothing that needs committed state, either.
+        assert!(matches!(db.dump(), Err(DbError::TransactionState { .. })));
+        assert!(matches!(db.repair(), Err(DbError::TransactionState { .. })));
         db.abort_transaction().unwrap();
-        // …and no transaction inside an undo scope.
-        db.begin_undo().unwrap();
-        assert!(matches!(
-            db.begin_transaction(),
-            Err(DbError::TransactionState { .. })
-        ));
-        db.commit_undo().unwrap();
         // The engine is unharmed by the whole gauntlet.
         db.make(part, vec![("n", Value::Int(1))], vec![]).unwrap();
         db.verify_integrity().unwrap();
