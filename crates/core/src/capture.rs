@@ -158,22 +158,34 @@ impl Database {
         Ok(())
     }
 
+    /// Where the store's commits stand; [`Database::committed_since`] tells
+    /// whether one landed after this.
+    pub(crate) fn commit_mark(&self) -> (Lsn, u64) {
+        (
+            self.store.durable_commit_lsn(),
+            self.store.unsealed_commits(),
+        )
+    }
+
+    /// True if a batch committed since `mark` — durable itself, or
+    /// absorbed by the group window; else it was rolled back. This, not a
+    /// commit's result, says whether the batch made it: a fault *after*
+    /// the durability point reports an error for a commit that is in
+    /// effect. (Exact while the store is healthy; a store that lost its
+    /// window to a crash is degraded and needs recovery anyway.)
+    pub(crate) fn committed_since(&self, (lsn, unsealed): (Lsn, u64)) -> bool {
+        self.store.durable_commit_lsn() > lsn || self.store.unsealed_commits() > unsealed
+    }
+
     /// Commits the open storage batch and releases what became durable.
-    /// Whether the batch made it is read off the store, not off the
-    /// result: a fault *after* the durability point reports an error for a
-    /// commit recovery will replay.
     pub(crate) fn commit_batch(&mut self) -> StorageResult<()> {
         if !self.capture.on() && self.capture.open.is_empty() && self.capture.window.is_empty() {
             return self.store.commit_atomic();
         }
-        let (lsn, unsealed) = (
-            self.store.durable_commit_lsn(),
-            self.store.unsealed_commits(),
-        );
+        let mark = self.commit_mark();
         let result = self.store.commit_atomic();
         let open = std::mem::take(&mut self.capture.open);
-        // Durable itself, or absorbed by the group window; else rolled back.
-        if self.store.durable_commit_lsn() > lsn || self.store.unsealed_commits() > unsealed {
+        if self.committed_since(mark) {
             for (oid, touch) in open {
                 match self.capture.window.entry(oid) {
                     Entry::Vacant(slot) => {
@@ -183,7 +195,7 @@ impl Database {
                 }
             }
         }
-        self.release_if_synced(lsn);
+        self.release_if_synced(mark.0);
         result
     }
 

@@ -451,14 +451,7 @@ impl Database {
 
     /// Reads one attribute by name.
     pub fn get_attr(&self, oid: Oid, attr: &str) -> DbResult<Value> {
-        let idx = self
-            .catalog
-            .class(oid.class)?
-            .attr_index(attr)
-            .ok_or_else(|| DbError::NoSuchAttribute {
-                class: oid.class,
-                attr: attr.into(),
-            })?;
+        let idx = self.catalog.attr_slot(oid.class, attr)?;
         Ok(self.get(oid)?.attrs[idx].clone())
     }
 

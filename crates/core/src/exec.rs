@@ -339,14 +339,8 @@ pub(crate) fn add_to_parent_attr(
     parent: Oid,
     attr: &str,
 ) -> DbResult<()> {
-    let pclass = e.db.catalog.class(parent.class)?;
-    let idx = pclass
-        .attr_index(attr)
-        .ok_or_else(|| DbError::NoSuchAttribute {
-            class: parent.class,
-            attr: attr.into(),
-        })?;
-    let def = pclass.attrs[idx].clone();
+    let idx = e.db.catalog.attr_slot(parent.class, attr)?;
+    let def = e.db.catalog.class(parent.class)?.attrs[idx].clone();
     if e.get(parent)?.attrs[idx].references(child) {
         return Ok(());
     }
@@ -381,14 +375,8 @@ pub(crate) fn set_attr_inner(
     attr: &str,
     value: Value,
 ) -> DbResult<()> {
-    let class = e.db.catalog.class(oid.class)?;
-    let idx = class
-        .attr_index(attr)
-        .ok_or_else(|| DbError::NoSuchAttribute {
-            class: oid.class,
-            attr: attr.into(),
-        })?;
-    let def = class.attrs[idx].clone();
+    let idx = e.db.catalog.attr_slot(oid.class, attr)?;
+    let def = e.db.catalog.class(oid.class)?.attrs[idx].clone();
     check_domain(e, &def, &value)?;
     let old = e.get(oid)?.attrs[idx].clone();
     if let Some(spec) = def.composite {
@@ -421,14 +409,8 @@ pub(crate) fn set_attr_weak(
     attr: &str,
     value: Value,
 ) -> DbResult<()> {
-    let class = e.db.catalog.class(oid.class)?;
-    let idx = class
-        .attr_index(attr)
-        .ok_or_else(|| DbError::NoSuchAttribute {
-            class: oid.class,
-            attr: attr.into(),
-        })?;
-    let def = class.attrs[idx].clone();
+    let idx = e.db.catalog.attr_slot(oid.class, attr)?;
+    let def = e.db.catalog.class(oid.class)?.attrs[idx].clone();
     check_domain(e, &def, &value)?;
     let mut obj = e.get(oid)?;
     obj.attrs[idx] = value;
@@ -478,14 +460,8 @@ pub(crate) fn remove_component_inner(
     parent: Oid,
     attr: &str,
 ) -> DbResult<()> {
-    let pclass = e.db.catalog.class(parent.class)?;
-    let idx = pclass
-        .attr_index(attr)
-        .ok_or_else(|| DbError::NoSuchAttribute {
-            class: parent.class,
-            attr: attr.into(),
-        })?;
-    let def = pclass.attrs[idx].clone();
+    let idx = e.db.catalog.attr_slot(parent.class, attr)?;
+    let def = e.db.catalog.class(parent.class)?.attrs[idx].clone();
     let Some(spec) = def.composite else {
         return Err(DbError::NotComposite {
             class: parent.class,

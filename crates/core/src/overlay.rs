@@ -234,15 +234,7 @@ impl<'a> OverlayView<'a> {
 
     /// [`Database::get_attr`] through the write set.
     pub fn get_attr(&self, oid: Oid, attr: &str) -> DbResult<Value> {
-        let idx = self
-            .db
-            .catalog
-            .class(oid.class)?
-            .attr_index(attr)
-            .ok_or_else(|| DbError::NoSuchAttribute {
-                class: oid.class,
-                attr: attr.into(),
-            })?;
+        let idx = self.db.catalog.attr_slot(oid.class, attr)?;
         Ok(self.get(oid)?.attrs[idx].clone())
     }
 
@@ -314,11 +306,17 @@ impl Database {
     /// marker covers the whole write set, so crash recovery sees all
     /// of it or none of it.
     ///
-    /// On a storage error the batch aborts. If the store rolled it back
-    /// cleanly (it is still [`HealthState::Healthy`]) the object table is
-    /// put back too and the engine carries on at the pre-apply state;
-    /// otherwise, as with any substrate failure, the caller must run
-    /// [`Database::recover`] before further mutations.
+    /// An `Err` does not by itself say the batch was rolled back: a fault
+    /// after the durability point, a group window that absorbed the batch
+    /// and then failed to seal, or a failed auto-checkpoint reports an
+    /// error for a commit that is in effect. Whether it took is read off
+    /// the store (`committed_since`), not off the result. Only a batch
+    /// the store rolled back cleanly (nothing committed, still
+    /// [`HealthState::Healthy`]) has its object-table entries put back,
+    /// and the engine carries on at the pre-apply state; a committed one
+    /// keeps the post-apply table its pages match; after any other
+    /// substrate failure the caller must run [`Database::recover`] before
+    /// further mutations.
     pub fn overlay_apply(&mut self, overlay: Overlay) -> DbResult<()> {
         self.forbid_in_transaction("apply a write set")?;
         let nested = self.store.in_atomic_batch();
@@ -329,6 +327,7 @@ impl Database {
             .keys()
             .map(|&oid| (oid, self.shards.get(oid)))
             .collect();
+        let mark = self.commit_mark();
         let result = self.atomic(|db| {
             if overlay.serial_floor > 0 {
                 db.store.note_serial_floor(overlay.serial_floor);
@@ -351,7 +350,9 @@ impl Database {
             }
             Ok(())
         });
-        if result.is_err() && !nested && self.store.health() == HealthState::Healthy {
+        let rolled_back =
+            !self.committed_since(mark) && self.store.health() == HealthState::Healthy;
+        if result.is_err() && !nested && rolled_back {
             for (oid, phys) in before {
                 match phys {
                     Some(phys) => self.shards.insert(oid, phys),
@@ -490,5 +491,64 @@ mod tests {
         assert!(db.exists(old) && !db.exists(fresh));
         assert_eq!(db.get_attr(old, "label").unwrap(), label("old"));
         db.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn an_error_after_the_commit_took_effect_keeps_the_object_table() {
+        use corion_storage::{CommitPolicy, StoreConfig, CP_GROUP_SEAL};
+        // Every commit fills the group window, so every commit seals it.
+        let mut db = Database::with_config(crate::DbConfig {
+            store: StoreConfig {
+                commit_policy: CommitPolicy::Group {
+                    max_ops: 1,
+                    max_bytes: usize::MAX,
+                },
+                ..StoreConfig::default()
+            },
+            ..crate::DbConfig::default()
+        });
+        let c = db
+            .define_class(ClassBuilder::new("Widget").attr("label", Domain::String))
+            .unwrap();
+        let old = db.make(c, vec![("label", label("old"))], vec![]).unwrap();
+
+        // The window absorbs each batch, then the seal exhausts its retry
+        // budget: an error on a healthy store for a commit that is in
+        // effect (the window is put back intact). Autocommit create,
+        // autocommit delete, and a transaction.
+        let fail_seal = |db: &Database| db.arm_transient_crash(CP_GROUP_SEAL, 1, 64);
+        fail_seal(&db);
+        let made = db.make(c, vec![("label", label("new"))], vec![]);
+        assert!(matches!(made, Err(DbError::Storage(_))), "{made:?}");
+        fail_seal(&db);
+        assert!(matches!(db.delete(old), Err(DbError::Storage(_))));
+        fail_seal(&db);
+        db.begin_transaction().unwrap();
+        let in_txn = db.make(c, vec![("label", label("txn"))], vec![]).unwrap();
+        assert!(matches!(db.commit_transaction(), Err(DbError::Storage(_))));
+        db.heal_crash_points();
+        assert_eq!(db.health(), HealthState::Healthy);
+
+        let check = |db: &mut Database| {
+            assert!(!db.exists(old) && db.exists(in_txn));
+            let live = db.instances_of(c, false);
+            assert_eq!(live.len(), 2);
+            let labels: Vec<Value> = live
+                .iter()
+                .map(|&o| db.get_attr(o, "label").unwrap())
+                .collect();
+            assert!(labels.contains(&label("new")) && labels.contains(&label("txn")));
+            db.verify_integrity().unwrap();
+        };
+        check(&mut db);
+        // The committed transaction's serials stay taken.
+        let next = db.make(c, vec![], vec![]).unwrap();
+        assert!(next.serial > in_txn.serial);
+        db.delete(next).unwrap();
+        // The healed seal makes all of it durable.
+        db.sync().unwrap();
+        db.simulate_crash();
+        db.recover().unwrap();
+        check(&mut db);
     }
 }

@@ -95,6 +95,17 @@ impl Catalog {
             .ok_or(DbError::NoSuchClass(id))
     }
 
+    /// Position of `class`'s attribute `attr` in an instance's attribute
+    /// vector.
+    pub fn attr_slot(&self, class: ClassId, attr: &str) -> DbResult<usize> {
+        self.class(class)?
+            .attr_index(attr)
+            .ok_or_else(|| DbError::NoSuchAttribute {
+                class,
+                attr: attr.into(),
+            })
+    }
+
     /// Mutable class lookup.
     pub fn class_mut(&mut self, id: ClassId) -> DbResult<&mut Class> {
         self.classes

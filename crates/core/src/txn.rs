@@ -166,29 +166,28 @@ impl Database {
     /// storage batch and one WAL flush makes every grouped mutation
     /// durable at once.
     ///
-    /// On a commit-time storage failure the transaction is over and
-    /// nothing of it is visible: the engine is at its pre-transaction
-    /// state when the store rolled back cleanly; a degraded/poisoned
-    /// store needs [`Database::recover`], which rebuilds the derived maps
-    /// wholesale.
+    /// On a commit-time storage failure the transaction is over. Unless
+    /// the fault came after the commit took effect (past the durability
+    /// point, or while sealing the group window that absorbed it), nothing
+    /// of it is visible: the engine is at its pre-transaction state when
+    /// the store rolled back cleanly; a degraded/poisoned store needs
+    /// [`Database::recover`], which rebuilds the derived maps wholesale.
     pub fn commit_transaction(&mut self) -> DbResult<()> {
         let txn = self.txn.take().ok_or_else(|| DbError::TransactionState {
             reason: "no transaction is open".into(),
         })?;
-        match self.overlay_apply(txn.overlay) {
-            Ok(()) => {
-                self.metrics.txn_commits.inc();
-                self.metrics.txn_ops.add(txn.ops);
-                Ok(())
+        let mark = self.commit_mark();
+        let result = self.overlay_apply(txn.overlay);
+        if result.is_ok() || self.committed_since(mark) {
+            self.metrics.txn_commits.inc();
+            self.metrics.txn_ops.add(txn.ops);
+        } else {
+            if self.store.health() == HealthState::Healthy {
+                self.next_serial.store(txn.next_serial, Ordering::Relaxed);
             }
-            Err(e) => {
-                if self.store.health() == HealthState::Healthy {
-                    self.next_serial.store(txn.next_serial, Ordering::Relaxed);
-                }
-                self.metrics.txn_aborts.inc();
-                Err(e)
-            }
+            self.metrics.txn_aborts.inc();
         }
+        result
     }
 
     /// Rolls the open transaction back: its write set is dropped (nothing

@@ -194,9 +194,10 @@ proptest! {
         for op in ops {
             let pick = |i: usize| pool[i % pool.len()];
             let before = fingerprint(&db);
-            // Any of these may legitimately be refused (topology rules,
-            // cycles, a dead operand) — and then it must be a no-op, even
-            // when the refusal came after the operation's first writes.
+            // Any of these but the delete of a live object may
+            // legitimately be refused (topology rules, cycles, a dead
+            // operand) — and then it must be a no-op, even when the
+            // refusal came after the operation's first writes.
             let refused = match op {
                 Op::Create => {
                     pool.push(db.make(part, vec![], vec![]).unwrap());
@@ -208,7 +209,17 @@ proptest! {
                 Op::Detach { child, parent, attr } => db
                     .remove_component(pick(child), pick(parent), ATTRS[attr % 4])
                     .is_err(),
-                Op::Delete { obj } => db.delete(pick(obj)).is_err(),
+                // The Deletion Rule refuses nothing: only a dead operand.
+                Op::Delete { obj } => {
+                    let o = pick(obj);
+                    if db.exists(o) {
+                        db.delete(o).unwrap();
+                        false
+                    } else {
+                        prop_assert!(db.delete(o).is_err(), "deleted the dead {}", o);
+                        true
+                    }
+                }
                 Op::SetWeak { obj, target } => db
                     .set_attr(pick(obj), "buddy", Value::Ref(pick(target)))
                     .is_err(),
