@@ -3,13 +3,12 @@
 //! Two experiments, both against the same Part/Asm/Root schema:
 //!
 //!   1. **Hierarchy ingest** — build a composite hierarchy of ~`N`
-//!      objects (one root, `N/10` sub-assemblies, nine parts each) four
+//!      objects (one root, `N/10` sub-assemblies, nine parts each) three
 //!      ways: per-op autocommit (one WAL flush per `make`), a public
-//!      transaction (one flush for everything), `make_many` (one call,
-//!      one flush), and per-op commits under a `CommitPolicy::Group`
-//!      window. Every mode replays the *same* spec list, so the logical
-//!      work is identical and only the commit pipeline differs. Reports
-//!      median ns/op, ops/s and WAL bytes/op per mode.
+//!      transaction (one flush for everything), and `make_many` (one
+//!      call, one flush). Every mode replays the *same* spec list, so the
+//!      logical work is identical and only the commit pipeline differs.
+//!      Reports median ns/op, ops/s and WAL bytes/op per mode.
 //!   2. **Update-heavy mix** — replay a deterministic
 //!      [`corion::workload::txmix`] write mix with delta-page logging off
 //!      vs on and compare WAL bytes/op.
@@ -40,8 +39,8 @@ use std::time::Instant;
 use corion::storage::StoreConfig;
 use corion::workload::txmix::{generate_writes, WriteMixParams, WriteOp};
 use corion::{
-    ClassBuilder, ClassId, CommitPolicy, CompositeSpec, Database, DbConfig, DbResult, Domain,
-    MakeSpec, Oid, ParentRef, Value,
+    ClassBuilder, ClassId, CompositeSpec, Database, DbConfig, DbResult, Domain, MakeSpec, Oid,
+    ParentRef, Value,
 };
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -51,10 +50,9 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn db_with(policy: CommitPolicy, delta_pages: bool) -> Database {
+fn db_with(delta_pages: bool) -> Database {
     Database::with_config(DbConfig {
         store: StoreConfig {
-            commit_policy: policy,
             delta_pages,
             // Auto-checkpointing truncates the log mid-run, which would
             // corrupt the bytes-appended accounting below.
@@ -155,23 +153,13 @@ fn replay(db: &mut Database, specs: &[MakeSpec]) -> DbResult<()> {
 
 /// One timed run of an ingest mode. Returns (elapsed ns, WAL bytes, ops).
 fn run_ingest(objects: usize, mode: &str) -> (u128, usize, usize) {
-    let policy = match mode {
-        "group" => CommitPolicy::Group {
-            max_ops: 64,
-            max_bytes: 1 << 20,
-        },
-        _ => CommitPolicy::Immediate,
-    };
-    let mut db = db_with(policy, true);
+    let mut db = db_with(true);
     let (part, asm, root) = schema(&mut db);
     let specs = ingest_specs(part, asm, root, objects);
     let wal_before = db.wal_stats();
     let start = Instant::now();
     match mode {
-        "autocommit" | "group" => {
-            replay(&mut db, &specs).unwrap();
-            db.sync().unwrap();
-        }
+        "autocommit" => replay(&mut db, &specs).unwrap(),
         "transaction" => db.transaction(|db| replay(db, &specs)).unwrap(),
         "make_many" => {
             db.make_many(&specs).unwrap();
@@ -188,7 +176,7 @@ fn run_ingest(objects: usize, mode: &str) -> (u128, usize, usize) {
 
 /// One timed run of the update mix. Returns (elapsed ns, WAL bytes, ops).
 fn run_update_mix(ops: usize, delta_pages: bool) -> (u128, usize, usize) {
-    let mut db = db_with(CommitPolicy::Immediate, delta_pages);
+    let mut db = db_with(delta_pages);
     let (part, _, _) = schema(&mut db);
     let targets: Vec<_> = (0..100)
         .map(|i| {
@@ -294,7 +282,7 @@ fn main() {
     let out_dir = std::env::var("CORION_BENCH_OUT").unwrap_or_else(|_| ".".into());
 
     // ---- Experiment 1: hierarchy ingest ------------------------------
-    let modes: Vec<ModeResult> = ["autocommit", "transaction", "make_many", "group"]
+    let modes: Vec<ModeResult> = ["autocommit", "transaction", "make_many"]
         .into_iter()
         .map(|m| measure_mode(m, objects, runs))
         .collect();
@@ -307,10 +295,9 @@ fn main() {
     let auto = &modes[0];
     let txn_speedup = modes[1].ops_per_sec / auto.ops_per_sec;
     let many_speedup = modes[2].ops_per_sec / auto.ops_per_sec;
-    let group_speedup = modes[3].ops_per_sec / auto.ops_per_sec;
     println!(
         "[ingest] speedup vs autocommit: transaction {txn_speedup:.1}x, \
-         make_many {many_speedup:.1}x, group {group_speedup:.1}x"
+         make_many {many_speedup:.1}x"
     );
 
     let machine = json_machine();
@@ -319,7 +306,6 @@ fn main() {
          \"runs\": {runs},\n  \"modes\": {{\n{}\n  }},\n  \
          \"speedup_transaction_vs_autocommit\": {txn_speedup:.2},\n  \
          \"speedup_make_many_vs_autocommit\": {many_speedup:.2},\n  \
-         \"speedup_group_vs_autocommit\": {group_speedup:.2},\n  \
          \"floor_batched_vs_autocommit\": 2.0\n}}\n",
         modes.iter().map(json_mode).collect::<Vec<_>>().join(",\n")
     );

@@ -371,9 +371,14 @@ impl WriteTxn {
     /// empty commit used to return the visible watermark, which could
     /// equal a concurrent transaction's real commit LSN.)
     ///
-    /// On a storage fault the batch rolls back, the transaction aborts,
-    /// and — as with any substrate failure — the engine must be
-    /// [`ConcurrentDb::recover`]ed before further mutations.
+    /// The answer is the store's, and exact. `Ok` means the write set is
+    /// durable and its versions are published; a fault past the
+    /// durability point (or in the checkpoint that follows) degrades the
+    /// engine rather than failing the commit. `Err` means the batch rolled
+    /// back, no version was published, and the transaction aborted; if the
+    /// engine is no longer healthy (a torn flush, a failed log device, in
+    /// doubt until then) it must be [`ConcurrentDb::recover`]ed before
+    /// further mutations.
     pub fn commit(mut self) -> DbResult<Lsn> {
         self.ensure_open()?;
         let overlay = self.overlay.take().expect("open txn has an overlay");

@@ -9,27 +9,23 @@
 //! states around it — relocation and overflow chains never show, because
 //! nothing here looks at pages.
 //!
-//! A captured batch is **released** as a [`ChangeSet`] only at the store's
-//! durability point, which the engine recognises by watching
-//! [`ObjectStore::durable_commit_lsn`](corion_storage::ObjectStore::durable_commit_lsn)
-//! across the store calls that can sync the log: under
-//! `CommitPolicy::Immediate` that is each commit; under `Group` the batches
-//! of a window merge (first before-image, last after-image per OID, as the
-//! log merges their pages) and go out together when the window seals. An
-//! aborted batch, a window lost to a crash, and everything pending at
-//! [`Database::recover`] release nothing. Released sets queue in commit
-//! order until [`Database::take_released_changes`] drains them —
-//! `corion-concurrent` does so when it drops the exclusive latch.
+//! A captured batch is **released** as a [`ChangeSet`] when its commit
+//! answers `Ok` — the store's answer is exact, so that is the durability
+//! point — stamped with the commit's WAL LSN. A commit that answered `Err`
+//! (rolled back, or in doubt until recovery), an aborted batch, and
+//! everything pending at [`Database::recover`] release nothing. Released
+//! sets queue in commit order until [`Database::take_released_changes`]
+//! drains them — `corion-concurrent` does so when it drops the exclusive
+//! latch.
 //!
 //! With capture off (the default, and whenever nobody listens) the seam
 //! costs one atomic load and the engine reads no before-image for it.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use corion_storage::{Lsn, ObjectStore, StorageResult};
+use corion_storage::{Lsn, StorageResult};
 
 use crate::db::Database;
 use crate::error::DbResult;
@@ -65,7 +61,7 @@ pub enum Change {
     },
 }
 
-/// Everything one durable batch (or sealed group window) changed.
+/// Everything one durable batch changed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChangeSet {
     /// WAL LSN of the commit marker that made the batch durable.
@@ -93,10 +89,7 @@ pub(crate) struct Capture {
     on: AtomicBool,
     /// Objects the open storage batch touched.
     open: BTreeMap<Oid, Touch>,
-    /// Committed, not yet durable. Outlives a batch only under
-    /// `CommitPolicy::Group`.
-    window: BTreeMap<Oid, Touch>,
-    /// Capture time accumulated for the pending sets.
+    /// Capture time accumulated for the open batch.
     ns: u64,
     released: Vec<ChangeSet>,
 }
@@ -109,7 +102,6 @@ impl Capture {
     /// Drops everything not yet durable.
     pub(crate) fn discard_pending(&mut self) {
         self.open.clear();
-        self.window.clear();
         self.ns = 0;
     }
 }
@@ -158,74 +150,18 @@ impl Database {
         Ok(())
     }
 
-    /// Where the store's commits stand; [`Database::committed_since`] tells
-    /// whether one landed after this.
-    pub(crate) fn commit_mark(&self) -> (Lsn, u64) {
-        (
-            self.store.durable_commit_lsn(),
-            self.store.unsealed_commits(),
-        )
-    }
-
-    /// True if a batch committed since `mark` — durable itself, or
-    /// absorbed by the group window; else it was rolled back. This, not a
-    /// commit's result, says whether the batch made it: a fault *after*
-    /// the durability point reports an error for a commit that is in
-    /// effect. (Exact while the store is healthy; a store that lost its
-    /// window to a crash is degraded and needs recovery anyway.)
-    pub(crate) fn committed_since(&self, (lsn, unsealed): (Lsn, u64)) -> bool {
-        self.store.durable_commit_lsn() > lsn || self.store.unsealed_commits() > unsealed
-    }
-
-    /// Commits the open storage batch and releases what became durable.
+    /// Commits the open storage batch and, once it answered `Ok`, releases
+    /// what it changed.
     pub(crate) fn commit_batch(&mut self) -> StorageResult<()> {
-        if !self.capture.on() && self.capture.open.is_empty() && self.capture.window.is_empty() {
-            return self.store.commit_atomic();
-        }
-        let mark = self.commit_mark();
-        let result = self.store.commit_atomic();
         let open = std::mem::take(&mut self.capture.open);
-        if self.committed_since(mark) {
-            for (oid, touch) in open {
-                match self.capture.window.entry(oid) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(touch);
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().after = touch.after,
-                }
-            }
-        }
-        self.release_if_synced(mark.0);
-        result
-    }
-
-    /// Abandons the open storage batch and what it captured.
-    pub(crate) fn abort_batch(&mut self) -> StorageResult<()> {
-        self.capture.open.clear();
-        self.store.abort_atomic()
-    }
-
-    /// Runs a store call that seals an open group window (`sync`,
-    /// `checkpoint`, `scrub`, a segment creation's own commit) and releases
-    /// the window's changes if it did.
-    pub(crate) fn sealing<R>(&mut self, f: impl FnOnce(&mut ObjectStore) -> R) -> R {
-        let lsn = self.store.durable_commit_lsn();
-        let result = f(&mut self.store);
-        self.release_if_synced(lsn);
-        result
-    }
-
-    /// Releases the pending window if the durable commit LSN moved past
-    /// `was`, stamped with the new one.
-    fn release_if_synced(&mut self, was: Lsn) {
-        let commit_lsn = self.store.durable_commit_lsn();
-        if commit_lsn <= was {
-            return;
-        }
         let capture_ns = std::mem::take(&mut self.capture.ns);
+        self.store.commit_atomic()?;
+        if open.is_empty() {
+            return Ok(());
+        }
         let mut changes = Vec::new();
         let mut deleted = Vec::new();
-        for (oid, touch) in std::mem::take(&mut self.capture.window) {
+        for (oid, touch) in open {
             match (touch.before, touch.after) {
                 (None, Some(obj)) => changes.push(Change::Made {
                     oid,
@@ -250,10 +186,17 @@ impl Database {
         changes.append(&mut deleted);
         if !changes.is_empty() {
             self.capture.released.push(ChangeSet {
-                commit_lsn,
+                commit_lsn: self.store.durable_commit_lsn(),
                 changes,
                 capture_ns,
             });
         }
+        Ok(())
+    }
+
+    /// Abandons the open storage batch and what it captured.
+    pub(crate) fn abort_batch(&mut self) -> StorageResult<()> {
+        self.capture.discard_pending();
+        self.store.abort_atomic()
     }
 }

@@ -228,15 +228,10 @@ impl Database {
     /// Runs `f` inside one storage-level atomic batch: every page it
     /// touches is logged to the WAL and either all of them become durable
     /// or none do. Nested calls join the enclosing batch (`repair` groups
-    /// its rewrites and cascades this way).
-    ///
-    /// Error handling is split by kind:
-    ///
-    /// * a [`DbError::Storage`] error means the substrate itself failed
-    ///   (I/O fault, injected crash point) — the batch is **aborted** and
-    ///   the pages roll back to the pre-batch state;
-    /// * any other error leaves writes that already reached the page store
-    ///   and the object table in step, so they are **committed**.
+    /// its rewrites and cascades this way). `f` returning `Err` aborts the
+    /// batch, and so the answer is the store's: `Ok` means durable, `Err`
+    /// on a healthy store means the pages are back at the pre-batch state
+    /// (the object table is the caller's to put back).
     pub(crate) fn atomic<R>(&mut self, f: impl FnOnce(&mut Self) -> DbResult<R>) -> DbResult<R> {
         if self.store.in_atomic_batch() {
             return f(self);
@@ -245,15 +240,15 @@ impl Database {
         let _timer = self.metrics.atomic_latency.start_timer();
         self.store.begin_atomic()?;
         match f(self) {
-            Err(e) if matches!(e, DbError::Storage(_) | DbError::ReadOnly) => {
+            Ok(out) => {
+                self.commit_batch()?;
+                self.metrics.atomic_commits.inc();
+                Ok(out)
+            }
+            Err(e) => {
                 let _ = self.abort_batch();
                 self.metrics.atomic_aborts.inc();
                 Err(e)
-            }
-            result => {
-                self.commit_batch()?;
-                self.metrics.atomic_commits.inc();
-                result
             }
         }
     }
@@ -271,7 +266,7 @@ impl Database {
         self.forbid_in_transaction("change the schema")?;
         let segment = match builder.share_segment_with {
             Some(other) => self.catalog.class(other)?.segment,
-            None => self.sealing(|store| store.create_segment())?,
+            None => self.store.create_segment()?,
         };
         let id = self.catalog.define(builder, segment)?;
         self.shards.ensure_class(id);
@@ -592,7 +587,7 @@ impl Database {
     /// class extensions, serial counter — by scanning all segments.
     /// Shared by [`Database::recover`] and
     /// [`Database::scrub`], both of which may change what storage holds.
-    fn rebuild_derived_state(&mut self) -> DbResult<()> {
+    pub(crate) fn rebuild_derived_state(&mut self) -> DbResult<()> {
         self.shards.clear_objects();
         for class in self.catalog.all_classes() {
             self.shards.ensure_class(class);
@@ -670,7 +665,7 @@ impl Database {
     /// around them. Requires a healthy store and no open batch.
     pub fn scrub(&mut self) -> DbResult<corion_storage::ScrubReport> {
         self.forbid_in_transaction("scrub")?;
-        let report = self.sealing(|store| store.scrub())?;
+        let report = self.store.scrub()?;
         self.rebuild_derived_state()?;
         Ok(report)
     }
@@ -680,7 +675,7 @@ impl Database {
     /// transaction is open.
     pub fn checkpoint(&mut self) -> DbResult<()> {
         self.forbid_in_transaction("checkpoint")?;
-        self.sealing(|store| store.checkpoint())?;
+        self.store.checkpoint()?;
         // Refresh the persisted OID-serial floor: the sidecar is otherwise
         // only written at DDL time, and the post-reopen scan can only see
         // serials of *live* objects — without a floor, the serial of a
@@ -688,14 +683,6 @@ impl Database {
         // a dangling reference. A checkpoint is the natural place to
         // tighten it.
         self.persist_meta()
-    }
-
-    /// Forces any deferred group-commit window to durability (see
-    /// [`corion_storage::CommitPolicy::Group`]). A no-op under the
-    /// immediate policy; refused while a transaction is open.
-    pub fn sync(&mut self) -> DbResult<()> {
-        self.forbid_in_transaction("sync")?;
-        Ok(self.sealing(|store| store.sync())?)
     }
 
     /// Write-ahead-log counters (durable/pending bytes, records, flushes).
@@ -768,7 +755,9 @@ impl Database {
     /// The object must already exist.
     pub fn raw_overwrite_object(&mut self, obj: &Object) -> DbResult<()> {
         self.forbid_in_transaction("overwrite a stored image")?;
-        self.atomic(|db| db.save(obj))
+        let mut overlay = crate::overlay::Overlay::new();
+        overlay.record_save(obj.clone());
+        self.overlay_apply(overlay)
     }
 }
 
@@ -797,6 +786,23 @@ mod tests {
             )
             .unwrap();
         (db, part, asm)
+    }
+
+    #[test]
+    fn a_raw_overwrite_that_fails_to_commit_keeps_the_object_where_it_was() {
+        let (mut db, part, _) = simple_db();
+        let p = db
+            .make(part, vec![("name", Value::Str("small".into()))], vec![])
+            .unwrap();
+        // Growing past a page relocates the record into an overflow chain;
+        // then the commit exhausts its retry budget and rolls back.
+        let mut big = db.get(p).unwrap();
+        big.attrs[0] = Value::Str("x".repeat(5000));
+        db.arm_transient_crash(corion_storage::CP_COMMIT_FLUSH, 1, 64);
+        assert!(db.raw_overwrite_object(&big).is_err());
+        db.heal_crash_points();
+        assert_eq!(db.get_attr(p, "name").unwrap(), Value::Str("small".into()));
+        db.verify_integrity().unwrap();
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 
-use corion_storage::{HealthState, PhysId};
+use corion_storage::PhysId;
 
 use crate::composite::view::{self, ReadView};
 use crate::db::Database;
@@ -306,17 +306,13 @@ impl Database {
     /// marker covers the whole write set, so crash recovery sees all
     /// of it or none of it.
     ///
-    /// An `Err` does not by itself say the batch was rolled back: a fault
-    /// after the durability point, a group window that absorbed the batch
-    /// and then failed to seal, or a failed auto-checkpoint reports an
-    /// error for a commit that is in effect. Whether it took is read off
-    /// the store (`committed_since`), not off the result. Only a batch
-    /// the store rolled back cleanly (nothing committed, still
-    /// [`HealthState::Healthy`]) has its object-table entries put back,
-    /// and the engine carries on at the pre-apply state; a committed one
-    /// keeps the post-apply table its pages match; after any other
-    /// substrate failure the caller must run [`Database::recover`] before
-    /// further mutations.
+    /// The answer is the store's, and exact: `Ok` means the write set is
+    /// durable; `Err` means the batch was rolled back, and the object-table
+    /// entries it moved are put back, so on a store still
+    /// [`Healthy`](corion_storage::HealthState::Healthy) the engine
+    /// carries on at the pre-apply state. An `Err` that left the store
+    /// degraded or poisoned (a torn flush, a failed log device) is in
+    /// doubt until [`Database::recover`] decides it.
     pub fn overlay_apply(&mut self, overlay: Overlay) -> DbResult<()> {
         self.forbid_in_transaction("apply a write set")?;
         let nested = self.store.in_atomic_batch();
@@ -327,7 +323,6 @@ impl Database {
             .keys()
             .map(|&oid| (oid, self.shards.get(oid)))
             .collect();
-        let mark = self.commit_mark();
         let result = self.atomic(|db| {
             if overlay.serial_floor > 0 {
                 db.store.note_serial_floor(overlay.serial_floor);
@@ -350,9 +345,7 @@ impl Database {
             }
             Ok(())
         });
-        let rolled_back =
-            !self.committed_since(mark) && self.store.health() == HealthState::Healthy;
-        if result.is_err() && !nested && rolled_back {
+        if result.is_err() && !nested {
             for (oid, phys) in before {
                 match phys {
                     Some(phys) => self.shards.insert(oid, phys),
@@ -385,6 +378,7 @@ mod tests {
     use super::*;
     use crate::schema::attr::Domain;
     use crate::schema::class::ClassBuilder;
+    use corion_storage::HealthState;
 
     fn label(s: &str) -> Value {
         Value::Str(s.into())
@@ -494,61 +488,69 @@ mod tests {
     }
 
     #[test]
-    fn an_error_after_the_commit_took_effect_keeps_the_object_table() {
-        use corion_storage::{CommitPolicy, StoreConfig, CP_GROUP_SEAL};
-        // Every commit fills the group window, so every commit seals it.
-        let mut db = Database::with_config(crate::DbConfig {
-            store: StoreConfig {
-                commit_policy: CommitPolicy::Group {
-                    max_ops: 1,
-                    max_bytes: usize::MAX,
-                },
-                ..StoreConfig::default()
-            },
-            ..crate::DbConfig::default()
-        });
-        let c = db
-            .define_class(ClassBuilder::new("Widget").attr("label", Domain::String))
-            .unwrap();
-        let old = db.make(c, vec![("label", label("old"))], vec![]).unwrap();
-
-        // The window absorbs each batch, then the seal exhausts its retry
-        // budget: an error on a healthy store for a commit that is in
-        // effect (the window is put back intact). Autocommit create,
+    fn a_fault_after_the_commit_took_effect_answers_ok_and_keeps_the_object_table() {
+        use corion_storage::{StoreConfig, CP_CHECKPOINT_WRITE, CP_COMMIT_DONE};
+        // Past the durability point nothing is the commit's error: a
+        // `commit:done` fault, or a failed auto-checkpoint (every commit
+        // trips one here), degrades the store and the commit answers `Ok`
+        // with the object table its pages match. Autocommit create,
         // autocommit delete, and a transaction.
-        let fail_seal = |db: &Database| db.arm_transient_crash(CP_GROUP_SEAL, 1, 64);
-        fail_seal(&db);
-        let made = db.make(c, vec![("label", label("new"))], vec![]);
-        assert!(matches!(made, Err(DbError::Storage(_))), "{made:?}");
-        fail_seal(&db);
-        assert!(matches!(db.delete(old), Err(DbError::Storage(_))));
-        fail_seal(&db);
-        db.begin_transaction().unwrap();
-        let in_txn = db.make(c, vec![("label", label("txn"))], vec![]).unwrap();
-        assert!(matches!(db.commit_transaction(), Err(DbError::Storage(_))));
-        db.heal_crash_points();
-        assert_eq!(db.health(), HealthState::Healthy);
+        for point in [CP_COMMIT_DONE, CP_CHECKPOINT_WRITE] {
+            let mut db = Database::with_config(crate::DbConfig {
+                store: StoreConfig {
+                    wal_checkpoint_bytes: 0,
+                    ..StoreConfig::default()
+                },
+                ..crate::DbConfig::default()
+            });
+            let c = db
+                .define_class(ClassBuilder::new("Widget").attr("label", Domain::String))
+                .unwrap();
+            let old = db.make(c, vec![("label", label("old"))], vec![]).unwrap();
+            // Runs `op` with `point` armed: it answers `Ok` on a store the
+            // fault degraded, whose reads already serve the commit; then
+            // recovery makes the store writable again.
+            let faulted = |db: &mut Database, op: &mut dyn FnMut(&mut Database)| {
+                db.arm_crash_point(point, 1);
+                op(db);
+                db.heal_crash_points();
+                assert_eq!(db.health(), HealthState::Degraded, "{point}");
+                db.verify_integrity().unwrap();
+                db.recover().unwrap();
+            };
+            let mut made = None;
+            faulted(&mut db, &mut |db| {
+                made = Some(db.make(c, vec![("label", label("new"))], vec![]).unwrap());
+                assert!(db.exists(made.unwrap()));
+            });
+            faulted(&mut db, &mut |db| {
+                db.delete(old).unwrap();
+                assert!(!db.exists(old));
+            });
+            let mut in_txn = None;
+            faulted(&mut db, &mut |db| {
+                db.begin_transaction().unwrap();
+                in_txn = Some(db.make(c, vec![("label", label("txn"))], vec![]).unwrap());
+                db.commit_transaction().unwrap();
+                assert!(db.exists(in_txn.unwrap()));
+            });
+            let (made, in_txn) = (made.unwrap(), in_txn.unwrap());
 
-        let check = |db: &mut Database| {
-            assert!(!db.exists(old) && db.exists(in_txn));
-            let live = db.instances_of(c, false);
-            assert_eq!(live.len(), 2);
-            let labels: Vec<Value> = live
-                .iter()
-                .map(|&o| db.get_attr(o, "label").unwrap())
-                .collect();
-            assert!(labels.contains(&label("new")) && labels.contains(&label("txn")));
-            db.verify_integrity().unwrap();
-        };
-        check(&mut db);
-        // The committed transaction's serials stay taken.
-        let next = db.make(c, vec![], vec![]).unwrap();
-        assert!(next.serial > in_txn.serial);
-        db.delete(next).unwrap();
-        // The healed seal makes all of it durable.
-        db.sync().unwrap();
-        db.simulate_crash();
-        db.recover().unwrap();
-        check(&mut db);
+            let check = |db: &mut Database| {
+                assert!(!db.exists(old) && db.exists(made) && db.exists(in_txn));
+                assert_eq!(db.instances_of(c, false).len(), 2);
+                assert_eq!(db.get_attr(made, "label").unwrap(), label("new"));
+                assert_eq!(db.get_attr(in_txn, "label").unwrap(), label("txn"));
+                db.verify_integrity().unwrap();
+            };
+            check(&mut db);
+            // The committed transaction's serials stay taken.
+            let next = db.make(c, vec![], vec![]).unwrap();
+            assert!(next.serial > in_txn.serial);
+            db.delete(next).unwrap();
+            db.simulate_crash();
+            db.recover().unwrap();
+            check(&mut db);
+        }
     }
 }

@@ -79,12 +79,22 @@ impl Database {
     /// detects, in one atomic batch. Returns a census of the changes; a
     /// clean database comes back with [`RepairReport::is_clean`] true.
     ///
-    /// Fails inside a transaction (repair works on committed state) and
-    /// propagates storage failures like any other mutation.
+    /// Fails inside a transaction (repair works on committed state). Any
+    /// failure rolls the whole repair back, like any other mutation.
     pub fn repair(&mut self) -> DbResult<RepairReport> {
         self.forbid_in_transaction("repair")?;
         let _span = corion_obs::span("core", "repair");
-        let report = self.atomic(|db| db.repair_inner())?;
+        let report = match self.atomic(|db| db.repair_inner()) {
+            Ok(report) => report,
+            Err(e) => {
+                // The batch rolled back under an object table its nested
+                // applies had already moved; rebuild it from the pages.
+                if self.health() == corion_storage::HealthState::Healthy {
+                    self.rebuild_derived_state()?;
+                }
+                return Err(e);
+            }
+        };
         self.metrics.repair_runs.inc();
         self.metrics
             .repair_edges_dropped
@@ -351,6 +361,29 @@ mod tests {
         let report = db.repair().unwrap();
         assert_eq!(report.orphans_deleted, 1);
         assert!(!db.exists(p), "dependent orphan must not survive repair");
+        db.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn a_repair_that_fails_to_commit_leaves_the_engine_as_it_was() {
+        let (mut db, part, asm) = shared_db();
+        let p = db.make(part, vec![], vec![]).unwrap();
+        let a = db
+            .make(
+                asm,
+                vec![("parts", Value::Set(vec![Value::Ref(p)]))],
+                vec![],
+            )
+            .unwrap();
+        db.erase(a).unwrap();
+        // The orphan cascade takes `p` out of the object table; then the
+        // commit exhausts its retry budget and the store rolls back.
+        db.arm_transient_crash(corion_storage::CP_COMMIT_FLUSH, 1, 64);
+        assert!(db.repair().is_err());
+        db.heal_crash_points();
+        assert!(db.exists(p), "the rolled-back repair deleted nothing");
+        assert!(db.verify_integrity().is_err(), "and repaired nothing");
+        assert_eq!(db.repair().unwrap().orphans_deleted, 1);
         db.verify_integrity().unwrap();
     }
 

@@ -123,7 +123,7 @@ impl Database {
     /// Transactions do not nest and reject everything that works on
     /// committed state — DDL ([`define_class`] and the schema-evolution
     /// entry points: the catalog is engine memory the WAL cannot roll
-    /// back), `dump`, `repair`, `scrub`, `checkpoint`, `sync`.
+    /// back), `dump`, `repair`, `scrub`, `checkpoint`.
     ///
     /// [`commit_transaction`]: Database::commit_transaction
     /// [`abort_transaction`]: Database::abort_transaction
@@ -166,25 +166,20 @@ impl Database {
     /// storage batch and one WAL flush makes every grouped mutation
     /// durable at once.
     ///
-    /// On a commit-time storage failure the transaction is over. Unless
-    /// the fault came after the commit took effect (past the durability
-    /// point, or while sealing the group window that absorbed it), nothing
-    /// of it is visible: the engine is at its pre-transaction state when
-    /// the store rolled back cleanly; a degraded/poisoned store needs
+    /// On a commit-time storage failure the transaction is over and
+    /// rolled back: the engine is at its pre-transaction state when the
+    /// store is still healthy; a degraded/poisoned store needs
     /// [`Database::recover`], which rebuilds the derived maps wholesale.
     pub fn commit_transaction(&mut self) -> DbResult<()> {
         let txn = self.txn.take().ok_or_else(|| DbError::TransactionState {
             reason: "no transaction is open".into(),
         })?;
-        let mark = self.commit_mark();
         let result = self.overlay_apply(txn.overlay);
-        if result.is_ok() || self.committed_since(mark) {
+        if result.is_ok() {
             self.metrics.txn_commits.inc();
             self.metrics.txn_ops.add(txn.ops);
         } else {
-            if self.store.health() == HealthState::Healthy {
-                self.next_serial.store(txn.next_serial, Ordering::Relaxed);
-            }
+            self.next_serial.store(txn.next_serial, Ordering::Relaxed);
             self.metrics.txn_aborts.inc();
         }
         result

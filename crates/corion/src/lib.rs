@@ -76,5 +76,4 @@ pub use corion_lock::{
 };
 pub use corion_protocol::{ErrorClass, ErrorCode};
 pub use corion_server::{Server, ServerConfig};
-pub use corion_storage::CommitPolicy;
 pub use corion_versions::VersionManager;

@@ -16,8 +16,8 @@
 //!   order, so events carry strictly increasing commit LSNs with no
 //!   sequencer, cursor or dedup watermark, and a checkpoint (which
 //!   rewrites the log) cannot open a gap: nothing here reads the log.
-//! * **Durable only.** Nothing is released for an aborted batch, a torn
-//!   flush, or a group window lost to a crash.
+//! * **Durable only.** Nothing is released for a commit that answered
+//!   `Err`: an aborted batch, or a torn flush.
 //! * **Visible on receipt.** The commit's versions are published before
 //!   the latch drops, so a read begun on receipt of an event sees it.
 //! * **Nobody listening, nothing done.** [`ChangeStreams::subscribe`]

@@ -28,7 +28,7 @@ use corion_obs::Registry;
 use corion_protocol::Delta;
 use corion_server::metrics::ServerMetrics;
 use corion_server::stream::{deltas_of, diff_objects, ChangeStreams, StreamEvent};
-use corion_storage::{CommitPolicy, Lsn, StoreConfig};
+use corion_storage::{Lsn, StoreConfig};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -304,8 +304,6 @@ struct World {
 impl World {
     fn new(config: DbConfig) -> World {
         let (db, node) = node_db(config);
-        // Under a group policy the seed data may still sit in a window.
-        db.with_exclusive(|d| d.sync()).unwrap();
         let sink = Arc::new(Recorder::default());
         db.set_change_sink(Arc::clone(&sink) as Arc<dyn ChangeSink>);
         let last_lsn = db.with_read(|d| {
@@ -333,8 +331,8 @@ impl World {
         let synced = self.flushes() - flushes;
         let released: Vec<ChangeSet> = std::mem::take(&mut *self.sink.0.lock());
         if synced == 0 {
-            // Aborted, rejected before any write, or absorbed by an open
-            // group window: nothing is durable, so nothing is out.
+            // Aborted, or rejected before any write: nothing is durable,
+            // so nothing is out.
             return match released.is_empty() {
                 true => Ok(()),
                 false => Err(format!(
@@ -449,18 +447,11 @@ impl World {
     }
 }
 
-fn config(orphans_survive: bool, window: Option<u64>) -> DbConfig {
+fn config(orphans_survive: bool) -> DbConfig {
     DbConfig {
         orphan_policy: match orphans_survive {
             true => OrphanPolicy::KeepOrphans,
             false => OrphanPolicy::DeleteDependentOrphans,
-        },
-        store: StoreConfig {
-            commit_policy: window.map_or(CommitPolicy::Immediate, |max_ops| CommitPolicy::Group {
-                max_ops,
-                max_bytes: usize::MAX,
-            }),
-            ..StoreConfig::default()
         },
         ..DbConfig::default()
     }
@@ -477,43 +468,11 @@ proptest! {
         steps in prop::collection::vec(step_strategy(), 1..14),
         orphans_survive in any::<bool>(),
     ) {
-        let mut world = World::new(config(orphans_survive, None));
+        let mut world = World::new(config(orphans_survive));
         for step in &steps {
             if let Err(why) = world.run(step) {
                 prop_assert!(false, "{why}");
             }
-        }
-    }
-
-    /// Under `CommitPolicy::Group` the sets of a window merge as the log
-    /// merges its pages: one set per seal, a diff against the state at the
-    /// previous seal — and a window the crash takes releases nothing.
-    #[test]
-    fn a_group_window_releases_one_merged_set_per_seal_and_none_when_lost(
-        steps in prop::collection::vec(step_strategy(), 1..14),
-        max_ops in 2..5u64,
-        crash in any::<bool>(),
-    ) {
-        let mut world = World::new(config(false, Some(max_ops)));
-        for step in &steps {
-            if let Err(why) = world.run(step) {
-                prop_assert!(false, "{why}");
-            }
-        }
-        let end = Step::Checkpoint; // a label for the messages below
-        if crash {
-            let sealed = world.durable.clone();
-            let outcome = world.batch(&end, |db, _| {
-                db.with_exclusive(|d| d.simulate_crash());
-                db.recover().unwrap();
-            });
-            prop_assert!(outcome.is_ok(), "{outcome:?}");
-            prop_assert!(world.sink.0.lock().is_empty());
-            prop_assert_eq!(all_objects(&world.db, world.node), sealed, "recovery lands on the last seal");
-        } else {
-            let outcome = world.batch(&end, |db, _| db.with_exclusive(|d| d.sync()).unwrap());
-            prop_assert!(outcome.is_ok(), "{outcome:?}");
-            prop_assert_eq!(&all_objects(&world.db, world.node), &world.durable, "everything is out");
         }
     }
 }

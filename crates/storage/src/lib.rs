@@ -79,9 +79,9 @@ pub use page::{Page, SlotId, PAGE_SIZE};
 pub use retry::{Clock, RetryPolicy};
 pub use segment::{Segment, SegmentId};
 pub use store::{
-    CommitPolicy, HealthState, ObjectStore, PhysId, RecoveryReport, ScrubReport, StoreConfig,
-    CP_CHECKPOINT_WRITE, CP_COMMIT_DONE, CP_COMMIT_FLUSH, CP_COMMIT_LOG, CP_GROUP_SEAL,
-    CP_PAGE_WRITE, CRASH_POINTS,
+    HealthState, ObjectStore, PhysId, RecoveryReport, ScrubReport, StoreConfig,
+    CP_CHECKPOINT_WRITE, CP_COMMIT_DONE, CP_COMMIT_FLUSH, CP_COMMIT_LOG, CP_PAGE_WRITE,
+    CRASH_POINTS,
 };
 pub use version::{Resolution, VersionKey, VersionStore};
 pub use wal::{delta_encoded_len, diff_pages, fnv1a64, Lsn, Wal, WalMark, WalRecord, WalStats};

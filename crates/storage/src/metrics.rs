@@ -22,13 +22,6 @@ pub struct StoreMetrics {
     /// `corion_wal_flushes_total`: durability points — one per committed
     /// batch.
     pub wal_flushes: corion_obs::Counter,
-    /// `corion_wal_group_commits_total`: commits absorbed into a deferred
-    /// group-commit window instead of flushing individually.
-    pub wal_group_commits: corion_obs::Counter,
-    /// `corion_wal_group_seals_total`: group-commit windows sealed (one
-    /// flush each, covering `group_commits / group_seals` commits on
-    /// average).
-    pub wal_group_seals: corion_obs::Counter,
     /// `corion_wal_delta_records_total`: page records logged as byte-range
     /// deltas against the last logged image rather than full images.
     pub wal_delta_records: corion_obs::Counter,
@@ -108,8 +101,6 @@ impl StoreMetrics {
             wal_append_records: registry.counter("corion_wal_append_records_total"),
             wal_append_bytes: registry.counter("corion_wal_append_bytes_total"),
             wal_flushes: registry.counter("corion_wal_flushes_total"),
-            wal_group_commits: registry.counter("corion_wal_group_commits_total"),
-            wal_group_seals: registry.counter("corion_wal_group_seals_total"),
             wal_delta_records: registry.counter("corion_wal_delta_records_total"),
             wal_delta_bytes_saved: registry.counter("corion_wal_delta_bytes_saved_total"),
             wal_dedup_skips: registry.counter("corion_wal_dedup_skips_total"),

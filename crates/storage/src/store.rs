@@ -71,33 +71,6 @@ impl std::fmt::Display for PhysId {
     }
 }
 
-/// When a committed batch reaches the log device.
-///
-/// `Immediate` is the classic contract: every [`ObjectStore::commit_atomic`]
-/// flushes before returning, so a successful commit is durable. `Group`
-/// trades a bounded durability lag for throughput: consecutive commits are
-/// absorbed into a deferred *window* — their after-images deduped per page,
-/// their frames pinned in memory — and one flush covers the whole window when it
-/// *seals* (at either threshold, at [`ObjectStore::sync`], or before a
-/// checkpoint/scrub). A crash loses at most the open window, and recovery
-/// always lands on a window boundary, which is by construction a commit
-/// boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitPolicy {
-    /// Flush the log at every commit (the default).
-    #[default]
-    Immediate,
-    /// Defer commits into a window sealed by whichever threshold trips
-    /// first.
-    Group {
-        /// Logical commits absorbed before the window seals.
-        max_ops: u64,
-        /// Approximate bytes of deferred after-images before the window
-        /// seals (counted in whole pages).
-        max_bytes: usize,
-    },
-}
-
 /// Tuning knobs for the store.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
@@ -113,8 +86,6 @@ pub struct StoreConfig {
     /// Bounded-backoff policy for retrying transient I/O faults on the
     /// store's hot paths (page reads/writes, the commit protocol).
     pub retry: RetryPolicy,
-    /// When commits reach the log device (see [`CommitPolicy`]).
-    pub commit_policy: CommitPolicy,
     /// Log page records as byte-range deltas against the last logged image
     /// where that is smaller than a full image (identical images are
     /// skipped outright). Replay is equivalent either way; switching this
@@ -131,7 +102,6 @@ impl Default for StoreConfig {
             buffer_capacity: 256,
             wal_checkpoint_bytes: 1 << 20,
             retry: RetryPolicy::default(),
-            commit_policy: CommitPolicy::default(),
             delta_pages: true,
         }
     }
@@ -142,13 +112,13 @@ impl Default for StoreConfig {
 ///
 /// ```text
 /// Healthy ──(fault after the durability point / torn flush /
-///           checkpoint write-back fault)──▶ Degraded
+///           checkpoint write-back or page-sync fault)──▶ Degraded
 /// Healthy │ Degraded ──(simulated crash)──▶ Poisoned
 /// Degraded │ Poisoned ──(recover)──▶ Healthy
 /// ```
 ///
-/// *Degraded* means the commit protocol or a checkpoint write-back faulted
-/// with the log ahead of the disk (or ending in a torn tail): reads keep
+/// *Degraded* means the commit protocol or a checkpoint faulted with the
+/// log ahead of the disk (or ending in a torn tail): reads keep
 /// answering — the buffer pool holds the last committed image of every
 /// page the disk lacks, pinned — while mutations fail fast with
 /// [`StorageError::ReadOnly`]. *Poisoned* means the volatile
@@ -195,17 +165,15 @@ pub const CP_PAGE_WRITE: &str = "wal:page_write";
 /// Crash point: while assembling the commit's log records (nothing
 /// durable yet).
 pub const CP_COMMIT_LOG: &str = "commit:log";
-/// Crash point: at the start of sealing a deferred group-commit window
-/// (nothing durable yet — the window's commits are still only in memory).
-/// Never hit under [`CommitPolicy::Immediate`].
-pub const CP_GROUP_SEAL: &str = "group:seal";
 /// Crash point: at the durability point itself. The only torn-capable
 /// point — armed torn, a prefix of the pending log bytes survives.
 pub const CP_COMMIT_FLUSH: &str = "commit:flush";
-/// Crash point: after the batch is durable, before it is closed.
+/// Crash point: after the batch is durable, before it is closed. Firing
+/// degrades the store; the commit still answers `Ok`.
 pub const CP_COMMIT_DONE: &str = "commit:done";
 /// Crash point: before each page write-back of a checkpoint (the countdown
-/// selects which page). Not in [`CRASH_POINTS`] — no commit passes it.
+/// selects which page). Not in [`CRASH_POINTS`] — a commit passes it only
+/// through the auto-checkpoint it trips.
 pub const CP_CHECKPOINT_WRITE: &str = "checkpoint:write";
 
 /// Every named crash point a commit passes, in order — what the
@@ -213,7 +181,6 @@ pub const CP_CHECKPOINT_WRITE: &str = "checkpoint:write";
 pub const CRASH_POINTS: &[&str] = &[
     CP_PAGE_WRITE,
     CP_COMMIT_LOG,
-    CP_GROUP_SEAL,
     CP_COMMIT_FLUSH,
     CP_COMMIT_DONE,
 ];
@@ -244,49 +211,9 @@ struct BatchState {
     /// Pages adopted into segments inside the batch (dropped on abort).
     adopted: Vec<(SegmentId, u64)>,
     /// Log position at `begin_atomic`. Abort rewinds the pending region to
-    /// here — erasing the batch's mid-batch segment records while keeping
-    /// any earlier unsealed group window intact — and reuses the erased
-    /// LSNs so the durable sequence never gaps.
+    /// here — erasing the batch's mid-batch segment records — and reuses
+    /// the erased LSNs so the durable sequence never gaps.
     wal_mark: WalMark,
-}
-
-/// Why [`ObjectStore::log_and_flush`] did not reach the durability point.
-enum FlushFault {
-    /// The retry budget ran out on transient faults; nothing reached the
-    /// log device.
-    Exhausted,
-    /// A clean injected crash; nothing reached the log device.
-    Crashed,
-    /// A torn prefix reached the log device. The commit marker did not, so
-    /// the pre-flush state is the truth and only recovery may truncate the
-    /// torn tail.
-    Torn,
-    /// The log device itself failed; the store is already poisoned.
-    Device(StorageError),
-}
-
-impl From<FlushFault> for StorageError {
-    fn from(fault: FlushFault) -> Self {
-        match fault {
-            FlushFault::Exhausted => StorageError::TransientFault {
-                op: CP_COMMIT_FLUSH,
-            },
-            FlushFault::Crashed | FlushFault::Torn => StorageError::InjectedFault {
-                op: CP_COMMIT_FLUSH,
-            },
-            FlushFault::Device(e) => e,
-        }
-    }
-}
-
-/// One deferred group-commit window (see [`CommitPolicy::Group`]).
-#[derive(Default)]
-struct GroupState {
-    /// Latest committed-but-unflushed after-image per page. Later commits
-    /// of the same page overwrite earlier images — the window-level dedup.
-    deferred: BTreeMap<u64, Page>,
-    /// Logical commits absorbed since the last seal.
-    commits: u64,
 }
 
 /// Record tags (first byte of every stored record).
@@ -331,11 +258,7 @@ pub struct ObjectStore {
     health: HealthState,
     wal_checkpoint_bytes: usize,
     retry_policy: RetryPolicy,
-    commit_policy: CommitPolicy,
     delta_pages: bool,
-    /// Open deferred-commit window (always `None` under
-    /// [`CommitPolicy::Immediate`]).
-    group: Option<GroupState>,
     /// The last image logged for each page *in the current log* — the last
     /// committed image of every page the disk may be behind on. It is the
     /// delta base for the page's next record and what an abort rewinds the
@@ -344,8 +267,8 @@ pub struct ObjectStore {
     /// a delta record always has a committed base on scan, and a page
     /// without an entry is current on disk.
     last_logged: HashMap<u64, Page>,
-    /// Commit-marker LSN of the last batch (or sealed group window) whose
-    /// log records were synced — see [`ObjectStore::durable_commit_lsn`].
+    /// Commit-marker LSN of the last batch whose log records were synced —
+    /// see [`ObjectStore::durable_commit_lsn`].
     durable_commit_lsn: Lsn,
     /// Highest object-serial high-water mark noted by the engine above
     /// (see [`WalRecord::SerialFloor`]); carried into checkpoint
@@ -392,9 +315,7 @@ impl ObjectStore {
             health: HealthState::Healthy,
             wal_checkpoint_bytes: config.wal_checkpoint_bytes,
             retry_policy: config.retry,
-            commit_policy: config.commit_policy,
             delta_pages: config.delta_pages,
-            group: None,
             last_logged: HashMap::new(),
             durable_commit_lsn: 0,
             serial_floor: 0,
@@ -429,9 +350,7 @@ impl ObjectStore {
             health: HealthState::Poisoned,
             wal_checkpoint_bytes: config.wal_checkpoint_bytes,
             retry_policy: config.retry,
-            commit_policy: config.commit_policy,
             delta_pages: config.delta_pages,
-            group: None,
             last_logged: HashMap::new(),
             durable_commit_lsn: 0,
             serial_floor: 0,
@@ -1036,19 +955,11 @@ impl ObjectStore {
     }
 
     /// Flushes and drops every cached page, so the next access is cold.
-    /// Refused while a batch is open *or a group window is unsealed* —
-    /// flushing would write unlogged pages to disk, violating write-ahead
-    /// ordering (call [`ObjectStore::sync`] first) — and when degraded,
-    /// where a store writes no pages.
+    /// Refused while a batch is open — flushing would write unlogged pages
+    /// to disk, violating write-ahead ordering — and when degraded, where a
+    /// store writes no pages.
     pub fn clear_cache(&self) -> StorageResult<()> {
-        match self.health {
-            HealthState::Poisoned => return Err(StorageError::NeedsRecovery),
-            HealthState::Degraded => return Err(StorageError::ReadOnly),
-            HealthState::Healthy => {}
-        }
-        if self.batch.is_some() || self.group.is_some() {
-            return Err(StorageError::BatchAlreadyOpen);
-        }
+        self.ensure_idle()?;
         self.pool.clear_cache()
     }
 
@@ -1056,13 +967,10 @@ impl ObjectStore {
     // Atomic batches
     // ------------------------------------------------------------------
 
-    /// Opens an atomic batch: every mutation until [`commit_atomic`]
-    /// (or [`abort_atomic`]) becomes durable as one unit. Batches do not
-    /// nest — nested callers simply run inside the open batch.
-    ///
-    /// [`commit_atomic`]: ObjectStore::commit_atomic
-    /// [`abort_atomic`]: ObjectStore::abort_atomic
-    pub fn begin_atomic(&mut self) -> StorageResult<()> {
+    /// What everything that writes outside an open batch requires: a
+    /// healthy store (a degraded one is read-only, a poisoned one needs
+    /// recovery) with no batch open.
+    fn ensure_idle(&self) -> StorageResult<()> {
         match self.health {
             HealthState::Poisoned => return Err(StorageError::NeedsRecovery),
             HealthState::Degraded => return Err(StorageError::ReadOnly),
@@ -1071,14 +979,23 @@ impl ObjectStore {
         if self.batch.is_some() {
             return Err(StorageError::BatchAlreadyOpen);
         }
+        Ok(())
+    }
+
+    /// Opens an atomic batch: every mutation until [`commit_atomic`]
+    /// (or [`abort_atomic`]) becomes durable as one unit. Batches do not
+    /// nest — nested callers simply run inside the open batch.
+    ///
+    /// [`commit_atomic`]: ObjectStore::commit_atomic
+    /// [`abort_atomic`]: ObjectStore::abort_atomic
+    pub fn begin_atomic(&mut self) -> StorageResult<()> {
+        self.ensure_idle()?;
         self.batch = Some(BatchState {
             dirty: BTreeSet::new(),
             created: Vec::new(),
             adopted: Vec::new(),
             wal_mark: self.wal.mark(),
         });
-        // No-steal may already be on when a deferred group window is open
-        // between batches; setting it again is harmless.
         self.pool.set_no_steal(true);
         Ok(())
     }
@@ -1094,11 +1011,15 @@ impl ObjectStore {
     /// an eviction writes them back later, and until then the log holds
     /// what recovery needs to rebuild them.
     ///
-    /// On an error *before* the durability point the batch is rolled back
-    /// in memory — the store keeps serving its pre-batch state. On an error
-    /// *at or after* it (a torn log flush, a fault before the batch closes)
-    /// the store degrades to read-only, and on a log-device failure it is
-    /// poisoned, until [`ObjectStore::recover`] runs.
+    /// The answer is exact. `Ok` means the batch is durable. `Err` on a
+    /// store still [`HealthState::Healthy`] means the batch was rolled back
+    /// in memory and the store serves its pre-batch state. The one answer
+    /// left in doubt is a failure *at* the durability point — a torn flush
+    /// degrades the store, a log-device failure poisons it — and there
+    /// [`ObjectStore::recover`] decides. Past the durability point nothing
+    /// is the commit's error: a fault there, or in the auto-checkpoint,
+    /// degrades (or poisons) the store and the commit still answers `Ok`;
+    /// the next operation is the one that hears about it.
     pub fn commit_atomic(&mut self) -> StorageResult<()> {
         let dirty: Vec<u64> = match &self.batch {
             Some(b) => b.dirty.iter().copied().collect(),
@@ -1124,62 +1045,35 @@ impl ObjectStore {
             self.abort_open_batch();
             return Err(e);
         }
-        if let CommitPolicy::Group { max_ops, max_bytes } = self.commit_policy {
-            // Deferred commit: the batch's after-images join the window
-            // (later images of a page replace earlier ones) and the caller
-            // returns without a flush. The batch's mid-batch segment
-            // records stay pending; durability for everything arrives when
-            // the window seals. The dirty frames stay pinned (no-steal
-            // remains on between batches), so the disk never runs ahead of
-            // the log.
-            let group = self.group.get_or_insert_with(GroupState::default);
-            group.deferred.extend(images);
-            group.commits += 1;
-            let full = group.commits >= max_ops || group.deferred.len() * PAGE_SIZE >= max_bytes;
-            self.batch = None;
-            self.metrics.commits.inc();
-            self.metrics.wal_group_commits.inc();
-            if full {
-                self.seal_group(true)?;
-            }
-            return Ok(());
-        }
         // Phase 2: the durability point.
-        if let Err(fault) = self.log_and_flush(&images) {
-            match fault {
-                FlushFault::Exhausted | FlushFault::Crashed => self.abort_open_batch(),
-                FlushFault::Torn => self.degrade_discarding_batch(),
-                FlushFault::Device(_) => {}
-            }
-            return Err(fault.into());
-        }
+        self.log_and_flush(&images)?;
         self.last_logged.extend(images);
+        self.batch = None;
+        self.metrics.commits.inc();
         // The commit is durable and its frames hold exactly the committed
         // after-images. A fault from here on degrades to read-only rather
         // than refusing all work: reads stay correct from the pool, and
         // recovery replays these very images.
-        if let Err(e) = self.hit(CP_COMMIT_DONE) {
-            self.batch = None;
+        if self.hit(CP_COMMIT_DONE).is_err() {
             self.degrade();
-            return Err(e);
+            return Ok(());
         }
-        self.batch = None;
         self.pool.set_no_steal(false);
-        self.metrics.commits.inc();
-        if self.wal.stats().durable_bytes > self.wal_checkpoint_bytes {
-            self.checkpoint()?;
-        }
+        self.checkpoint_if_due();
         Ok(())
     }
 
-    /// The step [`ObjectStore::commit_atomic`] and
-    /// [`ObjectStore::seal_group`] share: appends one page record per
-    /// image plus the commit marker, then reaches the durability point. A
-    /// transient flush fault is retried in place (nothing durable happened
-    /// yet). On `Ok` the records are durable and the caller installs
-    /// `images` as the new delta bases; on `Err` the caller decides what
-    /// becomes of the batch or window the images came from.
-    fn log_and_flush(&mut self, images: &BTreeMap<u64, Page>) -> Result<(), FlushFault> {
+    /// Appends one page record per image plus the commit marker, then
+    /// reaches the durability point. A transient flush fault is retried in
+    /// place (nothing durable happened yet). On `Ok` the records are
+    /// durable and the caller installs `images` as the new delta bases. On
+    /// `Err` the batch is already disposed of: rolled back on a healthy
+    /// store when nothing reached the log device (retry budget exhausted,
+    /// clean crash), rewound under a degraded store when a torn prefix did
+    /// (the commit marker did not, so the pre-flush state is the truth and
+    /// only recovery may truncate the torn tail), and dropped with the
+    /// poisoned store when the log device itself failed.
+    fn log_and_flush(&mut self, images: &BTreeMap<u64, Page>) -> StorageResult<()> {
         for (&page, image) in images {
             self.log_page_record(page, image);
         }
@@ -1197,6 +1091,9 @@ impl ObjectStore {
                 other => break other,
             }
         };
+        let crashed = StorageError::InjectedFault {
+            op: CP_COMMIT_FLUSH,
+        };
         match outcome {
             FireOutcome::Pass => {
                 if attempt > 0 {
@@ -1204,8 +1101,8 @@ impl ObjectStore {
                 }
                 let _flush_timer = self.metrics.wal_flush_latency.start_timer();
                 if let Err(e) = self.wal.flush() {
-                    self.poison_after_device_failure();
-                    return Err(FlushFault::Device(e));
+                    self.poison();
+                    return Err(e);
                 }
                 self.metrics.wal_flushes.inc();
                 self.durable_commit_lsn = commit_lsn;
@@ -1213,92 +1110,41 @@ impl ObjectStore {
             }
             FireOutcome::Transient => {
                 self.metrics.retry_exhausted.inc();
-                Err(FlushFault::Exhausted)
+                self.abort_open_batch();
+                Err(StorageError::TransientFault {
+                    op: CP_COMMIT_FLUSH,
+                })
             }
-            FireOutcome::Crash { torn: None } => Err(FlushFault::Crashed),
+            FireOutcome::Crash { torn: None } => {
+                self.abort_open_batch();
+                Err(crashed)
+            }
             FireOutcome::Crash { torn: Some(keep) } => {
                 // A device failure *while persisting the torn prefix* only
                 // shortens what recovery will find — recovery re-reads the
                 // device either way.
                 let _ = self.wal.flush_torn(keep);
-                Err(FlushFault::Torn)
-            }
-        }
-    }
-
-    /// Seals the deferred group-commit window: logs the deduped after-images
-    /// and one commit marker, reaches the durability point, and installs
-    /// the delta bases — one merged batch covering every commit the window
-    /// absorbed. No-op when no window is open. Callers guarantee no batch
-    /// is open (sealing mid-batch would commit the batch's pending segment
-    /// records half-done).
-    fn seal_group(&mut self, auto_checkpoint: bool) -> StorageResult<()> {
-        let Some(group) = self.group.take() else {
-            return Ok(());
-        };
-        debug_assert!(self.batch.is_none(), "seal with a batch open");
-        let _span = corion_obs::span("storage", "seal_group");
-        // CP_GROUP_SEAL: nothing durable yet. A transient fault within
-        // budget retries in place; an exhausted budget puts the intact
-        // window back (a later `sync` retries the whole seal); a hard
-        // injected crash loses the window — the store degrades read-only
-        // *keeping* its frames, so reads keep serving the states callers
-        // saw committed while recovery rewinds to the last sealed
-        // boundary (always a commit boundary).
-        if let Err(e) = self.hit(CP_GROUP_SEAL) {
-            if e.is_transient() {
-                self.group = Some(group);
-            } else {
+                // The commit marker never became durable, so the pre-batch
+                // state is the truth: rewind the frames as an abort would.
+                if let Some(batch) = self.batch.take() {
+                    self.undo_batch(batch);
+                }
                 self.degrade();
+                Err(crashed)
             }
-            return Err(e);
         }
-        let mark = self.wal.mark();
-        if let Err(fault) = self.log_and_flush(&group.deferred) {
-            match fault {
-                // Rewind the freshly appended seal records and put the
-                // window back intact — a later `sync` retries the whole seal.
-                FlushFault::Exhausted => {
-                    self.wal.rollback_to(mark);
-                    self.group = Some(group);
-                }
-                // The window is lost; its frames keep serving reads.
-                FlushFault::Crashed => {
-                    self.wal.drop_pending();
-                    self.degrade();
-                }
-                FlushFault::Torn => self.degrade(),
-                FlushFault::Device(_) => {}
-            }
-            return Err(fault.into());
-        }
-        self.last_logged.extend(group.deferred);
-        if let Err(e) = self.hit(CP_COMMIT_DONE) {
-            self.degrade();
-            return Err(e);
-        }
-        self.metrics.wal_group_seals.inc();
-        self.pool.set_no_steal(false);
-        if auto_checkpoint && self.wal.stats().durable_bytes > self.wal_checkpoint_bytes {
-            self.checkpoint()?;
-        }
-        Ok(())
     }
 
-    /// Forces any deferred group-commit window to durability — the
-    /// `fsync` of [`CommitPolicy::Group`]. No-op under the immediate
-    /// policy or with an empty window. Refused while a batch is open
-    /// (commit or abort it first).
-    pub fn sync(&mut self) -> StorageResult<()> {
-        match self.health {
-            HealthState::Poisoned => return Err(StorageError::NeedsRecovery),
-            HealthState::Degraded => return Err(StorageError::ReadOnly),
-            HealthState::Healthy => {}
+    /// The auto-checkpoint, the last step of a commit:
+    /// [`ObjectStore::checkpoint`] once the durable log outgrows
+    /// [`StoreConfig::wal_checkpoint_bytes`]. Its failure is no commit's
+    /// answer: a checkpoint that fails has already degraded or poisoned
+    /// the store, which is what the next operation sees.
+    fn checkpoint_if_due(&mut self) {
+        if self.wal.stats().durable_bytes > self.wal_checkpoint_bytes {
+            let failed = self.checkpoint().is_err();
+            debug_assert!(!failed || self.health != HealthState::Healthy);
         }
-        if self.batch.is_some() {
-            return Err(StorageError::BatchAlreadyOpen);
-        }
-        self.seal_group(true)
     }
 
     /// Abandons the open batch: its log records are rewound, its dirty
@@ -1317,27 +1163,22 @@ impl ObjectStore {
             return;
         };
         self.metrics.aborts.inc();
-        // Rewind the log exactly to where this batch began — an unsealed
-        // group window's records (appended by earlier deferred commits)
-        // stay pending, and the erased LSNs are reused so the durable
-        // sequence stays gapless.
+        // Rewind the log exactly to where this batch began; the erased
+        // LSNs are reused so the durable sequence stays gapless.
         self.wal.rollback_to(batch.wal_mark);
         self.undo_batch(batch);
-        // An open window still pins its unsealed images in memory.
-        self.pool.set_no_steal(self.group.is_some());
+        self.pool.set_no_steal(false);
     }
 
     /// The pool's rollback: rewinds every frame `batch` dirtied to the
     /// page's last committed image and takes its segment-directory changes
     /// back. The disk cannot serve as the source — it may be behind the
-    /// last commit — so the image comes from the open group window if the
-    /// page has one there (committed, not yet logged), else from the base
-    /// map (committed and logged since the last checkpoint). A page in
-    /// neither is current on disk, and its frame is simply dropped.
+    /// last commit — so the image comes from the base map (committed and
+    /// logged since the last checkpoint). A page without one there is
+    /// current on disk, and its frame is simply dropped.
     fn undo_batch(&mut self, batch: BatchState) {
         for &page in &batch.dirty {
-            let windowed = self.group.as_ref().and_then(|g| g.deferred.get(&page));
-            match windowed.or_else(|| self.last_logged.get(&page)) {
+            match self.last_logged.get(&page) {
                 Some(image) => self.pool.install_frame(page, image),
                 None => self.pool.discard_pages([page]),
             }
@@ -1358,38 +1199,26 @@ impl ObjectStore {
     /// Degrades to read-only *keeping* every frame: the pool holds the
     /// state callers saw committed, so reads served from it remain
     /// correct. A degraded store writes no pages — `no_steal` pins every
-    /// dirty frame, which also keeps a lost group window's never-logged
-    /// images off the disk — until recovery rebuilds from the log.
+    /// dirty frame — until recovery rebuilds from the log.
     fn degrade(&mut self) {
         self.pool.set_no_steal(true);
         self.set_health(HealthState::Degraded);
     }
 
-    /// Poisons the store after the log *device* failed at a durability
-    /// point (append or fsync raised a real error, as opposed to the
-    /// simulated crash points). How many bytes reached the media is
-    /// unknowable from here, so no in-memory state is trustworthy — the
-    /// frames go too, lest an eviction write an uncommitted one back;
-    /// [`ObjectStore::recover`] re-reads the device and lands on its
-    /// committed prefix.
-    fn poison_after_device_failure(&mut self) {
+    /// Poisons the store, dropping its volatile state: after a crash, or
+    /// after the log *device* failed at a durability point (append or
+    /// fsync raised a real error, as opposed to the simulated crash
+    /// points). How many bytes reached the media is unknowable from here,
+    /// so no in-memory state is trustworthy — the frames go too, lest an
+    /// eviction write an uncommitted one back; [`ObjectStore::recover`]
+    /// re-reads the device and lands on its committed prefix.
+    fn poison(&mut self) {
         self.batch = None;
-        self.group = None;
         self.last_logged.clear();
         self.wal.drop_pending();
         self.pool.discard_all();
         self.pool.set_no_steal(false);
         self.set_health(HealthState::Poisoned);
-    }
-
-    /// Degrades to read-only after a torn flush: the commit marker never
-    /// became durable, so the *pre-batch* state is the truth, and the
-    /// batch's dirty frames are rewound to it exactly as an abort would.
-    fn degrade_discarding_batch(&mut self) {
-        if let Some(batch) = self.batch.take() {
-            self.undo_batch(batch);
-        }
-        self.degrade();
     }
 
     // ------------------------------------------------------------------
@@ -1401,17 +1230,11 @@ impl ObjectStore {
     /// and the durable log survive. The store is left poisoned — call
     /// [`ObjectStore::recover`] to bring it back.
     pub fn simulate_crash(&mut self) {
-        self.batch = None;
-        self.group = None;
-        self.last_logged.clear();
-        self.wal.drop_pending();
-        self.pool.discard_all();
-        self.pool.set_no_steal(false);
+        self.poison();
         // Devices drop what a lying fsync acknowledged but never synced —
         // the half of the crash model only they can see.
         self.pool.crash_device();
         self.wal.crash_device();
-        self.set_health(HealthState::Poisoned);
     }
 
     /// Recovers the store from durable state: scans the log, truncates the
@@ -1422,7 +1245,6 @@ impl ObjectStore {
         let _span = corion_obs::span("storage", "recover");
         let _timer = self.metrics.recovery_latency.start_timer();
         self.batch = None;
-        self.group = None;
         self.last_logged.clear();
         // Stay poisoned until the replay lands: a device failure midway
         // through recovery must leave the store refusing work, not
@@ -1485,46 +1307,16 @@ impl ObjectStore {
     /// [`Wal::install_checkpoint`]); runs automatically when the durable
     /// log outgrows [`StoreConfig::wal_checkpoint_bytes`].
     pub fn checkpoint(&mut self) -> StorageResult<()> {
-        match self.health {
-            HealthState::Poisoned => return Err(StorageError::NeedsRecovery),
-            HealthState::Degraded => return Err(StorageError::ReadOnly),
-            HealthState::Healthy => {}
-        }
-        if self.batch.is_some() {
-            return Err(StorageError::BatchAlreadyOpen);
-        }
-        // A checkpoint asserts "the disk is current", which an unsealed
-        // group window contradicts — seal it first (without re-entering
-        // the auto-checkpoint path).
-        self.seal_group(false)?;
+        self.ensure_idle()?;
         let _span = corion_obs::span("storage", "checkpoint");
         let _timer = self.metrics.wal_checkpoint_latency.start_timer();
-        // Commits leave their pages dirty in the pool; this is where they
-        // reach the disk, in ascending page order (§2.3 neighbours are
-        // adjacent). A write-back fault leaves the disk behind a log that
-        // still holds every image: degrade keeping the frames, truncate
-        // nothing, and let recovery replay.
-        let dirty = self.pool.dirty_pages();
-        self.metrics.dirty_frames.set(dirty.len() as i64);
-        for page in dirty {
-            let written = {
-                let (crash, pool) = (&self.crash, &self.pool);
-                let rm = self.metrics.retry();
-                retry::run(&self.retry_policy, &rm, &self.clock, || {
-                    crash.hit(CP_CHECKPOINT_WRITE)?;
-                    pool.write_back(page)
-                })
-            };
-            if let Err(e) = written {
-                self.degrade();
-                return Err(e);
-            }
-            self.metrics.checkpoint_writebacks.inc();
+        // A fault in the write-back or the sync leaves the disk behind a
+        // log that still holds every image: degrade keeping the frames,
+        // truncate nothing, and let recovery replay.
+        if let Err(e) = self.write_back_and_sync() {
+            self.degrade();
+            return Err(e);
         }
-        // "The disk is current" needs an fsync on a real device — the log
-        // is about to be truncated, so the pages must not be sitting in a
-        // volatile write cache when it is.
-        self.pool.sync_device()?;
         let mut segments: Vec<(SegmentId, Vec<u64>)> = self
             .segments
             .values()
@@ -1538,7 +1330,7 @@ impl ObjectStore {
             // The log swap failed partway: the device holds either the old
             // or the new log (the rename is atomic), but which one is
             // unknowable here. Poison; recovery re-reads the survivor.
-            self.poison_after_device_failure();
+            self.poison();
             return Err(e);
         }
         // The images the delta bases refer to were just truncated out of
@@ -1547,6 +1339,28 @@ impl ObjectStore {
         self.last_logged.clear();
         self.metrics.wal_checkpoints.inc();
         Ok(())
+    }
+
+    /// The checkpoint's half that makes "the disk is current" true: commits
+    /// leave their pages dirty in the pool, and this is where they reach
+    /// the disk, in ascending page order (§2.3 neighbours are adjacent);
+    /// then an fsync, since the log is about to be truncated and the pages
+    /// must not be sitting in a volatile write cache when it is. The sync
+    /// is never retried: the write-backs already marked their frames clean,
+    /// so after a failed sync a later one that succeeds proves nothing
+    /// about the pages the failed one may have lost.
+    fn write_back_and_sync(&self) -> StorageResult<()> {
+        let dirty = self.pool.dirty_pages();
+        self.metrics.dirty_frames.set(dirty.len() as i64);
+        let rm = self.metrics.retry();
+        for page in dirty {
+            retry::run(&self.retry_policy, &rm, &self.clock, || {
+                self.crash.hit(CP_CHECKPOINT_WRITE)?;
+                self.pool.write_back(page)
+            })?;
+            self.metrics.checkpoint_writebacks.inc();
+        }
+        self.pool.sync_device()
     }
 
     // ------------------------------------------------------------------
@@ -1564,17 +1378,7 @@ impl ObjectStore {
     /// which a degraded store must not, and flushes the cache first so
     /// verification sees the true media bytes.
     pub fn scrub(&mut self) -> StorageResult<ScrubReport> {
-        match self.health {
-            HealthState::Poisoned => return Err(StorageError::NeedsRecovery),
-            HealthState::Degraded => return Err(StorageError::ReadOnly),
-            HealthState::Healthy => {}
-        }
-        if self.batch.is_some() {
-            return Err(StorageError::BatchAlreadyOpen);
-        }
-        // Scrub verifies media bytes against the committed truth; an
-        // unsealed window's images are committed truth the media lacks.
-        self.seal_group(false)?;
+        self.ensure_idle()?;
         let _span = corion_obs::span("storage", "scrub");
         // Drop cached frames: a resident clean frame would mask on-media
         // rot, and salvage writes below must not fight stale frames.
@@ -1653,9 +1457,9 @@ impl ObjectStore {
     /// checksum (see
     /// [`SimDisk::corrupt_page_byte`](crate::disk::SimDisk::corrupt_page_byte)).
     /// The page's committed image is written back first, which the WAL
-    /// rule forbids while a batch or a group window is open.
+    /// rule forbids while a batch is open.
     pub fn corrupt_page_byte(&self, page: u64, offset: usize, mask: u8) -> StorageResult<()> {
-        if self.batch.is_some() || self.group.is_some() {
+        if self.batch.is_some() {
             return Err(StorageError::BatchAlreadyOpen);
         }
         self.pool.corrupt_page_byte(page, offset, mask)
@@ -1688,20 +1492,12 @@ impl ObjectStore {
         self.wal.stats()
     }
 
-    /// Commit-marker LSN of the last batch — or sealed group window —
-    /// whose log records were synced: it moves at the durability point and
-    /// nowhere else (a checkpoint's own marker does not count; recovery
-    /// resets it to the end of the log it kept). Whoever watches it across
-    /// a call learns whether that call made a commit durable, and under
-    /// which LSN.
+    /// Commit-marker LSN of the last batch whose log records were synced:
+    /// it moves at the durability point and nowhere else (a checkpoint's
+    /// own marker does not count; recovery resets it to the end of the log
+    /// it kept). After a successful commit it is that commit's WAL LSN.
     pub fn durable_commit_lsn(&self) -> Lsn {
         self.durable_commit_lsn
-    }
-
-    /// Commits absorbed by the open group window and not yet synced (zero
-    /// under [`CommitPolicy::Immediate`]).
-    pub fn unsealed_commits(&self) -> u64 {
-        self.group.as_ref().map_or(0, |g| g.commits)
     }
 
     /// XORs one durable log byte with `mask` — bit-flip injection for
@@ -2108,7 +1904,7 @@ mod recovery_tests {
     }
 
     #[test]
-    fn crash_at_every_point_recovers_pre_or_post() {
+    fn crash_at_every_point_recovers_to_exactly_what_the_commit_answered() {
         for &point in CRASH_POINTS {
             for countdown in 1..16 {
                 let (mut st, seg, pre, post) = arena();
@@ -2121,12 +1917,29 @@ mod recovery_tests {
                     res.unwrap();
                     break;
                 }
-                assert!(res.is_err(), "{point} countdown={countdown}");
+                // `Ok` means durable (the fault came after the durability
+                // point and degraded the store); `Err` on a healthy store
+                // means rolled back.
+                let want = match res {
+                    Ok(_) => {
+                        assert_eq!(st.health(), HealthState::Degraded, "{point}");
+                        &post
+                    }
+                    Err(_) => {
+                        assert_eq!(st.health(), HealthState::Healthy, "{point}");
+                        &pre
+                    }
+                };
+                assert_eq!(
+                    &fingerprint(&st, seg),
+                    want,
+                    "{point} countdown={countdown}"
+                );
                 st.recover().unwrap();
-                let got = fingerprint(&st, seg);
-                assert!(
-                    got == pre || got == post,
-                    "{point} countdown={countdown}: hybrid state after recovery"
+                assert_eq!(
+                    &fingerprint(&st, seg),
+                    want,
+                    "{point} countdown={countdown}: recovery disagrees with the answer"
                 );
                 // The store is fully usable again.
                 st.insert(seg, b"after", None).unwrap();
@@ -2189,10 +2002,11 @@ mod recovery_tests {
         let mut st = ObjectStore::default();
         let seg = st.create_segment().unwrap();
         st.arm_crash_point(CP_COMMIT_DONE, 1);
-        assert!(st.insert(seg, b"x", None).is_err());
-        // The commit was durable but never closed: the store is degraded,
-        // not poisoned — reads still answer (from the pinned frames that
-        // hold the committed images), mutations are rejected.
+        // The commit was durable, so it answers `Ok`; it was never closed,
+        // so the store is degraded, not poisoned — reads still answer (from
+        // the pinned frames that hold the committed images), mutations are
+        // rejected.
+        st.insert(seg, b"x", None).unwrap();
         assert_eq!(st.health(), HealthState::Degraded);
         assert!(matches!(
             st.insert(seg, b"y", None),
@@ -2246,6 +2060,57 @@ mod recovery_tests {
             assert_eq!(fingerprint(&st, seg), fp);
             st.checkpoint().unwrap();
         }
+    }
+
+    #[test]
+    fn a_failed_auto_checkpoint_is_no_commits_answer() {
+        let mut st = ObjectStore::new(StoreConfig {
+            wal_checkpoint_bytes: 0,
+            ..StoreConfig::default()
+        });
+        let seg = st.create_segment().unwrap();
+        st.arm_crash_point(CP_CHECKPOINT_WRITE, 1);
+        let id = st.insert(seg, b"durable", None).unwrap();
+        assert_eq!(st.health(), HealthState::Degraded);
+        assert_eq!(st.read(id).unwrap(), b"durable");
+        st.heal_crash_points();
+        st.simulate_crash();
+        st.recover().unwrap();
+        assert_eq!(st.read(id).unwrap(), b"durable");
+    }
+
+    #[test]
+    fn a_failed_page_sync_degrades_keeping_the_log() {
+        use crate::device::{DeviceMetrics, FaultyDevice, MemLog};
+        let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+        let mut st = ObjectStore::with_devices(
+            StoreConfig::default(),
+            &Registry::new(),
+            Arc::new(disk.clone()),
+            Arc::new(MemLog::new()),
+            None,
+        )
+        .unwrap();
+        st.recover().unwrap();
+        let seg = st.create_segment().unwrap();
+        for i in 0..10u8 {
+            st.insert(seg, &[i; 1000], None).unwrap();
+        }
+        let fp = fingerprint(&st, seg);
+        let log = st.wal_stats().durable_bytes;
+        // Every write-back goes through; the sync after them fails once.
+        disk.arm_transient_eio(st.pool.dirty_pages().len() as u64, 1);
+        assert!(st.checkpoint().unwrap_err().is_transient());
+        assert_eq!(disk.injected().eio, 1);
+        assert_eq!(st.health(), HealthState::Degraded);
+        assert_eq!(st.wal_stats().durable_bytes, log, "the log is kept");
+        // The device healed, but a retried sync proves nothing about the
+        // pages the failed one may have lost: no checkpoint until recovery.
+        assert!(matches!(st.checkpoint(), Err(StorageError::ReadOnly)));
+        st.simulate_crash();
+        st.recover().unwrap();
+        assert_eq!(fingerprint(&st, seg), fp);
+        st.checkpoint().unwrap();
     }
 
     #[test]
@@ -2331,6 +2196,45 @@ mod recovery_tests {
     }
 
     #[test]
+    fn delta_records_shrink_update_heavy_logs() {
+        let mut st = ObjectStore::default();
+        let seg = st.create_segment().unwrap();
+        let id = st.insert(seg, &[7u8; 600], None).unwrap();
+        let base = st.wal_stats().durable_bytes;
+        st.update(id, &[8u8; 600]).unwrap();
+        let grew = st.wal_stats().durable_bytes - base;
+        assert!(
+            grew < PAGE_SIZE / 2,
+            "an in-place update should log a delta, grew {grew} bytes"
+        );
+        let fp = fingerprint(&st, seg);
+        st.simulate_crash();
+        st.recover().unwrap();
+        assert_eq!(fingerprint(&st, seg), fp, "delta replay restores the page");
+    }
+
+    #[test]
+    fn delta_bases_reset_at_checkpoint() {
+        let mut st = ObjectStore::default();
+        let seg = st.create_segment().unwrap();
+        let id = st.insert(seg, &[1u8; 600], None).unwrap();
+        st.checkpoint().unwrap();
+        // The base image was truncated out of the log: this update must log
+        // a full image (a delta would replay against nothing).
+        let base = st.wal_stats().durable_bytes;
+        let id = st.update(id, &[2u8; 600]).unwrap();
+        assert!(st.wal_stats().durable_bytes - base > PAGE_SIZE / 2);
+        // ...and the next one is a delta again.
+        let base = st.wal_stats().durable_bytes;
+        st.update(id, &[3u8; 600]).unwrap();
+        assert!(st.wal_stats().durable_bytes - base < PAGE_SIZE / 2);
+        let fp = fingerprint(&st, seg);
+        st.simulate_crash();
+        st.recover().unwrap();
+        assert_eq!(fingerprint(&st, seg), fp);
+    }
+
+    #[test]
     fn crash_mid_chained_insert_never_leaves_partial_chains() {
         // A 20 KB record dirties several pages; crash at each successive
         // logged page write and make sure recovery never exposes a record
@@ -2362,16 +2266,6 @@ mod recovery_tests {
 mod no_force_tests {
     use super::*;
 
-    fn grouped_config() -> StoreConfig {
-        StoreConfig {
-            commit_policy: CommitPolicy::Group {
-                max_ops: u64::MAX,
-                max_bytes: usize::MAX,
-            },
-            ..StoreConfig::default()
-        }
-    }
-
     #[test]
     fn commits_write_no_pages_and_a_checkpoint_writes_each_dirty_page_once() {
         let mut st = ObjectStore::default();
@@ -2394,46 +2288,29 @@ mod no_force_tests {
 
     /// Durability argument (a): a frame is written only once its image's
     /// log record is synced. One frame of pool, so every fetch wants to
-    /// evict — and must overcommit instead while the batch (or the group
-    /// window) holding the dirty frames is open.
+    /// evict — and must overcommit instead while the batch holding the
+    /// dirty frames is open.
     #[test]
     fn no_page_is_written_before_its_log_record_is_synced() {
-        for mut st in [
-            ObjectStore::new(StoreConfig {
-                buffer_capacity: 1,
-                ..StoreConfig::default()
-            }),
-            ObjectStore::new(StoreConfig {
-                buffer_capacity: 1,
-                ..grouped_config()
-            }),
-        ] {
-            let seg = st.create_segment().unwrap();
-            st.sync().unwrap();
-            st.checkpoint().unwrap();
-            let writes = st.disk_stats().writes;
-            st.begin_atomic().unwrap();
-            let ids: Vec<PhysId> = (0..4u8)
-                .map(|i| st.insert(seg, &[i; 3000], None).unwrap())
-                .collect();
-            for &id in &ids {
-                st.read(id).unwrap();
-            }
-            assert_eq!(st.disk_stats().writes, writes, "uncommitted frames");
-            st.commit_atomic().unwrap();
-            if st.group.is_some() {
-                // Committed but unsealed: still nothing in the durable log.
-                for &id in &ids {
-                    st.read(id).unwrap();
-                }
-                st.clear_cache().unwrap_err();
-                assert_eq!(st.disk_stats().writes, writes, "unsealed frames");
-                st.sync().unwrap();
-            }
-            // Durable now: the overcommit drains by writing frames back.
-            st.clear_cache().unwrap();
-            assert_eq!(st.disk_stats().writes, writes + 4);
+        let mut st = ObjectStore::new(StoreConfig {
+            buffer_capacity: 1,
+            ..StoreConfig::default()
+        });
+        let seg = st.create_segment().unwrap();
+        st.checkpoint().unwrap();
+        let writes = st.disk_stats().writes;
+        st.begin_atomic().unwrap();
+        let ids: Vec<PhysId> = (0..4u8)
+            .map(|i| st.insert(seg, &[i; 3000], None).unwrap())
+            .collect();
+        for &id in &ids {
+            st.read(id).unwrap();
         }
+        assert_eq!(st.disk_stats().writes, writes, "uncommitted frames");
+        st.commit_atomic().unwrap();
+        // Durable now: the overcommit drains by writing frames back.
+        st.clear_cache().unwrap();
+        assert_eq!(st.disk_stats().writes, writes + 4);
     }
 
     /// Durability argument (c), abort: commit A dirties page P, batch B
@@ -2460,37 +2337,6 @@ mod no_force_tests {
         st.recover().unwrap();
         assert_eq!(st.read(id).unwrap(), b"A");
         assert_eq!(st.scan(seg).unwrap().len(), 2);
-    }
-
-    /// The same under a group window, where A is committed but not even
-    /// logged yet, and across the seal that follows.
-    #[test]
-    fn an_abort_under_a_window_restores_the_unsealed_image() {
-        let mut st = ObjectStore::new(grouped_config());
-        let seg = st.create_segment().unwrap();
-        let id = st.insert(seg, b"sealed", None).unwrap();
-        st.sync().unwrap();
-        // P carries a sealed image the disk lacks, then an unsealed one.
-        st.begin_atomic().unwrap();
-        st.update(id, b"B").unwrap();
-        st.abort_atomic().unwrap();
-        assert_eq!(st.read(id).unwrap(), b"sealed", "from the base map");
-        st.update(id, b"A").unwrap();
-        st.begin_atomic().unwrap();
-        st.update(id, b"B").unwrap();
-        st.abort_atomic().unwrap();
-        assert_eq!(st.read(id).unwrap(), b"A", "from the window");
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(st.read(id).unwrap(), b"sealed", "A never sealed");
-        st.update(id, b"A").unwrap();
-        st.begin_atomic().unwrap();
-        st.update(id, b"B").unwrap();
-        st.abort_atomic().unwrap();
-        st.sync().unwrap();
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(st.read(id).unwrap(), b"A");
     }
 
     /// Durability argument (c), torn flush: B's commit marker never became
@@ -2567,258 +2413,6 @@ mod no_force_tests {
             }
             st.simulate_crash();
             st.recover().unwrap();
-        }
-    }
-}
-
-#[cfg(test)]
-mod group_tests {
-    use super::*;
-
-    fn grouped(max_ops: u64) -> ObjectStore {
-        ObjectStore::new(StoreConfig {
-            commit_policy: CommitPolicy::Group {
-                max_ops,
-                max_bytes: usize::MAX,
-            },
-            ..StoreConfig::default()
-        })
-    }
-
-    fn fingerprint(st: &ObjectStore, seg: SegmentId) -> Vec<Vec<u8>> {
-        let mut recs: Vec<Vec<u8>> = st
-            .scan(seg)
-            .unwrap()
-            .into_iter()
-            .map(|(_, bytes)| bytes)
-            .collect();
-        recs.sort();
-        recs
-    }
-
-    #[test]
-    fn a_window_coalesces_many_commits_into_one_flush() {
-        let mut st = grouped(u64::MAX);
-        let seg = st.create_segment().unwrap();
-        for i in 0..10u8 {
-            st.insert(seg, &[i; 100], None).unwrap();
-        }
-        assert_eq!(st.wal_stats().flushes, 0, "no durability point yet");
-        // Reads serve the deferred images from the pinned frames.
-        assert_eq!(st.scan(seg).unwrap().len(), 10);
-        st.sync().unwrap();
-        assert_eq!(st.wal_stats().flushes, 1, "one flush for eleven commits");
-        let fp = fingerprint(&st, seg);
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(fingerprint(&st, seg), fp, "sealed window is durable");
-    }
-
-    #[test]
-    fn the_window_seals_itself_at_max_ops() {
-        // create_segment's commit counts as the window's first op.
-        let mut st = grouped(4);
-        let seg = st.create_segment().unwrap();
-        for i in 0..3u8 {
-            st.insert(seg, &[i; 64], None).unwrap();
-        }
-        assert_eq!(st.wal_stats().flushes, 1, "4th commit sealed the window");
-        assert_eq!(st.wal_stats().pending_bytes, 0);
-        let fp = fingerprint(&st, seg);
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(fingerprint(&st, seg), fp);
-    }
-
-    #[test]
-    fn an_unsealed_window_is_lost_at_a_crash_and_recovery_lands_on_the_seal() {
-        let mut st = grouped(u64::MAX);
-        let seg = st.create_segment().unwrap();
-        st.insert(seg, b"sealed", None).unwrap();
-        st.sync().unwrap();
-        let sealed = fingerprint(&st, seg);
-        for i in 0..5u8 {
-            st.insert(seg, &[i; 200], None).unwrap();
-        }
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(
-            fingerprint(&st, seg),
-            sealed,
-            "recovery rewinds to the last sealed boundary, a commit boundary"
-        );
-        // The store is fully usable and the policy still applies.
-        st.insert(seg, b"after", None).unwrap();
-        st.sync().unwrap();
-    }
-
-    #[test]
-    fn an_abort_under_a_window_restores_the_windowed_images() {
-        let mut st = grouped(u64::MAX);
-        let seg = st.create_segment().unwrap();
-        let a = st.insert(seg, b"windowed-commit", None).unwrap();
-        // An explicit batch on the same page, then abort: the frame must
-        // rewind to the *windowed* image (disk never saw it), not to the
-        // pre-window disk page.
-        st.begin_atomic().unwrap();
-        st.insert(seg, b"doomed", None).unwrap();
-        st.abort_atomic().unwrap();
-        assert_eq!(st.read(a).unwrap(), b"windowed-commit");
-        assert_eq!(fingerprint(&st, seg), vec![b"windowed-commit".to_vec()]);
-        // Sealing afterwards makes exactly the surviving state durable.
-        st.sync().unwrap();
-        let fp = fingerprint(&st, seg);
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(fingerprint(&st, seg), fp);
-    }
-
-    #[test]
-    fn sync_is_refused_mid_batch_and_idempotent_when_empty() {
-        let mut st = grouped(u64::MAX);
-        let seg = st.create_segment().unwrap();
-        st.begin_atomic().unwrap();
-        st.insert(seg, b"open", None).unwrap();
-        assert!(matches!(st.sync(), Err(StorageError::BatchAlreadyOpen)));
-        st.commit_atomic().unwrap();
-        st.sync().unwrap();
-        let flushes = st.wal_stats().flushes;
-        st.sync().unwrap();
-        assert_eq!(st.wal_stats().flushes, flushes, "empty sync is a no-op");
-    }
-
-    #[test]
-    fn checkpoint_and_scrub_seal_the_window_first() {
-        let mut st = grouped(u64::MAX);
-        let seg = st.create_segment().unwrap();
-        st.insert(seg, b"pending", None).unwrap();
-        st.checkpoint().unwrap();
-        let fp = fingerprint(&st, seg);
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(fingerprint(&st, seg), fp, "checkpoint captured the window");
-
-        st.insert(seg, b"more", None).unwrap();
-        let report = st.scrub().unwrap();
-        assert_eq!(report.pages_corrupt, 0);
-        assert_eq!(st.wal_stats().pending_bytes, 0, "scrub sealed the window");
-    }
-
-    #[test]
-    fn a_hard_seal_fault_degrades_but_keeps_serving_windowed_reads() {
-        let mut st = grouped(u64::MAX);
-        let seg = st.create_segment().unwrap();
-        st.sync().unwrap();
-        let id = st.insert(seg, b"visible", None).unwrap();
-        st.arm_crash_point(CP_GROUP_SEAL, 1);
-        assert!(st.sync().is_err());
-        assert_eq!(st.health(), HealthState::Degraded);
-        // The windowed image was caller-visible committed state; degraded
-        // reads must keep serving it.
-        assert_eq!(st.read(id).unwrap(), b"visible");
-        // Recovery rewinds to durable truth: the window never sealed.
-        st.heal_crash_points();
-        st.recover().unwrap();
-        assert_eq!(fingerprint(&st, seg), Vec::<Vec<u8>>::new());
-    }
-
-    #[test]
-    fn a_transient_seal_fault_keeps_the_window_intact_for_retry() {
-        let mut st = ObjectStore::new(StoreConfig {
-            commit_policy: CommitPolicy::Group {
-                max_ops: u64::MAX,
-                max_bytes: usize::MAX,
-            },
-            retry: RetryPolicy {
-                max_retries: 0,
-                ..RetryPolicy::default()
-            },
-            ..StoreConfig::default()
-        });
-        let seg = st.create_segment().unwrap();
-        st.insert(seg, b"kept", None).unwrap();
-        st.arm_transient_crash(CP_GROUP_SEAL, 1, 1);
-        let err = st.sync().unwrap_err();
-        assert!(err.is_transient());
-        assert_eq!(st.health(), HealthState::Healthy, "transient faults heal");
-        // The window survived; a later sync seals it.
-        st.sync().unwrap();
-        let fp = fingerprint(&st, seg);
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(fingerprint(&st, seg), fp);
-    }
-
-    #[test]
-    fn delta_records_shrink_update_heavy_logs() {
-        let mut st = ObjectStore::default();
-        let seg = st.create_segment().unwrap();
-        let id = st.insert(seg, &[7u8; 600], None).unwrap();
-        let base = st.wal_stats().durable_bytes;
-        st.update(id, &[8u8; 600]).unwrap();
-        let grew = st.wal_stats().durable_bytes - base;
-        assert!(
-            grew < PAGE_SIZE / 2,
-            "an in-place update should log a delta, grew {grew} bytes"
-        );
-        let fp = fingerprint(&st, seg);
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(fingerprint(&st, seg), fp, "delta replay restores the page");
-    }
-
-    #[test]
-    fn delta_bases_reset_at_checkpoint() {
-        let mut st = ObjectStore::default();
-        let seg = st.create_segment().unwrap();
-        let id = st.insert(seg, &[1u8; 600], None).unwrap();
-        st.checkpoint().unwrap();
-        // The base image was truncated out of the log: this update must log
-        // a full image (a delta would replay against nothing).
-        let base = st.wal_stats().durable_bytes;
-        let id = st.update(id, &[2u8; 600]).unwrap();
-        assert!(st.wal_stats().durable_bytes - base > PAGE_SIZE / 2);
-        // ...and the next one is a delta again.
-        let base = st.wal_stats().durable_bytes;
-        st.update(id, &[3u8; 600]).unwrap();
-        assert!(st.wal_stats().durable_bytes - base < PAGE_SIZE / 2);
-        let fp = fingerprint(&st, seg);
-        st.simulate_crash();
-        st.recover().unwrap();
-        assert_eq!(fingerprint(&st, seg), fp);
-    }
-
-    #[test]
-    fn crash_sweep_over_the_grouped_pipeline_lands_pre_or_post_seal() {
-        // Sweep every crash point over "insert, then sync" under a group
-        // window: recovery must land on the pre-insert (sealed) state or
-        // the post-sync state, never a hybrid.
-        for &point in CRASH_POINTS {
-            for countdown in 1..16 {
-                let mut st = grouped(u64::MAX);
-                let seg = st.create_segment().unwrap();
-                st.insert(seg, b"anchor", None).unwrap();
-                st.sync().unwrap();
-                let pre = fingerprint(&st, seg);
-                st.arm_crash_point(point, countdown);
-                let res = st.insert(seg, b"grouped", None).and_then(|_| st.sync());
-                if st.crash_point_remaining(point).is_some() {
-                    st.heal_crash_points();
-                    res.unwrap();
-                    break;
-                }
-                assert!(res.is_err(), "{point} countdown={countdown}");
-                st.heal_crash_points();
-                st.recover().unwrap();
-                let got = fingerprint(&st, seg);
-                let post = vec![b"anchor".to_vec(), b"grouped".to_vec()];
-                assert!(
-                    got == pre || got == post,
-                    "{point} countdown={countdown}: hybrid state after recovery"
-                );
-                st.insert(seg, b"after", None).unwrap();
-                st.sync().unwrap();
-            }
         }
     }
 }

@@ -1153,7 +1153,7 @@ mod tests {
         committed_batch(&mut wal, &[(0, 1)]); // durable: lsn 1,2
         wal.append(&WalRecord::SegCreate {
             segment: SegmentId(1),
-        }); // pending group window: lsn 3
+        }); // pending before the mark: lsn 3
         let mark = wal.mark();
         wal.append(&WalRecord::SegAdopt {
             segment: SegmentId(1),

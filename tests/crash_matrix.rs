@@ -5,29 +5,34 @@
 //! `make`, orphan-cascading remove-component), for every named crash point
 //! in the commit protocol, and for every countdown until the point stops
 //! firing: crash there, [`Database::recover`], and assert the database
-//! equals either the pre-batch or the post-batch state — never a hybrid.
-//! A torn-flush sweep and a WAL bit-flip check cover the corrupted-log
-//! variants of the same guarantee.
+//! equals exactly what the operation answered — the post-batch state for
+//! `Ok` (the batch is durable), the pre-batch state for `Err` on a store
+//! left healthy (it was rolled back). A torn-flush sweep, a device-EIO
+//! case and a WAL bit-flip check cover the corrupted-log variants, where
+//! the answer is in doubt and recovery may land on either side — never on
+//! a hybrid.
 //!
 //! Everything here is deterministic: the crash points are named and
 //! counted, the scenarios allocate OIDs in a fixed order, and the post
 //! oracle is simply a twin database running the same operation with no
 //! faults armed.
 
-use corion::storage::{StoreConfig, CP_COMMIT_FLUSH, CP_GROUP_SEAL, CRASH_POINTS};
+use corion::storage::{StoreConfig, CP_COMMIT_FLUSH, CRASH_POINTS};
 use corion::{
-    ClassBuilder, ClassId, CommitPolicy, CompositeSpec, ConcurrentDb, Database, DbConfig, DbError,
-    DbResult, Domain, Oid, Value,
+    ClassBuilder, ClassId, CompositeSpec, ConcurrentDb, Database, DbConfig, DbError, DbResult,
+    Domain, HealthState, Oid, Value,
 };
 
 // ---------------------------------------------------------------------
 // Fingerprinting
 // ---------------------------------------------------------------------
 
+type Fingerprint = Vec<(Oid, Vec<u8>)>;
+
 /// The logical content of the database: every live object's OID and
 /// encoded image, sorted. Physical placement is deliberately excluded —
 /// recovery may relocate records; OIDs are the stable names.
-fn fingerprint(db: &Database) -> Vec<(Oid, Vec<u8>)> {
+fn fingerprint(db: &Database) -> Fingerprint {
     let mut out = Vec::new();
     for class in db.catalog().all_classes() {
         for oid in db.instances_of(class, false) {
@@ -39,6 +44,24 @@ fn fingerprint(db: &Database) -> Vec<(Oid, Vec<u8>)> {
     }
     out.sort();
     out
+}
+
+/// The exact answer: the state an engine must hold — at once and after
+/// recovery — once an operation answered `result`. `Ok` means durable;
+/// `Err` on a store still healthy means rolled back. Anything else is not
+/// an answer these sweeps can produce.
+fn answered<'a, T: std::fmt::Debug>(
+    db: &Database,
+    result: &DbResult<T>,
+    pre: &'a [(Oid, Vec<u8>)],
+    post: &'a [(Oid, Vec<u8>)],
+    what: &str,
+) -> &'a [(Oid, Vec<u8>)] {
+    match (result, db.health()) {
+        (Ok(_), _) => post,
+        (Err(DbError::Storage(_)), HealthState::Healthy) => pre,
+        (other, health) => panic!("{what}: answered {other:?} on a {health} store"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -178,7 +201,7 @@ fn scenarios() -> Vec<Scenario> {
 /// in-memory database with no faults armed. OID allocation and object
 /// encoding are purely logical, so the oracle holds for the file-backed
 /// sweeps too.
-fn post_oracle(s: &Scenario) -> Vec<(Oid, Vec<u8>)> {
+fn post_oracle(s: &Scenario) -> Fingerprint {
     let mut db = Database::new();
     let oids = (s.build)(&mut db);
     (s.op)(&mut db, &oids).unwrap();
@@ -208,20 +231,20 @@ fn crash_once(s: &Scenario, point: &'static str, countdown: u64, post: &[(Oid, V
         );
         return false;
     }
+    let what = format!("{}: crash at {point}#{countdown}", s.name);
+    let want = answered(&db, &result, &pre, post, &what);
     assert!(
-        matches!(result, Err(DbError::Storage(_))),
-        "{}: crash at {point}#{countdown} must surface as a storage error, got {result:?}",
-        s.name
+        fingerprint(&db) == want,
+        "{what}: the engine disagrees with its answer"
     );
     let report = db
         .recover()
-        .unwrap_or_else(|e| panic!("{}: recovery after {point}#{countdown} failed: {e}", s.name));
+        .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
     let after = fingerprint(&db);
     assert!(
-        after == pre || after == post,
-        "{}: crash at {point}#{countdown} recovered to a hybrid state \
+        after == want,
+        "{what}: answered {result:?} but recovered to another state \
          ({} objects; pre {}, post {}; report {report:?})",
-        s.name,
         after.len(),
         pre.len(),
         post.len()
@@ -244,13 +267,6 @@ fn every_crash_point_recovers_to_pre_or_post_state() {
     for s in scenarios() {
         let post = post_oracle(&s);
         for &point in CRASH_POINTS {
-            // The group-seal point only exists under `CommitPolicy::Group`;
-            // these scenarios run the default immediate policy, where every
-            // commit flushes inline. The grouped pipeline gets its own sweep
-            // below (`group_commit_crashes_land_on_a_sealed_boundary`).
-            if point == CP_GROUP_SEAL {
-                continue;
-            }
             let mut fired_at_least_once = false;
             for countdown in 1..=512u64 {
                 if !crash_once(&s, point, countdown, &post) {
@@ -352,10 +368,6 @@ fn transient_faults_within_the_retry_budget_are_invisible() {
     for s in scenarios() {
         let post = post_oracle(&s);
         for &point in CRASH_POINTS {
-            if point == CP_GROUP_SEAL {
-                // Immediate policy: the seal point cannot fire (see above).
-                continue;
-            }
             for failures in [1u64, 3] {
                 let mut fired_at_least_once = false;
                 for countdown in 1..=512u64 {
@@ -378,10 +390,9 @@ fn transient_faults_within_the_retry_budget_are_invisible() {
 #[test]
 fn transient_fault_beyond_the_retry_budget_still_recovers_cleanly() {
     // Four consecutive failures exceed the 3-retry budget: the error
-    // surfaces, but recovery restores pre-or-post atomicity exactly as for
-    // a permanent fault.
+    // surfaces on a store still healthy, so the batch was rolled back, and
+    // recovery agrees.
     for s in scenarios() {
-        let post = post_oracle(&s);
         let mut db = Database::new();
         let oids = (s.build)(&mut db);
         let pre = fingerprint(&db);
@@ -400,11 +411,12 @@ fn transient_fault_beyond_the_retry_budget_still_recovers_cleanly() {
             s.name
         );
         db.heal_crash_points();
+        assert_eq!(db.health(), HealthState::Healthy, "{}", s.name);
+        assert!(fingerprint(&db) == pre, "{}: rolled back in place", s.name);
         db.recover().unwrap();
-        let after = fingerprint(&db);
         assert!(
-            after == pre || after == post,
-            "{}: exhausted transient fault left a hybrid state",
+            fingerprint(&db) == pre,
+            "{}: recovery disagrees with the rollback",
             s.name
         );
         db.verify_integrity().unwrap();
@@ -510,7 +522,7 @@ fn wal_bit_flip_truncates_tail_instead_of_replaying_garbage() {
 }
 
 // ---------------------------------------------------------------------
-// Transactions and group commit
+// Transactions
 // ---------------------------------------------------------------------
 
 /// Parts schema plus one committed assembly for the transaction sweep.
@@ -541,17 +553,14 @@ fn transaction_crashes_recover_to_pre_or_post_transaction_state() {
     // A transaction is one batch, written when it commits (until then its
     // operations touch only its overlay, so every armed point is met
     // there): wherever the commit pipeline crashes, recovery must land on
-    // the pre-transaction or post-transaction state, never on a prefix of
-    // the transaction's operations.
+    // the state the commit answered — post for `Ok`, pre for `Err` — never
+    // on a prefix of the transaction's operations.
     let post = {
         let (mut db, part, a) = txn_db();
         txn_op(&mut db, part, a).unwrap();
         fingerprint(&db)
     };
     for &point in CRASH_POINTS {
-        if point == CP_GROUP_SEAL {
-            continue; // immediate policy: the seal point cannot fire
-        }
         let mut fired_at_least_once = false;
         for countdown in 1..=512u64 {
             let (mut db, part, a) = txn_db();
@@ -565,16 +574,18 @@ fn transaction_crashes_recover_to_pre_or_post_transaction_state() {
                 break;
             }
             fired_at_least_once = true;
-            assert!(
-                matches!(result, Err(DbError::Storage(_))),
-                "txn: crash at {point}#{countdown} must surface as a storage error, got {result:?}"
-            );
+            let what = format!("txn: crash at {point}#{countdown}");
+            let want = answered(&db, &result, &pre, &post, &what);
             assert!(!db.in_transaction(), "crash must close the transaction");
+            assert!(
+                fingerprint(&db) == want,
+                "{what}: the engine disagrees with its answer"
+            );
             db.recover().unwrap();
             let after = fingerprint(&db);
             assert!(
-                after == pre || after == post,
-                "txn: crash at {point}#{countdown} recovered to a hybrid state \
+                after == want,
+                "{what}: answered {result:?} but recovered to another state \
                  ({} objects; pre {}, post {})",
                 after.len(),
                 pre.len(),
@@ -584,88 +595,6 @@ fn transaction_crashes_recover_to_pre_or_post_transaction_state() {
             assert!(countdown < 512, "txn: {point} fired 512 times");
         }
         assert!(fired_at_least_once, "txn: crash point {point} never fired");
-    }
-}
-
-/// Engine over a group-commit window so large only an explicit `sync`
-/// seals it. The build window (segment creation plus an anchor object) is
-/// sealed before returning, so every sweep starts from a durable base.
-fn group_db() -> (Database, ClassId) {
-    let mut db = Database::with_config(DbConfig {
-        store: StoreConfig {
-            commit_policy: CommitPolicy::Group {
-                max_ops: u64::MAX,
-                max_bytes: usize::MAX,
-            },
-            ..StoreConfig::default()
-        },
-        ..DbConfig::default()
-    });
-    let part = db
-        .define_class(ClassBuilder::new("Part").attr("text", Domain::String))
-        .unwrap();
-    db.make(part, vec![("text", Value::Str("anchor".into()))], vec![])
-        .unwrap();
-    db.sync().unwrap();
-    (db, part)
-}
-
-/// The grouped write burst under test: three deferred commits, then the
-/// seal (one flush for the whole window).
-fn group_op(db: &mut Database, part: ClassId) -> DbResult<()> {
-    for i in 0..3 {
-        db.make(part, vec![("text", Value::Str(format!("g{i}")))], vec![])?;
-    }
-    db.sync()
-}
-
-#[test]
-fn group_commit_crashes_land_on_a_sealed_boundary() {
-    // Under `CommitPolicy::Group` the durability lag is the open window:
-    // a crash anywhere in the burst-plus-seal pipeline must recover to
-    // the previous sealed boundary (pre) or the new one (post) — a window
-    // is all-or-nothing, and `group:seal` itself fires here.
-    let post = {
-        let (mut db, part) = group_db();
-        group_op(&mut db, part).unwrap();
-        fingerprint(&db)
-    };
-    for &point in CRASH_POINTS {
-        let mut fired_at_least_once = false;
-        for countdown in 1..=512u64 {
-            let (mut db, part) = group_db();
-            let pre = fingerprint(&db);
-            db.arm_crash_point(point, countdown);
-            let result = group_op(&mut db, part);
-            let fired = db.crash_point_remaining(point).is_none();
-            db.heal_crash_points();
-            if !fired {
-                result.unwrap();
-                break;
-            }
-            fired_at_least_once = true;
-            assert!(
-                matches!(result, Err(DbError::Storage(_))),
-                "group: crash at {point}#{countdown} must surface as a storage error, \
-                 got {result:?}"
-            );
-            db.recover().unwrap();
-            let after = fingerprint(&db);
-            assert!(
-                after == pre || after == post,
-                "group: crash at {point}#{countdown} recovered off a sealed boundary \
-                 ({} objects; pre {}, post {})",
-                after.len(),
-                pre.len(),
-                post.len()
-            );
-            db.verify_integrity().unwrap();
-            assert!(countdown < 512, "group: {point} fired 512 times");
-        }
-        assert!(
-            fired_at_least_once,
-            "group: crash point {point} never fired"
-        );
     }
 }
 
@@ -742,21 +671,16 @@ mod file_backed {
     }
 
     /// Post-recovery invariants shared by every file-backed sweep: the
-    /// state is exactly pre or post, integrity holds, and the reopened
-    /// engine accepts new work.
-    fn assert_pre_or_post(
-        db: &mut Database,
-        what: &str,
-        pre: &[(Oid, Vec<u8>)],
-        post: &[(Oid, Vec<u8>)],
-    ) {
+    /// state is one of `allowed` (exactly the answered one, or either side
+    /// of an answer in doubt), integrity holds, and the reopened engine
+    /// accepts new work.
+    fn assert_recovered(db: &mut Database, what: &str, allowed: &[&[(Oid, Vec<u8>)]]) {
         let after = fingerprint(db);
         assert!(
-            after == *pre || after == *post,
-            "{what}: reopen landed on a hybrid state ({} objects; pre {}, post {})",
+            allowed.contains(&after.as_slice()),
+            "{what}: reopen landed on another state ({} objects; allowed {:?})",
             after.len(),
-            pre.len(),
-            post.len()
+            allowed.iter().map(|a| a.len()).collect::<Vec<_>>()
         );
         db.verify_integrity()
             .unwrap_or_else(|e| panic!("{what}: integrity audit failed after reopen: {e}"));
@@ -789,18 +713,14 @@ mod file_backed {
             std::fs::remove_dir_all(&fx.dir).ok();
             return false;
         }
+        let what = format!("{} files {point}#{countdown}", s.name);
+        let want = answered(&fx.db, &result, &pre, post, &what);
         assert!(
-            matches!(result, Err(DbError::Storage(_))),
-            "{}: crash at {point}#{countdown} must surface as a storage error, got {result:?}",
-            s.name
+            fingerprint(&fx.db) == want,
+            "{what}: the engine disagrees with its answer"
         );
         let (mut db, dir) = reopen(fx);
-        assert_pre_or_post(
-            &mut db,
-            &format!("{} files {point}#{countdown}", s.name),
-            &pre,
-            post,
-        );
+        assert_recovered(&mut db, &what, &[want]);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
         true
@@ -811,9 +731,6 @@ mod file_backed {
         for s in scenarios() {
             let post = post_oracle(&s);
             for &point in CRASH_POINTS {
-                if point == CP_GROUP_SEAL {
-                    continue; // immediate policy: the seal point cannot fire
-                }
                 let mut fired_at_least_once = false;
                 for countdown in 1..=512u64 {
                     if !crash_once_on_files(&s, point, countdown, &post) {
@@ -900,14 +817,16 @@ mod file_backed {
         );
         assert_eq!(
             fx.db.health(),
-            corion::storage::HealthState::Poisoned,
+            HealthState::Poisoned,
             "a failed durability point leaves the store poisoned until recovery"
         );
         assert!(fx.log.injected().eio > 0);
         fx.log.heal_faults();
         let (mut db, dir) = reopen(fx);
         let post = post_oracle(s);
-        assert_pre_or_post(&mut db, "device eio", &pre, &post);
+        // The one answer in doubt: the log device failed at the
+        // durability point, so recovery decides.
+        assert_recovered(&mut db, "device eio", &[&pre, &post]);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1008,7 +927,7 @@ mod file_backed {
     /// third — all committed, none written: commits stop at the synced
     /// log, so the checkpoint that follows has every one of these pages to
     /// write back. Returns the fixture and the committed fingerprint.
-    fn unwritten_commits(tag: &str) -> (Fixture, Vec<(Oid, Vec<u8>)>) {
+    fn unwritten_commits(tag: &str) -> (Fixture, Fingerprint) {
         let mut fx = open_fixture(tag);
         let (part, _) = parts_schema(&mut fx.db);
         fx.db.checkpoint().unwrap();
@@ -1044,7 +963,7 @@ mod file_backed {
 
     #[test]
     fn checkpoint_writeback_faults_lose_no_commit_across_reopen() {
-        use corion::storage::{HealthState, CP_CHECKPOINT_WRITE};
+        use corion::storage::CP_CHECKPOINT_WRITE;
         // How many pages the checkpoint writes back, from an unfaulted run.
         let (mut fx, _) = unwritten_commits("ckptwb_probe");
         fx.db.checkpoint().unwrap();
@@ -1156,6 +1075,7 @@ mod file_backed {
             matches!(result, Err(DbError::Storage(_))),
             "a failed page sync must surface, got {result:?}"
         );
+        assert_eq!(fx.db.health(), HealthState::Degraded);
         assert_eq!(
             fx.db.wal_stats().durable_bytes,
             log,
@@ -1163,6 +1083,45 @@ mod file_backed {
         );
         fx.disk.heal_faults();
         assert_nothing_lost(fx, "failed page sync", &committed);
+    }
+
+    #[test]
+    fn a_failed_page_sync_degrades_and_keeps_the_log_across_reopen() {
+        // How many pages the checkpoint writes back, from an unfaulted run.
+        let (mut fx, _) = unwritten_commits("pagesync_probe");
+        fx.db.checkpoint().unwrap();
+        let pages = fx
+            .db
+            .metrics_snapshot()
+            .counter("corion_buffer_writebacks_checkpoint_total");
+        std::fs::remove_dir_all(&fx.dir).ok();
+
+        // Every write-back goes through, then the page sync fails once and
+        // the device heals. The written frames are already clean, so a
+        // later sync that succeeds proves nothing about the pages the
+        // failed one may have lost: the store must degrade, keep its log,
+        // and refuse every checkpoint until a reopen replays the log.
+        let (mut fx, committed) = unwritten_commits("pagesync_retry");
+        let log = fx.db.wal_stats().durable_bytes;
+        fx.disk.arm_transient_eio(pages, 1);
+        let result = fx.db.checkpoint();
+        assert!(
+            matches!(result, Err(DbError::Storage(_))),
+            "a failed page sync must surface, got {result:?}"
+        );
+        assert_eq!(
+            fx.disk.injected().eio,
+            1,
+            "the sync, after every write-back"
+        );
+        assert_eq!(fx.db.health(), HealthState::Degraded);
+        assert_eq!(fx.db.wal_stats().durable_bytes, log, "the log is kept");
+        assert!(matches!(fx.db.checkpoint(), Err(DbError::ReadOnly)));
+        assert!(
+            fingerprint(&fx.db) == committed,
+            "degraded reads keep answering"
+        );
+        assert_nothing_lost(fx, "failed page sync, healed device", &committed);
     }
 
     #[test]
@@ -1292,11 +1251,6 @@ fn concurrent_commit_crashes_recover_to_an_lsn_prefix() {
     };
 
     for &point in CRASH_POINTS {
-        if point == CP_GROUP_SEAL {
-            // The concurrent engine runs the immediate commit policy;
-            // the group-seal point never fires outside a group window.
-            continue;
-        }
         let mut fired_at_least_once = false;
         for countdown in 1..=512u64 {
             let (cdb, part, roots) = concurrent_db();
@@ -1330,18 +1284,23 @@ fn concurrent_commit_crashes_recover_to_an_lsn_prefix() {
                 break;
             }
             fired_at_least_once = true;
+            let what = format!("concurrent: crash at {point}#{countdown}");
+            let want = cdb.with_read(|db| answered(db, &result, &pre, &post, &what).to_vec());
+            if let Ok(lsn) = result {
+                // `Ok` means published: the watermark is at this commit.
+                assert_eq!(cdb.visible_lsn(), lsn, "{what}");
+            }
             assert!(
-                matches!(result, Err(DbError::Storage(_))),
-                "concurrent: crash at {point}#{countdown} must surface as a storage \
-                 error, got {result:?}"
+                cdb.with_read(fingerprint) == want,
+                "{what}: the engine disagrees with its answer"
             );
 
             cdb.recover().unwrap();
             let after = cdb.with_read(fingerprint);
             assert!(
-                after == pre || after == post,
-                "concurrent: crash at {point}#{countdown} recovered off the commit-LSN \
-                 prefix ({} objects; pre {}, post {})",
+                after == want,
+                "{what}: recovered off the answered commit-LSN prefix \
+                 ({} objects; pre {}, post {})",
                 after.len(),
                 pre.len(),
                 post.len()

@@ -2,9 +2,10 @@
 //! leave the engine *read-only*, not dead.
 //!
 //! Two scenarios. A batch's commit record reaches the WAL and the commit
-//! then faults before it closes (`CP_COMMIT_DONE`); or commits succeed and
-//! a later checkpoint's page write-back faults permanently
-//! (`CP_CHECKPOINT_WRITE`). Either way the disk is behind the log, but the
+//! then faults before it closes (`CP_COMMIT_DONE`) — the commit is durable,
+//! so it still answers `Ok`; or commits succeed and a later checkpoint's
+//! page write-back faults permanently (`CP_CHECKPOINT_WRITE`). Either way
+//! the disk is behind the log, but the
 //! buffer pool still pins the committed after-images — so every §3
 //! traversal, predicate, and plain read keeps answering the *committed*
 //! state, while every mutation fails fast with the typed
@@ -52,15 +53,11 @@ fn post_commit_fault_degrades_to_read_only_and_recovers() {
     assert_eq!(db.health(), HealthState::Healthy);
 
     // The faulting batch: an attribute write that dies after its commit
-    // record is durable, before the batch closes.
+    // record is durable, before the batch closes. Durable means `Ok`: the
+    // fault is what the *next* operation hears about.
     db.arm_crash_point(CP_COMMIT_DONE, 1);
-    let err = db
-        .set_attr(p1, "text", Value::Str("updated".into()))
-        .unwrap_err();
-    assert!(
-        matches!(err, DbError::Storage(_)),
-        "the faulting batch itself surfaces the storage error, got {err}"
-    );
+    db.set_attr(p1, "text", Value::Str("updated".into()))
+        .unwrap();
     db.heal_crash_points();
     assert_eq!(db.health(), HealthState::Degraded);
 
@@ -195,8 +192,9 @@ fn degraded_health_is_visible_in_the_metrics_gauge() {
         Some(&0)
     );
     db.arm_crash_point(CP_COMMIT_DONE, 1);
-    db.set_attr(p, "text", Value::Str("x".into())).unwrap_err();
+    db.set_attr(p, "text", Value::Str("x".into())).unwrap();
     db.heal_crash_points();
+    assert_eq!(db.health(), HealthState::Degraded);
     assert_eq!(
         db.metrics_snapshot().gauges.get("corion_db_health"),
         Some(&1)
@@ -215,7 +213,7 @@ fn crash_while_degraded_poisons_then_recovery_still_heals() {
         .make(part, vec![("text", Value::Str("v".into()))], vec![])
         .unwrap();
     db.arm_crash_point(CP_COMMIT_DONE, 1);
-    db.set_attr(p, "text", Value::Str("w".into())).unwrap_err();
+    db.set_attr(p, "text", Value::Str("w".into())).unwrap();
     db.heal_crash_points();
     assert_eq!(db.health(), HealthState::Degraded);
 

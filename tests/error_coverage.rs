@@ -304,7 +304,6 @@ fn committed_state_operations_refuse_inside_a_transaction_with_one_typed_error()
         ("repair", db.repair().map(|_| ())),
         ("scrub", db.scrub().map(|_| ())),
         ("checkpoint", db.checkpoint()),
-        ("sync", db.sync()),
         ("raw_overwrite_object", db.raw_overwrite_object(&stored)),
     ];
     for (what, result) in refusals {

@@ -7,9 +7,12 @@
 //! recover(crash(ops)) == replay(committed_prefix(ops))
 //! ```
 //!
-//! where the committed prefix is either everything before the failing
-//! operation or everything through it (the crash may land on either side
-//! of the durability point) — never anything in between.
+//! where the committed prefix is exactly what the failing operation
+//! answered: everything through it when it answered `Ok` (the fault came
+//! past the durability point and degraded the store), everything before it
+//! when it answered `Err` on a store left healthy (rolled back). Only a
+//! torn flush leaves the answer in doubt, and then recovery may land on
+//! either side — never anything in between.
 //!
 //! Commits do not write pages, so for most of a sequence the disk is
 //! *behind* the log. `Abort` ops (a transaction rolled back over pages
@@ -23,7 +26,8 @@
 
 use corion::storage::{CP_CHECKPOINT_WRITE, CP_COMMIT_FLUSH, CRASH_POINTS};
 use corion::{
-    AttributeDef, ClassBuilder, ClassId, CompositeSpec, Database, DbError, Domain, Oid, Value,
+    AttributeDef, ClassBuilder, ClassId, CompositeSpec, Database, DbError, Domain, HealthState,
+    Oid, Value,
 };
 use proptest::prelude::*;
 
@@ -209,6 +213,49 @@ fn replay(ops: &[Op]) -> Vec<(Oid, Vec<u8>)> {
     fingerprint(&db, node)
 }
 
+/// Where a faulted run stopped: the op, whether it answered `Ok`, and
+/// whether the store was left healthy.
+struct Stop {
+    at: usize,
+    ok: bool,
+    healthy: bool,
+}
+
+/// Applies `ops` until one answers `Err` or leaves the store unhealthy
+/// (a degraded store refuses the writes after it).
+fn run_until_fault(db: &mut Database, node: ClassId, ops: &[Op]) -> Result<Option<Stop>, String> {
+    for (at, op) in ops.iter().enumerate() {
+        let result = apply(db, node, op);
+        if let Err(e) = &result {
+            if !matches!(e, DbError::Storage(_)) {
+                return Err(format!("only storage faults abort the run: {e}"));
+            }
+        }
+        let healthy = db.health() == HealthState::Healthy;
+        if result.is_err() || !healthy {
+            return Ok(Some(Stop {
+                at,
+                ok: result.is_ok(),
+                healthy,
+            }));
+        }
+    }
+    Ok(None)
+}
+
+/// The states recovery may land on after `stop`: exactly the answered one,
+/// or — for an `Err` that left the store degraded or poisoned, the answer
+/// in doubt — either side of the op.
+fn allowed(ops: &[Op], stop: &Stop) -> Vec<Vec<(Oid, Vec<u8>)>> {
+    let pre = || replay(&ops[..stop.at]);
+    let post = || replay(&ops[..=stop.at]);
+    match (stop.ok, stop.healthy) {
+        (true, _) => vec![post()],
+        (false, true) => vec![pre()],
+        (false, false) => vec![pre(), post()],
+    }
+}
+
 // ---------------------------------------------------------------------
 // The property
 // ---------------------------------------------------------------------
@@ -234,30 +281,24 @@ proptest! {
             db.arm_crash_point(point, countdown);
         }
 
-        let mut failed_at: Option<usize> = None;
-        for (i, op) in ops.iter().enumerate() {
-            if let Err(e) = apply(&mut db, node, op) {
-                prop_assert!(
-                    matches!(e, DbError::Storage(_)),
-                    "only storage faults abort the run: {e}"
-                );
-                failed_at = Some(i);
-                break;
-            }
-        }
+        let stop = run_until_fault(&mut db, node, &ops).map_err(TestCaseError::fail)?;
         db.heal_crash_points();
 
-        match failed_at {
-            Some(i) => {
+        match stop {
+            Some(stop) => {
+                let allowed = allowed(&ops, &stop);
+                if stop.healthy {
+                    // Rolled back in place: the engine already holds it.
+                    prop_assert!(allowed.contains(&fingerprint(&db, node)));
+                }
                 db.recover().unwrap();
                 let recovered = fingerprint(&db, node);
-                let pre = replay(&ops[..i]);
-                let post = replay(&ops[..=i]);
                 prop_assert!(
-                    recovered == pre || recovered == post,
-                    "crash in op {i} ({:?}) at {point}#{countdown} recovered to a hybrid: \
-                     {} objects vs pre {} / post {}",
-                    ops[i], recovered.len(), pre.len(), post.len()
+                    allowed.contains(&recovered),
+                    "crash in op {} ({:?}, answered ok={}) at {point}#{countdown} recovered to \
+                     another state: {} objects vs allowed {:?}",
+                    stop.at, ops[stop.at], stop.ok, recovered.len(),
+                    allowed.iter().map(Vec::len).collect::<Vec<_>>()
                 );
                 db.verify_integrity().unwrap();
                 // The recovered engine keeps working.
@@ -339,17 +380,7 @@ proptest! {
             db.arm_crash_point(point, countdown);
         }
 
-        let mut failed_at: Option<usize> = None;
-        for (i, op) in ops.iter().enumerate() {
-            if let Err(e) = apply(&mut db, node, op) {
-                prop_assert!(
-                    matches!(e, DbError::Storage(_)),
-                    "only storage faults abort the run: {e}"
-                );
-                failed_at = Some(i);
-                break;
-            }
-        }
+        let stop = run_until_fault(&mut db, node, &ops).map_err(TestCaseError::fail)?;
         db.heal_crash_points();
 
         // The process "dies": the engine and its device handles go away,
@@ -358,15 +389,15 @@ proptest! {
         let mut db = Database::open(&dir, corion::DbConfig::default()).unwrap();
         let recovered = fingerprint(&db, node);
 
-        match failed_at {
-            Some(i) => {
-                let pre = replay(&ops[..i]);
-                let post = replay(&ops[..=i]);
+        match stop {
+            Some(stop) => {
+                let allowed = allowed(&ops, &stop);
                 prop_assert!(
-                    recovered == pre || recovered == post,
-                    "file-backed crash in op {i} ({:?}) at {point}#{countdown} reopened to a \
-                     hybrid: {} objects vs pre {} / post {}",
-                    ops[i], recovered.len(), pre.len(), post.len()
+                    allowed.contains(&recovered),
+                    "file-backed crash in op {} ({:?}, answered ok={}) at {point}#{countdown} \
+                     reopened to another state: {} objects vs allowed {:?}",
+                    stop.at, ops[stop.at], stop.ok, recovered.len(),
+                    allowed.iter().map(Vec::len).collect::<Vec<_>>()
                 );
             }
             None => {

@@ -277,7 +277,7 @@ fn transient_fault_soak_is_invisible_to_the_workload() {
 /// post-recovery state — which is what the audit checks.
 #[test]
 fn readers_interleave_with_crash_recover_cycles() {
-    use corion::storage::CRASH_POINTS;
+    use corion::storage::{CP_COMMIT_DONE, CRASH_POINTS};
     use corion::{DbError, Filter, Oid};
 
     let mut db = Database::new();
@@ -322,15 +322,13 @@ fn readers_interleave_with_crash_recover_cycles() {
         // --- Crash phase: fail a cascading delete at a rotating point. --
         let victim = documents[cycle % documents.len()];
         let point = CRASH_POINTS[cycle % CRASH_POINTS.len()];
-        if point == corion::storage::CP_GROUP_SEAL {
-            // The seal point only exists under `CommitPolicy::Group`; the
-            // grouped pipeline has its own sweep in tests/crash_matrix.rs.
-            continue;
-        }
         db.arm_crash_point(point, 1);
-        match db.delete(victim) {
-            Err(DbError::Storage(_)) => {}
-            other => panic!("armed crash at {point} did not fire: {other:?}"),
+        // Before the durability point the crash fails the delete; past it
+        // the delete is durable and answers `Ok` on a degraded engine.
+        match (db.delete(victim), point == CP_COMMIT_DONE) {
+            (Err(DbError::Storage(_)), false) => {}
+            (Ok(_), true) => assert_eq!(db.health(), corion::HealthState::Degraded),
+            (other, _) => panic!("armed crash at {point} did not fire: {other:?}"),
         }
         db.heal_crash_points();
         db.recover().unwrap();
