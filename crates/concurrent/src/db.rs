@@ -271,9 +271,9 @@ impl ConcurrentDb {
 
     /// Run `body` in a write transaction with automatic commit and
     /// retry: a [retryable](corion_core::DbError::is_retryable) failure
-    /// (deadlock victim, transient storage fault) aborts, backs off, and
-    /// reruns `body` in a fresh transaction. Permanent errors abort and
-    /// propagate.
+    /// (a deadlock victim) aborts, backs off, and reruns `body` in a fresh
+    /// transaction. Every other error aborts and propagates — a storage
+    /// fault included, since the commit it interrupted may be in doubt.
     pub fn run_write<R>(&self, mut body: impl FnMut(&mut WriteTxn) -> DbResult<R>) -> DbResult<R> {
         const MAX_ATTEMPTS: u32 = 64;
         let mut attempt = 0;

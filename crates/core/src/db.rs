@@ -720,15 +720,6 @@ impl Database {
         self.store.corrupt_wal_byte(offset, mask);
     }
 
-    /// Arms a *transient* fault at a named crash point: after
-    /// `countdown - 1` clean hits, the next `failures` hits fail retryably
-    /// and then the point heals itself. Faults healing within the store's
-    /// retry budget are absorbed with no caller-visible error (only the
-    /// `corion_storage_retry_*` counters move).
-    pub fn arm_transient_crash(&self, point: &'static str, countdown: u64, failures: u64) {
-        self.store.arm_transient_crash(point, countdown, failures);
-    }
-
     /// XORs `mask` into one byte of a page's on-disk image *without*
     /// updating the page's checksum sidecar — simulated bit rot, for
     /// [`Database::scrub`] tests.
@@ -795,10 +786,10 @@ mod tests {
             .make(part, vec![("name", Value::Str("small".into()))], vec![])
             .unwrap();
         // Growing past a page relocates the record into an overflow chain;
-        // then the commit exhausts its retry budget and rolls back.
+        // then a clean crash at the flush rolls the commit back.
         let mut big = db.get(p).unwrap();
         big.attrs[0] = Value::Str("x".repeat(5000));
-        db.arm_transient_crash(corion_storage::CP_COMMIT_FLUSH, 1, 64);
+        db.arm_crash_point(corion_storage::CP_COMMIT_FLUSH, 1);
         assert!(db.raw_overwrite_object(&big).is_err());
         db.heal_crash_points();
         assert_eq!(db.get_attr(p, "name").unwrap(), Value::Str("small".into()));

@@ -121,22 +121,15 @@ pub enum DbError {
 }
 
 impl DbError {
-    /// Whether the error is *transient* — the failed operation may succeed
-    /// if retried (the retry budget of the storage layer was exhausted,
-    /// but the underlying fault heals on its own). Every semantic error is
-    /// permanent: retrying a topology violation cannot help.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, DbError::Storage(e) if e.is_transient())
-    }
-
     /// Whether a *transaction* that failed with this error is worth
-    /// retrying from the top. Strictly wider than
-    /// [`is_transient`](DbError::is_transient): a deadlock victim's
-    /// effects are fully rolled back and the cycle is broken, so a
-    /// fresh attempt is expected to succeed once the other party
-    /// finishes.
+    /// retrying from the top: only a deadlock victim is. Its effects are
+    /// fully rolled back and the cycle is broken, so a fresh attempt is
+    /// expected to succeed once the other party finishes. Every storage
+    /// error is permanent — a device fault is never retried (a commit it
+    /// interrupts may be in doubt) — and retrying a semantic error cannot
+    /// help.
     pub fn is_retryable(&self) -> bool {
-        self.is_transient() || matches!(self, DbError::Deadlock { .. })
+        matches!(self, DbError::Deadlock { .. })
     }
 }
 
@@ -266,12 +259,16 @@ mod tests {
     }
 
     #[test]
-    fn transience_follows_the_storage_taxonomy() {
-        let t: DbError = StorageError::TransientFault { op: "x" }.into();
-        assert!(t.is_transient());
-        assert!(!DbError::ReadOnly.is_transient());
-        assert!(!DbError::NoSuchClass(ClassId(1)).is_transient());
+    fn only_a_deadlock_victim_is_retryable() {
+        let victim = DbError::Deadlock {
+            cycle: "t1 -> t2 -> t1".into(),
+        };
+        assert!(victim.is_retryable());
+        assert!(!DbError::ReadOnly.is_retryable());
+        assert!(!DbError::NoSuchClass(ClassId(1)).is_retryable());
         let p: DbError = StorageError::InjectedFault { op: "x" }.into();
-        assert!(!p.is_transient());
+        assert!(!p.is_retryable());
+        let eio: DbError = StorageError::DeviceIo { op: "log sync" }.into();
+        assert!(!eio.is_retryable());
     }
 }

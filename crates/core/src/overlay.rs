@@ -476,9 +476,9 @@ mod tests {
         let mut ov = Overlay::new();
         let fresh = db.overlay_make(&mut ov, c, vec![], vec![]).unwrap();
         db.overlay_delete(&mut ov, old).unwrap();
-        // A burst the retry budget cannot absorb: the store aborts the
-        // batch cleanly and stays healthy.
-        db.arm_transient_crash(corion_storage::CP_COMMIT_FLUSH, 1, 64);
+        // A clean crash at the flush: the store aborts the batch and stays
+        // healthy.
+        db.arm_crash_point(corion_storage::CP_COMMIT_FLUSH, 1);
         assert!(matches!(db.overlay_apply(ov), Err(DbError::Storage(_))));
         db.heal_crash_points();
         assert_eq!(db.health(), HealthState::Healthy);

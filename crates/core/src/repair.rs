@@ -377,8 +377,8 @@ mod tests {
             .unwrap();
         db.erase(a).unwrap();
         // The orphan cascade takes `p` out of the object table; then the
-        // commit exhausts its retry budget and the store rolls back.
-        db.arm_transient_crash(corion_storage::CP_COMMIT_FLUSH, 1, 64);
+        // commit crashes cleanly at the flush and the store rolls back.
+        db.arm_crash_point(corion_storage::CP_COMMIT_FLUSH, 1);
         assert!(db.repair().is_err());
         db.heal_crash_points();
         assert!(db.exists(p), "the rolled-back repair deleted nothing");

@@ -5,9 +5,10 @@
 //! ([`ErrorCode::class`]):
 //!
 //! * **Retryable** — the operation rolled back cleanly and a fresh attempt
-//!   is expected to succeed ([`ErrorCode::Deadlock`],
-//!   [`ErrorCode::TransientStorage`]). Clients should retry the whole
-//!   transaction with backoff.
+//!   is expected to succeed ([`ErrorCode::Deadlock`]). Clients should
+//!   retry the whole transaction with backoff.
+//!   [`ErrorCode::TransientStorage`] is in this class too, but it is
+//!   reserved: it still decodes, and no server sends it.
 //! * **Overloaded** — the server refused admission
 //!   ([`ErrorCode::Overloaded`], [`ErrorCode::SlowConsumer`]). Nothing was
 //!   executed; reconnect later. Distinct from Retryable because backing
@@ -35,7 +36,9 @@ pub enum ErrorCode {
     /// The transaction was aborted as a deadlock victim (§7 waits-for
     /// cycle). Its effects are fully rolled back; retry from `Begin`.
     Deadlock,
-    /// A transient storage fault outlasted the engine's retry budget.
+    /// Reserved (wire code 2): decodable and classed Retryable for wire
+    /// compatibility, but never sent. Every storage error is permanent and
+    /// maps to another code ([`ErrorCode::Internal`] for a device fault).
     TransientStorage,
     /// The admission-control semaphore is exhausted: the server is at its
     /// session cap and **rejects rather than queues** (the bound is the
@@ -176,7 +179,6 @@ impl From<&DbError> for ErrorCode {
     fn from(e: &DbError) -> Self {
         match e {
             DbError::Deadlock { .. } => ErrorCode::Deadlock,
-            DbError::Storage(s) if s.is_transient() => ErrorCode::TransientStorage,
             DbError::ReadOnly => ErrorCode::ReadOnly,
             DbError::NoSuchClassName(_) | DbError::NoSuchClass(_) => ErrorCode::NoSuchClass,
             DbError::NoSuchObject(_) => ErrorCode::NoSuchObject,

@@ -388,23 +388,6 @@ impl BufferPool {
         self.disk.stats()
     }
 
-    /// Arms device-level failure injection (see
-    /// [`BlockDevice::fail_after`]).
-    pub fn fail_after(&self, ops: u64) {
-        self.disk.fail_after(ops);
-    }
-
-    /// Arms device-level *transient* failure injection (see
-    /// [`BlockDevice::fail_transient`]).
-    pub fn fail_transient(&self, ops: u64, failures: u64) {
-        self.disk.fail_transient(ops, failures);
-    }
-
-    /// Disarms failure injection.
-    pub fn heal(&self) {
-        self.disk.heal();
-    }
-
     /// Verifies the on-disk checksum of page `id` (see
     /// [`BlockDevice::verify_page`]). Only meaningful for pages with no
     /// dirty resident frame — the scrub path drops its cache first.
@@ -447,11 +430,18 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::{DeviceMetrics, FaultyDevice};
     use crate::disk::SimDisk;
     use crate::page::PAGE_SIZE;
 
     fn pool(capacity: usize) -> BufferPool {
         BufferPool::new(SimDisk::new(), capacity)
+    }
+
+    /// A pool over a fault-injecting disk, plus the handle that arms it.
+    fn faulty_pool(capacity: usize) -> (BufferPool, FaultyDevice<SimDisk>) {
+        let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+        (BufferPool::new(disk.clone(), capacity), disk)
     }
 
     #[test]
@@ -551,7 +541,7 @@ mod tests {
 
     #[test]
     fn a_failed_eviction_writeback_keeps_the_frame() {
-        let bp = pool(1);
+        let (bp, disk) = faulty_pool(1);
         let a = bp.allocate().unwrap();
         let b = bp.allocate().unwrap();
         let slot = bp
@@ -560,9 +550,9 @@ mod tests {
         // Faulting b in must evict a, whose write-back fails: the error
         // surfaces and a stays resident and dirty — the disk still holds
         // the empty page, so dropping the frame would lose the insert.
-        bp.fail_after(0);
+        disk.arm_eio(0);
         assert!(bp.with_page(b, |_| ()).is_err());
-        bp.heal();
+        disk.heal_faults();
         let s = bp.stats();
         assert_eq!((s.writebacks, s.evictions), (0, 0));
         assert_eq!(bp.dirty_pages(), vec![a]);
@@ -578,15 +568,15 @@ mod tests {
 
     #[test]
     fn corrupt_page_byte_writes_a_dirty_frame_back_first() {
-        let bp = pool(4);
+        let (bp, disk) = faulty_pool(4);
         let a = bp.allocate().unwrap();
         let slot = bp
             .with_page_mut(a, |p| p.insert(b"committed, not yet on disk").unwrap())
             .unwrap();
         // A failed write-back must not drop the frame either.
-        bp.fail_after(0);
+        disk.arm_eio(0);
         assert!(bp.corrupt_page_byte(a, PAGE_SIZE / 2, 0xff).is_err());
-        bp.heal();
+        disk.heal_faults();
         assert_eq!(bp.dirty_pages(), vec![a]);
         // The rot lands on the written-back image, not on a stale page.
         bp.corrupt_page_byte(a, PAGE_SIZE / 2, 0xff).unwrap();
@@ -598,7 +588,8 @@ mod tests {
 
     #[test]
     fn dirty_pages_are_listed_and_flushed_in_ascending_order() {
-        let bp = pool(256); // sharded: consecutive pages live in different shards
+        // sharded: consecutive pages live in different shards
+        let (bp, disk) = faulty_pool(256);
         let ids: Vec<u64> = (0..40).map(|_| bp.allocate().unwrap()).collect();
         for &id in ids.iter().rev().step_by(3) {
             bp.with_page_mut(id, |p| p.insert(b"d").unwrap()).unwrap();
@@ -607,9 +598,9 @@ mod tests {
         assert_eq!(dirty.len(), 14);
         assert!(dirty.windows(2).all(|w| w[0] < w[1]));
         // A flush that fails midway leaves exactly the unwritten suffix dirty.
-        bp.fail_after(5);
+        disk.arm_eio(5);
         assert!(bp.flush_all().is_err());
-        bp.heal();
+        disk.heal_faults();
         assert_eq!(bp.dirty_pages(), dirty[5..]);
         bp.flush_all().unwrap();
         assert!(bp.dirty_pages().is_empty());

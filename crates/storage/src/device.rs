@@ -10,9 +10,10 @@
 //!   [`FileWal`] on a real file with `fsync` at every durability point and
 //!   tmp+rename+dir-fsync checkpoint compaction);
 //! * [`FaultyDevice`] wraps either and injects deterministic faults *at
-//!   the device boundary*: torn page writes, short reads,
-//!   transient/permanent EIO, a lying fsync whose acknowledged bytes a
-//!   simulated crash drops, and a crash in the checkpoint-compaction gap;
+//!   the device boundary*: torn page writes, short reads, EIO, a lying
+//!   fsync whose acknowledged bytes a simulated crash drops, and a crash
+//!   in the checkpoint-compaction gap. It is the one place device faults
+//!   are injected: the plain devices never fail on their own schedule;
 //! * [`DirLock`] is the data-directory lock file that keeps two processes
 //!   from opening the same files.
 //!
@@ -22,6 +23,12 @@
 //! volatile. The crash-matrix tests run unchanged over
 //! `FaultyDevice<FileDisk>` because the fault discipline lives here, on
 //! the boundary every byte crosses.
+//!
+//! Every device error is permanent. A real I/O error maps to
+//! [`StorageError::DeviceIo`] (a short read to
+//! [`StorageError::ShortRead`]) and is never retried: after a failed
+//! `fsync` the kernel may already have dropped the dirty data, so a
+//! retry that succeeds proves nothing (docs/RESILIENCE.md §2).
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -53,8 +60,8 @@ pub struct DeviceMetrics {
     /// `corion_storage_device_short_reads_injected_total`: short reads
     /// injected by [`FaultyDevice`].
     pub short_reads_injected: corion_obs::Counter,
-    /// `corion_storage_device_eio_injected_total`: transient or permanent
-    /// EIO faults injected by [`FaultyDevice`].
+    /// `corion_storage_device_eio_injected_total`: EIO faults injected by
+    /// [`FaultyDevice`].
     pub eio_injected: corion_obs::Counter,
     /// `corion_storage_device_reopen_latency_ns`: time to reopen a data
     /// directory (lock, open files, recover).
@@ -112,13 +119,6 @@ pub trait BlockDevice: Send + Sync {
     fn stats(&self) -> DiskStats;
     /// Resets the I/O counters (not contents).
     fn reset_stats(&self);
-    /// Arms permanent failure injection after `ops` successful I/Os.
-    /// Default: unsupported, no-op.
-    fn fail_after(&self, _ops: u64) {}
-    /// Arms transient failure injection. Default: unsupported, no-op.
-    fn fail_transient(&self, _ops: u64, _failures: u64) {}
-    /// Disarms failure injection. Default no-op.
-    fn heal(&self) {}
     /// Drops acknowledged-but-unsynced state (the volatile half of a
     /// simulated crash). Default no-op: plain devices have none.
     fn crash(&self) {}
@@ -183,15 +183,6 @@ impl BlockDevice for SimDisk {
     }
     fn reset_stats(&self) {
         SimDisk::reset_stats(self)
-    }
-    fn fail_after(&self, ops: u64) {
-        SimDisk::fail_after(self, ops)
-    }
-    fn fail_transient(&self, ops: u64, failures: u64) {
-        SimDisk::fail_transient(self, ops, failures)
-    }
-    fn heal(&self) {
-        SimDisk::heal(self)
     }
 }
 
@@ -624,16 +615,6 @@ pub enum ReplaceCrash {
     AfterRename,
 }
 
-/// Permanent-vs-transient arming of the EIO injector.
-#[derive(Debug, Clone, Copy)]
-enum EioArm {
-    /// After `left` clean ops, every op fails until healed.
-    Permanent { left: u64 },
-    /// After `left` clean ops, the next `failures` ops fail retryably,
-    /// then the device heals itself.
-    Transient { left: u64, failures: u64 },
-}
-
 #[derive(Default)]
 struct FaultState {
     /// `(countdown, keep_bytes)`: after `countdown` clean page writes, the
@@ -641,7 +622,8 @@ struct FaultState {
     torn_write: Option<(u64, usize)>,
     /// After `countdown` clean reads, the next one errors short.
     short_read: Option<u64>,
-    eio: Option<EioArm>,
+    /// After `countdown` clean ops, every op fails until healed.
+    eio: Option<u64>,
     /// Acknowledge syncs without performing them; acknowledged bytes live
     /// in the buffers below until a real sync — or die at `crash()`.
     lying_fsync: bool,
@@ -660,7 +642,7 @@ pub struct InjectedFaults {
     pub torn_writes: u64,
     /// Short reads injected.
     pub short_reads: u64,
-    /// EIO faults injected (transient and permanent).
+    /// EIO faults injected.
     pub eio: u64,
     /// Replace-gap crashes injected.
     pub replace_crashes: u64,
@@ -672,9 +654,8 @@ pub struct InjectedFaults {
 /// * **torn page writes** — the armed write persists a prefix of the page
 ///   (sector-granular, checksummed per surviving sector run) and errors;
 /// * **short reads** — the armed read returns [`StorageError::ShortRead`];
-/// * **EIO** — permanent ([`StorageError::DeviceIo`]) or transient
-///   ([`StorageError::TransientFault`], absorbed by the store's
-///   [`crate::retry::RetryPolicy`]) failures after a countdown;
+/// * **EIO** — every operation after a countdown fails with
+///   [`StorageError::DeviceIo`] until healed;
 /// * **lying fsync** — syncs are acknowledged but not performed; the
 ///   acknowledged bytes sit in a buffer that [`BlockDevice::crash`] /
 ///   [`LogDevice::crash`] drops, exactly like a volatile disk cache;
@@ -730,27 +711,10 @@ impl<D: ?Sized> FaultyDevice<D> {
         self.state.lock().short_read = Some(countdown);
     }
 
-    /// Arms permanent EIO: after `ops` clean operations, every operation
+    /// Arms EIO: after `ops` clean operations, every operation
     /// fails with [`StorageError::DeviceIo`] until [`Self::heal_faults`].
     pub fn arm_eio(&self, ops: u64) {
-        self.state.lock().eio = Some(EioArm::Permanent { left: ops });
-    }
-
-    /// Arms transient EIO: after `ops` clean operations, the next
-    /// `failures` fail with [`StorageError::TransientFault`] (which the
-    /// store's retry policy absorbs), then the device heals itself.
-    ///
-    /// # Panics
-    /// Panics if `failures` is zero.
-    pub fn arm_transient_eio(&self, ops: u64, failures: u64) {
-        assert!(
-            failures > 0,
-            "transient injection needs at least one failure"
-        );
-        self.state.lock().eio = Some(EioArm::Transient {
-            left: ops,
-            failures,
-        });
+        self.state.lock().eio = Some(ops);
     }
 
     /// Turns lying-fsync mode on or off. Turning it *off* flushes the
@@ -777,33 +741,16 @@ impl<D: ?Sized> FaultyDevice<D> {
         self.state.lock().replace_crash = Some(side);
     }
 
-    /// Disarms every fault (armed countdowns and lying mode; buffered
-    /// lying-fsync bytes are flushed by the next sync).
+    /// Disarms every armed countdown: torn write, short read, EIO and the
+    /// replace-gap crash. Lying-fsync mode is left as it is; only
+    /// [`Self::set_lying_fsync`] / [`Self::set_lying_fsync_log`] switch it
+    /// and flush its buffers.
     pub fn heal_faults(&self) {
         let mut st = self.state.lock();
         st.torn_write = None;
         st.short_read = None;
         st.eio = None;
         st.replace_crash = None;
-    }
-
-    /// Seed-driven chaos: derives one deterministic fault arming from
-    /// `seed` (torn write, short read, or a transient EIO window, at a
-    /// seed-chosen countdown). The same seed always arms the same fault.
-    pub fn chaos_from_seed(&self, seed: u64) {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let countdown = next() % 8;
-        match next() % 3 {
-            0 => self.arm_torn_write(countdown, (next() % PAGE_SIZE as u64) as usize),
-            1 => self.arm_short_read(countdown),
-            _ => self.arm_transient_eio(countdown, 1 + next() % 3),
-        }
     }
 
     /// How many faults this wrapper has injected so far.
@@ -822,34 +769,17 @@ impl<D: ?Sized> FaultyDevice<D> {
         let mut st = self.state.lock();
         match st.eio.as_mut() {
             None => Ok(()),
-            Some(EioArm::Permanent { left }) => {
-                if *left == 0 {
-                    drop(st);
-                    self.count_eio();
-                    return Err(StorageError::DeviceIo { op });
-                }
+            Some(0) => {
+                drop(st);
+                self.injected.lock().eio += 1;
+                self.metrics.eio_injected.inc();
+                Err(StorageError::DeviceIo { op })
+            }
+            Some(left) => {
                 *left -= 1;
                 Ok(())
             }
-            Some(EioArm::Transient { left, failures }) => {
-                if *left > 0 {
-                    *left -= 1;
-                    return Ok(());
-                }
-                *failures -= 1;
-                if *failures == 0 {
-                    st.eio = None;
-                }
-                drop(st);
-                self.count_eio();
-                Err(StorageError::TransientFault { op })
-            }
         }
-    }
-
-    fn count_eio(&self) {
-        self.injected.lock().eio += 1;
-        self.metrics.eio_injected.inc();
     }
 
     /// Returns `Some(keep)` when the current read/write should fire the
@@ -995,19 +925,6 @@ impl<D: BlockDevice + ?Sized> BlockDevice for FaultyDevice<D> {
 
     fn reset_stats(&self) {
         self.inner.reset_stats()
-    }
-
-    fn fail_after(&self, ops: u64) {
-        self.inner.fail_after(ops)
-    }
-
-    fn fail_transient(&self, ops: u64, failures: u64) {
-        self.inner.fail_transient(ops, failures)
-    }
-
-    fn heal(&self) {
-        self.heal_faults();
-        self.inner.heal()
     }
 
     fn crash(&self) {

@@ -13,14 +13,14 @@
 //!
 //! In the crash model of [`crate::wal`], the page array is the *durable*
 //! half of the world: a simulated crash loses buffer-pool frames and
-//! unflushed log bytes, but never pages already written here. Failure
-//! injection splits accordingly — [`SimDisk::fail_after`] counts raw I/Os
-//! for error-propagation tests, while the named crash points of
-//! [`crate::fault`] target the durability protocol itself.
+//! unflushed log bytes, but never pages already written here. The disk
+//! itself never fails: device faults are injected by wrapping it in a
+//! [`FaultyDevice`](crate::device::FaultyDevice), and the named crash
+//! points of [`crate::fault`] target the durability protocol itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PAGE_SIZE};
@@ -36,25 +36,6 @@ pub struct DiskStats {
     pub allocations: u64,
 }
 
-/// Armed failure-injection mode of the disk.
-#[derive(Debug, Clone, Copy)]
-enum FailMode {
-    /// After the countdown elapses, every I/O fails permanently until
-    /// healed.
-    Permanent {
-        /// Successful I/Os remaining before the fault.
-        left: u64,
-    },
-    /// After the countdown elapses, the next `failures` I/Os fail with
-    /// [`StorageError::TransientFault`], then the disk heals itself.
-    Transient {
-        /// Successful I/Os remaining before the fault window.
-        left: u64,
-        /// Failing I/Os remaining once the window is open.
-        failures: u64,
-    },
-}
-
 /// An in-memory array of pages with I/O accounting.
 pub struct SimDisk {
     pages: RwLock<Vec<Box<[u8; PAGE_SIZE]>>>,
@@ -66,8 +47,6 @@ pub struct SimDisk {
     reads: AtomicU64,
     writes: AtomicU64,
     allocations: AtomicU64,
-    /// Failure injection state; `None` = healthy.
-    fail: Mutex<Option<FailMode>>,
 }
 
 impl Default for SimDisk {
@@ -85,7 +64,6 @@ impl SimDisk {
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             allocations: AtomicU64::new(0),
-            fail: Mutex::new(None),
         }
     }
 
@@ -119,63 +97,8 @@ impl SimDisk {
         }
     }
 
-    /// Arms failure injection: after `ops` more successful I/Os, every
-    /// read and write fails with [`StorageError::InjectedFault`] until
-    /// [`SimDisk::heal`] is called.
-    pub fn fail_after(&self, ops: u64) {
-        *self.fail.lock() = Some(FailMode::Permanent { left: ops });
-    }
-
-    /// Arms *transient* failure injection: after `ops` more successful
-    /// I/Os, the next `failures` I/Os fail with
-    /// [`StorageError::TransientFault`], then the disk heals itself.
-    ///
-    /// # Panics
-    /// Panics if `failures` is zero.
-    pub fn fail_transient(&self, ops: u64, failures: u64) {
-        assert!(
-            failures > 0,
-            "transient injection needs at least one failure"
-        );
-        *self.fail.lock() = Some(FailMode::Transient {
-            left: ops,
-            failures,
-        });
-    }
-
-    /// Disarms failure injection.
-    pub fn heal(&self) {
-        *self.fail.lock() = None;
-    }
-
-    fn tick(&self, op: &'static str) -> StorageResult<()> {
-        let mut fail = self.fail.lock();
-        match fail.as_mut() {
-            None => Ok(()),
-            Some(FailMode::Permanent { left }) => {
-                if *left == 0 {
-                    return Err(StorageError::InjectedFault { op });
-                }
-                *left -= 1;
-                Ok(())
-            }
-            Some(FailMode::Transient { left, failures }) => {
-                if *left > 0 {
-                    *left -= 1;
-                    return Ok(());
-                }
-                *failures -= 1;
-                if *failures == 0 {
-                    *fail = None;
-                }
-                Err(StorageError::TransientFault { op })
-            }
-        }
-    }
-
     /// Reads page `id` (counted).
     pub fn read(&self, id: u64) -> StorageResult<Page> {
-        self.tick("read")?;
         let pages = self.pages.read();
         let raw = pages
             .get(id as usize)
@@ -186,7 +109,6 @@ impl SimDisk {
 
     /// Writes page `id` (counted).
     pub fn write(&self, id: u64, page: &Page) -> StorageResult<()> {
-        self.tick("write")?;
         let mut pages = self.pages.write();
         let slot = pages
             .get_mut(id as usize)
@@ -311,43 +233,22 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::device::{BlockDevice, DeviceMetrics, FaultyDevice};
 
     #[test]
     fn injected_fault_fires_after_countdown() {
-        let d = SimDisk::new();
-        let id = d.allocate();
-        d.fail_after(2);
+        let d = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+        let id = d.allocate().unwrap();
+        d.arm_eio(2);
         d.read(id).unwrap();
         d.read(id).unwrap();
-        assert!(matches!(
-            d.read(id),
-            Err(StorageError::InjectedFault { .. })
-        ));
+        assert!(matches!(d.read(id), Err(StorageError::DeviceIo { .. })));
         assert!(matches!(
             d.write(id, &Page::new()),
-            Err(StorageError::InjectedFault { .. })
+            Err(StorageError::DeviceIo { .. })
         ));
-        d.heal();
+        d.heal_faults();
         d.read(id).unwrap();
-    }
-
-    #[test]
-    fn transient_fault_fails_then_self_heals() {
-        let d = SimDisk::new();
-        let id = d.allocate();
-        d.fail_transient(1, 2);
-        d.read(id).unwrap(); // countdown
-        assert!(matches!(
-            d.read(id),
-            Err(StorageError::TransientFault { .. })
-        ));
-        assert!(matches!(
-            d.write(id, &Page::new()),
-            Err(StorageError::TransientFault { .. })
-        ));
-        // Failure budget spent: the disk healed itself, no heal() needed.
-        d.read(id).unwrap();
-        d.write(id, &Page::new()).unwrap();
     }
 
     #[test]

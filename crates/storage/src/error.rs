@@ -43,16 +43,10 @@ pub enum StorageError {
         /// Slot component of the address.
         slot: u16,
     },
-    /// A fault injected by the test harness fired (failure-injection
-    /// mode of the simulated disk).
+    /// An injected crash fired: a named crash point
+    /// ([`crate::fault::CrashPoints`]) or a replace-gap crash of
+    /// [`FaultyDevice`](crate::device::FaultyDevice).
     InjectedFault {
-        /// The operation that hit the fault.
-        op: &'static str,
-    },
-    /// A *transient* fault fired: the device failed this attempt but is
-    /// expected to succeed if retried (the retryable half of the error
-    /// taxonomy — see [`StorageError::is_transient`]).
-    TransientFault {
         /// The operation that hit the fault.
         op: &'static str,
     },
@@ -101,21 +95,14 @@ pub enum StorageError {
         /// Process id recorded in the lock file.
         holder: u32,
     },
-    /// A real device I/O operation failed permanently (the `EIO` class:
-    /// not retryable, not injected by a test harness).
+    /// A device I/O operation failed (the `EIO` class). Permanent, like
+    /// every storage error: it is never retried.
+    /// [`FaultyDevice::arm_eio`](crate::device::FaultyDevice::arm_eio)
+    /// injects it.
     DeviceIo {
         /// The operation that failed.
         op: &'static str,
     },
-}
-
-impl StorageError {
-    /// Whether the error is *transient* — the failed operation may succeed
-    /// if simply retried. Everything else is permanent: retrying cannot
-    /// help, the caller must abort, degrade, or recover instead.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, StorageError::TransientFault { .. })
-    }
 }
 
 impl fmt::Display for StorageError {
@@ -149,9 +136,6 @@ impl fmt::Display for StorageError {
             }
             StorageError::InjectedFault { op } => {
                 write!(f, "injected disk fault during {op}")
-            }
-            StorageError::TransientFault { op } => {
-                write!(f, "transient disk fault during {op} (retryable)")
             }
             StorageError::ReadOnly => {
                 write!(
@@ -220,8 +204,6 @@ mod tests {
         assert!(e.to_string().contains("recovered"));
         assert!(StorageError::BatchAlreadyOpen.to_string().contains("open"));
         assert!(StorageError::NoBatchOpen.to_string().contains("no atomic"));
-        let e = StorageError::TransientFault { op: "read" };
-        assert!(e.to_string().contains("retryable"));
         assert!(StorageError::ReadOnly.to_string().contains("read-only"));
         let e = StorageError::TornWrite {
             op: "flush",
@@ -235,21 +217,6 @@ mod tests {
         assert!(e.to_string().contains("4242"));
         let e = StorageError::DeviceIo { op: "fsync" };
         assert!(e.to_string().contains("fsync"));
-    }
-
-    #[test]
-    fn only_transient_faults_are_transient() {
-        assert!(StorageError::TransientFault { op: "write" }.is_transient());
-        assert!(!StorageError::InjectedFault { op: "write" }.is_transient());
-        assert!(!StorageError::ReadOnly.is_transient());
-        assert!(!StorageError::NeedsRecovery.is_transient());
-        // The device-layer failures are permanent: a torn write or short
-        // read means the media state is suspect (recover, don't retry),
-        // and a lock conflict or hard EIO cannot heal by retrying.
-        assert!(!StorageError::TornWrite { op: "w", kept: 0 }.is_transient());
-        assert!(!StorageError::ShortRead { op: "r" }.is_transient());
-        assert!(!StorageError::LockConflict { holder: 1 }.is_transient());
-        assert!(!StorageError::DeviceIo { op: "w" }.is_transient());
     }
 
     #[test]

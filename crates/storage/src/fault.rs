@@ -1,28 +1,21 @@
-//! Named crash points — deterministic fault injection for the durability
+//! Named crash points — deterministic crash injection for the durability
 //! path.
 //!
-//! [`SimDisk::fail_after`](crate::disk::SimDisk::fail_after) counts raw
-//! I/Os, which is the right granularity for error-*propagation* tests but
-//! the wrong one for crash-*recovery* tests: "the 7th disk op" lands
-//! somewhere different every time the buffer pool's residency changes.
-//! Crash points name the interesting instants of an atomic batch directly —
-//! "the k-th logged page write", "the WAL flush", "after applying two
-//! pages" — so a crash matrix can enumerate every instant and stay stable
-//! under unrelated refactors.
+//! Device faults (an `EIO`, a torn write, a short read, a lying `fsync`)
+//! are injected in one place, [`FaultyDevice`](crate::device::FaultyDevice),
+//! which wraps any page or log device. Crash points are the other half:
+//! they name the interesting instants of an atomic batch directly — "the
+//! k-th logged page write", "the WAL flush", "after the commit is durable"
+//! — so a crash matrix can enumerate every instant and stay stable when
+//! the buffer pool's residency changes, which a raw I/O count does not.
 //!
 //! A point is *armed* with a countdown: the n-th time execution reaches it,
 //! it fires once ([`StorageError::InjectedFault`] with the point's name) and
 //! disarms itself. The flush point can additionally be armed *torn*: the
 //! fault then lets only a prefix of the write-ahead log's pending bytes
 //! reach durable storage, modelling a partial sector write at the moment of
-//! power loss.
-//!
-//! A point may instead be armed *transient*
-//! ([`CrashPoints::arm_transient`]): once its countdown elapses it fires
-//! [`StorageError::TransientFault`] for the next `failures` hits and then
-//! heals itself, modelling a device that errors a few times and comes back.
-//! The store's retry layer (see [`crate::retry`]) absorbs transient faults
-//! that heal within the retry budget.
+//! power loss. A fired point is a clean crash; there is no retryable
+//! outcome (docs/RESILIENCE.md §2).
 
 use std::collections::HashMap;
 
@@ -30,26 +23,14 @@ use parking_lot::Mutex;
 
 use crate::error::{StorageError, StorageResult};
 
-/// One armed crash point.
+/// One armed crash point: fires once when the countdown elapses, then
+/// disarms.
 #[derive(Debug, Clone, Copy)]
-enum Arm {
-    /// A permanent fault: fires once when the countdown elapses, then
-    /// disarms.
-    Crash {
-        /// Fires when the countdown reaches zero; `1` means "on the next
-        /// hit".
-        countdown: u64,
-        /// For flush points: how many pending WAL bytes survive the crash.
-        torn_keep: Option<usize>,
-    },
-    /// A transient fault: once the countdown elapses, the next `failures`
-    /// hits fail retryably, then the point heals itself.
-    Transient {
-        /// Clean hits remaining before the fault window opens.
-        countdown: u64,
-        /// Failing hits remaining once the window is open.
-        failures: u64,
-    },
+struct Arm {
+    /// Fires when the countdown reaches zero; `1` means "on the next hit".
+    countdown: u64,
+    /// For flush points: how many pending WAL bytes survive the crash.
+    torn_keep: Option<usize>,
 }
 
 /// What a call to [`CrashPoints::fire`] observed at a point.
@@ -57,18 +38,16 @@ enum Arm {
 pub enum FireOutcome {
     /// The point is unarmed (or its countdown has not elapsed): keep going.
     Pass,
-    /// A permanent fault fired. `torn` is the torn-write specification for
-    /// flush points: `Some(k)` keeps `k` pending WAL bytes durable.
+    /// The crash fired. `torn` is the torn-write specification for flush
+    /// points: `Some(k)` keeps `k` pending WAL bytes durable.
     Crash {
         /// How many pending WAL bytes survive, for torn flush arms.
         torn: Option<usize>,
     },
-    /// A transient fault fired: the attempt failed but a retry may succeed.
-    Transient,
 }
 
-/// Registry of armed crash points (interior-mutable, like the disk's
-/// failure-injection state, so `&self` paths can consult it).
+/// Registry of armed crash points (interior-mutable, so `&self` paths can
+/// consult it).
 #[derive(Default)]
 pub struct CrashPoints {
     armed: Mutex<HashMap<&'static str, Arm>>,
@@ -89,7 +68,7 @@ impl CrashPoints {
         assert!(countdown > 0, "crash-point countdown must be >= 1");
         self.armed.lock().insert(
             point,
-            Arm::Crash {
+            Arm {
                 countdown,
                 torn_keep: None,
             },
@@ -102,27 +81,9 @@ impl CrashPoints {
         assert!(countdown > 0, "crash-point countdown must be >= 1");
         self.armed.lock().insert(
             point,
-            Arm::Crash {
+            Arm {
                 countdown,
                 torn_keep: Some(keep_bytes),
-            },
-        );
-    }
-
-    /// Arms `point` as a *transient* fault: after `countdown - 1` clean
-    /// hits, the next `failures` hits fail with
-    /// [`StorageError::TransientFault`], then the point heals itself.
-    ///
-    /// # Panics
-    /// Panics if `countdown` or `failures` is zero.
-    pub fn arm_transient(&self, point: &'static str, countdown: u64, failures: u64) {
-        assert!(countdown > 0, "crash-point countdown must be >= 1");
-        assert!(failures > 0, "transient arm needs at least one failure");
-        self.armed.lock().insert(
-            point,
-            Arm::Transient {
-                countdown,
-                failures,
             },
         );
     }
@@ -136,49 +97,23 @@ impl CrashPoints {
     /// crash-matrix sweep uses this to detect that a countdown exceeded the
     /// number of hits an operation performs (the point never fired).
     pub fn remaining(&self, point: &'static str) -> Option<u64> {
-        self.armed.lock().get(point).map(|a| match a {
-            Arm::Crash { countdown, .. } | Arm::Transient { countdown, .. } => *countdown,
-        })
+        self.armed.lock().get(point).map(|a| a.countdown)
     }
 
-    /// Decrements `point`'s countdown if armed and reports what fired.
-    /// Permanent arms self-disarm when they fire; transient arms keep
-    /// firing until their failure budget is spent, then heal.
+    /// Decrements `point`'s countdown if armed and reports what fired. An
+    /// arm disarms itself when it fires.
     pub fn fire(&self, point: &'static str) -> FireOutcome {
         let mut armed = self.armed.lock();
         let Some(arm) = armed.get_mut(point) else {
             return FireOutcome::Pass;
         };
-        match arm {
-            Arm::Crash {
-                countdown,
-                torn_keep,
-            } => {
-                *countdown -= 1;
-                if *countdown == 0 {
-                    let torn = *torn_keep;
-                    armed.remove(point);
-                    FireOutcome::Crash { torn }
-                } else {
-                    FireOutcome::Pass
-                }
-            }
-            Arm::Transient {
-                countdown,
-                failures,
-            } => {
-                if *countdown > 1 {
-                    *countdown -= 1;
-                    return FireOutcome::Pass;
-                }
-                // The fault window is open: spend one failure.
-                *failures -= 1;
-                if *failures == 0 {
-                    armed.remove(point);
-                }
-                FireOutcome::Transient
-            }
+        arm.countdown -= 1;
+        if arm.countdown > 0 {
+            return FireOutcome::Pass;
         }
+        let torn = arm.torn_keep;
+        armed.remove(point);
+        FireOutcome::Crash { torn }
     }
 
     /// [`CrashPoints::fire`] for points with no torn-write semantics:
@@ -187,7 +122,6 @@ impl CrashPoints {
         match self.fire(point) {
             FireOutcome::Pass => Ok(()),
             FireOutcome::Crash { .. } => Err(StorageError::InjectedFault { op: point }),
-            FireOutcome::Transient => Err(StorageError::TransientFault { op: point }),
         }
     }
 }
@@ -232,11 +166,9 @@ mod tests {
         let cp = CrashPoints::new();
         cp.arm("a", 1);
         cp.arm_torn("b", 1, 0);
-        cp.arm_transient("c", 1, 3);
         cp.heal();
         cp.hit("a").unwrap();
         cp.hit("b").unwrap();
-        cp.hit("c").unwrap();
     }
 
     #[test]
@@ -249,40 +181,8 @@ mod tests {
     }
 
     #[test]
-    fn transient_arm_fails_n_times_then_heals() {
-        let cp = CrashPoints::new();
-        cp.arm_transient("p", 2, 3);
-        // First hit is within the countdown: clean.
-        cp.hit("p").unwrap();
-        // Next three hits fail retryably.
-        for _ in 0..3 {
-            assert!(matches!(
-                cp.hit("p"),
-                Err(StorageError::TransientFault { op: "p" })
-            ));
-        }
-        // Budget spent: the point healed itself.
-        cp.hit("p").unwrap();
-        assert_eq!(cp.remaining("p"), None);
-    }
-
-    #[test]
-    fn transient_fire_reports_transient_outcome() {
-        let cp = CrashPoints::new();
-        cp.arm_transient("p", 1, 1);
-        assert_eq!(cp.fire("p"), FireOutcome::Transient);
-        assert_eq!(cp.fire("p"), FireOutcome::Pass);
-    }
-
-    #[test]
     #[should_panic(expected = "countdown must be >= 1")]
     fn zero_countdown_is_rejected() {
         CrashPoints::new().arm("p", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one failure")]
-    fn zero_failure_transient_is_rejected() {
-        CrashPoints::new().arm_transient("p", 1, 0);
     }
 }

@@ -28,7 +28,8 @@
 //!   redo + commit markers) behind the store's `begin_atomic` /
 //!   `commit_atomic` / `recover` boundary;
 //! * [`fault`] — named crash points with countdowns and torn-write
-//!   injection, for deterministic crash-recovery testing;
+//!   injection, for deterministic crash-recovery testing (device faults
+//!   are [`FaultyDevice`]'s);
 //! * [`version`] — copy-on-write object-image version chains keyed by
 //!   commit LSN, with snapshot pins and watermark GC, so the concurrent
 //!   engine's readers never block on writers;
@@ -60,7 +61,6 @@ pub mod error;
 pub mod fault;
 pub mod metrics;
 pub mod page;
-pub mod retry;
 pub mod segment;
 pub mod store;
 pub mod version;
@@ -76,7 +76,6 @@ pub use error::{StorageError, StorageResult};
 pub use fault::{CrashPoints, FireOutcome};
 pub use metrics::StoreMetrics;
 pub use page::{Page, SlotId, PAGE_SIZE};
-pub use retry::{Clock, RetryPolicy};
 pub use segment::{Segment, SegmentId};
 pub use store::{
     HealthState, ObjectStore, PhysId, RecoveryReport, ScrubReport, StoreConfig,

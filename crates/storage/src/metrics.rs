@@ -66,18 +66,6 @@ pub struct StoreMetrics {
     /// `corion_storage_discarded_records_total`: torn/uncommitted tail
     /// records dropped by recovery.
     pub discarded_records: corion_obs::Counter,
-    /// `corion_storage_retry_attempts_total`: transient-fault retries
-    /// performed (one per re-attempt, not per operation).
-    pub retry_attempts: corion_obs::Counter,
-    /// `corion_storage_retry_success_total`: operations that succeeded
-    /// after at least one retry.
-    pub retry_success: corion_obs::Counter,
-    /// `corion_storage_retry_exhausted_total`: operations whose transient
-    /// error surfaced because the retry budget ran out.
-    pub retry_exhausted: corion_obs::Counter,
-    /// `corion_storage_retry_backoff_us_total`: simulated backoff
-    /// microseconds accumulated across all retries.
-    pub retry_backoff_us: corion_obs::Counter,
     /// `corion_db_health`: current [`crate::store::HealthState`] as a
     /// gauge — 0 healthy, 1 degraded (read-only), 2 poisoned.
     pub health: corion_obs::Gauge,
@@ -119,25 +107,11 @@ impl StoreMetrics {
                 .histogram("corion_storage_recovery_latency_ns", LATENCY_BOUNDS_NS),
             recovered_pages: registry.counter("corion_storage_recovered_pages_total"),
             discarded_records: registry.counter("corion_storage_discarded_records_total"),
-            retry_attempts: registry.counter("corion_storage_retry_attempts_total"),
-            retry_success: registry.counter("corion_storage_retry_success_total"),
-            retry_exhausted: registry.counter("corion_storage_retry_exhausted_total"),
-            retry_backoff_us: registry.counter("corion_storage_retry_backoff_us_total"),
             health: registry.gauge("corion_db_health"),
             scrub_runs: registry.counter("corion_scrub_runs_total"),
             scrub_pages_checked: registry.counter("corion_scrub_pages_checked_total"),
             scrub_pages_salvaged: registry.counter("corion_scrub_pages_salvaged_total"),
             scrub_pages_reset: registry.counter("corion_scrub_pages_reset_total"),
-        }
-    }
-
-    /// Borrowed view of the retry counters for [`crate::retry::run`].
-    pub fn retry(&self) -> crate::retry::RetryMetrics<'_> {
-        crate::retry::RetryMetrics {
-            attempts: &self.retry_attempts,
-            successes: &self.retry_success,
-            exhausted: &self.retry_exhausted,
-            backoff_us: &self.retry_backoff_us,
         }
     }
 }

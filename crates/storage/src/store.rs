@@ -50,7 +50,6 @@ use crate::error::{StorageError, StorageResult};
 use crate::fault::{CrashPoints, FireOutcome};
 use crate::metrics::StoreMetrics;
 use crate::page::{Page, SlotId, MAX_RECORD, PAGE_SIZE};
-use crate::retry::{self, Clock, RetryPolicy};
 use crate::segment::{Segment, SegmentId};
 use crate::wal::{self, replay, Lsn, Wal, WalMark, WalRecord, WalStats};
 
@@ -83,9 +82,6 @@ pub struct StoreConfig {
     /// back and truncates it, bounding the log, the replay, and the pool's
     /// dirty set.
     pub wal_checkpoint_bytes: usize,
-    /// Bounded-backoff policy for retrying transient I/O faults on the
-    /// store's hot paths (page reads/writes, the commit protocol).
-    pub retry: RetryPolicy,
 }
 
 impl Default for StoreConfig {
@@ -96,7 +92,6 @@ impl Default for StoreConfig {
         StoreConfig {
             buffer_capacity: 256,
             wal_checkpoint_bytes: 1 << 20,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -251,7 +246,6 @@ pub struct ObjectStore {
     /// Current health (see [`HealthState`]).
     health: HealthState,
     wal_checkpoint_bytes: usize,
-    retry_policy: RetryPolicy,
     /// The last image logged for each page *in the current log* — the last
     /// committed image of every page the disk may be behind on. It is the
     /// delta base for the page's next record and what an abort rewinds the
@@ -267,9 +261,6 @@ pub struct ObjectStore {
     /// (see [`WalRecord::SerialFloor`]); carried into checkpoint
     /// truncations and restored by recovery so serials are never reused.
     serial_floor: u64,
-    /// Where simulated retry backoff is reported; tests inject a
-    /// recording clock, the default only lets the counters accumulate.
-    clock: Clock,
     metrics: StoreMetrics,
     /// Held for a directory-backed store: releasing it (on drop) lets
     /// another process open the same data directory.
@@ -307,11 +298,9 @@ impl ObjectStore {
             batch: None,
             health: HealthState::Healthy,
             wal_checkpoint_bytes: config.wal_checkpoint_bytes,
-            retry_policy: config.retry,
             last_logged: HashMap::new(),
             durable_commit_lsn: 0,
             serial_floor: 0,
-            clock: retry::noop_clock(),
             metrics: StoreMetrics::new(registry),
             _lock: None,
         };
@@ -341,11 +330,9 @@ impl ObjectStore {
             batch: None,
             health: HealthState::Poisoned,
             wal_checkpoint_bytes: config.wal_checkpoint_bytes,
-            retry_policy: config.retry,
             last_logged: HashMap::new(),
             durable_commit_lsn: 0,
             serial_floor: 0,
-            clock: retry::noop_clock(),
             metrics: StoreMetrics::new(registry),
             _lock: lock,
         };
@@ -387,37 +374,6 @@ impl ObjectStore {
             HealthState::Degraded => 1,
             HealthState::Poisoned => 2,
         });
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry_policy
-    }
-
-    /// Replaces the clock that receives simulated retry backoff delays.
-    /// Tests install a recording clock to assert the deterministic
-    /// schedule; the default clock is a no-op.
-    pub fn set_retry_clock(&mut self, clock: Clock) {
-        self.clock = clock;
-    }
-
-    /// Runs a read of `page` through the retry loop: transient faults
-    /// (from the disk or an armed crash point) are retried per the
-    /// configured [`RetryPolicy`], everything else surfaces at once.
-    fn with_page_retry<R>(&self, page: u64, mut f: impl FnMut(&Page) -> R) -> StorageResult<R> {
-        let rm = self.metrics.retry();
-        retry::run(&self.retry_policy, &rm, &self.clock, || {
-            self.pool.with_page(page, &mut f)
-        })
-    }
-
-    /// Passes the named crash point `point`, retrying transient arms per
-    /// the configured [`RetryPolicy`].
-    fn hit(&self, point: &'static str) -> StorageResult<()> {
-        let rm = self.metrics.retry();
-        retry::run(&self.retry_policy, &rm, &self.clock, || {
-            self.crash.hit(point)
-        })
     }
 
     /// Appends one record to the WAL, counting records and encoded bytes;
@@ -520,32 +476,18 @@ impl ObjectStore {
     /// The write path: every page mutation goes through here so the open
     /// batch learns which after-images to log at commit. Requires an open
     /// batch — public mutators guarantee one via [`ObjectStore::autocommit`].
-    /// Transient faults (an armed [`CP_PAGE_WRITE`] transient arm, or a
-    /// transient disk fault while faulting the page in) are retried per the
-    /// configured [`RetryPolicy`].
     fn page_mut<R>(&mut self, page: u64, f: impl FnOnce(&mut Page) -> R) -> StorageResult<R> {
         if self.batch.is_none() {
             return Err(StorageError::NoBatchOpen);
         }
-        let mut f = Some(f);
-        let mut out = None;
-        {
-            let (crash, pool) = (&self.crash, &self.pool);
-            let rm = self.metrics.retry();
-            retry::run(&self.retry_policy, &rm, &self.clock, || {
-                crash.hit(CP_PAGE_WRITE)?;
-                pool.with_page_mut(page, |p| {
-                    let g = f.take().expect("page closure runs at most once");
-                    out = Some(g(p));
-                })
-            })?;
-        }
+        self.crash.hit(CP_PAGE_WRITE)?;
+        let out = self.pool.with_page_mut(page, f)?;
         self.batch
             .as_mut()
             .expect("batch checked above")
             .dirty
             .insert(page);
-        Ok(out.expect("closure ran on the successful attempt"))
+        Ok(out)
     }
 
     /// Runs `f` inside the open batch, or inside a fresh single-call batch
@@ -654,7 +596,7 @@ impl ObjectStore {
             }));
         }
         // The hint was stale; record the truth so the fit query improves.
-        let free = self.with_page_retry(page, |p| p.free_space())?;
+        let free = self.pool.with_page(page, |p| p.free_space())?;
         self.segments
             .get_mut(&segment)
             .expect("segment checked above")
@@ -739,7 +681,9 @@ impl ObjectStore {
             return Err(StorageError::NeedsRecovery);
         }
         self.segment(id.segment)?;
-        let out = self.with_page_retry(id.page, |p| p.read(id.slot).map(|b| b.to_vec()))?;
+        let out = self
+            .pool
+            .with_page(id.page, |p| p.read(id.slot).map(|b| b.to_vec()))?;
         out.map_err(|e| match e {
             // A bounds-violating slot entry is bit rot, not a dangling
             // address — let the caller (and `scrub`) see the difference.
@@ -858,7 +802,7 @@ impl ObjectStore {
                 Err(e) => Err(e),
             })??;
             if in_place {
-                let free = self.with_page_retry(id.page, |p| p.free_space())?;
+                let free = self.pool.with_page(id.page, |p| p.free_space())?;
                 if let Some(seg) = self.segments.get_mut(&id.segment) {
                     seg.set_free_hint(id.page, free);
                 }
@@ -906,7 +850,7 @@ impl ObjectStore {
         let pages: Vec<u64> = self.segment(segment)?.pages().to_vec();
         let mut heads = Vec::new();
         for page in pages {
-            let recs = self.with_page_retry(page, |p| {
+            let recs = self.pool.with_page(page, |p| {
                 p.iter()
                     .filter(|(_, b)| b.first() != Some(&TAG_CHUNK))
                     .map(|(slot, _)| slot)
@@ -940,16 +884,6 @@ impl ObjectStore {
     /// Physical I/O counters.
     pub fn disk_stats(&self) -> DiskStats {
         self.pool.disk_stats()
-    }
-
-    /// Arms disk-level failure injection for error-path tests.
-    pub fn fail_after(&self, ops: u64) {
-        self.pool.fail_after(ops);
-    }
-
-    /// Disarms failure injection.
-    pub fn heal(&self) {
-        self.pool.heal();
     }
 
     /// Resets all counters (not contents).
@@ -1034,7 +968,7 @@ impl ObjectStore {
         // batch dirtied. A crash here loses only memory: abort.
         let mut images = BTreeMap::new();
         for &page in &dirty {
-            match self.with_page_retry(page, |p| p.clone()) {
+            match self.pool.with_page(page, |p| p.clone()) {
                 Ok(image) => {
                     images.insert(page, image);
                 }
@@ -1044,7 +978,7 @@ impl ObjectStore {
                 }
             }
         }
-        if let Err(e) = self.hit(CP_COMMIT_LOG) {
+        if let Err(e) = self.crash.hit(CP_COMMIT_LOG) {
             self.abort_open_batch();
             return Err(e);
         }
@@ -1057,7 +991,7 @@ impl ObjectStore {
         // after-images. A fault from here on degrades to read-only rather
         // than refusing all work: reads stay correct from the pool, and
         // recovery replays these very images.
-        if self.hit(CP_COMMIT_DONE).is_err() {
+        if self.crash.hit(CP_COMMIT_DONE).is_err() {
             self.degrade();
             return Ok(());
         }
@@ -1067,41 +1001,24 @@ impl ObjectStore {
     }
 
     /// Appends one page record per image plus the commit marker, then
-    /// reaches the durability point. A transient flush fault is retried in
-    /// place (nothing durable happened yet). On `Ok` the records are
-    /// durable and the caller installs `images` as the new delta bases. On
-    /// `Err` the batch is already disposed of: rolled back on a healthy
-    /// store when nothing reached the log device (retry budget exhausted,
-    /// clean crash), rewound under a degraded store when a torn prefix did
-    /// (the commit marker did not, so the pre-flush state is the truth and
-    /// only recovery may truncate the torn tail), and dropped with the
-    /// poisoned store when the log device itself failed.
+    /// reaches the durability point. On `Ok` the records are durable and
+    /// the caller installs `images` as the new delta bases. On `Err` the
+    /// batch is already disposed of: rolled back on a healthy store when
+    /// nothing reached the log device (a clean crash), rewound under a
+    /// degraded store when a torn prefix did (the commit marker did not, so
+    /// the pre-flush state is the truth and only recovery may truncate the
+    /// torn tail), and dropped with the poisoned store when the log device
+    /// itself failed.
     fn log_and_flush(&mut self, images: &BTreeMap<u64, Page>) -> StorageResult<()> {
         for (&page, image) in images {
             self.log_page_record(page, image);
         }
         let commit_lsn = self.log_append(&WalRecord::Commit);
-        let mut attempt: u32 = 0;
-        let outcome = loop {
-            match self.crash.fire(CP_COMMIT_FLUSH) {
-                FireOutcome::Transient if attempt < self.retry_policy.max_retries => {
-                    self.metrics.retry_attempts.inc();
-                    let delay = self.retry_policy.delay_for(attempt);
-                    self.metrics.retry_backoff_us.add(delay);
-                    (self.clock)(delay);
-                    attempt += 1;
-                }
-                other => break other,
-            }
-        };
         let crashed = StorageError::InjectedFault {
             op: CP_COMMIT_FLUSH,
         };
-        match outcome {
+        match self.crash.fire(CP_COMMIT_FLUSH) {
             FireOutcome::Pass => {
-                if attempt > 0 {
-                    self.metrics.retry_success.inc();
-                }
                 let _flush_timer = self.metrics.wal_flush_latency.start_timer();
                 if let Err(e) = self.wal.flush() {
                     self.poison();
@@ -1110,13 +1027,6 @@ impl ObjectStore {
                 self.metrics.wal_flushes.inc();
                 self.durable_commit_lsn = commit_lsn;
                 Ok(())
-            }
-            FireOutcome::Transient => {
-                self.metrics.retry_exhausted.inc();
-                self.abort_open_batch();
-                Err(StorageError::TransientFault {
-                    op: CP_COMMIT_FLUSH,
-                })
             }
             FireOutcome::Crash { torn: None } => {
                 self.abort_open_batch();
@@ -1243,7 +1153,9 @@ impl ObjectStore {
     /// Recovers the store from durable state: scans the log, truncates the
     /// torn/uncommitted tail, rebuilds the segment directory, and replays
     /// every committed page image onto the disk. Idempotent; disarm any
-    /// injected faults (`heal`, `heal_crash_points`) first.
+    /// injected faults first ([`ObjectStore::heal_crash_points`], and
+    /// [`FaultyDevice::heal_faults`](crate::device::FaultyDevice::heal_faults)
+    /// on a wrapped device).
     pub fn recover(&mut self) -> StorageResult<RecoveryReport> {
         let _span = corion_obs::span("storage", "recover");
         let _timer = self.metrics.recovery_latency.start_timer();
@@ -1348,19 +1260,16 @@ impl ObjectStore {
     /// leave their pages dirty in the pool, and this is where they reach
     /// the disk, in ascending page order (§2.3 neighbours are adjacent);
     /// then an fsync, since the log is about to be truncated and the pages
-    /// must not be sitting in a volatile write cache when it is. The sync
-    /// is never retried: the write-backs already marked their frames clean,
+    /// must not be sitting in a volatile write cache when it is. Nothing
+    /// here is retried: the write-backs already marked their frames clean,
     /// so after a failed sync a later one that succeeds proves nothing
     /// about the pages the failed one may have lost.
     fn write_back_and_sync(&self) -> StorageResult<()> {
         let dirty = self.pool.dirty_pages();
         self.metrics.dirty_frames.set(dirty.len() as i64);
-        let rm = self.metrics.retry();
         for page in dirty {
-            retry::run(&self.retry_policy, &rm, &self.clock, || {
-                self.crash.hit(CP_CHECKPOINT_WRITE)?;
-                self.pool.write_back(page)
-            })?;
+            self.crash.hit(CP_CHECKPOINT_WRITE)?;
+            self.pool.write_back(page)?;
             self.metrics.checkpoint_writebacks.inc();
         }
         self.pool.sync_device()
@@ -1435,19 +1344,6 @@ impl ObjectStore {
     /// `countdown`-th hit.
     pub fn arm_crash_point(&self, point: &'static str, countdown: u64) {
         self.crash.arm(point, countdown);
-    }
-
-    /// Arms `point` as a transient fault: after `countdown - 1` clean
-    /// hits, the next `failures` hits fail retryably, then the point heals
-    /// (see [`CrashPoints::arm_transient`]).
-    pub fn arm_transient_crash(&self, point: &'static str, countdown: u64, failures: u64) {
-        self.crash.arm_transient(point, countdown, failures);
-    }
-
-    /// Arms disk-level *transient* failure injection (see
-    /// [`SimDisk::fail_transient`](crate::disk::SimDisk::fail_transient)).
-    pub fn fail_transient(&self, ops: u64, failures: u64) {
-        self.pool.fail_transient(ops, failures);
     }
 
     /// Verifies one page against its on-media checksum (scrub's primitive,
@@ -1759,26 +1655,40 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::device::{FaultyDevice, MemLog};
+
+    /// A recovered store over a fault-injecting disk, plus the handle that
+    /// arms it.
+    fn faulty_store(buffer_capacity: usize) -> (ObjectStore, FaultyDevice<SimDisk>) {
+        let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+        let mut st = ObjectStore::with_devices(
+            StoreConfig {
+                buffer_capacity,
+                ..Default::default()
+            },
+            &Registry::new(),
+            Arc::new(disk.clone()),
+            Arc::new(MemLog::new()),
+            None,
+        )
+        .unwrap();
+        st.recover().unwrap();
+        (st, disk)
+    }
 
     #[test]
     fn faults_surface_as_errors_not_panics() {
-        let mut st = ObjectStore::new(StoreConfig {
-            buffer_capacity: 2,
-            ..Default::default()
-        });
+        let (mut st, disk) = faulty_store(2);
         let seg = st.create_segment().unwrap();
         let id = st.insert(seg, &[1u8; 100], None).unwrap();
         st.clear_cache().unwrap();
-        st.fail_after(0);
-        assert!(matches!(
-            st.read(id),
-            Err(StorageError::InjectedFault { .. })
-        ));
+        disk.arm_eio(0);
+        assert!(matches!(st.read(id), Err(StorageError::DeviceIo { .. })));
         assert!(
             st.insert(seg, &[2u8; 5000], None).is_err(),
             "chained insert propagates too"
         );
-        st.heal();
+        disk.heal_faults();
         assert_eq!(st.read(id).unwrap(), vec![1u8; 100]);
     }
 
@@ -1843,10 +1753,7 @@ mod fault_tests {
 
     #[test]
     fn fault_during_eviction_is_reported_and_the_frame_survives_it() {
-        let mut st = ObjectStore::new(StoreConfig {
-            buffer_capacity: 1,
-            ..Default::default()
-        });
+        let (mut st, disk) = faulty_store(1);
         let seg = st.create_segment().unwrap();
         // Two pages worth of data so accessing the second evicts the first.
         let a = st.insert(seg, &[1u8; 3000], None).unwrap();
@@ -1856,13 +1763,10 @@ mod fault_tests {
         // disk has not received.
         st.update(a, &[3u8; 3000]).unwrap();
         let reads = st.disk_stats().reads;
-        st.fail_after(0);
+        disk.arm_eio(0);
         // Reading b must evict a's page, and its write-back faults.
-        assert!(matches!(
-            st.read(b),
-            Err(StorageError::InjectedFault { .. })
-        ));
-        st.heal();
+        assert!(matches!(st.read(b), Err(StorageError::DeviceIo { .. })));
+        disk.heal_faults();
         // The frame survived: the update is served from the pool, not from
         // the stale disk page.
         assert_eq!(st.read(a).unwrap(), vec![3u8; 3000]);
@@ -2102,8 +2006,12 @@ mod recovery_tests {
         let fp = fingerprint(&st, seg);
         let log = st.wal_stats().durable_bytes;
         // Every write-back goes through; the sync after them fails once.
-        disk.arm_transient_eio(st.pool.dirty_pages().len() as u64, 1);
-        assert!(st.checkpoint().unwrap_err().is_transient());
+        disk.arm_eio(st.pool.dirty_pages().len() as u64);
+        assert!(matches!(
+            st.checkpoint(),
+            Err(StorageError::DeviceIo { .. })
+        ));
+        disk.heal_faults();
         assert_eq!(disk.injected().eio, 1);
         assert_eq!(st.health(), HealthState::Degraded);
         assert_eq!(st.wal_stats().durable_bytes, log, "the log is kept");
@@ -2175,7 +2083,6 @@ mod recovery_tests {
         let mut st = ObjectStore::new(StoreConfig {
             buffer_capacity: 64,
             wal_checkpoint_bytes: 64 * 1024,
-            ..StoreConfig::default()
         });
         let seg = st.create_segment().unwrap();
         // Incompressible records: every insert logs its bytes whole.

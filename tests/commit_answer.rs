@@ -31,7 +31,8 @@ enum Fault {
     CommitDone,
     /// The first page write-back of the checkpoint the commit trips.
     CheckpointWrite,
-    /// The page-device sync of that checkpoint, once, transiently.
+    /// The page-device sync of that checkpoint: an EIO that lasts until
+    /// the device is healed.
     PageSync,
 }
 
@@ -96,7 +97,7 @@ fn make_one(fx: &Fixture, path: Path, fault: Option<(Fault, u64)>) -> Result<Oid
     fx.cdb.with_read(|db| match fault {
         Some((Fault::CommitDone, _)) => db.arm_crash_point(CP_COMMIT_DONE, 1),
         Some((Fault::CheckpointWrite, _)) => db.arm_crash_point(CP_CHECKPOINT_WRITE, 1),
-        Some((Fault::PageSync, ops)) => fx.disk.arm_transient_eio(ops, 1),
+        Some((Fault::PageSync, ops)) => fx.disk.arm_eio(ops),
         None => {}
     });
     let widget = fx.widget;

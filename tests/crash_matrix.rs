@@ -293,137 +293,6 @@ fn every_crash_point_recovers_to_pre_or_post_state() {
 }
 
 // ---------------------------------------------------------------------
-// Transient faults
-// ---------------------------------------------------------------------
-
-/// Runs one scenario with a *transient* fault armed at `point`: after
-/// `countdown - 1` clean hits the point fails `failures` times and heals.
-/// With `failures` within the retry budget the batch must complete as if
-/// nothing happened. Returns `false` once the countdown outlives the
-/// operation (sweep of this point exhausted).
-fn transient_once(
-    s: &Scenario,
-    point: &'static str,
-    countdown: u64,
-    failures: u64,
-    post: &[(Oid, Vec<u8>)],
-) -> bool {
-    let mut db = Database::new();
-    let oids = (s.build)(&mut db);
-    let retries_before = db
-        .metrics_snapshot()
-        .counter("corion_storage_retry_attempts_total");
-    db.arm_transient_crash(point, countdown, failures);
-    let result = (s.op)(&mut db, &oids);
-    let fired = db.crash_point_remaining(point).is_none();
-    db.heal_crash_points();
-    if !fired {
-        assert!(
-            result.is_ok(),
-            "{}: op failed with the fault window shut",
-            s.name
-        );
-        return false;
-    }
-    // The whole point of the retry layer: a fault that heals within the
-    // budget is invisible to the caller.
-    result.unwrap_or_else(|e| {
-        panic!(
-            "{}: transient fault at {point}#{countdown}x{failures} leaked to the caller: {e}",
-            s.name
-        )
-    });
-    let snapshot = db.metrics_snapshot();
-    let retries_after = snapshot.counter("corion_storage_retry_attempts_total");
-    assert!(
-        retries_after >= retries_before + failures,
-        "{}: expected at least {failures} retries at {point}, counter went {retries_before} -> \
-         {retries_after}",
-        s.name
-    );
-    assert!(
-        snapshot.counter("corion_storage_retry_success_total") > 0,
-        "{}: a healed transient fault must count as a retry success",
-        s.name
-    );
-    let after = fingerprint(&db);
-    assert!(
-        after == post,
-        "{}: transient fault at {point}#{countdown}x{failures} changed the outcome",
-        s.name
-    );
-    db.verify_integrity().unwrap_or_else(|e| {
-        panic!(
-            "{}: integrity audit failed after transient {point}#{countdown}: {e}",
-            s.name
-        )
-    });
-    true
-}
-
-#[test]
-fn transient_faults_within_the_retry_budget_are_invisible() {
-    // The default policy allows 3 retries; both a single blip and a
-    // worst-case burst that exhausts every retry must be absorbed.
-    for s in scenarios() {
-        let post = post_oracle(&s);
-        for &point in CRASH_POINTS {
-            for failures in [1u64, 3] {
-                let mut fired_at_least_once = false;
-                for countdown in 1..=512u64 {
-                    if !transient_once(&s, point, countdown, failures, &post) {
-                        break;
-                    }
-                    fired_at_least_once = true;
-                    assert!(countdown < 512, "{}: {point} fired 512 times", s.name);
-                }
-                assert!(
-                    fired_at_least_once,
-                    "{}: transient point {point} never fired",
-                    s.name
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn transient_fault_beyond_the_retry_budget_still_recovers_cleanly() {
-    // Four consecutive failures exceed the 3-retry budget: the error
-    // surfaces on a store still healthy, so the batch was rolled back, and
-    // recovery agrees.
-    for s in scenarios() {
-        let mut db = Database::new();
-        let oids = (s.build)(&mut db);
-        let pre = fingerprint(&db);
-        db.arm_transient_crash(CP_COMMIT_FLUSH, 1, 4);
-        let result = (s.op)(&mut db, &oids);
-        assert!(
-            matches!(result, Err(DbError::Storage(_))),
-            "{}: budget-exhausting fault must surface, got {result:?}",
-            s.name
-        );
-        assert!(
-            db.metrics_snapshot()
-                .counter("corion_storage_retry_exhausted_total")
-                > 0,
-            "{}: exhaustion must be counted",
-            s.name
-        );
-        db.heal_crash_points();
-        assert_eq!(db.health(), HealthState::Healthy, "{}", s.name);
-        assert!(fingerprint(&db) == pre, "{}: rolled back in place", s.name);
-        db.recover().unwrap();
-        assert!(
-            fingerprint(&db) == pre,
-            "{}: recovery disagrees with the rollback",
-            s.name
-        );
-        db.verify_integrity().unwrap();
-    }
-}
-
-// ---------------------------------------------------------------------
 // Torn flushes
 // ---------------------------------------------------------------------
 
@@ -614,6 +483,7 @@ fn transaction_crashes_recover_to_pre_or_post_transaction_state() {
 mod file_backed {
     use super::*;
     use corion::storage::{DeviceMetrics, FaultyDevice, FileDisk, FileWal, ReplaceCrash};
+    use corion::{ErrorClass, ErrorCode};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -814,6 +684,15 @@ mod file_backed {
         assert!(
             matches!(result, Err(DbError::Storage(_))),
             "device EIO during commit must surface, got {result:?}"
+        );
+        // The commit is in doubt, so nobody may retry it: not the engine's
+        // own retry loops, and not a client reading the wire code.
+        let e = result.unwrap_err();
+        assert!(!e.is_retryable(), "an in-doubt commit is not retryable");
+        assert_ne!(
+            ErrorCode::from(&e).class(),
+            ErrorClass::Retryable,
+            "an in-doubt commit must not answer a retryable wire code"
         );
         assert_eq!(
             fx.db.health(),
@@ -1096,15 +975,16 @@ mod file_backed {
             .counter("corion_buffer_writebacks_checkpoint_total");
         std::fs::remove_dir_all(&fx.dir).ok();
 
-        // Every write-back goes through, then the page sync fails once and
-        // the device heals. The written frames are already clean, so a
+        // Every write-back goes through, then the page sync fails and the
+        // device is healed. The written frames are already clean, so a
         // later sync that succeeds proves nothing about the pages the
         // failed one may have lost: the store must degrade, keep its log,
         // and refuse every checkpoint until a reopen replays the log.
-        let (mut fx, committed) = unwritten_commits("pagesync_retry");
+        let (mut fx, committed) = unwritten_commits("pagesync_eio");
         let log = fx.db.wal_stats().durable_bytes;
-        fx.disk.arm_transient_eio(pages, 1);
+        fx.disk.arm_eio(pages);
         let result = fx.db.checkpoint();
+        fx.disk.heal_faults();
         assert!(
             matches!(result, Err(DbError::Storage(_))),
             "a failed page sync must surface, got {result:?}"

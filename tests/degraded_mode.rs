@@ -108,9 +108,9 @@ fn post_commit_fault_degrades_to_read_only_and_recovers() {
         "remove_component",
     );
     read_only(db.checkpoint(), "checkpoint");
-    // The typed error is self-describing and transient-classified as
-    // permanent (retrying without recovery cannot help).
-    assert!(!DbError::ReadOnly.is_transient());
+    // The typed error is self-describing and permanent (retrying without
+    // recovery cannot help).
+    assert!(!DbError::ReadOnly.is_retryable());
 
     // And the reads above did not flip any state.
     assert_eq!(db.health(), HealthState::Degraded);

@@ -2,13 +2,15 @@
 //!
 //! Every [`StorageError`] and [`DbError`] variant must (1) render a
 //! nonempty, variant-distinguishing `Display` message and (2) carry an
-//! explicit transient-vs-permanent classification. The census functions
+//! explicit retry classification: every storage error is permanent, and
+//! only a deadlock victim is retryable, in process and on the wire. The
+//! census functions
 //! below pair with wildcard-free `match` guards, so adding a variant
 //! without extending this test is a compile error — a new error can never
 //! ship unclassified.
 
 use corion::storage::StorageError;
-use corion::{ClassId, DbError, Oid, RefKind};
+use corion::{ClassId, DbError, ErrorClass, ErrorCode, Oid, RefKind};
 
 /// One instance of every `StorageError` variant.
 fn all_storage_errors() -> Vec<StorageError> {
@@ -27,7 +29,6 @@ fn all_storage_errors() -> Vec<StorageError> {
             slot: 3,
         },
         StorageError::InjectedFault { op: "page:write" },
-        StorageError::TransientFault { op: "commit:flush" },
         StorageError::ReadOnly,
         StorageError::Truncated {
             context: "object header",
@@ -57,7 +58,6 @@ fn all_storage_errors() -> Vec<StorageError> {
             | StorageError::PoolExhausted
             | StorageError::DanglingPhysId { .. }
             | StorageError::InjectedFault { .. }
-            | StorageError::TransientFault { .. }
             | StorageError::ReadOnly
             | StorageError::Truncated { .. }
             | StorageError::Corrupt { .. }
@@ -191,58 +191,54 @@ fn every_db_error_displays_distinctly() {
     );
 }
 
+/// Every `DbError` variant, plus every storage error wrapped as one — the
+/// whole set an engine call can answer.
+fn every_engine_answer() -> Vec<DbError> {
+    let mut all = all_db_errors();
+    all.extend(all_storage_errors().into_iter().map(DbError::from));
+    all
+}
+
 #[test]
 fn transient_classification_is_explicit_for_every_variant() {
-    // Storage taxonomy: exactly the transient-fault variant is retryable.
-    for e in all_storage_errors() {
-        let expect = matches!(e, StorageError::TransientFault { .. });
-        assert_eq!(
-            e.is_transient(),
-            expect,
-            "{e:?} classified {} but the taxonomy says {}",
-            e.is_transient(),
-            expect
+    // Nothing maps to the wire's `TransientStorage`, which stays
+    // decodable (code 2) and Retryable only so that older peers keep
+    // parsing it.
+    for e in every_engine_answer() {
+        assert_ne!(
+            ErrorCode::from(&e),
+            ErrorCode::TransientStorage,
+            "{e:?} maps to the reserved transient code"
         );
     }
-    // Engine taxonomy: transience is inherited from the wrapped storage
-    // error and from nothing else — semantic errors never retry.
-    for e in all_db_errors() {
-        let expect = matches!(&e, DbError::Storage(s) if s.is_transient());
-        assert_eq!(e.is_transient(), expect, "{e:?} misclassified");
-    }
-    assert!(DbError::Storage(StorageError::TransientFault { op: "x" }).is_transient());
+    assert_eq!(ErrorCode::from_u16(2), ErrorCode::TransientStorage);
+    assert_eq!(ErrorCode::TransientStorage.as_u16(), 2);
+    assert_eq!(ErrorCode::TransientStorage.class(), ErrorClass::Retryable);
 }
 
 #[test]
 fn retryable_classification_is_explicit_for_every_variant() {
-    // Exactly two things invite a retry: transient storage faults and
-    // deadlock-victim aborts. A deadlock is *retryable but not
-    // transient* — the fault is in the schedule, not the substrate, so
-    // degraded-mode accounting must not count it as a storage hiccup.
-    for e in all_db_errors() {
-        let expect = e.is_transient() || matches!(e, DbError::Deadlock { .. });
+    // Exactly one thing invites a retry: a deadlock-victim abort. Every
+    // storage error is permanent — a device fault at the durability point
+    // leaves the commit in doubt — and the wire class agrees.
+    for e in every_engine_answer() {
+        let expect = matches!(e, DbError::Deadlock { .. });
         assert_eq!(e.is_retryable(), expect, "{e:?} misclassified");
+        assert_eq!(
+            ErrorCode::from(&e).class() == ErrorClass::Retryable,
+            expect,
+            "{e:?} misclassified on the wire"
+        );
     }
-    let victim = DbError::Deadlock {
-        cycle: "t1 -> t2 -> t1".into(),
-    };
-    assert!(victim.is_retryable());
-    assert!(!victim.is_transient());
 }
 
 #[test]
 fn conversion_preserves_the_taxonomy() {
-    // Every storage error converts to a DbError without changing its
-    // transient classification, and the degraded-mode rejection surfaces
-    // as the typed engine variant.
+    // Every storage error converts to a permanent DbError, and the
+    // degraded-mode rejection surfaces as the typed engine variant.
     for e in all_storage_errors() {
-        let transient = e.is_transient();
         let converted: DbError = e.clone().into();
-        assert_eq!(
-            converted.is_transient(),
-            transient,
-            "conversion changed transience of {e:?}"
-        );
+        assert!(!converted.is_retryable(), "{e:?} converted retryable");
         match e {
             StorageError::ReadOnly => assert_eq!(converted, DbError::ReadOnly),
             other => assert_eq!(converted, DbError::Storage(other)),

@@ -160,114 +160,6 @@ fn mixed_operation_soak() {
     );
 }
 
-/// Transient-fault soak: run the full mixed workload with randomized
-/// transient faults continuously armed at rotating crash points. Every
-/// fault window heals within the retry budget, so the workload must be
-/// bit-for-bit oblivious — no operation fails, the final audit passes,
-/// and the retry counters record the absorbed faults.
-#[test]
-fn transient_fault_soak_is_invisible_to_the_workload() {
-    use corion::storage::CRASH_POINTS;
-
-    let mut rng = StdRng::seed_from_u64(0x7261_696e); // deterministic
-    let mut db = Database::new();
-    let corpus = Corpus::generate(
-        &mut db,
-        CorpusParams {
-            documents: 12,
-            sections_per_doc: 3,
-            paras_per_section: 2,
-            share_fraction: 0.3,
-            figures_per_doc: 1,
-            seed: 11,
-        },
-    )
-    .unwrap();
-    let schema = corpus.schema;
-    let mut documents = corpus.documents.clone();
-
-    for round in 0..200 {
-        // Randomized arming: a rotating point starts failing after a few
-        // clean hits, for 1..=3 consecutive hits (within the 3-retry
-        // budget), then heals itself.
-        let point = CRASH_POINTS[rng.gen_range(0..CRASH_POINTS.len())];
-        let countdown = rng.gen_range(1..6u64);
-        let failures = rng.gen_range(1..=3u64);
-        db.arm_transient_crash(point, countdown, failures);
-
-        match rng.gen_range(0..6) {
-            0 | 1 => {
-                let s = db.make(schema.section, vec![], vec![]).unwrap();
-                let d = db
-                    .make(
-                        schema.document,
-                        vec![
-                            ("Title", Value::Str(format!("soak-{round}"))),
-                            ("Sections", Value::Set(vec![Value::Ref(s)])),
-                        ],
-                        vec![],
-                    )
-                    .unwrap();
-                documents.push(d);
-            }
-            2 => {
-                let sections = db.instances_of(schema.section, false);
-                if !sections.is_empty() && !documents.is_empty() {
-                    let s = sections[rng.gen_range(0..sections.len())];
-                    let d = documents[rng.gen_range(0..documents.len())];
-                    if db.exists(s) && db.exists(d) {
-                        let _ = db.make_component(s, d, "Sections");
-                    }
-                }
-            }
-            3 => {
-                if !documents.is_empty() {
-                    let i = rng.gen_range(0..documents.len());
-                    let d = documents.swap_remove(i);
-                    if db.exists(d) {
-                        db.delete(d).unwrap();
-                    }
-                }
-            }
-            4 => {
-                if let Some(&d) = documents.iter().find(|&&d| db.exists(d)) {
-                    db.set_attr(d, "Title", Value::Str(format!("renamed-{round}")))
-                        .unwrap();
-                }
-            }
-            _ => {
-                if let Some(&d) = documents.iter().find(|&&d| db.exists(d)) {
-                    let comps = db.components_of(d, &corion::Filter::all()).unwrap();
-                    for c in comps.iter().take(3) {
-                        assert!(db.component_of(*c, d).unwrap());
-                    }
-                }
-            }
-        }
-        // Whatever the op did or skipped, the engine must still be fully
-        // healthy — transient faults never degrade, they heal.
-        assert_eq!(db.health(), corion::HealthState::Healthy);
-        db.heal_crash_points();
-        if round % 50 == 49 {
-            db.verify_integrity().unwrap();
-        }
-    }
-
-    db.verify_integrity().unwrap();
-    let snap = db.metrics_snapshot();
-    let attempts = snap.counter("corion_storage_retry_attempts_total");
-    let successes = snap.counter("corion_storage_retry_success_total");
-    assert!(
-        attempts > 0 && successes > 0,
-        "the soak must actually have absorbed faults (attempts {attempts}, successes {successes})"
-    );
-    assert_eq!(
-        snap.counter("corion_storage_retry_exhausted_total"),
-        0,
-        "every armed window fit the retry budget, so none may exhaust"
-    );
-}
-
 /// Crash-recovery soak: alternate parallel read phases with injected
 /// crash/recover cycles and verify readers never observe stale or partial
 /// state.
