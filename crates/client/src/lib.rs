@@ -204,7 +204,10 @@ impl<S: Read + Write> Client<S> {
         self.expect_ok(&Request::Begin)
     }
 
-    /// Commits the open transaction, returning its commit LSN.
+    /// Commits the open transaction, returning its commit LSN: the WAL LSN
+    /// of its commit marker, which is also the `commit_lsn` of the change
+    /// stream [`Event`] that carries its writes. A transaction that wrote
+    /// nothing answers the LSN of the last commit visible to it.
     pub fn commit(&mut self) -> Result<u64> {
         match self.call(&Request::Commit)? {
             Response::OkLsn(lsn) => Ok(lsn),
@@ -525,7 +528,10 @@ pub struct Subscriber {
 }
 
 impl Subscriber {
-    /// The WAL watermark at subscription time.
+    /// The WAL LSN of the last commit that was durable when the stream
+    /// attached — the same domain as [`Client::commit`]'s answer: commits
+    /// answered with an LSN above it are on the stream, under that LSN,
+    /// if they changed an object.
     pub fn start_lsn(&self) -> u64 {
         self.start_lsn
     }

@@ -94,7 +94,8 @@ pub(crate) struct Shared {
     pub(crate) db: RwLock<Database>,
     /// The §7 lock manager. Lock waits block **outside** the latch.
     pub(crate) locks: LockManager,
-    /// MVCC version chains + snapshot pins + visible-LSN watermark.
+    /// MVCC version chains + snapshot pins + the visible watermark: the
+    /// WAL LSN of the last commit that is durable and published.
     pub(crate) versions: VersionStore,
     /// Bumped by [`ConcurrentDb::recover`]; snapshots and transactions
     /// capture it at begin and fail fast when it moves (their pinned
@@ -189,7 +190,7 @@ impl Shared {
     }
 
     /// Latch the engine exclusively — the short commit-publish critical
-    /// section (overlay apply, LSN allocation, version publish),
+    /// section (overlay apply, version publish, watermark advance),
     /// `with_exclusive`, recovery and vacuum: no
     /// path takes the write side any other way, so none can commit past
     /// the change sink. Acquisition time lands in
@@ -231,16 +232,19 @@ impl ConcurrentDb {
     }
 
     /// Wrap an existing engine (e.g. one that already has a schema and
-    /// data). The engine's metrics registry is reused, so the
-    /// `corion_lock_*` / `corion_mvcc_*` families land beside the
-    /// existing `corion_*` metrics.
+    /// data, or one just reopened from a data directory). The visible
+    /// watermark starts at the engine's last durable commit LSN, so commit
+    /// LSNs carry on from the log's. The engine's metrics registry is
+    /// reused, so the `corion_lock_*` / `corion_mvcc_*` families land
+    /// beside the existing `corion_*` metrics.
     pub fn from_database(db: Database) -> Self {
         let registry = db.metrics_registry().clone();
+        let durable = db.durable_commit_lsn();
         ConcurrentDb {
             shared: Arc::new(Shared {
                 db: RwLock::new(db),
                 locks: LockManager::with_registry(&registry),
-                versions: VersionStore::with_registry(&registry),
+                versions: VersionStore::with_registry(&registry, durable),
                 epoch: AtomicU64::new(0),
                 commits_since_vacuum: AtomicU64::new(0),
                 sink: RwLock::new(None),
@@ -321,9 +325,14 @@ impl ConcurrentDb {
     /// concurrent work starts or after it quiesces. Mutations made here
     /// are invisible to version chains; snapshots pinned across an
     /// exclusive mutation may observe it (the base fallback changes
-    /// under them).
+    /// under them). On exit the visible watermark advances to the
+    /// engine's last durable commit LSN, covering the batches `f`
+    /// committed (DDL, `repair`, bulk ingest).
     pub fn with_exclusive<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.shared.exclusive_latch())
+        let mut db = self.shared.exclusive_latch();
+        let out = f(&mut db);
+        self.shared.versions.advance(db.durable_commit_lsn());
+        out
     }
 
     /// Registers `sink` as the consumer of this engine's change stream,
@@ -340,12 +349,16 @@ impl ConcurrentDb {
     // ----------------------------------------------------------------
 
     /// Crash-recover the underlying engine: replay the WAL, rebuild
-    /// derived state, clear all version chains, and fence every live
-    /// snapshot and transaction (their epoch check fails from now on).
+    /// derived state, drop all version chains, reset the visible watermark
+    /// to the recovered log's last durable commit LSN, and fence every
+    /// live snapshot and transaction (their epoch check fails from now
+    /// on). The reset lowers the watermark when the log lost acknowledged
+    /// commits (a lying fsync); the fence keeps every older snapshot from
+    /// seeing that.
     pub fn recover(&self) -> DbResult<corion_storage::RecoveryReport> {
         let mut db = self.shared.exclusive_latch();
         let report = db.recover()?;
-        self.shared.versions.clear();
+        self.shared.versions.reset(db.durable_commit_lsn());
         self.shared.epoch.fetch_add(1, Ordering::SeqCst);
         Ok(report)
     }
@@ -369,7 +382,8 @@ impl ConcurrentDb {
     // Introspection
     // ----------------------------------------------------------------
 
-    /// The highest fully committed (visible) LSN.
+    /// The visible watermark: the WAL LSN of the last commit that is
+    /// durable and published, which new snapshots pin.
     pub fn visible_lsn(&self) -> Lsn {
         self.shared.versions.visible_lsn()
     }

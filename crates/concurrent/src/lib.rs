@@ -26,9 +26,10 @@
 //! * Writes are buffered in a transaction-private
 //!   [`corion_core::Overlay`]; the shared page store and the WAL are
 //!   untouched until commit, which replays the overlay as **one** atomic
-//!   WAL batch under the engine's exclusive latch, assigns the commit
-//!   LSN, publishes after-images to the version store, and only then
-//!   releases locks (strict two-phase locking).
+//!   WAL batch under the engine's exclusive latch, publishes after-images
+//!   to the version store at the WAL LSN of the batch's commit marker —
+//!   the commit LSN, one number for snapshots, the wire and the change
+//!   stream — and only then releases locks (strict two-phase locking).
 //!
 //! * Every exclusive acquisition of the engine latch — commit, DDL and
 //!   maintenance through [`ConcurrentDb::with_exclusive`], recovery,

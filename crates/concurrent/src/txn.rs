@@ -27,8 +27,9 @@
 //! all, pre-images are read under the shared operation latch (the write
 //! set is X-locked, so its base images cannot move), and only the
 //! commit-publish critical section — replaying the overlay as **one**
-//! atomic WAL batch, allocating the commit LSN, publishing after-images,
-//! advancing the visible watermark — runs under the exclusive latch.
+//! atomic WAL batch, taking the WAL LSN of its commit marker as the commit
+//! LSN, publishing after-images at it, advancing the visible watermark to
+//! it — runs under the exclusive latch.
 //! Then the latch drops and every lock is released (strict 2PL: nothing
 //! is released before commit/abort). Latch acquisition and hold times
 //! land in the `corion_shard_latch_wait_ns` / `corion_shard_latch_hold_ns`
@@ -363,13 +364,13 @@ impl WriteTxn {
     // ----------------------------------------------------------------
 
     /// Commit: apply the write set to the base store as one atomic WAL
-    /// batch, publish versions at a freshly allocated commit LSN, then
-    /// release every lock. Returns the commit LSN. Every commit — even
-    /// one whose write set is empty because all its writes were
-    /// idempotent no-ops against the committed state — gets its own
-    /// fresh LSN, so commit LSNs are a total order of commits. (An
-    /// empty commit used to return the visible watermark, which could
-    /// equal a concurrent transaction's real commit LSN.)
+    /// batch, publish its versions at the WAL LSN of the batch's commit
+    /// marker, advance the visible watermark to it, then release every
+    /// lock. Returns that LSN — the `commit_lsn` of the change-stream
+    /// event that carries the write set. An empty write set logs nothing
+    /// and returns the current watermark: the commit holds its locks on
+    /// whatever it read, and every writer it read from advanced the
+    /// watermark before releasing its own, so it serialises there.
     ///
     /// The answer is the store's, and exact. `Ok` means the write set is
     /// durable and its versions are published; a fault past the
@@ -382,29 +383,17 @@ impl WriteTxn {
     pub fn commit(mut self) -> DbResult<Lsn> {
         self.ensure_open()?;
         let overlay = self.overlay.take().expect("open txn has an overlay");
+        let shared = Arc::clone(&self.shared);
 
         if overlay.is_empty() {
-            // Nothing to apply or publish, but the commit still takes a
-            // unique position in the total order (publishing nothing at
-            // it), so no two commits ever report the same LSN. Allocated
-            // under the commit latch like any other commit, so the
-            // watermark never advances past an LSN that is still being
-            // published.
-            let db = self.shared.exclusive_latch();
-            if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
-                drop(db);
-                self.abort_internal();
-                return Err(DbError::TransactionState {
-                    reason: "the engine recovered while this transaction was open".into(),
-                });
-            }
-            let lsn = self.shared.versions.allocate_lsn();
-            self.shared.versions.advance(lsn);
-            drop(db);
+            // The shared latch keeps recovery (and its watermark reset)
+            // out between the epoch check and the watermark read.
+            let _db = shared.op_latch();
+            self.ensure_open()?;
             self.done = true;
-            self.shared.locks.release_all(self.txn);
-            self.shared.metrics.commits.inc();
-            return Ok(lsn);
+            shared.locks.release_all(self.txn);
+            shared.metrics.commits.inc();
+            return Ok(shared.versions.visible_lsn());
         }
 
         // Capture pre-images (for first-writer seeding) and after-images
@@ -416,14 +405,8 @@ impl WriteTxn {
         let mut seeds: Vec<(VersionKey, Vec<u8>)> = Vec::new();
         let mut publishes: Vec<(VersionKey, Option<Vec<u8>>)> = Vec::new();
         {
-            let db = self.shared.op_latch();
-            if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
-                drop(db);
-                self.abort_internal();
-                return Err(DbError::TransactionState {
-                    reason: "the engine recovered while this transaction was open".into(),
-                });
-            }
+            let db = shared.op_latch();
+            self.ensure_open()?;
             for (oid, image, created) in overlay.write_set() {
                 if created && image.is_none() {
                     continue; // created-then-deleted: no trace anywhere
@@ -438,36 +421,31 @@ impl WriteTxn {
         }
 
         // The commit-publish critical section: the only code that runs
-        // under the exclusive latch on the hot path.
-        let mut db = self.shared.exclusive_latch();
-        if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
-            // recover() may have slipped in between the two latches.
-            drop(db);
-            self.abort_internal();
-            return Err(DbError::TransactionState {
-                reason: "the engine recovered while this transaction was open".into(),
-            });
-        }
+        // under the exclusive latch on the hot path. recover() may have
+        // slipped in between the two latches.
+        let mut db = shared.exclusive_latch();
+        self.ensure_open()?;
         if let Err(e) = db.overlay_apply(overlay) {
-            drop(db);
             self.abort_internal();
             return Err(e);
         }
 
-        let lsn = self.shared.versions.allocate_lsn();
+        // `Ok` means the batch's commit marker is durable: the store's
+        // durable commit LSN is this commit's, read under the same latch.
+        let lsn = db.durable_commit_lsn();
         for (key, image) in seeds {
-            self.shared.versions.seed(key, image);
+            shared.versions.seed(key, image);
         }
         for (key, image) in publishes {
-            self.shared.versions.publish(key, lsn, image);
+            shared.versions.publish(key, lsn, image);
         }
-        self.shared.versions.advance(lsn);
-        ConcurrentDb::maybe_vacuum_locked(&self.shared);
+        shared.versions.advance(lsn);
+        ConcurrentDb::maybe_vacuum_locked(&shared);
         drop(db);
 
         self.done = true;
-        self.shared.locks.release_all(self.txn);
-        self.shared.metrics.commits.inc();
+        shared.locks.release_all(self.txn);
+        shared.metrics.commits.inc();
         Ok(lsn)
     }
 

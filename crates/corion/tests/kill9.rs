@@ -7,6 +7,10 @@
 //! This is the one test in the suite where the "crash" is not simulated at
 //! all: the kernel destroys the process, the page cache keeps whatever it
 //! kept, and recovery runs in a fresh process against real files.
+//!
+//! A commit's LSN (`OkLsn`) is the WAL LSN of its commit marker, so it
+//! keeps increasing across the kill: the reopened server numbers its
+//! commits after every commit the dead one acknowledged.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -62,12 +66,18 @@ fn kill_nine_loses_nothing_the_server_acknowledged() {
     // only after the commit's WAL fsync returned.
     let (mut child, addr) = spawn_server(&dir);
     let mut acked = Vec::new();
+    let mut acked_lsns = Vec::new();
     {
         let mut client = Client::connect(&addr, 0).expect("connect");
         let section = client.class_by_name("Section").expect("seeded schema");
         for _ in 0..25 {
             let oid = client.make(section, vec![], vec![]).expect("make");
             acked.push(oid);
+        }
+        for _ in 0..5 {
+            client.begin().expect("begin");
+            acked.push(client.make(section, vec![], vec![]).expect("make"));
+            acked_lsns.push(client.commit().expect("commit"));
         }
     }
     // SIGKILL: no shutdown handler runs, no buffer is flushed by the
@@ -95,6 +105,14 @@ fn kill_nine_loses_nothing_the_server_acknowledged() {
         assert!(
             !acked.contains(&fresh),
             "post-recovery OID {fresh} collides with a pre-kill allocation"
+        );
+        client.begin().expect("post-recovery begin");
+        client.make(section, vec![], vec![]).expect("make");
+        let lsn = client.commit().expect("post-recovery commit");
+        let last = *acked_lsns.iter().max().expect("pre-kill commits");
+        assert!(
+            lsn > last,
+            "post-recovery commit LSN {lsn} is not above the pre-kill {acked_lsns:?}"
         );
     }
     child.kill().expect("cleanup kill");

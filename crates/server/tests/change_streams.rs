@@ -13,6 +13,9 @@
 //!   attached, once, in commit order, however commits, checkpoints (which
 //!   rewrite the log) and other subscribers' attaches and detaches
 //!   interleave.
+//!
+//! And one property ties the stream to the committers: the LSN a commit
+//! answers is the `commit_lsn` of the event that carried its writes.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -505,10 +508,11 @@ fn streamed_db(
     (db, node, streams, metrics)
 }
 
+/// Commits one `make` and returns the commit's own LSN.
 fn commit(db: &ConcurrentDb, node: ClassId, n: i64) -> Lsn {
-    db.run_write(|t| t.make(node, vec![("n", Value::Int(n))], vec![]))
-        .unwrap();
-    db.with_read(|d| d.durable_commit_lsn())
+    let mut txn = db.begin_write();
+    txn.make(node, vec![("n", Value::Int(n))], vec![]).unwrap();
+    txn.commit().unwrap()
 }
 
 fn lsns(events: impl IntoIterator<Item = StreamEvent>) -> Vec<Lsn> {
@@ -575,6 +579,77 @@ proptest! {
             checkpoints() - before >= committed.len() as u64,
             "the log was to be rewritten after every commit"
         );
+    }
+}
+
+/// One step of the commit-LSN property below.
+#[derive(Debug, Clone)]
+enum Route {
+    /// A `WriteTxn` running these operations, committed.
+    Txn(Vec<Op>),
+    /// A `WriteTxn` that writes nothing, committed.
+    Empty,
+    /// An autocommit engine call under `with_exclusive` (the DDL and
+    /// maintenance route).
+    Exclusive(Op),
+    Checkpoint,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// One LSN domain (DESIGN.md §14.4): the LSN `WriteTxn::commit`
+    /// answers — the wire's `OkLsn` — is the store's durable commit LSN and
+    /// the `commit_lsn` of the one event that carried its writes, on a log
+    /// rewritten after every commit and with `with_exclusive` batches in
+    /// between, which advance the watermark too. A commit that wrote
+    /// nothing logs nothing and answers the watermark.
+    #[test]
+    fn every_commit_lsn_is_the_commit_lsn_of_its_event(
+        traffic in prop::collection::vec(
+            prop_oneof![
+                6 => prop::collection::vec(op_strategy(), 1..4).prop_map(Route::Txn),
+                1 => Just(Route::Empty),
+                2 => op_strategy().prop_map(Route::Exclusive),
+                1 => Just(Route::Checkpoint),
+            ],
+            1..40,
+        ),
+    ) {
+        let (db, node, streams, _) = streamed_db(4096, 0);
+        let sub = streams.subscribe(&db);
+        let durable = || db.with_read(|d| d.durable_commit_lsn());
+        for route in &traffic {
+            let before = db.visible_lsn();
+            match route {
+                Route::Txn(ops) => {
+                    let live = db.with_read(|d| d.instances_of(node, false));
+                    let mut txn = db.begin_write();
+                    for op in ops {
+                        apply_txn(&mut txn, node, &live, op).unwrap();
+                    }
+                    let lsn = txn.commit().unwrap();
+                    prop_assert_eq!(lsn, durable());
+                    match lsns(sub.events.try_iter())[..] {
+                        [] => {}
+                        [event] => prop_assert_eq!(event, lsn, "{:?}", ops),
+                        ref more => prop_assert!(false, "{:?}: one commit, events {:?}", ops, more),
+                    }
+                }
+                Route::Empty => {
+                    prop_assert_eq!(db.begin_write().commit().unwrap(), before);
+                    prop_assert_eq!(sub.events.try_iter().count(), 0);
+                }
+                Route::Exclusive(op) => {
+                    db.with_exclusive(|d| apply_db(d, node, op));
+                    for event in lsns(sub.events.try_iter()) {
+                        prop_assert!(before < event && event <= durable());
+                    }
+                }
+                Route::Checkpoint => db.with_exclusive(|d| d.checkpoint()).unwrap(),
+            }
+            prop_assert_eq!(db.visible_lsn(), durable(), "after {:?}", route);
+        }
     }
 }
 

@@ -91,7 +91,8 @@ fn open_transaction_reads_its_own_writes_before_commit() {
 
 /// The tentpole acceptance test: two sessions commit in parallel on
 /// disjoint composites while a third session subscribes; it must observe
-/// both commits, in commit-LSN order, with the right graph deltas.
+/// both commits, in commit-LSN order, with the right graph deltas — each
+/// under the very LSN its committer was answered.
 #[test]
 fn parallel_commits_reach_subscriber_in_commit_lsn_order() {
     let server = start_default();
@@ -125,7 +126,7 @@ fn parallel_commits_reach_subscriber_in_commit_lsn_order() {
         let b = s.spawn(|| writer(doc_b, 2));
         (a.join().unwrap(), b.join().unwrap())
     });
-    assert_ne!(lsn_a, lsn_b, "commits allocate distinct LSNs");
+    assert_ne!(lsn_a, lsn_b, "commits that wrote get distinct LSNs");
 
     // Drain the stream until both makes have been observed.
     let mut sub = sub;
@@ -154,9 +155,8 @@ fn parallel_commits_reach_subscriber_in_commit_lsn_order() {
     }
     assert!(events.iter().all(|e| e.commit_lsn > sub.start_lsn()));
 
-    // The stream's order matches the commit order the writers saw. (WAL
-    // and MVCC LSNs differ numerically but are allocated under the same
-    // latch, so their orders coincide.)
+    // The stream's order matches the commit order the writers saw, and
+    // each event carries the LSN its committer's `OkLsn` did: one number.
     let pos = |oid: Oid| {
         events
             .iter()
@@ -164,6 +164,8 @@ fn parallel_commits_reach_subscriber_in_commit_lsn_order() {
             .unwrap()
     };
     assert_eq!(pos(oid_a) < pos(oid_b), lsn_a < lsn_b);
+    assert_eq!(events[pos(oid_a)].commit_lsn, lsn_a, "{events:?}");
+    assert_eq!(events[pos(oid_b)].commit_lsn, lsn_b, "{events:?}");
 
     // Each make carries its composite edge in the same event.
     let event_a = &events[pos(oid_a)];

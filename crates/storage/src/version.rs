@@ -16,10 +16,12 @@
 //!   about to overwrite at LSN 0 (idempotent — only the first writer of an
 //!   object pays). From then on the chain, not the base, is the source of
 //!   truth for old snapshots.
-//! * After the base apply succeeds, the transaction
+//! * After the base apply made the commit durable, the transaction
 //!   [`publish`](VersionStore::publish)es its after-images (or tombstones)
-//!   at its commit LSN, then [`advance`](VersionStore::advance)s the
-//!   visible watermark. New snapshots pin the watermark.
+//!   at its commit LSN — the WAL LSN of its commit marker — then
+//!   [`advance`](VersionStore::advance)s the visible watermark to it, so
+//!   the watermark means "durable and published up to here". New
+//!   snapshots pin the watermark.
 //! * [`resolve`](VersionStore::resolve) walks a chain for the newest entry
 //!   at or below the snapshot LSN. Three-way answer: a concrete image, a
 //!   tombstone ("deleted as of your snapshot"), or *unborn* (the chain
@@ -114,33 +116,32 @@ impl MvccMetrics {
 /// the store is safe to share across threads behind an `Arc`.
 pub struct VersionStore {
     shards: Vec<Mutex<HashMap<VersionKey, Chain>>>,
-    /// Highest commit LSN whose effects are fully published. New
-    /// snapshots read this.
+    /// Highest commit LSN whose effects are durable and fully published.
+    /// New snapshots read this.
     visible: AtomicU64,
-    /// Commit LSN allocator. Monotonic; LSN 0 is reserved for seeded
-    /// pre-images ("committed before any concurrent transaction").
-    next_lsn: AtomicU64,
     /// Live snapshot pins: LSN → pin count.
     pins: Mutex<BTreeMap<Lsn, usize>>,
     metrics: MvccMetrics,
 }
 
 impl VersionStore {
-    /// Create an empty store registering its `corion_mvcc_*` metrics in
-    /// `registry`.
-    pub fn with_registry(registry: &Registry) -> Self {
-        VersionStore {
+    /// Create an empty store whose watermark starts at `visible` (the
+    /// store's last durable commit LSN), registering its `corion_mvcc_*`
+    /// metrics in `registry`.
+    pub fn with_registry(registry: &Registry, visible: Lsn) -> Self {
+        let store = VersionStore {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            visible: AtomicU64::new(0),
-            next_lsn: AtomicU64::new(0),
+            visible: AtomicU64::new(visible),
             pins: Mutex::new(BTreeMap::new()),
             metrics: MvccMetrics::new(registry),
-        }
+        };
+        store.metrics.visible.set(visible as i64);
+        store
     }
 
-    /// Create an empty store with a private metrics registry.
+    /// Create an empty store at watermark 0 with a private registry.
     pub fn new() -> Self {
-        Self::with_registry(&Registry::new())
+        Self::with_registry(&Registry::new(), 0)
     }
 
     fn shard(&self, key: &VersionKey) -> &Mutex<HashMap<VersionKey, Chain>> {
@@ -151,17 +152,10 @@ impl VersionStore {
     }
 
     // ----------------------------------------------------------------
-    // LSN allocation and visibility
+    // Visibility
     // ----------------------------------------------------------------
 
-    /// Allocate the next commit LSN. The caller publishes under it and
-    /// then advances the watermark; allocation order is commit order
-    /// because the engine allocates while holding the commit latch.
-    pub fn allocate_lsn(&self) -> Lsn {
-        self.next_lsn.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// The highest fully published commit LSN.
+    /// The highest durable and fully published commit LSN.
     pub fn visible_lsn(&self) -> Lsn {
         self.visible.load(Ordering::SeqCst)
     }
@@ -238,8 +232,8 @@ impl VersionStore {
 
     /// Publish an after-image (`Some`) or tombstone (`None`) at `lsn`.
     /// `lsn` must be greater than every LSN already in the chain — the
-    /// engine guarantees this by publishing under the commit latch in
-    /// allocation order.
+    /// engine guarantees this by publishing under the commit latch, where
+    /// the log numbers commits in order.
     pub fn publish(&self, key: VersionKey, lsn: Lsn, image: Option<Vec<u8>>) {
         let mut shard = self.shard(&key).lock();
         let chain = shard.entry(key).or_default();
@@ -320,16 +314,18 @@ impl VersionStore {
         reclaimed
     }
 
-    /// Drop every chain and reset the watermark pin bookkeeping, keeping
-    /// the LSN allocator monotonic. Called on engine recovery: recovery
-    /// rebuilds base state from the WAL, invalidating all snapshots
-    /// (the engine fences them with an epoch check).
-    pub fn clear(&self) {
+    /// Drop every chain and pin and set the watermark to `visible`, which
+    /// may lower it. Called on engine recovery with the recovered log's
+    /// last durable commit LSN: the engine fences every older snapshot
+    /// with an epoch check, so none can observe a lowered watermark.
+    pub fn reset(&self, visible: Lsn) {
         for shard in &self.shards {
             shard.lock().clear();
         }
         self.pins.lock().clear();
         self.metrics.pins.set(0);
+        self.visible.store(visible, Ordering::SeqCst);
+        self.metrics.visible.set(visible as i64);
         self.update_chain_gauge();
     }
 
@@ -371,10 +367,9 @@ mod tests {
         assert_eq!(vs.resolve(key(1), 10), Resolution::Base);
 
         vs.seed(key(1), b"v0".to_vec());
-        let l1 = vs.allocate_lsn();
+        let (l1, l2) = (3, 5);
         vs.publish(key(1), l1, Some(b"v1".to_vec()));
         vs.advance(l1);
-        let l2 = vs.allocate_lsn();
         vs.publish(key(1), l2, None);
         vs.advance(l2);
 
@@ -393,7 +388,7 @@ mod tests {
     fn created_after_snapshot_is_unborn_not_base() {
         let vs = VersionStore::new();
         let snap = vs.pin();
-        let l = vs.allocate_lsn();
+        let l = 4;
         vs.publish(key(7), l, Some(b"new".to_vec()));
         vs.advance(l);
         // The old snapshot must not fall through to the base (which now
@@ -421,12 +416,11 @@ mod tests {
     fn vacuum_respects_the_oldest_pin() {
         let vs = VersionStore::new();
         vs.seed(key(1), b"v0".to_vec());
-        let l1 = vs.allocate_lsn();
+        let (l1, l2) = (3, 5);
         vs.publish(key(1), l1, Some(b"v1".to_vec()));
         vs.advance(l1);
 
         let snap = vs.pin(); // pins l1
-        let l2 = vs.allocate_lsn();
         vs.publish(key(1), l2, Some(b"v2".to_vec()));
         vs.advance(l2);
 
@@ -461,12 +455,19 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_chains_but_not_the_lsn_allocator() {
-        let vs = VersionStore::new();
-        let l1 = vs.allocate_lsn();
-        vs.publish(key(1), l1, Some(b"x".to_vec()));
-        vs.clear();
+    fn reset_drops_chains_and_pins_and_sets_the_watermark() {
+        let vs = VersionStore::with_registry(&Registry::new(), 7);
+        assert_eq!(vs.visible_lsn(), 7);
+        vs.publish(key(1), 9, Some(b"x".to_vec()));
+        vs.advance(9);
+        let _stale = vs.pin();
+        // Recovery kept less of the log than was published: the reset
+        // lowers the watermark, and the next commit publishes above it.
+        vs.reset(8);
         assert_eq!(vs.chain_count(), 0);
-        assert!(vs.allocate_lsn() > l1);
+        assert_eq!(vs.pinned_snapshots(), 0);
+        assert_eq!(vs.visible_lsn(), 8);
+        vs.publish(key(1), 9, Some(b"y".to_vec()));
+        assert_eq!(vs.resolve(key(1), vs.pin()), Resolution::Unborn);
     }
 }

@@ -752,6 +752,60 @@ mod file_backed {
     }
 
     #[test]
+    fn recovery_resets_the_watermark_below_commits_a_lying_fsync_lost() {
+        // The same lie under the concurrent engine, recovered in place:
+        // the acknowledged commits' LSNs were handed out, the log lost
+        // them, and recovery must set the visible watermark back to the
+        // log's last durable commit rather than keep it above commits
+        // that no longer exist.
+        let mut fx = open_fixture("lyingcdb");
+        let (part, _) = parts_schema(&mut fx.db);
+        let Fixture { db, disk, log, dir } = fx;
+        let cdb = ConcurrentDb::from_database(db);
+        let make = |text: &str| {
+            let mut txn = cdb.begin_write();
+            let oid = txn
+                .make(part, vec![("text", Value::Str(text.into()))], vec![])
+                .unwrap();
+            (oid, txn.commit().unwrap())
+        };
+        let (honest, honest_lsn) = make("honest");
+        assert_eq!(cdb.visible_lsn(), honest_lsn);
+
+        log.set_lying_fsync_log(true).unwrap();
+        let lost: Vec<(Oid, u64)> = (0..3).map(|i| make(&format!("cached{i}"))).collect();
+        assert!(log.lying_bytes_buffered());
+        assert_eq!(cdb.visible_lsn(), lost[2].1);
+
+        // Power loss: the volatile cache dies with the process's memory.
+        cdb.with_exclusive(|d| d.simulate_crash());
+        log.set_lying_fsync_log(false).unwrap();
+        cdb.recover().unwrap();
+        let durable = cdb.with_read(|d| d.durable_commit_lsn());
+        assert_eq!(cdb.visible_lsn(), durable);
+        assert!(durable >= honest_lsn);
+        assert!(
+            lost.iter().all(|&(_, lsn)| durable < lsn),
+            "{durable} vs {lost:?}"
+        );
+        let snap = cdb.begin_read();
+        assert_eq!(snap.lsn(), durable);
+        assert!(snap.exists(honest).unwrap());
+        assert!(lost.iter().all(|&(oid, _)| !snap.exists(oid).unwrap()));
+
+        // The next commit lands above the pin, so the snapshot pinned just
+        // after recovery does not see it; a fresh one does.
+        let (next, next_lsn) = make("after");
+        assert!(next_lsn > snap.lsn());
+        assert_eq!(cdb.visible_lsn(), next_lsn);
+        assert!(!snap.exists(next).unwrap());
+        assert!(cdb.begin_read().exists(next).unwrap());
+        cdb.with_exclusive(|d| d.verify_integrity()).unwrap();
+        drop((snap, cdb, disk, log));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn checkpoint_replace_crash_leaves_old_or_new_log_both_recovering() {
         // WAL checkpoint compaction on files is write-new + rename +
         // dir-fsync. Crash the swap on either side of the rename: before,

@@ -306,15 +306,23 @@ fn run_txn_once(
                 })
             }
             PlanKind::AttachFree => {
-                match free_part(&mut txn, part, *pick)? {
-                    None => continue, // no orphan to adopt right now
-                    Some(child) => txn.make_component(child, root, "parts").map(|()| {
-                        logged.push(LoggedOp::Attach {
-                            child,
-                            parent: root,
-                        });
-                    }),
+                let Some(child) = free_part(&mut txn, part, *pick)? else {
+                    continue; // no orphan to adopt right now
+                };
+                // The scan locked no part: a concurrent commit may have
+                // adopted `child` into this very root since, making the
+                // attach a no-op — an empty write set, which shares the
+                // watermark's LSN. Under the root's read lock the answer
+                // holds until commit.
+                if parts_of(&mut txn, root)?.contains(&child) {
+                    continue;
                 }
+                txn.make_component(child, root, "parts").map(|()| {
+                    logged.push(LoggedOp::Attach {
+                        child,
+                        parent: root,
+                    });
+                })
             }
             PlanKind::AdoptOwned => {
                 let other = roots[(*root_idx + 1) % roots.len()];
