@@ -95,12 +95,11 @@ pub(crate) struct Shared {
     /// The §7 lock manager. Lock waits block **outside** the latch.
     pub(crate) locks: LockManager,
     /// MVCC version chains + snapshot pins + the visible watermark: the
-    /// WAL LSN of the last commit that is durable and published.
+    /// WAL LSN of the last commit that is durable and published. Its pin
+    /// generation is the recovery fence: [`ConcurrentDb::recover`] starts
+    /// a new one, and snapshots and transactions of an older one fail
+    /// fast (their pinned state did not survive the rebuild).
     pub(crate) versions: VersionStore,
-    /// Bumped by [`ConcurrentDb::recover`]; snapshots and transactions
-    /// capture it at begin and fail fast when it moves (their pinned
-    /// state did not survive the crash-recovery rebuild).
-    pub(crate) epoch: AtomicU64,
     /// Commits since the last automatic vacuum.
     pub(crate) commits_since_vacuum: AtomicU64,
     /// See [`ConcurrentDb::set_change_sink`].
@@ -245,7 +244,6 @@ impl ConcurrentDb {
                 db: RwLock::new(db),
                 locks: LockManager::with_registry(&registry),
                 versions: VersionStore::with_registry(&registry, durable),
-                epoch: AtomicU64::new(0),
                 commits_since_vacuum: AtomicU64::new(0),
                 sink: RwLock::new(None),
                 metrics: EngineMetrics::new(&registry),
@@ -351,15 +349,15 @@ impl ConcurrentDb {
     /// Crash-recover the underlying engine: replay the WAL, rebuild
     /// derived state, drop all version chains, reset the visible watermark
     /// to the recovered log's last durable commit LSN, and fence every
-    /// live snapshot and transaction (their epoch check fails from now
-    /// on). The reset lowers the watermark when the log lost acknowledged
-    /// commits (a lying fsync); the fence keeps every older snapshot from
-    /// seeing that.
+    /// live snapshot and transaction by starting a new pin generation
+    /// (their generation check fails from now on, and a fenced snapshot's
+    /// drop releases no newer pin). The reset lowers the watermark when
+    /// the log lost acknowledged commits (a lying fsync); the fence keeps
+    /// every older snapshot from seeing that.
     pub fn recover(&self) -> DbResult<corion_storage::RecoveryReport> {
         let mut db = self.shared.exclusive_latch();
         let report = db.recover()?;
         self.shared.versions.reset(db.durable_commit_lsn());
-        self.shared.epoch.fetch_add(1, Ordering::SeqCst);
         Ok(report)
     }
 

@@ -27,7 +27,6 @@
 //! version-store vacuum does, by skipping pinned versions).
 
 use std::collections::HashSet;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use corion_core::schema::catalog::Catalog;
@@ -35,7 +34,7 @@ use corion_core::schema::lattice;
 use corion_core::{
     view, ClassId, Database, DbError, DbResult, Filter, Object, Oid, ReadView, Value,
 };
-use corion_storage::{Lsn, Resolution, VersionKey};
+use corion_storage::{Lsn, Resolution, SnapshotPin, VersionKey};
 use parking_lot::RwLockReadGuard;
 
 use crate::db::Shared;
@@ -59,25 +58,23 @@ fn vkey(oid: Oid) -> VersionKey {
 /// the handle that created them.
 pub struct Snapshot {
     shared: Arc<Shared>,
-    lsn: Lsn,
-    epoch: u64,
+    pin: SnapshotPin,
 }
 
 impl Snapshot {
     pub(crate) fn begin(shared: Arc<Shared>) -> Self {
-        let lsn = shared.versions.pin();
-        let epoch = shared.epoch.load(Ordering::SeqCst);
-        Snapshot { shared, lsn, epoch }
+        let pin = shared.versions.pin();
+        Snapshot { shared, pin }
     }
 
     /// The commit LSN this snapshot observes: every transaction with
     /// commit LSN at or below this is visible, nothing else is.
     pub fn lsn(&self) -> Lsn {
-        self.lsn
+        self.pin.lsn
     }
 
     fn ensure_valid(&self) -> DbResult<()> {
-        if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
+        if self.shared.versions.generation() != self.pin.generation {
             return Err(DbError::TransactionState {
                 reason: "the engine recovered while this snapshot was pinned".into(),
             });
@@ -88,7 +85,7 @@ impl Snapshot {
     /// What the version chain alone says about `oid` at the snapshot
     /// LSN; `None` means "no chain — ask the base, under the latch".
     fn chain_verdict(&self, oid: Oid) -> DbResult<Option<Option<Object>>> {
-        Ok(match self.shared.versions.resolve(vkey(oid), self.lsn) {
+        Ok(match self.shared.versions.resolve(vkey(oid), self.lsn()) {
             Resolution::Image(bytes) => Some(Some(Object::decode(&bytes).map_err(DbError::from)?)),
             Resolution::Deleted | Resolution::Unborn => Some(None),
             Resolution::Base => None,
@@ -186,7 +183,7 @@ impl Snapshot {
         // are collected first and merged in one pass.
         let mut gone = HashSet::new();
         for c in classes {
-            for (key, res) in self.shared.versions.resolve_class(c.0, self.lsn) {
+            for (key, res) in self.shared.versions.resolve_class(c.0, self.lsn()) {
                 let oid = Oid {
                     class: ClassId(key.class),
                     serial: key.serial,
@@ -258,8 +255,9 @@ impl Latched<'_> {
     fn latch(&mut self) -> DbResult<&Database> {
         if self.db.is_none() {
             self.db = Some(self.snap.shared.db.read());
-            // `recover()` bumps the epoch under the exclusive latch, so a
-            // check under the shared side holds for the whole batch.
+            // `recover()` starts a new pin generation under the exclusive
+            // latch, so a check under the shared side holds for the whole
+            // batch.
             self.snap.ensure_valid()?;
         }
         Ok(self.db.as_deref().expect("latched above"))
@@ -277,7 +275,7 @@ impl ReadView for Latched<'_> {
     fn visible(&mut self, oid: Oid) -> DbResult<bool> {
         let snap = self.snap;
         let db = self.next()?;
-        Ok(match snap.shared.versions.resolve(vkey(oid), snap.lsn) {
+        Ok(match snap.shared.versions.resolve(vkey(oid), snap.lsn()) {
             Resolution::Image(_) => true,
             Resolution::Deleted | Resolution::Unborn => false,
             Resolution::Base => db.exists(oid),
@@ -300,6 +298,6 @@ impl Drop for Latched<'_> {
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        self.shared.versions.unpin(self.lsn);
+        self.shared.versions.unpin(self.pin);
     }
 }

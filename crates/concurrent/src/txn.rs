@@ -36,7 +36,6 @@
 //! histograms.
 
 use std::collections::HashSet;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use corion_core::{ClassId, Database};
@@ -66,6 +65,7 @@ fn encode_object(obj: &Object) -> Vec<u8> {
 pub struct WriteTxn {
     shared: Arc<Shared>,
     txn: TxnId,
+    /// The pin generation the transaction began in (the recovery fence).
     epoch: u64,
     /// The private write set; `None` once the transaction is done.
     overlay: Option<Overlay>,
@@ -80,7 +80,7 @@ pub struct WriteTxn {
 impl WriteTxn {
     pub(crate) fn begin(shared: Arc<Shared>) -> Self {
         let txn = shared.locks.begin();
-        let epoch = shared.epoch.load(Ordering::SeqCst);
+        let epoch = shared.versions.generation();
         WriteTxn {
             shared,
             txn,
@@ -103,7 +103,7 @@ impl WriteTxn {
                 reason: "the transaction is no longer open (committed or aborted)".into(),
             });
         }
-        if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
+        if self.shared.versions.generation() != self.epoch {
             // A fenced transaction can never commit; holding its locks
             // any longer would only block post-recovery work.
             self.abort_internal();
@@ -183,7 +183,7 @@ impl WriteTxn {
         f: impl FnOnce(&Database, &mut Overlay) -> DbResult<R>,
     ) -> DbResult<R> {
         let db = self.shared.op_latch();
-        if self.shared.epoch.load(Ordering::SeqCst) != self.epoch {
+        if self.shared.versions.generation() != self.epoch {
             drop(db);
             self.abort_internal();
             return Err(DbError::TransactionState {

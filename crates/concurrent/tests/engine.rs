@@ -311,6 +311,31 @@ fn recover_fences_live_snapshots_and_transactions() {
 }
 
 #[test]
+fn a_fenced_snapshot_does_not_release_a_newer_pin_at_the_same_lsn() {
+    let cdb = ConcurrentDb::new();
+    let (_, asm) = setup(&cdb);
+    let root = mk_root(&cdb, asm, "before");
+
+    let a = cdb.begin_read();
+    cdb.recover().unwrap();
+    let b = cdb.begin_read();
+    assert_eq!(a.lsn(), b.lsn(), "recovery kept every commit");
+    drop(a);
+    assert_eq!(cdb.pinned_snapshots(), 1, "the fenced snapshot unpinned B");
+
+    cdb.run_write(|t| t.set_attr(root, "label", Value::Str("after".into())))
+        .unwrap();
+    cdb.vacuum();
+    assert_eq!(
+        b.get_attr(root, "label").unwrap(),
+        Value::Str("before".into()),
+        "vacuum reclaimed the version B pinned"
+    );
+    drop(b);
+    assert_eq!(cdb.pinned_snapshots(), 0);
+}
+
+#[test]
 fn mvcc_and_txn_metrics_are_recorded() {
     let cdb = ConcurrentDb::new();
     let (part, asm) = setup(&cdb);

@@ -82,5 +82,5 @@ pub use store::{
     CP_CHECKPOINT_WRITE, CP_COMMIT_DONE, CP_COMMIT_FLUSH, CP_COMMIT_LOG, CP_PAGE_WRITE,
     CRASH_POINTS,
 };
-pub use version::{Resolution, VersionKey, VersionStore};
+pub use version::{Resolution, SnapshotPin, VersionKey, VersionStore};
 pub use wal::{diff_pages, fnv1a64, image_ranges, Lsn, Ranges, Wal, WalMark, WalRecord, WalStats};

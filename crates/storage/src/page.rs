@@ -16,6 +16,7 @@
 //! insert would otherwise fail.
 
 use crate::error::{StorageError, StorageResult};
+use crate::wal::Move;
 
 /// Size of every page, in bytes. ORION used small disk pages; 4 KiB matches
 /// both the paper's era and modern defaults.
@@ -89,6 +90,12 @@ impl Page {
         &self.bytes
     }
 
+    /// Raw bytes of the page, writable: the WAL's redo patches pages
+    /// physically, in place.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.bytes
+    }
+
     fn slot_count(&self) -> u16 {
         // A corrupted header could claim more slots than the directory can
         // physically hold; clamp so directory address arithmetic stays in
@@ -155,13 +162,6 @@ impl Page {
         } else {
             base - SLOT_ENTRY.min(base)
         }
-    }
-
-    /// Contiguous bytes available without compaction, for a record that also
-    /// needs a fresh directory entry.
-    fn contiguous_free(&self) -> usize {
-        let dir_start = PAGE_SIZE - SLOT_ENTRY * self.slot_count() as usize;
-        dir_start.saturating_sub(self.heap_end() as usize + SLOT_ENTRY)
     }
 
     /// True if `len` bytes fit (possibly after compaction).
@@ -339,7 +339,26 @@ impl Page {
             cursor += rec.len() as u16;
         }
         self.set_heap_end(cursor);
-        let _ = self.contiguous_free(); // keep the helper exercised in debug builds
+    }
+
+    /// The records that moved between `base` and this page: for each slot
+    /// live on both at a different offset, `(src, dst, len)` — its offset
+    /// on `base`, its offset here, and the smaller of its two lengths. A
+    /// grown record (rewritten at the heap end) and every neighbour a
+    /// compaction shifted show up here; the WAL copies them from the base
+    /// instead of logging their bytes again. One pass over both slot
+    /// directories; entries out of bounds (corruption) are left out.
+    pub fn moved_records(&self, base: &Page) -> Vec<Move> {
+        (0..self.slot_count().min(base.slot_count()))
+            .filter_map(|s| {
+                let (src, src_len) = base.slot_entry(s);
+                let (dst, dst_len) = self.slot_entry(s);
+                let len = src_len.min(dst_len);
+                let moved = src != dst && src != TOMBSTONE && dst != TOMBSTONE && len > 0;
+                (moved && Self::entry_in_bounds(src, len) && Self::entry_in_bounds(dst, len))
+                    .then_some((src as usize, dst as usize, len as usize))
+            })
+            .collect()
     }
 }
 
@@ -437,6 +456,32 @@ mod tests {
         for s in recs.iter().skip(1).step_by(2) {
             assert_eq!(p.read(*s).unwrap(), &[9u8; 300][..]);
         }
+    }
+
+    #[test]
+    fn moved_records_lists_grown_and_shifted_slots() {
+        let mut p = Page::new();
+        let a = p.insert(&[1; 100]).unwrap();
+        let b = p.insert(&[2; 100]).unwrap();
+        let c = p.insert(&[3; 100]).unwrap();
+        let base = p.clone();
+        assert!(p.moved_records(&base).is_empty());
+        p.update(c, &[3; 50]).unwrap();
+        assert!(p.moved_records(&base).is_empty(), "a shrink stays put");
+        // A grown record is rewritten at the heap end; the copy is as long
+        // as the shorter of its two lengths.
+        let mut p = base.clone();
+        p.update(b, &[4; 150]).unwrap();
+        assert_eq!(p.moved_records(&base), vec![(104, 304, 100)]);
+        // A growth that needs a compaction also shifts the neighbours; a
+        // deleted slot is no move.
+        let grown = p.clone();
+        p.delete(a).unwrap();
+        p.update(c, &[5; 3700]).unwrap();
+        assert_eq!(
+            p.moved_records(&grown),
+            vec![(304, 4, 150), (204, 154, 100)]
+        );
     }
 
     #[test]

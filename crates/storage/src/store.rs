@@ -391,9 +391,10 @@ impl ObjectStore {
     /// record: nothing when the image is byte-identical to the delta base,
     /// a [`WalRecord::PageImage`] (its non-zero runs) when there is no base
     /// or the image encodes strictly smaller than the delta, a
-    /// [`WalRecord::PageDelta`] otherwise. The base map is *not* updated
-    /// here — only a successful flush does that, because an unflushed
-    /// record never becomes a committed base.
+    /// [`WalRecord::PageDelta`] (the records that moved, then the runs
+    /// against the base with them moved) otherwise. The base map is *not*
+    /// updated here — only a successful flush does that, because an
+    /// unflushed record never becomes a committed base.
     fn log_page_record(&mut self, page: u64, image: &Page) {
         let record = match self.last_logged.get(&page) {
             Some(base) if base == image => {
@@ -401,8 +402,8 @@ impl ObjectStore {
                 return;
             }
             Some(base) => {
-                let delta = wal::diff_pages(base, image);
-                let delta_len = delta.encoded_len();
+                let (moves, ranges) = wal::page_delta(base, image);
+                let delta_len = wal::delta_len(&moves, &ranges);
                 // An image carries every non-zero byte of the page: a delta
                 // no larger than their count needs no image to compare with.
                 let smaller_image = (delta_len > wal::non_zero_bytes(image))
@@ -417,7 +418,8 @@ impl ObjectStore {
                             .add(PAGE_SIZE.saturating_sub(delta_len) as u64);
                         WalRecord::PageDelta {
                             page,
-                            ranges: delta,
+                            moves,
+                            ranges,
                         }
                     }
                 }
@@ -2207,6 +2209,58 @@ mod recovery_tests {
         st.simulate_crash();
         st.recover().unwrap();
         assert_eq!(fingerprint(&st, seg), fp, "image replay restores the page");
+    }
+
+    /// A ≈ 1 KB record on a page with neighbours grows by 13 bytes, so the
+    /// page rewrites it at the heap end — or, when the heap end has no
+    /// room, compacts and shifts a neighbour too. Either way the page's
+    /// delta copies the moved records from its base and logs what grew.
+    #[test]
+    fn a_grown_record_logs_what_grew() {
+        for (case, last_len) in [("heap end", 500), ("compaction", 2000)] {
+            let mut st = ObjectStore::default();
+            let seg = st.create_segment().unwrap();
+            let first = st.insert(seg, &noise(1, 500), None).unwrap();
+            let record = noise(2, 1000);
+            let id = st.insert(seg, &record, Some(first)).unwrap();
+            let last = st.insert(seg, &noise(3, last_len), Some(id)).unwrap();
+            assert!(first.page == id.page && last.page == id.page, "{case}");
+            let mut grown = record.clone();
+            grown.extend_from_slice(&noise(4, 13));
+            assert_eq!(st.update(id, &grown).unwrap(), id, "{case}");
+
+            let scan = st.wal.scan();
+            let (moves, logged) = scan
+                .committed
+                .last()
+                .unwrap()
+                .iter()
+                .find_map(|rec| match rec {
+                    WalRecord::PageDelta {
+                        page,
+                        moves,
+                        ranges,
+                    } if *page == id.page => Some((moves.len(), wal::delta_len(moves, ranges))),
+                    _ => None,
+                })
+                .expect("the update logged a delta of the page");
+            let want_moves = if case == "compaction" { 2 } else { 1 };
+            assert_eq!(moves, want_moves, "{case}");
+            assert!(
+                logged < 64,
+                "{case}: a 13-byte growth logged {logged} bytes"
+            );
+
+            let fp = fingerprint(&st, seg);
+            st.simulate_crash();
+            st.recover().unwrap();
+            assert_eq!(
+                fingerprint(&st, seg),
+                fp,
+                "{case}: move replay restores the page"
+            );
+            assert_eq!(st.read(id).unwrap(), grown, "{case}");
+        }
     }
 
     #[test]

@@ -85,6 +85,18 @@ pub enum Resolution {
 /// is a tombstone). Chains are kept sorted by ascending LSN.
 type Chain = Vec<(Lsn, Option<Arc<Vec<u8>>>)>;
 
+/// A snapshot's pin: the LSN it pinned and the generation it was taken
+/// in. [`VersionStore::reset`] starts a new generation, so a pin from
+/// before it is fenced: [`VersionStore::unpin`] ignores it, and it can
+/// never release a newer snapshot's pin at the same LSN.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotPin {
+    /// The pinned snapshot LSN.
+    pub lsn: Lsn,
+    /// The reset generation the pin was taken in.
+    pub generation: u64,
+}
+
 /// Metric handles for the version store (`corion_mvcc_*`). See
 /// `docs/OBSERVABILITY.md` for the catalog.
 struct MvccMetrics {
@@ -121,6 +133,9 @@ pub struct VersionStore {
     visible: AtomicU64,
     /// Live snapshot pins: LSN → pin count.
     pins: Mutex<BTreeMap<Lsn, usize>>,
+    /// Bumped by every [`reset`](VersionStore::reset), under the `pins`
+    /// mutex, which [`pin`](VersionStore::pin) reads it under too.
+    generation: AtomicU64,
     metrics: MvccMetrics,
 }
 
@@ -133,6 +148,7 @@ impl VersionStore {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             visible: AtomicU64::new(visible),
             pins: Mutex::new(BTreeMap::new()),
+            generation: AtomicU64::new(0),
             metrics: MvccMetrics::new(registry),
         };
         store.metrics.visible.set(visible as i64);
@@ -171,29 +187,44 @@ impl VersionStore {
     // Snapshot pins
     // ----------------------------------------------------------------
 
-    /// Pin the current visible LSN for a new snapshot and return it.
-    /// Pair with exactly one [`unpin`](VersionStore::unpin).
-    pub fn pin(&self) -> Lsn {
+    /// Pin the current visible LSN for a new snapshot. Pair with exactly
+    /// one [`unpin`](VersionStore::unpin).
+    pub fn pin(&self) -> SnapshotPin {
         // Take the pin lock *before* reading the watermark so a vacuum
-        // racing with us cannot compute an oldest-pin above our LSN.
+        // racing with us cannot compute an oldest-pin above our LSN, and
+        // so a reset cannot fall between the LSN and the generation.
         let mut pins = self.pins.lock();
         let lsn = self.visible_lsn();
         *pins.entry(lsn).or_insert(0) += 1;
         self.metrics.snapshots.inc();
         self.metrics.pins.set(pins.values().sum::<usize>() as i64);
-        lsn
+        SnapshotPin {
+            lsn,
+            generation: self.generation(),
+        }
     }
 
-    /// Release a pin taken with [`pin`](VersionStore::pin).
-    pub fn unpin(&self, lsn: Lsn) {
+    /// Release a pin taken with [`pin`](VersionStore::pin). A pin from
+    /// before the last [`reset`](VersionStore::reset) was already dropped
+    /// with its generation; releasing it does nothing.
+    pub fn unpin(&self, pin: SnapshotPin) {
         let mut pins = self.pins.lock();
-        if let Some(n) = pins.get_mut(&lsn) {
+        if pin.generation != self.generation() {
+            return;
+        }
+        if let Some(n) = pins.get_mut(&pin.lsn) {
             *n -= 1;
             if *n == 0 {
-                pins.remove(&lsn);
+                pins.remove(&pin.lsn);
             }
         }
         self.metrics.pins.set(pins.values().sum::<usize>() as i64);
+    }
+
+    /// The current reset generation: a [`SnapshotPin`] of another one is
+    /// fenced.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
     }
 
     /// The oldest pinned snapshot LSN, or the visible watermark when no
@@ -314,17 +345,21 @@ impl VersionStore {
         reclaimed
     }
 
-    /// Drop every chain and pin and set the watermark to `visible`, which
-    /// may lower it. Called on engine recovery with the recovered log's
-    /// last durable commit LSN: the engine fences every older snapshot
-    /// with an epoch check, so none can observe a lowered watermark.
+    /// Drop every chain and pin, start a new pin generation and set the
+    /// watermark to `visible`, which may lower it. Called on engine
+    /// recovery with the recovered log's last durable commit LSN: the
+    /// engine fences every older snapshot by its pin's generation, so none
+    /// can observe a lowered watermark or release a newer snapshot's pin.
     pub fn reset(&self, visible: Lsn) {
         for shard in &self.shards {
             shard.lock().clear();
         }
-        self.pins.lock().clear();
+        let mut pins = self.pins.lock();
+        pins.clear();
+        self.generation.fetch_add(1, Ordering::SeqCst);
         self.metrics.pins.set(0);
         self.visible.store(visible, Ordering::SeqCst);
+        drop(pins);
         self.metrics.visible.set(visible as i64);
         self.update_chain_gauge();
     }
@@ -393,10 +428,10 @@ mod tests {
         vs.advance(l);
         // The old snapshot must not fall through to the base (which now
         // holds the object).
-        assert_eq!(vs.resolve(key(7), snap), Resolution::Unborn);
+        assert_eq!(vs.resolve(key(7), snap.lsn), Resolution::Unborn);
         // A fresh snapshot sees it.
         let now = vs.pin();
-        assert!(matches!(vs.resolve(key(7), now), Resolution::Image(_)));
+        assert!(matches!(vs.resolve(key(7), now.lsn), Resolution::Image(_)));
         vs.unpin(snap);
         vs.unpin(now);
     }
@@ -428,7 +463,7 @@ mod tests {
         // but the seeded v0 below it is reclaimable.
         let reclaimed = vs.vacuum();
         assert_eq!(reclaimed, 1);
-        match vs.resolve(key(1), snap) {
+        match vs.resolve(key(1), snap.lsn) {
             Resolution::Image(img) => assert_eq!(&**img, b"v1"),
             other => panic!("pinned snapshot lost its version: {other:?}"),
         }
@@ -468,6 +503,26 @@ mod tests {
         assert_eq!(vs.pinned_snapshots(), 0);
         assert_eq!(vs.visible_lsn(), 8);
         vs.publish(key(1), 9, Some(b"y".to_vec()));
-        assert_eq!(vs.resolve(key(1), vs.pin()), Resolution::Unborn);
+        assert_eq!(vs.resolve(key(1), vs.pin().lsn), Resolution::Unborn);
+    }
+
+    #[test]
+    fn a_pin_from_before_a_reset_releases_nothing() {
+        let vs = VersionStore::with_registry(&Registry::new(), 4);
+        let stale = vs.pin();
+        vs.reset(4);
+        let fresh = vs.pin();
+        assert_eq!((stale.lsn, fresh.lsn), (4, 4));
+        assert_ne!(stale.generation, fresh.generation);
+        assert_eq!(vs.generation(), fresh.generation);
+        vs.unpin(stale);
+        assert_eq!(
+            vs.pinned_snapshots(),
+            1,
+            "the stale pin released the fresh one"
+        );
+        assert_eq!(vs.oldest_pin(), 4);
+        vs.unpin(fresh);
+        assert_eq!(vs.pinned_snapshots(), 0);
     }
 }

@@ -18,25 +18,48 @@
 //! `len` counts every byte after the length field (so a reader can skip a
 //! record it cannot parse), `lsn` is a strictly increasing log sequence
 //! number, and `checksum` is FNV-1a 64 over `lsn‖kind‖payload`. Record
-//! kinds: page after-image, page *delta*, commit marker, segment
-//! create/adopt (metadata redo), serial floor, and checkpoint (a
-//! segment-directory snapshot that lets the log be truncated).
+//! kinds:
+//!
+//! | kind | record |
+//! |------|--------|
+//! | 1 | raw 4 KiB page image — decoded so an old log replays, never written |
+//! | 2 | commit marker |
+//! | 3, 4 | segment create / page adopt (metadata redo) |
+//! | 5 | checkpoint: a segment-directory snapshot that lets the log be truncated |
+//! | 6 | page delta without moves |
+//! | 7 | serial floor |
+//! | 8 | page image |
+//! | 9 | page delta with moves |
 //!
 //! ## Page records: one range codec
 //!
-//! Both page record kinds carry the same payload — the byte runs that turn
-//! a base page into the after-image ([`Ranges`]):
+//! Every page record carries the byte runs that turn a base page into the
+//! after-image ([`Ranges`]):
 //!
 //! ```text
-//! page:u64 | count:varint | count × ( offset:varint | len:varint | bytes )
+//! image, kind 6:  page:u64 | runs
+//! kind 9:         page:u64 | moves:varint | moves × ( src | dst | len ) | runs
+//! runs:           count:varint | count × ( offset:varint | len:varint | bytes )
 //! ```
 //!
-//! They differ only in the base. An *image* is its runs over the all-zero
+//! They differ in the base. An *image* is its runs over the all-zero
 //! page, so it costs what the page holds — a page a tenth full logs about
 //! a tenth of 4 KiB — and replays without reference to anything else,
 //! which is what protects the page against a torn write-back. A *delta* is
 //! its runs over the page's last logged image (cuts log volume on
 //! update-heavy mixes). The store logs whichever encodes smaller.
+//!
+//! A delta also carries the page's *record moves*
+//! ([`Page::moved_records`]): a grown record is rewritten at the heap end
+//! and a compaction shifts its neighbours, so their bytes are new at their
+//! offsets but not new to the page. Each move `(src, dst, len)` (varints)
+//! copies `len` bytes of the **unmodified** base from `src` to `dst`, and
+//! the runs are the difference from that moved base, so a grown record
+//! logs what grew. A delta with no move is kind 6, encoded exactly as
+//! before moves existed; one with moves is kind 9. Redo stays physical:
+//! replay copies bytes and never runs page logic. The decoder refuses a
+//! move list with no move, more moves than a page has slots, or a move
+//! reaching past the page.
 //!
 //! ## Crash model
 //!
@@ -71,6 +94,15 @@ const KIND_CHECKPOINT: u8 = 5;
 const KIND_PAGE_DELTA: u8 = 6;
 const KIND_SERIAL_FLOOR: u8 = 7;
 const KIND_PAGE_IMAGE: u8 = 8;
+const KIND_PAGE_MOVES: u8 = 9;
+
+/// Most moves a delta may carry: one per slot, and a page has fewer than
+/// `PAGE_SIZE / 4` slots (each directory entry is four bytes).
+const MAX_MOVES: usize = PAGE_SIZE / 4;
+
+/// A record move in a page delta: `(src, dst, len)` — copy `len` bytes of
+/// the base from offset `src` to offset `dst` ([`Page::moved_records`]).
+pub type Move = (usize, usize, usize);
 
 /// Bytes of a record that are not payload: length field, lsn, kind,
 /// trailing checksum.
@@ -83,7 +115,7 @@ const RECORD_OVERHEAD: usize = 4 + 8 + 1 + 8;
 const MAX_SANE_RECORD: usize = 64 * 1024 * 1024;
 
 /// Byte runs that turn a base page into another page — the payload of
-/// both page record kinds (see the module docs). Held as it is logged:
+/// every page record (see the module docs). Held as it is logged:
 /// building one writes the log's bytes once, and appending it to the log
 /// is one copy however many runs a page has.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -129,7 +161,8 @@ impl Ranges {
     }
 
     /// Exact encoded size in a page record's payload (the page number
-    /// excluded) — what `store.rs` compares to choose the record kind.
+    /// excluded) — what `store.rs` compares to choose the record kind
+    /// (with [`delta_len`] for a delta).
     pub fn encoded_len(&self) -> usize {
         varint_len(self.runs as u64) + self.body.len()
     }
@@ -147,16 +180,18 @@ pub enum WalRecord {
         /// The page's non-zero byte runs at commit time.
         ranges: Ranges,
     },
-    /// Byte runs of a page against its *last logged* image (the most
-    /// recent `PageImage`/`PageDelta` for the same page in this log, which
-    /// a well-formed log always contains — `store.rs` logs an image
-    /// whenever it has no base). Replay applies the ranges on top of the
-    /// reconstructed base; a delta whose base is missing is skipped, which
-    /// can only happen in a hand-built log.
+    /// Record moves and byte runs of a page against its *last logged*
+    /// image (the most recent `PageImage`/`PageDelta` for the same page in
+    /// this log, which a well-formed log always contains — `store.rs` logs
+    /// an image whenever it has no base). Replay copies the moves out of
+    /// the reconstructed base, then applies the ranges; a delta whose base
+    /// is missing is skipped, which can only happen in a hand-built log.
     PageDelta {
         /// Global page number.
         page: u64,
-        /// The runs that differ from the base.
+        /// Records that moved within the page, copied from the base.
+        moves: Vec<Move>,
+        /// The runs that differ from the base with the moves applied.
         ranges: Ranges,
     },
     /// Marks every record since the previous commit as one durable batch.
@@ -219,10 +254,40 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The base of every image: an all-zero page.
 static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
-/// The runs that turn `base` into `new` ([`WalRecord::PageDelta`]'s
-/// payload).
+/// The runs that turn `base` into `new`, byte for byte.
 pub fn diff_pages(base: &Page, new: &Page) -> Ranges {
     runs(base.as_bytes(), new.as_bytes())
+}
+
+/// The moves and runs that turn `base` into `new`
+/// ([`WalRecord::PageDelta`]'s payload): the records `new` moved, then the
+/// runs against `base` with those moves applied — one 4 KiB copy, and only
+/// when a record moved.
+pub fn page_delta(base: &Page, new: &Page) -> (Vec<Move>, Ranges) {
+    let moves = new.moved_records(base);
+    if moves.is_empty() {
+        return (moves, diff_pages(base, new));
+    }
+    let mut moved = base.clone();
+    copy_moves(moved.bytes_mut(), base.as_bytes(), &moves);
+    let ranges = diff_pages(&moved, new);
+    (moves, ranges)
+}
+
+/// Exact encoded size of a delta's payload (the page number excluded),
+/// comparable with an image's [`Ranges::encoded_len`].
+pub fn delta_len(moves: &[Move], ranges: &Ranges) -> usize {
+    let count = if moves.is_empty() {
+        0
+    } else {
+        varint_len(moves.len() as u64)
+    };
+    let moved: usize = moves
+        .iter()
+        .flat_map(|&(src, dst, len)| [src, dst, len])
+        .map(|v| varint_len(v as u64))
+        .sum();
+    count + moved + ranges.encoded_len()
 }
 
 /// The non-zero runs of `page` ([`WalRecord::PageImage`]'s payload).
@@ -325,37 +390,90 @@ fn differing_bytes(a: &[u8; PAGE_SIZE], b: &[u8; PAGE_SIZE]) -> [u64; PAGE_SIZE 
     bits
 }
 
-/// Applies `ranges` on top of `base`, producing the after-image. Ranges
-/// are validated at decode time, so this never reads out of bounds on a
-/// scanned record.
-pub fn apply_delta(base: &Page, ranges: &Ranges) -> Page {
-    patch(base.as_bytes(), ranges)
+/// Applies a delta's `moves` and `ranges` to `base`, producing the
+/// after-image. Both are validated at decode time, so this never reads
+/// out of bounds on a scanned record.
+pub fn apply_delta(base: &Page, moves: &[Move], ranges: &Ranges) -> Page {
+    let mut page = base.clone();
+    patch_delta(&mut page, moves, ranges);
+    page
 }
 
 /// The page an image record's ranges describe.
 pub fn apply_image(ranges: &Ranges) -> Page {
-    patch(&ZERO_PAGE, ranges)
+    let mut page = Page::from_bytes(&ZERO_PAGE);
+    write_runs(page.bytes_mut(), ranges);
+    page
 }
 
-fn patch(base: &[u8; PAGE_SIZE], ranges: &Ranges) -> Page {
-    let mut raw = *base;
+/// Turns `page`, a delta's base, into the after-image in place: every
+/// move copied from the unmodified base, then the runs.
+fn patch_delta(page: &mut Page, moves: &[Move], ranges: &Ranges) {
+    let raw = page.bytes_mut();
+    if !moves.is_empty() {
+        let base = *raw;
+        copy_moves(raw, &base, moves);
+    }
+    write_runs(raw, ranges);
+}
+
+/// Copies each move from `base` into `raw`, clipped to the page (only a
+/// hand-built record needs the clipping).
+fn copy_moves(raw: &mut [u8; PAGE_SIZE], base: &[u8; PAGE_SIZE], moves: &[Move]) {
+    for &(src, dst, len) in moves {
+        let len = len.min(PAGE_SIZE.saturating_sub(src.max(dst)));
+        if len > 0 {
+            raw[dst..dst + len].copy_from_slice(&base[src..src + len]);
+        }
+    }
+}
+
+fn write_runs(raw: &mut [u8; PAGE_SIZE], ranges: &Ranges) {
     for (offset, bytes) in ranges.iter() {
         let start = offset.min(PAGE_SIZE);
         let end = (start + bytes.len()).min(PAGE_SIZE);
         raw[start..end].copy_from_slice(&bytes[..end - start]);
     }
-    Page::from_bytes(&raw)
 }
 
 fn varint_len(v: u64) -> usize {
     (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
 }
 
-fn put_page(buf: &mut Vec<u8>, kind: u8, page: u64, ranges: &Ranges) {
+/// Writes a page record; only kind 9 has `moves`, and never an empty list.
+fn put_page(buf: &mut Vec<u8>, kind: u8, page: u64, moves: &[Move], ranges: &Ranges) {
     put_u8(buf, kind);
     put_u64(buf, page);
+    if !moves.is_empty() {
+        put_varint(buf, moves.len() as u64);
+        for &(src, dst, len) in moves {
+            for v in [src, dst, len] {
+                put_varint(buf, v as u64);
+            }
+        }
+    }
     put_varint(buf, ranges.runs as u64);
     buf.extend_from_slice(&ranges.body);
+}
+
+fn get_moves(r: &mut Reader<'_>) -> Result<Vec<Move>, &'static str> {
+    let n = r.varint("wal moves").map_err(|_| "short body")? as usize;
+    if !(1..=MAX_MOVES).contains(&n) {
+        return Err("implausible move count");
+    }
+    let mut moves = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut field = || match r.varint("wal moves") {
+            Ok(v) => Ok(v as usize),
+            Err(_) => Err("short body"),
+        };
+        let (src, dst, len) = (field()?, field()?, field()?);
+        if src.max(dst).saturating_add(len) > PAGE_SIZE {
+            return Err("move out of bounds");
+        }
+        moves.push((src, dst, len));
+    }
+    Ok(moves)
 }
 
 fn get_ranges(r: &mut Reader<'_>) -> Result<Ranges, &'static str> {
@@ -729,8 +847,19 @@ fn encode_record(buf: &mut Vec<u8>, lsn: Lsn, record: &WalRecord) {
     let body_at = buf.len();
     put_u64(buf, lsn);
     match record {
-        WalRecord::PageImage { page, ranges } => put_page(buf, KIND_PAGE_IMAGE, *page, ranges),
-        WalRecord::PageDelta { page, ranges } => put_page(buf, KIND_PAGE_DELTA, *page, ranges),
+        WalRecord::PageImage { page, ranges } => put_page(buf, KIND_PAGE_IMAGE, *page, &[], ranges),
+        WalRecord::PageDelta {
+            page,
+            moves,
+            ranges,
+        } => {
+            let kind = if moves.is_empty() {
+                KIND_PAGE_DELTA
+            } else {
+                KIND_PAGE_MOVES
+            };
+            put_page(buf, kind, *page, moves, ranges)
+        }
         WalRecord::Commit => put_u8(buf, KIND_COMMIT),
         WalRecord::SerialFloor { serial } => {
             put_u8(buf, KIND_SERIAL_FLOOR);
@@ -805,6 +934,12 @@ fn decode_record(
         },
         KIND_PAGE_DELTA => WalRecord::PageDelta {
             page: r.u64("wal page").map_err(|_| "short body")?,
+            moves: Vec::new(),
+            ranges: get_ranges(&mut r)?,
+        },
+        KIND_PAGE_MOVES => WalRecord::PageDelta {
+            page: r.u64("wal page").map_err(|_| "short body")?,
+            moves: get_moves(&mut r)?,
             ranges: get_ranges(&mut r)?,
         },
         KIND_PAGE_RAW => {
@@ -863,14 +998,17 @@ pub fn replay(scan: &WalScan) -> ReplayState {
                 WalRecord::PageImage { page, ranges } => {
                     state.pages.insert(*page, apply_image(ranges));
                 }
-                WalRecord::PageDelta { page, ranges } => {
+                WalRecord::PageDelta {
+                    page,
+                    moves,
+                    ranges,
+                } => {
                     // A well-formed log always logs an image before the
                     // first delta of a page (and checkpoints truncate both
                     // together), so the base is present; a delta without
                     // one is a hand-built log and is skipped.
-                    if let Some(base) = state.pages.get(page) {
-                        let after = apply_delta(base, ranges);
-                        state.pages.insert(*page, after);
+                    if let Some(base) = state.pages.get_mut(page) {
+                        patch_delta(base, moves, ranges);
                     }
                 }
                 WalRecord::Commit => {}
@@ -1165,7 +1303,7 @@ mod tests {
             let mut next = base.clone();
             mutate(&mut next, round * 7 + 3, (round as usize % 40) + 1);
             let ranges = diff_pages(&base, &next);
-            assert_eq!(apply_delta(&base, &ranges), next, "round {round}");
+            assert_eq!(apply_delta(&base, &[], &ranges), next, "round {round}");
             assert!(
                 ranges.encoded_len() < PAGE_SIZE,
                 "a {}-edit delta must beat a full image",
@@ -1186,6 +1324,7 @@ mod tests {
         wal.append(&WalRecord::page_image(3, &base));
         wal.append(&WalRecord::PageDelta {
             page: 3,
+            moves: Vec::new(),
             ranges: diff_pages(&base, &next),
         });
         wal.append(&WalRecord::Commit);
@@ -1219,6 +1358,7 @@ mod tests {
             full.append(&WalRecord::page_image(target as u64, &pages[target]));
             delta.append(&WalRecord::PageDelta {
                 page: target as u64,
+                moves: Vec::new(),
                 ranges: diff_pages(&before, &pages[target]),
             });
             for w in [&mut full, &mut delta] {
@@ -1243,33 +1383,50 @@ mod tests {
 
     #[test]
     fn torn_flush_of_a_delta_batch_preserves_the_base_commit() {
-        let base = page_with_byte(1);
-        let mut next = base.clone();
-        mutate(&mut next, 7, 3);
-        let ranges = diff_pages(&base, &next);
+        let bytes = page_with_byte(1);
+        let mut mutated = bytes.clone();
+        mutate(&mut mutated, 7, 3);
+        // A slotted page whose middle record grew: its delta is a move.
+        let mut slotted = Page::new();
+        let slots: Vec<_> = (1..4u8)
+            .map(|i| slotted.insert(&[i; 300]).unwrap())
+            .collect();
+        let mut grown = slotted.clone();
+        grown.update(slots[1], &[2; 313]).unwrap();
 
-        let mut probe = Wal::new();
-        probe.append(&WalRecord::PageDelta {
-            page: 0,
-            ranges: ranges.clone(),
-        });
-        probe.append(&WalRecord::Commit);
-        let full = probe.stats().pending_bytes;
+        for (base, next, want_moves) in [(bytes, mutated, 0), (slotted, grown, 1)] {
+            let (moves, ranges) = page_delta(&base, &next);
+            assert_eq!(moves.len(), want_moves);
+            assert_eq!(apply_delta(&base, &moves, &ranges), next);
+            let delta = WalRecord::PageDelta {
+                page: 0,
+                moves,
+                ranges,
+            };
 
-        for keep in 0..full {
+            let mut probe = Wal::new();
+            probe.append(&delta);
+            probe.append(&WalRecord::Commit);
+            let full = probe.stats().pending_bytes;
+
+            for keep in 0..full {
+                let mut wal = Wal::new();
+                wal.append(&WalRecord::page_image(0, &base));
+                wal.append(&WalRecord::Commit);
+                wal.flush().unwrap();
+                wal.append(&delta);
+                wal.append(&WalRecord::Commit);
+                wal.flush_torn(keep).unwrap();
+                let scan = wal.scan();
+                assert_eq!(scan.committed.len(), 1, "keep={keep}");
+                assert_eq!(replay(&scan).pages[&0], base, "keep={keep}");
+            }
             let mut wal = Wal::new();
             wal.append(&WalRecord::page_image(0, &base));
+            wal.append(&delta);
             wal.append(&WalRecord::Commit);
             wal.flush().unwrap();
-            wal.append(&WalRecord::PageDelta {
-                page: 0,
-                ranges: ranges.clone(),
-            });
-            wal.append(&WalRecord::Commit);
-            wal.flush_torn(keep).unwrap();
-            let scan = wal.scan();
-            assert_eq!(scan.committed.len(), 1, "keep={keep}");
-            assert_eq!(replay(&scan).pages[&0], base, "keep={keep}");
+            assert_eq!(replay(&wal.scan()).pages[&0], next);
         }
     }
 
@@ -1278,6 +1435,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(&WalRecord::PageDelta {
             page: 5,
+            moves: Vec::new(),
             ranges: runs_of(&[(100, &[9])]),
         });
         wal.append(&WalRecord::Commit);
@@ -1377,20 +1535,28 @@ mod tests {
 
     #[test]
     fn encoded_len_is_the_logged_payload() {
-        let pages = sample_pages();
+        let mut pages = sample_pages();
+        // Grow the first record of the fullest slotted page: a compaction
+        // moves every record, so the delta is a long move list.
+        let mut grown = pages[4].clone();
+        grown.delete(1).unwrap();
+        grown.update(0, &[7; 150]).unwrap();
+        pages.insert(5, grown);
         for (a, b) in pages.iter().zip(pages.iter().skip(1)) {
-            for ranges in [diff_pages(a, b), image_ranges(b)] {
+            let (moves, delta) = page_delta(a, b);
+            assert_eq!(apply_delta(a, &moves, &delta), *b);
+            for (moves, ranges) in [(moves, delta), (Vec::new(), image_ranges(b))] {
+                let len = delta_len(&moves, &ranges);
                 let mut wal = Wal::new();
                 wal.append(&WalRecord::PageDelta {
                     page: 1,
-                    ranges: ranges.clone(),
+                    moves,
+                    ranges,
                 });
-                assert_eq!(
-                    wal.stats().pending_bytes,
-                    RECORD_OVERHEAD + 8 + ranges.encoded_len()
-                );
-                assert_eq!(apply_delta(a, &diff_pages(a, b)), *b);
+                assert_eq!(wal.stats().pending_bytes, RECORD_OVERHEAD + 8 + len);
             }
         }
+        let (moves, _) = page_delta(&pages[4], &pages[5]);
+        assert!(moves.len() > 30, "{} moves", moves.len());
     }
 }

@@ -1,14 +1,18 @@
 //! Page records in the write-ahead log (DESIGN.md §13.3): an image is a
-//! page's non-zero byte runs, a delta its runs against the page's last
-//! logged image, and both go through one encoder, decoder and validator.
+//! page's non-zero byte runs, a delta the records that moved plus its runs
+//! against the page's last logged image with them moved, and both go
+//! through one encoder, decoder and validator.
 //!
 //! - a torn or scribbled page is rebuilt byte for byte from an image that
 //!   elided most of it, because replay starts from a zero page and never
 //!   reads the disk's copy;
-//! - pages shaped by random inserts, updates, deletes and compactions —
-//!   zero-heavy and zero-free records alike — round-trip exactly through
-//!   both kinds, and the decoder refuses runs that are out of bounds,
-//!   overlapping or unsorted, on either kind;
+//! - pages shaped by random inserts, updates, grows, shrinks, deletes and
+//!   compactions — zero-heavy and zero-free records alike — round-trip
+//!   exactly through images, through deltas with moves (kind 9, kind 6
+//!   when nothing moved) and through deltas of bytes alone; the decoder
+//!   refuses runs that are out of bounds, overlapping or unsorted, on
+//!   either kind, and move lists that reach past the page or are
+//!   implausibly long;
 //! - a data directory whose log holds raw 4 KiB image records (the
 //!   encoding before images became runs) still opens.
 
@@ -17,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use corion::storage::codec::{self, Reader};
-use corion::storage::wal::{self, apply_delta, apply_image};
+use corion::storage::wal::{self, apply_delta, apply_image, delta_len, page_delta};
 use corion::storage::{
     diff_pages, fnv1a64, image_ranges, BlockDevice, DeviceMetrics, FaultyDevice, FileDisk, FileWal,
     LogDevice, Page, Ranges, Wal, WalRecord, PAGE_SIZE,
@@ -26,6 +30,10 @@ use corion::{ClassBuilder, ClassId, Database, DbConfig, Domain, Oid, Value};
 use proptest::prelude::*;
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes of a page record that are not its payload: length, LSN, kind,
+/// page number and checksum.
+const PAGE_RECORD_OVERHEAD: usize = 4 + 8 + 1 + 8 + 8;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -111,8 +119,11 @@ fn a_scribbled_page_is_rebuilt_from_its_non_zero_run_image() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// What a page is put through: insert, update or delete a record of
-/// `len` bytes filled by `fill` (0: all zeros, 1: zero-heavy, 2: no zero).
+/// What a page is put through: insert, update, grow, shrink or delete a
+/// record; an inserted or rewritten one has `len` bytes filled by `fill`
+/// (0: all zeros, 1: zero-heavy, 2: no zero), a grown one gains
+/// `len % 32 + 1` of them (a parent gaining a component reference), a
+/// shrunk one loses up to `len % 32 + 1` bytes.
 #[derive(Debug, Clone)]
 struct Edit {
     op: u8,
@@ -146,6 +157,17 @@ fn apply(page: &mut Page, live: &mut Vec<u16>, e: &Edit) {
         1 => {
             let _ = page.update(live[e.slot % live.len()], &record(e));
         }
+        3 | 4 => {
+            let slot = live[e.slot % live.len()];
+            let mut rec = page.read(slot).unwrap().to_vec();
+            let by = e.len % 32 + 1;
+            if e.op == 3 {
+                rec.extend_from_slice(&record(e)[..by.min(e.len)]);
+            } else {
+                rec.truncate(rec.len().saturating_sub(by).max(1));
+            }
+            let _ = page.update(slot, &rec);
+        }
         _ => {
             let slot = live.swap_remove(e.slot % live.len());
             page.delete(slot).unwrap();
@@ -157,32 +179,41 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Every state of a page under random edits round-trips through an
-    /// image, through a delta from the previous state, and through logs
-    /// made of either kind alone.
+    /// image, through a delta from the previous state (with its moves, or
+    /// of bytes alone), and through logs made of one kind each.
     #[test]
     fn page_records_round_trip_through_both_kinds(
         edits in prop::collection::vec(
-            (0..3u8, 0..64usize, 1..700usize, 0..3u8, any::<u8>())
+            (0..5u8, 0..64usize, 1..700usize, 0..3u8, any::<u8>())
                 .prop_map(|(op, slot, len, fill, seed)| Edit { op, slot, len, fill, seed }),
             1..120,
         ),
     ) {
         let mut page = Page::new();
         let mut live = Vec::new();
-        let (mut images, mut deltas) = (Wal::new(), Wal::new());
-        images.append(&WalRecord::page_image(3, &page));
-        deltas.append(&WalRecord::page_image(3, &page));
+        let (mut images, mut deltas, mut bytes) = (Wal::new(), Wal::new(), Wal::new());
+        for log in [&mut images, &mut deltas, &mut bytes] {
+            log.append(&WalRecord::page_image(3, &page));
+        }
         for e in &edits {
             let before = page.clone();
             apply(&mut page, &mut live, e);
             let image = image_ranges(&page);
-            let delta = diff_pages(&before, &page);
+            let (moves, delta) = page_delta(&before, &page);
+            let plain = diff_pages(&before, &page);
             prop_assert!(apply_image(&image) == page);
-            prop_assert!(apply_delta(&before, &delta) == page);
+            prop_assert!(apply_delta(&before, &moves, &delta) == page);
+            prop_assert!(apply_delta(&before, &[], &plain) == page);
             images.append(&WalRecord::PageImage { page: 3, ranges: image });
-            deltas.append(&WalRecord::PageDelta { page: 3, ranges: delta });
+            // Kind 9 when a record moved, kind 6 otherwise: exactly the
+            // size `delta_len` promised either way.
+            let at = deltas.stats().pending_bytes;
+            let len = delta_len(&moves, &delta);
+            deltas.append(&WalRecord::PageDelta { page: 3, moves, ranges: delta });
+            prop_assert_eq!(deltas.stats().pending_bytes - at, PAGE_RECORD_OVERHEAD + len);
+            bytes.append(&WalRecord::PageDelta { page: 3, moves: Vec::new(), ranges: plain });
         }
-        for log in [&mut images, &mut deltas] {
+        for log in [&mut images, &mut deltas, &mut bytes] {
             log.append(&WalRecord::Commit);
             log.flush().unwrap();
             let scan = log.scan();
@@ -190,6 +221,62 @@ proptest! {
             prop_assert!(wal::replay(&scan).pages[&3] == page);
         }
     }
+}
+
+/// Appends `record` after a committed image of an empty page, commits,
+/// and asserts the scan refuses it and replays only the image.
+fn assert_refused(record: WalRecord, what: &str) {
+    let mut log = Wal::new();
+    let base = Page::new();
+    log.append(&WalRecord::page_image(0, &base));
+    log.append(&WalRecord::Commit);
+    log.append(&record);
+    log.append(&WalRecord::Commit);
+    log.flush().unwrap();
+    let scan = log.scan();
+    assert!(scan.torn_tail, "{what}: a malformed record was decoded");
+    assert_eq!(scan.committed.len(), 1, "{what}");
+    assert!(wal::replay(&scan).pages[&0] == base, "{what}");
+}
+
+#[test]
+fn move_lists_out_of_bounds_or_implausibly_long_are_refused() {
+    let bad: [&[(usize, usize, usize)]; 4] = [
+        &[(PAGE_SIZE - 2, 0, 3)],
+        &[(4, PAGE_SIZE - 2, 3)],
+        &[(4, 8, 100), (PAGE_SIZE + 9, 8, 0)],
+        &[(0, 0, usize::MAX)],
+    ];
+    for moves in bad {
+        assert_refused(
+            WalRecord::PageDelta {
+                page: 0,
+                moves: moves.to_vec(),
+                ranges: Ranges::default(),
+            },
+            &format!("moves {moves:?}"),
+        );
+    }
+    // More moves than a page has slots.
+    assert_refused(
+        WalRecord::PageDelta {
+            page: 0,
+            moves: vec![(4, 8, 1); PAGE_SIZE / 4 + 1],
+            ranges: Ranges::default(),
+        },
+        "an implausible move count",
+    );
+    // The longest plausible list is accepted.
+    let mut log = Wal::new();
+    log.append(&WalRecord::page_image(0, &Page::new()));
+    log.append(&WalRecord::PageDelta {
+        page: 0,
+        moves: vec![(4, 8, 1); PAGE_SIZE / 4],
+        ranges: Ranges::default(),
+    });
+    log.append(&WalRecord::Commit);
+    log.flush().unwrap();
+    assert!(!log.scan().torn_tail);
 }
 
 #[test]
@@ -205,22 +292,22 @@ fn runs_out_of_bounds_overlapping_or_unsorted_are_refused_on_either_kind() {
         for &(offset, bytes) in runs {
             ranges.push(offset, bytes);
         }
-        for kind in ["image", "delta"] {
-            let mut log = Wal::new();
-            let base = Page::new();
-            log.append(&WalRecord::page_image(0, &base));
-            log.append(&WalRecord::Commit);
+        for kind in ["image", "delta", "move delta"] {
             let ranges = ranges.clone();
-            log.append(&match kind {
+            let record = match kind {
                 "image" => WalRecord::PageImage { page: 0, ranges },
-                _ => WalRecord::PageDelta { page: 0, ranges },
-            });
-            log.append(&WalRecord::Commit);
-            log.flush().unwrap();
-            let scan = log.scan();
-            assert!(scan.torn_tail, "{kind}: a malformed run list was decoded");
-            assert_eq!(scan.committed.len(), 1, "{kind}");
-            assert!(wal::replay(&scan).pages[&0] == base, "{kind}");
+                "delta" => WalRecord::PageDelta {
+                    page: 0,
+                    moves: Vec::new(),
+                    ranges,
+                },
+                _ => WalRecord::PageDelta {
+                    page: 0,
+                    moves: vec![(4, 8, 1)],
+                    ranges,
+                },
+            };
+            assert_refused(record, kind);
         }
     }
 }
