@@ -1,9 +1,8 @@
 //! Instrumentation overhead: proof that observability is (nearly) free.
 //!
 //! The `corion-obs` facade promises that a disabled registry costs one
-//! relaxed atomic load per instrumentation point, and that the
-//! compiled-out path (`--no-default-features`) costs nothing at all. The
-//! claim this bench locks in is the acceptance criterion: **with
+//! relaxed atomic load per instrumentation point. The claim this bench
+//! locks in is the acceptance criterion: **with
 //! recording off, instrumentation adds < 2% to the existing wal/clustering
 //! workloads**.
 //!
@@ -20,8 +19,6 @@
 //!    millions of iterations (deterministic to well under a nanosecond);
 //! 3. assert `events × disabled_cost < 2% × workload_time`.
 //!
-//! The compiled-out path does strictly less work than the disabled runtime
-//! path, so the bound covers `--no-default-features` builds a fortiori.
 //! Interleaved enabled/disabled medians are also printed for reference
 //! (not asserted — see above).
 

@@ -554,8 +554,8 @@ impl Database {
     // buffer-pool frames and unflushed WAL bytes but keeps disk pages and
     // flushed log bytes. The catalog and operation logs are engine memory —
     // DDL is outside the crash scope, as in ORION where schema evolution was
-    // non-transactional; cross-process durability of the schema comes from
-    // `dump`/`save_to_file` (see `persist`).
+    // non-transactional; a data directory carries the schema across
+    // processes in its sidecar (see `persist`).
 
     /// Simulates a crash of the storage substrate: buffer-pool frames and
     /// unflushed WAL bytes are lost; disk pages and flushed WAL bytes
@@ -697,12 +697,6 @@ impl Database {
         self.store.arm_crash_point(point, countdown);
     }
 
-    /// Arms a torn-write crash at `point`: the crash leaves only the first
-    /// `keep_bytes` of the WAL flush durable.
-    pub fn arm_torn_crash(&self, point: &'static str, countdown: u64, keep_bytes: usize) {
-        self.store.arm_torn_crash(point, countdown, keep_bytes);
-    }
-
     /// Disarms every crash point.
     pub fn heal_crash_points(&self) {
         self.store.heal_crash_points();
@@ -786,10 +780,11 @@ mod tests {
             .make(part, vec![("name", Value::Str("small".into()))], vec![])
             .unwrap();
         // Growing past a page relocates the record into an overflow chain;
-        // then a clean crash at the flush rolls the commit back.
+        // then a clean crash while the commit's log records are assembled
+        // rolls the commit back.
         let mut big = db.get(p).unwrap();
         big.attrs[0] = Value::Str("x".repeat(5000));
-        db.arm_crash_point(corion_storage::CP_COMMIT_FLUSH, 1);
+        db.arm_crash_point(corion_storage::CP_COMMIT_LOG, 1);
         assert!(db.raw_overwrite_object(&big).is_err());
         db.heal_crash_points();
         assert_eq!(db.get_attr(p, "name").unwrap(), Value::Str("small".into()));

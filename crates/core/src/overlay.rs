@@ -476,9 +476,9 @@ mod tests {
         let mut ov = Overlay::new();
         let fresh = db.overlay_make(&mut ov, c, vec![], vec![]).unwrap();
         db.overlay_delete(&mut ov, old).unwrap();
-        // A clean crash at the flush: the store aborts the batch and stays
-        // healthy.
-        db.arm_crash_point(corion_storage::CP_COMMIT_FLUSH, 1);
+        // A clean crash before the log is written: the store aborts the
+        // batch and stays healthy.
+        db.arm_crash_point(corion_storage::CP_COMMIT_LOG, 1);
         assert!(matches!(db.overlay_apply(ov), Err(DbError::Storage(_))));
         db.heal_crash_points();
         assert_eq!(db.health(), HealthState::Healthy);
@@ -489,20 +489,37 @@ mod tests {
 
     #[test]
     fn a_fault_after_the_commit_took_effect_answers_ok_and_keeps_the_object_table() {
-        use corion_storage::{StoreConfig, CP_CHECKPOINT_WRITE, CP_COMMIT_DONE};
+        use corion_storage::{
+            DeviceMetrics, FaultyDevice, MemLog, SimDisk, StoreConfig, CP_COMMIT_DONE,
+        };
+        use std::sync::Arc;
         // Past the durability point nothing is the commit's error: a
         // `commit:done` fault, or a failed auto-checkpoint (every commit
-        // trips one here), degrades the store and the commit answers `Ok`
-        // with the object table its pages match. Autocommit create,
-        // autocommit delete, and a transaction.
-        for point in [CP_COMMIT_DONE, CP_CHECKPOINT_WRITE] {
-            let mut db = Database::with_config(crate::DbConfig {
+        // trips one here; its first page write-back persists nothing),
+        // degrades the store and the commit answers `Ok` with the object
+        // table its pages match. Autocommit create, autocommit delete, and
+        // a transaction.
+        for checkpoint_fault in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "corion_overlay_{}_{checkpoint_fault}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+            let config = crate::DbConfig {
                 store: StoreConfig {
                     wal_checkpoint_bytes: 0,
                     ..StoreConfig::default()
                 },
                 ..crate::DbConfig::default()
-            });
+            };
+            let mut db = Database::with_devices(
+                &dir,
+                config,
+                Arc::new(disk.clone()),
+                Arc::new(MemLog::new()),
+            )
+            .unwrap();
             let c = db
                 .define_class(ClassBuilder::new("Widget").attr("label", Domain::String))
                 .unwrap();
@@ -511,10 +528,15 @@ mod tests {
             // fault degraded, whose reads already serve the commit; then
             // recovery makes the store writable again.
             let faulted = |db: &mut Database, op: &mut dyn FnMut(&mut Database)| {
-                db.arm_crash_point(point, 1);
+                if checkpoint_fault {
+                    disk.arm_torn_write(0, 0);
+                } else {
+                    db.arm_crash_point(CP_COMMIT_DONE, 1);
+                }
                 op(db);
                 db.heal_crash_points();
-                assert_eq!(db.health(), HealthState::Degraded, "{point}");
+                disk.heal_faults();
+                assert_eq!(db.health(), HealthState::Degraded, "{checkpoint_fault}");
                 db.verify_integrity().unwrap();
                 db.recover().unwrap();
             };
@@ -551,6 +573,12 @@ mod tests {
             db.simulate_crash();
             db.recover().unwrap();
             check(&mut db);
+            if checkpoint_fault {
+                // Each faulted commit's checkpoint met the fault.
+                assert_eq!(disk.injected().torn_writes, 3);
+            }
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

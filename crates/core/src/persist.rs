@@ -1,11 +1,14 @@
-//! Whole-database dump and restore.
+//! Whole-database dump and restore, and the schema sidecar of a data
+//! directory.
 //!
-//! The simulated disk lives in memory; durability across processes comes
-//! from [`Database::dump`] / [`Database::restore`]: a self-contained byte
-//! image of the catalog, the operation logs, and every object. Objects are
-//! written segment by segment in physical scan order, and restored with a
-//! chain of `near` hints, so the clustering the `:parent` clauses built up
-//! (§2.3) survives the round trip.
+//! Durability across processes comes from the data directory
+//! ([`Database::open`]): the WAL and page files hold the objects, and the
+//! sidecar below holds the schema. [`Database::dump`] /
+//! [`Database::restore`] are a portable copy beside that: a self-contained
+//! byte image of the catalog, the operation logs, and every object.
+//! Objects are written segment by segment in physical scan order, and
+//! restored with a chain of `near` hints, so the clustering the `:parent`
+//! clauses built up (§2.3) survives the round trip.
 //!
 //! The format is versioned with a magic header and sealed with a trailing
 //! FNV-1a checksum over the whole body, so a truncated or bit-flipped image

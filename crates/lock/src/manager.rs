@@ -434,7 +434,6 @@ mod tests {
         lm.try_lock(t2, res(1), LockMode::X).unwrap();
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn registry_counters_track_grants_conflicts_and_timeouts() {
         let registry = Registry::new();

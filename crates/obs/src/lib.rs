@@ -23,10 +23,6 @@
 //! * **Runtime off-switch** — [`Registry::set_enabled`]`(false)` makes
 //!   every handle's recording method return after a single relaxed load,
 //!   and timers skip the `Instant::now()` call entirely.
-//! * **Compile-time off-switch** — building with
-//!   `--no-default-features` (the `enabled` feature off) empties every
-//!   recording method body and inerts the tracing facade, so the
-//!   instrumented code compiles to exactly the uninstrumented code.
 //! * **Fixed-bucket histograms** — cumulative `le` buckets over a fixed
 //!   bound slice ([`LATENCY_BOUNDS_NS`], [`SIZE_BOUNDS_BYTES`]), merge-able
 //!   by bucket-wise addition — see [`MetricsSnapshot::merge`].
@@ -40,8 +36,7 @@
 //! hits.inc();
 //! lat.record(1_200);
 //! let snap = registry.snapshot();
-//! let expected = if cfg!(feature = "enabled") { 1 } else { 0 };
-//! assert_eq!(snap.counter("cache_hits_total"), expected);
+//! assert_eq!(snap.counter("cache_hits_total"), 1);
 //! assert!(snap.render_prometheus().contains("cache_hits_total"));
 //! ```
 

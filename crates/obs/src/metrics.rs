@@ -3,8 +3,7 @@
 //!
 //! Handles are created by a [`crate::Registry`] and are cheap to clone
 //! (`Arc` inside). Each recording method first checks the registry's
-//! shared enabled flag with one relaxed load; when the crate is built
-//! without the `enabled` feature the whole body compiles out.
+//! shared enabled flag with one relaxed load.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,11 +36,11 @@ pub const SIZE_BOUNDS_BYTES: &[u64] = &[
     64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304,
 ];
 
-/// True when recording should actually happen: the crate was built with
-/// the `enabled` feature *and* the registry's runtime switch is on.
+/// True when recording should actually happen: the registry's runtime
+/// switch is on.
 #[inline(always)]
 fn live(enabled: &AtomicBool) -> bool {
-    cfg!(feature = "enabled") && enabled.load(Ordering::Relaxed)
+    enabled.load(Ordering::Relaxed)
 }
 
 /// A monotonically increasing `u64` counter.
@@ -212,7 +211,6 @@ mod tests {
     use crate::Registry;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn counter_and_gauge_basics() {
         let r = Registry::new();
         let c = r.counter("c");
@@ -226,7 +224,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn histogram_bucket_boundaries_are_inclusive() {
         let r = Registry::new();
         let h = r.histogram("h", &[10, 100]);
@@ -242,7 +239,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn disabled_registry_records_nothing_but_reads_fine() {
         let r = Registry::new();
         let c = r.counter("c");
@@ -267,10 +263,6 @@ mod tests {
             let _t = h.start_timer();
             std::hint::black_box(0u64);
         }
-        if cfg!(feature = "enabled") {
-            assert_eq!(h.count(), 1);
-        } else {
-            assert_eq!(h.count(), 0);
-        }
+        assert_eq!(h.count(), 1);
     }
 }

@@ -58,9 +58,9 @@ impl Registry {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether recording is currently enabled (and compiled in).
+    /// Whether recording is currently enabled.
     pub fn is_enabled(&self) -> bool {
-        cfg!(feature = "enabled") && self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// Get or create the counter registered under `name`.
@@ -189,7 +189,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn get_or_create_returns_same_underlying_metric() {
         let r = Registry::new();
         let a = r.counter("x");
@@ -216,7 +215,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn clones_share_the_store() {
         let r = Registry::new();
         let r2 = r.clone();

@@ -6,8 +6,7 @@
 //! (§3 traversals, WAL commits, recovery) so a test or a profiling
 //! harness can observe *which* engine phase is running. When no
 //! subscriber is installed, [`span`] costs one relaxed atomic load and
-//! returns an inert guard; with the `enabled` feature off it compiles
-//! to nothing at all.
+//! returns an inert guard.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
@@ -60,11 +59,10 @@ pub struct Span {
 
 /// Enter a span. Emits `enter` immediately and `exit` (with elapsed
 /// nanoseconds) when the returned guard drops. When no subscriber is
-/// installed — or the crate is built without `enabled` — this is one
-/// relaxed load and an inert guard.
+/// installed this is one relaxed load and an inert guard.
 #[inline]
 pub fn span(target: &'static str, name: &'static str) -> Span {
-    if !cfg!(feature = "enabled") || !global().active.load(Ordering::Acquire) {
+    if !global().active.load(Ordering::Acquire) {
         return Span { live: None };
     }
     if let Some(sub) = global().subscriber.read().unwrap().as_ref() {
@@ -152,13 +150,9 @@ mod tests {
             let _s = span("core", "after_clear");
         }
         let events = collector.take();
-        if cfg!(feature = "enabled") {
-            assert_eq!(events.len(), 2);
-            assert_eq!(events[0].phase, "enter");
-            assert_eq!(events[1].phase, "exit");
-            assert_eq!(events[0].name, "components_of");
-        } else {
-            assert!(events.is_empty());
-        }
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].phase, "enter");
+        assert_eq!(events[1].phase, "exit");
+        assert_eq!(events[0].name, "components_of");
     }
 }

@@ -2,7 +2,6 @@
 //! boundaries, snapshot text round-trip, and the merge law — merging two
 //! snapshots equals recording the same observations interleaved into one
 //! registry.
-#![cfg(feature = "enabled")]
 
 use corion_obs::{MetricsSnapshot, Registry};
 use proptest::prelude::*;

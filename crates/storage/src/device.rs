@@ -6,14 +6,16 @@
 //! * [`BlockDevice`] is the page store ([`SimDisk`] in memory,
 //!   [`FileDisk`] on real files with positioned reads/writes and a
 //!   checksum sidecar);
-//! * [`LogDevice`] is the append-only log ([`MemLog`] in memory,
-//!   [`FileWal`] on a real file with `fsync` at every durability point and
-//!   tmp+rename+dir-fsync checkpoint compaction);
+//! * [`LogDevice`] is the append-only log ([`MemLog`], the in-memory
+//!   engine's log, and [`FileWal`] on a real file with `fsync` at every
+//!   durability point and tmp+rename+dir-fsync checkpoint compaction);
+//!   the WAL writes every byte through one;
 //! * [`FaultyDevice`] wraps either and injects deterministic faults *at
-//!   the device boundary*: torn page writes, short reads, EIO, a lying
-//!   fsync whose acknowledged bytes a simulated crash drops, and a crash
-//!   in the checkpoint-compaction gap. It is the one place device faults
-//!   are injected: the plain devices never fail on their own schedule;
+//!   the device boundary*: torn page writes and log appends, short reads,
+//!   EIO, a lying fsync whose acknowledged bytes a simulated crash drops,
+//!   and a crash in the checkpoint-compaction gap. It is the one place
+//!   device faults are injected — over the in-memory devices as over the
+//!   files — and the plain devices never fail on their own schedule;
 //! * [`DirLock`] is the data-directory lock file that keeps two processes
 //!   from opening the same files.
 //!
@@ -186,9 +188,9 @@ impl BlockDevice for SimDisk {
     }
 }
 
-/// In-memory [`LogDevice`] — the byte store the WAL used before the
-/// device layer existed, now behind the same trait the file-backed log
-/// implements (and the inner device [`FaultyDevice`] unit tests wrap).
+/// In-memory [`LogDevice`]: the in-memory engine's log (`Wal::new`, and
+/// so `ObjectStore::new`, writes through one), and the inner device a
+/// [`FaultyDevice`] wraps to inject log faults without files.
 #[derive(Default)]
 pub struct MemLog {
     bytes: Mutex<Vec<u8>>,

@@ -27,9 +27,9 @@
 //! * [`wal`] — a checksummed, sequence-numbered write-ahead log (page-image
 //!   redo + commit markers) behind the store's `begin_atomic` /
 //!   `commit_atomic` / `recover` boundary;
-//! * [`fault`] — named crash points with countdowns and torn-write
-//!   injection, for deterministic crash-recovery testing (device faults
-//!   are [`FaultyDevice`]'s);
+//! * [`fault`] — named crash points with countdowns at the instants of a
+//!   batch with no device under them, for deterministic crash-recovery
+//!   testing (device faults are [`FaultyDevice`]'s);
 //! * [`version`] — copy-on-write object-image version chains keyed by
 //!   commit LSN, with snapshot pins and watermark GC, so the concurrent
 //!   engine's readers never block on writers;
@@ -73,14 +73,13 @@ pub use device::{
 };
 pub use disk::{DiskStats, SimDisk};
 pub use error::{StorageError, StorageResult};
-pub use fault::{CrashPoints, FireOutcome};
+pub use fault::CrashPoints;
 pub use metrics::StoreMetrics;
 pub use page::{Page, SlotId, PAGE_SIZE};
 pub use segment::{Segment, SegmentId};
 pub use store::{
-    HealthState, ObjectStore, PhysId, RecoveryReport, ScrubReport, StoreConfig,
-    CP_CHECKPOINT_WRITE, CP_COMMIT_DONE, CP_COMMIT_FLUSH, CP_COMMIT_LOG, CP_PAGE_WRITE,
-    CRASH_POINTS,
+    HealthState, ObjectStore, PhysId, RecoveryReport, ScrubReport, StoreConfig, CP_COMMIT_DONE,
+    CP_COMMIT_LOG, CP_PAGE_WRITE, CRASH_POINTS,
 };
 pub use version::{Resolution, SnapshotPin, VersionKey, VersionStore};
 pub use wal::{diff_pages, fnv1a64, image_ranges, Lsn, Ranges, Wal, WalMark, WalRecord, WalStats};

@@ -34,7 +34,8 @@
 //! pool evicts a frame. [`ObjectStore::recover`] rebuilds a consistent
 //! store from the durable half of the crash model: the disk's pages and
 //! the flushed log. Crashes are injected deterministically at the named
-//! [`CRASH_POINTS`].
+//! [`CRASH_POINTS`], and device faults by wrapping either device in a
+//! [`FaultyDevice`](crate::device::FaultyDevice).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
@@ -44,10 +45,10 @@ use corion_obs::Registry;
 
 use crate::buffer::{BufferPool, BufferStats};
 use crate::codec::{self, Reader};
-use crate::device::{BlockDevice, DeviceMetrics, DirLock, FileDisk, FileWal, LogDevice};
+use crate::device::{BlockDevice, DeviceMetrics, DirLock, FileDisk, FileWal, LogDevice, MemLog};
 use crate::disk::{DiskStats, SimDisk};
 use crate::error::{StorageError, StorageResult};
-use crate::fault::{CrashPoints, FireOutcome};
+use crate::fault::CrashPoints;
 use crate::metrics::StoreMetrics;
 use crate::page::{Page, SlotId, MAX_RECORD, PAGE_SIZE};
 use crate::segment::{Segment, SegmentId};
@@ -100,19 +101,19 @@ impl Default for StoreConfig {
 /// all-or-nothing poison flag.
 ///
 /// ```text
-/// Healthy ──(fault after the durability point / torn flush /
+/// Healthy ──(fault after the durability point /
 ///           checkpoint write-back or page-sync fault)──▶ Degraded
-/// Healthy │ Degraded ──(simulated crash)──▶ Poisoned
+/// Healthy │ Degraded ──(simulated crash / log-device tear or EIO)──▶ Poisoned
 /// Degraded │ Poisoned ──(recover)──▶ Healthy
 /// ```
 ///
 /// *Degraded* means the commit protocol or a checkpoint faulted with the
-/// log ahead of the disk (or ending in a torn tail): reads keep
-/// answering — the buffer pool holds the last committed image of every
-/// page the disk lacks, pinned — while mutations fail fast with
-/// [`StorageError::ReadOnly`]. *Poisoned* means the volatile
-/// state is gone (a crash): nothing is trustworthy until
-/// [`ObjectStore::recover`] rebuilds from durable state.
+/// log ahead of the disk: reads keep answering — the buffer pool holds
+/// the last committed image of every page the disk lacks, pinned — while
+/// mutations fail fast with [`StorageError::ReadOnly`]. *Poisoned* means
+/// the volatile state is gone or cannot be trusted (a crash, or a log
+/// device that failed at the durability point): nothing is trustworthy
+/// until [`ObjectStore::recover`] rebuilds from durable state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
     /// Fully operational: reads and writes accepted.
@@ -149,30 +150,22 @@ pub struct ScrubReport {
     pub pages_reset: usize,
 }
 
-/// Crash point: before each logged page write inside a batch.
+/// Crash point: before each frame mutation inside a batch — a change to
+/// the buffer pool, not a device write (nothing is written until the
+/// commit's log flush).
 pub const CP_PAGE_WRITE: &str = "wal:page_write";
-/// Crash point: while assembling the commit's log records (nothing
-/// durable yet).
+/// Crash point: while assembling the commit's log records, before
+/// anything is written.
 pub const CP_COMMIT_LOG: &str = "commit:log";
-/// Crash point: at the durability point itself. The only torn-capable
-/// point — armed torn, a prefix of the pending log bytes survives.
-pub const CP_COMMIT_FLUSH: &str = "commit:flush";
 /// Crash point: after the batch is durable, before it is closed. Firing
 /// degrades the store; the commit still answers `Ok`.
 pub const CP_COMMIT_DONE: &str = "commit:done";
-/// Crash point: before each page write-back of a checkpoint (the countdown
-/// selects which page). Not in [`CRASH_POINTS`] — a commit passes it only
-/// through the auto-checkpoint it trips.
-pub const CP_CHECKPOINT_WRITE: &str = "checkpoint:write";
 
 /// Every named crash point a commit passes, in order — what the
-/// crash-matrix test sweeps.
-pub const CRASH_POINTS: &[&str] = &[
-    CP_PAGE_WRITE,
-    CP_COMMIT_LOG,
-    CP_COMMIT_FLUSH,
-    CP_COMMIT_DONE,
-];
+/// crash-matrix test sweeps. Each is an instant with no device under it;
+/// faults at the log flush or a checkpoint write-back are device faults,
+/// injected through [`FaultyDevice`](crate::device::FaultyDevice).
+pub const CRASH_POINTS: &[&str] = &[CP_PAGE_WRITE, CP_COMMIT_LOG, CP_COMMIT_DONE];
 
 /// What [`ObjectStore::recover`] found and did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -282,29 +275,20 @@ impl ObjectStore {
         Self::with_registry(config, &Registry::new())
     }
 
-    /// Creates a store whose metrics are interned in `registry`, so one
-    /// snapshot covers this store alongside the layers above it.
+    /// Creates a store over a fresh [`SimDisk`] and [`MemLog`] whose
+    /// metrics are interned in `registry`, so one snapshot covers this
+    /// store alongside the layers above it. Both devices are empty, so the
+    /// store starts healthy with nothing to recover.
     pub fn with_registry(config: StoreConfig, registry: &Registry) -> Self {
-        let store = ObjectStore {
-            pool: BufferPool::with_registry(
-                Arc::new(SimDisk::new()),
-                config.buffer_capacity,
-                registry,
-            ),
-            segments: HashMap::new(),
-            next_segment: 0,
-            wal: Wal::new(),
-            crash: CrashPoints::new(),
-            batch: None,
-            health: HealthState::Healthy,
-            wal_checkpoint_bytes: config.wal_checkpoint_bytes,
-            last_logged: HashMap::new(),
-            durable_commit_lsn: 0,
-            serial_floor: 0,
-            metrics: StoreMetrics::new(registry),
-            _lock: None,
-        };
-        store.metrics.health.set(0);
+        let mut store = Self::with_devices(
+            config,
+            registry,
+            Arc::new(SimDisk::new()),
+            Arc::new(MemLog::new()),
+            None,
+        )
+        .expect("an empty in-memory log reads");
+        store.set_health(HealthState::Healthy);
         store
     }
 
@@ -953,12 +937,13 @@ impl ObjectStore {
     /// The answer is exact. `Ok` means the batch is durable. `Err` on a
     /// store still [`HealthState::Healthy`] means the batch was rolled back
     /// in memory and the store serves its pre-batch state. The one answer
-    /// left in doubt is a failure *at* the durability point — a torn flush
-    /// degrades the store, a log-device failure poisons it — and there
-    /// [`ObjectStore::recover`] decides. Past the durability point nothing
-    /// is the commit's error: a fault there, or in the auto-checkpoint,
-    /// degrades (or poisons) the store and the commit still answers `Ok`;
-    /// the next operation is the one that hears about it.
+    /// left in doubt is a failure *at* the durability point — the log
+    /// device tore or failed the append or the sync, which poisons the
+    /// store — and there [`ObjectStore::recover`] decides. Past the
+    /// durability point nothing is the commit's error: a fault there, or
+    /// in the auto-checkpoint, degrades (or poisons) the store and the
+    /// commit still answers `Ok`; the next operation is the one that hears
+    /// about it.
     pub fn commit_atomic(&mut self) -> StorageResult<()> {
         let dirty: Vec<u64> = match &self.batch {
             Some(b) => b.dirty.iter().copied().collect(),
@@ -1005,49 +990,22 @@ impl ObjectStore {
     /// Appends one page record per image plus the commit marker, then
     /// reaches the durability point. On `Ok` the records are durable and
     /// the caller installs `images` as the new delta bases. On `Err` the
-    /// batch is already disposed of: rolled back on a healthy store when
-    /// nothing reached the log device (a clean crash), rewound under a
-    /// degraded store when a torn prefix did (the commit marker did not, so
-    /// the pre-flush state is the truth and only recovery may truncate the
-    /// torn tail), and dropped with the poisoned store when the log device
-    /// itself failed.
+    /// log device failed: how many bytes reached its media is unknowable
+    /// here, so the batch is dropped with the poisoned store and recovery
+    /// decides.
     fn log_and_flush(&mut self, images: &BTreeMap<u64, Page>) -> StorageResult<()> {
         for (&page, image) in images {
             self.log_page_record(page, image);
         }
         let commit_lsn = self.log_append(&WalRecord::Commit);
-        let crashed = StorageError::InjectedFault {
-            op: CP_COMMIT_FLUSH,
-        };
-        match self.crash.fire(CP_COMMIT_FLUSH) {
-            FireOutcome::Pass => {
-                let _flush_timer = self.metrics.wal_flush_latency.start_timer();
-                if let Err(e) = self.wal.flush() {
-                    self.poison();
-                    return Err(e);
-                }
-                self.metrics.wal_flushes.inc();
-                self.durable_commit_lsn = commit_lsn;
-                Ok(())
-            }
-            FireOutcome::Crash { torn: None } => {
-                self.abort_open_batch();
-                Err(crashed)
-            }
-            FireOutcome::Crash { torn: Some(keep) } => {
-                // A device failure *while persisting the torn prefix* only
-                // shortens what recovery will find — recovery re-reads the
-                // device either way.
-                let _ = self.wal.flush_torn(keep);
-                // The commit marker never became durable, so the pre-batch
-                // state is the truth: rewind the frames as an abort would.
-                if let Some(batch) = self.batch.take() {
-                    self.undo_batch(batch);
-                }
-                self.degrade();
-                Err(crashed)
-            }
+        let _flush_timer = self.metrics.wal_flush_latency.start_timer();
+        if let Err(e) = self.wal.flush() {
+            self.poison();
+            return Err(e);
         }
+        self.metrics.wal_flushes.inc();
+        self.durable_commit_lsn = commit_lsn;
+        Ok(())
     }
 
     /// The auto-checkpoint, the last step of a commit:
@@ -1121,12 +1079,12 @@ impl ObjectStore {
     }
 
     /// Poisons the store, dropping its volatile state: after a crash, or
-    /// after the log *device* failed at a durability point (append or
-    /// fsync raised a real error, as opposed to the simulated crash
-    /// points). How many bytes reached the media is unknowable from here,
-    /// so no in-memory state is trustworthy — the frames go too, lest an
-    /// eviction write an uncommitted one back; [`ObjectStore::recover`]
-    /// re-reads the device and lands on its committed prefix.
+    /// after the log device failed at a durability point (the append tore
+    /// or raised an error, or the fsync did). How many bytes reached the
+    /// media is unknowable from here, so no in-memory state is
+    /// trustworthy — the frames go too, lest an eviction write an
+    /// uncommitted one back; [`ObjectStore::recover`] re-reads the device
+    /// and lands on its committed prefix.
     fn poison(&mut self) {
         self.batch = None;
         self.last_logged.clear();
@@ -1170,9 +1128,9 @@ impl ObjectStore {
         self.pool.set_no_steal(false);
         self.wal.drop_pending();
         self.pool.discard_all();
-        // Re-read the log from its device: after a reopen (or a crash
-        // that dropped lying-fsync buffers) the in-memory mirror may be
-        // ahead of what the media actually holds.
+        // Re-read the log from its device: the in-memory mirror may be
+        // ahead of the media (a crash dropped lying-fsync buffers) or
+        // behind it (a failed flush left a prefix there).
         self.wal.reload_from_device()?;
 
         let scan = self.wal.scan();
@@ -1270,7 +1228,6 @@ impl ObjectStore {
         let dirty = self.pool.dirty_pages();
         self.metrics.dirty_frames.set(dirty.len() as i64);
         for page in dirty {
-            self.crash.hit(CP_CHECKPOINT_WRITE)?;
             self.pool.write_back(page)?;
             self.metrics.checkpoint_writebacks.inc();
         }
@@ -1372,12 +1329,6 @@ impl ObjectStore {
         Ok(self.segment(segment)?.pages().to_vec())
     }
 
-    /// Arms [`CP_COMMIT_FLUSH`] (the only torn-capable point) so that when
-    /// it fires, `keep_bytes` of the pending log survive.
-    pub fn arm_torn_crash(&self, point: &'static str, countdown: u64, keep_bytes: usize) {
-        self.crash.arm_torn(point, countdown, keep_bytes);
-    }
-
     /// Disarms every crash point.
     pub fn heal_crash_points(&self) {
         self.crash.heal();
@@ -1414,6 +1365,31 @@ impl ObjectStore {
         ids.sort();
         ids
     }
+}
+
+/// A recovered store over fault-injecting in-memory devices, plus the
+/// handles that arm them.
+#[cfg(test)]
+fn faulty_store(
+    config: StoreConfig,
+) -> (
+    ObjectStore,
+    crate::device::FaultyDevice<SimDisk>,
+    crate::device::FaultyDevice<MemLog>,
+) {
+    use crate::device::FaultyDevice;
+    let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+    let log = FaultyDevice::new(MemLog::new(), DeviceMetrics::detached());
+    let mut st = ObjectStore::with_devices(
+        config,
+        &Registry::new(),
+        Arc::new(disk.clone()),
+        Arc::new(log.clone()),
+        None,
+    )
+    .unwrap();
+    st.recover().unwrap();
+    (st, disk, log)
 }
 
 #[cfg(test)]
@@ -1657,30 +1633,17 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::device::{FaultyDevice, MemLog};
 
-    /// A recovered store over a fault-injecting disk, plus the handle that
-    /// arms it.
-    fn faulty_store(buffer_capacity: usize) -> (ObjectStore, FaultyDevice<SimDisk>) {
-        let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
-        let mut st = ObjectStore::with_devices(
-            StoreConfig {
-                buffer_capacity,
-                ..Default::default()
-            },
-            &Registry::new(),
-            Arc::new(disk.clone()),
-            Arc::new(MemLog::new()),
-            None,
-        )
-        .unwrap();
-        st.recover().unwrap();
-        (st, disk)
+    fn pool_of(buffer_capacity: usize) -> StoreConfig {
+        StoreConfig {
+            buffer_capacity,
+            ..Default::default()
+        }
     }
 
     #[test]
     fn faults_surface_as_errors_not_panics() {
-        let (mut st, disk) = faulty_store(2);
+        let (mut st, disk, _) = faulty_store(pool_of(2));
         let seg = st.create_segment().unwrap();
         let id = st.insert(seg, &[1u8; 100], None).unwrap();
         st.clear_cache().unwrap();
@@ -1755,7 +1718,7 @@ mod fault_tests {
 
     #[test]
     fn fault_during_eviction_is_reported_and_the_frame_survives_it() {
-        let (mut st, disk) = faulty_store(1);
+        let (mut st, disk, _) = faulty_store(pool_of(1));
         let seg = st.create_segment().unwrap();
         // Two pages worth of data so accessing the second evicts the first.
         let a = st.insert(seg, &[1u8; 3000], None).unwrap();
@@ -1783,6 +1746,7 @@ mod fault_tests {
 #[cfg(test)]
 mod recovery_tests {
     use super::*;
+    use crate::device::FaultyDevice;
 
     /// Physical-address-free state digest: the multiset of live records.
     fn fingerprint(st: &ObjectStore, seg: SegmentId) -> Vec<Vec<u8>> {
@@ -1797,9 +1761,17 @@ mod recovery_tests {
     }
 
     /// One committed record, then the operation under test: a second
-    /// insert. Returns (store, segment, pre-fingerprint, post-fingerprint).
-    fn arena() -> (ObjectStore, SegmentId, Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let mut st = ObjectStore::default();
+    /// insert, whose fingerprints before and after are `pre` and `post`.
+    struct Arena {
+        st: ObjectStore,
+        log: FaultyDevice<MemLog>,
+        seg: SegmentId,
+        pre: Vec<Vec<u8>>,
+        post: Vec<Vec<u8>>,
+    }
+
+    fn arena() -> Arena {
+        let (mut st, _, log) = faulty_store(StoreConfig::default());
         let seg = st.create_segment().unwrap();
         st.insert(seg, &[1u8; 400], None).unwrap();
         let pre = fingerprint(&st, seg);
@@ -1809,14 +1781,26 @@ mod recovery_tests {
         oracle.insert(oseg, &[1u8; 400], None).unwrap();
         oracle.insert(oseg, &[2u8; 500], None).unwrap();
         let post = fingerprint(&oracle, oseg);
-        (st, seg, pre, post)
+        Arena {
+            st,
+            log,
+            seg,
+            pre,
+            post,
+        }
     }
 
     #[test]
     fn crash_at_every_point_recovers_to_exactly_what_the_commit_answered() {
         for &point in CRASH_POINTS {
             for countdown in 1..16 {
-                let (mut st, seg, pre, post) = arena();
+                let Arena {
+                    mut st,
+                    seg,
+                    pre,
+                    post,
+                    ..
+                } = arena();
                 st.arm_crash_point(point, countdown);
                 let res = st.insert(seg, &[2u8; 500], None);
                 if st.crash_point_remaining(point).is_some() {
@@ -1859,15 +1843,29 @@ mod recovery_tests {
     #[test]
     fn torn_flush_every_prefix_recovers_pre_then_post() {
         // Measure the batch's log footprint on an identical probe.
-        let (mut probe, pseg, _, _) = arena();
+        let Arena {
+            st: mut probe,
+            seg: pseg,
+            ..
+        } = arena();
         let before = probe.wal_stats().durable_bytes;
         probe.insert(pseg, &[2u8; 500], None).unwrap();
         let batch_bytes = probe.wal_stats().durable_bytes - before;
 
         for keep in 0..=batch_bytes {
-            let (mut st, seg, pre, post) = arena();
-            st.arm_torn_crash(CP_COMMIT_FLUSH, 1, keep);
+            // The log device tears the commit's append after `keep` bytes:
+            // the answer is in doubt, so the store poisons itself.
+            let Arena {
+                mut st,
+                log,
+                seg,
+                pre,
+                post,
+            } = arena();
+            log.arm_torn_write(0, keep);
             assert!(st.insert(seg, &[2u8; 500], None).is_err(), "keep={keep}");
+            assert_eq!(log.injected().torn_writes, 1, "keep={keep}");
+            assert_eq!(st.health(), HealthState::Poisoned, "keep={keep}");
             let report = st.recover().unwrap();
             let got = fingerprint(&st, seg);
             if keep == batch_bytes {
@@ -1933,56 +1931,62 @@ mod recovery_tests {
     #[test]
     fn checkpoint_writeback_fault_degrades_keeping_the_frames_and_the_log() {
         // Ten commits over three pages, then a checkpoint whose k-th page
-        // write-back faults, for every k the checkpoint reaches.
-        for countdown in 1..8 {
-            let mut st = ObjectStore::default();
-            let seg = st.create_segment().unwrap();
-            for i in 0..10u8 {
-                st.insert(seg, &[i; 1000], None).unwrap();
+        // write-back faults, for every k the checkpoint reaches: a write
+        // that persists nothing, and torn ones that persist a prefix.
+        for keep in [0, 512, 4095] {
+            for k in 0..8u64 {
+                let (mut st, disk, _) = faulty_store(StoreConfig::default());
+                let seg = st.create_segment().unwrap();
+                for i in 0..10u8 {
+                    st.insert(seg, &[i; 1000], None).unwrap();
+                }
+                let fp = fingerprint(&st, seg);
+                let log = st.wal_stats().durable_bytes;
+                disk.arm_torn_write(k, keep);
+                let res = st.checkpoint();
+                if disk.injected().torn_writes == 0 {
+                    disk.heal_faults();
+                    res.unwrap();
+                    assert!(k >= 3, "three dirty pages, three write-backs");
+                    break;
+                }
+                assert!(matches!(res, Err(StorageError::TornWrite { .. })));
+                assert_eq!(st.health(), HealthState::Degraded);
+                assert_eq!(
+                    st.wal_stats().durable_bytes,
+                    log,
+                    "the log is truncated only after every write-back"
+                );
+                assert_eq!(st.buffer_stats().writebacks, k);
+                assert_eq!(fingerprint(&st, seg), fp, "degraded reads keep answering");
+                assert!(matches!(
+                    st.insert(seg, b"y", None),
+                    Err(StorageError::ReadOnly)
+                ));
+                // A crash on top loses the unwritten frames; the log has them.
+                st.simulate_crash();
+                st.recover().unwrap();
+                assert_eq!(fingerprint(&st, seg), fp);
+                st.checkpoint().unwrap();
             }
-            let fp = fingerprint(&st, seg);
-            let log = st.wal_stats().durable_bytes;
-            st.arm_crash_point(CP_CHECKPOINT_WRITE, countdown);
-            let res = st.checkpoint();
-            if st.crash_point_remaining(CP_CHECKPOINT_WRITE).is_some() {
-                st.heal_crash_points();
-                res.unwrap();
-                assert!(countdown > 3, "three dirty pages, three write-backs");
-                break;
-            }
-            assert!(matches!(res, Err(StorageError::InjectedFault { .. })));
-            assert_eq!(st.health(), HealthState::Degraded);
-            assert_eq!(
-                st.wal_stats().durable_bytes,
-                log,
-                "the log is truncated only after every write-back"
-            );
-            assert_eq!(st.buffer_stats().writebacks, countdown - 1);
-            assert_eq!(fingerprint(&st, seg), fp, "degraded reads keep answering");
-            assert!(matches!(
-                st.insert(seg, b"y", None),
-                Err(StorageError::ReadOnly)
-            ));
-            // A crash on top loses the unwritten frames; the log has them.
-            st.simulate_crash();
-            st.recover().unwrap();
-            assert_eq!(fingerprint(&st, seg), fp);
-            st.checkpoint().unwrap();
         }
     }
 
     #[test]
     fn a_failed_auto_checkpoint_is_no_commits_answer() {
-        let mut st = ObjectStore::new(StoreConfig {
+        let (mut st, disk, _) = faulty_store(StoreConfig {
             wal_checkpoint_bytes: 0,
             ..StoreConfig::default()
         });
         let seg = st.create_segment().unwrap();
-        st.arm_crash_point(CP_CHECKPOINT_WRITE, 1);
+        // The first page write of the checkpoint the next commit trips
+        // persists nothing.
+        disk.arm_torn_write(0, 0);
         let id = st.insert(seg, b"durable", None).unwrap();
+        assert_eq!(disk.injected().torn_writes, 1);
         assert_eq!(st.health(), HealthState::Degraded);
         assert_eq!(st.read(id).unwrap(), b"durable");
-        st.heal_crash_points();
+        disk.heal_faults();
         st.simulate_crash();
         st.recover().unwrap();
         assert_eq!(st.read(id).unwrap(), b"durable");
@@ -1990,17 +1994,7 @@ mod recovery_tests {
 
     #[test]
     fn a_failed_page_sync_degrades_keeping_the_log() {
-        use crate::device::{DeviceMetrics, FaultyDevice, MemLog};
-        let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
-        let mut st = ObjectStore::with_devices(
-            StoreConfig::default(),
-            &Registry::new(),
-            Arc::new(disk.clone()),
-            Arc::new(MemLog::new()),
-            None,
-        )
-        .unwrap();
-        st.recover().unwrap();
+        let (mut st, disk, _) = faulty_store(StoreConfig::default());
         let seg = st.create_segment().unwrap();
         for i in 0..10u8 {
             st.insert(seg, &[i; 1000], None).unwrap();
@@ -2368,19 +2362,21 @@ mod no_force_tests {
         assert_eq!(st.scan(seg).unwrap().len(), 2);
     }
 
-    /// Durability argument (c), torn flush: B's commit marker never became
-    /// durable, so degraded reads — and recovery — must see A.
+    /// Durability argument (c), torn flush: the log device tore B's
+    /// append, so B's commit marker never became durable. The store
+    /// poisons itself, and recovery must see A — from the log, since the
+    /// disk still holds pre-A.
     #[test]
     fn a_torn_flush_restores_the_last_committed_image_not_the_disks() {
-        let mut st = ObjectStore::default();
+        let (mut st, _, log) = faulty_store(StoreConfig::default());
         let seg = st.create_segment().unwrap();
         let id = st.insert(seg, b"pre-A", None).unwrap();
         st.checkpoint().unwrap();
         st.update(id, b"A").unwrap();
-        st.arm_torn_crash(CP_COMMIT_FLUSH, 1, 40);
+        log.arm_torn_write(0, 40);
         st.update(id, b"B").unwrap_err();
-        assert_eq!(st.health(), HealthState::Degraded);
-        assert_eq!(st.read(id).unwrap(), b"A");
+        assert_eq!(st.health(), HealthState::Poisoned);
+        assert!(matches!(st.read(id), Err(StorageError::NeedsRecovery)));
         st.recover().unwrap();
         assert_eq!(st.read(id).unwrap(), b"A");
     }

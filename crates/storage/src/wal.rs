@@ -63,20 +63,22 @@
 //!
 //! ## Crash model
 //!
-//! The log has two regions, mirroring the volatile/durable split of the
-//! simulated disk: `pending` bytes (appended but not yet flushed — lost in
-//! a crash, possibly *partially* flushed in a torn crash) and `durable`
-//! bytes (survive any crash). [`Wal::scan`] walks the durable region and
-//! stops at the first record that is truncated, checksum-corrupt, or out of
-//! LSN sequence; records after the last commit marker belong to an
-//! uncommitted batch. Both tails are reported so recovery can truncate them
-//! instead of replaying garbage.
+//! The log has two regions: `pending` bytes (appended but not yet flushed
+//! — lost in a crash) and `durable` bytes (synced on the [`LogDevice`];
+//! they survive any crash). A device that fails mid-flush may leave a
+//! *prefix* of the pending bytes on its media — a torn append, which
+//! `FaultyDevice` injects — and recovery re-reads the device to find out.
+//! [`Wal::scan`] walks the durable region and stops at the first record
+//! that is truncated, checksum-corrupt, or out of LSN sequence; records
+//! after the last commit marker belong to an uncommitted batch. Both tails
+//! are reported so recovery can truncate them instead of replaying
+//! garbage.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::codec::{put_u32, put_u64, put_u8, put_varint, Reader};
-use crate::device::LogDevice;
+use crate::device::{LogDevice, MemLog};
 use crate::error::StorageResult;
 use crate::page::{Page, PAGE_SIZE};
 use crate::segment::SegmentId;
@@ -551,19 +553,18 @@ pub struct WalScan {
 
 /// The write-ahead log.
 ///
-/// Without a backing device, durability is simulated the same way
-/// [`crate::disk::SimDisk`] simulates a disk: `durable` is the byte vector
-/// that survives a crash, `pending` the not-yet-flushed tail that a crash
-/// loses (or, torn, partially keeps). With a [`LogDevice`] attached
-/// ([`Wal::with_device`]), `durable` becomes an in-memory *mirror* of the
-/// device contents — every flush appends-and-syncs to the device before the
-/// mirror advances, every checkpoint replaces the device log atomically
-/// (write-new + rename + dir-fsync in the file implementation), and
-/// recovery reloads the mirror from the device.
+/// Every byte goes through a [`LogDevice`]: [`MemLog`] for the in-memory
+/// engine ([`Wal::new`]), `FileWal` for a data directory, either one
+/// possibly behind a `FaultyDevice`. `pending` holds the records appended
+/// since the last flush (a crash loses them); `durable` is an in-memory
+/// *mirror* of the device contents — every flush appends-and-syncs to the
+/// device before the mirror advances, every checkpoint replaces the device
+/// log atomically (write-new + rename + dir-fsync in the file
+/// implementation), and recovery reloads the mirror from the device.
 pub struct Wal {
     durable: Vec<u8>,
     pending: Vec<u8>,
-    device: Option<Arc<dyn LogDevice>>,
+    device: Arc<dyn LogDevice>,
     next_lsn: Lsn,
     records_appended: u64,
     flushes: u64,
@@ -577,17 +578,9 @@ impl Default for Wal {
 }
 
 impl Wal {
-    /// Creates an empty log; LSNs start at 1.
+    /// Creates an empty log over a fresh [`MemLog`]; LSNs start at 1.
     pub fn new() -> Self {
-        Wal {
-            durable: Vec::new(),
-            pending: Vec::new(),
-            device: None,
-            next_lsn: 1,
-            records_appended: 0,
-            flushes: 0,
-            checkpoints: 0,
-        }
+        Self::with_device(Arc::new(MemLog::new())).expect("an empty in-memory log reads")
     }
 
     /// Opens a log backed by `device`, loading whatever bytes it already
@@ -599,7 +592,7 @@ impl Wal {
         Ok(Wal {
             durable,
             pending: Vec::new(),
-            device: Some(device),
+            device,
             next_lsn: 1,
             records_appended: 0,
             flushes: 0,
@@ -607,25 +600,20 @@ impl Wal {
         })
     }
 
-    /// Re-reads the durable mirror from the backing device and drops any
-    /// pending bytes — the first step of recovery, so a reopen (or a
-    /// simulated crash that dropped lying-fsync buffers) sees exactly what
-    /// the media holds. A no-op without a device: the in-memory `durable`
-    /// region *is* the media in simulation.
+    /// Re-reads the durable mirror from the device and drops any pending
+    /// bytes — the first step of recovery, so a reopen (or a simulated
+    /// crash that dropped lying-fsync buffers, or a failed append that
+    /// left a torn prefix) sees exactly what the media holds.
     pub fn reload_from_device(&mut self) -> StorageResult<()> {
-        if let Some(dev) = &self.device {
-            self.durable = dev.read_all()?;
-            self.pending.clear();
-        }
+        self.durable = self.device.read_all()?;
+        self.pending.clear();
         Ok(())
     }
 
-    /// Forwards a simulated crash to the backing device (dropping bytes an
-    /// acknowledged-but-lying fsync buffered). No-op without a device.
+    /// Forwards a simulated crash to the device (dropping bytes an
+    /// acknowledged-but-lying fsync buffered).
     pub fn crash_device(&mut self) {
-        if let Some(dev) = &self.device {
-            dev.crash();
-        }
+        self.device.crash();
     }
 
     /// Appends `record` to the pending region, assigning the next LSN.
@@ -639,34 +627,17 @@ impl Wal {
 
     /// The durability point: all pending bytes survive any later crash.
     ///
-    /// With a backing device the pending bytes are appended and fsynced
-    /// there *before* the durable mirror advances; a device failure leaves
-    /// the mirror untouched and propagates — the caller cannot know how
-    /// much reached the media, so it must poison the store and let recovery
-    /// re-read the device.
+    /// The pending bytes are appended and synced on the device *before*
+    /// the durable mirror advances; a device failure leaves the mirror
+    /// untouched and propagates — the caller cannot know how much reached
+    /// the media, so it must poison the store and let recovery re-read the
+    /// device.
     pub fn flush(&mut self) -> StorageResult<()> {
-        if let Some(dev) = &self.device {
-            dev.append(&self.pending)?;
-            dev.sync()?;
-        }
+        self.device.append(&self.pending)?;
+        self.device.sync()?;
         self.durable.extend_from_slice(&self.pending);
         self.pending.clear();
         self.flushes += 1;
-        Ok(())
-    }
-
-    /// A torn flush: only the first `keep` pending bytes reach durable
-    /// storage before the crash; the rest are lost. With a backing device
-    /// the torn prefix really is appended and synced — it *did* reach the
-    /// media — so a reopen scans the same bytes the simulation would.
-    pub fn flush_torn(&mut self, keep: usize) -> StorageResult<()> {
-        let keep = keep.min(self.pending.len());
-        if let Some(dev) = &self.device {
-            dev.append(&self.pending[..keep])?;
-            dev.sync()?;
-        }
-        self.durable.extend_from_slice(&self.pending[..keep]);
-        self.pending.clear();
         Ok(())
     }
 
@@ -738,9 +709,7 @@ impl Wal {
             );
         }
         put(&mut fresh, &WalRecord::Commit);
-        if let Some(dev) = &self.device {
-            dev.replace(&fresh)?;
-        }
+        self.device.replace(&fresh)?;
         self.pending.clear();
         self.durable = fresh;
         self.next_lsn = lsn;
@@ -750,12 +719,9 @@ impl Wal {
     }
 
     /// Truncates the durable region to `len` bytes (discarding a torn or
-    /// uncommitted tail found by [`Wal::scan`]), on the backing device too
-    /// when one is attached.
+    /// uncommitted tail found by [`Wal::scan`]), on the device too.
     pub fn truncate_durable(&mut self, len: usize) -> StorageResult<()> {
-        if let Some(dev) = &self.device {
-            dev.truncate(len as u64)?;
-        }
+        self.device.truncate(len as u64)?;
         self.durable.truncate(len);
         Ok(())
     }
@@ -778,15 +744,14 @@ impl Wal {
     }
 
     /// XORs one durable byte with `mask` — the bit-flip injection hook for
-    /// checksum-rejection tests. Mirrored onto the backing device so a
-    /// reopen scans the same corrupted bytes.
+    /// checksum-rejection tests. Mirrored onto the device so a recovery
+    /// or a reopen scans the same corrupted bytes.
     pub fn corrupt_durable_byte(&mut self, offset: usize, mask: u8) {
         if let Some(b) = self.durable.get_mut(offset) {
             *b ^= mask;
-            if let Some(dev) = &self.device {
-                dev.corrupt_byte(offset as u64, mask)
-                    .expect("corrupting a durable log byte");
-            }
+            self.device
+                .corrupt_byte(offset as u64, mask)
+                .expect("corrupting a durable log byte");
         }
     }
 
@@ -1056,6 +1021,24 @@ pub struct ReplayState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::{DeviceMetrics, FaultyDevice};
+    use crate::error::StorageError;
+
+    /// A log over a fault-injecting in-memory device, plus the handle that
+    /// arms it.
+    fn faulty_wal() -> (Wal, FaultyDevice<MemLog>) {
+        let log = FaultyDevice::new(MemLog::new(), DeviceMetrics::detached());
+        (Wal::with_device(Arc::new(log.clone())).unwrap(), log)
+    }
+
+    /// Flushes the pending records through a device that tears the append
+    /// after `keep` bytes, then reloads what the device kept: recovery's
+    /// view of the torn flush.
+    fn tear_flush(wal: &mut Wal, log: &FaultyDevice<MemLog>, keep: usize) {
+        log.arm_torn_write(0, keep);
+        assert!(matches!(wal.flush(), Err(StorageError::TornWrite { .. })));
+        wal.reload_from_device().unwrap();
+    }
 
     fn runs_of(list: &[(usize, &[u8])]) -> Ranges {
         let mut ranges = Ranges::default();
@@ -1146,12 +1129,13 @@ mod tests {
 
     #[test]
     fn torn_flush_keeps_only_a_prefix() {
-        let mut wal = Wal::new();
+        let (mut wal, log) = faulty_wal();
         committed_batch(&mut wal, &[(0, 1)]);
         let before = wal.stats().durable_bytes;
         wal.append(&WalRecord::page_image(0, &page_with_byte(2)));
         wal.append(&WalRecord::Commit);
-        wal.flush_torn(10).unwrap(); // a few bytes of the image record
+        tear_flush(&mut wal, &log, 10); // a few bytes of the image record
+        assert_eq!(wal.stats().durable_bytes, before + 10);
         let scan = wal.scan();
         assert!(scan.torn_tail);
         assert_eq!(scan.valid_len, before);
@@ -1167,11 +1151,11 @@ mod tests {
         let full = reference.stats().pending_bytes;
 
         for keep in 0..full {
-            let mut wal = Wal::new();
+            let (mut wal, log) = faulty_wal();
             committed_batch(&mut wal, &[(0, 1)]);
             wal.append(&WalRecord::page_image(0, &page_with_byte(2)));
             wal.append(&WalRecord::Commit);
-            wal.flush_torn(keep).unwrap();
+            tear_flush(&mut wal, &log, keep);
             let scan = wal.scan();
             assert_eq!(scan.committed.len(), 1, "keep={keep}");
             assert_eq!(
@@ -1410,13 +1394,13 @@ mod tests {
             let full = probe.stats().pending_bytes;
 
             for keep in 0..full {
-                let mut wal = Wal::new();
+                let (mut wal, log) = faulty_wal();
                 wal.append(&WalRecord::page_image(0, &base));
                 wal.append(&WalRecord::Commit);
                 wal.flush().unwrap();
                 wal.append(&delta);
                 wal.append(&WalRecord::Commit);
-                wal.flush_torn(keep).unwrap();
+                tear_flush(&mut wal, &log, keep);
                 let scan = wal.scan();
                 assert_eq!(scan.committed.len(), 1, "keep={keep}");
                 assert_eq!(replay(&scan).pages[&0], base, "keep={keep}");

@@ -17,8 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use corion::storage::{
-    DeviceMetrics, FaultyDevice, FileDisk, FileWal, StoreConfig, CP_CHECKPOINT_WRITE,
-    CP_COMMIT_DONE,
+    DeviceMetrics, FaultyDevice, FileDisk, FileWal, StoreConfig, CP_COMMIT_DONE,
 };
 use corion::{
     AuthStore, ClassBuilder, ClassId, Client, ConcurrentDb, Database, DbConfig, Domain,
@@ -29,7 +28,8 @@ use corion::{
 enum Fault {
     /// The named point between the durability point and the batch's close.
     CommitDone,
-    /// The first page write-back of the checkpoint the commit trips.
+    /// The first page write-back of the checkpoint the commit trips: a
+    /// device write that persists nothing and fails.
     CheckpointWrite,
     /// The page-device sync of that checkpoint: an EIO that lasts until
     /// the device is healed.
@@ -96,7 +96,7 @@ fn label() -> Value {
 fn make_one(fx: &Fixture, path: Path, fault: Option<(Fault, u64)>) -> Result<Oid, String> {
     fx.cdb.with_read(|db| match fault {
         Some((Fault::CommitDone, _)) => db.arm_crash_point(CP_COMMIT_DONE, 1),
-        Some((Fault::CheckpointWrite, _)) => db.arm_crash_point(CP_CHECKPOINT_WRITE, 1),
+        Some((Fault::CheckpointWrite, _)) => fx.disk.arm_torn_write(0, 0),
         Some((Fault::PageSync, ops)) => fx.disk.arm_eio(ops),
         None => {}
     });
@@ -154,12 +154,18 @@ fn check(path: Path, fault: Fault) {
     let fx = fixture();
     let earlier = fx.cdb.begin_read();
     let answer = make_one(&fx, path, Some((fault, ops)));
-    if let Fault::PageSync = fault {
-        assert_eq!(
+    match fault {
+        Fault::PageSync => assert_eq!(
             fx.disk.injected().eio,
             1,
             "{what}: the sync must have failed"
-        );
+        ),
+        Fault::CheckpointWrite => assert_eq!(
+            fx.disk.injected().torn_writes,
+            1,
+            "{what}: the write-back must have failed inside the checkpoint"
+        ),
+        Fault::CommitDone => {}
     }
     let oid = answer.unwrap_or_else(|e| panic!("{what}: a durable commit answered {e}"));
 

@@ -7,17 +7,23 @@
 //! firing: crash there, [`Database::recover`], and assert the database
 //! equals exactly what the operation answered — the post-batch state for
 //! `Ok` (the batch is durable), the pre-batch state for `Err` on a store
-//! left healthy (it was rolled back). A torn-flush sweep, a device-EIO
-//! case and a WAL bit-flip check cover the corrupted-log variants, where
-//! the answer is in doubt and recovery may land on either side — never on
-//! a hybrid.
+//! left healthy (it was rolled back). Log-device tears and EIO at the
+//! commit (through [`FaultyDevice`](corion::storage::FaultyDevice), the
+//! one device fault injector) and a WAL bit-flip check cover the
+//! corrupted-log variants, where the answer is in doubt and recovery may
+//! land on either side — never on a hybrid.
 //!
 //! Everything here is deterministic: the crash points are named and
 //! counted, the scenarios allocate OIDs in a fixed order, and the post
 //! oracle is simply a twin database running the same operation with no
 //! faults armed.
 
-use corion::storage::{StoreConfig, CP_COMMIT_FLUSH, CRASH_POINTS};
+use std::sync::Arc;
+
+use corion::obs::Registry;
+use corion::storage::{
+    DeviceMetrics, FaultyDevice, MemLog, ObjectStore, SimDisk, StoreConfig, CRASH_POINTS,
+};
 use corion::{
     ClassBuilder, ClassId, CompositeSpec, ConcurrentDb, Database, DbConfig, DbError, DbResult,
     Domain, HealthState, Oid, Value,
@@ -293,53 +299,58 @@ fn every_crash_point_recovers_to_pre_or_post_state() {
 }
 
 // ---------------------------------------------------------------------
-// Torn flushes
+// Torn log appends
 // ---------------------------------------------------------------------
 
-#[test]
-fn torn_commit_flush_recovers_to_pre_then_post() {
-    for s in scenarios() {
-        let post = post_oracle(&s);
-        // Measure how many bytes the commit flush makes durable.
-        let mut db = Database::new();
-        let oids = (s.build)(&mut db);
-        let before = db.wal_stats().durable_bytes;
-        (s.op)(&mut db, &oids).unwrap();
-        let delta = db.wal_stats().durable_bytes.saturating_sub(before);
-        assert!(delta > 0, "{}: op appended nothing to the WAL", s.name);
+/// A recovered store over the in-memory page device and a fault-injecting
+/// in-memory log, plus the handle that arms the log.
+fn store_over_faulty_log() -> (ObjectStore, FaultyDevice<MemLog>) {
+    let log = FaultyDevice::new(MemLog::new(), DeviceMetrics::detached());
+    let mut st = ObjectStore::with_devices(
+        StoreConfig::default(),
+        &Registry::new(),
+        Arc::new(SimDisk::new()),
+        Arc::new(log.clone()),
+        None,
+    )
+    .unwrap();
+    st.recover().unwrap();
+    (st, log)
+}
 
-        let keeps = [0, 1, delta / 2, delta.saturating_sub(1), delta, delta + 64];
-        let mut seen_pre = false;
-        let mut seen_post = false;
-        for keep in keeps {
-            let mut db = Database::new();
-            let oids = (s.build)(&mut db);
-            let pre = fingerprint(&db);
-            db.arm_torn_crash(CP_COMMIT_FLUSH, 1, keep);
-            let result = (s.op)(&mut db, &oids);
-            assert!(
-                matches!(result, Err(DbError::Storage(_))),
-                "{}: torn flush (keep {keep}) must fail the op",
-                s.name
-            );
-            db.heal_crash_points();
-            db.recover().unwrap();
-            let after = fingerprint(&db);
-            if after == pre {
-                seen_pre = true;
-            } else if after == post {
-                seen_post = true;
-            } else {
-                panic!("{}: torn flush keeping {keep} bytes left a hybrid", s.name);
-            }
-            db.verify_integrity().unwrap();
-        }
-        // Keeping nothing must land on pre; keeping everything on post.
+#[test]
+fn committed_batch_after_torn_recovery_survives_second_recovery() {
+    // Recovery cuts a torn tail and numbers on from the last commit it
+    // kept. A batch committed after that must survive a second recovery:
+    // numbering past the discarded records would leave an LSN gap that
+    // the second scan stops at. Every tear point of one commit's append.
+    let (mut probe, _) = store_over_faulty_log();
+    let seg = probe.create_segment().unwrap();
+    let a = probe.insert(seg, b"A", None).unwrap();
+    let before = probe.wal_stats().durable_bytes;
+    probe.update(a, b"B").unwrap();
+    let batch_bytes = probe.wal_stats().durable_bytes - before;
+
+    for keep in 0..batch_bytes {
+        let (mut st, log) = store_over_faulty_log();
+        let seg = st.create_segment().unwrap();
+        let a = st.insert(seg, b"A", None).unwrap();
+        log.arm_torn_write(0, keep);
         assert!(
-            seen_pre && seen_post,
-            "{}: torn sweep should reach both outcomes (pre {seen_pre}, post {seen_post})",
-            s.name
+            st.update(a, b"B").is_err(),
+            "keep={keep}: the tear surfaces"
         );
+        assert_eq!(log.injected().torn_writes, 1, "keep={keep}");
+        log.heal_faults();
+        let rep1 = st.recover().unwrap();
+        let c = st.insert(seg, b"C", None).unwrap();
+        st.simulate_crash();
+        let rep2 = st.recover().unwrap();
+        assert!(
+            !rep2.torn_tail,
+            "keep={keep}/{batch_bytes}: second recovery saw torn tail (rep1={rep1:?}, rep2={rep2:?})"
+        );
+        assert_eq!(st.read(c).unwrap(), b"C", "keep={keep}: committed C lost");
     }
 }
 
@@ -477,16 +488,15 @@ fn transaction_crashes_recover_to_pre_or_post_transaction_state() {
 /// [`FaultyDevice`] wrappers — and recovers by *reopening the directory in
 /// a fresh engine*, so the committed prefix must actually be on the
 /// media, not in any surviving memory. Device-level faults (torn log
-/// appends, EIO, lying fsync, a crash inside the checkpoint-compaction
-/// rename) get their own sweeps here because they cannot exist on the
-/// in-memory disk.
+/// appends, EIO, torn page writes, lying fsync, a crash inside the
+/// checkpoint-compaction rename) get their own sweeps here, each ending
+/// in such a reopen.
 mod file_backed {
     use super::*;
-    use corion::storage::{DeviceMetrics, FaultyDevice, FileDisk, FileWal, ReplaceCrash};
+    use corion::storage::{FileDisk, FileWal, ReplaceCrash, StorageError};
     use corion::{ErrorClass, ErrorCode};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     /// A file-backed engine plus the shared-state fault handles the store
     /// writes through. Dropping the fixture closes the engine; the files
@@ -620,94 +630,112 @@ mod file_backed {
 
     #[test]
     fn torn_device_append_recovers_pre_then_post_across_reopen() {
-        // The torn fault lives in the *device* here: the log append
-        // persists only a prefix of the commit's bytes and errors, exactly
-        // a real disk dying mid-pwrite. The recovery scan must truncate
-        // the torn tail at a batch boundary — keeping few bytes lands on
-        // pre, keeping all of them lands on post, nothing in between.
-        let s = &scenarios()[0]; // set_attr_with_relocation: multi-page batch
-        let post = post_oracle(s);
+        // The log append persists only a prefix of the commit's bytes and
+        // errors, exactly a real disk dying mid-pwrite. The store poisons
+        // itself, and the recovery scan must truncate the torn tail at a
+        // batch boundary — keeping few bytes lands on pre, keeping all of
+        // them lands on post, nothing in between. Every scenario.
+        for s in scenarios() {
+            let post = post_oracle(&s);
 
-        // Measure the commit's append size on an unfaulted file run.
-        let mut fx = open_fixture("torn_measure");
-        let oids = (s.build)(&mut fx.db);
-        let before = fx.db.wal_stats().durable_bytes;
-        (s.op)(&mut fx.db, &oids).unwrap();
-        let delta = fx.db.wal_stats().durable_bytes - before;
-        assert!(delta > 0);
-        std::fs::remove_dir_all(&fx.dir).ok();
-
-        let mut seen_pre = false;
-        let mut seen_post = false;
-        for keep in [0, 1, delta / 2, delta - 1, delta, delta + 64] {
-            let mut fx = open_fixture("torn");
+            // Measure the commit's append size on an unfaulted file run.
+            let mut fx = open_fixture("torn_measure");
             let oids = (s.build)(&mut fx.db);
-            let pre = fingerprint(&fx.db);
-            fx.log.arm_torn_write(0, keep);
-            let result = (s.op)(&mut fx.db, &oids);
-            assert!(
-                matches!(result, Err(DbError::Storage(_))),
-                "torn device append (keep {keep}) must fail the op, got {result:?}"
-            );
-            assert!(
-                fx.log.injected().torn_writes > 0,
-                "the injected tear must be accounted"
-            );
-            fx.log.heal_faults();
-            let (mut db, dir) = reopen(fx);
-            let after = fingerprint(&db);
-            if after == pre {
-                seen_pre = true;
-            } else if after == post {
-                seen_post = true;
-            } else {
-                panic!("torn device append keeping {keep} bytes left a hybrid");
+            let before = fx.db.wal_stats().durable_bytes;
+            (s.op)(&mut fx.db, &oids).unwrap();
+            let delta = fx.db.wal_stats().durable_bytes - before;
+            assert!(delta > 0, "{}: op appended nothing to the WAL", s.name);
+            std::fs::remove_dir_all(&fx.dir).ok();
+
+            let mut seen_pre = false;
+            let mut seen_post = false;
+            for keep in [0, 1, delta / 2, delta - 1, delta, delta + 64] {
+                let what = format!("{}: torn device append keeping {keep}", s.name);
+                let mut fx = open_fixture("torn");
+                let oids = (s.build)(&mut fx.db);
+                let pre = fingerprint(&fx.db);
+                fx.log.arm_torn_write(0, keep);
+                let result = (s.op)(&mut fx.db, &oids);
+                assert!(
+                    matches!(result, Err(DbError::Storage(_))),
+                    "{what} must fail the op, got {result:?}"
+                );
+                assert_eq!(
+                    fx.log.injected().torn_writes,
+                    1,
+                    "{what}: the injected tear must be accounted"
+                );
+                assert_eq!(fx.db.health(), HealthState::Poisoned, "{what}");
+                fx.log.heal_faults();
+                let (mut db, dir) = reopen(fx);
+                let after = fingerprint(&db);
+                if after == pre {
+                    seen_pre = true;
+                } else if after == post {
+                    seen_post = true;
+                } else {
+                    panic!("{what} left a hybrid");
+                }
+                db.verify_integrity().unwrap();
+                drop(db);
+                std::fs::remove_dir_all(&dir).ok();
             }
-            db.verify_integrity().unwrap();
-            drop(db);
-            std::fs::remove_dir_all(&dir).ok();
+            assert!(
+                seen_pre && seen_post,
+                "{}: torn sweep should reach both outcomes (pre {seen_pre}, post {seen_post})",
+                s.name
+            );
         }
-        assert!(
-            seen_pre && seen_post,
-            "torn sweep should reach both outcomes (pre {seen_pre}, post {seen_post})"
-        );
     }
 
     #[test]
     fn device_eio_at_commit_poisons_then_clean_reopen_recovers() {
-        let s = &scenarios()[1]; // delete_cascade
-        let mut fx = open_fixture("eio");
-        let oids = (s.build)(&mut fx.db);
-        let pre = fingerprint(&fx.db);
-        fx.log.arm_eio(0);
-        let result = (s.op)(&mut fx.db, &oids);
-        assert!(
-            matches!(result, Err(DbError::Storage(_))),
-            "device EIO during commit must surface, got {result:?}"
-        );
-        // The commit is in doubt, so nobody may retry it: not the engine's
-        // own retry loops, and not a client reading the wire code.
-        let e = result.unwrap_err();
-        assert!(!e.is_retryable(), "an in-doubt commit is not retryable");
-        assert_ne!(
-            ErrorCode::from(&e).class(),
-            ErrorClass::Retryable,
-            "an in-doubt commit must not answer a retryable wire code"
-        );
-        assert_eq!(
-            fx.db.health(),
-            HealthState::Poisoned,
-            "a failed durability point leaves the store poisoned until recovery"
-        );
-        assert!(fx.log.injected().eio > 0);
-        fx.log.heal_faults();
-        let (mut db, dir) = reopen(fx);
-        let post = post_oracle(s);
-        // The one answer in doubt: the log device failed at the
-        // durability point, so recovery decides.
-        assert_recovered(&mut db, "device eio", &[&pre, &post]);
-        drop(db);
-        std::fs::remove_dir_all(&dir).ok();
+        // The log device fails the commit's append, or lets the append
+        // through and fails its sync. Every scenario.
+        for s in scenarios() {
+            let post = post_oracle(&s);
+            for (at, passing) in [("log append", 0), ("log sync", 1)] {
+                let what = format!("{}: device eio at the {at}", s.name);
+                let mut fx = open_fixture("eio");
+                let oids = (s.build)(&mut fx.db);
+                let pre = fingerprint(&fx.db);
+                fx.log.arm_eio(passing);
+                let result = (s.op)(&mut fx.db, &oids);
+                assert!(
+                    matches!(
+                        result,
+                        Err(DbError::Storage(StorageError::DeviceIo { op })) if op == at
+                    ),
+                    "{what} must surface, got {result:?}"
+                );
+                // The commit is in doubt, so nobody may retry it: not the
+                // engine's own retry loops, and not a client reading the
+                // wire code.
+                let e = result.unwrap_err();
+                assert!(
+                    !e.is_retryable(),
+                    "{what}: an in-doubt commit is not retryable"
+                );
+                assert_ne!(
+                    ErrorCode::from(&e).class(),
+                    ErrorClass::Retryable,
+                    "{what}: an in-doubt commit must not answer a retryable wire code"
+                );
+                assert_eq!(
+                    fx.db.health(),
+                    HealthState::Poisoned,
+                    "{what}: a failed durability point leaves the store poisoned until recovery"
+                );
+                assert!(fx.log.injected().eio > 0, "{what}");
+                fx.log.heal_faults();
+                let (mut db, dir) = reopen(fx);
+                // The one answer in doubt: the log device failed at the
+                // durability point, so recovery decides.
+                assert_recovered(&mut db, &what, &[&pre, &post]);
+                drop(db);
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
     }
 
     #[test]
@@ -896,7 +924,6 @@ mod file_backed {
 
     #[test]
     fn checkpoint_writeback_faults_lose_no_commit_across_reopen() {
-        use corion::storage::CP_CHECKPOINT_WRITE;
         // How many pages the checkpoint writes back, from an unfaulted run.
         let (mut fx, _) = unwritten_commits("ckptwb_probe");
         fx.db.checkpoint().unwrap();
@@ -907,27 +934,20 @@ mod file_backed {
         assert!(pages >= 3, "the fixture must dirty several pages");
         std::fs::remove_dir_all(&fx.dir).ok();
 
-        // A fault at every write-back: the crash point (a clean crash
-        // before the k-th write), then the device tearing the k-th write
-        // itself at several sector boundaries and mid-sector.
+        // A fault at every write-back: the k-th write persisting nothing,
+        // then tearing at several sector boundaries and mid-sector.
         for k in 0..pages {
-            let keeps = [None, Some(0), Some(512), Some(2000), Some(4095)];
-            for keep in keeps {
-                let what = format!("checkpoint write-back {k} of {pages}, torn {keep:?}");
+            for keep in [0, 512, 2000, 4095] {
+                let what = format!("checkpoint write-back {k} of {pages}, keeping {keep}");
                 let (mut fx, committed) = unwritten_commits("ckptwb");
                 let log = fx.db.wal_stats().durable_bytes;
-                match keep {
-                    None => fx.db.arm_crash_point(CP_CHECKPOINT_WRITE, k + 1),
-                    Some(keep) => fx.disk.arm_torn_write(k, keep),
-                }
+                fx.disk.arm_torn_write(k, keep);
                 let result = fx.db.checkpoint();
                 assert!(
                     matches!(result, Err(DbError::Storage(_))),
                     "{what}: must surface, got {result:?}"
                 );
-                if keep.is_some() {
-                    assert_eq!(fx.disk.injected().torn_writes, 1, "{what}");
-                }
+                assert_eq!(fx.disk.injected().torn_writes, 1, "{what}");
                 assert_eq!(fx.db.health(), HealthState::Degraded, "{what}");
                 assert_eq!(
                     fx.db.wal_stats().durable_bytes,
@@ -938,17 +958,16 @@ mod file_backed {
                     fingerprint(&fx.db) == committed,
                     "{what}: degraded reads must keep answering"
                 );
-                fx.db.heal_crash_points();
                 fx.disk.heal_faults();
                 assert_nothing_lost(fx, &what, &committed);
             }
         }
-        // One past the last write-back, the point no longer fires.
+        // One past the last write-back, the fault no longer fires.
         let (mut fx, committed) = unwritten_commits("ckptwb_past");
-        fx.db.arm_crash_point(CP_CHECKPOINT_WRITE, pages + 1);
+        fx.disk.arm_torn_write(pages, 0);
         fx.db.checkpoint().unwrap();
-        assert!(fx.db.crash_point_remaining(CP_CHECKPOINT_WRITE).is_some());
-        fx.db.heal_crash_points();
+        assert_eq!(fx.disk.injected().torn_writes, 0);
+        fx.disk.heal_faults();
         assert_nothing_lost(fx, "unfaulted checkpoint", &committed);
     }
 

@@ -4,20 +4,29 @@
 //! Two scenarios. A batch's commit record reaches the WAL and the commit
 //! then faults before it closes (`CP_COMMIT_DONE`) — the commit is durable,
 //! so it still answers `Ok`; or commits succeed and a later checkpoint's
-//! page write-back faults permanently (`CP_CHECKPOINT_WRITE`). Either way
-//! the disk is behind the log, but the
+//! page write-back fails on the page device (a [`FaultyDevice`] write that
+//! persists nothing). Either way the disk is behind the log, but the
 //! buffer pool still pins the committed after-images — so every §3
 //! traversal, predicate, and plain read keeps answering the *committed*
 //! state, while every mutation fails fast with the typed
 //! [`DbError::ReadOnly`] until [`Database::recover`] replays the log and
 //! promotes the engine back to `Healthy`.
 
-use corion::storage::{CP_CHECKPOINT_WRITE, CP_COMMIT_DONE};
-use corion::{ClassBuilder, CompositeSpec, Database, DbError, Domain, Filter, HealthState, Value};
+use std::sync::Arc;
 
-/// Part/Assembly schema: a dependent-shared set attribute plus a string.
+use corion::storage::{DeviceMetrics, FaultyDevice, MemLog, SimDisk, CP_COMMIT_DONE};
+use corion::{
+    ClassBuilder, CompositeSpec, Database, DbConfig, DbError, Domain, Filter, HealthState, Value,
+};
+
 fn build() -> (Database, corion::ClassId, corion::ClassId) {
     let mut db = Database::new();
+    let (part, asm) = schema(&mut db);
+    (db, part, asm)
+}
+
+/// Part/Assembly schema: a dependent-shared set attribute plus a string.
+fn schema(db: &mut Database) -> (corion::ClassId, corion::ClassId) {
     let part = db
         .define_class(ClassBuilder::new("Part").attr("text", Domain::String))
         .unwrap();
@@ -31,7 +40,7 @@ fn build() -> (Database, corion::ClassId, corion::ClassId) {
             },
         ))
         .unwrap();
-    (db, part, asm)
+    (part, asm)
 }
 
 #[test]
@@ -132,7 +141,19 @@ fn post_commit_fault_degrades_to_read_only_and_recovers() {
 
 #[test]
 fn checkpoint_writeback_fault_degrades_to_read_only_and_recovers() {
-    let (mut db, part, asm) = build();
+    // The in-memory devices, with the page device behind a fault injector;
+    // the directory holds only the schema sidecar.
+    let dir = std::env::temp_dir().join(format!("corion_degraded_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+    let mut db = Database::with_devices(
+        &dir,
+        DbConfig::default(),
+        Arc::new(disk.clone()),
+        Arc::new(MemLog::new()),
+    )
+    .unwrap();
+    let (part, asm) = schema(&mut db);
     let p1 = db
         .make(part, vec![("text", Value::Str("one".into()))], vec![])
         .unwrap();
@@ -149,10 +170,12 @@ fn checkpoint_writeback_fault_degrades_to_read_only_and_recovers() {
         .unwrap();
     let log = db.wal_stats().durable_bytes;
 
-    db.arm_crash_point(CP_CHECKPOINT_WRITE, 1);
+    // The checkpoint's first write-back persists nothing and fails.
+    disk.arm_torn_write(0, 0);
     let err = db.checkpoint().unwrap_err();
     assert!(matches!(err, DbError::Storage(_)), "got {err}");
-    db.heal_crash_points();
+    assert_eq!(disk.injected().torn_writes, 1);
+    disk.heal_faults();
     assert_eq!(db.health(), HealthState::Degraded);
     assert_eq!(
         db.wal_stats().durable_bytes,
@@ -181,6 +204,8 @@ fn checkpoint_writeback_fault_degrades_to_read_only_and_recovers() {
     );
     db.checkpoint().unwrap();
     db.verify_integrity().unwrap();
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

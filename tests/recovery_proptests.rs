@@ -11,23 +11,36 @@
 //! answered: everything through it when it answered `Ok` (the fault came
 //! past the durability point and degraded the store), everything before it
 //! when it answered `Err` on a store left healthy (rolled back). Only a
-//! torn flush leaves the answer in doubt, and then recovery may land on
-//! either side — never anything in between.
+//! log-device fault at the durability point — a torn or failed append —
+//! leaves the answer in doubt, and then recovery may land on either side —
+//! never anything in between.
+//!
+//! The fault is one of three, drawn per case: a named crash point, the
+//! log device tearing its n-th append, or the page device failing its k-th
+//! write (keeping a prefix of it). Both engines write through
+//! [`FaultyDevice`] wrappers: over the in-memory devices, recovered in
+//! process; over real files, recovered by a reopen.
 //!
 //! Commits do not write pages, so for most of a sequence the disk is
 //! *behind* the log. `Abort` ops (a transaction rolled back over pages
 //! earlier commits left dirty) and `Checkpoint` ops (the write-back that
-//! catches the disk up, itself a crash target) keep that gap in play.
+//! catches the disk up, itself a fault target) keep that gap in play.
 //!
 //! The oracle is a twin database replaying the same deterministic
 //! operations with no faults armed — the same style as the reference
 //! traversal walks (`tests/reference`): recompute the answer the slow,
 //! safe way and demand equality.
 
-use corion::storage::{CP_CHECKPOINT_WRITE, CP_COMMIT_FLUSH, CRASH_POINTS};
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use corion::storage::{
+    BlockDevice, DeviceMetrics, FaultyDevice, FileDisk, FileWal, LogDevice, MemLog, SimDisk,
+    CRASH_POINTS,
+};
 use corion::{
-    AttributeDef, ClassBuilder, ClassId, CompositeSpec, Database, DbError, Domain, HealthState,
-    Oid, Value,
+    AttributeDef, ClassBuilder, ClassId, CompositeSpec, Database, DbConfig, DbError, Domain,
+    HealthState, Oid, Value,
 };
 use proptest::prelude::*;
 
@@ -62,12 +75,96 @@ enum Op {
     Checkpoint,
 }
 
-/// The commit-path points plus the checkpoint's write-back point.
-fn crash_point(idx: usize) -> &'static str {
-    CRASH_POINTS
-        .get(idx)
-        .copied()
-        .unwrap_or(CP_CHECKPOINT_WRITE)
+/// The one fault a case injects.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// `CRASH_POINTS[idx]` fires on its `countdown`-th hit.
+    Point { idx: usize, countdown: u64 },
+    /// The log device tears the append after `appends` clean ones,
+    /// keeping its first `keep` bytes.
+    LogTear { appends: u64, keep: usize },
+    /// The page device fails the write after `writes` clean ones (a
+    /// checkpoint write-back or an eviction), keeping its first `keep`
+    /// bytes.
+    PageWrite { writes: u64, keep: usize },
+}
+
+/// Faults whose countdowns land inside a run: a crash point below
+/// `reach` hits, a log tear below `reach / 2` appends (at most one per
+/// op), a page-write fault below `reach / 4` writes (only checkpoints and
+/// evictions write pages). Each crash point is drawn about as often as
+/// each device fault.
+fn fault_strategy(reach: u64) -> impl Strategy<Value = Fault> {
+    prop_oneof![
+        3 => (0..CRASH_POINTS.len(), 1..reach)
+            .prop_map(|(idx, countdown)| Fault::Point { idx, countdown }),
+        1 => (0..reach / 2, 0..4096usize)
+            .prop_map(|(appends, keep)| Fault::LogTear { appends, keep }),
+        1 => (0..reach / 4, 0..4096usize)
+            .prop_map(|(writes, keep)| Fault::PageWrite { writes, keep }),
+    ]
+}
+
+/// An engine under test plus the handles of the fault-injecting devices it
+/// writes through, and the directory holding its schema sidecar (and, for
+/// the file-backed engine, its files).
+struct Faulty<D, L> {
+    db: Database,
+    disk: FaultyDevice<D>,
+    log: FaultyDevice<L>,
+    dir: PathBuf,
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "corion_recprop_{tag}_{}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+impl<D, L> Faulty<D, L>
+where
+    D: BlockDevice + 'static,
+    L: LogDevice + 'static,
+{
+    /// Opens an engine over `disk` and `log` wrapped in fault injectors,
+    /// with the `Node` world built.
+    fn open(dir: PathBuf, disk: D, log: L) -> (Self, ClassId) {
+        let dm = DeviceMetrics::detached();
+        let disk = FaultyDevice::new(disk, dm.clone());
+        let log = FaultyDevice::new(log, dm);
+        let mut db = Database::with_devices(
+            &dir,
+            DbConfig::default(),
+            Arc::new(disk.clone()),
+            Arc::new(log.clone()),
+        )
+        .unwrap();
+        let node = node_schema(&mut db);
+        (Faulty { db, disk, log, dir }, node)
+    }
+
+    fn arm(&self, fault: Fault) {
+        match fault {
+            Fault::Point { idx, countdown } => {
+                self.db.arm_crash_point(CRASH_POINTS[idx], countdown)
+            }
+            Fault::LogTear { appends, keep } => self.log.arm_torn_write(appends, keep),
+            Fault::PageWrite { writes, keep } => self.disk.arm_torn_write(writes, keep),
+        }
+    }
+
+    fn heal(&self) {
+        self.db.heal_crash_points();
+        self.disk.heal_faults();
+        self.log.heal_faults();
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -266,38 +363,31 @@ proptest! {
     #[test]
     fn recovery_equals_replay_of_committed_prefix(
         ops in prop::collection::vec(op_strategy(), 1..30),
-        point_idx in 0..=CRASH_POINTS.len(),
-        countdown in 1..40u64,
-        torn in any::<bool>(),
-        torn_keep in 0..4096usize,
+        fault in fault_strategy(40),
     ) {
-        let point = crash_point(point_idx);
-        let (mut db, node) = node_db();
+        let (mut fx, node) = Faulty::open(fresh_dir("sim"), SimDisk::new(), MemLog::new());
         // Arm once for the whole sequence: the countdown decides which
-        // operation (if any) the crash lands in.
-        if torn && point == CP_COMMIT_FLUSH {
-            db.arm_torn_crash(point, countdown, torn_keep);
-        } else {
-            db.arm_crash_point(point, countdown);
-        }
+        // operation (if any) the fault lands in.
+        fx.arm(fault);
 
-        let stop = run_until_fault(&mut db, node, &ops).map_err(TestCaseError::fail)?;
-        db.heal_crash_points();
+        let stop = run_until_fault(&mut fx.db, node, &ops).map_err(TestCaseError::fail)?;
+        fx.heal();
+        let db = &mut fx.db;
 
         match stop {
             Some(stop) => {
                 let allowed = allowed(&ops, &stop);
                 if stop.healthy {
                     // Rolled back in place: the engine already holds it.
-                    prop_assert!(allowed.contains(&fingerprint(&db, node)));
+                    prop_assert!(allowed.contains(&fingerprint(db, node)));
                 }
                 db.recover().unwrap();
-                let recovered = fingerprint(&db, node);
+                let recovered = fingerprint(db, node);
                 prop_assert!(
                     allowed.contains(&recovered),
-                    "crash in op {} ({:?}, answered ok={}) at {point}#{countdown} recovered to \
-                     another state: {} objects vs allowed {:?}",
-                    stop.at, ops[stop.at], stop.ok, recovered.len(),
+                    "fault {:?} in op {} ({:?}, answered ok={}) recovered to another state: \
+                     {} objects vs allowed {:?}",
+                    fault, stop.at, ops[stop.at], stop.ok, recovered.len(),
                     allowed.iter().map(Vec::len).collect::<Vec<_>>()
                 );
                 db.verify_integrity().unwrap();
@@ -310,49 +400,21 @@ proptest! {
                 // replay — recover(crash(ops)) == replay(ops).
                 db.simulate_crash();
                 db.recover().unwrap();
-                let recovered = fingerprint(&db, node);
+                let recovered = fingerprint(db, node);
                 let full = replay(&ops);
                 prop_assert_eq!(recovered, full, "post-crash recovery diverged from replay");
                 db.verify_integrity().unwrap();
             }
         }
+        let dir = fx.dir.clone();
+        drop(fx);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 // ---------------------------------------------------------------------
 // The same property on real files
 // ---------------------------------------------------------------------
-
-/// Opens a fresh file-backed engine under a unique tempdir, wrapped in
-/// fault-injecting devices, and returns the engine plus the dir.
-fn file_db() -> (Database, std::path::PathBuf) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "corion_recprop_{}_{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let dm = corion::storage::DeviceMetrics::detached();
-    let disk = corion::storage::FaultyDevice::new(
-        corion::storage::FileDisk::open(&dir, dm.clone()).unwrap(),
-        dm.clone(),
-    );
-    let log = corion::storage::FaultyDevice::new(
-        corion::storage::FileWal::open(&dir, dm.clone()).unwrap(),
-        dm,
-    );
-    let db = Database::with_devices(
-        &dir,
-        corion::DbConfig::default(),
-        std::sync::Arc::new(disk),
-        std::sync::Arc::new(log),
-    )
-    .unwrap();
-    (db, dir)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -366,27 +428,24 @@ proptest! {
     #[test]
     fn file_backed_recovery_equals_replay_of_committed_prefix(
         ops in prop::collection::vec(op_strategy(), 1..20),
-        point_idx in 0..=CRASH_POINTS.len(),
-        countdown in 1..24u64,
-        torn in any::<bool>(),
-        torn_keep in 0..4096usize,
+        fault in fault_strategy(24),
     ) {
-        let point = crash_point(point_idx);
-        let (mut db, dir) = file_db();
-        let node = node_schema(&mut db);
-        if torn && point == CP_COMMIT_FLUSH {
-            db.arm_torn_crash(point, countdown, torn_keep);
-        } else {
-            db.arm_crash_point(point, countdown);
-        }
+        let dir = fresh_dir("file");
+        let dm = DeviceMetrics::detached();
+        let (mut fx, node) = Faulty::open(
+            dir.clone(),
+            FileDisk::open(&dir, dm.clone()).unwrap(),
+            FileWal::open(&dir, dm).unwrap(),
+        );
+        fx.arm(fault);
 
-        let stop = run_until_fault(&mut db, node, &ops).map_err(TestCaseError::fail)?;
-        db.heal_crash_points();
+        let stop = run_until_fault(&mut fx.db, node, &ops).map_err(TestCaseError::fail)?;
+        fx.heal();
 
         // The process "dies": the engine and its device handles go away,
         // and a new engine opens the directory from what is on the media.
-        drop(db);
-        let mut db = Database::open(&dir, corion::DbConfig::default()).unwrap();
+        drop(fx);
+        let mut db = Database::open(&dir, DbConfig::default()).unwrap();
         let recovered = fingerprint(&db, node);
 
         match stop {
@@ -394,9 +453,9 @@ proptest! {
                 let allowed = allowed(&ops, &stop);
                 prop_assert!(
                     allowed.contains(&recovered),
-                    "file-backed crash in op {} ({:?}, answered ok={}) at {point}#{countdown} \
-                     reopened to another state: {} objects vs allowed {:?}",
-                    stop.at, ops[stop.at], stop.ok, recovered.len(),
+                    "file-backed fault {:?} in op {} ({:?}, answered ok={}) reopened to \
+                     another state: {} objects vs allowed {:?}",
+                    fault, stop.at, ops[stop.at], stop.ok, recovered.len(),
                     allowed.iter().map(Vec::len).collect::<Vec<_>>()
                 );
             }
