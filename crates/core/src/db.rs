@@ -15,9 +15,12 @@
 //! algorithm and Deletion Rule in [`crate::composite`].
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use corion_storage::{ObjectStore, PhysId, SegmentId, StoreConfig};
+use corion_obs::Registry;
+use corion_storage::{FileDisk, FileWal, ObjectStore, PhysId, SegmentId, StoreConfig};
 
 /// Minimum records per worker before the derived-state rebuild bothers
 /// spawning threads (below this the scan is decode-bound on one core
@@ -124,21 +127,21 @@ impl Database {
 
     /// Creates an engine with explicit configuration.
     ///
-    /// Every layer shares one metrics [`Registry`](corion_obs::Registry):
+    /// Every layer shares one metrics [`Registry`]:
     /// the storage substrate and the engine itself intern their counters
     /// here, so
     /// [`Database::metrics_snapshot`] sees the whole stack at once.
     pub fn with_config(config: DbConfig) -> Self {
-        let registry = corion_obs::Registry::new();
+        let registry = Registry::new();
         let store = ObjectStore::with_registry(config.store, &registry);
         Self::assemble(config, registry, store)
     }
 
     /// Wires an engine around an already-built store. Shared by the
     /// in-memory constructor ([`Database::with_config`]) and the
-    /// file-backed one ([`Database::open`]), which differ only in how the
-    /// storage substrate came to be.
-    fn assemble(config: DbConfig, registry: corion_obs::Registry, store: ObjectStore) -> Self {
+    /// file-backed ones, which differ only in how the storage substrate
+    /// came to be.
+    fn assemble(config: DbConfig, registry: Registry, store: ObjectStore) -> Self {
         let shards = crate::shard::Shards::new(config.shards);
         let metrics = crate::metrics::CoreMetrics::new(&registry, shards.shard_count());
         metrics.shard_count.set(shards.shard_count() as i64);
@@ -164,30 +167,27 @@ impl Database {
     /// recovery replays the committed WAL prefix before this returns, so an
     /// engine kill-9'd mid-commit reopens at the last durable batch
     /// boundary. Schema metadata (catalog, operation logs, OID serial
-    /// floor) lives in a checksummed sidecar file written atomically after
-    /// every DDL operation; object state needs no sidecar because the WAL
-    /// is the authority. After recovery the in-memory maps are rebuilt by
-    /// scanning every recovered segment, exactly as [`Database::recover`]
-    /// does in-process.
-    pub fn open(dir: impl AsRef<std::path::Path>, config: DbConfig) -> DbResult<Self> {
+    /// floor) lives in a checksummed sidecar written atomically after every
+    /// DDL operation; the WAL is the authority for objects. The sidecar is
+    /// read first: a directory of another format version, or log or page
+    /// bytes with no sidecar, is refused with
+    /// [`corion_storage::StorageError::FormatVersion`] before any file is locked, created
+    /// or recovered, and a fresh directory is stamped.
+    pub fn open(dir: impl AsRef<Path>, config: DbConfig) -> DbResult<Self> {
         let dir = dir.as_ref();
-        let registry = corion_obs::Registry::new();
-        let store = ObjectStore::open_dir(dir, config.store, &registry)?;
-        // Fold the engine-side reopen work (sidecar load + derived-map
-        // rebuild) into the same reopen-latency histogram the device layer
-        // records its open+recover time into: the registry returns the one
-        // interned handle for the shared name.
-        let reopen = registry.histogram(
-            "corion_storage_device_reopen_latency_ns",
-            corion_obs::LATENCY_BOUNDS_NS,
-        );
-        let started = std::time::Instant::now();
-        let mut db = Self::assemble(config, registry, store);
-        db.data_dir = Some(dir.to_path_buf());
-        db.load_meta()?;
-        db.rebuild_derived_state()?;
-        reopen.record(started.elapsed().as_nanos() as u64);
-        Ok(db)
+        std::fs::create_dir_all(dir).map_err(|_| corion_storage::StorageError::DeviceIo {
+            op: "create data dir",
+        })?;
+        let holds_data = [FileWal::LOG_FILE, FileDisk::PAGES_FILE, FileDisk::SUMS_FILE]
+            .iter()
+            .any(|name| std::fs::metadata(dir.join(name)).is_ok_and(|m| m.len() > 0));
+        Self::open_over(dir, config, holds_data, |r| {
+            let lock = Some(corion_storage::DirLock::acquire(dir)?);
+            let dm = corion_storage::DeviceMetrics::new(r);
+            let disk = Arc::new(FileDisk::open(dir, dm.clone())?);
+            let log = Arc::new(FileWal::open(dir, dm)?);
+            Ok(ObjectStore::with_devices(config.store, r, disk, log, lock))
+        })
     }
 
     /// The data directory this engine persists to, if file-backed.
@@ -202,22 +202,46 @@ impl Database {
     /// fsyncs, EIO) while sharing the data directory's schema sidecar, so
     /// a fault-injected engine and a later plain reopen of the same
     /// directory see the same database. No lock file is taken: the
-    /// harness owns the directory's lifecycle.
-    ///
-    /// Recovery runs before this returns, replaying whatever committed
-    /// prefix the devices hold.
+    /// harness owns the directory's lifecycle. Otherwise it opens as
+    /// [`Database::open`] does, the devices standing in for the files.
     pub fn with_devices(
-        dir: impl AsRef<std::path::Path>,
+        dir: impl AsRef<Path>,
         config: DbConfig,
-        disk: std::sync::Arc<dyn corion_storage::BlockDevice>,
-        log: std::sync::Arc<dyn corion_storage::LogDevice>,
+        disk: Arc<dyn corion_storage::BlockDevice>,
+        log: Arc<dyn corion_storage::LogDevice>,
     ) -> DbResult<Self> {
-        let registry = corion_obs::Registry::new();
-        let store = ObjectStore::with_devices(config.store, &registry, disk, log, None)?;
+        let holds_data = !log.is_empty() || disk.page_count() > 0;
+        Self::open_over(dir.as_ref(), config, holds_data, |r| {
+            Ok(ObjectStore::with_devices(config.store, r, disk, log, None))
+        })
+    }
+
+    /// The one body of both opens: the sidecar's version check, the store
+    /// `devices` builds, the sidecar's schema (or the stamp of a fresh
+    /// directory), recovery and the derived-state rebuild — one
+    /// `corion_storage_device_reopen_latency_ns` sample in all.
+    fn open_over(
+        dir: &Path,
+        config: DbConfig,
+        holds_data: bool,
+        devices: impl FnOnce(&Registry) -> DbResult<ObjectStore>,
+    ) -> DbResult<Self> {
+        let started = std::time::Instant::now();
+        let schema = Self::read_meta(dir, holds_data)?;
+        let registry = Registry::new();
+        let store = devices(&registry)?;
         let mut db = Self::assemble(config, registry, store);
-        db.data_dir = Some(dir.as_ref().to_path_buf());
-        db.load_meta()?;
+        db.data_dir = Some(dir.to_path_buf());
+        match schema {
+            Some(schema) => db.install_schema(schema),
+            // Stamped before the first DDL logs anything, so a crash
+            // between that DDL's log flush and its sidecar write reopens.
+            None => db.persist_meta()?,
+        }
         db.recover()?;
+        corion_storage::DeviceMetrics::new(&db.registry)
+            .reopen_latency
+            .record(started.elapsed().as_nanos() as u64);
         Ok(db)
     }
 
@@ -595,7 +619,8 @@ impl Database {
         // Three sources raise the counter, and all must be honored: the
         // surviving in-memory value, the WAL's committed high-water notes
         // (which remember deleted objects no scan can see), and the live
-        // scan below (belt and braces for logs predating the notes).
+        // scan below (a log fsync that lies can lose a note whose page
+        // eviction already wrote back: only that page knows the serial).
         let floor = self
             .next_serial
             .load(Ordering::Relaxed)
@@ -710,8 +735,8 @@ impl Database {
 
     /// XORs `mask` into the durable WAL byte at `offset` (bit-rot
     /// injection for checksum tests).
-    pub fn corrupt_wal_byte(&mut self, offset: usize, mask: u8) {
-        self.store.corrupt_wal_byte(offset, mask);
+    pub fn corrupt_wal_byte(&mut self, offset: usize, mask: u8) -> DbResult<()> {
+        Ok(self.store.corrupt_wal_byte(offset, mask)?)
     }
 
     /// XORs `mask` into one byte of a page's on-disk image *without*

@@ -10,17 +10,23 @@
 //! restored with a chain of `near` hints, so the clustering the `:parent`
 //! clauses built up (§2.3) survives the round trip.
 //!
-//! The format is versioned with a magic header and sealed with a trailing
-//! FNV-1a checksum over the whole body, so a truncated or bit-flipped image
-//! is rejected instead of half-restored; everything uses the same
-//! hand-rolled codec as the page layer, so a dump is readable without any
-//! external crate. [`Database::save_to_file`] writes through a temporary
-//! file and renames it into place, so a crash mid-save leaves the previous
-//! dump intact. Crash recovery of the *in-process* store (WAL replay +
-//! in-memory map rebuild) is [`Database::recover`] in `db`.
+//! Both are sealed the same way: an 8-byte header carrying the
+//! data-directory format version ([`format_header`]), the body, and a
+//! trailing FNV-1a checksum over both. Another version is refused with
+//! [`StorageError::FormatVersion`] before anything else is read, and a
+//! truncated or bit-flipped image is rejected instead of half-restored;
+//! everything uses the same hand-rolled codec as the page layer, so a dump
+//! is readable without any external crate. [`Database::save_to_file`]
+//! writes through a temporary file and renames it into place, so a crash
+//! mid-save leaves the previous dump intact. Crash recovery of the
+//! *in-process* store (WAL replay + in-memory map rebuild) is
+//! [`Database::recover`] in `db`.
 
-use bytes::BufMut;
+use std::collections::HashMap;
+use std::path::Path;
+
 use corion_storage::codec::{self, Reader};
+use corion_storage::wal::{check_format_header, format_header, FORMAT_VERSION};
 use corion_storage::{fnv1a64, SegmentId, StorageError};
 
 use crate::db::Database;
@@ -30,17 +36,32 @@ use crate::object::Object;
 use crate::oid::ClassId;
 use crate::schema::catalog::Catalog;
 
-const MAGIC: &[u8; 8] = b"CORION02";
-
-/// Magic for the schema-metadata sidecar a file-backed engine keeps beside
-/// its WAL and page files ([`Database::open`]). Object state is *not* in
-/// here — the WAL is the authority for objects; the sidecar carries only
-/// what the crash model calls "engine memory": catalog, operation logs, and
-/// the OID serial floor.
-const META_MAGIC: &[u8; 8] = b"CORIONM1";
-
 /// File name of the schema sidecar inside a data directory.
 pub(crate) const META_FILE: &str = "meta.corion";
+
+/// Header magics of a dump and of the schema sidecar, the file beside a
+/// data directory's WAL and page files that holds its [`Schema`].
+const DUMP_MAGIC: &[u8; 7] = b"CORION0";
+const META_MAGIC: &[u8; 7] = b"CORIONM";
+
+/// The "engine memory" the crash model does not cover: the catalog, the
+/// OID serial counter, and every class's operation log.
+pub(crate) type Schema = (Catalog, u64, HashMap<ClassId, OperationLog>);
+
+/// A reader over the body of a sealed image. The header is checked first,
+/// so another format version is refused however its body is laid out;
+/// then the checksum, whose failure is reported as `what`.
+fn unseal<'a>(image: &'a [u8], magic: &[u8; 7], what: &'static str) -> DbResult<Reader<'a>> {
+    check_format_header(image, magic)?;
+    if image.len() < 16 {
+        return Err(StorageError::Truncated { context: what }.into());
+    }
+    let (body, trailer) = image.split_at(image.len() - 8);
+    if fnv1a64(body).to_le_bytes() != trailer {
+        return Err(StorageError::Corrupt { context: what }.into());
+    }
+    Ok(Reader::new(&body[8..]))
+}
 
 impl Database {
     /// Serializes the whole database (schema, operation logs, objects) into
@@ -48,8 +69,7 @@ impl Database {
     /// must be a committed state).
     pub fn dump(&mut self) -> DbResult<Vec<u8>> {
         self.forbid_in_transaction("dump")?;
-        let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
+        let mut buf = format_header(DUMP_MAGIC).to_vec();
         self.encode_schema(&mut buf);
         // Objects, per segment in physical scan order (clustering-faithful).
         let mut segments: Vec<SegmentId> = self
@@ -79,44 +99,19 @@ impl Database {
                 codec::put_bytes(&mut buf, &bytes);
             }
         }
-        // Seal the image: a trailing checksum over everything above.
         let sum = fnv1a64(&buf);
         codec::put_u64(&mut buf, sum);
         Ok(buf)
     }
 
     /// Reconstructs a database from a [`Database::dump`] image, using the
-    /// given configuration for the new store.
+    /// given configuration for the new store. An image of another format
+    /// version is refused with [`StorageError::FormatVersion`].
     pub fn restore(image: &[u8], config: crate::db::DbConfig) -> DbResult<Database> {
-        if image.len() < MAGIC.len() + 8 {
-            return Err(DbError::Storage(StorageError::Corrupt {
-                context: "dump image too short",
-            }));
-        }
-        let (body, trailer) = image.split_at(image.len() - 8);
-        let expected = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        if fnv1a64(body) != expected {
-            return Err(DbError::Storage(StorageError::Corrupt {
-                context: "dump checksum",
-            }));
-        }
-        let mut r = Reader::new(body);
-        let mut magic = [0u8; 8];
-        for b in &mut magic {
-            *b = r.u8("magic")?;
-        }
-        if &magic != MAGIC {
-            return Err(DbError::Storage(StorageError::Corrupt {
-                context: "dump magic",
-            }));
-        }
-        let (catalog, next_serial, oplogs) = Self::decode_schema(&mut r)?;
-
+        let mut r = unseal(image, DUMP_MAGIC, "dump checksum")?;
+        let schema = Self::decode_schema(&mut r)?;
         let mut db = Database::with_config(config);
-        db.catalog = catalog;
-        db.oplogs = oplogs;
-        db.next_serial
-            .store(next_serial, std::sync::atomic::Ordering::Relaxed);
+        db.install_schema(schema);
         // Recreate segments 0..=max referenced by the catalog.
         let max_seg = db
             .catalog
@@ -240,18 +235,11 @@ impl Database {
     }
 
     /// Inverse of [`Database::encode_schema`].
-    #[allow(clippy::type_complexity)]
-    fn decode_schema(
-        r: &mut Reader<'_>,
-    ) -> DbResult<(
-        Catalog,
-        u64,
-        std::collections::HashMap<ClassId, OperationLog>,
-    )> {
+    fn decode_schema(r: &mut Reader<'_>) -> DbResult<Schema> {
         let catalog = Catalog::decode(r)?;
         let next_serial = r.u64("next serial")?;
         let n_logs = r.varint("oplog count")? as usize;
-        let mut oplogs = std::collections::HashMap::new();
+        let mut oplogs = HashMap::new();
         for _ in 0..n_logs {
             let class = ClassId(r.u32("oplog class")?);
             let n = r.varint("oplog entries")? as usize;
@@ -281,6 +269,14 @@ impl Database {
         Ok((catalog, next_serial, oplogs))
     }
 
+    /// Makes `schema` the engine's own.
+    pub(crate) fn install_schema(&mut self, (catalog, next_serial, oplogs): Schema) {
+        self.catalog = catalog;
+        self.oplogs = oplogs;
+        self.next_serial
+            .store(next_serial, std::sync::atomic::Ordering::Relaxed);
+    }
+
     // ------------------------------------------------------------------
     // Data-directory schema sidecar
     // ------------------------------------------------------------------
@@ -294,8 +290,7 @@ impl Database {
         let Some(dir) = self.data_dir.clone() else {
             return Ok(());
         };
-        let mut buf = Vec::new();
-        buf.put_slice(META_MAGIC);
+        let mut buf = format_header(META_MAGIC).to_vec();
         self.encode_schema(&mut buf);
         let sum = fnv1a64(&buf);
         codec::put_u64(&mut buf, sum);
@@ -306,52 +301,26 @@ impl Database {
         })
     }
 
-    /// Loads the schema sidecar, if the data directory has one. A missing
-    /// sidecar is a fresh directory (empty schema); a corrupt or truncated
-    /// one is an error — silently starting with an empty catalog over
-    /// recovered segments would orphan every object.
-    pub(crate) fn load_meta(&mut self) -> DbResult<()> {
-        let Some(dir) = self.data_dir.clone() else {
-            return Ok(());
-        };
-        let path = dir.join(META_FILE);
-        let image = match std::fs::read(&path) {
+    /// Reads the schema sidecar of `dir`, the first step of every open.
+    /// `None` is a fresh directory: no sidecar, and its log and page store
+    /// hold no byte (`holds_data`). Data with no sidecar is refused
+    /// (`found: 0`), since an empty catalog would orphan every object.
+    pub(crate) fn read_meta(dir: &Path, holds_data: bool) -> DbResult<Option<Schema>> {
+        let image = match std::fs::read(dir.join(META_FILE)) {
             Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound && !holds_data => return Ok(None),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let expected = FORMAT_VERSION;
+                return Err(StorageError::FormatVersion { found: 0, expected }.into());
+            }
             Err(_) => {
                 return Err(DbError::Storage(StorageError::DeviceIo {
                     op: "schema sidecar read",
                 }))
             }
         };
-        if image.len() < META_MAGIC.len() + 8 {
-            return Err(DbError::Storage(StorageError::Truncated {
-                context: "schema sidecar",
-            }));
-        }
-        let (body, trailer) = image.split_at(image.len() - 8);
-        let expected = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        if fnv1a64(body) != expected {
-            return Err(DbError::Storage(StorageError::Corrupt {
-                context: "schema sidecar checksum",
-            }));
-        }
-        let mut r = Reader::new(body);
-        let mut magic = [0u8; 8];
-        for b in &mut magic {
-            *b = r.u8("meta magic")?;
-        }
-        if &magic != META_MAGIC {
-            return Err(DbError::Storage(StorageError::Corrupt {
-                context: "schema sidecar magic",
-            }));
-        }
-        let (catalog, next_serial, oplogs) = Self::decode_schema(&mut r)?;
-        self.catalog = catalog;
-        self.oplogs = oplogs;
-        self.next_serial
-            .store(next_serial, std::sync::atomic::Ordering::Relaxed);
-        Ok(())
+        let mut r = unseal(&image, META_MAGIC, "schema sidecar checksum")?;
+        Ok(Some(Self::decode_schema(&mut r)?))
     }
 }
 

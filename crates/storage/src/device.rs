@@ -65,8 +65,8 @@ pub struct DeviceMetrics {
     /// `corion_storage_device_eio_injected_total`: EIO faults injected by
     /// [`FaultyDevice`].
     pub eio_injected: corion_obs::Counter,
-    /// `corion_storage_device_reopen_latency_ns`: time to reopen a data
-    /// directory (lock, open files, recover).
+    /// `corion_storage_device_reopen_latency_ns`: time to open a data
+    /// directory, one sample per open (recorded by the engine above).
     pub reopen_latency: corion_obs::Histogram,
 }
 

@@ -103,6 +103,14 @@ pub enum StorageError {
         /// The operation that failed.
         op: &'static str,
     },
+    /// A data directory or dump of another format version
+    /// ([`crate::wal::FORMAT_VERSION`]): refused, never decoded.
+    FormatVersion {
+        /// The version found; 0 for log or page bytes with no sidecar.
+        found: u8,
+        /// The version this build reads and writes.
+        expected: u8,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -179,6 +187,10 @@ impl fmt::Display for StorageError {
             StorageError::DeviceIo { op } => {
                 write!(f, "device i/o failed during {op}")
             }
+            StorageError::FormatVersion { found, expected } => write!(
+                f,
+                "format version {found} found (0: no sidecar), this build reads version {expected}"
+            ),
         }
     }
 }
@@ -217,6 +229,11 @@ mod tests {
         assert!(e.to_string().contains("4242"));
         let e = StorageError::DeviceIo { op: "fsync" };
         assert!(e.to_string().contains("fsync"));
+        let e = StorageError::FormatVersion {
+            found: 2,
+            expected: 3,
+        };
+        assert!(e.to_string().contains("version 2") && e.to_string().contains("version 3"));
     }
 
     #[test]

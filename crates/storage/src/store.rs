@@ -38,14 +38,13 @@
 //! [`FaultyDevice`](crate::device::FaultyDevice).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::path::Path;
 use std::sync::Arc;
 
 use corion_obs::Registry;
 
 use crate::buffer::{BufferPool, BufferStats};
 use crate::codec::{self, Reader};
-use crate::device::{BlockDevice, DeviceMetrics, DirLock, FileDisk, FileWal, LogDevice, MemLog};
+use crate::device::{BlockDevice, DirLock, LogDevice, MemLog};
 use crate::disk::{DiskStats, SimDisk};
 use crate::error::{StorageError, StorageResult};
 use crate::fault::CrashPoints;
@@ -286,30 +285,29 @@ impl ObjectStore {
             Arc::new(SimDisk::new()),
             Arc::new(MemLog::new()),
             None,
-        )
-        .expect("an empty in-memory log reads");
+        );
         store.set_health(HealthState::Healthy);
         store
     }
 
     /// Creates a store over caller-supplied devices — the seam through
     /// which real files (or fault-wrapped anything) replace the simulated
-    /// disk and in-memory log. The store comes up **poisoned**: the
-    /// devices may hold a previous life's state, so the caller must run
-    /// [`ObjectStore::recover`] before using it ([`ObjectStore::open_dir`]
-    /// does). `lock` is held for the store's lifetime when given.
+    /// disk and in-memory log. Reads nothing, and comes up **poisoned**:
+    /// the devices may hold a previous life's state, so the caller must
+    /// run [`ObjectStore::recover`] before using it. `lock` is held for the
+    /// store's lifetime when given.
     pub fn with_devices(
         config: StoreConfig,
         registry: &Registry,
         disk: Arc<dyn BlockDevice>,
         log: Arc<dyn LogDevice>,
         lock: Option<DirLock>,
-    ) -> StorageResult<Self> {
+    ) -> Self {
         let mut store = ObjectStore {
             pool: BufferPool::with_registry(disk, config.buffer_capacity, registry),
             segments: HashMap::new(),
             next_segment: 0,
-            wal: Wal::with_device(log)?,
+            wal: Wal::with_device(log),
             crash: CrashPoints::new(),
             batch: None,
             health: HealthState::Poisoned,
@@ -321,29 +319,7 @@ impl ObjectStore {
             _lock: lock,
         };
         store.set_health(HealthState::Poisoned);
-        Ok(store)
-    }
-
-    /// Opens (creating if needed) a file-backed store in `dir`: acquires
-    /// the data-directory lock, opens the page and log files, and runs
-    /// recovery so the returned store serves exactly the committed-prefix
-    /// state the files hold. The reopen (open + recover) latency lands in
-    /// the `corion_storage_device_reopen_latency_ns` histogram.
-    pub fn open_dir(dir: &Path, config: StoreConfig, registry: &Registry) -> StorageResult<Self> {
-        std::fs::create_dir_all(dir).map_err(|_| StorageError::DeviceIo {
-            op: "create data dir",
-        })?;
-        let lock = DirLock::acquire(dir)?;
-        let dm = DeviceMetrics::new(registry);
-        let started = std::time::Instant::now();
-        let disk = FileDisk::open(dir, dm.clone())?;
-        let log = FileWal::open(dir, dm.clone())?;
-        let mut store =
-            Self::with_devices(config, registry, Arc::new(disk), Arc::new(log), Some(lock))?;
-        store.recover()?;
-        dm.reopen_latency
-            .record(started.elapsed().as_nanos() as u64);
-        Ok(store)
+        store
     }
 
     /// Current health of the store.
@@ -1128,12 +1104,10 @@ impl ObjectStore {
         self.pool.set_no_steal(false);
         self.wal.drop_pending();
         self.pool.discard_all();
-        // Re-read the log from its device: the in-memory mirror may be
-        // ahead of the media (a crash dropped lying-fsync buffers) or
-        // behind it (a failed flush left a prefix there).
-        self.wal.reload_from_device()?;
-
-        let scan = self.wal.scan();
+        // The device is the one copy of the durable log: read it once. It
+        // may hold less than was acknowledged (a crash dropped lying-fsync
+        // buffers) or more (a failed flush left a prefix there).
+        let scan = self.wal.scan()?;
         let state = replay(&scan);
         self.wal.truncate_durable(scan.valid_len)?;
         self.wal.set_next_lsn(scan.next_lsn);
@@ -1255,8 +1229,7 @@ impl ObjectStore {
         // rot, and salvage writes below must not fight stale frames.
         self.pool.clear_cache()?;
         // Committed after-images still in the log are the salvage source.
-        let scan = self.wal.scan();
-        let salvage = replay(&scan);
+        let salvage = replay(&self.wal.scan()?);
         let mut pages: Vec<u64> = self
             .segments
             .values()
@@ -1352,10 +1325,10 @@ impl ObjectStore {
         self.durable_commit_lsn
     }
 
-    /// XORs one durable log byte with `mask` — bit-flip injection for
-    /// checksum-rejection tests.
-    pub fn corrupt_wal_byte(&mut self, offset: usize, mask: u8) {
-        self.wal.corrupt_durable_byte(offset, mask);
+    /// XORs one durable log byte with `mask` on the log device — bit-flip
+    /// injection for checksum-rejection tests.
+    pub fn corrupt_wal_byte(&mut self, offset: usize, mask: u8) -> StorageResult<()> {
+        self.wal.device().corrupt_byte(offset as u64, mask)
     }
 
     /// Every live segment id, ascending (the scan order recovery and
@@ -1377,7 +1350,7 @@ fn faulty_store(
     crate::device::FaultyDevice<SimDisk>,
     crate::device::FaultyDevice<MemLog>,
 ) {
-    use crate::device::FaultyDevice;
+    use crate::device::{DeviceMetrics, FaultyDevice};
     let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
     let log = FaultyDevice::new(MemLog::new(), DeviceMetrics::detached());
     let mut st = ObjectStore::with_devices(
@@ -1386,8 +1359,7 @@ fn faulty_store(
         Arc::new(disk.clone()),
         Arc::new(log.clone()),
         None,
-    )
-    .unwrap();
+    );
     st.recover().unwrap();
     (st, disk, log)
 }
@@ -1893,7 +1865,7 @@ mod recovery_tests {
         let total = st.wal_stats().durable_bytes;
         assert!(total > boundary);
         // Corrupt a byte inside the second batch's records, then crash.
-        st.corrupt_wal_byte(boundary + 20, 0x08);
+        st.corrupt_wal_byte(boundary + 20, 0x08).unwrap();
         st.simulate_crash();
         let report = st.recover().unwrap();
         assert!(report.torn_tail);
@@ -2115,7 +2087,7 @@ mod recovery_tests {
     /// The page records of the last committed batch in the durable log,
     /// by kind.
     fn last_batch_kinds(st: &ObjectStore) -> Vec<&'static str> {
-        let scan = st.wal.scan();
+        let scan = st.wal.scan().unwrap();
         let batch = scan.committed.last().expect("a committed batch");
         batch
             .iter()
@@ -2223,7 +2195,7 @@ mod recovery_tests {
             grown.extend_from_slice(&noise(4, 13));
             assert_eq!(st.update(id, &grown).unwrap(), id, "{case}");
 
-            let scan = st.wal.scan();
+            let scan = st.wal.scan().unwrap();
             let (moves, logged) = scan
                 .committed
                 .last()

@@ -22,7 +22,6 @@
 //!
 //! | kind | record |
 //! |------|--------|
-//! | 1 | raw 4 KiB page image — decoded so an old log replays, never written |
 //! | 2 | commit marker |
 //! | 3, 4 | segment create / page adopt (metadata redo) |
 //! | 5 | checkpoint: a segment-directory snapshot that lets the log be truncated |
@@ -55,40 +54,78 @@
 //! offsets but not new to the page. Each move `(src, dst, len)` (varints)
 //! copies `len` bytes of the **unmodified** base from `src` to `dst`, and
 //! the runs are the difference from that moved base, so a grown record
-//! logs what grew. A delta with no move is kind 6, encoded exactly as
-//! before moves existed; one with moves is kind 9. Redo stays physical:
-//! replay copies bytes and never runs page logic. The decoder refuses a
-//! move list with no move, more moves than a page has slots, or a move
-//! reaching past the page.
+//! logs what grew. A delta with no move is kind 6 and carries no move
+//! count, a byte saved on every such delta; one with moves is kind 9.
+//! The two are tags of one codec, picked from the input. Redo stays
+//! physical: replay copies bytes and never runs page logic. The decoder
+//! refuses a move list with no move, more moves than a page has slots, or
+//! a move reaching past the page.
+//!
+//! ## Format version
+//!
+//! These records, the page layout, and the sidecar and dump that carry
+//! the version in their headers ([`format_header`]) are one format,
+//! [`FORMAT_VERSION`]; another version is refused, never decoded.
 //!
 //! ## Crash model
 //!
 //! The log has two regions: `pending` bytes (appended but not yet flushed
-//! — lost in a crash) and `durable` bytes (synced on the [`LogDevice`];
-//! they survive any crash). A device that fails mid-flush may leave a
-//! *prefix* of the pending bytes on its media — a torn append, which
-//! `FaultyDevice` injects — and recovery re-reads the device to find out.
-//! [`Wal::scan`] walks the durable region and stops at the first record
-//! that is truncated, checksum-corrupt, or out of LSN sequence; records
-//! after the last commit marker belong to an uncommitted batch. Both tails
-//! are reported so recovery can truncate them instead of replaying
-//! garbage.
+//! — lost in a crash, held in memory) and `durable` bytes (synced on the
+//! [`LogDevice`]; they survive any crash, and only the device holds
+//! them). A device that fails mid-flush may leave a *prefix* of the
+//! pending bytes on its media — a torn append, which `FaultyDevice`
+//! injects. [`Wal::scan`] reads the device once and walks what it holds,
+//! stopping at the first record that is truncated, checksum-corrupt, or
+//! out of LSN sequence; records after the last commit marker belong to an
+//! uncommitted batch. Both tails are reported so recovery can truncate
+//! them instead of replaying garbage.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::codec::{put_u32, put_u64, put_u8, put_varint, Reader};
 use crate::device::{LogDevice, MemLog};
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PAGE_SIZE};
 use crate::segment::SegmentId;
 
 /// Log sequence number of a record.
 pub type Lsn = u64;
 
-/// A raw 4 KiB page image, the encoding logs used before images became
-/// ranges. Decoded so such a log still replays; never written.
-const KIND_PAGE_RAW: u8 = 1;
+/// The data-directory format version (module docs). A change to any byte
+/// it covers bumps it and deletes the old decoder in the same change.
+pub const FORMAT_VERSION: u8 = 3;
+
+/// FNV-1a of one record of every kind, a page, and a fixed database's
+/// sidecar and dump in [`FORMAT_VERSION`] (`tests/format_tripwire.rs`).
+pub const FORMAT_FINGERPRINT: u64 = 0x1ab6_27a0_2872_a47a;
+
+/// An 8-byte file header: the 7-byte `magic`, then [`FORMAT_VERSION`] as
+/// one byte offset by ASCII `'0'` (so the header reads `CORIONM3`).
+pub fn format_header(magic: &[u8; 7]) -> [u8; 8] {
+    let mut header = [b'0' + FORMAT_VERSION; 8];
+    header[..7].copy_from_slice(magic);
+    header
+}
+
+/// Checks the [`format_header`] at the front of `bytes`:
+/// [`StorageError::Corrupt`] when the magic differs,
+/// [`StorageError::FormatVersion`] when the version does.
+pub fn check_format_header(bytes: &[u8], magic: &[u8; 7]) -> StorageResult<()> {
+    match bytes.get(..8) {
+        Some(header) if header[..7] == magic[..] => match header[7].wrapping_sub(b'0') {
+            FORMAT_VERSION => Ok(()),
+            found => Err(StorageError::FormatVersion {
+                found,
+                expected: FORMAT_VERSION,
+            }),
+        },
+        _ => Err(StorageError::Corrupt {
+            context: "format header",
+        }),
+    }
+}
+
 const KIND_COMMIT: u8 = 2;
 const KIND_SEG_CREATE: u8 = 3;
 const KIND_SEG_ADOPT: u8 = 4;
@@ -556,13 +593,12 @@ pub struct WalScan {
 /// Every byte goes through a [`LogDevice`]: [`MemLog`] for the in-memory
 /// engine ([`Wal::new`]), `FileWal` for a data directory, either one
 /// possibly behind a `FaultyDevice`. `pending` holds the records appended
-/// since the last flush (a crash loses them); `durable` is an in-memory
-/// *mirror* of the device contents — every flush appends-and-syncs to the
-/// device before the mirror advances, every checkpoint replaces the device
-/// log atomically (write-new + rename + dir-fsync in the file
-/// implementation), and recovery reloads the mirror from the device.
+/// since the last flush (a crash loses them). The durable log is on the
+/// device alone — every flush appends-and-syncs there, every checkpoint
+/// replaces it atomically (write-new + rename + dir-fsync in the file
+/// implementation) — and the WAL keeps only its length.
 pub struct Wal {
-    durable: Vec<u8>,
+    durable_len: usize,
     pending: Vec<u8>,
     device: Arc<dyn LogDevice>,
     next_lsn: Lsn,
@@ -580,34 +616,27 @@ impl Default for Wal {
 impl Wal {
     /// Creates an empty log over a fresh [`MemLog`]; LSNs start at 1.
     pub fn new() -> Self {
-        Self::with_device(Arc::new(MemLog::new())).expect("an empty in-memory log reads")
+        Self::with_device(Arc::new(MemLog::new()))
     }
 
-    /// Opens a log backed by `device`, loading whatever bytes it already
-    /// holds into the durable mirror. The LSN counter starts at 1; the
-    /// caller is expected to [`Wal::scan`] and [`Wal::set_next_lsn`]
+    /// A log backed by `device`; reads nothing. The LSN counter starts at
+    /// 1; the caller is expected to [`Wal::scan`] and [`Wal::set_next_lsn`]
     /// (recovery does both) before appending.
-    pub fn with_device(device: Arc<dyn LogDevice>) -> StorageResult<Self> {
-        let durable = device.read_all()?;
-        Ok(Wal {
-            durable,
+    pub fn with_device(device: Arc<dyn LogDevice>) -> Self {
+        Wal {
+            durable_len: device.len() as usize,
             pending: Vec::new(),
             device,
             next_lsn: 1,
             records_appended: 0,
             flushes: 0,
             checkpoints: 0,
-        })
+        }
     }
 
-    /// Re-reads the durable mirror from the device and drops any pending
-    /// bytes — the first step of recovery, so a reopen (or a simulated
-    /// crash that dropped lying-fsync buffers, or a failed append that
-    /// left a torn prefix) sees exactly what the media holds.
-    pub fn reload_from_device(&mut self) -> StorageResult<()> {
-        self.durable = self.device.read_all()?;
-        self.pending.clear();
-        Ok(())
+    /// The device the durable log lives on.
+    pub fn device(&self) -> &dyn LogDevice {
+        &*self.device
     }
 
     /// Forwards a simulated crash to the device (dropping bytes an
@@ -628,14 +657,13 @@ impl Wal {
     /// The durability point: all pending bytes survive any later crash.
     ///
     /// The pending bytes are appended and synced on the device *before*
-    /// the durable mirror advances; a device failure leaves the mirror
-    /// untouched and propagates — the caller cannot know how much reached
-    /// the media, so it must poison the store and let recovery re-read the
-    /// device.
+    /// the durable length advances; a device failure propagates — the
+    /// caller cannot know how much reached the media, so it must poison
+    /// the store and let recovery scan the device.
     pub fn flush(&mut self) -> StorageResult<()> {
         self.device.append(&self.pending)?;
         self.device.sync()?;
-        self.durable.extend_from_slice(&self.pending);
+        self.durable_len += self.pending.len();
         self.pending.clear();
         self.flushes += 1;
         Ok(())
@@ -674,9 +702,9 @@ impl Wal {
     /// over the old one — exactly what the file-backed [`LogDevice`] does
     /// ([`LogDevice::replace`] is tmp + write + fsync + rename + dir-fsync)
     /// — which is why no crash point exists *inside* the swap: a crash in
-    /// the gap leaves either the old log or the new one, never a mix. On a
-    /// device failure the in-memory mirror is left untouched and the error
-    /// propagates; recovery re-reads whichever log the rename left behind.
+    /// the gap leaves either the old log or the new one, never a mix. A
+    /// device failure propagates; recovery scans whichever log the rename
+    /// left behind.
     pub fn install_checkpoint(
         &mut self,
         next_segment: u32,
@@ -711,18 +739,19 @@ impl Wal {
         put(&mut fresh, &WalRecord::Commit);
         self.device.replace(&fresh)?;
         self.pending.clear();
-        self.durable = fresh;
+        self.durable_len = fresh.len();
         self.next_lsn = lsn;
         self.records_appended += records;
         self.checkpoints += 1;
         Ok(())
     }
 
-    /// Truncates the durable region to `len` bytes (discarding a torn or
-    /// uncommitted tail found by [`Wal::scan`]), on the device too.
+    /// Truncates the durable log to `len` bytes, the
+    /// [`WalScan::valid_len`] of a scan (discarding the torn or
+    /// uncommitted tail it found).
     pub fn truncate_durable(&mut self, len: usize) -> StorageResult<()> {
         self.device.truncate(len as u64)?;
-        self.durable.truncate(len);
+        self.durable_len = len;
         Ok(())
     }
 
@@ -734,7 +763,7 @@ impl Wal {
     /// Current counters.
     pub fn stats(&self) -> WalStats {
         WalStats {
-            durable_bytes: self.durable.len(),
+            durable_bytes: self.durable_len,
             pending_bytes: self.pending.len(),
             records_appended: self.records_appended,
             flushes: self.flushes,
@@ -743,26 +772,14 @@ impl Wal {
         }
     }
 
-    /// XORs one durable byte with `mask` — the bit-flip injection hook for
-    /// checksum-rejection tests. Mirrored onto the device so a recovery
-    /// or a reopen scans the same corrupted bytes.
-    pub fn corrupt_durable_byte(&mut self, offset: usize, mask: u8) {
-        if let Some(b) = self.durable.get_mut(offset) {
-            *b ^= mask;
-            self.device
-                .corrupt_byte(offset as u64, mask)
-                .expect("corrupting a durable log byte");
-        }
-    }
-
-    /// Walks the durable region, collecting committed batches and locating
-    /// the torn/uncommitted tail. Never fails: corruption terminates the
-    /// scan instead of propagating.
-    pub fn scan(&self) -> WalScan {
-        let buf = &self.durable;
+    /// Reads the durable log from the device, once, and walks it,
+    /// collecting committed batches and locating the torn/uncommitted
+    /// tail. Only a device read fails: corruption terminates the scan
+    /// instead of propagating.
+    pub fn scan(&self) -> StorageResult<WalScan> {
+        let buf = self.device.read_all()?;
         let mut committed = Vec::new();
         let mut batch = Vec::new();
-        let mut discarded = 0usize;
         let mut valid_len = 0usize;
         let mut torn_tail = false;
         let mut offset = 0usize;
@@ -795,14 +812,13 @@ impl Wal {
         }
         // Records past the last commit marker — a batch whose durability
         // point was never reached — are discarded along with any torn tail.
-        discarded += batch.len();
-        WalScan {
+        Ok(WalScan {
             committed,
             valid_len,
-            discarded_records: discarded,
+            discarded_records: batch.len(),
             torn_tail,
             next_lsn,
-        }
+        })
     }
 }
 
@@ -907,16 +923,6 @@ fn decode_record(
             moves: get_moves(&mut r)?,
             ranges: get_ranges(&mut r)?,
         },
-        KIND_PAGE_RAW => {
-            let page = r.u64("wal page").map_err(|_| "short body")?;
-            let raw: &[u8; PAGE_SIZE] = body[body.len() - r.remaining()..]
-                .try_into()
-                .map_err(|_| "bad image size")?;
-            WalRecord::PageImage {
-                page,
-                ranges: runs(&ZERO_PAGE, raw),
-            }
-        }
         KIND_COMMIT => WalRecord::Commit,
         KIND_SERIAL_FLOOR => WalRecord::SerialFloor {
             serial: r.u64("wal serial").map_err(|_| "short body")?,
@@ -1028,16 +1034,15 @@ mod tests {
     /// arms it.
     fn faulty_wal() -> (Wal, FaultyDevice<MemLog>) {
         let log = FaultyDevice::new(MemLog::new(), DeviceMetrics::detached());
-        (Wal::with_device(Arc::new(log.clone())).unwrap(), log)
+        (Wal::with_device(Arc::new(log.clone())), log)
     }
 
     /// Flushes the pending records through a device that tears the append
-    /// after `keep` bytes, then reloads what the device kept: recovery's
-    /// view of the torn flush.
+    /// after `keep` bytes, and drops them as the poisoned store does.
     fn tear_flush(wal: &mut Wal, log: &FaultyDevice<MemLog>, keep: usize) {
         log.arm_torn_write(0, keep);
         assert!(matches!(wal.flush(), Err(StorageError::TornWrite { .. })));
-        wal.reload_from_device().unwrap();
+        wal.drop_pending();
     }
 
     fn runs_of(list: &[(usize, &[u8])]) -> Ranges {
@@ -1080,7 +1085,7 @@ mod tests {
         wal.append(&WalRecord::Commit);
         wal.flush().unwrap();
 
-        let scan = wal.scan();
+        let scan = wal.scan().unwrap();
         assert_eq!(scan.committed.len(), 1);
         assert_eq!(scan.discarded_records, 0);
         assert!(!scan.torn_tail);
@@ -1107,7 +1112,7 @@ mod tests {
         wal.append(&WalRecord::Commit);
         // No flush: the crash loses the second batch entirely.
         wal.drop_pending();
-        let scan = wal.scan();
+        let scan = wal.scan().unwrap();
         assert_eq!(scan.committed.len(), 1);
         assert_eq!(replay(&scan).pages[&0].as_bytes()[100], 1);
     }
@@ -1119,7 +1124,7 @@ mod tests {
         // A batch whose images were flushed but whose commit never was.
         wal.append(&WalRecord::page_image(0, &page_with_byte(2)));
         wal.flush().unwrap();
-        let scan = wal.scan();
+        let scan = wal.scan().unwrap();
         assert_eq!(scan.committed.len(), 1);
         assert_eq!(scan.discarded_records, 1);
         assert!(!scan.torn_tail, "well-formed records, just uncommitted");
@@ -1135,8 +1140,8 @@ mod tests {
         wal.append(&WalRecord::page_image(0, &page_with_byte(2)));
         wal.append(&WalRecord::Commit);
         tear_flush(&mut wal, &log, 10); // a few bytes of the image record
-        assert_eq!(wal.stats().durable_bytes, before + 10);
-        let scan = wal.scan();
+        assert_eq!(log.len() as usize, before + 10);
+        let scan = wal.scan().unwrap();
         assert!(scan.torn_tail);
         assert_eq!(scan.valid_len, before);
         assert_eq!(scan.committed.len(), 1);
@@ -1156,7 +1161,7 @@ mod tests {
             wal.append(&WalRecord::page_image(0, &page_with_byte(2)));
             wal.append(&WalRecord::Commit);
             tear_flush(&mut wal, &log, keep);
-            let scan = wal.scan();
+            let scan = wal.scan().unwrap();
             assert_eq!(scan.committed.len(), 1, "keep={keep}");
             assert_eq!(
                 replay(&scan).pages[&0].as_bytes()[100],
@@ -1180,8 +1185,8 @@ mod tests {
             let mut wal = Wal::new();
             committed_batch(&mut wal, &[(0, 1)]);
             committed_batch(&mut wal, &[(0, 2)]);
-            wal.corrupt_durable_byte(offset, 0x40);
-            let scan = wal.scan();
+            wal.device().corrupt_byte(offset as u64, 0x40).unwrap();
+            let scan = wal.scan().unwrap();
             assert!(scan.torn_tail, "offset {offset} not detected");
             assert_eq!(scan.committed.len(), 1, "offset {offset}");
             assert_eq!(scan.valid_len, first_len, "offset {offset}");
@@ -1193,16 +1198,14 @@ mod tests {
     fn lsn_regression_terminates_the_scan() {
         // Splice a stale-but-valid record after a newer one by rebuilding
         // durable bytes out of order.
-        let mut a = Wal::new();
-        committed_batch(&mut a, &[(0, 1)]); // lsn 1,2
         let mut b = Wal::new();
-        committed_batch(&mut b, &[(0, 9)]); // lsn 1,2 again
+        committed_batch(&mut b, &[(0, 9)]); // lsn 1,2
         let mut spliced = Wal::new();
-        committed_batch(&mut spliced, &[(0, 1)]);
-        // Append a replayed copy of b's bytes: checksums pass, LSNs repeat.
-        let stale = b.durable.clone();
-        spliced.durable.extend_from_slice(&stale);
-        let scan = spliced.scan();
+        committed_batch(&mut spliced, &[(0, 1)]); // lsn 1,2 again
+                                                  // Append a replayed copy of b's bytes: checksums pass, LSNs repeat.
+        let stale = b.device().read_all().unwrap();
+        spliced.device().append(&stale).unwrap();
+        let scan = spliced.scan().unwrap();
         assert!(scan.torn_tail);
         assert_eq!(scan.committed.len(), 1);
         assert_eq!(replay(&scan).pages[&0].as_bytes()[100], 1);
@@ -1215,7 +1218,7 @@ mod tests {
         wal.install_checkpoint(2, vec![(SegmentId(0), vec![0, 1])], 0)
             .unwrap();
         committed_batch(&mut wal, &[(1, 3)]);
-        let scan = wal.scan();
+        let scan = wal.scan().unwrap();
         assert_eq!(scan.committed.len(), 2, "checkpoint batch + one more");
         let state = replay(&scan);
         assert_eq!(state.next_segment, 2);
@@ -1247,7 +1250,7 @@ mod tests {
         wal.append(&WalRecord::page_image(0, &page_with_byte(2)));
         wal.flush().unwrap();
 
-        let scan = wal.scan();
+        let scan = wal.scan().unwrap();
         assert_eq!(scan.discarded_records, 1);
         assert_eq!(
             scan.next_lsn, 3,
@@ -1259,7 +1262,7 @@ mod tests {
         wal.truncate_durable(scan.valid_len).unwrap();
         wal.set_next_lsn(scan.next_lsn);
         committed_batch(&mut wal, &[(1, 9)]);
-        let rescan = wal.scan();
+        let rescan = wal.scan().unwrap();
         assert!(!rescan.torn_tail, "LSN gap after recovery");
         assert_eq!(rescan.committed.len(), 2);
         assert_eq!(replay(&rescan).pages[&1].as_bytes()[100], 9);
@@ -1313,7 +1316,7 @@ mod tests {
         });
         wal.append(&WalRecord::Commit);
         wal.flush().unwrap();
-        let scan = wal.scan();
+        let scan = wal.scan().unwrap();
         assert_eq!(scan.committed.len(), 1);
         assert!(!scan.torn_tail);
         assert_eq!(replay(&scan).pages[&3], next);
@@ -1350,8 +1353,8 @@ mod tests {
                 w.flush().unwrap();
             }
         }
-        let full_state = replay(&full.scan());
-        let delta_state = replay(&delta.scan());
+        let full_state = replay(&full.scan().unwrap());
+        let delta_state = replay(&delta.scan().unwrap());
         assert_eq!(full_state.pages, delta_state.pages);
         for (i, p) in pages.iter().enumerate() {
             assert_eq!(&full_state.pages[&(i as u64)], p);
@@ -1401,7 +1404,7 @@ mod tests {
                 wal.append(&delta);
                 wal.append(&WalRecord::Commit);
                 tear_flush(&mut wal, &log, keep);
-                let scan = wal.scan();
+                let scan = wal.scan().unwrap();
                 assert_eq!(scan.committed.len(), 1, "keep={keep}");
                 assert_eq!(replay(&scan).pages[&0], base, "keep={keep}");
             }
@@ -1410,7 +1413,7 @@ mod tests {
             wal.append(&delta);
             wal.append(&WalRecord::Commit);
             wal.flush().unwrap();
-            assert_eq!(replay(&wal.scan()).pages[&0], next);
+            assert_eq!(replay(&wal.scan().unwrap()).pages[&0], next);
         }
     }
 
@@ -1424,7 +1427,7 @@ mod tests {
         });
         wal.append(&WalRecord::Commit);
         wal.flush().unwrap();
-        let state = replay(&wal.scan());
+        let state = replay(&wal.scan().unwrap());
         assert!(!state.pages.contains_key(&5));
     }
 
@@ -1445,7 +1448,7 @@ mod tests {
         // The earlier pending record survived the abort; commit it.
         wal.append(&WalRecord::Commit); // lsn 4
         wal.flush().unwrap();
-        let scan = wal.scan();
+        let scan = wal.scan().unwrap();
         assert!(!scan.torn_tail, "no LSN gap after an abort");
         assert_eq!(scan.committed.len(), 2);
         assert!(matches!(
@@ -1459,7 +1462,7 @@ mod tests {
 
     #[test]
     fn empty_log_scans_clean() {
-        let scan = Wal::new().scan();
+        let scan = Wal::new().scan().unwrap();
         assert!(scan.committed.is_empty());
         assert!(!scan.torn_tail);
         assert_eq!(scan.valid_len, 0);

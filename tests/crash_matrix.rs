@@ -312,8 +312,7 @@ fn store_over_faulty_log() -> (ObjectStore, FaultyDevice<MemLog>) {
         Arc::new(SimDisk::new()),
         Arc::new(log.clone()),
         None,
-    )
-    .unwrap();
+    );
     st.recover().unwrap();
     (st, log)
 }
@@ -376,7 +375,7 @@ fn wal_bit_flip_truncates_tail_instead_of_replaying_garbage() {
     assert!(end > cut);
 
     // Flip a byte in the middle of the second batch's log region.
-    db.corrupt_wal_byte(cut + (end - cut) / 2, 0x40);
+    db.corrupt_wal_byte(cut + (end - cut) / 2, 0x40).unwrap();
     db.simulate_crash();
     let report = db.recover().unwrap();
     assert!(
@@ -493,7 +492,7 @@ fn transaction_crashes_recover_to_pre_or_post_transaction_state() {
 /// in such a reopen.
 mod file_backed {
     use super::*;
-    use corion::storage::{FileDisk, FileWal, ReplaceCrash, StorageError};
+    use corion::storage::{BlockDevice, FileDisk, FileWal, ReplaceCrash, StorageError};
     use corion::{ErrorClass, ErrorCode};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -774,6 +773,65 @@ mod file_backed {
         );
         assert!(db.exists(honest));
         assert!(!db.exists(lied), "the cached commit died with the power");
+        db.verify_integrity().unwrap();
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_lying_log_fsync_and_an_eviction_never_let_make_reuse_a_live_serial() {
+        // Under a log fsync that lies, eviction can write a committed page
+        // back while the batch's `SerialFloor` record waits in the device
+        // cache. Power loss then keeps the page and loses the record: the
+        // object is live after the reopen, and neither the log's floor nor
+        // the sidecar knows its serial. Only the rebuild's scan of the
+        // pages does, and the next `make` must not issue it again.
+        let config = DbConfig {
+            store: StoreConfig {
+                buffer_capacity: 1,
+                ..StoreConfig::default()
+            },
+            ..DbConfig::default()
+        };
+        let mut fx = open_fixture_with("lyingevict", config);
+        let (part, _) = parts_schema(&mut fx.db);
+        let other = fx
+            .db
+            .define_class(ClassBuilder::new("Other").attr("text", Domain::String))
+            .unwrap();
+        let elsewhere = fx.db.make(other, vec![], vec![]).unwrap();
+        fx.db
+            .make(part, vec![("text", Value::Str("honest".into()))], vec![])
+            .unwrap();
+        // The floor in the log and in the sidecar is now the next serial.
+        fx.db.checkpoint().unwrap();
+        fx.db.clear_cache().unwrap();
+
+        fx.log.set_lying_fsync_log(true).unwrap();
+        let lied = fx
+            .db
+            .make(part, vec![("text", Value::Str("cached".into()))], vec![])
+            .unwrap();
+        // Reading another class's page evicts the committed one.
+        let writes = fx.disk.stats().writes;
+        fx.db.get(elsewhere).unwrap();
+        assert!(
+            fx.disk.stats().writes > writes,
+            "the eviction wrote the committed page back"
+        );
+        assert!(fx.log.lying_bytes_buffered());
+
+        let (mut db, dir) = reopen(fx);
+        assert!(db.exists(lied), "the evicted page kept the object");
+        let live = fingerprint(&db);
+        let fresh = db
+            .make(part, vec![("text", Value::Str("fresh".into()))], vec![])
+            .unwrap();
+        assert!(
+            live.iter().all(|(oid, _)| *oid != fresh),
+            "make reissued the serial of live object {fresh}"
+        );
+        assert_eq!(fingerprint(&db).len(), live.len() + 1);
         db.verify_integrity().unwrap();
         drop(db);
         std::fs::remove_dir_all(&dir).ok();

@@ -1,0 +1,213 @@
+//! Opening a data directory (DESIGN.md §16.2): one format, one open body,
+//! one copy of the log.
+//!
+//! - both constructors stamp a fresh directory with the format version
+//!   before anything is logged, so a crash between the first DDL's log
+//!   flush and its sidecar write still reopens;
+//! - a dump of another format version is refused with the typed error;
+//! - one reopen records one `corion_storage_device_reopen_latency_ns`
+//!   sample, covering the whole open;
+//! - opening a directory that holds committed batches reads the log device
+//!   once: recovery scans what the device returns, and no in-memory copy
+//!   of the log is loaded beside it.
+//!
+//! Refusing a directory of another version, untouched, is in
+//! `tests/page_records.rs`.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use corion::storage::wal::{format_header, FORMAT_VERSION};
+use corion::storage::{
+    fnv1a64, DeviceMetrics, FaultyDevice, LogDevice, MemLog, SimDisk, StorageError, StorageResult,
+};
+use corion::{ClassBuilder, ClassId, Database, DbConfig, DbError, Domain, Value};
+
+static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "corion_open_{}_{tag}_{}",
+        std::process::id(),
+        NEXT_DIR.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn part_class(db: &mut Database) -> ClassId {
+    db.define_class(ClassBuilder::new("Part").attr("text", Domain::String))
+        .unwrap()
+}
+
+fn sidecar(dir: &Path) -> Vec<u8> {
+    std::fs::read(dir.join("meta.corion")).unwrap()
+}
+
+#[test]
+fn both_constructors_stamp_a_fresh_directory() {
+    let dir = fresh_dir("stamp_open");
+    drop(Database::open(&dir, DbConfig::default()).unwrap());
+    assert_eq!(sidecar(&dir)[..8], format_header(b"CORIONM"));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = fresh_dir("stamp_devices");
+    let db = Database::with_devices(
+        &dir,
+        DbConfig::default(),
+        Arc::new(SimDisk::new()),
+        Arc::new(MemLog::new()),
+    )
+    .unwrap();
+    drop(db);
+    assert_eq!(sidecar(&dir)[..8], format_header(b"CORIONM"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_crash_between_the_first_ddl_flush_and_its_sidecar_write_reopens() {
+    let dir = fresh_dir("first_ddl");
+    let mut db = Database::open(&dir, DbConfig::default()).unwrap();
+    let stamp = sidecar(&dir);
+    part_class(&mut db);
+    drop(db);
+    // The class's segment is in the log; its sidecar write never landed.
+    std::fs::write(dir.join("meta.corion"), &stamp).unwrap();
+
+    let mut db = Database::open(&dir, DbConfig::default()).unwrap();
+    assert!(db.class_by_name("Part").is_err(), "the DDL did not finish");
+    let part = part_class(&mut db);
+    let p = db
+        .make(part, vec![("text", Value::Str("after".into()))], vec![])
+        .unwrap();
+    drop(db);
+    let mut db = Database::open(&dir, DbConfig::default()).unwrap();
+    assert_eq!(db.get_attr(p, "text").unwrap(), Value::Str("after".into()));
+    db.verify_integrity().unwrap();
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_dump_of_another_format_version_is_refused() {
+    let mut db = Database::new();
+    let part = part_class(&mut db);
+    db.make(part, vec![("text", Value::Str("x".into()))], vec![])
+        .unwrap();
+    let image = db.dump().unwrap();
+    assert_eq!(image[..8], format_header(b"CORION0"));
+    assert!(Database::restore(&image, DbConfig::default()).is_ok());
+
+    // The same image sealed as the version before this one.
+    let mut older = image.clone();
+    older[7] -= 1;
+    let body = older.len() - 8;
+    let sum = fnv1a64(&older[..body]);
+    older[body..].copy_from_slice(&sum.to_le_bytes());
+    match Database::restore(&older, DbConfig::default()) {
+        Err(DbError::Storage(e)) => assert_eq!(
+            e,
+            StorageError::FormatVersion {
+                found: FORMAT_VERSION - 1,
+                expected: FORMAT_VERSION,
+            }
+        ),
+        Err(e) => panic!("refused with another error: {e}"),
+        Ok(_) => panic!("a dump of another version was restored"),
+    }
+}
+
+#[test]
+fn one_reopen_records_one_latency_sample() {
+    let dir = fresh_dir("latency");
+    let mut db = Database::open(&dir, DbConfig::default()).unwrap();
+    let part = part_class(&mut db);
+    db.make(part, vec![], vec![]).unwrap();
+    drop(db);
+    let db = Database::open(&dir, DbConfig::default()).unwrap();
+    let samples = db
+        .metrics_snapshot()
+        .histogram("corion_storage_device_reopen_latency_ns")
+        .map_or(0, |h| h.count);
+    assert_eq!(samples, 1, "one open, one sample");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A log device that counts whole-log reads.
+struct CountingLog {
+    inner: FaultyDevice<MemLog>,
+    reads: Arc<AtomicU64>,
+}
+
+impl LogDevice for CountingLog {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn read_all(&self) -> StorageResult<Vec<u8>> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read_all()
+    }
+    fn append(&self, bytes: &[u8]) -> StorageResult<()> {
+        self.inner.append(bytes)
+    }
+    fn sync(&self) -> StorageResult<()> {
+        self.inner.sync()
+    }
+    fn truncate(&self, len: u64) -> StorageResult<()> {
+        self.inner.truncate(len)
+    }
+    fn replace(&self, contents: &[u8]) -> StorageResult<()> {
+        self.inner.replace(contents)
+    }
+    fn corrupt_byte(&self, offset: u64, mask: u8) -> StorageResult<()> {
+        self.inner.corrupt_byte(offset, mask)
+    }
+}
+
+#[test]
+fn opening_a_directory_reads_its_log_once() {
+    let dir = fresh_dir("read_once");
+    let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+    let log = FaultyDevice::new(MemLog::new(), DeviceMetrics::detached());
+    let mut db = Database::with_devices(
+        &dir,
+        DbConfig::default(),
+        Arc::new(disk.clone()),
+        Arc::new(log.clone()),
+    )
+    .unwrap();
+    let part = part_class(&mut db);
+    let parts: Vec<_> = (0..5)
+        .map(|i| {
+            db.make(part, vec![("text", Value::Str(format!("p{i}")))], vec![])
+                .unwrap()
+        })
+        .collect();
+    drop(db);
+    assert!(!log.is_empty(), "the log holds committed batches");
+
+    let reads = Arc::new(AtomicU64::new(0));
+    let counting = CountingLog {
+        inner: log,
+        reads: Arc::clone(&reads),
+    };
+    let db = Database::with_devices(
+        &dir,
+        DbConfig::default(),
+        Arc::new(disk),
+        Arc::new(counting),
+    )
+    .unwrap();
+    assert_eq!(reads.load(Ordering::Relaxed), 1, "one open, one read");
+    for (i, p) in parts.iter().enumerate() {
+        assert_eq!(
+            db.get_attr(*p, "text").unwrap(),
+            Value::Str(format!("p{i}"))
+        );
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}

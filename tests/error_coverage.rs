@@ -46,6 +46,10 @@ fn all_storage_errors() -> Vec<StorageError> {
         StorageError::ShortRead { op: "page read" },
         StorageError::LockConflict { holder: 4242 },
         StorageError::DeviceIo { op: "fsync" },
+        StorageError::FormatVersion {
+            found: 2,
+            expected: 3,
+        },
     ];
     // Compile-time exhaustiveness guard: a new variant fails this match
     // until it is added to the census above (and classified below).
@@ -67,7 +71,8 @@ fn all_storage_errors() -> Vec<StorageError> {
             | StorageError::TornWrite { .. }
             | StorageError::ShortRead { .. }
             | StorageError::LockConflict { .. }
-            | StorageError::DeviceIo { .. } => {}
+            | StorageError::DeviceIo { .. }
+            | StorageError::FormatVersion { .. } => {}
         }
     }
     all

@@ -13,20 +13,23 @@
 //!   refuses runs that are out of bounds, overlapping or unsorted, on
 //!   either kind, and move lists that reach past the page or are
 //!   implausibly long;
-//! - a data directory whose log holds raw 4 KiB image records (the
-//!   encoding before images became runs) still opens.
+//! - a directory of another format version is refused, typed, and left
+//!   untouched: no decoder of an older page record is kept
+//!   (`corion::storage::wal::FORMAT_VERSION`).
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use corion::storage::codec::{self, Reader};
-use corion::storage::wal::{self, apply_delta, apply_image, delta_len, page_delta};
-use corion::storage::{
-    diff_pages, fnv1a64, image_ranges, BlockDevice, DeviceMetrics, FaultyDevice, FileDisk, FileWal,
-    LogDevice, Page, Ranges, Wal, WalRecord, PAGE_SIZE,
+use corion::storage::wal::{
+    self, apply_delta, apply_image, delta_len, format_header, page_delta, FORMAT_VERSION,
 };
-use corion::{ClassBuilder, ClassId, Database, DbConfig, Domain, Oid, Value};
+use corion::storage::{
+    diff_pages, fnv1a64, image_ranges, BlockDevice, DeviceMetrics, DiskStats, FaultyDevice,
+    FileDisk, FileWal, Page, Ranges, StorageError, Wal, WalRecord, PAGE_SIZE,
+};
+use corion::{ClassBuilder, ClassId, Database, DbConfig, DbError, Domain, Value};
 use proptest::prelude::*;
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -49,13 +52,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn part_class(db: &mut Database) -> ClassId {
     db.define_class(ClassBuilder::new("Part").attr("text", Domain::String))
         .unwrap()
-}
-
-/// The committed log of `dir`, replayed: the last image of every page.
-fn logged_pages(dir: &Path) -> std::collections::BTreeMap<u64, Page> {
-    let log = FileWal::open(dir, DeviceMetrics::detached()).unwrap();
-    let wal = Wal::with_device(Arc::new(log)).unwrap();
-    wal::replay(&wal.scan()).pages
 }
 
 #[test]
@@ -83,7 +79,7 @@ fn a_scribbled_page_is_rebuilt_from_its_non_zero_run_image() {
     let want = db.get(p).unwrap();
     drop(db);
 
-    let scan = Wal::with_device(Arc::new(log.clone())).unwrap().scan();
+    let scan = Wal::with_device(Arc::new(log.clone())).scan().unwrap();
     let image_len = scan
         .committed
         .last()
@@ -216,7 +212,7 @@ proptest! {
         for log in [&mut images, &mut deltas, &mut bytes] {
             log.append(&WalRecord::Commit);
             log.flush().unwrap();
-            let scan = log.scan();
+            let scan = log.scan().unwrap();
             prop_assert!(!scan.torn_tail);
             prop_assert!(wal::replay(&scan).pages[&3] == page);
         }
@@ -233,7 +229,7 @@ fn assert_refused(record: WalRecord, what: &str) {
     log.append(&record);
     log.append(&WalRecord::Commit);
     log.flush().unwrap();
-    let scan = log.scan();
+    let scan = log.scan().unwrap();
     assert!(scan.torn_tail, "{what}: a malformed record was decoded");
     assert_eq!(scan.committed.len(), 1, "{what}");
     assert!(wal::replay(&scan).pages[&0] == base, "{what}");
@@ -276,7 +272,7 @@ fn move_lists_out_of_bounds_or_implausibly_long_are_refused() {
     });
     log.append(&WalRecord::Commit);
     log.flush().unwrap();
-    assert!(!log.scan().torn_tail);
+    assert!(!log.scan().unwrap().torn_tail);
 }
 
 #[test]
@@ -312,51 +308,72 @@ fn runs_out_of_bounds_overlapping_or_unsorted_are_refused_on_either_kind() {
     }
 }
 
-/// Rewrites every image record of `log` in the encoding logs had before
-/// images became runs: kind 1, the page number, the whole 4 KiB page.
-/// Returns the rewritten log and how many records it converted.
-fn with_raw_images(log: &[u8]) -> (Vec<u8>, usize) {
-    const KIND_RAW_IMAGE: u8 = 1;
-    const KIND_IMAGE: u8 = 8;
-    let (mut out, mut converted, mut at) = (Vec::new(), 0, 0);
-    while at < log.len() {
-        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
-        let record = &log[at..at + 4 + len];
-        at += 4 + len;
-        let body = &record[4..record.len() - 8];
-        if body[8] != KIND_IMAGE {
-            out.extend_from_slice(record);
-            continue;
-        }
-        let mut r = Reader::new(&body[9..]);
-        let page = r.u64("page").unwrap();
-        let mut raw = [0u8; PAGE_SIZE];
-        for _ in 0..r.varint("runs").unwrap() {
-            let offset = r.varint("offset").unwrap() as usize;
-            let bytes = r.bytes("run").unwrap();
-            raw[offset..offset + bytes.len()].copy_from_slice(bytes);
-        }
-        let mut legacy = body[..8].to_vec(); // the LSN
-        codec::put_u8(&mut legacy, KIND_RAW_IMAGE);
-        codec::put_u64(&mut legacy, page);
-        legacy.extend_from_slice(&raw);
-        codec::put_u32(&mut out, (legacy.len() + 8) as u32);
-        out.extend_from_slice(&legacy);
-        codec::put_u64(&mut out, fnv1a64(&legacy));
-        converted += 1;
+/// Every file in `dir`, by name, with its contents.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// Asserts that both constructors refuse `dir` with the typed version
+/// error naming `found`, and that neither changes or creates a file:
+/// `Database::open` touches nothing, `Database::with_devices` writes
+/// nothing through the devices it was handed.
+fn assert_refused_untouched(dir: &Path, found: u8, what: &str) {
+    let want = StorageError::FormatVersion {
+        found,
+        expected: FORMAT_VERSION,
+    };
+    let before = files(dir);
+    match Database::open(dir, DbConfig::default()) {
+        Err(DbError::Storage(e)) => assert_eq!(e, want, "{what}: open"),
+        Err(e) => panic!("{what}: open refused with another error: {e}"),
+        Ok(_) => panic!("{what}: open accepted the directory"),
     }
-    (out, converted)
+    assert!(
+        files(dir) == before,
+        "{what}: a refused open touched a file"
+    );
+
+    let dm = DeviceMetrics::detached();
+    let disk = FaultyDevice::new(FileDisk::open(dir, dm.clone()).unwrap(), dm.clone());
+    let log = FaultyDevice::new(FileWal::open(dir, dm.clone()).unwrap(), dm);
+    let opened = Database::with_devices(
+        dir,
+        DbConfig::default(),
+        Arc::new(disk.clone()),
+        Arc::new(log.clone()),
+    );
+    match opened {
+        Err(DbError::Storage(e)) => assert_eq!(e, want, "{what}: with_devices"),
+        Err(e) => panic!("{what}: with_devices refused with another error: {e}"),
+        Ok(_) => panic!("{what}: with_devices accepted the directory"),
+    }
+    assert_eq!(
+        disk.stats(),
+        DiskStats::default(),
+        "{what}: page device used"
+    );
+    assert!(
+        files(dir) == before,
+        "{what}: a refused with_devices touched a file"
+    );
 }
 
 #[test]
-fn a_log_of_raw_page_images_reopens() {
-    let dir = fresh_dir("legacy");
+fn a_directory_of_another_format_version_is_refused_typed_and_untouched() {
+    let dir = fresh_dir("version");
     let mut db = Database::open(&dir, DbConfig::default()).unwrap();
     let part = part_class(&mut db);
     db.checkpoint().unwrap();
-    // Committed, logged, never written to the page file (no-force, and
-    // no checkpoint before the "crash").
-    let parts: Vec<(Oid, Value)> = (0..40)
+    // Committed, logged, never written to the page file: a refused open
+    // that recovered or truncated anything would lose these.
+    let parts: Vec<_> = (0..40)
         .map(|i| {
             let text = Value::Str(format!("part {i} ").repeat(i % 7 + 1));
             let oid = db.make(part, vec![("text", text.clone())], vec![]).unwrap();
@@ -365,15 +382,25 @@ fn a_log_of_raw_page_images_reopens() {
         .collect();
     drop(db);
 
-    let path = dir.join("wal.log");
-    let (legacy, converted) = with_raw_images(&std::fs::read(&path).unwrap());
-    assert!(converted > 0, "the log held no image record to convert");
-    std::fs::write(&path, &legacy).unwrap();
-    let log = FileWal::open(&dir, DeviceMetrics::detached()).unwrap();
-    assert_eq!(log.read_all().unwrap(), legacy);
-    drop(log);
-    assert!(!logged_pages(&dir).is_empty());
+    // The sidecar as the format before this one would have sealed it:
+    // a valid checksum over a header naming the older version.
+    let meta = dir.join("meta.corion");
+    let stamped = std::fs::read(&meta).unwrap();
+    let mut older = stamped.clone();
+    assert_eq!(older[..8], format_header(b"CORIONM"));
+    older[7] -= 1;
+    let body = older.len() - 8;
+    let sum = fnv1a64(&older[..body]);
+    older[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&meta, &older).unwrap();
+    assert_refused_untouched(&dir, FORMAT_VERSION - 1, "an older sidecar");
 
+    // Log and page files with no sidecar beside them carry no version.
+    std::fs::remove_file(&meta).unwrap();
+    assert_refused_untouched(&dir, 0, "no sidecar");
+
+    // With its own sidecar back, the directory opens as it was left.
+    std::fs::write(&meta, &stamped).unwrap();
     let mut db = Database::open(&dir, DbConfig::default()).unwrap();
     for (oid, text) in &parts {
         assert_eq!(&db.get_attr(*oid, "text").unwrap(), text);

@@ -1,6 +1,6 @@
 //! On-disk artifacts are shard-count independent.
 //!
-//! The CORION02 dump format, checkpoints, and `repair()` all iterate
+//! The dump format, checkpoints, and `repair()` all iterate
 //! engine state — after sharding the object table, those paths must
 //! iterate in an order that does not depend on how OIDs hash across
 //! stripes, or a dump taken at `shards = 16` would not restore cleanly

@@ -6,7 +6,7 @@
 //!
 //! * the same per-operation results (same minted OIDs, same
 //!   success/failure),
-//! * byte-identical [`Database::dump`] images (the CORION02 format is
+//! * byte-identical [`Database::dump`] images (the dump format is
 //!   defined by physical placement order, which sharding must not
 //!   change),
 //! * identical traversals (`components_of` from every live object), and
@@ -252,6 +252,6 @@ proptest! {
         // ...and byte-identical dump images.
         let dump_s = sharded.dump().unwrap();
         let dump_1 = single.dump().unwrap();
-        prop_assert_eq!(dump_s, dump_1, "CORION02 dump diverged across shard counts");
+        prop_assert_eq!(dump_s, dump_1, "dump diverged across shard counts");
     }
 }
