@@ -73,3 +73,11 @@ pub mod txn;
 pub use db::{ChangeSink, ConcurrentDb};
 pub use snapshot::Snapshot;
 pub use txn::WriteTxn;
+
+/// The version-store key of an object.
+fn vkey(oid: corion_core::Oid) -> corion_storage::VersionKey {
+    corion_storage::VersionKey {
+        class: oid.class.0,
+        serial: oid.serial,
+    }
+}

@@ -5,14 +5,19 @@
 //! against the version store's chain if it has one, else against the
 //! base store — and "has no chain" is only meaningful **under the
 //! engine's shared latch**: commits mutate the base only under the
-//! exclusive latch, and they seed every pre-image before doing so, so
+//! exclusive latch, and they seed every pre-image before releasing it, so
 //! "no chain under the latch" proves the base value is the snapshot
 //! value. One probe under the latch is therefore the whole argument, per
 //! object per acquisition.
 //!
-//! * Point reads ([`Snapshot::get`], [`Snapshot::exists`]) probe the
-//!   chain lock-free first — a hit needs no latch at all — and take the
-//!   latch only for the base fallback, re-probing under it.
+//! * [`Snapshot::get`] and [`Snapshot::get_attr`] resolve under the
+//!   latch. A chain image holds the bytes the store held (a seed is the
+//!   record the commit displaced), so it is brought up to the pending §4.3
+//!   changes of the schema — which lives behind the latch — exactly as a
+//!   base read is.
+//! * [`Snapshot::exists`] probes the chain lock-free first, decoding
+//!   nothing — a hit needs no latch at all — and takes the latch only for
+//!   the base fallback, re-probing under it.
 //! * Traversals ([`Snapshot::subtree_of`] and friends) run the one §3
 //!   walk of [`corion_core::view`] over a latched view: the latch is taken
 //!   once per batch of 256 objects, each object is probed and
@@ -34,23 +39,17 @@ use corion_core::schema::lattice;
 use corion_core::{
     view, ClassId, Database, DbError, DbResult, Filter, Object, Oid, ReadView, Value,
 };
-use corion_storage::{Lsn, Resolution, SnapshotPin, VersionKey};
+use corion_storage::{Lsn, Resolution, SnapshotPin};
 use parking_lot::RwLockReadGuard;
 
 use crate::db::Shared;
+use crate::vkey;
 
 /// Objects a traversal resolves per acquisition of the shared engine
 /// latch. A constant, not a setting: correctness does not depend on it
 /// (see the module docs), and 256 record visits are tens of
 /// microseconds — far below a commit section.
 const LATCH_BATCH: u64 = 256;
-
-fn vkey(oid: Oid) -> VersionKey {
-    VersionKey {
-        class: oid.class.0,
-        serial: oid.serial,
-    }
-}
 
 /// A pinned, consistent read view of the database. Obtain with
 /// [`ConcurrentDb::begin_read`](crate::ConcurrentDb::begin_read);
@@ -82,43 +81,31 @@ impl Snapshot {
         Ok(())
     }
 
-    /// What the version chain alone says about `oid` at the snapshot
-    /// LSN; `None` means "no chain — ask the base, under the latch".
-    fn chain_verdict(&self, oid: Oid) -> DbResult<Option<Option<Object>>> {
-        Ok(match self.shared.versions.resolve(vkey(oid), self.lsn()) {
-            Resolution::Image(bytes) => Some(Some(Object::decode(&bytes).map_err(DbError::from)?)),
-            Resolution::Deleted | Resolution::Unborn => Some(None),
-            Resolution::Base => None,
-        })
-    }
-
     /// Resolve one object with the shared latch held (`db` is the
     /// guard's engine): chain image if there is a chain, else the base.
     /// The schema is not versioned, so either way the reverse-reference
     /// flags are brought up to the deferred changes (§4.3) of the schema
     /// as it is now.
     fn resolve_latched(&self, mut db: &Database, oid: Oid) -> DbResult<Option<Object>> {
-        match self.chain_verdict(oid)? {
-            Some(Some(mut obj)) => {
+        match self.shared.versions.resolve(vkey(oid), self.lsn()) {
+            Resolution::Image(bytes) => {
+                let mut obj = Object::decode(&bytes)?;
                 db.apply_pending_changes(&mut obj)?;
                 Ok(Some(obj))
             }
-            Some(None) => Ok(None),
-            None => db.resolve(oid),
+            Resolution::Deleted | Resolution::Unborn => Ok(None),
+            Resolution::Base => db.resolve(oid),
         }
     }
 
-    /// Resolve one object at the snapshot LSN: `Ok(None)` means "not
-    /// visible" (never existed, unborn, or deleted by then).
-    fn read(&self, oid: Oid) -> DbResult<Option<Object>> {
-        self.ensure_valid()?;
-        if let Some(verdict) = self.chain_verdict(oid)? {
-            return Ok(verdict);
+    /// Whether `oid` is visible at the snapshot LSN, with the shared
+    /// latch held: the chain if there is one, else the base.
+    fn visible_latched(&self, db: &Database, oid: Oid) -> bool {
+        match self.shared.versions.resolve(vkey(oid), self.lsn()) {
+            Resolution::Image(_) => true,
+            Resolution::Deleted | Resolution::Unborn => false,
+            Resolution::Base => db.exists(oid),
         }
-        // A commit may have seeded a chain (and changed the base) since
-        // the lock-free probe: probe again under the latch.
-        let db = self.shared.db.read();
-        self.resolve_latched(&db, oid)
     }
 
     /// This snapshot as a [`ReadView`] for one traversal — the door to
@@ -135,15 +122,29 @@ impl Snapshot {
         }
     }
 
-    /// Load an object. Errors with `NoSuchObject` if it is not visible
-    /// at this snapshot.
+    /// Load an object, with the deferred schema changes (§4.3) applied.
+    /// Errors with `NoSuchObject` if it is not visible at this snapshot.
     pub fn get(&self, oid: Oid) -> DbResult<Object> {
-        self.read(oid)?.ok_or(DbError::NoSuchObject(oid))
+        let db = self.shared.db.read();
+        self.ensure_valid()?;
+        self.resolve_latched(&db, oid)?
+            .ok_or(DbError::NoSuchObject(oid))
     }
 
     /// True if the object is visible at this snapshot.
     pub fn exists(&self, oid: Oid) -> DbResult<bool> {
-        Ok(self.read(oid)?.is_some())
+        self.ensure_valid()?;
+        match self.shared.versions.resolve(vkey(oid), self.lsn()) {
+            Resolution::Image(_) => Ok(true),
+            Resolution::Deleted | Resolution::Unborn => Ok(false),
+            Resolution::Base => {
+                // A commit may have seeded a chain (and changed the base)
+                // since the lock-free probe: probe again under the latch.
+                let db = self.shared.db.read();
+                self.ensure_valid()?;
+                Ok(self.visible_latched(&db, oid))
+            }
+        }
     }
 
     /// Read one attribute by name.
@@ -274,12 +275,7 @@ impl ReadView for Latched<'_> {
 
     fn visible(&mut self, oid: Oid) -> DbResult<bool> {
         let snap = self.snap;
-        let db = self.next()?;
-        Ok(match snap.shared.versions.resolve(vkey(oid), snap.lsn()) {
-            Resolution::Image(_) => true,
-            Resolution::Deleted | Resolution::Unborn => false,
-            Resolution::Base => db.exists(oid),
-        })
+        Ok(snap.visible_latched(self.next()?, oid))
     }
 
     fn catalog(&mut self) -> DbResult<&Catalog> {

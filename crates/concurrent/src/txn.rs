@@ -23,16 +23,17 @@
 //!    overlay as it found it.
 //!
 //! [`WriteTxn::commit`] is the only point where the shared page store
-//! changes. After-images are encoded from the overlay with no latch at
-//! all, pre-images are read under the shared operation latch (the write
-//! set is X-locked, so its base images cannot move), and only the
-//! commit-publish critical section — replaying the overlay as **one**
-//! atomic WAL batch, taking the WAL LSN of its commit marker as the commit
-//! LSN, publishing after-images at it, advancing the visible watermark to
-//! it — runs under the exclusive latch.
-//! Then the latch drops and every lock is released (strict 2PL: nothing
-//! is released before commit/abort). Latch acquisition and hold times
-//! land in the `corion_shard_latch_wait_ns` / `corion_shard_latch_hold_ns`
+//! changes, and a commit that writes takes the engine latch once, on its
+//! exclusive side: it replays the overlay as **one** atomic WAL batch
+//! ([`Database::overlay_apply`]), takes the WAL LSN of its commit marker
+//! as the commit LSN, seeds each displaced record as the object's
+//! pre-image and publishes each written record at that LSN, and advances
+//! the visible watermark to it. The seeds and after-images are the bytes
+//! the apply reports — what the page store held and what it now holds —
+//! so the commit itself reads, decodes and encodes no object. Then the
+//! latch drops and every lock is released (strict 2PL: nothing is
+//! released before commit/abort). Latch acquisition and hold times land
+//! in the `corion_shard_latch_wait_ns` / `corion_shard_latch_hold_ns`
 //! histograms.
 
 use std::collections::HashSet;
@@ -41,23 +42,11 @@ use std::sync::Arc;
 use corion_core::{ClassId, Database};
 use corion_core::{DbError, DbResult, Object, Oid, Overlay, OverlayView, Value};
 use corion_lock::{LockError, LockIntent, LockMode, Lockable, TxnId};
-use corion_storage::{Lsn, VersionKey};
+use corion_storage::Lsn;
 
 use crate::db::{ConcurrentDb, Shared};
 use crate::plan::{plan, targets_below, OpTarget};
-
-fn vkey(oid: Oid) -> VersionKey {
-    VersionKey {
-        class: oid.class.0,
-        serial: oid.serial,
-    }
-}
-
-fn encode_object(obj: &Object) -> Vec<u8> {
-    let mut buf = Vec::new();
-    obj.encode(&mut buf);
-    buf
-}
+use crate::vkey;
 
 /// A concurrent write transaction. Obtain with
 /// [`ConcurrentDb::begin_write`]; finish with [`commit`](WriteTxn::commit)
@@ -396,48 +385,26 @@ impl WriteTxn {
             return Ok(shared.versions.visible_lsn());
         }
 
-        // Capture pre-images (for first-writer seeding) and after-images
-        // (for publication) before the base changes. After-images come
-        // straight from the overlay; pre-images are read under the shared
-        // *operation* latch, because every write-set object is X-locked
-        // by this transaction (strict 2PL),
-        // so its base image cannot change between here and publication.
-        let mut seeds: Vec<(VersionKey, Vec<u8>)> = Vec::new();
-        let mut publishes: Vec<(VersionKey, Option<Vec<u8>>)> = Vec::new();
-        {
-            let db = shared.op_latch();
-            self.ensure_open()?;
-            for (oid, image, created) in overlay.write_set() {
-                if created && image.is_none() {
-                    continue; // created-then-deleted: no trace anywhere
-                }
-                if !created {
-                    if let Ok(pre) = db.get(oid) {
-                        seeds.push((vkey(oid), encode_object(&pre)));
-                    }
-                }
-                publishes.push((vkey(oid), image.map(encode_object)));
-            }
-        }
-
-        // The commit-publish critical section: the only code that runs
-        // under the exclusive latch on the hot path. recover() may have
-        // slipped in between the two latches.
+        // The commit-publish critical section: the one latch of a commit
+        // that writes. The apply reports the stored bytes it displaced and
+        // the bytes it wrote; they seed and publish the version chains
+        // as they are, so nothing is read, decoded or encoded here.
         let mut db = shared.exclusive_latch();
         self.ensure_open()?;
-        if let Err(e) = db.overlay_apply(overlay) {
-            self.abort_internal();
-            return Err(e);
-        }
+        let applied = db
+            .overlay_apply(overlay)
+            .inspect_err(|_| self.abort_internal())?;
 
         // `Ok` means the batch's commit marker is durable: the store's
         // durable commit LSN is this commit's, read under the same latch.
+        // No snapshot can read a chain or the base until the latch drops,
+        // so seeding after the apply is as good as before it.
         let lsn = db.durable_commit_lsn();
-        for (key, image) in seeds {
-            shared.versions.seed(key, image);
-        }
-        for (key, image) in publishes {
-            shared.versions.publish(key, lsn, image);
+        for a in applied {
+            if let Some(pre) = a.displaced {
+                shared.versions.seed(vkey(a.oid), pre);
+            }
+            shared.versions.publish(vkey(a.oid), lsn, a.written);
         }
         shared.versions.advance(lsn);
         ConcurrentDb::maybe_vacuum_locked(&shared);

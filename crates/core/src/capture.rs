@@ -1,13 +1,13 @@
 //! Change capture at the source: what each committed batch did to which
-//! objects, recorded by the code that does it.
+//! objects, recorded from what the writer itself reports.
 //!
-//! Every object write of the engine passes one seam —
-//! `Database::note_touch`, called by the apply-side primitives `save`,
-//! `insert_object` and `erase` *before* they mutate. While capture is on, the seam keeps, per OID and per storage
-//! batch, the stored image at the first touch and the image of the last
-//! write. A batch therefore yields exactly the object-level diff of the
-//! states around it — relocation and overflow chains never show, because
-//! nothing here looks at pages.
+//! Every object write of the engine is made by [`Database::overlay_apply`],
+//! which reports the bytes it displaced and wrote ([`Applied`]). While
+//! capture is on, that report is kept per OID and per storage batch: the
+//! image before the first write and the image of the last. A batch
+//! therefore yields exactly the object-level diff of the states around it
+//! — relocation and overflow chains never show, because nothing here
+//! looks at pages, or reads the store.
 //!
 //! A captured batch is **released** as a [`ChangeSet`] when its commit
 //! answers `Ok` — the store's answer is exact, so that is the durability
@@ -19,7 +19,7 @@
 //! latch.
 //!
 //! With capture off (the default, and whenever nobody listens) the seam
-//! costs one atomic load and the engine reads no before-image for it.
+//! costs one atomic load.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,6 +31,7 @@ use crate::db::Database;
 use crate::error::DbResult;
 use crate::object::Object;
 use crate::oid::Oid;
+use crate::overlay::Applied;
 
 /// The net effect of one committed batch on one object. Edges are the §2.4
 /// reverse composite references stored in the object itself.
@@ -69,8 +70,8 @@ pub struct ChangeSet {
     /// Made and changed objects in OID order, then deleted ones in OID
     /// order. Never empty.
     pub changes: Vec<Change>,
-    /// Time the committer spent capturing (before-image reads, image
-    /// copies), for the emit-cost histogram of whoever delivers the set.
+    /// Time the committer spent capturing (decoding the reported images),
+    /// for the emit-cost histogram of whoever delivers the set.
     pub capture_ns: u64,
 }
 
@@ -126,24 +127,23 @@ impl Database {
         self.store.durable_commit_lsn()
     }
 
-    /// The first-touch seam: call before mutating `oid`, with the image
-    /// about to be written (`None` for an erase). While capture is on,
-    /// records the stored before-image (first touch of the batch only)
-    /// and `after`.
-    pub(crate) fn note_touch(&mut self, oid: Oid, after: Option<&Object>) -> DbResult<()> {
+    /// The capture seam, fed by [`Database::overlay_apply`] inside its
+    /// batch: records each object's displaced image (first write of the
+    /// batch only) and its written one.
+    pub(crate) fn capture_applied(&mut self, applied: &[Applied]) -> DbResult<()> {
         if !self.capture.on() {
             return Ok(());
         }
         let started = Instant::now();
-        let after = after.cloned();
-        match self.capture.open.get_mut(&oid) {
-            Some(touch) => touch.after = after,
-            None => {
-                let before = match self.shards.get(oid) {
-                    Some(phys) => Some(Object::decode(&self.store.read(phys)?)?),
-                    None => None,
-                };
-                self.capture.open.insert(oid, Touch { before, after });
+        let decode = |bytes: &Option<Vec<u8>>| bytes.as_deref().map(Object::decode).transpose();
+        for a in applied {
+            let after = decode(&a.written)?;
+            match self.capture.open.get_mut(&a.oid) {
+                Some(touch) => touch.after = after,
+                None => {
+                    let before = decode(&a.displaced)?;
+                    self.capture.open.insert(a.oid, Touch { before, after });
+                }
             }
         }
         self.capture.ns += started.elapsed().as_nanos() as u64;

@@ -19,7 +19,6 @@
 use crate::db::Database;
 use crate::error::DbResult;
 use crate::oid::Oid;
-use crate::schema::attr::CompositeSpec;
 
 impl Database {
     /// Makes `child` a component of `parent` through composite attribute
@@ -42,23 +41,6 @@ impl Database {
     pub fn remove_component(&mut self, child: Oid, parent: Oid, attr: &str) -> DbResult<()> {
         self.run_op(1, |db, ov| {
             db.overlay_remove_component(ov, child, parent, attr)
-        })
-    }
-
-    /// [`crate::exec::detach_child`] with the orphan decision made explicit —
-    /// schema-evolution drops (§4.1) mandate Deletion-Rule semantics
-    /// regardless of the configured policy.
-    pub(crate) fn detach_child_with(
-        &mut self,
-        child: Oid,
-        parent: Oid,
-        spec: CompositeSpec,
-        delete_orphans: bool,
-    ) -> DbResult<()> {
-        self.run_op(1, |db, ov| {
-            db.scoped(ov, |e| {
-                crate::exec::detach_child_with(e, child, parent, spec, delete_orphans)
-            })
         })
     }
 }

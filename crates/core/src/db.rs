@@ -363,48 +363,6 @@ impl Database {
         crate::evolution::deferred::apply_pending(self, obj)
     }
 
-    // The three primitives below are the apply side of the write path:
-    // they put one image into the page store and the object table, with
-    // no semantics and no scope. [`Database::overlay_apply`] calls them
-    // for a write set; schema evolution calls `save` for the instances a
-    // DDL change rewrites.
-
-    /// Persists an object at its current address (relocating if it grew).
-    pub(crate) fn save(&mut self, obj: &Object) -> DbResult<()> {
-        let phys = self
-            .shards
-            .get(obj.oid)
-            .ok_or(DbError::NoSuchObject(obj.oid))?;
-        self.note_touch(obj.oid, Some(obj))?;
-        let mut buf = Vec::new();
-        obj.encode(&mut buf);
-        let new_phys = self.store.update(phys, &buf)?;
-        if new_phys != phys {
-            self.shards.set_phys(obj.oid, new_phys);
-        }
-        Ok(())
-    }
-
-    /// Inserts a brand-new object, clustered near `near` when possible.
-    pub(crate) fn insert_object(&mut self, obj: &Object, near: Option<Oid>) -> DbResult<()> {
-        let segment = self.catalog.class(obj.oid.class)?.segment;
-        self.note_touch(obj.oid, Some(obj))?;
-        let near_phys = near.and_then(|o| self.shards.get(o));
-        let mut buf = Vec::new();
-        obj.encode(&mut buf);
-        let phys = self.store.insert(segment, &buf, near_phys)?;
-        self.shards.insert(obj.oid, phys);
-        Ok(())
-    }
-
-    /// Removes an object from storage and the object table.
-    pub(crate) fn erase(&mut self, oid: Oid) -> DbResult<()> {
-        self.note_touch(oid, None)?;
-        let phys = self.shards.remove(oid).ok_or(DbError::NoSuchObject(oid))?;
-        self.store.delete(phys)?;
-        Ok(())
-    }
-
     /// Direct instances of `class`; with `deep`, instances of subclasses too.
     pub fn instances_of(&self, class: ClassId, deep: bool) -> Vec<Oid> {
         match &self.txn {
@@ -767,7 +725,7 @@ impl Database {
         self.forbid_in_transaction("overwrite a stored image")?;
         let mut overlay = crate::overlay::Overlay::new();
         overlay.record_save(obj.clone());
-        self.overlay_apply(overlay)
+        self.overlay_apply(overlay).map(drop)
     }
 }
 

@@ -10,15 +10,13 @@
 //!
 //! This hook is called from [`crate::Database::get`], i.e. on *every*
 //! access path (reads, traversals, deletion), so no stale flags can ever be
-//! observed.
+//! observed — and from MVCC snapshot reads, on a version-chain image (the
+//! bytes the store held) as on a base record.
 
 use crate::db::Database;
 use crate::error::DbResult;
 use crate::object::Object;
-use crate::oid::ClassId;
 use crate::schema::lattice;
-
-use super::oplog::FlagChange;
 
 /// Applies every pending log entry to `obj`; returns `true` if the object
 /// changed (including a bare CC bump) and must be re-persisted.
@@ -29,46 +27,12 @@ pub(crate) fn apply_pending(db: &Database, obj: &mut Object) -> DbResult<bool> {
     }
     if let Some(log) = db.oplogs.get(&obj.oid.class) {
         for entry in log.pending_since(obj.cc) {
-            apply_one(db, obj, entry.change, entry.source_class);
+            let source = entry.source_class;
+            entry.change.apply(&mut obj.reverse_refs, |pc| {
+                lattice::is_subclass_of(&db.catalog, pc, source)
+            });
         }
     }
     obj.cc = class_cc;
     Ok(true)
-}
-
-fn apply_one(db: &Database, obj: &mut Object, change: FlagChange, source: ClassId) {
-    let from_source =
-        |parent_class: ClassId| lattice::is_subclass_of(&db.catalog, parent_class, source);
-    match change {
-        FlagChange::DropReverse => {
-            obj.reverse_refs.retain(|rr| !from_source(rr.parent.class));
-        }
-        FlagChange::ClearX => {
-            for rr in obj
-                .reverse_refs
-                .iter_mut()
-                .filter(|rr| from_source(rr.parent.class))
-            {
-                rr.exclusive = false;
-            }
-        }
-        FlagChange::ClearD => {
-            for rr in obj
-                .reverse_refs
-                .iter_mut()
-                .filter(|rr| from_source(rr.parent.class))
-            {
-                rr.dependent = false;
-            }
-        }
-        FlagChange::SetD => {
-            for rr in obj
-                .reverse_refs
-                .iter_mut()
-                .filter(|rr| from_source(rr.parent.class))
-            {
-                rr.dependent = true;
-            }
-        }
-    }
 }

@@ -9,6 +9,10 @@
 //!   *deferred* implementation of I1–I4;
 //! * [`deferred`] — application of pending log entries when an instance is
 //!   accessed.
+//!
+//! A message records its instance maintenance (rewrites and Deletion-Rule
+//! cascades) into one [`Overlay`](crate::Overlay), reading through it, and
+//! applies it as one logged batch before the schema sidecar is written.
 
 pub mod deferred;
 pub mod oplog;

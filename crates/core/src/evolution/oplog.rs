@@ -13,6 +13,7 @@
 //! the *referencing* class C'.
 
 use crate::oid::ClassId;
+use crate::refs::ReverseRef;
 
 /// The reverse-reference effect of one state-independent change (I1–I4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +26,34 @@ pub enum FlagChange {
     ClearD,
     /// I4 — independent → dependent: turn on the D flag.
     SetD,
+}
+
+impl FlagChange {
+    /// Applies the change to the reverse references whose parent's class
+    /// passes `from_source` — the one implementation of I1–I4, immediate
+    /// or deferred. Returns whether anything changed.
+    pub(crate) fn apply(
+        self,
+        refs: &mut Vec<ReverseRef>,
+        from_source: impl Fn(ClassId) -> bool,
+    ) -> bool {
+        let (flag, value): (fn(&mut ReverseRef) -> &mut bool, bool) = match self {
+            FlagChange::DropReverse => {
+                let before = refs.len();
+                refs.retain(|rr| !from_source(rr.parent.class));
+                return refs.len() != before;
+            }
+            FlagChange::ClearX => (|rr| &mut rr.exclusive, false),
+            FlagChange::ClearD => (|rr| &mut rr.dependent, false),
+            FlagChange::SetD => (|rr| &mut rr.dependent, true),
+        };
+        let mut changed = false;
+        for rr in refs.iter_mut().filter(|rr| from_source(rr.parent.class)) {
+            changed |= *flag(rr) != value;
+            *flag(rr) = value;
+        }
+        changed
+    }
 }
 
 /// One deferred change in a class's operation log.

@@ -12,12 +12,12 @@
 //! across layout changes, and attributes that disappear have their
 //! composite references detached under Deletion-Rule semantics first.
 
-use std::collections::HashMap;
-
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
+use crate::exec::{self, OverlayEng};
 use crate::oid::ClassId;
-use crate::schema::attr::AttributeDef;
+use crate::overlay::Overlay;
+use crate::schema::attr::{AttributeDef, CompositeSpec};
 use crate::schema::lattice;
 
 impl Database {
@@ -49,8 +49,7 @@ impl Database {
             .local_attrs
             .retain(|a| a.name != attr);
         self.catalog.reflatten_from(class);
-        self.detach_lost_and_realign(&old)?;
-        self.persist_meta()
+        self.detach_lost_and_realign(Overlay::new(), &old, None)
     }
 
     /// Adds a local attribute to a class; existing instances (of the class
@@ -68,8 +67,7 @@ impl Database {
         let old = self.old_layouts(class);
         self.catalog.class_mut(class)?.local_attrs.push(def);
         self.catalog.reflatten_from(class);
-        self.detach_lost_and_realign(&old)?;
-        self.persist_meta()
+        self.detach_lost_and_realign(Overlay::new(), &old, None)
     }
 
     /// Adds an IS-A edge; instances of `class` and its subclasses gain the
@@ -78,8 +76,7 @@ impl Database {
         self.forbid_in_transaction("change the schema")?;
         let old = self.old_layouts(class);
         self.catalog.add_superclass(class, superclass)?;
-        self.detach_lost_and_realign(&old)?;
-        self.persist_meta()
+        self.detach_lost_and_realign(Overlay::new(), &old, None)
     }
 
     /// §4.1 (3): "Remove a class S as superclass of a class C. If this
@@ -90,8 +87,7 @@ impl Database {
         self.forbid_in_transaction("change the schema")?;
         let old = self.old_layouts(class);
         self.catalog.remove_superclass(class, superclass)?;
-        self.detach_lost_and_realign(&old)?;
-        self.persist_meta()
+        self.detach_lost_and_realign(Overlay::new(), &old, None)
     }
 
     /// §4.1 (4): "Drop an existing class C. If the class C has one or more
@@ -107,19 +103,23 @@ impl Database {
         self.catalog.class(class)?;
         // Delete direct instances first — their composite references cascade
         // per the Deletion Rule.
-        for oid in self.instances_of(class, false) {
-            if self.exists(oid) {
-                self.delete(oid)?;
+        let mut ov = Overlay::new();
+        self.scoped(&mut ov, |e| {
+            for oid in e.instances_of(class, false) {
+                if e.exists(oid) {
+                    exec::delete_inner(e, oid)?;
+                }
             }
-        }
+            Ok(())
+        })?;
         let old = self.old_layouts(class);
         self.catalog.drop_class(class)?;
-        self.shards.remove_class(class);
-        self.oplogs.remove(&class);
         // Subclass instances lose the attributes C provided.
         let old_without_self: Vec<_> = old.into_iter().filter(|(c, _)| *c != class).collect();
-        self.detach_lost_and_realign(&old_without_self)?;
-        self.persist_meta()
+        self.detach_lost_and_realign(ov, &old_without_self, None)?;
+        self.shards.remove_class(class);
+        self.oplogs.remove(&class);
+        Ok(())
     }
 
     /// §4.1 (2): "Change the inheritance (parent) of an attribute (inherit
@@ -137,40 +137,7 @@ impl Database {
         self.forbid_in_transaction("change the schema")?;
         let old = self.old_layouts(class);
         self.catalog.set_preferred_provider(class, attr, provider)?;
-        // Force re-initialisation of this attribute by pretending the old
-        // layout did not have it (detaching its composite refs first).
-        let doctored: Vec<(ClassId, Vec<AttributeDef>)> = old
-            .iter()
-            .map(|(c, attrs)| {
-                (
-                    *c,
-                    attrs.clone(), // detach pass needs the real old layout
-                )
-            })
-            .collect();
-        for (c, attrs) in &doctored {
-            if let Some(idx) = attrs.iter().position(|a| a.name == attr) {
-                let def = &attrs[idx];
-                if let Some(spec) = def.composite {
-                    for oid in self.instances_of(*c, false) {
-                        let obj = self.get(oid)?;
-                        for child in obj.attrs[idx].refs() {
-                            self.detach_child_with(child, oid, spec, true)?;
-                        }
-                    }
-                }
-            }
-        }
-        // Realign with the attribute removed from the old layout, so it
-        // takes the new definition's init value.
-        let stripped: Vec<(ClassId, Vec<AttributeDef>)> = doctored
-            .into_iter()
-            .map(|(c, attrs)| (c, attrs.into_iter().filter(|a| a.name != attr).collect()))
-            .collect();
-        for (c, old_attrs) in &stripped {
-            self.realign_instances(*c, old_attrs)?;
-        }
-        self.persist_meta()
+        self.detach_lost_and_realign(Overlay::new(), &old, Some(attr))
     }
 
     // ------------------------------------------------------------------
@@ -195,76 +162,98 @@ impl Database {
         out
     }
 
-    /// For each affected class: detaches composite references held through
-    /// attributes that the new layout no longer has (Deletion-Rule
-    /// semantics), then realigns instance layouts by attribute name.
-    fn detach_lost_and_realign(&mut self, old: &[(ClassId, Vec<AttributeDef>)]) -> DbResult<()> {
-        for (class, old_attrs) in old {
-            let Ok(new_class) = self.catalog.class(*class) else {
-                continue;
-            };
-            let new_names: HashMap<&str, ()> = new_class
-                .attrs
-                .iter()
-                .map(|a| (a.name.as_str(), ()))
-                .collect();
-            let lost: Vec<(usize, AttributeDef)> = old_attrs
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !new_names.contains_key(a.name.as_str()))
-                .map(|(i, a)| (i, a.clone()))
-                .collect();
-            for (idx, def) in &lost {
-                if let Some(spec) = def.composite {
-                    for oid in self.instances_of(*class, false) {
-                        let obj = self.get(oid)?;
-                        for child in obj.attrs.get(*idx).map(|v| v.refs()).unwrap_or_default() {
-                            // §4.1: dependent components go per the Deletion
-                            // Rule regardless of orphan policy.
-                            self.detach_child_with(child, oid, spec, true)?;
-                        }
+    /// Ends a layout-changing message. For each affected class: detaches
+    /// the composite references held through attributes the new layout no
+    /// longer has — or through `reset`, whose value starts over at the new
+    /// definition's `:init` — under Deletion-Rule semantics, then realigns
+    /// instance layouts by attribute name; all of it recorded into the
+    /// message's overlay `ov`, which is then applied.
+    fn detach_lost_and_realign(
+        &mut self,
+        mut ov: Overlay,
+        old: &[(ClassId, Vec<AttributeDef>)],
+        reset: Option<&str>,
+    ) -> DbResult<()> {
+        let db: &Database = self;
+        db.scoped(&mut ov, |e| {
+            for (class, old_attrs) in old {
+                let Ok(new_class) = db.catalog.class(*class) else {
+                    continue;
+                };
+                let kept = |a: &AttributeDef| {
+                    reset != Some(a.name.as_str()) && new_class.attr(&a.name).is_some()
+                };
+                for (idx, a) in old_attrs.iter().enumerate() {
+                    if let (false, Some(spec)) = (kept(a), a.composite) {
+                        detach_held(e, *class, idx, spec)?;
                     }
                 }
+                realign_instances(e, *class, old_attrs, &new_class.attrs, kept)?;
             }
-            self.realign_instances(*class, old_attrs)?;
+            Ok(())
+        })?;
+        if !ov.is_empty() {
+            self.overlay_apply(ov)?;
         }
-        Ok(())
+        self.persist_meta()
     }
+}
 
-    /// Rewrites every (direct) instance of `class` from the old layout to
-    /// the class's current effective layout, preserving values by name.
-    pub(crate) fn realign_instances(
-        &mut self,
-        class: ClassId,
-        old_attrs: &[AttributeDef],
-    ) -> DbResult<()> {
-        let new_attrs = self.catalog.class(class)?.attrs.clone();
-        // Nothing to do when the layout is name-identical in order.
-        if new_attrs.len() == old_attrs.len()
-            && new_attrs
-                .iter()
-                .zip(old_attrs)
-                .all(|(a, b)| a.name == b.name)
-        {
-            return Ok(());
+/// Detaches every component the (direct) instances of `class` hold
+/// through the composite attribute at `idx` of their stored layout. §4.1:
+/// dependent components go per the Deletion Rule regardless of orphan
+/// policy.
+fn detach_held(
+    e: &mut OverlayEng<'_>,
+    class: ClassId,
+    idx: usize,
+    spec: CompositeSpec,
+) -> DbResult<()> {
+    for oid in e.instances_of(class, false) {
+        let obj = e.get(oid)?;
+        for child in obj.attrs.get(idx).map(|v| v.refs()).unwrap_or_default() {
+            exec::detach_child_with(e, child, oid, spec, true)?;
         }
-        for oid in self.instances_of(class, false) {
-            if !self.exists(oid) {
-                continue;
-            }
-            let mut obj = self.get(oid)?;
-            let mut new_vals = Vec::with_capacity(new_attrs.len());
-            for def in &new_attrs {
-                match old_attrs.iter().position(|a| a.name == def.name) {
-                    Some(i) if i < obj.attrs.len() => new_vals.push(obj.attrs[i].clone()),
-                    _ => new_vals.push(def.init.clone()),
-                }
-            }
-            obj.attrs = new_vals;
-            self.save(&obj)?;
-        }
-        Ok(())
     }
+    Ok(())
+}
+
+/// Rewrites every (direct) instance of `class` from the old layout to
+/// `new_attrs`, preserving by name the values of the attributes `kept`
+/// admits.
+fn realign_instances(
+    e: &mut OverlayEng<'_>,
+    class: ClassId,
+    old_attrs: &[AttributeDef],
+    new_attrs: &[AttributeDef],
+    kept: impl Fn(&AttributeDef) -> bool,
+) -> DbResult<()> {
+    // Nothing to do when every old value is kept, in the same order.
+    if new_attrs.len() == old_attrs.len()
+        && new_attrs
+            .iter()
+            .zip(old_attrs)
+            .all(|(a, b)| a.name == b.name && kept(b))
+    {
+        return Ok(());
+    }
+    for oid in e.instances_of(class, false) {
+        if !e.exists(oid) {
+            continue;
+        }
+        let mut obj = e.get(oid)?;
+        obj.attrs = new_attrs
+            .iter()
+            .map(
+                |def| match old_attrs.iter().position(|a| a.name == def.name && kept(a)) {
+                    Some(i) if i < obj.attrs.len() => obj.attrs[i].clone(),
+                    _ => def.init.clone(),
+                },
+            )
+            .collect();
+        e.save(obj)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::oid::ClassId;
+use crate::overlay::Overlay;
 use crate::refs::ReverseRef;
 use crate::schema::attr::CompositeSpec;
 use crate::schema::lattice;
@@ -103,11 +104,14 @@ impl Database {
                 })?;
         let spec = def.composite;
 
-        let result = match change {
+        let mut ov = Overlay::new();
+        // The state-independent changes I1–I4 come out with their flag
+        // change; D1–D3 verify and rewrite as they go.
+        let flags = match change {
             AttrTypeChange::ToNonComposite => {
                 self.require_composite(&def, attr)?;
                 self.set_spec(defining, attr, None)?;
-                self.state_independent(domain_class, defining, FlagChange::DropReverse, maintenance)
+                Some(FlagChange::DropReverse)
             }
             AttrTypeChange::ExclusiveToShared => {
                 let s = self.require_composite(&def, attr)?;
@@ -124,7 +128,7 @@ impl Database {
                         ..s
                     }),
                 )?;
-                self.state_independent(domain_class, defining, FlagChange::ClearX, maintenance)
+                Some(FlagChange::ClearX)
             }
             AttrTypeChange::ToIndependent => {
                 let s = self.require_composite(&def, attr)?;
@@ -141,7 +145,7 @@ impl Database {
                         ..s
                     }),
                 )?;
-                self.state_independent(domain_class, defining, FlagChange::ClearD, maintenance)
+                Some(FlagChange::ClearD)
             }
             AttrTypeChange::ToDependent => {
                 let s = self.require_composite(&def, attr)?;
@@ -158,7 +162,7 @@ impl Database {
                         ..s
                     }),
                 )?;
-                self.state_independent(domain_class, defining, FlagChange::SetD, maintenance)
+                Some(FlagChange::SetD)
             }
             AttrTypeChange::WeakToExclusive { dependent } => {
                 if spec.is_some() {
@@ -166,7 +170,8 @@ impl Database {
                         reason: format!("attribute {attr:?} is already composite"),
                     });
                 }
-                self.weak_to_composite(defining, attr, true, dependent)
+                self.weak_to_composite(&mut ov, defining, attr, true, dependent)?;
+                None
             }
             AttrTypeChange::WeakToShared { dependent } => {
                 if spec.is_some() {
@@ -174,7 +179,8 @@ impl Database {
                         reason: format!("attribute {attr:?} is already composite"),
                     });
                 }
-                self.weak_to_composite(defining, attr, false, dependent)
+                self.weak_to_composite(&mut ov, defining, attr, false, dependent)?;
+                None
             }
             AttrTypeChange::SharedToExclusive => {
                 let s = self.require_composite(&def, attr)?;
@@ -183,10 +189,16 @@ impl Database {
                         reason: format!("attribute {attr:?} is already exclusive"),
                     });
                 }
-                self.shared_to_exclusive(defining, attr, domain_class, s)
+                self.shared_to_exclusive(&mut ov, defining, attr, domain_class, s)?;
+                None
             }
         };
-        result?;
+        if let Some(flags) = flags {
+            self.state_independent(&mut ov, domain_class, defining, flags, maintenance)?;
+        }
+        if !ov.is_empty() {
+            self.overlay_apply(ov)?;
+        }
         self.persist_meta()
     }
 
@@ -226,6 +238,7 @@ impl Database {
     /// references held by instances of every inheriting subclass.
     fn state_independent(
         &mut self,
+        ov: &mut Overlay,
         domain_class: ClassId,
         owner: ClassId,
         change: FlagChange,
@@ -236,16 +249,9 @@ impl Database {
                 // §4.3: "accessing all instances of the class C and
                 // [updating] the reverse composite references to instances
                 // of the class C'."
-                for oid in self.domain_instances(domain_class) {
-                    let mut obj = self.get(oid)?;
-                    let changed = mutate_flags(&mut obj.reverse_refs, change, |pc| {
-                        lattice::is_subclass_of(&self.catalog, pc, owner)
-                    });
-                    if changed {
-                        self.save(&obj)?;
-                    }
-                }
-                Ok(())
+                self.rewrite_refs(ov, domain_class, |refs| {
+                    change.apply(refs, |pc| lattice::is_subclass_of(&self.catalog, pc, owner))
+                })
             }
             Maintenance::Deferred => {
                 // Bump CC and append a log entry on the domain class and all
@@ -269,9 +275,23 @@ impl Database {
         }
     }
 
-    /// Instances of the domain class and its subclasses.
-    fn domain_instances(&self, domain_class: ClassId) -> Vec<crate::oid::Oid> {
-        self.instances_of(domain_class, true)
+    /// Records into `ov` every instance of `domain_class` (subclasses
+    /// included) whose reverse references `rewrite` changes.
+    fn rewrite_refs(
+        &self,
+        ov: &mut Overlay,
+        domain_class: ClassId,
+        rewrite: impl Fn(&mut Vec<ReverseRef>) -> bool,
+    ) -> DbResult<()> {
+        self.scoped(ov, |e| {
+            for oid in e.instances_of(domain_class, true) {
+                let mut obj = e.get(oid)?;
+                if rewrite(&mut obj.reverse_refs) {
+                    e.save(obj)?;
+                }
+            }
+            Ok(())
+        })
     }
 
     /// D1 / D2 (§4.3): promote a weak reference to a composite reference.
@@ -280,6 +300,7 @@ impl Database {
     /// extension is scanned.
     fn weak_to_composite(
         &mut self,
+        ov: &mut Overlay,
         defining: ClassId,
         attr: &str,
         exclusive: bool,
@@ -335,15 +356,20 @@ impl Database {
             }
         }
         // Step 3: add reverse composite references and flip the schema.
-        for (parent, target) in edges {
-            if !self.exists(target) {
-                continue;
+        // A shared target is rewritten once per referencing parent, each
+        // rewrite reading the one before it through the overlay.
+        self.scoped(ov, |e| {
+            for (parent, target) in edges {
+                if !e.exists(target) {
+                    continue;
+                }
+                let mut tobj = e.get(target)?;
+                tobj.reverse_refs
+                    .push(ReverseRef::new(parent, dependent, exclusive));
+                e.save(tobj)?;
             }
-            let mut tobj = self.get(target)?;
-            tobj.reverse_refs
-                .push(ReverseRef::new(parent, dependent, exclusive));
-            self.save(&tobj)?;
-        }
+            Ok(())
+        })?;
         self.set_spec(
             defining,
             attr,
@@ -357,16 +383,16 @@ impl Database {
     /// D3 (§4.3): shared → exclusive.
     fn shared_to_exclusive(
         &mut self,
+        ov: &mut Overlay,
         defining: ClassId,
         attr: &str,
         domain_class: ClassId,
         spec: CompositeSpec,
     ) -> DbResult<()> {
-        // Step 1: access all instances of the class C.
-        let instances = self.domain_instances(domain_class);
-        // Step 2: reject if an instance has more than one reverse composite
-        // reference with at least one from an instance of C'.
-        for &oid in &instances {
+        // Step 1: access all instances of the class C. Step 2: reject if an
+        // instance has more than one reverse composite reference with at
+        // least one from an instance of C'.
+        for oid in self.instances_of(domain_class, true) {
             let obj = self.get(oid)?;
             let from_cprime = obj
                 .reverse_refs
@@ -384,23 +410,15 @@ impl Database {
         }
         // Otherwise, turn on the X flag in all reverse composite references
         // to instances of the class C'.
-        for oid in instances {
-            let mut obj = self.get(oid)?;
+        self.rewrite_refs(ov, domain_class, |refs| {
+            let from_cprime = |pc| lattice::is_subclass_of(&self.catalog, pc, defining);
             let mut changed = false;
-            for rr in obj
-                .reverse_refs
-                .iter_mut()
-                .filter(|rr| lattice::is_subclass_of(&self.catalog, rr.parent.class, defining))
-            {
-                if !rr.exclusive {
-                    rr.exclusive = true;
-                    changed = true;
-                }
+            for rr in refs.iter_mut().filter(|rr| from_cprime(rr.parent.class)) {
+                changed |= !rr.exclusive;
+                rr.exclusive = true;
             }
-            if changed {
-                self.save(&obj)?;
-            }
-        }
+            changed
+        })?;
         self.set_spec(
             defining,
             attr,
@@ -410,48 +428,6 @@ impl Database {
             }),
         )
     }
-}
-
-/// Applies `change` to every reverse reference whose parent class passes
-/// `from_source`; returns whether anything changed.
-fn mutate_flags(
-    refs: &mut Vec<ReverseRef>,
-    change: FlagChange,
-    from_source: impl Fn(ClassId) -> bool,
-) -> bool {
-    let mut changed = false;
-    match change {
-        FlagChange::DropReverse => {
-            let before = refs.len();
-            refs.retain(|rr| !from_source(rr.parent.class));
-            changed = refs.len() != before;
-        }
-        FlagChange::ClearX => {
-            for rr in refs.iter_mut().filter(|rr| from_source(rr.parent.class)) {
-                if rr.exclusive {
-                    rr.exclusive = false;
-                    changed = true;
-                }
-            }
-        }
-        FlagChange::ClearD => {
-            for rr in refs.iter_mut().filter(|rr| from_source(rr.parent.class)) {
-                if rr.dependent {
-                    rr.dependent = false;
-                    changed = true;
-                }
-            }
-        }
-        FlagChange::SetD => {
-            for rr in refs.iter_mut().filter(|rr| from_source(rr.parent.class)) {
-                if !rr.dependent {
-                    rr.dependent = true;
-                    changed = true;
-                }
-            }
-        }
-    }
-    changed
 }
 
 #[cfg(test)]

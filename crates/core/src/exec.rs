@@ -50,6 +50,10 @@ impl OverlayEng<'_> {
     pub(crate) fn get(&self, oid: Oid) -> DbResult<Object> {
         self.db.view_over(self.ov).get(oid)
     }
+    /// [`Database::instances_of`] in this view.
+    pub(crate) fn instances_of(&self, class: ClassId, deep: bool) -> Vec<Oid> {
+        self.db.view_over(self.ov).instances_of(class, deep)
+    }
     /// Persists an existing object.
     pub(crate) fn save(&mut self, obj: Object) -> DbResult<()> {
         if !self.exists(obj.oid) {

@@ -79,7 +79,7 @@ pub use integrity::IntegrityReport;
 pub use metrics::CoreMetrics;
 pub use object::Object;
 pub use oid::{ClassId, Oid};
-pub use overlay::{Overlay, OverlayView};
+pub use overlay::{Applied, Overlay, OverlayView};
 pub use refs::{RefKind, ReverseRef};
 pub use repair::RepairReport;
 pub use schema::attr::{AttributeDef, CompositeSpec, Domain};

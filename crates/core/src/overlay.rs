@@ -78,6 +78,18 @@ pub struct Overlay {
     journal: Vec<(Oid, Option<OverlayEntry>)>,
 }
 
+/// What [`Database::overlay_apply`] did to one object, as the page store
+/// holds it (the [`Object`] codec's bytes).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Applied {
+    /// The object written.
+    pub oid: Oid,
+    /// The stored record the write displaced; `None` for a creation.
+    pub displaced: Option<Vec<u8>>,
+    /// The record it wrote; `None` for a deletion.
+    pub written: Option<Vec<u8>>,
+}
+
 /// Where an operation scope started: what [`Overlay::end_op`] rewinds to.
 pub(crate) struct OpMark {
     created: usize,
@@ -105,15 +117,6 @@ impl Overlay {
     /// `Some(Some(obj))` if it wrote it.
     pub fn lookup(&self, oid: Oid) -> Option<Option<&Object>> {
         self.entries.get(&oid).map(|e| e.image.as_ref())
-    }
-
-    /// The write set: `(oid, image, created)` for every touched object.
-    /// `image` is `None` for deletions; `created` marks objects with no
-    /// base record. Iteration order is unspecified.
-    pub fn write_set(&self) -> impl Iterator<Item = (Oid, Option<&Object>, bool)> {
-        self.entries
-            .iter()
-            .map(|(oid, e)| (*oid, e.image.as_ref(), e.created))
     }
 
     /// Opens an operation scope. Scopes do not nest: a cascade inside an
@@ -313,7 +316,12 @@ impl Database {
     /// carries on at the pre-apply state. An `Err` that left the store
     /// degraded or poisoned (a torn flush, a failed log device) is in
     /// doubt until [`Database::recover`] decides it.
-    pub fn overlay_apply(&mut self, overlay: Overlay) -> DbResult<()> {
+    ///
+    /// `Ok` carries one [`Applied`] per object written, in write order:
+    /// the record the store's own update or delete displaced, and the one
+    /// encoded for the page — so change capture and MVCC read and encode
+    /// nothing themselves.
+    pub fn overlay_apply(&mut self, overlay: Overlay) -> DbResult<Vec<Applied>> {
         self.forbid_in_transaction("apply a write set")?;
         let nested = self.store.in_atomic_batch();
         // The write set is known up front, and so is the part of the
@@ -327,10 +335,11 @@ impl Database {
             if overlay.serial_floor > 0 {
                 db.store.note_serial_floor(overlay.serial_floor);
             }
+            let mut applied = Vec::with_capacity(overlay.entries.len());
             for oid in &overlay.created {
                 if let Some(e) = overlay.entries.get(oid) {
                     if let (true, Some(img)) = (e.created, e.image.as_ref()) {
-                        db.insert_object(img, e.near)?;
+                        applied.push(db.insert_object(img, e.near)?);
                     }
                 }
             }
@@ -338,12 +347,13 @@ impl Database {
                 overlay.entries.iter().filter(|(_, e)| !e.created).collect();
             rest.sort_by_key(|(oid, _)| **oid);
             for (oid, e) in rest {
-                match &e.image {
+                applied.push(match &e.image {
                     Some(img) => db.save(img)?,
                     None => db.erase(*oid)?,
-                }
+                });
             }
-            Ok(())
+            db.capture_applied(&applied)?;
+            Ok(applied)
         });
         if result.is_err() && !nested {
             for (oid, phys) in before {
@@ -356,6 +366,55 @@ impl Database {
             }
         }
         result
+    }
+
+    // The apply-side primitives: one image into the page store and the
+    // object table, no semantics, no scope. Private: `overlay_apply` is
+    // the only writer.
+
+    /// Persists an object at its current address (relocating if it grew).
+    fn save(&mut self, obj: &Object) -> DbResult<Applied> {
+        let phys = self
+            .shards
+            .get(obj.oid)
+            .ok_or(DbError::NoSuchObject(obj.oid))?;
+        let mut written = Vec::new();
+        obj.encode(&mut written);
+        let (new_phys, displaced) = self.store.update(phys, &written)?;
+        if new_phys != phys {
+            self.shards.set_phys(obj.oid, new_phys);
+        }
+        Ok(Applied {
+            oid: obj.oid,
+            displaced: Some(displaced),
+            written: Some(written),
+        })
+    }
+
+    /// Inserts a brand-new object, clustered near `near` when possible.
+    fn insert_object(&mut self, obj: &Object, near: Option<Oid>) -> DbResult<Applied> {
+        let segment = self.catalog.class(obj.oid.class)?.segment;
+        let near_phys = near.and_then(|o| self.shards.get(o));
+        let mut written = Vec::new();
+        obj.encode(&mut written);
+        let phys = self.store.insert(segment, &written, near_phys)?;
+        self.shards.insert(obj.oid, phys);
+        Ok(Applied {
+            oid: obj.oid,
+            displaced: None,
+            written: Some(written),
+        })
+    }
+
+    /// Removes an object from storage and the object table.
+    fn erase(&mut self, oid: Oid) -> DbResult<Applied> {
+        let phys = self.shards.remove(oid).ok_or(DbError::NoSuchObject(oid))?;
+        let displaced = self.store.delete(phys)?;
+        Ok(Applied {
+            oid,
+            displaced: Some(displaced),
+            written: None,
+        })
     }
 
     /// Force the next `make` serial number. Test and replay plumbing:

@@ -224,6 +224,13 @@ mod tests {
     use crate::value::Value;
 
     /// Part/Assembly with a dependent-shared set attribute.
+    /// Surgery: erases `oid` wholesale (no Deletion Rule, no detach).
+    fn raw_erase(db: &mut Database, oid: Oid) {
+        let mut overlay = crate::overlay::Overlay::new();
+        overlay.record_erase(oid, true);
+        db.overlay_apply(overlay).unwrap();
+    }
+
     fn shared_db() -> (Database, crate::oid::ClassId, crate::oid::ClassId) {
         let mut db = Database::new();
         let part = db.define_class(ClassBuilder::new("Part")).unwrap();
@@ -298,7 +305,7 @@ mod tests {
             )
             .unwrap();
         // Surgery: erase p2 wholesale (no Deletion Rule, no detach).
-        db.erase(p2).unwrap();
+        raw_erase(&mut db, p2);
         assert!(db.verify_integrity().is_err());
         let report = db.repair().unwrap();
         assert_eq!(report.dangling_edges_dropped, 1);
@@ -356,7 +363,7 @@ mod tests {
             )
             .unwrap();
         // Surgery: erase the only dependent parent wholesale.
-        db.erase(a).unwrap();
+        raw_erase(&mut db, a);
         assert!(db.verify_integrity().is_err());
         let report = db.repair().unwrap();
         assert_eq!(report.orphans_deleted, 1);
@@ -375,7 +382,7 @@ mod tests {
                 vec![],
             )
             .unwrap();
-        db.erase(a).unwrap();
+        raw_erase(&mut db, a);
         // The orphan cascade takes `p` out of the object table; then the
         // commit crashes cleanly before its log is written and the store
         // rolls back.
@@ -413,7 +420,7 @@ mod tests {
                 vec![],
             )
             .unwrap();
-        db.erase(a).unwrap();
+        raw_erase(&mut db, a);
         let report = db.repair().unwrap();
         assert_eq!(report.orphans_deleted, 0);
         assert!(db.exists(p));

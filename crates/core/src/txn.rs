@@ -174,7 +174,7 @@ impl Database {
         let txn = self.txn.take().ok_or_else(|| DbError::TransactionState {
             reason: "no transaction is open".into(),
         })?;
-        let result = self.overlay_apply(txn.overlay);
+        let result = self.overlay_apply(txn.overlay).map(drop);
         if result.is_ok() {
             self.metrics.txn_commits.inc();
             self.metrics.txn_ops.add(txn.ops);

@@ -655,7 +655,8 @@ pub struct InjectedFaults {
 ///
 /// * **torn page writes** — the armed write persists a prefix of the page
 ///   (sector-granular, checksummed per surviving sector run) and errors;
-/// * **short reads** — the armed read returns [`StorageError::ShortRead`];
+/// * **short reads** — the armed read (a page read, or the one log read
+///   of a recovery or scrub) returns [`StorageError::ShortRead`];
 /// * **EIO** — every operation after a countdown fails with
 ///   [`StorageError::DeviceIo`] until healed;
 /// * **lying fsync** — syncs are acknowledged but not performed; the
@@ -707,8 +708,9 @@ impl<D: ?Sized> FaultyDevice<D> {
         self.state.lock().torn_write = Some((countdown, keep_bytes));
     }
 
-    /// Arms a short read: after `countdown` clean reads, the next read
-    /// fails with [`StorageError::ShortRead`].
+    /// Arms a short read: after `countdown` clean reads, the next read —
+    /// a page read, or on a log device the whole-log read — fails with
+    /// [`StorageError::ShortRead`].
     pub fn arm_short_read(&self, countdown: u64) {
         self.state.lock().short_read = Some(countdown);
     }
@@ -784,6 +786,27 @@ impl<D: ?Sized> FaultyDevice<D> {
         }
     }
 
+    /// The fault sites of one read: the EIO countdown, then the armed
+    /// short read.
+    fn tick_read(&self, op: &'static str) -> StorageResult<()> {
+        self.tick_eio(op)?;
+        let mut st = self.state.lock();
+        match &mut st.short_read {
+            Some(0) => {
+                st.short_read = None;
+                drop(st);
+                self.injected.lock().short_reads += 1;
+                self.metrics.short_reads_injected.inc();
+                Err(StorageError::ShortRead { op })
+            }
+            Some(left) => {
+                *left -= 1;
+                Ok(())
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Returns `Some(keep)` when the current read/write should fire the
     /// armed fault, decrementing the countdown otherwise.
     fn fire_countdown(arm: &mut Option<(u64, usize)>) -> Option<usize> {
@@ -840,23 +863,9 @@ impl<D: BlockDevice + ?Sized> BlockDevice for FaultyDevice<D> {
     }
 
     fn read(&self, id: u64) -> StorageResult<Page> {
-        self.tick_eio("page read")?;
-        {
-            let mut st = self.state.lock();
-            match &mut st.short_read {
-                Some(0) => {
-                    st.short_read = None;
-                    drop(st);
-                    self.injected.lock().short_reads += 1;
-                    self.metrics.short_reads_injected.inc();
-                    return Err(StorageError::ShortRead { op: "page read" });
-                }
-                Some(left) => *left -= 1,
-                None => {}
-            }
-            if let Some(page) = st.buffered_pages.get(&id) {
-                return Ok(page.clone());
-            }
+        self.tick_read("page read")?;
+        if let Some(page) = self.state.lock().buffered_pages.get(&id) {
+            return Ok(page.clone());
         }
         self.inner.read(id)
     }
@@ -943,6 +952,7 @@ impl<D: LogDevice + ?Sized> LogDevice for FaultyDevice<D> {
     }
 
     fn read_all(&self) -> StorageResult<Vec<u8>> {
+        self.tick_read("log read")?;
         let mut all = self.inner.read_all()?;
         all.extend_from_slice(&self.state.lock().buffered_log);
         Ok(all)

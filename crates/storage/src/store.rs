@@ -701,12 +701,14 @@ impl ObjectStore {
         }
     }
 
-    /// Deletes the continuation chunks hanging off a head record.
-    fn free_chain(&mut self, head_raw: &[u8]) -> StorageResult<()> {
+    /// Deletes the continuation chunks hanging off a head record and
+    /// returns the record they held, reassembled.
+    fn free_chain(&mut self, head_raw: &[u8]) -> StorageResult<Vec<u8>> {
         let mut r = Reader::new(head_raw);
         let _ = r.u8("record tag")?;
         let _ = r.u64("chain total length")?;
         let mut next = Some(get_ptr(&mut r)?);
+        let mut record = head_raw[HEAD_OVERHEAD..].to_vec();
         while let Some(ptr) = next {
             let chunk = self.read_raw(ptr)?;
             let mut cr = Reader::new(&chunk);
@@ -714,9 +716,10 @@ impl ObjectStore {
             let has_next = cr.u8("chunk has_next")? != 0;
             let np = get_ptr(&mut cr)?;
             next = has_next.then_some(np);
+            record.extend_from_slice(&chunk[CHUNK_OVERHEAD..]);
             self.delete_slot(ptr)?;
         }
-        Ok(())
+        Ok(record)
     }
 
     fn delete_slot(&mut self, id: PhysId) -> StorageResult<()> {
@@ -733,16 +736,17 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Updates the record at `id`, returning its (possibly new) address.
+    /// Updates the record at `id`, returning its (possibly new) address
+    /// and the record it displaced (read here anyway, to place the new one).
     ///
     /// Inline records that still fit stay in place; everything else is
     /// re-inserted with a `near` hint at the old location, so a relocated
     /// record stays clustered with its old neighbourhood.
-    pub fn update(&mut self, id: PhysId, record: &[u8]) -> StorageResult<PhysId> {
+    pub fn update(&mut self, id: PhysId, record: &[u8]) -> StorageResult<(PhysId, Vec<u8>)> {
         self.autocommit(|st| st.update_inner(id, record))
     }
 
-    fn update_inner(&mut self, id: PhysId, record: &[u8]) -> StorageResult<PhysId> {
+    fn update_inner(&mut self, id: PhysId, record: &[u8]) -> StorageResult<(PhysId, Vec<u8>)> {
         let raw = self.read_raw(id)?;
         let tag = *raw.first().ok_or(StorageError::Corrupt {
             context: "empty record",
@@ -754,6 +758,11 @@ impl ObjectStore {
                 slot: id.slot,
             });
         }
+        // A chained old record loses its chunks here; it is re-inserted below.
+        let displaced = match tag {
+            TAG_HEAD => self.free_chain(&raw)?,
+            _ => raw[1..].to_vec(),
+        };
         if tag == TAG_INLINE && record.len() <= MAX_INLINE {
             let mut tagged = Vec::with_capacity(record.len() + 1);
             tagged.push(TAG_INLINE);
@@ -768,30 +777,26 @@ impl ObjectStore {
                 if let Some(seg) = self.segments.get_mut(&id.segment) {
                     seg.set_free_hint(id.page, free);
                 }
-                return Ok(id);
+                return Ok((id, displaced));
             }
-            self.delete_slot(id)?;
-            return self.insert_inner(id.segment, record, Some(id));
         }
-        // Chained old record, or growth across the inline/chain boundary:
-        // free and re-insert.
-        if tag == TAG_HEAD {
-            self.free_chain(&raw)?;
-        }
+        // Growth past the page, a chained old record, or growth across the
+        // inline/chain boundary: free and re-insert.
         self.delete_slot(id)?;
-        self.insert_inner(id.segment, record, Some(id))
+        Ok((self.insert_inner(id.segment, record, Some(id))?, displaced))
     }
 
-    /// Deletes the record at `id` (freeing overflow chains).
-    pub fn delete(&mut self, id: PhysId) -> StorageResult<()> {
+    /// Deletes the record at `id` (freeing overflow chains) and returns
+    /// the record it held.
+    pub fn delete(&mut self, id: PhysId) -> StorageResult<Vec<u8>> {
         self.autocommit(|st| st.delete_inner(id))
     }
 
-    fn delete_inner(&mut self, id: PhysId) -> StorageResult<()> {
+    fn delete_inner(&mut self, id: PhysId) -> StorageResult<Vec<u8>> {
         let raw = self.read_raw(id)?;
-        match raw.first() {
+        let displaced = match raw.first() {
             Some(&TAG_HEAD) => self.free_chain(&raw)?,
-            Some(&TAG_INLINE) => {}
+            Some(&TAG_INLINE) => raw[1..].to_vec(),
             _ => {
                 return Err(StorageError::DanglingPhysId {
                     segment: id.segment.0,
@@ -799,8 +804,9 @@ impl ObjectStore {
                     slot: id.slot,
                 })
             }
-        }
-        self.delete_slot(id)
+        };
+        self.delete_slot(id)?;
+        Ok(displaced)
     }
 
     /// Scans every live record of a segment, in page order, reassembling
@@ -1421,7 +1427,8 @@ mod tests {
         let mut st = store();
         let seg = st.create_segment().unwrap();
         let id = st.insert(seg, &[1u8; 64], None).unwrap();
-        let id2 = st.update(id, &[2u8; 60]).unwrap();
+        let (id2, displaced) = st.update(id, &[2u8; 60]).unwrap();
+        assert_eq!(displaced, vec![1u8; 64]);
         assert_eq!(id, id2);
         assert_eq!(st.read(id2).unwrap(), vec![2u8; 60]);
     }
@@ -1432,7 +1439,8 @@ mod tests {
         let seg = st.create_segment().unwrap();
         let id = st.insert(seg, &[1u8; 100], None).unwrap();
         while st.insert(seg, &[9u8; 512], Some(id)).unwrap().page == id.page {}
-        let id2 = st.update(id, &[2u8; 3000]).unwrap();
+        let (id2, displaced) = st.update(id, &[2u8; 3000]).unwrap();
+        assert_eq!(displaced, vec![1u8; 100]);
         assert_eq!(st.read(id2).unwrap(), vec![2u8; 3000]);
         if id2 != id {
             assert!(st.read(id).is_err(), "old address no longer resolves");
@@ -1547,9 +1555,10 @@ mod tests {
         let seg = st.create_segment().unwrap();
         let id = st.insert(seg, &[1u8; 100], None).unwrap();
         let big = vec![2u8; 20_000];
-        let id2 = st.update(id, &big).unwrap();
+        let (id2, _) = st.update(id, &big).unwrap();
         assert_eq!(st.read(id2).unwrap(), big);
-        let id3 = st.update(id2, &[3u8; 50]).unwrap();
+        let (id3, displaced) = st.update(id2, &[3u8; 50]).unwrap();
+        assert_eq!(displaced, big, "a chained record is displaced whole");
         assert_eq!(st.read(id3).unwrap(), vec![3u8; 50]);
         // All chunks freed: scan sees exactly one record.
         assert_eq!(st.scan(seg).unwrap().len(), 1);
@@ -2122,7 +2131,7 @@ mod recovery_tests {
         st.checkpoint().unwrap();
         // The base image was truncated out of the log: this update must log
         // an image (a delta would replay against nothing).
-        let id = st.update(id, b"sixteen-byte-rec").unwrap();
+        let (id, _) = st.update(id, b"sixteen-byte-rec").unwrap();
         assert_eq!(last_batch_kinds(&st), ["image"]);
         // ...and the next one is a delta again.
         st.update(id, b"SIXTEEN-BYTE-REC").unwrap();
@@ -2193,7 +2202,7 @@ mod recovery_tests {
             assert!(first.page == id.page && last.page == id.page, "{case}");
             let mut grown = record.clone();
             grown.extend_from_slice(&noise(4, 13));
-            assert_eq!(st.update(id, &grown).unwrap(), id, "{case}");
+            assert_eq!(st.update(id, &grown).unwrap().0, id, "{case}");
 
             let scan = st.wal.scan().unwrap();
             let (moves, logged) = scan

@@ -11,17 +11,17 @@
 //!
 //! # Protocol (enforced by the engine above, `corion-concurrent`)
 //!
-//! * Before a committing transaction mutates the shared base store, it
-//!   [`seed`](VersionStore::seed)s the *pre-image* of every object it is
-//!   about to overwrite at LSN 0 (idempotent — only the first writer of an
-//!   object pays). From then on the chain, not the base, is the source of
-//!   truth for old snapshots.
-//! * After the base apply made the commit durable, the transaction
-//!   [`publish`](VersionStore::publish)es its after-images (or tombstones)
-//!   at its commit LSN — the WAL LSN of its commit marker — then
-//!   [`advance`](VersionStore::advance)s the visible watermark to it, so
-//!   the watermark means "durable and published up to here". New
-//!   snapshots pin the watermark.
+//! * Under the engine latch that covers its base apply, a committing
+//!   transaction [`seed`](VersionStore::seed)s at LSN 0 the *pre-image* —
+//!   the stored record its apply displaced — of every object it overwrote
+//!   (idempotent — only the first writer of an object pays). From then on
+//!   the chain, not the base, is the source of truth for old snapshots.
+//! * In the same latch, the base apply having made the commit durable,
+//!   the transaction [`publish`](VersionStore::publish)es the records it
+//!   wrote (or tombstones) at its commit LSN — the WAL LSN of its commit
+//!   marker — then [`advance`](VersionStore::advance)s the visible
+//!   watermark to it, so the watermark means "durable and published up to
+//!   here". New snapshots pin the watermark.
 //! * [`resolve`](VersionStore::resolve) walks a chain for the newest entry
 //!   at or below the snapshot LSN. Three-way answer: a concrete image, a
 //!   tombstone ("deleted as of your snapshot"), or *unborn* (the chain

@@ -9,7 +9,9 @@
 //!   sample, covering the whole open;
 //! - opening a directory that holds committed batches reads the log device
 //!   once: recovery scans what the device returns, and no in-memory copy
-//!   of the log is loaded beside it.
+//!   of the log is loaded beside it;
+//! - that read is a fault site: EIO or a short read there fails the open,
+//!   and a scrub, with the typed error and truncates nothing.
 //!
 //! Refusing a directory of another version, untouched, is in
 //! `tests/page_records.rs`.
@@ -202,6 +204,72 @@ fn opening_a_directory_reads_its_log_once() {
     )
     .unwrap();
     assert_eq!(reads.load(Ordering::Relaxed), 1, "one open, one read");
+    for (i, p) in parts.iter().enumerate() {
+        assert_eq!(
+            db.get_attr(*p, "text").unwrap(),
+            Value::Str(format!("p{i}"))
+        );
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The one log read of an open, and of a scrub, is a fault site: EIO or a
+/// short read there answers the typed error and truncates nothing, and
+/// once the device is healed a reopen recovers every commit.
+#[test]
+fn a_failed_log_read_fails_the_open_and_the_scrub_and_truncates_nothing() {
+    let dir = fresh_dir("log_read_fault");
+    let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());
+    let log = FaultyDevice::new(MemLog::new(), DeviceMetrics::detached());
+    let open = || {
+        Database::with_devices(
+            &dir,
+            DbConfig::default(),
+            Arc::new(disk.clone()),
+            Arc::new(log.clone()),
+        )
+    };
+    type Arm = fn(&FaultyDevice<MemLog>);
+    let faults: [(Arm, StorageError); 2] = [
+        (|l| l.arm_eio(0), StorageError::DeviceIo { op: "log read" }),
+        (
+            |l| l.arm_short_read(0),
+            StorageError::ShortRead { op: "log read" },
+        ),
+    ];
+    let mut db = open().unwrap();
+    let part = part_class(&mut db);
+    let parts: Vec<_> = (0..5)
+        .map(|i| {
+            db.make(part, vec![("text", Value::Str(format!("p{i}")))], vec![])
+                .unwrap()
+        })
+        .collect();
+    let len = log.len();
+    for (arm, expected) in &faults {
+        arm(&log);
+        match db.scrub() {
+            Err(DbError::Storage(e)) => assert_eq!(&e, expected),
+            other => panic!("scrub over a failing log read: {other:?}"),
+        }
+        log.heal_faults();
+        assert_eq!(log.len(), len, "the scrub truncated nothing");
+    }
+    drop(db);
+    for (arm, expected) in &faults {
+        arm(&log);
+        match open() {
+            Err(DbError::Storage(e)) => assert_eq!(&e, expected),
+            Err(e) => panic!("reopen over a failing log read: {e:?}"),
+            Ok(_) => panic!("reopen over a failing log read answered Ok"),
+        }
+        log.heal_faults();
+        assert_eq!(log.len(), len, "the failed open truncated nothing");
+    }
+    assert_eq!(log.injected().eio, 2);
+    assert_eq!(log.injected().short_reads, 2);
+    let db = open().unwrap();
     for (i, p) in parts.iter().enumerate() {
         assert_eq!(
             db.get_attr(*p, "text").unwrap(),

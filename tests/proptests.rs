@@ -529,13 +529,14 @@ proptest! {
                 }
                 1 if !model.is_empty() => {
                     let slot = bytes.first().copied().unwrap_or(0) as usize % model.len();
-                    let new_id = store.update(model[slot].0, &bytes).unwrap();
+                    let (new_id, displaced) = store.update(model[slot].0, &bytes).unwrap();
+                    prop_assert_eq!(&displaced, &model[slot].1);
                     model[slot] = (new_id, bytes);
                 }
                 2 if !model.is_empty() => {
                     let slot = bytes.first().copied().unwrap_or(0) as usize % model.len();
-                    let (id, _) = model.remove(slot);
-                    store.delete(id).unwrap();
+                    let (id, held) = model.remove(slot);
+                    prop_assert_eq!(store.delete(id).unwrap(), held);
                 }
                 _ => {
                     // Cache pressure: flush everything.

@@ -324,3 +324,129 @@ fn change_counts_are_monotone_and_instances_catch_up_exactly_once() {
     let again = db.get(secs[0]).unwrap();
     assert_eq!(again, obj);
 }
+
+/// An Immediate §4.3 change is one logged batch: with change capture on,
+/// the message releases exactly one change set, stamped with the message's
+/// own commit LSN and naming every rewritten instance as `Changed`; the
+/// next `make` releases a set of its own that holds only that `make`.
+#[test]
+fn an_immediate_change_is_one_batch_released_at_its_own_lsn() {
+    use corion::core::Change;
+    let (mut db, doc, sec, _docs, mut secs) = doc_world();
+    db.set_change_capture(true);
+    let before = db.durable_commit_lsn();
+    db.change_attribute_type(
+        doc,
+        "sections",
+        AttrTypeChange::ToIndependent,
+        Maintenance::Immediate,
+    )
+    .unwrap();
+    let lsn = db.durable_commit_lsn();
+    assert!(lsn > before, "the message logged a batch");
+    let sets = db.take_released_changes();
+    assert_eq!(sets.len(), 1, "one message, one batch: {sets:?}");
+    assert_eq!(sets[0].commit_lsn, lsn);
+    let rewritten: Vec<Oid> = sets[0]
+        .changes
+        .iter()
+        .map(|c| match c {
+            Change::Changed {
+                oid,
+                parents_added,
+                parents_removed,
+            } => {
+                assert!(parents_added.is_empty() && parents_removed.is_empty());
+                *oid
+            }
+            other => panic!("an I3 change rewrites flags only: {other:?}"),
+        })
+        .collect();
+    secs.sort();
+    assert_eq!(rewritten, secs);
+
+    let fresh = db.make(sec, vec![], vec![]).unwrap();
+    let sets = db.take_released_changes();
+    assert_eq!(sets.len(), 1);
+    assert_eq!(sets[0].commit_lsn, db.durable_commit_lsn());
+    assert_eq!(
+        sets[0].changes,
+        vec![Change::Made {
+            oid: fresh,
+            parents: vec![]
+        }]
+    );
+}
+
+/// A crash point anywhere in an Immediate message's commits leaves a data
+/// directory whose instances agree with its catalog. For each countdown of
+/// `commit:log` across the message, until the message commits, the
+/// directory is reopened: every section's reverse-reference D flag matches
+/// the reopened class's spec, and the integrity audit holds.
+#[test]
+fn an_immediate_change_cut_at_any_commit_reopens_consistent() {
+    use corion::storage::CP_COMMIT_LOG;
+    use corion::DbConfig;
+    const SECTIONS: usize = 6;
+    let mut countdown = 1;
+    loop {
+        let dir =
+            std::env::temp_dir().join(format!("corion_ddl_cut_{}_{countdown}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (doc, secs, committed) = {
+            let mut db = Database::open(&dir, DbConfig::default()).unwrap();
+            let sec = db.define_class(ClassBuilder::new("Section")).unwrap();
+            let doc = db
+                .define_class(ClassBuilder::new("Document").attr_composite(
+                    "sections",
+                    Domain::SetOf(Box::new(Domain::Class(sec))),
+                    CompositeSpec {
+                        exclusive: true,
+                        dependent: true,
+                    },
+                ))
+                .unwrap();
+            let mut secs = Vec::new();
+            for _ in 0..SECTIONS {
+                let s = db.make(sec, vec![], vec![]).unwrap();
+                let set = Value::Set(vec![Value::Ref(s)]);
+                db.make(doc, vec![("sections", set)], vec![]).unwrap();
+                secs.push(s);
+            }
+            db.arm_crash_point(CP_COMMIT_LOG, countdown);
+            let outcome = db.change_attribute_type(
+                doc,
+                "sections",
+                AttrTypeChange::ToIndependent,
+                Maintenance::Immediate,
+            );
+            db.heal_crash_points();
+            (doc, secs, outcome.is_ok())
+        };
+        let mut db = Database::open(&dir, DbConfig::default()).unwrap();
+        let spec = db.class(doc).unwrap().attr("sections").unwrap().composite;
+        let dependent = spec.unwrap().dependent;
+        assert_eq!(dependent, !committed, "countdown {countdown}");
+        for s in &secs {
+            let flags: Vec<bool> = db
+                .get(*s)
+                .unwrap()
+                .reverse_refs
+                .iter()
+                .map(|r| r.dependent)
+                .collect();
+            assert_eq!(flags, vec![dependent], "{s} at countdown {countdown}");
+        }
+        db.verify_integrity().unwrap();
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+        if committed {
+            break;
+        }
+        countdown += 1;
+        assert!(
+            countdown <= SECTIONS as u64 + 1,
+            "the message never committed"
+        );
+    }
+}

@@ -578,3 +578,79 @@ fn a_named_but_invisible_parent_is_not_an_ancestor() {
         assert_eq!(db.roots_of(item).unwrap(), vec![holder]);
     });
 }
+
+/// A deferred §4.3 change reaches snapshot point reads. A version chain
+/// holds the bytes the store held, so `Snapshot::get` brings a chain image
+/// up to the schema's pending flag changes exactly as the engine brings a
+/// base record — for a part committed through a write transaction (it has
+/// a chain) and for one made under the exclusive latch (it has none) — and
+/// so does the served `Get`, which answers from a snapshot.
+#[test]
+fn snapshot_get_applies_deferred_changes_to_chain_images() {
+    use corion::core::evolution::{AttrTypeChange, Maintenance};
+    use corion::{AuthStore, Client, Server, ServerConfig};
+
+    let db = ConcurrentDb::new();
+    let (part, asm) = db.with_exclusive(|d| {
+        let part = d
+            .define_class(ClassBuilder::new("Part").attr("n", Domain::Integer))
+            .unwrap();
+        let asm = d
+            .define_class(ClassBuilder::new("Assembly").attr_composite(
+                "parts",
+                Domain::SetOf(Box::new(Domain::Class(part))),
+                CompositeSpec {
+                    exclusive: true,
+                    dependent: true,
+                },
+            ))
+            .unwrap();
+        (part, asm)
+    });
+    let holds = |p: Oid| vec![("parts", Value::Set(vec![Value::Ref(p)]))];
+    let plain = db.with_exclusive(|d| {
+        let p = d.make(part, vec![("n", Value::Int(1))], vec![]).unwrap();
+        d.make(asm, holds(p), vec![]).unwrap();
+        p
+    });
+    // An older pin keeps the chains from being vacuumed.
+    let _older = db.begin_read();
+    let chained = db
+        .run_write(|t| {
+            let p = t.make(part, vec![("n", Value::Int(2))], vec![])?;
+            t.make(asm, holds(p), vec![])?;
+            Ok(p)
+        })
+        .unwrap();
+
+    let deferred = |change| {
+        db.with_exclusive(|d| d.change_attribute_type(asm, "parts", change, Maintenance::Deferred))
+            .unwrap()
+    };
+    // I3 flips the D flag, which only `get` shows.
+    deferred(AttrTypeChange::ToIndependent);
+    let snap = db.begin_read();
+    for p in [chained, plain] {
+        let engine = db.with_read(|d| d.get(p)).unwrap();
+        assert!(!engine.reverse_refs[0].dependent, "{p}");
+        assert_eq!(snap.get(p).unwrap(), engine, "{p}");
+    }
+    drop(snap);
+
+    // I1 drops the reverse reference, which the served `Get` shows too.
+    deferred(AttrTypeChange::ToNonComposite);
+    let server = Server::start(db.clone(), AuthStore::new(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), 0).unwrap();
+    let snap = db.begin_read();
+    for p in [chained, plain] {
+        let engine = db.with_read(|d| d.get(p)).unwrap();
+        assert!(engine.reverse_refs.is_empty(), "{p}");
+        assert_eq!(snap.get(p).unwrap(), engine, "{p}");
+        let served = client.get(p).unwrap();
+        assert_eq!(served.parents, engine.composite_parents(), "{p}");
+        let attrs: Vec<Value> = served.attrs.into_iter().map(|(_, v)| v).collect();
+        assert_eq!(attrs, engine.attrs, "{p}");
+    }
+    drop(client);
+    server.shutdown();
+}
