@@ -20,12 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use corion_obs::Registry;
-use corion_storage::{FileDisk, FileWal, ObjectStore, PhysId, SegmentId, StoreConfig};
-
-/// Minimum records per worker before the derived-state rebuild bothers
-/// spawning threads (below this the scan is decode-bound on one core
-/// anyway and thread setup would dominate).
-const REBUILD_PARALLEL_CHUNK: usize = 1024;
+use corion_storage::{FileDisk, FileWal, ObjectStore, SegmentId, StoreConfig};
 
 use crate::error::{DbError, DbResult};
 use crate::evolution::oplog::OperationLog;
@@ -34,6 +29,7 @@ use crate::oid::{ClassId, Oid};
 use crate::schema::catalog::Catalog;
 use crate::schema::class::{Class, ClassBuilder};
 use crate::schema::lattice;
+use crate::shard::Buckets;
 use crate::value::Value;
 
 /// What happens to a dependent component when its *last* dependent parent
@@ -566,14 +562,21 @@ impl Database {
     }
 
     /// Rebuilds every in-memory map derived from storage — object table,
-    /// class extensions, serial counter — by scanning all segments.
-    /// Shared by [`Database::recover`] and
-    /// [`Database::scrub`], both of which may change what storage holds.
+    /// class extensions, serial counter — in one pass over every page of
+    /// every segment (DESIGN.md §16.3). Shared by [`Database::recover`]
+    /// and [`Database::scrub`], both of which may change what storage
+    /// holds.
+    ///
+    /// The pages, in (segment, page) scan order, are split into
+    /// contiguous runs across `min(available_parallelism, stripes)`
+    /// workers. Each decodes every record in full where the frame holds
+    /// it, so an undecodable record fails the rebuild, and buckets its
+    /// `(oid, phys)` by stripe; [`Shards::load`] then builds each stripe
+    /// once. An OID found twice resolves to the record last in scan order.
+    ///
+    /// [`Shards::load`]: crate::shard::Shards::load
     pub(crate) fn rebuild_derived_state(&mut self) -> DbResult<()> {
-        self.shards.clear_objects();
-        for class in self.catalog.all_classes() {
-            self.shards.ensure_class(class);
-        }
+        let _timer = self.metrics.rebuild_latency.start_timer();
         // Three sources raise the counter, and all must be honored: the
         // surviving in-memory value, the WAL's committed high-water notes
         // (which remember deleted objects no scan can see), and the live
@@ -583,54 +586,50 @@ impl Database {
             .next_serial
             .load(Ordering::Relaxed)
             .max(self.store.serial_floor());
-        let mut records: Vec<(PhysId, Vec<u8>)> = Vec::new();
+        let mut pages: Vec<(SegmentId, u64)> = Vec::new();
         for seg in self.store.segment_ids() {
-            records.extend(self.store.scan(seg)?);
+            pages.extend(self.store.pages_of(seg)?.into_iter().map(|p| (seg, p)));
         }
-        // Decode and reinsert shard-parallel: replay already ordered the
-        // records (the scan is deterministic by LSN), and per-OID stripe
-        // placement is order-independent, so the rebuild fans out across
-        // worker threads that write disjoint-by-hash stripes.
         let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.shards.shard_count())
-            .min(records.len().div_ceil(REBUILD_PARALLEL_CHUNK).max(1));
-        let max_serial = if workers <= 1 {
-            let mut max_serial = floor;
-            for (phys, bytes) in &records {
-                let obj = Object::decode(bytes)?;
-                max_serial = max_serial.max(obj.oid.serial + 1);
-                self.shards.insert(obj.oid, *phys);
-            }
-            max_serial
-        } else {
-            let shards = &self.shards;
-            let chunk = records.len().div_ceil(workers);
-            let maxes = std::thread::scope(|scope| {
-                let handles: Vec<_> = records
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || -> DbResult<u64> {
-                            let mut max_serial = floor;
-                            for (phys, bytes) in part {
-                                let obj = Object::decode(bytes)?;
-                                max_serial = max_serial.max(obj.oid.serial + 1);
-                                shards.insert(obj.oid, *phys);
-                            }
-                            Ok(max_serial)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rebuild worker panicked"))
-                    .collect::<DbResult<Vec<u64>>>()
-            })?;
-            maxes.into_iter().max().unwrap_or(floor)
-        };
+            .map_or(1, |n| n.get())
+            .min(self.shards.shard_count());
+        let db: &Database = self;
+        let parts = std::thread::scope(|scope| {
+            let handles: Vec<_> = pages
+                .chunks(pages.len().div_ceil(workers).max(1))
+                .map(|run| scope.spawn(move || db.decode_pages(run)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rebuild worker panicked"))
+                .collect::<DbResult<Vec<_>>>()
+        })?;
+        let (buckets, serials): (Vec<_>, Vec<u64>) = parts.into_iter().unzip();
+        self.shards
+            .load(&self.catalog.all_classes(), &buckets, workers);
+        let records = buckets.iter().flatten().map(|b| b.len() as u64).sum();
+        self.metrics.rebuild_records.add(records);
+        let max_serial = serials.into_iter().fold(floor, u64::max);
         self.next_serial.store(max_serial, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// One rebuild worker's share of the pages: every record on `pages`,
+    /// decoded in full in place, its `(oid, phys)` bucketed by stripe in
+    /// scan order; and one past the highest serial it saw.
+    fn decode_pages(&self, pages: &[(SegmentId, u64)]) -> DbResult<(Buckets, u64)> {
+        let mut buckets = vec![Vec::new(); self.shards.shard_count()];
+        let mut next_serial = 0;
+        for run in pages.chunk_by(|a, b| a.0 == b.0) {
+            let ids: Vec<u64> = run.iter().map(|&(_, page)| page).collect();
+            self.store.scan(run[0].0, &ids, |phys, bytes| {
+                let oid = Object::decode(bytes)?.oid;
+                next_serial = next_serial.max(oid.serial + 1);
+                buckets[self.shards.shard_of(oid)].push((oid, phys));
+                Ok(())
+            })?;
+        }
+        Ok((buckets, next_serial))
     }
 
     /// Current health of the storage substrate: `Healthy`, `Degraded`
@@ -979,5 +978,82 @@ mod tests {
             db.make(c, vec![("friend", Value::Ref(wrong))], vec![]),
             Err(DbError::DomainMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn an_undecodable_record_fails_the_open_and_the_dump() {
+        let dir = std::env::temp_dir().join(format!("corion_undecodable_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut db = Database::open(&dir, DbConfig::default()).unwrap();
+        let part = db
+            .define_class(ClassBuilder::new("Part").attr("name", Domain::String))
+            .unwrap();
+        db.make(part, vec![], vec![]).unwrap();
+        let garbage = [0xffu8; 5];
+        let seg = db.catalog.class(part).unwrap().segment;
+        db.store.insert(seg, &garbage, None).unwrap();
+        assert!(db.dump().is_err(), "a dump does not leave it out");
+        assert!(matches!(db.recover(), Err(DbError::Storage(_))));
+        drop(db);
+        let want = format!("{:?}", DbError::from(Object::decode(&garbage).unwrap_err()));
+        match Database::open(&dir, DbConfig::default()) {
+            Err(e) => assert_eq!(format!("{e:?}"), want),
+            Ok(_) => panic!("a directory holding an undecodable record opened"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_duplicate_oid_resolves_to_the_record_last_in_scan_order() {
+        for shards in [1, 16] {
+            let mut db = Database::with_config(DbConfig {
+                shards,
+                ..DbConfig::default()
+            });
+            let part = db
+                .define_class(ClassBuilder::new("Part").attr("name", Domain::String))
+                .unwrap();
+            let oids: Vec<Oid> = (0..400)
+                .map(|i| {
+                    let name = Value::Str(format!("{i:0>200}"));
+                    db.make(part, vec![("name", name)], vec![]).unwrap()
+                })
+                .collect();
+            let (first, last) = (oids[0], oids[399]);
+            // Room on the first page, then a second copy of the first
+            // object beside the last one, and of the last beside the first.
+            db.delete(oids[1]).unwrap();
+            db.delete(oids[2]).unwrap();
+            let seg = db.catalog.class(part).unwrap().segment;
+            for (oid, near) in [(first, last), (last, first)] {
+                let mut copy = db.get(oid).unwrap();
+                copy.attrs[0] = Value::Str("copy".into());
+                let mut bytes = Vec::new();
+                copy.encode(&mut bytes);
+                db.store.insert(seg, &bytes, db.shards.get(near)).unwrap();
+            }
+            let mut last_seen = HashMap::new();
+            let pages = db.store.pages_of(seg).unwrap();
+            db.store
+                .scan(seg, &pages, |phys, bytes| {
+                    last_seen.insert(Object::decode(bytes)?.oid, phys);
+                    Ok(())
+                })
+                .unwrap();
+            db.recover().unwrap();
+            assert_eq!(db.object_count(), 398, "shards={shards}");
+            for oid in [first, last] {
+                assert_eq!(db.shards.get(oid), last_seen.get(&oid).copied());
+            }
+            // The copy of the first object lies after it, the copy of the
+            // last one before it: one copy wins, one original.
+            let name = |oid| db.get_attr(oid, "name").unwrap();
+            assert_eq!(name(first), Value::Str("copy".into()), "shards={shards}");
+            assert_eq!(
+                name(last),
+                Value::Str(format!("{:0>200}", 399)),
+                "shards={shards}"
+            );
+        }
     }
 }

@@ -29,54 +29,57 @@ impl Database {
     /// A must be locally defined on C (to drop an inherited attribute,
     /// remove the IS-A edge or drop it on the definer).
     pub fn drop_attribute(&mut self, class: ClassId, attr: &str) -> DbResult<()> {
-        self.forbid_in_transaction("change the schema")?;
-        let c = self.catalog.class(class)?;
-        let def = c.attr(attr).ok_or_else(|| DbError::NoSuchAttribute {
-            class,
-            attr: attr.into(),
-        })?;
-        if let Some(provider) = def.inherited_from {
-            return Err(DbError::SchemaChangeRejected {
-                reason: format!(
-                    "attribute {attr:?} is inherited from {provider}; drop it there or remove \
-                     the IS-A edge"
-                ),
-            });
-        }
-        let old = self.old_layouts(class);
-        self.catalog
-            .class_mut(class)?
-            .local_attrs
-            .retain(|a| a.name != attr);
-        self.catalog.reflatten_from(class);
-        self.detach_lost_and_realign(Overlay::new(), &old, None)
+        self.schema_message(|db| {
+            let c = db.catalog.class(class)?;
+            let def = c.attr(attr).ok_or_else(|| DbError::NoSuchAttribute {
+                class,
+                attr: attr.into(),
+            })?;
+            if let Some(provider) = def.inherited_from {
+                return Err(DbError::SchemaChangeRejected {
+                    reason: format!(
+                        "attribute {attr:?} is inherited from {provider}; drop it there or \
+                         remove the IS-A edge"
+                    ),
+                });
+            }
+            let old = db.old_layouts(class);
+            db.catalog
+                .class_mut(class)?
+                .local_attrs
+                .retain(|a| a.name != attr);
+            db.catalog.reflatten_from(class);
+            db.detach_lost_and_realign(Overlay::new(), &old, None)
+        })
     }
 
     /// Adds a local attribute to a class; existing instances (of the class
     /// and of inheriting subclasses) take the attribute's `:init` value.
     pub fn add_attribute(&mut self, class: ClassId, def: AttributeDef) -> DbResult<()> {
-        self.forbid_in_transaction("change the schema")?;
-        def.validate()?;
-        let c = self.catalog.class(class)?;
-        if c.attr(&def.name).is_some() {
-            return Err(DbError::DuplicateAttribute {
-                class,
-                attr: def.name,
-            });
-        }
-        let old = self.old_layouts(class);
-        self.catalog.class_mut(class)?.local_attrs.push(def);
-        self.catalog.reflatten_from(class);
-        self.detach_lost_and_realign(Overlay::new(), &old, None)
+        self.schema_message(|db| {
+            def.validate()?;
+            let c = db.catalog.class(class)?;
+            if c.attr(&def.name).is_some() {
+                return Err(DbError::DuplicateAttribute {
+                    class,
+                    attr: def.name,
+                });
+            }
+            let old = db.old_layouts(class);
+            db.catalog.class_mut(class)?.local_attrs.push(def);
+            db.catalog.reflatten_from(class);
+            db.detach_lost_and_realign(Overlay::new(), &old, None)
+        })
     }
 
     /// Adds an IS-A edge; instances of `class` and its subclasses gain the
     /// newly inherited attributes at their `:init` values.
     pub fn add_superclass(&mut self, class: ClassId, superclass: ClassId) -> DbResult<()> {
-        self.forbid_in_transaction("change the schema")?;
-        let old = self.old_layouts(class);
-        self.catalog.add_superclass(class, superclass)?;
-        self.detach_lost_and_realign(Overlay::new(), &old, None)
+        self.schema_message(|db| {
+            let old = db.old_layouts(class);
+            db.catalog.add_superclass(class, superclass)?;
+            db.detach_lost_and_realign(Overlay::new(), &old, None)
+        })
     }
 
     /// §4.1 (3): "Remove a class S as superclass of a class C. If this
@@ -84,10 +87,11 @@ impl Database {
     /// … referenced by instances of C and its subclasses through A are
     /// deleted according to (1)."
     pub fn remove_superclass(&mut self, class: ClassId, superclass: ClassId) -> DbResult<()> {
-        self.forbid_in_transaction("change the schema")?;
-        let old = self.old_layouts(class);
-        self.catalog.remove_superclass(class, superclass)?;
-        self.detach_lost_and_realign(Overlay::new(), &old, None)
+        self.schema_message(|db| {
+            let old = db.old_layouts(class);
+            db.catalog.remove_superclass(class, superclass)?;
+            db.detach_lost_and_realign(Overlay::new(), &old, None)
+        })
     }
 
     /// §4.1 (4): "Drop an existing class C. If the class C has one or more
@@ -99,26 +103,27 @@ impl Database {
     /// instances of subclasses survive, losing only the attributes C
     /// provided.
     pub fn drop_class(&mut self, class: ClassId) -> DbResult<()> {
-        self.forbid_in_transaction("change the schema")?;
-        self.catalog.class(class)?;
-        // Delete direct instances first — their composite references cascade
-        // per the Deletion Rule.
-        let mut ov = Overlay::new();
-        self.scoped(&mut ov, |e| {
-            for oid in e.instances_of(class, false) {
-                if e.exists(oid) {
-                    exec::delete_inner(e, oid)?;
+        self.schema_message(|db| {
+            db.catalog.class(class)?;
+            // Delete direct instances first — their composite references
+            // cascade per the Deletion Rule.
+            let mut ov = Overlay::new();
+            db.scoped(&mut ov, |e| {
+                for oid in e.instances_of(class, false) {
+                    if e.exists(oid) {
+                        exec::delete_inner(e, oid)?;
+                    }
                 }
-            }
-            Ok(())
+                Ok(())
+            })?;
+            let old = db.old_layouts(class);
+            db.catalog.drop_class(class)?;
+            db.oplogs.remove(&class);
+            // Subclass instances lose the attributes C provided.
+            let old_without_self: Vec<_> = old.into_iter().filter(|(c, _)| *c != class).collect();
+            db.detach_lost_and_realign(ov, &old_without_self, None)
         })?;
-        let old = self.old_layouts(class);
-        self.catalog.drop_class(class)?;
-        // Subclass instances lose the attributes C provided.
-        let old_without_self: Vec<_> = old.into_iter().filter(|(c, _)| *c != class).collect();
-        self.detach_lost_and_realign(ov, &old_without_self, None)?;
         self.shards.remove_class(class);
-        self.oplogs.remove(&class);
         Ok(())
     }
 
@@ -134,10 +139,11 @@ impl Database {
         attr: &str,
         provider: ClassId,
     ) -> DbResult<()> {
-        self.forbid_in_transaction("change the schema")?;
-        let old = self.old_layouts(class);
-        self.catalog.set_preferred_provider(class, attr, provider)?;
-        self.detach_lost_and_realign(Overlay::new(), &old, Some(attr))
+        self.schema_message(|db| {
+            let old = db.old_layouts(class);
+            db.catalog.set_preferred_provider(class, attr, provider)?;
+            db.detach_lost_and_realign(Overlay::new(), &old, Some(attr))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -167,17 +173,17 @@ impl Database {
     /// longer has — or through `reset`, whose value starts over at the new
     /// definition's `:init` — under Deletion-Rule semantics, then realigns
     /// instance layouts by attribute name; all of it recorded into the
-    /// message's overlay `ov`, which is then applied.
+    /// message's overlay `ov`, which is returned for
+    /// [`Database::schema_message`] to apply.
     fn detach_lost_and_realign(
-        &mut self,
+        &self,
         mut ov: Overlay,
         old: &[(ClassId, Vec<AttributeDef>)],
         reset: Option<&str>,
-    ) -> DbResult<()> {
-        let db: &Database = self;
-        db.scoped(&mut ov, |e| {
+    ) -> DbResult<Overlay> {
+        self.scoped(&mut ov, |e| {
             for (class, old_attrs) in old {
-                let Ok(new_class) = db.catalog.class(*class) else {
+                let Ok(new_class) = self.catalog.class(*class) else {
                     continue;
                 };
                 let kept = |a: &AttributeDef| {
@@ -192,10 +198,7 @@ impl Database {
             }
             Ok(())
         })?;
-        if !ov.is_empty() {
-            self.overlay_apply(ov)?;
-        }
-        self.persist_meta()
+        Ok(ov)
     }
 }
 

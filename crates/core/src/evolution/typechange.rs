@@ -84,7 +84,19 @@ impl Database {
         change: AttrTypeChange,
         maintenance: Maintenance,
     ) -> DbResult<()> {
-        self.forbid_in_transaction("change the schema")?;
+        self.schema_message(|db| db.retype(referencing, attr, change, maintenance))
+    }
+
+    /// The catalog edit and instance maintenance of
+    /// [`Database::change_attribute_type`], recorded into the overlay it
+    /// returns.
+    fn retype(
+        &mut self,
+        referencing: ClassId,
+        attr: &str,
+        change: AttrTypeChange,
+        maintenance: Maintenance,
+    ) -> DbResult<Overlay> {
         let class = self.catalog.class(referencing)?;
         let def = class
             .attr(attr)
@@ -196,10 +208,7 @@ impl Database {
         if let Some(flags) = flags {
             self.state_independent(&mut ov, domain_class, defining, flags, maintenance)?;
         }
-        if !ov.is_empty() {
-            self.overlay_apply(ov)?;
-        }
-        self.persist_meta()
+        Ok(ov)
     }
 
     fn require_composite(

@@ -63,6 +63,12 @@ pub struct CoreMetrics {
     /// `corion_repair_orphans_deleted_total`: orphaned dependent components
     /// cascade-deleted by repair per the Deletion Rule.
     pub repair_orphans_deleted: corion_obs::Counter,
+    /// `corion_core_rebuild_latency_ns`: time per rebuild of the object
+    /// table, class extensions and serial counter from the pages — one
+    /// per open, `recover`, `scrub` and `restore`, after storage recovery.
+    pub rebuild_latency: corion_obs::Histogram,
+    /// `corion_core_rebuild_records_total`: records the rebuilds decoded.
+    pub rebuild_records: corion_obs::Counter,
     /// `corion_shard_count`: number of object-table stripes this engine
     /// was opened with (constant for the life of the handle).
     pub shard_count: corion_obs::Gauge,
@@ -95,6 +101,9 @@ impl CoreMetrics {
             repair_edges_dropped: registry.counter("corion_repair_edges_dropped_total"),
             repair_reverse_refs_fixed: registry.counter("corion_repair_reverse_refs_fixed_total"),
             repair_orphans_deleted: registry.counter("corion_repair_orphans_deleted_total"),
+            rebuild_latency: registry
+                .histogram("corion_core_rebuild_latency_ns", LATENCY_BOUNDS_NS),
+            rebuild_records: registry.counter("corion_core_rebuild_records_total"),
             shard_count: registry.gauge("corion_shard_count"),
             shard_occupancy: (0..shards)
                 .map(|i| registry.gauge(&format!("corion_shard_occupancy_{i}")))

@@ -83,21 +83,20 @@ impl Database {
         codec::put_varint(&mut buf, segments.len() as u64);
         for seg in segments {
             codec::put_u32(&mut buf, seg.0);
-            let records = self.store.scan(seg)?;
-            // Only records that are live objects (the object table is the
-            // authority; scan may see stale records only if there were
-            // none — defensive filter all the same).
-            let live: Vec<Vec<u8>> = records
-                .into_iter()
-                .filter_map(|(phys, bytes)| {
-                    let obj = Object::decode(&bytes).ok()?;
-                    (self.shards.get(obj.oid) == Some(phys)).then_some(bytes)
-                })
-                .collect();
-            codec::put_varint(&mut buf, live.len() as u64);
-            for bytes in live {
-                codec::put_bytes(&mut buf, &bytes);
-            }
+            // The records the object table names: all of them but the
+            // earlier copies of an OID found twice. One that does not
+            // decode fails the dump.
+            let (mut live, mut records) = (0u64, Vec::new());
+            let pages = self.store.pages_of(seg)?;
+            self.store.scan(seg, &pages, |phys, bytes| {
+                if self.shards.get(Object::decode(bytes)?.oid) == Some(phys) {
+                    live += 1;
+                    codec::put_bytes(&mut records, bytes);
+                }
+                Ok(())
+            })?;
+            codec::put_varint(&mut buf, live);
+            buf.extend_from_slice(&records);
         }
         let sum = fnv1a64(&buf);
         codec::put_u64(&mut buf, sum);
@@ -123,24 +122,19 @@ impl Database {
         for _ in 0..=max_seg {
             db.store.create_segment()?;
         }
-        for class in db.catalog.all_classes() {
-            db.shards.ensure_class(class);
-        }
         // Objects: re-insert in dump order, chaining near-hints to keep the
-        // original physical neighbourhoods together.
+        // original physical neighbourhoods together; the object table and
+        // extensions are rebuilt from the pages once at the end.
         let n_segs = r.varint("segment count")? as usize;
         for _ in 0..n_segs {
             let seg = SegmentId(r.u32("segment id")?);
             let n_objs = r.varint("object count")? as usize;
             let mut prev = None;
             for _ in 0..n_objs {
-                let bytes = r.bytes("object record")?;
-                let obj = Object::decode(bytes)?;
-                let phys = db.store.insert(seg, bytes, prev)?;
-                prev = Some(phys);
-                db.shards.insert(obj.oid, phys);
+                prev = Some(db.store.insert(seg, r.bytes("object record")?, prev)?);
             }
         }
+        db.rebuild_derived_state()?;
         Ok(db)
     }
 

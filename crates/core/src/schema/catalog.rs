@@ -21,6 +21,7 @@ use crate::schema::class::{Class, ClassBuilder};
 use crate::schema::lattice;
 
 /// The schema catalog.
+#[derive(Clone)]
 pub struct Catalog {
     classes: Vec<Option<Class>>,
     by_name: HashMap<String, ClassId>,

@@ -41,6 +41,10 @@ use crate::oid::{ClassId, Oid};
 /// Default number of stripes (`DbConfig::default().shards`).
 pub const DEFAULT_SHARDS: usize = 16;
 
+/// Per stripe, the `(oid, phys)` of records in scan order: what one
+/// rebuild worker hands [`Shards::load`].
+pub(crate) type Buckets = Vec<Vec<(Oid, PhysId)>>;
+
 /// One stripe's slice of the derived maps.
 #[derive(Default)]
 struct ShardState {
@@ -213,18 +217,42 @@ impl Shards {
             .collect()
     }
 
-    /// Clears every table entry and extension membership but keeps the
-    /// registered classes (the rebuild path re-scans storage into the
-    /// same class set).
-    pub(crate) fn clear_objects(&self) {
-        for stripe in &self.stripes {
-            let mut st = stripe.state.write();
-            st.table.clear();
-            for ext in st.ext.values_mut() {
-                ext.clear();
+    // ------------------------------------------------------------------
+    // Bulk load (the rebuild)
+    // ------------------------------------------------------------------
+
+    /// Replaces every stripe's table and extensions with `parts`: per
+    /// rebuild worker, in scan order, the [`Buckets`] of its records.
+    /// Stripes build in parallel on `workers` threads, each from its
+    /// entries sorted by OID —
+    /// stably, so an OID found twice resolves to the record last in scan
+    /// order, whatever the number of workers. The table is built at its
+    /// known size, each class extension in bulk from its sorted run, and
+    /// every class in `classes` keeps an (empty) extension in every
+    /// stripe.
+    pub(crate) fn load(&self, classes: &[ClassId], parts: &[Buckets], workers: usize) {
+        let build = |w: usize| {
+            for (i, stripe) in self.stripes.iter().enumerate().skip(w).step_by(workers) {
+                let mut entries: Vec<(Oid, PhysId)> =
+                    parts.iter().flat_map(|p| p[i].iter().copied()).collect();
+                // Stable: an OID's entries stay in scan order, and the
+                // table keeps the last of them.
+                entries.sort_by_key(|&(oid, _)| oid);
+                let table: HashMap<Oid, PhysId> = entries.iter().copied().collect();
+                // A class's run replaces the empty extension it starts with.
+                let runs = entries.chunk_by(|a, b| a.0.class == b.0.class);
+                let ext = (classes.iter().map(|&c| (c, BTreeSet::new())))
+                    .chain(runs.map(|run| (run[0].0.class, run.iter().map(|e| e.0).collect())))
+                    .collect();
+                stripe.live.store(table.len(), Ordering::Relaxed);
+                *stripe.state.write() = ShardState { table, ext };
             }
-            stripe.live.store(0, Ordering::Relaxed);
-        }
+        };
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                scope.spawn(move || build(w));
+            }
+        });
     }
 }
 
@@ -299,14 +327,33 @@ mod tests {
     }
 
     #[test]
-    fn clear_objects_keeps_classes() {
-        let s = Shards::new(4);
-        let c = ClassId(2);
-        s.ensure_class(c);
-        s.insert(oid(2, 1), phys(1));
-        s.clear_objects();
-        assert_eq!(s.len(), 0);
-        assert!(s.class_members_sorted(c).is_empty());
-        assert!(s.all_oids_sorted().is_empty());
+    fn load_keeps_classes_and_resolves_a_duplicate_to_the_last_record() {
+        for n in [1, 4, 16] {
+            let s = Shards::new(n);
+            let (c, empty) = (ClassId(2), ClassId(3));
+            s.insert(oid(5, 1), phys(99));
+            let oids: Vec<Oid> = (0..200).map(|i| oid(2, i)).collect();
+            // Two workers' parts; OID 7 is in both, and in the second
+            // worker's part twice: the later record wins.
+            let mut parts = vec![vec![Vec::new(); s.shard_count()]; 2];
+            for (i, &o) in oids.iter().enumerate() {
+                parts[i % 2][s.shard_of(o)].push((o, phys(i as u64)));
+            }
+            let dup = oid(2, 7);
+            parts[1][s.shard_of(dup)].push((dup, phys(1000)));
+            parts[1][s.shard_of(dup)].push((dup, phys(1001)));
+            parts[0][s.shard_of(dup)].push((dup, phys(1002)));
+            s.load(&[c, empty], &parts, 2);
+            assert_eq!(s.len(), 200, "n={n}");
+            assert_eq!(s.get(dup), Some(phys(1001)), "n={n}");
+            assert!(!s.contains(oid(5, 1)), "load replaces what was there");
+            assert_eq!(s.class_members_sorted(c), oids);
+            assert_eq!(s.all_oids_sorted(), oids);
+            assert!(s.class_members_sorted(empty).is_empty());
+            assert!(s
+                .stripes
+                .iter()
+                .all(|st| st.state.read().ext.contains_key(&empty)));
+        }
     }
 }

@@ -57,8 +57,9 @@ pub struct StoreMetrics {
     pub commit_latency: corion_obs::Histogram,
     /// `corion_storage_recoveries_total`: `recover()` runs.
     pub recoveries: corion_obs::Counter,
-    /// `corion_storage_recovery_latency_ns`: time per recovery (scan,
-    /// truncate, rebuild, replay).
+    /// `corion_storage_recovery_latency_ns`: time per recovery (log scan,
+    /// truncate, segment-directory rebuild, replay). The engine's
+    /// object-table rebuild that follows is not in it.
     pub recovery_latency: corion_obs::Histogram,
     /// `corion_storage_recovered_pages_total`: committed page images
     /// written back by recovery.

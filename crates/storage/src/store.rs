@@ -809,34 +809,49 @@ impl ObjectStore {
         Ok(displaced)
     }
 
-    /// Scans every live record of a segment, in page order, reassembling
-    /// chained records and skipping continuation chunks.
-    pub fn scan(&self, segment: SegmentId) -> StorageResult<Vec<(PhysId, Vec<u8>)>> {
+    /// Visits every live record on `pages` of `segment` (as
+    /// [`ObjectStore::pages_of`] lists them), in the order given and in
+    /// slot order within a page, skipping continuation chunks.
+    ///
+    /// Each frame is locked once. Inline records reach `visit` borrowed
+    /// from the frame, under the pool's read latch, so `visit` must not
+    /// call back into the store. A chained record, and every record after
+    /// it on the same page, goes through [`ObjectStore::read`] once the
+    /// frame is released: it is reassembled, and a bad tag fails, exactly
+    /// as a point read does. The first error, the store's or `visit`'s,
+    /// ends the scan.
+    pub fn scan(
+        &self,
+        segment: SegmentId,
+        pages: &[u64],
+        mut visit: impl FnMut(PhysId, &[u8]) -> StorageResult<()>,
+    ) -> StorageResult<()> {
         if self.health == HealthState::Poisoned {
             return Err(StorageError::NeedsRecovery);
         }
-        let pages: Vec<u64> = self.segment(segment)?.pages().to_vec();
-        let mut heads = Vec::new();
-        for page in pages {
-            let recs = self.pool.with_page(page, |p| {
-                p.iter()
-                    .filter(|(_, b)| b.first() != Some(&TAG_CHUNK))
-                    .map(|(slot, _)| slot)
-                    .collect::<Vec<_>>()
-            })?;
-            for slot in recs {
-                heads.push(PhysId {
-                    segment,
-                    page,
-                    slot,
-                });
+        self.segment(segment)?;
+        for &page in pages {
+            let at = |slot| PhysId {
+                segment,
+                page,
+                slot,
+            };
+            let mut later = Vec::new();
+            self.pool.with_page(page, |p| {
+                for (slot, bytes) in p.iter() {
+                    match bytes.first() {
+                        Some(&TAG_CHUNK) => {}
+                        Some(&TAG_INLINE) if later.is_empty() => visit(at(slot), &bytes[1..])?,
+                        _ => later.push(slot),
+                    }
+                }
+                Ok(())
+            })??;
+            for slot in later {
+                visit(at(slot), &self.read(at(slot))?)?;
             }
         }
-        let mut out = Vec::with_capacity(heads.len());
-        for id in heads {
-            out.push((id, self.read(id)?));
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Number of pages in `segment`.
@@ -1302,8 +1317,9 @@ impl ObjectStore {
         self.pool.corrupt_page_byte(page, offset, mask)
     }
 
-    /// The pages of `segment`, in adoption order — what `scrub` walks;
-    /// exposed so tests can pick corruption targets.
+    /// The pages of `segment`, in adoption order — what `scrub` walks
+    /// and [`ObjectStore::scan`] takes; tests pick corruption targets
+    /// from it.
     pub fn pages_of(&self, segment: SegmentId) -> StorageResult<Vec<u64>> {
         Ok(self.segment(segment)?.pages().to_vec())
     }
@@ -1368,6 +1384,19 @@ fn faulty_store(
     );
     st.recover().unwrap();
     (st, disk, log)
+}
+
+/// Every live record of `seg`, collected from [`ObjectStore::scan`] over
+/// all its pages; panics on a scan error.
+#[cfg(test)]
+fn scan_all(st: &ObjectStore, seg: SegmentId) -> Vec<(PhysId, Vec<u8>)> {
+    let mut out = Vec::new();
+    st.scan(seg, &st.pages_of(seg).unwrap(), |id, bytes| {
+        out.push((id, bytes.to_vec()));
+        Ok(())
+    })
+    .unwrap();
+    out
 }
 
 #[cfg(test)]
@@ -1467,7 +1496,7 @@ mod tests {
         let a = st.insert(seg, b"a", None).unwrap();
         let b = st.insert(seg, b"b", None).unwrap();
         st.delete(a).unwrap();
-        let recs = st.scan(seg).unwrap();
+        let recs = scan_all(&st, seg);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].0, b);
         assert_eq!(recs[0].1, b"b");
@@ -1479,8 +1508,8 @@ mod tests {
         let a = st.create_segment().unwrap();
         let b = st.create_segment().unwrap();
         st.insert(a, b"in a", None).unwrap();
-        assert_eq!(st.scan(b).unwrap().len(), 0);
-        assert_eq!(st.scan(a).unwrap().len(), 1);
+        assert_eq!(scan_all(&st, b).len(), 0);
+        assert_eq!(scan_all(&st, a).len(), 1);
     }
 
     #[test]
@@ -1488,7 +1517,7 @@ mod tests {
         let mut st = store();
         let bad = SegmentId(42);
         assert!(st.insert(bad, b"x", None).is_err());
-        assert!(st.scan(bad).is_err());
+        assert!(st.scan(bad, &[], |_, _| Ok(())).is_err());
     }
 
     #[test]
@@ -1540,7 +1569,7 @@ mod tests {
         let big = vec![1u8; 50_000];
         let id = st.insert(seg, &big, None).unwrap();
         st.delete(id).unwrap();
-        assert_eq!(st.scan(seg).unwrap().len(), 0);
+        assert_eq!(scan_all(&st, seg).len(), 0);
         // Freed space is reusable: the same insert fits again without
         // growing the segment unboundedly.
         let pages_before = st.segment_pages(seg).unwrap();
@@ -1561,7 +1590,7 @@ mod tests {
         assert_eq!(displaced, big, "a chained record is displaced whole");
         assert_eq!(st.read(id3).unwrap(), vec![3u8; 50]);
         // All chunks freed: scan sees exactly one record.
-        assert_eq!(st.scan(seg).unwrap().len(), 1);
+        assert_eq!(scan_all(&st, seg).len(), 1);
     }
 
     #[test]
@@ -1571,11 +1600,39 @@ mod tests {
         let big = vec![9u8; 30_000];
         let id_big = st.insert(seg, &big, None).unwrap();
         let id_small = st.insert(seg, b"tiny", None).unwrap();
-        let recs = st.scan(seg).unwrap();
+        let recs = scan_all(&st, seg);
         assert_eq!(recs.len(), 2);
         let by_id: HashMap<PhysId, Vec<u8>> = recs.into_iter().collect();
         assert_eq!(by_id[&id_big], big);
         assert_eq!(by_id[&id_small], b"tiny");
+    }
+
+    #[test]
+    fn scan_visits_in_page_then_slot_order_and_fails_on_a_bad_tag() {
+        let mut st = store();
+        let seg = st.create_segment().unwrap();
+        let mut ids = vec![st.insert(seg, b"first", None).unwrap()];
+        ids.push(st.insert(seg, &vec![7u8; 30_000], Some(ids[0])).unwrap());
+        for i in 0..40u8 {
+            ids.push(st.insert(seg, &[i; 300], Some(ids[0])).unwrap());
+        }
+        let pages = st.pages_of(seg).unwrap();
+        let position = |id: &PhysId| (pages.iter().position(|&p| p == id.page), id.slot);
+        ids.sort_by_key(position);
+        let seen: Vec<PhysId> = scan_all(&st, seg).into_iter().map(|(id, _)| id).collect();
+        assert_eq!(seen, ids);
+        // A record whose tag is neither inline, chained nor a chunk fails
+        // the scan as it fails a point read.
+        let last = *ids.last().unwrap();
+        st.pool
+            .with_page_mut(last.page, |p| p.update(last.slot, &[0xee; 8]))
+            .unwrap()
+            .unwrap();
+        let got = st.scan(seg, &pages, |_, _| Ok(()));
+        assert!(
+            matches!(got, Err(StorageError::DanglingPhysId { .. })),
+            "{got:?}"
+        );
     }
 
     #[test]
@@ -1672,10 +1729,13 @@ mod fault_tests {
         st.insert(seg2, b"doomed too", None).unwrap();
         st.update(keep, b"DOOMED").unwrap();
         st.abort_atomic().unwrap();
-        assert_eq!(st.scan(seg).unwrap().len(), 1);
+        assert_eq!(scan_all(&st, seg).len(), 1);
         assert_eq!(st.read(keep).unwrap(), b"keep");
         assert_eq!(st.segment_pages(seg).unwrap(), pages_pre);
-        assert!(st.scan(seg2).is_err(), "aborted segment does not exist");
+        assert!(
+            st.scan(seg2, &[], |_, _| Ok(())).is_err(),
+            "aborted segment does not exist"
+        );
         // The rolled-back id is handed out again.
         assert_eq!(st.create_segment().unwrap(), seg2);
     }
@@ -1731,9 +1791,7 @@ mod recovery_tests {
 
     /// Physical-address-free state digest: the multiset of live records.
     fn fingerprint(st: &ObjectStore, seg: SegmentId) -> Vec<Vec<u8>> {
-        let mut recs: Vec<Vec<u8>> = st
-            .scan(seg)
-            .unwrap()
+        let mut recs: Vec<Vec<u8>> = scan_all(st, seg)
             .into_iter()
             .map(|(_, bytes)| bytes)
             .collect();
@@ -1901,12 +1959,12 @@ mod recovery_tests {
             Err(StorageError::ReadOnly)
         ));
         assert!(matches!(st.checkpoint(), Err(StorageError::ReadOnly)));
-        assert_eq!(st.scan(seg).unwrap().len(), 1, "degraded reads still work");
+        assert_eq!(scan_all(&st, seg).len(), 1, "degraded reads still work");
         st.recover().unwrap();
         assert_eq!(st.health(), HealthState::Healthy);
         // The crash hit after the durability point, so "x" committed.
         st.insert(seg, b"y", None).unwrap();
-        assert_eq!(st.scan(seg).unwrap().len(), 2);
+        assert_eq!(scan_all(&st, seg).len(), 2);
     }
 
     #[test]
@@ -2012,11 +2070,14 @@ mod recovery_tests {
             st.insert(seg, b"y", None),
             Err(StorageError::NeedsRecovery)
         ));
-        assert!(matches!(st.scan(seg), Err(StorageError::NeedsRecovery)));
+        assert!(matches!(
+            st.scan(seg, &[], |_, _| Ok(())),
+            Err(StorageError::NeedsRecovery)
+        ));
         assert!(matches!(st.checkpoint(), Err(StorageError::NeedsRecovery)));
         st.recover().unwrap();
         assert_eq!(st.health(), HealthState::Healthy);
-        assert_eq!(st.scan(seg).unwrap().len(), 1);
+        assert_eq!(scan_all(&st, seg).len(), 1);
     }
 
     #[test]
@@ -2257,7 +2318,7 @@ mod recovery_tests {
             }
             assert!(res.is_err());
             st.recover().unwrap();
-            let recs = st.scan(seg).unwrap();
+            let recs = scan_all(&st, seg);
             assert_eq!(recs.len(), 1, "countdown={countdown}");
             assert_eq!(recs[0].1, b"anchor");
         }
@@ -2332,7 +2393,7 @@ mod no_force_tests {
         st.insert(seg, b"B's sibling", None).unwrap();
         st.abort_atomic().unwrap();
         assert_eq!(st.read(id).unwrap(), b"A");
-        assert_eq!(st.scan(seg).unwrap().len(), 1);
+        assert_eq!(scan_all(&st, seg).len(), 1);
         // The restored frame is what later commits build on...
         st.insert(seg, b"C", None).unwrap();
         assert_eq!(st.read(id).unwrap(), b"A");
@@ -2340,7 +2401,7 @@ mod no_force_tests {
         st.simulate_crash();
         st.recover().unwrap();
         assert_eq!(st.read(id).unwrap(), b"A");
-        assert_eq!(st.scan(seg).unwrap().len(), 2);
+        assert_eq!(scan_all(&st, seg).len(), 2);
     }
 
     /// Durability argument (c), torn flush: the log device tore B's

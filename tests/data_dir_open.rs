@@ -11,7 +11,11 @@
 //!   once: recovery scans what the device returns, and no in-memory copy
 //!   of the log is loaded beside it;
 //! - that read is a fault site: EIO or a short read there fails the open,
-//!   and a scrub, with the typed error and truncates nothing.
+//!   and a scrub, with the typed error and truncates nothing;
+//! - the rebuild that follows recovery (DESIGN.md §16.3) reopens inline
+//!   and chained records, deletes and relocations to the same object
+//!   count, class extensions and next serial, at one stripe and at
+//!   sixteen, and is one `corion_core_rebuild_latency_ns` sample.
 //!
 //! Refusing a directory of another version, untouched, is in
 //! `tests/page_records.rs`.
@@ -136,6 +140,97 @@ fn one_reopen_records_one_latency_sample() {
     assert_eq!(samples, 1, "one open, one sample");
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each class's direct members, sorted.
+fn members(db: &Database, classes: &[ClassId]) -> Vec<Vec<corion::Oid>> {
+    classes
+        .iter()
+        .map(|&c| {
+            let mut oids = db.instances_of(c, false);
+            oids.sort();
+            oids
+        })
+        .collect()
+}
+
+#[test]
+fn a_reopen_rebuilds_the_same_table_at_one_and_at_sixteen_stripes() {
+    for shards in [1, 16] {
+        let dir = fresh_dir(&format!("rebuild_{shards}"));
+        let config = DbConfig {
+            shards,
+            ..DbConfig::default()
+        };
+        let mut db = Database::open(&dir, config).unwrap();
+        let part = part_class(&mut db);
+        let asm = db
+            .define_class(ClassBuilder::new("Asm").attr("text", Domain::String))
+            .unwrap();
+        // Inline records, and every 50th one oversized: chained over pages.
+        let parts: Vec<_> = (0..600)
+            .map(|i| {
+                let text = if i % 50 == 7 {
+                    "x".repeat(20_000)
+                } else {
+                    format!("p{i}")
+                };
+                db.make(part, vec![("text", Value::Str(text))], vec![])
+                    .unwrap()
+            })
+            .collect();
+        let asms: Vec<_> = (0..40)
+            .map(|i| {
+                db.make(asm, vec![("text", Value::Str(format!("a{i}")))], vec![])
+                    .unwrap()
+            })
+            .collect();
+        db.checkpoint().unwrap();
+        // Deletes, and relocations: records that outgrow their page, and
+        // inline records that become chained. The last object made is
+        // deleted, so only the log remembers the highest serial.
+        for &p in parts.iter().step_by(9) {
+            db.delete(p).unwrap();
+        }
+        for (i, &p) in parts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 13 == 1 && i % 9 != 0)
+        {
+            let len = if i % 2 == 0 { 3_000 } else { 9_000 };
+            db.set_attr(p, "text", Value::Str("y".repeat(len))).unwrap();
+        }
+        db.delete(*asms.last().unwrap()).unwrap();
+        let before = (
+            db.object_count(),
+            members(&db, &[part, asm]),
+            db.next_serial_hint(),
+        );
+        drop(db);
+
+        let db = Database::open(&dir, config).unwrap();
+        let after = (
+            db.object_count(),
+            members(&db, &[part, asm]),
+            db.next_serial_hint(),
+        );
+        assert_eq!(after, before, "shards={shards}");
+        for oid in after.1.iter().flatten() {
+            db.get(*oid).unwrap();
+        }
+        let snap = db.metrics_snapshot();
+        let rebuilds = snap
+            .histogram("corion_core_rebuild_latency_ns")
+            .map_or(0, |h| h.count);
+        assert_eq!(rebuilds, 1, "one open, one rebuild");
+        assert_eq!(
+            snap.counter("corion_core_rebuild_records_total"),
+            before.0 as u64,
+            "every live record decoded once"
+        );
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A log device that counts whole-log reads.

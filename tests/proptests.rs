@@ -547,7 +547,14 @@ proptest! {
             for (id, expected) in &model {
                 prop_assert_eq!(&store.read(*id).unwrap(), expected);
             }
-            let live = store.scan(seg).unwrap().len();
+            let mut live = 0;
+            let pages = store.pages_of(seg).unwrap();
+            store
+                .scan(seg, &pages, |_, _| {
+                    live += 1;
+                    Ok(())
+                })
+                .unwrap();
             prop_assert_eq!(live, model.len());
         }
     }

@@ -450,3 +450,56 @@ fn an_immediate_change_cut_at_any_commit_reopens_consistent() {
         );
     }
 }
+
+/// A message whose instance batch rolls back — `Err` on a healthy store —
+/// takes its catalog and operation-log edits back with it: the schema
+/// still matches the instances, with no reopen. Shown for a type change,
+/// a dropped attribute and a dropped class.
+#[test]
+fn a_rolled_back_message_leaves_the_catalog_as_it_was() {
+    use corion::storage::{HealthState, CP_COMMIT_LOG};
+    let (mut db, doc, sec, docs, secs) = doc_world();
+    let spec = |db: &Database| db.class(doc).unwrap().attr("sections").map(|a| a.composite);
+    let before = spec(&db);
+    let objects = db.object_count();
+    type Message = fn(&mut Database, ClassId) -> corion::DbResult<()>;
+    let messages: [Message; 3] = [
+        |db, doc| {
+            db.change_attribute_type(
+                doc,
+                "sections",
+                AttrTypeChange::ToIndependent,
+                Maintenance::Immediate,
+            )
+        },
+        |db, doc| db.drop_attribute(doc, "sections"),
+        |db, doc| db.drop_class(doc),
+    ];
+    for (i, message) in messages.iter().enumerate() {
+        db.arm_crash_point(CP_COMMIT_LOG, 1);
+        let got = message(&mut db, doc);
+        db.heal_crash_points();
+        assert!(got.is_err(), "message {i} rolled back");
+        assert_eq!(db.health(), HealthState::Healthy);
+        assert_eq!(spec(&db), before, "message {i}");
+        assert_eq!(db.class_by_name("Document").unwrap(), doc);
+        assert_eq!(db.object_count(), objects);
+        assert_eq!(db.instances_of(doc, false).len(), docs.len());
+        for s in &secs {
+            let flags: Vec<bool> = db
+                .get(*s)
+                .unwrap()
+                .reverse_refs
+                .iter()
+                .map(|r| r.dependent)
+                .collect();
+            assert_eq!(flags, vec![true], "{s} after message {i}");
+        }
+        db.verify_integrity().unwrap();
+    }
+    // Unarmed, the type change goes through.
+    messages[0](&mut db, doc).unwrap();
+    assert!(!db.get(secs[0]).unwrap().reverse_refs[0].dependent);
+    assert_eq!(db.instances_of(sec, false).len(), secs.len());
+    db.verify_integrity().unwrap();
+}
