@@ -26,6 +26,7 @@ use crate::error::{DbError, DbResult};
 use crate::evolution::oplog::OperationLog;
 use crate::object::Object;
 use crate::oid::{ClassId, Oid};
+use crate::overlay::Overlay;
 use crate::schema::catalog::Catalog;
 use crate::schema::class::{Class, ClassBuilder};
 use crate::schema::lattice;
@@ -97,8 +98,7 @@ pub struct Database {
     pub(crate) registry: corion_obs::Registry,
     pub(crate) metrics: crate::metrics::CoreMetrics,
     /// `Some(dir)` when the engine was opened on a data directory
-    /// ([`Database::open`]): schema metadata is persisted there after every
-    /// DDL operation, and the storage substrate writes real files.
+    /// ([`Database::open`] or [`Database::with_devices`]).
     pub(crate) data_dir: Option<std::path::PathBuf>,
 }
 
@@ -162,22 +162,16 @@ impl Database {
     /// WAL, and a lock file that refuses a second opener — and crash
     /// recovery replays the committed WAL prefix before this returns, so an
     /// engine kill-9'd mid-commit reopens at the last durable batch
-    /// boundary. Schema metadata (catalog, operation logs, OID serial
-    /// floor) lives in a checksummed sidecar written atomically after every
-    /// DDL operation; the WAL is the authority for objects. The sidecar is
-    /// read first: a directory of another format version, or log or page
-    /// bytes with no sidecar, is refused with
-    /// [`corion_storage::StorageError::FormatVersion`] before any file is locked, created
-    /// or recovered, and a fresh directory is stamped.
+    /// boundary. The log is the one durable copy of everything, the schema
+    /// included; another format version is refused with
+    /// [`corion_storage::StorageError::FormatVersion`] before anything is
+    /// written (DESIGN.md §16.2).
     pub fn open(dir: impl AsRef<Path>, config: DbConfig) -> DbResult<Self> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(|_| corion_storage::StorageError::DeviceIo {
             op: "create data dir",
         })?;
-        let holds_data = [FileWal::LOG_FILE, FileDisk::PAGES_FILE, FileDisk::SUMS_FILE]
-            .iter()
-            .any(|name| std::fs::metadata(dir.join(name)).is_ok_and(|m| m.len() > 0));
-        Self::open_over(dir, config, holds_data, |r| {
+        Self::open_over(dir, config, |r| {
             let lock = Some(corion_storage::DirLock::acquire(dir)?);
             let dm = corion_storage::DeviceMetrics::new(r);
             let disk = Arc::new(FileDisk::open(dir, dm.clone())?);
@@ -195,45 +189,36 @@ impl Database {
     /// crash-test seam. [`Database::open`] wires real files directly; this
     /// constructor lets a harness interpose
     /// [`corion_storage::FaultyDevice`] wrappers (torn writes, lying
-    /// fsyncs, EIO) while sharing the data directory's schema sidecar, so
-    /// a fault-injected engine and a later plain reopen of the same
-    /// directory see the same database. No lock file is taken: the
-    /// harness owns the directory's lifecycle. Otherwise it opens as
-    /// [`Database::open`] does, the devices standing in for the files.
+    /// fsyncs, EIO) over the files of `dir`, so a fault-injected engine and
+    /// a later plain reopen of the same directory see the same database.
+    /// No lock file is taken: the harness owns the directory's lifecycle.
+    /// Otherwise it opens as [`Database::open`] does, the devices standing
+    /// in for the files.
     pub fn with_devices(
         dir: impl AsRef<Path>,
         config: DbConfig,
         disk: Arc<dyn corion_storage::BlockDevice>,
         log: Arc<dyn corion_storage::LogDevice>,
     ) -> DbResult<Self> {
-        let holds_data = !log.is_empty() || disk.page_count() > 0;
-        Self::open_over(dir.as_ref(), config, holds_data, |r| {
+        Self::open_over(dir.as_ref(), config, |r| {
             Ok(ObjectStore::with_devices(config.store, r, disk, log, None))
         })
     }
 
-    /// The one body of both opens: the sidecar's version check, the store
-    /// `devices` builds, the sidecar's schema (or the stamp of a fresh
-    /// directory), recovery and the derived-state rebuild — one
+    /// The one body of both opens: the store `devices` builds, then
+    /// recovery (the log's version check, the stamp of a fresh log, the
+    /// schema) and the derived-state rebuild — one
     /// `corion_storage_device_reopen_latency_ns` sample in all.
     fn open_over(
         dir: &Path,
         config: DbConfig,
-        holds_data: bool,
         devices: impl FnOnce(&Registry) -> DbResult<ObjectStore>,
     ) -> DbResult<Self> {
         let started = std::time::Instant::now();
-        let schema = Self::read_meta(dir, holds_data)?;
         let registry = Registry::new();
         let store = devices(&registry)?;
         let mut db = Self::assemble(config, registry, store);
         db.data_dir = Some(dir.to_path_buf());
-        match schema {
-            Some(schema) => db.install_schema(schema),
-            // Stamped before the first DDL logs anything, so a crash
-            // between that DDL's log flush and its sidecar write reopens.
-            None => db.persist_meta()?,
-        }
         db.recover()?;
         corion_storage::DeviceMetrics::new(&db.registry)
             .reopen_latency
@@ -283,14 +268,17 @@ impl Database {
     /// requested co-location (`same_segment_as`), which is what enables
     /// parent clustering between the two classes.
     pub fn define_class(&mut self, builder: ClassBuilder) -> DbResult<ClassId> {
-        self.forbid_in_transaction("change the schema")?;
-        let segment = match builder.share_segment_with {
-            Some(other) => self.catalog.class(other)?.segment,
-            None => self.store.create_segment()?,
-        };
-        let id = self.catalog.define(builder, segment)?;
+        let mut id = None;
+        self.schema_message(|db| {
+            let segment = match builder.share_segment_with {
+                Some(other) => db.catalog.class(other)?.segment,
+                None => db.store.create_segment()?,
+            };
+            id = Some(db.catalog.define(builder, segment)?);
+            Ok(Overlay::new())
+        })?;
+        let id = id.expect("a message that answers Ok defined the class");
         self.shards.ensure_class(id);
-        self.persist_meta()?;
         Ok(id)
     }
 
@@ -530,10 +518,9 @@ impl Database {
     //
     // The crash model is the storage layer's (DESIGN.md §10): a crash loses
     // buffer-pool frames and unflushed WAL bytes but keeps disk pages and
-    // flushed log bytes. The catalog and operation logs are engine memory —
-    // DDL is outside the crash scope, as in ORION where schema evolution was
-    // non-transactional; a data directory carries the schema across
-    // processes in its sidecar (see `persist`).
+    // flushed log bytes. Each schema change logs the schema image in its
+    // own batch, so the catalog and operation logs recover with the
+    // instances (see `persist`).
 
     /// Simulates a crash of the storage substrate: buffer-pool frames and
     /// unflushed WAL bytes are lost; disk pages and flushed WAL bytes
@@ -545,10 +532,11 @@ impl Database {
 
     /// Recovers after a crash (simulated or injected): replays the
     /// committed WAL tail into the page store, discards any torn or
-    /// uncommitted suffix, then rebuilds the engine's in-memory maps —
-    /// object table, class extensions, serial counter — by scanning every
-    /// recovered segment. A transaction open at the crash never
-    /// committed: its write set is dropped.
+    /// uncommitted suffix, installs the last committed schema image (the
+    /// empty schema if none was logged), then rebuilds the engine's
+    /// in-memory maps — object table, class extensions, serial counter —
+    /// by scanning every recovered segment. A transaction open at the
+    /// crash never committed: its write set is dropped.
     ///
     /// Idempotent: recovering an already-consistent engine is a no-op
     /// beyond the rescan.
@@ -557,6 +545,10 @@ impl Database {
         // Whatever was captured and not yet durable did not happen.
         self.capture.discard_pending();
         self.txn = None;
+        (self.catalog, self.oplogs) = match self.store.schema() {
+            Some(image) => Self::decode_schema(&mut corion_storage::codec::Reader::new(image))?,
+            None => Default::default(),
+        };
         self.rebuild_derived_state()?;
         Ok(report)
     }
@@ -653,18 +645,11 @@ impl Database {
     }
 
     /// Checkpoints the WAL: the log is compacted to a snapshot of the
-    /// current segment directory, bounding replay work. Refused while a
-    /// transaction is open.
+    /// current segment directory, the serial floor and the schema,
+    /// bounding replay work. Refused while a transaction is open.
     pub fn checkpoint(&mut self) -> DbResult<()> {
         self.forbid_in_transaction("checkpoint")?;
-        self.store.checkpoint()?;
-        // Refresh the persisted OID-serial floor: the sidecar is otherwise
-        // only written at DDL time, and the post-reopen scan can only see
-        // serials of *live* objects — without a floor, the serial of a
-        // deleted object could be reissued after a restart and captured by
-        // a dangling reference. A checkpoint is the natural place to
-        // tighten it.
-        self.persist_meta()
+        Ok(self.store.checkpoint()?)
     }
 
     /// Write-ahead-log counters (durable/pending bytes, records, flushes).
@@ -722,7 +707,7 @@ impl Database {
     /// The object must already exist.
     pub fn raw_overwrite_object(&mut self, obj: &Object) -> DbResult<()> {
         self.forbid_in_transaction("overwrite a stored image")?;
-        let mut overlay = crate::overlay::Overlay::new();
+        let mut overlay = Overlay::new();
         overlay.record_save(obj.clone());
         self.overlay_apply(overlay).map(drop)
     }

@@ -11,9 +11,9 @@
 //!   accessed.
 //!
 //! A message records its instance maintenance (rewrites and Deletion-Rule
-//! cascades) into one [`Overlay`], reading through it, and applies it as
-//! one logged batch before the schema sidecar is written
-//! ([`Database::schema_message`]). A batch that rolls back takes the
+//! cascades) into one [`Overlay`], reading through it, and applies it in
+//! one logged batch with the schema image the message leaves
+//! (`Database::schema_message`). A batch that rolls back takes the
 //! message's catalog and operation-log edits with it.
 
 pub mod deferred;
@@ -31,30 +31,35 @@ use crate::error::DbResult;
 use crate::overlay::Overlay;
 
 impl Database {
-    /// The one body of every §4 message. `edit` changes the catalog and
-    /// the operation logs and returns the instance maintenance it recorded;
-    /// that overlay is applied as one batch, then the schema sidecar is
-    /// written. An `Err` up to and including the apply, on a store that is
-    /// not poisoned, rolled the batch back: the catalog and the operation
-    /// logs are put back as they were, so the schema matches the instances
-    /// without a reopen. A poisoned store's batch is in doubt; `recover`
-    /// settles the instances, not the catalog (ROADMAP item 5).
+    /// The one body of every schema message. `edit` changes the catalog
+    /// and the operation logs and returns the instance maintenance it
+    /// recorded; one batch holds what `edit` logged (a `define_class`
+    /// segment), that overlay and the new schema image. On any `Err` the
+    /// catalog and operation logs are put back. On a healthy store the
+    /// batch rolled back, and the object table the nested apply moved is
+    /// rebuilt from the pages; a poisoned store's batch is in doubt, and
+    /// [`Database::recover`] settles catalog and instances from the log.
     pub(crate) fn schema_message(
         &mut self,
         edit: impl FnOnce(&mut Self) -> DbResult<Overlay>,
     ) -> DbResult<()> {
         self.forbid_in_transaction("change the schema")?;
         let before = (self.catalog.clone(), self.oplogs.clone());
-        let applied = edit(self).and_then(|ov| match ov.is_empty() {
-            true => Ok(()),
-            false => self.overlay_apply(ov).map(drop),
-        });
-        if let Err(e) = applied {
-            if self.store.health() != HealthState::Poisoned {
-                (self.catalog, self.oplogs) = before;
+        let mut applying = false;
+        let result = self.atomic(|db| {
+            let ov = edit(db)?;
+            if !ov.is_empty() {
+                applying = true;
+                db.overlay_apply(ov)?;
             }
-            return Err(e);
+            db.log_schema()
+        });
+        if result.is_err() {
+            (self.catalog, self.oplogs) = before;
+            if applying && self.store.health() == HealthState::Healthy {
+                self.rebuild_derived_state()?;
+            }
         }
-        self.persist_meta()
+        result
     }
 }

@@ -1,32 +1,32 @@
-//! Whole-database dump and restore, and the schema sidecar of a data
-//! directory.
+//! Whole-database dump and restore, and the schema image the log carries.
 //!
 //! Durability across processes comes from the data directory
-//! ([`Database::open`]): the WAL and page files hold the objects, and the
-//! sidecar below holds the schema. [`Database::dump`] /
-//! [`Database::restore`] are a portable copy beside that: a self-contained
-//! byte image of the catalog, the operation logs, and every object.
+//! ([`Database::open`]): the WAL and page files hold the objects, and each
+//! schema change logs the schema image (`Database::log_schema`) in its
+//! own batch. [`Database::dump`] / [`Database::restore`] are a portable
+//! copy beside that: a self-contained byte image of the catalog, the
+//! operation logs, the OID serial counter, and every object.
 //! Objects are written segment by segment in physical scan order, and
 //! restored with a chain of `near` hints, so the clustering the `:parent`
 //! clauses built up (§2.3) survives the round trip.
 //!
-//! Both are sealed the same way: an 8-byte header carrying the
+//! A dump is sealed: an 8-byte header carrying the
 //! data-directory format version ([`format_header`]), the body, and a
 //! trailing FNV-1a checksum over both. Another version is refused with
 //! [`StorageError::FormatVersion`] before anything else is read, and a
 //! truncated or bit-flipped image is rejected instead of half-restored;
 //! everything uses the same hand-rolled codec as the page layer, so a dump
 //! is readable without any external crate. [`Database::save_to_file`]
-//! writes through a temporary file and renames it into place, so a crash
-//! mid-save leaves the previous dump intact. Crash recovery of the
+//! writes through [`corion_storage::atomic_replace`], so a crash mid-save
+//! leaves the previous dump intact. Crash recovery of the
 //! *in-process* store (WAL replay + in-memory map rebuild) is
 //! [`Database::recover`] in `db`.
 
 use std::collections::HashMap;
-use std::path::Path;
+use std::sync::atomic::Ordering;
 
 use corion_storage::codec::{self, Reader};
-use corion_storage::wal::{check_format_header, format_header, FORMAT_VERSION};
+use corion_storage::wal::{check_format_header, format_header};
 use corion_storage::{fnv1a64, SegmentId, StorageError};
 
 use crate::db::Database;
@@ -36,23 +36,18 @@ use crate::object::Object;
 use crate::oid::ClassId;
 use crate::schema::catalog::Catalog;
 
-/// File name of the schema sidecar inside a data directory.
-pub(crate) const META_FILE: &str = "meta.corion";
-
-/// Header magics of a dump and of the schema sidecar, the file beside a
-/// data directory's WAL and page files that holds its [`Schema`].
+/// Header magic of a dump.
 const DUMP_MAGIC: &[u8; 7] = b"CORION0";
-const META_MAGIC: &[u8; 7] = b"CORIONM";
 
-/// The "engine memory" the crash model does not cover: the catalog, the
-/// OID serial counter, and every class's operation log.
-pub(crate) type Schema = (Catalog, u64, HashMap<ClassId, OperationLog>);
+/// The schema: the catalog and every class's operation log.
+pub(crate) type Schema = (Catalog, HashMap<ClassId, OperationLog>);
 
-/// A reader over the body of a sealed image. The header is checked first,
-/// so another format version is refused however its body is laid out;
-/// then the checksum, whose failure is reported as `what`.
-fn unseal<'a>(image: &'a [u8], magic: &[u8; 7], what: &'static str) -> DbResult<Reader<'a>> {
-    check_format_header(image, magic)?;
+/// A reader over the body of a dump. The header is checked first, so
+/// another format version is refused however its body is laid out; then
+/// the checksum.
+fn unseal(image: &[u8]) -> DbResult<Reader<'_>> {
+    check_format_header(image, DUMP_MAGIC)?;
+    let what = "dump checksum";
     if image.len() < 16 {
         return Err(StorageError::Truncated { context: what }.into());
     }
@@ -71,6 +66,7 @@ impl Database {
         self.forbid_in_transaction("dump")?;
         let mut buf = format_header(DUMP_MAGIC).to_vec();
         self.encode_schema(&mut buf);
+        codec::put_u64(&mut buf, self.next_serial.load(Ordering::Relaxed));
         // Objects, per segment in physical scan order (clustering-faithful).
         let mut segments: Vec<SegmentId> = self
             .catalog
@@ -107,11 +103,14 @@ impl Database {
     /// given configuration for the new store. An image of another format
     /// version is refused with [`StorageError::FormatVersion`].
     pub fn restore(image: &[u8], config: crate::db::DbConfig) -> DbResult<Database> {
-        let mut r = unseal(image, DUMP_MAGIC, "dump checksum")?;
+        let mut r = unseal(image)?;
         let schema = Self::decode_schema(&mut r)?;
+        let next_serial = r.u64("next serial")?;
         let mut db = Database::with_config(config);
-        db.install_schema(schema);
-        // Recreate segments 0..=max referenced by the catalog.
+        (db.catalog, db.oplogs) = schema;
+        db.next_serial.store(next_serial, Ordering::Relaxed);
+        // Recreate segments 0..=max referenced by the catalog, in one
+        // batch with the serial floor and the schema the image carries.
         let max_seg = db
             .catalog
             .all_classes()
@@ -119,9 +118,13 @@ impl Database {
             .filter_map(|&c| db.catalog.class(c).ok().map(|c| c.segment.0))
             .max()
             .unwrap_or(0);
-        for _ in 0..=max_seg {
-            db.store.create_segment()?;
-        }
+        db.atomic(|db| {
+            for _ in 0..=max_seg {
+                db.store.create_segment()?;
+            }
+            db.store.note_serial_floor(next_serial);
+            db.log_schema()
+        })?;
         // Objects: re-insert in dump order, chaining near-hints to keep the
         // original physical neighbourhoods together; the object table and
         // extensions are rebuilt from the pages once at the end.
@@ -138,47 +141,18 @@ impl Database {
         Ok(db)
     }
 
-    /// Dumps to a file, atomically: the image is written to a sibling
-    /// temporary file, fsynced, renamed into place, and the parent
-    /// directory is fsynced, so a crash mid-save never clobbers an existing
-    /// dump with a partial one — the rename only happens once every byte is
-    /// durable, the rename itself is durable once the directory entry is
-    /// (a rename lives in the directory, not the file, so skipping the
-    /// parent fsync can lose the *name* while keeping the bytes), and a
-    /// failed rename removes the temporary instead of leaving an orphan
-    /// beside the dump.
+    /// Dumps to a file, atomically ([`corion_storage::atomic_replace`]):
+    /// the image goes to `<path>.tmp`, is fsynced, renamed into place, and
+    /// the parent directory is fsynced, so a crash mid-save never clobbers
+    /// an existing dump with a partial one, and a failed write or rename
+    /// removes the temporary instead of leaving an orphan beside the dump.
     pub fn save_to_file(&mut self, path: impl AsRef<std::path::Path>) -> DbResult<()> {
-        use std::io::Write;
         let image = self.dump()?;
-        let path = path.as_ref();
-        let mut tmp_name = path.as_os_str().to_owned();
-        tmp_name.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp_name);
-        let io_err = |e: std::io::Error| DbError::SchemaChangeRejected {
-            reason: format!("failed to write dump: {e}"),
-        };
-        let write_synced = |tmp: &std::path::Path| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(tmp)?;
-            f.write_all(&image)?;
-            // Durability point: without this, the rename can land before
-            // the data and a crash leaves a valid name on garbage bytes.
-            f.sync_all()
-        };
-        if let Err(e) = write_synced(&tmp) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(io_err(e));
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(io_err(e));
-        }
-        // Second durability point: the rename is a directory mutation, and
-        // directories have write-back caches too.
-        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
-        if let Some(parent) = parent {
-            corion_storage::fsync_dir(parent).map_err(io_err)?;
-        }
-        Ok(())
+        corion_storage::atomic_replace(path.as_ref(), &image).map_err(|e| {
+            DbError::SchemaChangeRejected {
+                reason: format!("failed to write dump: {e}"),
+            }
+        })
     }
 
     /// Restores from a file.
@@ -193,18 +167,22 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Schema codec — shared by whole-database dumps and the data-directory
-    // metadata sidecar.
+    // Schema codec — shared by whole-database dumps and the log's schema
+    // records.
     // ------------------------------------------------------------------
 
-    /// Encodes the "engine memory" the crash model does not cover: the
-    /// catalog, the OID serial counter, and every class's operation log.
+    /// Logs the schema image in the open batch: it commits with the batch
+    /// and is what [`Database::recover`] installs. The image carries no
+    /// serial; the log's serial-floor records do.
+    pub(crate) fn log_schema(&mut self) -> DbResult<()> {
+        let mut image = Vec::new();
+        self.encode_schema(&mut image);
+        Ok(self.store.log_schema(image)?)
+    }
+
+    /// Encodes the schema: the catalog and every class's operation log.
     fn encode_schema(&self, buf: &mut Vec<u8>) {
         self.catalog.encode(buf);
-        codec::put_u64(
-            buf,
-            self.next_serial.load(std::sync::atomic::Ordering::Relaxed),
-        );
         let mut log_classes: Vec<ClassId> = self.oplogs.keys().copied().collect();
         log_classes.sort();
         codec::put_varint(buf, log_classes.len() as u64);
@@ -229,9 +207,8 @@ impl Database {
     }
 
     /// Inverse of [`Database::encode_schema`].
-    fn decode_schema(r: &mut Reader<'_>) -> DbResult<Schema> {
+    pub(crate) fn decode_schema(r: &mut Reader<'_>) -> DbResult<Schema> {
         let catalog = Catalog::decode(r)?;
-        let next_serial = r.u64("next serial")?;
         let n_logs = r.varint("oplog count")? as usize;
         let mut oplogs = HashMap::new();
         for _ in 0..n_logs {
@@ -260,61 +237,7 @@ impl Database {
             }
             oplogs.insert(class, log);
         }
-        Ok((catalog, next_serial, oplogs))
-    }
-
-    /// Makes `schema` the engine's own.
-    pub(crate) fn install_schema(&mut self, (catalog, next_serial, oplogs): Schema) {
-        self.catalog = catalog;
-        self.oplogs = oplogs;
-        self.next_serial
-            .store(next_serial, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    // ------------------------------------------------------------------
-    // Data-directory schema sidecar
-    // ------------------------------------------------------------------
-
-    /// Writes the schema sidecar into the data directory, atomically
-    /// (tmp + fsync + rename + directory fsync — the same discipline as
-    /// [`Database::save_to_file`]). A no-op for in-memory engines. Called
-    /// after every DDL operation and at [`Database::checkpoint`], so the
-    /// sidecar a reopen loads is never newer than the WAL it sits beside.
-    pub(crate) fn persist_meta(&mut self) -> DbResult<()> {
-        let Some(dir) = self.data_dir.clone() else {
-            return Ok(());
-        };
-        let mut buf = format_header(META_MAGIC).to_vec();
-        self.encode_schema(&mut buf);
-        let sum = fnv1a64(&buf);
-        codec::put_u64(&mut buf, sum);
-        corion_storage::atomic_replace(&dir.join(META_FILE), &buf).map_err(|_| {
-            DbError::Storage(StorageError::DeviceIo {
-                op: "schema sidecar write",
-            })
-        })
-    }
-
-    /// Reads the schema sidecar of `dir`, the first step of every open.
-    /// `None` is a fresh directory: no sidecar, and its log and page store
-    /// hold no byte (`holds_data`). Data with no sidecar is refused
-    /// (`found: 0`), since an empty catalog would orphan every object.
-    pub(crate) fn read_meta(dir: &Path, holds_data: bool) -> DbResult<Option<Schema>> {
-        let image = match std::fs::read(dir.join(META_FILE)) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && !holds_data => return Ok(None),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let expected = FORMAT_VERSION;
-                return Err(StorageError::FormatVersion { found: 0, expected }.into());
-            }
-            Err(_) => {
-                return Err(DbError::Storage(StorageError::DeviceIo {
-                    op: "schema sidecar read",
-                }))
-            }
-        };
-        let mut r = unseal(&image, META_MAGIC, "schema sidecar checksum")?;
-        Ok(Some(Self::decode_schema(&mut r)?))
+        Ok((catalog, oplogs))
     }
 }
 
@@ -542,14 +465,17 @@ mod tests {
             .verify_integrity()
             .unwrap();
         // A bare filename has an empty parent component; the fsync must be
-        // skipped rather than attempted on "" (which would error despite a
-        // successful save). `Path::parent` models this case.
-        assert_eq!(
-            std::path::Path::new("bare.corion")
-                .parent()
-                .filter(|p| !p.as_os_str().is_empty()),
-            None
-        );
+        // skipped rather than attempted on "" (which would fail the save
+        // after its rename landed). It lands in the working directory.
+        let bare = format!("corion_bare_{}.corion", std::process::id());
+        let saved = db.save_to_file(&bare);
+        let back = Database::load_from_file(&bare, DbConfig::default());
+        std::fs::remove_file(&bare).ok();
+        saved.unwrap();
+        back.unwrap().verify_integrity().unwrap();
+        let mut tmp = bare.clone();
+        tmp.push_str(".tmp");
+        assert!(!std::path::Path::new(&tmp).exists(), "no temporary left");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -603,30 +529,24 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_schema_sidecar_is_rejected_not_ignored() {
-        let dir = std::env::temp_dir().join(format!("corion_openmeta_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        {
-            let mut db = Database::open(&dir, DbConfig::default()).unwrap();
-            db.define_class(ClassBuilder::new("Part")).unwrap();
-        }
-        let meta = dir.join(super::META_FILE);
-        let mut bytes = std::fs::read(&meta).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&meta, &bytes).unwrap();
-        let err = match Database::open(&dir, DbConfig::default()) {
-            Err(e) => e,
-            Ok(_) => panic!("corrupt sidecar must fail"),
+    fn recovery_installs_the_schema_the_log_committed() {
+        let catalog = |db: &Database| {
+            let mut bytes = Vec::new();
+            db.catalog().encode(&mut bytes);
+            bytes
         };
-        assert!(
-            matches!(
-                err,
-                crate::DbError::Storage(corion_storage::StorageError::Corrupt { .. })
-            ),
-            "bit-flipped sidecar must be rejected, got {err:?}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        let mut db = populated();
+        let asm = db.class_by_name("Asm").unwrap();
+        db.drop_attribute(asm, "label").unwrap();
+        let want = catalog(&db);
+        db.simulate_crash();
+        db.recover().unwrap();
+        assert_eq!(catalog(&db), want, "from the schema record");
+        db.checkpoint().unwrap();
+        db.simulate_crash();
+        db.recover().unwrap();
+        assert_eq!(catalog(&db), want, "re-asserted by the checkpoint");
+        db.verify_integrity().unwrap();
     }
 
     #[test]

@@ -238,33 +238,27 @@ impl LogDevice for MemLog {
     }
 }
 
-/// Fsyncs a directory so a rename inside it is itself durable. POSIX
-/// makes the rename atomic but *not* persistent until the directory
-/// entry is flushed — the missing half of every naive tmp+rename.
-pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
-/// Writes `contents` to `path` atomically: tmp file, flush, rename,
-/// parent-directory fsync. A crash anywhere leaves either the old file
-/// or the new one, never a torn hybrid.
+/// Writes `contents` to `path` atomically: `<file name>.tmp` beside it,
+/// fsync, rename, parent-directory fsync. A crash anywhere leaves either
+/// the old file or the new one, never a torn hybrid; a failed write or
+/// rename removes the temporary.
 pub fn atomic_replace(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let mut f = File::create(&tmp)?;
-    if let Err(e) = f.write_all(contents).and_then(|()| f.sync_all()) {
-        drop(f);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp)
+        .and_then(|mut f| f.write_all(contents).and_then(|()| f.sync_all()))
+        .and_then(|()| fs::rename(&tmp, path));
+    if let Err(e) = written {
         let _ = fs::remove_file(&tmp);
         return Err(e);
     }
-    drop(f);
-    if let Err(e) = fs::rename(&tmp, path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
+    // POSIX makes the rename atomic but not persistent until the directory
+    // entry is flushed. A bare file name's parent is "": nothing to open.
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => File::open(dir)?.sync_all(),
+        _ => Ok(()),
     }
-    if let Some(dir) = path.parent() {
-        fsync_dir(dir)?;
-    }
-    Ok(())
 }
 
 fn io_fault(op: &'static str, e: &std::io::Error) -> StorageError {

@@ -106,7 +106,8 @@ pub enum StorageError {
     /// A data directory or dump of another format version
     /// ([`crate::wal::FORMAT_VERSION`]): refused, never decoded.
     FormatVersion {
-        /// The version found; 0 for log or page bytes with no sidecar.
+        /// The version found; 0 when the bytes carry no header (a log
+        /// without one, or page bytes beside an empty log).
         found: u8,
         /// The version this build reads and writes.
         expected: u8,
@@ -189,7 +190,7 @@ impl fmt::Display for StorageError {
             }
             StorageError::FormatVersion { found, expected } => write!(
                 f,
-                "format version {found} found (0: no sidecar), this build reads version {expected}"
+                "format version {found} found (0: no header), this build reads version {expected}"
             ),
         }
     }

@@ -68,8 +68,8 @@ pub mod wal;
 
 pub use buffer::{BufferPool, BufferStats};
 pub use device::{
-    atomic_replace, fsync_dir, BlockDevice, DeviceMetrics, DirLock, FaultyDevice, FileDisk,
-    FileWal, InjectedFaults, LogDevice, MemLog, ReplaceCrash,
+    atomic_replace, BlockDevice, DeviceMetrics, DirLock, FaultyDevice, FileDisk, FileWal,
+    InjectedFaults, LogDevice, MemLog, ReplaceCrash,
 };
 pub use disk::{DiskStats, SimDisk};
 pub use error::{StorageError, StorageResult};

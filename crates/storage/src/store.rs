@@ -195,6 +195,8 @@ struct BatchState {
     /// here — erasing the batch's mid-batch segment records — and reuses
     /// the erased LSNs so the durable sequence never gaps.
     wal_mark: WalMark,
+    /// The schema image the batch logged; adopted when it commits.
+    schema: Option<Vec<u8>>,
 }
 
 /// Record tags (first byte of every stored record).
@@ -253,6 +255,9 @@ pub struct ObjectStore {
     /// (see [`WalRecord::SerialFloor`]); carried into checkpoint
     /// truncations and restored by recovery so serials are never reused.
     serial_floor: u64,
+    /// The last committed schema image (see [`ObjectStore::log_schema`]);
+    /// carried into checkpoint truncations and restored by recovery.
+    schema: Option<Vec<u8>>,
     metrics: StoreMetrics,
     /// Held for a directory-backed store: releasing it (on drop) lets
     /// another process open the same data directory.
@@ -277,7 +282,7 @@ impl ObjectStore {
     /// Creates a store over a fresh [`SimDisk`] and [`MemLog`] whose
     /// metrics are interned in `registry`, so one snapshot covers this
     /// store alongside the layers above it. Both devices are empty, so the
-    /// store starts healthy with nothing to recover.
+    /// store starts healthy with a stamped log and nothing to recover.
     pub fn with_registry(config: StoreConfig, registry: &Registry) -> Self {
         let mut store = Self::with_devices(
             config,
@@ -286,6 +291,7 @@ impl ObjectStore {
             Arc::new(MemLog::new()),
             None,
         );
+        store.wal.stamp().expect("a MemLog accepts its header");
         store.set_health(HealthState::Healthy);
         store
     }
@@ -315,6 +321,7 @@ impl ObjectStore {
             last_logged: HashMap::new(),
             durable_commit_lsn: 0,
             serial_floor: 0,
+            schema: None,
             metrics: StoreMetrics::new(registry),
             _lock: lock,
         };
@@ -410,6 +417,22 @@ impl ObjectStore {
     /// recovered from the log (see [`ObjectStore::note_serial_floor`]).
     pub fn serial_floor(&self) -> u64 {
         self.serial_floor
+    }
+
+    /// Logs `image`, the engine's schema, in the open batch. It becomes
+    /// [`ObjectStore::schema`] when the batch commits; an aborted batch
+    /// leaves the previous one in place.
+    pub fn log_schema(&mut self, image: Vec<u8>) -> StorageResult<()> {
+        let batch = self.batch.as_mut().ok_or(StorageError::NoBatchOpen)?;
+        batch.schema = Some(image.clone());
+        self.log_append(&WalRecord::Schema { image });
+        Ok(())
+    }
+
+    /// The last committed schema image: logged by a batch, re-asserted by
+    /// every checkpoint, recovered from the log. `None` until one commits.
+    pub fn schema(&self) -> Option<&[u8]> {
+        self.schema.as_deref()
     }
 
     /// Creates a new, empty segment (a logged, atomic operation: segment
@@ -915,6 +938,7 @@ impl ObjectStore {
             created: Vec::new(),
             adopted: Vec::new(),
             wal_mark: self.wal.mark(),
+            schema: None,
         });
         self.pool.set_no_steal(true);
         Ok(())
@@ -969,7 +993,9 @@ impl ObjectStore {
         // Phase 2: the durability point.
         self.log_and_flush(&images)?;
         self.last_logged.extend(images);
-        self.batch = None;
+        if let Some(schema) = self.batch.take().and_then(|b| b.schema) {
+            self.schema = Some(schema);
+        }
         self.metrics.commits.inc();
         // The commit is durable and its frames hold exactly the committed
         // after-images. A fault from here on degrades to read-only rather
@@ -1129,8 +1155,19 @@ impl ObjectStore {
         // may hold less than was acknowledged (a crash dropped lying-fsync
         // buffers) or more (a failed flush left a prefix there).
         let scan = self.wal.scan()?;
+        // An empty log starts a store. Beside pages it is a directory of
+        // no known format, refused before anything is written.
+        if scan.valid_len == 0 && self.pool.page_count() > 0 {
+            return Err(StorageError::FormatVersion {
+                found: 0,
+                expected: wal::FORMAT_VERSION,
+            });
+        }
         let state = replay(&scan);
         self.wal.truncate_durable(scan.valid_len)?;
+        if scan.valid_len == 0 {
+            self.wal.stamp()?;
+        }
         self.wal.set_next_lsn(scan.next_lsn);
         // The retained prefix ends at a commit marker (a batch's or a
         // checkpoint's): every later commit is numbered above it.
@@ -1148,6 +1185,7 @@ impl ObjectStore {
         }
         self.next_segment = next_segment;
         self.serial_floor = state.serial_floor;
+        self.schema = state.schema;
 
         for (&page, image) in &state.pages {
             self.pool.ensure_allocated(page)?;
@@ -1193,10 +1231,12 @@ impl ObjectStore {
             .map(|s| (s.id(), s.pages().to_vec()))
             .collect();
         segments.sort_by_key(|(id, _)| *id);
-        if let Err(e) = self
-            .wal
-            .install_checkpoint(self.next_segment, segments, self.serial_floor)
-        {
+        if let Err(e) = self.wal.install_checkpoint(
+            self.next_segment,
+            segments,
+            self.serial_floor,
+            self.schema.as_deref(),
+        ) {
             // The log swap failed partway: the device holds either the old
             // or the new log (the rename is atomic), but which one is
             // unknowable here. Poison; recovery re-reads the survivor.

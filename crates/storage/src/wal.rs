@@ -29,6 +29,11 @@
 //! | 7 | serial floor |
 //! | 8 | page image |
 //! | 9 | page delta with moves |
+//! | 10 | schema image (opaque to storage) |
+//!
+//! The log starts with an 8-byte header, [`format_header`]`(`[`LOG_MAGIC`]`)`,
+//! and the records follow it. An empty log is a fresh one: recovery
+//! stamps the header with an append and a sync before anything is logged.
 //!
 //! ## Page records: one range codec
 //!
@@ -63,8 +68,8 @@
 //!
 //! ## Format version
 //!
-//! These records, the page layout, and the sidecar and dump that carry
-//! the version in their headers ([`format_header`]) are one format,
+//! These records, the page layout, and the log and dump that carry the
+//! version in their headers ([`format_header`]) are one format,
 //! [`FORMAT_VERSION`]; another version is refused, never decoded.
 //!
 //! ## Crash model
@@ -94,14 +99,14 @@ pub type Lsn = u64;
 
 /// The data-directory format version (module docs). A change to any byte
 /// it covers bumps it and deletes the old decoder in the same change.
-pub const FORMAT_VERSION: u8 = 3;
+pub const FORMAT_VERSION: u8 = 4;
 
 /// FNV-1a of one record of every kind, a page, and a fixed database's
-/// sidecar and dump in [`FORMAT_VERSION`] (`tests/format_tripwire.rs`).
-pub const FORMAT_FINGERPRINT: u64 = 0x1ab6_27a0_2872_a47a;
+/// log and dump in [`FORMAT_VERSION`] (`tests/format_tripwire.rs`).
+pub const FORMAT_FINGERPRINT: u64 = 0x903a_cb6d_c9bd_056e;
 
 /// An 8-byte file header: the 7-byte `magic`, then [`FORMAT_VERSION`] as
-/// one byte offset by ASCII `'0'` (so the header reads `CORIONM3`).
+/// one byte offset by ASCII `'0'` (so the log's header reads `CORIONL4`).
 pub fn format_header(magic: &[u8; 7]) -> [u8; 8] {
     let mut header = [b'0' + FORMAT_VERSION; 8];
     header[..7].copy_from_slice(magic);
@@ -109,19 +114,18 @@ pub fn format_header(magic: &[u8; 7]) -> [u8; 8] {
 }
 
 /// Checks the [`format_header`] at the front of `bytes`:
-/// [`StorageError::Corrupt`] when the magic differs,
-/// [`StorageError::FormatVersion`] when the version does.
+/// [`StorageError::FormatVersion`] when the version differs, or with
+/// `found: 0` when `bytes` do not start with the header at all.
 pub fn check_format_header(bytes: &[u8], magic: &[u8; 7]) -> StorageResult<()> {
-    match bytes.get(..8) {
-        Some(header) if header[..7] == magic[..] => match header[7].wrapping_sub(b'0') {
-            FORMAT_VERSION => Ok(()),
-            found => Err(StorageError::FormatVersion {
-                found,
-                expected: FORMAT_VERSION,
-            }),
-        },
-        _ => Err(StorageError::Corrupt {
-            context: "format header",
+    let found = match bytes.get(..8) {
+        Some(header) if header[..7] == magic[..] => header[7].wrapping_sub(b'0'),
+        _ => 0,
+    };
+    match found {
+        FORMAT_VERSION => Ok(()),
+        found => Err(StorageError::FormatVersion {
+            found,
+            expected: FORMAT_VERSION,
         }),
     }
 }
@@ -134,6 +138,13 @@ const KIND_PAGE_DELTA: u8 = 6;
 const KIND_SERIAL_FLOOR: u8 = 7;
 const KIND_PAGE_IMAGE: u8 = 8;
 const KIND_PAGE_MOVES: u8 = 9;
+const KIND_SCHEMA: u8 = 10;
+
+/// Magic of the log's [`format_header`].
+pub const LOG_MAGIC: &[u8; 7] = b"CORIONL";
+
+/// Bytes of the log header; the first record starts here.
+pub const LOG_HEADER_LEN: usize = 8;
 
 /// Most moves a delta may carry: one per slot, and a page has fewer than
 /// `PAGE_SIZE / 4` slots (each directory entry is four bytes).
@@ -257,6 +268,13 @@ pub enum WalRecord {
     SerialFloor {
         /// The counter value after the allocation: the next safe serial.
         serial: u64,
+    },
+    /// The engine's schema after the batch that carries it: opaque bytes
+    /// here, the catalog and operation logs above. Replay keeps the last
+    /// committed one, and a checkpoint re-asserts it.
+    Schema {
+        /// The encoded schema.
+        image: Vec<u8>,
     },
     /// Snapshot of the segment directory, written when the log is
     /// truncated. Replay starts from the most recent one.
@@ -571,8 +589,8 @@ pub struct WalScan {
     /// Fully committed batches, oldest first; each ends at a commit marker
     /// (the marker itself is not included).
     pub committed: Vec<Vec<WalRecord>>,
-    /// Length of the durable prefix covered by committed batches; recovery
-    /// truncates the log here.
+    /// Length of the durable prefix covered by the header and committed
+    /// batches, 0 for an empty log; recovery truncates the log here.
     pub valid_len: usize,
     /// Whole records discarded past `valid_len` (an uncommitted tail).
     pub discarded_records: usize,
@@ -614,9 +632,11 @@ impl Default for Wal {
 }
 
 impl Wal {
-    /// Creates an empty log over a fresh [`MemLog`]; LSNs start at 1.
+    /// Creates a stamped log over a fresh [`MemLog`]; LSNs start at 1.
     pub fn new() -> Self {
-        Self::with_device(Arc::new(MemLog::new()))
+        let mut wal = Self::with_device(Arc::new(MemLog::new()));
+        wal.stamp().expect("a MemLog accepts its header");
+        wal
     }
 
     /// A log backed by `device`; reads nothing. The LSN counter starts at
@@ -710,10 +730,11 @@ impl Wal {
         next_segment: u32,
         segments: Vec<(SegmentId, Vec<u64>)>,
         serial_floor: u64,
+        schema: Option<&[u8]>,
     ) -> StorageResult<()> {
         let mut lsn = self.next_lsn;
         let mut records = 0u64;
-        let mut fresh = Vec::new();
+        let mut fresh = format_header(LOG_MAGIC).to_vec();
         let mut put = |fresh: &mut Vec<u8>, rec: &WalRecord| {
             encode_record(fresh, lsn, rec);
             lsn += 1;
@@ -736,6 +757,9 @@ impl Wal {
                 },
             );
         }
+        if let Some(image) = schema.map(<[u8]>::to_vec) {
+            put(&mut fresh, &WalRecord::Schema { image }); // likewise
+        }
         put(&mut fresh, &WalRecord::Commit);
         self.device.replace(&fresh)?;
         self.pending.clear();
@@ -743,6 +767,15 @@ impl Wal {
         self.next_lsn = lsn;
         self.records_appended += records;
         self.checkpoints += 1;
+        Ok(())
+    }
+
+    /// Writes the header of an empty log and syncs it, so a log that
+    /// holds any record also holds its format version.
+    pub fn stamp(&mut self) -> StorageResult<()> {
+        self.device.append(&format_header(LOG_MAGIC))?;
+        self.device.sync()?;
+        self.durable_len = LOG_HEADER_LEN;
         Ok(())
     }
 
@@ -774,15 +807,22 @@ impl Wal {
 
     /// Reads the durable log from the device, once, and walks it,
     /// collecting committed batches and locating the torn/uncommitted
-    /// tail. Only a device read fails: corruption terminates the scan
-    /// instead of propagating.
+    /// tail. An empty log scans clean with `valid_len` 0. Otherwise the
+    /// header comes first: another version is
+    /// [`StorageError::FormatVersion`], and a log that does not start with
+    /// the header carries no version (`found: 0`). Past the header,
+    /// corruption terminates the scan instead of propagating.
     pub fn scan(&self) -> StorageResult<WalScan> {
         let buf = self.device.read_all()?;
+        let start = match buf.is_empty() {
+            true => 0,
+            false => check_format_header(&buf, LOG_MAGIC).map(|()| LOG_HEADER_LEN)?,
+        };
         let mut committed = Vec::new();
         let mut batch = Vec::new();
-        let mut valid_len = 0usize;
+        let mut valid_len = start;
         let mut torn_tail = false;
-        let mut offset = 0usize;
+        let mut offset = start;
         let mut expect_lsn: Option<Lsn> = None;
         let mut next_lsn = self.next_lsn.max(1);
 
@@ -845,6 +885,10 @@ fn encode_record(buf: &mut Vec<u8>, lsn: Lsn, record: &WalRecord) {
         WalRecord::SerialFloor { serial } => {
             put_u8(buf, KIND_SERIAL_FLOOR);
             put_u64(buf, *serial);
+        }
+        WalRecord::Schema { image } => {
+            put_u8(buf, KIND_SCHEMA);
+            buf.extend_from_slice(image);
         }
         WalRecord::SegCreate { segment } => {
             put_u8(buf, KIND_SEG_CREATE);
@@ -927,6 +971,9 @@ fn decode_record(
         KIND_SERIAL_FLOOR => WalRecord::SerialFloor {
             serial: r.u64("wal serial").map_err(|_| "short body")?,
         },
+        KIND_SCHEMA => WalRecord::Schema {
+            image: r.rest().to_vec(),
+        },
         KIND_SEG_CREATE => WalRecord::SegCreate {
             segment: SegmentId(r.u32("wal seg").map_err(|_| "short body")?),
         },
@@ -986,6 +1033,7 @@ pub fn replay(scan: &WalScan) -> ReplayState {
                 WalRecord::SerialFloor { serial } => {
                     state.serial_floor = state.serial_floor.max(*serial);
                 }
+                WalRecord::Schema { image } => state.schema = Some(image.clone()),
                 WalRecord::SegCreate { segment } => {
                     state.segments.insert(*segment, Vec::new());
                     state.next_segment = state.next_segment.max(segment.0 + 1);
@@ -1022,6 +1070,8 @@ pub struct ReplayState {
     /// value for the engine's object-serial counter. Zero when the log
     /// never recorded one.
     pub serial_floor: u64,
+    /// The last committed [`WalRecord::Schema`] image, if any.
+    pub schema: Option<Vec<u8>>,
 }
 
 #[cfg(test)]
@@ -1034,7 +1084,9 @@ mod tests {
     /// arms it.
     fn faulty_wal() -> (Wal, FaultyDevice<MemLog>) {
         let log = FaultyDevice::new(MemLog::new(), DeviceMetrics::detached());
-        (Wal::with_device(Arc::new(log.clone())), log)
+        let mut wal = Wal::with_device(Arc::new(log.clone()));
+        wal.stamp().unwrap();
+        (wal, log)
     }
 
     /// Flushes the pending records through a device that tears the append
@@ -1215,7 +1267,7 @@ mod tests {
     fn checkpoint_resets_replay_state() {
         let mut wal = Wal::new();
         committed_batch(&mut wal, &[(0, 1), (1, 2)]);
-        wal.install_checkpoint(2, vec![(SegmentId(0), vec![0, 1])], 0)
+        wal.install_checkpoint(2, vec![(SegmentId(0), vec![0, 1])], 0, None)
             .unwrap();
         committed_batch(&mut wal, &[(1, 3)]);
         let scan = wal.scan().unwrap();
@@ -1233,7 +1285,7 @@ mod tests {
     fn stats_track_appends_flushes_checkpoints() {
         let mut wal = Wal::new();
         committed_batch(&mut wal, &[(0, 1)]);
-        wal.install_checkpoint(1, vec![], 0).unwrap();
+        wal.install_checkpoint(1, vec![], 0, None).unwrap();
         let s = wal.stats();
         assert_eq!(s.flushes, 1);
         assert_eq!(s.checkpoints, 1);
@@ -1462,11 +1514,64 @@ mod tests {
 
     #[test]
     fn empty_log_scans_clean() {
-        let scan = Wal::new().scan().unwrap();
+        let scan = Wal::with_device(Arc::new(MemLog::new())).scan().unwrap();
         assert!(scan.committed.is_empty());
         assert!(!scan.torn_tail);
         assert_eq!(scan.valid_len, 0);
         assert_eq!(scan.next_lsn, 1);
+        // A stamped log with no record is valid up to its header.
+        let scan = Wal::new().scan().unwrap();
+        assert!(scan.committed.is_empty() && !scan.torn_tail);
+        assert_eq!(scan.valid_len, LOG_HEADER_LEN);
+    }
+
+    #[test]
+    fn a_log_without_its_header_or_of_another_version_is_refused() {
+        let mut wal = Wal::new();
+        committed_batch(&mut wal, &[(0, 1)]);
+        let stamped = wal.device().read_all().unwrap();
+        assert_eq!(stamped[..LOG_HEADER_LEN], format_header(LOG_MAGIC));
+        let refused = |bytes: &[u8]| {
+            let log = MemLog::new();
+            log.append(bytes).unwrap();
+            match Wal::with_device(Arc::new(log)).scan() {
+                Err(StorageError::FormatVersion { found, expected }) => {
+                    assert_eq!(expected, FORMAT_VERSION);
+                    found
+                }
+                other => panic!("scanned {other:?}"),
+            }
+        };
+        let mut older = stamped.clone();
+        older[7] = b'3';
+        assert_eq!(refused(&older), 3);
+        assert_eq!(refused(&stamped[LOG_HEADER_LEN..]), 0);
+        assert_eq!(refused(&stamped[..3]), 0);
+    }
+
+    #[test]
+    fn replay_keeps_the_last_committed_schema_and_a_checkpoint_reasserts_it() {
+        let mut wal = Wal::new();
+        for image in [b"first".to_vec(), b"second".to_vec()] {
+            wal.append(&WalRecord::Schema { image });
+            wal.append(&WalRecord::Commit);
+        }
+        wal.flush().unwrap();
+        // An uncommitted third one is not the schema.
+        wal.append(&WalRecord::Schema {
+            image: b"third".to_vec(),
+        });
+        wal.flush().unwrap();
+        let scan = wal.scan().unwrap();
+        assert_eq!(replay(&scan).schema.as_deref(), Some(&b"second"[..]));
+
+        wal.install_checkpoint(0, vec![], 0, Some(b"second"))
+            .unwrap();
+        let scan = wal.scan().unwrap();
+        assert_eq!(scan.committed.len(), 1, "the checkpoint batch alone");
+        assert_eq!(replay(&scan).schema.as_deref(), Some(&b"second"[..]));
+        let fresh = wal.device().read_all().unwrap();
+        assert_eq!(fresh[..LOG_HEADER_LEN], format_header(LOG_MAGIC));
     }
 
     /// Pages from empty to full: a slotted page with `records` 100-byte

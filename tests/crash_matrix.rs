@@ -2,12 +2,16 @@
 //!
 //! For every engine operation that runs as one atomic batch (attribute
 //! write with relocation, cascading delete, make-component, multi-parent
-//! `make`, orphan-cascading remove-component), for every named crash point
+//! `make`, orphan-cascading remove-component, and the schema messages
+//! `define_class`, an immediate type change, `drop_attribute` and
+//! `drop_class`, whose catalog commits with their instance maintenance),
+//! for every named crash point
 //! in the commit protocol, and for every countdown until the point stops
 //! firing: crash there, [`Database::recover`], and assert the database
 //! equals exactly what the operation answered — the post-batch state for
 //! `Ok` (the batch is durable), the pre-batch state for `Err` on a store
-//! left healthy (it was rolled back). Log-device tears and EIO at the
+//! left healthy (it was rolled back). The state compared is the catalog
+//! (class names and attribute lists) and every object. Log-device tears and EIO at the
 //! commit (through [`FaultyDevice`](corion::storage::FaultyDevice), the
 //! one device fault injector) and a WAL bit-flip check cover the
 //! corrupted-log variants, where the answer is in doubt and recovery may
@@ -20,9 +24,11 @@
 
 use std::sync::Arc;
 
+use corion::core::evolution::{AttrTypeChange, Maintenance};
 use corion::obs::Registry;
 use corion::storage::{
-    DeviceMetrics, FaultyDevice, MemLog, ObjectStore, SimDisk, StoreConfig, CRASH_POINTS,
+    DeviceMetrics, FaultyDevice, MemLog, ObjectStore, SimDisk, StoreConfig, CP_PAGE_WRITE,
+    CRASH_POINTS,
 };
 use corion::{
     ClassBuilder, ClassId, CompositeSpec, ConcurrentDb, Database, DbConfig, DbError, DbResult,
@@ -33,23 +39,44 @@ use corion::{
 // Fingerprinting
 // ---------------------------------------------------------------------
 
-type Fingerprint = Vec<(Oid, Vec<u8>)>;
-
-/// The logical content of the database: every live object's OID and
+/// The logical content of the database: the catalog's class names with
+/// their effective attribute lists, and every live object's OID and
 /// encoded image, sorted. Physical placement is deliberately excluded —
 /// recovery may relocate records; OIDs are the stable names.
+#[derive(Debug, Clone, PartialEq)]
+struct Fingerprint {
+    classes: Vec<(String, Vec<String>)>,
+    objects: Vec<(Oid, Vec<u8>)>,
+}
+
+impl Fingerprint {
+    /// Live objects.
+    fn len(&self) -> usize {
+        self.objects.len()
+    }
+}
+
 fn fingerprint(db: &Database) -> Fingerprint {
-    let mut out = Vec::new();
+    let mut classes = Vec::new();
+    let mut objects = Vec::new();
     for class in db.catalog().all_classes() {
+        let c = db.class(class).unwrap();
+        let attrs = c
+            .attrs
+            .iter()
+            .map(|a| format!("{} {:?} {:?}", a.name, a.domain, a.composite))
+            .collect();
+        classes.push((c.name.clone(), attrs));
         for oid in db.instances_of(class, false) {
             let obj = db.get(oid).unwrap();
             let mut buf = Vec::new();
             obj.encode(&mut buf);
-            out.push((oid, buf));
+            objects.push((oid, buf));
         }
     }
-    out.sort();
-    out
+    classes.sort();
+    objects.sort();
+    Fingerprint { classes, objects }
 }
 
 /// The exact answer: the state an engine must hold — at once and after
@@ -59,10 +86,10 @@ fn fingerprint(db: &Database) -> Fingerprint {
 fn answered<'a, T: std::fmt::Debug>(
     db: &Database,
     result: &DbResult<T>,
-    pre: &'a [(Oid, Vec<u8>)],
-    post: &'a [(Oid, Vec<u8>)],
+    pre: &'a Fingerprint,
+    post: &'a Fingerprint,
     what: &str,
-) -> &'a [(Oid, Vec<u8>)] {
+) -> &'a Fingerprint {
     match (result, db.health()) {
         (Ok(_), _) => post,
         (Err(DbError::Storage(_)), HealthState::Healthy) => pre,
@@ -82,6 +109,34 @@ struct Scenario {
     name: &'static str,
     build: fn(&mut Database) -> Vec<Oid>,
     op: fn(&mut Database, &[Oid]) -> DbResult<()>,
+    /// Whether the op dirties a page, so that [`CP_PAGE_WRITE`] fires:
+    /// every op but `define_class`, whose batch is a segment and a schema.
+    writes_pages: bool,
+}
+
+impl Scenario {
+    /// Whether `point` must fire at least once in a sweep of this op.
+    fn must_fire(&self, point: &str) -> bool {
+        self.writes_pages || point != CP_PAGE_WRITE
+    }
+}
+
+/// Parts held by assemblies through the dependent `parts` attribute: three
+/// assemblies of three parts each. Returns the assemblies.
+fn held_parts(db: &mut Database) -> Vec<Oid> {
+    let (part, asm) = parts_schema(db);
+    (0..3)
+        .map(|a| {
+            let members = (0..3)
+                .map(|k| {
+                    let text = Value::Str(format!("p{a}{k}"));
+                    Value::Ref(db.make(part, vec![("text", text)], vec![]).unwrap())
+                })
+                .collect();
+            db.make(asm, vec![("parts", Value::Set(members))], vec![])
+                .unwrap()
+        })
+        .collect()
 }
 
 /// Part/Assembly schema shared by most scenarios: a dependent-shared set
@@ -131,6 +186,7 @@ fn scenarios() -> Vec<Scenario> {
             // Growing far past one page forces relocation plus an overflow
             // chain: several pages dirty in one batch.
             op: |db, oids| db.set_attr(oids[3], "text", Value::Str("x".repeat(9000))),
+            writes_pages: true,
         },
         Scenario {
             name: "delete_cascade",
@@ -158,6 +214,7 @@ fn scenarios() -> Vec<Scenario> {
                 asms
             },
             op: |db, asms| db.delete(asms[2]).map(|_| ()),
+            writes_pages: true,
         },
         Scenario {
             name: "make_component",
@@ -168,6 +225,7 @@ fn scenarios() -> Vec<Scenario> {
                 vec![p, a]
             },
             op: |db, oids| db.make_component(oids[0], oids[1], "parts"),
+            writes_pages: true,
         },
         Scenario {
             name: "make_with_parents",
@@ -182,6 +240,7 @@ fn scenarios() -> Vec<Scenario> {
                 db.make(part, vec![], vec![(oids[0], "parts"), (oids[1], "parts")])
                     .map(|_| ())
             },
+            writes_pages: true,
         },
         Scenario {
             name: "remove_component_orphan_cascade",
@@ -199,6 +258,52 @@ fn scenarios() -> Vec<Scenario> {
             },
             // Removing the only dependent parent deletes the orphan too.
             op: |db, oids| db.remove_component(oids[0], oids[1], "parts"),
+            writes_pages: true,
+        },
+        // Schema messages: the catalog commits with the instances.
+        Scenario {
+            name: "define_class",
+            build: held_parts,
+            op: |db, _| {
+                db.define_class(ClassBuilder::new("Widget").attr("w", Domain::String))
+                    .map(drop)
+            },
+            writes_pages: false,
+        },
+        Scenario {
+            name: "change_attribute_type_immediate",
+            build: held_parts,
+            // Every part's reverse reference is rewritten.
+            op: |db, _| {
+                let asm = db.class_by_name("Asm").unwrap();
+                db.change_attribute_type(
+                    asm,
+                    "parts",
+                    AttrTypeChange::ToIndependent,
+                    Maintenance::Immediate,
+                )
+            },
+            writes_pages: true,
+        },
+        Scenario {
+            name: "drop_attribute",
+            build: held_parts,
+            // The assemblies are rewritten and their dependent parts deleted.
+            op: |db, _| {
+                let asm = db.class_by_name("Asm").unwrap();
+                db.drop_attribute(asm, "parts")
+            },
+            writes_pages: true,
+        },
+        Scenario {
+            name: "drop_class",
+            build: held_parts,
+            // The assemblies are deleted, and their parts with them.
+            op: |db, _| {
+                let asm = db.class_by_name("Asm").unwrap();
+                db.drop_class(asm)
+            },
+            writes_pages: true,
         },
     ]
 }
@@ -221,7 +326,7 @@ fn post_oracle(s: &Scenario) -> Fingerprint {
 /// Runs one scenario with a crash armed at `point` on its `countdown`-th
 /// hit. Returns `false` once the countdown outlives the operation (the
 /// point never fired — the sweep for this point is exhausted).
-fn crash_once(s: &Scenario, point: &'static str, countdown: u64, post: &[(Oid, Vec<u8>)]) -> bool {
+fn crash_once(s: &Scenario, point: &'static str, countdown: u64, post: &Fingerprint) -> bool {
     let mut db = Database::new();
     let oids = (s.build)(&mut db);
     let pre = fingerprint(&db);
@@ -240,7 +345,7 @@ fn crash_once(s: &Scenario, point: &'static str, countdown: u64, post: &[(Oid, V
     let what = format!("{}: crash at {point}#{countdown}", s.name);
     let want = answered(&db, &result, &pre, post, &what);
     assert!(
-        fingerprint(&db) == want,
+        fingerprint(&db) == *want,
         "{what}: the engine disagrees with its answer"
     );
     let report = db
@@ -248,7 +353,7 @@ fn crash_once(s: &Scenario, point: &'static str, countdown: u64, post: &[(Oid, V
         .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
     let after = fingerprint(&db);
     assert!(
-        after == want,
+        after == *want,
         "{what}: answered {result:?} but recovered to another state \
          ({} objects; pre {}, post {}; report {report:?})",
         after.len(),
@@ -290,7 +395,7 @@ fn every_crash_point_recovers_to_pre_or_post_state() {
             // commits exactly one batch); page-write points fire whenever
             // the op writes at all — which every scenario does.
             assert!(
-                fired_at_least_once,
+                fired_at_least_once || !s.must_fire(point),
                 "{}: crash point {point} never fired",
                 s.name
             );
@@ -457,13 +562,13 @@ fn transaction_crashes_recover_to_pre_or_post_transaction_state() {
             let want = answered(&db, &result, &pre, &post, &what);
             assert!(!db.in_transaction(), "crash must close the transaction");
             assert!(
-                fingerprint(&db) == want,
+                fingerprint(&db) == *want,
                 "{what}: the engine disagrees with its answer"
             );
             db.recover().unwrap();
             let after = fingerprint(&db);
             assert!(
-                after == want,
+                after == *want,
                 "{what}: answered {result:?} but recovered to another state \
                  ({} objects; pre {}, post {})",
                 after.len(),
@@ -538,7 +643,7 @@ mod file_backed {
     /// Drops the crashed engine and its device handles, then opens the
     /// directory in a brand-new engine — the moral equivalent of the
     /// process dying and restarting. `Database::open` takes the lock,
-    /// replays the committed WAL prefix, and loads the schema sidecar.
+    /// replays the committed WAL prefix, schema records included.
     fn reopen(fx: Fixture) -> (Database, PathBuf) {
         let Fixture { db, disk, log, dir } = fx;
         drop(db);
@@ -553,10 +658,10 @@ mod file_backed {
     /// state is one of `allowed` (exactly the answered one, or either side
     /// of an answer in doubt), integrity holds, and the reopened engine
     /// accepts new work.
-    fn assert_recovered(db: &mut Database, what: &str, allowed: &[&[(Oid, Vec<u8>)]]) {
+    fn assert_recovered(db: &mut Database, what: &str, allowed: &[&Fingerprint]) {
         let after = fingerprint(db);
         assert!(
-            allowed.contains(&after.as_slice()),
+            allowed.contains(&&after),
             "{what}: reopen landed on another state ({} objects; allowed {:?})",
             after.len(),
             allowed.iter().map(|a| a.len()).collect::<Vec<_>>()
@@ -574,7 +679,7 @@ mod file_backed {
         s: &Scenario,
         point: &'static str,
         countdown: u64,
-        post: &[(Oid, Vec<u8>)],
+        post: &Fingerprint,
     ) -> bool {
         let mut fx = open_fixture(s.name);
         let oids = (s.build)(&mut fx.db);
@@ -595,7 +700,7 @@ mod file_backed {
         let what = format!("{} files {point}#{countdown}", s.name);
         let want = answered(&fx.db, &result, &pre, post, &what);
         assert!(
-            fingerprint(&fx.db) == want,
+            fingerprint(&fx.db) == *want,
             "{what}: the engine disagrees with its answer"
         );
         let (mut db, dir) = reopen(fx);
@@ -619,7 +724,7 @@ mod file_backed {
                     assert!(countdown < 512, "{}: {point} fired 512 times", s.name);
                 }
                 assert!(
-                    fired_at_least_once,
+                    fired_at_least_once || !s.must_fire(point),
                     "{}: crash point {point} never fired on files",
                     s.name
                 );
@@ -666,8 +771,14 @@ mod file_backed {
                 );
                 assert_eq!(fx.db.health(), HealthState::Poisoned, "{what}");
                 fx.log.heal_faults();
+                // Recovery in the process settles the catalog and the
+                // instances together, on the side a reopen finds.
+                fx.db.recover().unwrap();
+                let in_process = fingerprint(&fx.db);
+                fx.db.verify_integrity().unwrap();
                 let (mut db, dir) = reopen(fx);
                 let after = fingerprint(&db);
+                assert!(after == in_process, "{what}: recover and reopen disagree");
                 if after == pre {
                     seen_pre = true;
                 } else if after == post {
@@ -685,6 +796,74 @@ mod file_backed {
                 s.name
             );
         }
+    }
+
+    /// The type change of `held_parts`, immediate.
+    fn to_independent(db: &mut Database) -> DbResult<()> {
+        let asm = db.class_by_name("Asm").unwrap();
+        db.change_attribute_type(
+            asm,
+            "parts",
+            AttrTypeChange::ToIndependent,
+            Maintenance::Immediate,
+        )
+    }
+
+    #[test]
+    fn a_schema_message_that_failed_to_commit_recovers_in_process_as_a_reopen_does() {
+        let mut fx = open_fixture("ddl_poisoned");
+        held_parts(&mut fx.db);
+        let pre = fingerprint(&fx.db);
+        fx.db.arm_crash_point(corion::storage::CP_COMMIT_LOG, 1);
+        assert!(to_independent(&mut fx.db).is_err());
+        fx.db.heal_crash_points();
+        fx.db.simulate_crash();
+        assert_eq!(fx.db.health(), HealthState::Poisoned);
+        fx.db.recover().unwrap();
+        assert!(
+            fingerprint(&fx.db) == pre,
+            "the catalog is the committed one"
+        );
+        fx.db.verify_integrity().unwrap();
+        let (mut db, dir) = reopen(fx);
+        assert!(fingerprint(&db) == pre, "a reopen of the same log agrees");
+        db.verify_integrity().unwrap();
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_aborted_schema_batch_then_a_checkpoint_reopens_at_the_previous_schema() {
+        let mut fx = open_fixture("ddl_abort_checkpoint");
+        held_parts(&mut fx.db);
+        let pre = fingerprint(&fx.db);
+        fx.db.arm_crash_point(corion::storage::CP_COMMIT_LOG, 1);
+        assert!(to_independent(&mut fx.db).is_err());
+        fx.db.heal_crash_points();
+        assert_eq!(fx.db.health(), HealthState::Healthy);
+        // The checkpoint re-asserts the schema the store adopted: the one
+        // before the aborted batch.
+        fx.db.checkpoint().unwrap();
+        assert!(fingerprint(&fx.db) == pre);
+        let (mut db, dir) = reopen(fx);
+        assert!(fingerprint(&db) == pre, "the previous schema");
+        db.verify_integrity().unwrap();
+        // And the message goes through after all.
+        to_independent(&mut db).unwrap();
+        drop(db);
+        let mut db = Database::open(&dir, DbConfig::default()).unwrap();
+        let asm = db.class_by_name("Asm").unwrap();
+        let spec = db.class(asm).unwrap().attr("parts").unwrap().composite;
+        assert_eq!(
+            spec,
+            Some(CompositeSpec {
+                exclusive: false,
+                dependent: false,
+            })
+        );
+        db.verify_integrity().unwrap();
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -783,8 +962,8 @@ mod file_backed {
         // Under a log fsync that lies, eviction can write a committed page
         // back while the batch's `SerialFloor` record waits in the device
         // cache. Power loss then keeps the page and loses the record: the
-        // object is live after the reopen, and neither the log's floor nor
-        // the sidecar knows its serial. Only the rebuild's scan of the
+        // object is live after the reopen, and the log's floor does not
+        // know its serial. Only the rebuild's scan of the
         // pages does, and the next `make` must not issue it again.
         let config = DbConfig {
             store: StoreConfig {
@@ -803,7 +982,7 @@ mod file_backed {
         fx.db
             .make(part, vec![("text", Value::Str("honest".into()))], vec![])
             .unwrap();
-        // The floor in the log and in the sidecar is now the next serial.
+        // The floor in the log is now the next serial.
         fx.db.checkpoint().unwrap();
         fx.db.clear_cache().unwrap();
 
@@ -828,7 +1007,7 @@ mod file_backed {
             .make(part, vec![("text", Value::Str("fresh".into()))], vec![])
             .unwrap();
         assert!(
-            live.iter().all(|(oid, _)| *oid != fresh),
+            live.objects.iter().all(|(oid, _)| *oid != fresh),
             "make reissued the serial of live object {fresh}"
         );
         assert_eq!(fingerprint(&db).len(), live.len() + 1);
@@ -967,10 +1146,10 @@ mod file_backed {
 
     /// Reopens and demands every acknowledged commit, a clean audit, and a
     /// checkpoint that now goes through.
-    fn assert_nothing_lost(fx: Fixture, what: &str, committed: &[(Oid, Vec<u8>)]) {
+    fn assert_nothing_lost(fx: Fixture, what: &str, committed: &Fingerprint) {
         let (mut db, dir) = reopen(fx);
         assert!(
-            fingerprint(&db) == committed,
+            fingerprint(&db) == *committed,
             "{what}: an acknowledged commit did not survive the reopen"
         );
         db.verify_integrity()
@@ -1296,7 +1475,7 @@ fn concurrent_commit_crashes_recover_to_an_lsn_prefix() {
             }
             fired_at_least_once = true;
             let what = format!("concurrent: crash at {point}#{countdown}");
-            let want = cdb.with_read(|db| answered(db, &result, &pre, &post, &what).to_vec());
+            let want = cdb.with_read(|db| answered(db, &result, &pre, &post, &what).clone());
             if let Ok(lsn) = result {
                 // `Ok` means published: the watermark is at this commit.
                 assert_eq!(cdb.visible_lsn(), lsn, "{what}");

@@ -1,9 +1,10 @@
 //! Opening a data directory (DESIGN.md §16.2): one format, one open body,
 //! one copy of the log.
 //!
-//! - both constructors stamp a fresh directory with the format version
-//!   before anything is logged, so a crash between the first DDL's log
-//!   flush and its sidecar write still reopens;
+//! - both constructors stamp a fresh log with the format version before
+//!   anything is logged, and no open, schema message or checkpoint
+//!   writes a file beside the log and the page files: the schema rides
+//!   the log;
 //! - a dump of another format version is refused with the typed error;
 //! - one reopen records one `corion_storage_device_reopen_latency_ns`
 //!   sample, covering the whole open;
@@ -24,11 +25,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use corion::storage::wal::{format_header, FORMAT_VERSION};
+use corion::core::evolution::{AttrTypeChange, Maintenance};
+use corion::storage::wal::{format_header, FORMAT_VERSION, LOG_MAGIC};
 use corion::storage::{
-    fnv1a64, DeviceMetrics, FaultyDevice, LogDevice, MemLog, SimDisk, StorageError, StorageResult,
+    fnv1a64, DeviceMetrics, FaultyDevice, FileDisk, FileWal, LogDevice, MemLog, SimDisk,
+    StorageError, StorageResult,
 };
-use corion::{ClassBuilder, ClassId, Database, DbConfig, DbError, Domain, Value};
+use corion::{ClassBuilder, ClassId, CompositeSpec, Database, DbConfig, DbError, Domain, Value};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -48,49 +51,86 @@ fn part_class(db: &mut Database) -> ClassId {
         .unwrap()
 }
 
-fn sidecar(dir: &Path) -> Vec<u8> {
-    std::fs::read(dir.join("meta.corion")).unwrap()
-}
-
 #[test]
 fn both_constructors_stamp_a_fresh_directory() {
     let dir = fresh_dir("stamp_open");
     drop(Database::open(&dir, DbConfig::default()).unwrap());
-    assert_eq!(sidecar(&dir)[..8], format_header(b"CORIONM"));
+    let log = std::fs::read(dir.join(FileWal::LOG_FILE)).unwrap();
+    assert_eq!(log, format_header(LOG_MAGIC), "the header alone");
     std::fs::remove_dir_all(&dir).ok();
 
     let dir = fresh_dir("stamp_devices");
+    let log = Arc::new(MemLog::new());
     let db = Database::with_devices(
         &dir,
         DbConfig::default(),
         Arc::new(SimDisk::new()),
-        Arc::new(MemLog::new()),
+        Arc::clone(&log) as Arc<dyn LogDevice>,
     )
     .unwrap();
     drop(db);
-    assert_eq!(sidecar(&dir)[..8], format_header(b"CORIONM"));
+    assert_eq!(log.read_all().unwrap(), format_header(LOG_MAGIC));
+    assert!(std::fs::read_dir(&dir).unwrap().next().is_none(), "no file");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn a_crash_between_the_first_ddl_flush_and_its_sidecar_write_reopens() {
-    let dir = fresh_dir("first_ddl");
-    let mut db = Database::open(&dir, DbConfig::default()).unwrap();
-    let stamp = sidecar(&dir);
-    part_class(&mut db);
-    drop(db);
-    // The class's segment is in the log; its sidecar write never landed.
-    std::fs::write(dir.join("meta.corion"), &stamp).unwrap();
+/// The names of the files in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
 
+#[test]
+fn no_open_schema_message_or_checkpoint_writes_a_schema_file() {
+    let dir = fresh_dir("no_sidecar");
+    let files = [
+        corion::storage::DirLock::LOCK_FILE,
+        FileDisk::PAGES_FILE,
+        FileDisk::SUMS_FILE,
+        FileWal::LOG_FILE,
+    ];
+    let mut want: Vec<String> = files.iter().map(|f| f.to_string()).collect();
+    want.sort();
     let mut db = Database::open(&dir, DbConfig::default()).unwrap();
-    assert!(db.class_by_name("Part").is_err(), "the DDL did not finish");
+    assert_eq!(file_names(&dir), want, "open");
     let part = part_class(&mut db);
-    let p = db
-        .make(part, vec![("text", Value::Str("after".into()))], vec![])
+    let asm = db
+        .define_class(ClassBuilder::new("Asm").attr_composite(
+            "parts",
+            Domain::SetOf(Box::new(Domain::Class(part))),
+            CompositeSpec {
+                exclusive: true,
+                dependent: true,
+            },
+        ))
         .unwrap();
+    let a = db.make(asm, vec![], vec![]).unwrap();
+    db.make(part, vec![], vec![(a, "parts")]).unwrap();
+    db.change_attribute_type(
+        asm,
+        "parts",
+        AttrTypeChange::ExclusiveToShared,
+        Maintenance::Immediate,
+    )
+    .unwrap();
+    db.drop_attribute(part, "text").unwrap();
+    assert_eq!(file_names(&dir), want, "schema messages");
+    db.checkpoint().unwrap();
+    assert_eq!(file_names(&dir), want, "checkpoint");
+    db.drop_class(asm).unwrap();
     drop(db);
+
+    // The reopen finds the schema in the log alone.
     let mut db = Database::open(&dir, DbConfig::default()).unwrap();
-    assert_eq!(db.get_attr(p, "text").unwrap(), Value::Str("after".into()));
+    assert_eq!(file_names(&dir), want, "reopen");
+    assert!(db.class_by_name("Asm").is_err(), "dropped");
+    let part = db.class_by_name("Part").unwrap();
+    assert!(db.class(part).unwrap().attr("text").is_none(), "dropped");
+    assert_eq!(db.instances_of(part, false).len(), 0, "deleted with Asm");
     db.verify_integrity().unwrap();
     drop(db);
     std::fs::remove_dir_all(&dir).ok();

@@ -142,7 +142,7 @@ fn post_commit_fault_degrades_to_read_only_and_recovers() {
 #[test]
 fn checkpoint_writeback_fault_degrades_to_read_only_and_recovers() {
     // The in-memory devices, with the page device behind a fault injector;
-    // the directory holds only the schema sidecar.
+    // nothing is written to the directory.
     let dir = std::env::temp_dir().join(format!("corion_degraded_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let disk = FaultyDevice::new(SimDisk::new(), DeviceMetrics::detached());

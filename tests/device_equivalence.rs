@@ -8,8 +8,8 @@
 //! directory in a fresh process-equivalent engine, and running the
 //! suffix there. The mid-sequence reopen is the point: it forces the
 //! suffix to execute against recovered state — page images faulted back
-//! from `pages.dat`, a WAL replayed from `wal.log`, a schema loaded from
-//! the sidecar — rather than against any surviving memory.
+//! from `pages.dat`, a WAL replayed from `wal.log`, a schema recovered
+//! from its log record — rather than against any surviving memory.
 //!
 //! This is what licenses the rest of the suite to do most of its crash
 //! sweeps on the fast simulated disk: the two backends provably agree.
@@ -154,7 +154,7 @@ proptest! {
         let want = fingerprint(&sim, item);
 
         // File-backed run: prefix, optional checkpoint (compacts the WAL
-        // and refreshes the sidecar — the suffix must not care), drop,
+        // and re-asserts the schema — the suffix must not care), drop,
         // reopen from the media, suffix.
         let dir = fresh_dir();
         let mut db = Database::open(&dir, DbConfig::default()).unwrap();

@@ -4,9 +4,10 @@
 //! `corion::storage::wal::FORMAT_VERSION`, and a directory of any other version
 //! is refused rather than decoded (DESIGN.md §16.2). That holds only if
 //! every change to the bytes a directory or a dump holds also changes the
-//! version. This test encodes one of everything — a WAL record of every
-//! kind (an image, a delta without moves and one with them among them), a
-//! fixed page, and the schema sidecar and dump of a fixed database — and
+//! version. This test encodes one of everything — a log header and a WAL
+//! record of every kind (an image, a delta without moves and one with
+//! them, and a schema image among them), a fixed page, and the
+//! checkpointed log and the dump of a fixed database — and
 //! compares the FNV-1a of those bytes with `FORMAT_FINGERPRINT`, kept
 //! beside the version.
 //!
@@ -17,11 +18,11 @@
 use std::path::PathBuf;
 
 use corion::storage::wal::{page_delta, FORMAT_FINGERPRINT, FORMAT_VERSION};
-use corion::storage::{fnv1a64, Page, SegmentId, SlotId, Wal, WalRecord};
+use corion::storage::{fnv1a64, FileWal, Page, SegmentId, SlotId, Wal, WalRecord};
 use corion::{ClassBuilder, CompositeSpec, Database, DbConfig, Domain, Value};
 
-/// One record of every WAL kind, as the log writes them; `slot` holds a
-/// record of `page`.
+/// A log header and one record of every WAL kind, as the log writes
+/// them; `slot` holds a record of `page`.
 fn every_record(page: &Page, slot: SlotId) -> Vec<u8> {
     let mut grown = page.clone();
     let mut record = grown.read(slot).unwrap().to_vec();
@@ -55,6 +56,9 @@ fn every_record(page: &Page, slot: SlotId) -> Vec<u8> {
             ranges,
         },
         WalRecord::SerialFloor { serial: 42 },
+        WalRecord::Schema {
+            image: b"an opaque schema image".to_vec(),
+        },
         WalRecord::Checkpoint {
             next_segment: 3,
             segments: vec![(SegmentId(2), vec![7, 9])],
@@ -76,7 +80,8 @@ fn fixed_page() -> (Page, SlotId) {
     (page, slots[0])
 }
 
-/// The schema sidecar and the dump of a fixed database.
+/// The log, checkpointed, and the dump of a fixed database: the log holds
+/// its header and the database's schema record.
 fn fixed_database() -> (Vec<u8>, Vec<u8>) {
     let dir: PathBuf = std::env::temp_dir().join(format!("corion_tripwire_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -106,18 +111,18 @@ fn fixed_database() -> (Vec<u8>, Vec<u8>) {
     db.checkpoint().unwrap();
     let dump = db.dump().unwrap();
     drop(db);
-    let meta = std::fs::read(dir.join("meta.corion")).unwrap();
+    let log = std::fs::read(dir.join(FileWal::LOG_FILE)).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    (meta, dump)
+    (log, dump)
 }
 
 #[test]
 fn the_format_is_the_one_its_version_names() {
     let (page, slot) = fixed_page();
-    let (meta, dump) = fixed_database();
+    let (log, dump) = fixed_database();
     let mut bytes = every_record(&page, slot);
     bytes.extend_from_slice(page.as_bytes());
-    bytes.extend_from_slice(&meta);
+    bytes.extend_from_slice(&log);
     bytes.extend_from_slice(&dump);
     let got = fnv1a64(&bytes);
     assert_eq!(

@@ -26,8 +26,8 @@ use corion::storage::wal::{
     self, apply_delta, apply_image, delta_len, format_header, page_delta, FORMAT_VERSION,
 };
 use corion::storage::{
-    diff_pages, fnv1a64, image_ranges, BlockDevice, DeviceMetrics, DiskStats, FaultyDevice,
-    FileDisk, FileWal, Page, Ranges, StorageError, Wal, WalRecord, PAGE_SIZE,
+    diff_pages, image_ranges, BlockDevice, DeviceMetrics, DiskStats, FaultyDevice, FileDisk,
+    FileWal, Page, Ranges, StorageError, Wal, WalRecord, PAGE_SIZE,
 };
 use corion::{ClassBuilder, ClassId, Database, DbConfig, DbError, Domain, Value};
 use proptest::prelude::*;
@@ -320,18 +320,15 @@ fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// Asserts that both constructors refuse `dir` with the typed version
-/// error naming `found`, and that neither changes or creates a file:
-/// `Database::open` touches nothing, `Database::with_devices` writes
-/// nothing through the devices it was handed.
-fn assert_refused_untouched(dir: &Path, found: u8, what: &str) {
-    let want = StorageError::FormatVersion {
-        found,
-        expected: FORMAT_VERSION,
-    };
+/// Asserts that both constructors refuse `dir` with `want`, and that
+/// neither changes or creates a file: `Database::open` touches nothing,
+/// and `Database::with_devices` reads its log once (a second read would
+/// hit the short read armed behind the first) and writes nothing through
+/// the devices it was handed.
+fn assert_refused_untouched(dir: &Path, want: impl Fn(&StorageError) -> bool, what: &str) {
     let before = files(dir);
     match Database::open(dir, DbConfig::default()) {
-        Err(DbError::Storage(e)) => assert_eq!(e, want, "{what}: open"),
+        Err(DbError::Storage(e)) => assert!(want(&e), "{what}: open refused with {e:?}"),
         Err(e) => panic!("{what}: open refused with another error: {e}"),
         Ok(_) => panic!("{what}: open accepted the directory"),
     }
@@ -343,6 +340,7 @@ fn assert_refused_untouched(dir: &Path, found: u8, what: &str) {
     let dm = DeviceMetrics::detached();
     let disk = FaultyDevice::new(FileDisk::open(dir, dm.clone()).unwrap(), dm.clone());
     let log = FaultyDevice::new(FileWal::open(dir, dm.clone()).unwrap(), dm);
+    log.arm_short_read(1);
     let opened = Database::with_devices(
         dir,
         DbConfig::default(),
@@ -350,10 +348,11 @@ fn assert_refused_untouched(dir: &Path, found: u8, what: &str) {
         Arc::new(log.clone()),
     );
     match opened {
-        Err(DbError::Storage(e)) => assert_eq!(e, want, "{what}: with_devices"),
+        Err(DbError::Storage(e)) => assert!(want(&e), "{what}: with_devices refused with {e:?}"),
         Err(e) => panic!("{what}: with_devices refused with another error: {e}"),
         Ok(_) => panic!("{what}: with_devices accepted the directory"),
     }
+    assert_eq!(log.injected().short_reads, 0, "{what}: one log read");
     assert_eq!(
         disk.stats(),
         DiskStats::default(),
@@ -363,6 +362,16 @@ fn assert_refused_untouched(dir: &Path, found: u8, what: &str) {
         files(dir) == before,
         "{what}: a refused with_devices touched a file"
     );
+}
+
+/// The typed version error naming `found`.
+fn version(found: u8) -> impl Fn(&StorageError) -> bool {
+    move |e| {
+        *e == StorageError::FormatVersion {
+            found,
+            expected: FORMAT_VERSION,
+        }
+    }
 }
 
 #[test]
@@ -382,25 +391,36 @@ fn a_directory_of_another_format_version_is_refused_typed_and_untouched() {
         .collect();
     drop(db);
 
-    // The sidecar as the format before this one would have sealed it:
-    // a valid checksum over a header naming the older version.
-    let meta = dir.join("meta.corion");
-    let stamped = std::fs::read(&meta).unwrap();
+    let log = dir.join(FileWal::LOG_FILE);
+    let stamped = std::fs::read(&log).unwrap();
+    assert_eq!(stamped[..8], format_header(wal::LOG_MAGIC));
+    assert!(!dir.join("meta.corion").exists(), "no schema sidecar");
+
+    // The log as the version before this one would have stamped it.
     let mut older = stamped.clone();
-    assert_eq!(older[..8], format_header(b"CORIONM"));
-    older[7] -= 1;
-    let body = older.len() - 8;
-    let sum = fnv1a64(&older[..body]);
-    older[body..].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(&meta, &older).unwrap();
-    assert_refused_untouched(&dir, FORMAT_VERSION - 1, "an older sidecar");
+    older[7] = b'3';
+    std::fs::write(&log, &older).unwrap();
+    assert_refused_untouched(&dir, version(3), "a CORIONL3 log");
 
-    // Log and page files with no sidecar beside them carry no version.
-    std::fs::remove_file(&meta).unwrap();
-    assert_refused_untouched(&dir, 0, "no sidecar");
+    // A log that does not start with the header carries no version.
+    std::fs::write(&log, &stamped[8..]).unwrap();
+    assert_refused_untouched(&dir, version(0), "a log with no header");
 
-    // With its own sidecar back, the directory opens as it was left.
-    std::fs::write(&meta, &stamped).unwrap();
+    // Page bytes beside an empty log carry none either.
+    std::fs::write(&log, b"").unwrap();
+    assert_refused_untouched(&dir, version(0), "pages beside an empty log");
+
+    // A bit flip anywhere in the header is a typed refusal.
+    for at in 0..8 {
+        let mut flipped = stamped.clone();
+        flipped[at] ^= 0x01;
+        std::fs::write(&log, &flipped).unwrap();
+        let typed = |e: &StorageError| matches!(e, StorageError::FormatVersion { .. });
+        assert_refused_untouched(&dir, typed, &format!("header bit flip at {at}"));
+    }
+
+    // With its own log back, the directory opens as it was left.
+    std::fs::write(&log, &stamped).unwrap();
     let mut db = Database::open(&dir, DbConfig::default()).unwrap();
     for (oid, text) in &parts {
         assert_eq!(&db.get_attr(*oid, "text").unwrap(), text);

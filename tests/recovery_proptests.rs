@@ -25,6 +25,8 @@
 //! *behind* the log. `Abort` ops (a transaction rolled back over pages
 //! earlier commits left dirty) and `Checkpoint` ops (the write-back that
 //! catches the disk up, itself a fault target) keep that gap in play.
+//! `Retype` ops are schema messages: the catalog is part of the state
+//! compared, and it commits with the instances the message rewrites.
 //!
 //! The oracle is a twin database replaying the same deterministic
 //! operations with no faults armed — the same style as the reference
@@ -34,6 +36,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use corion::core::evolution::{AttrTypeChange, Maintenance};
 use corion::storage::{
     BlockDevice, DeviceMetrics, FaultyDevice, FileDisk, FileWal, LogDevice, MemLog, SimDisk,
     CRASH_POINTS,
@@ -73,6 +76,10 @@ enum Op {
     Abort { obj: usize, v: i64, len: usize },
     /// Write every dirty page back and truncate the log.
     Checkpoint,
+    /// A schema message: `kids` made dependent or independent with
+    /// immediate maintenance, so the catalog and every kid's reverse
+    /// reference change in one batch (rejected when it is already so).
+    Retype { dependent: bool },
 }
 
 /// The one fault a case injects.
@@ -106,8 +113,8 @@ fn fault_strategy(reach: u64) -> impl Strategy<Value = Fault> {
 }
 
 /// An engine under test plus the handles of the fault-injecting devices it
-/// writes through, and the directory holding its schema sidecar (and, for
-/// the file-backed engine, its files).
+/// writes through, and its directory (which, for the file-backed engine,
+/// holds its files).
 struct Faulty<D, L> {
     db: Database,
     disk: FaultyDevice<D>,
@@ -183,6 +190,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (0..64usize, any::<i64>(), 0..6000usize)
             .prop_map(|(obj, v, len)| Op::Abort { obj, v, len }),
         2 => Just(Op::Checkpoint),
+        1 => any::<bool>().prop_map(|dependent| Op::Retype { dependent }),
     ]
 }
 
@@ -279,6 +287,13 @@ fn apply(db: &mut Database, node: ClassId, op: &Op) -> Result<(), DbError> {
             None => Ok(()),
         },
         Op::Checkpoint => db.checkpoint(),
+        Op::Retype { dependent } => {
+            let change = match dependent {
+                true => AttrTypeChange::ToDependent,
+                false => AttrTypeChange::ToIndependent,
+            };
+            db.change_attribute_type(node, "kids", change, Maintenance::Immediate)
+        }
     };
     match result {
         Ok(()) => Ok(()),
@@ -287,9 +302,16 @@ fn apply(db: &mut Database, node: ClassId, op: &Op) -> Result<(), DbError> {
     }
 }
 
-/// Logical content fingerprint: OID + encoded image of every live object,
-/// sorted (physical placement excluded — recovery may relocate).
-fn fingerprint(db: &Database, node: ClassId) -> Vec<(Oid, Vec<u8>)> {
+/// Logical content: the `Node` class's attribute list, and the OID and
+/// encoded image of every live object, sorted (physical placement
+/// excluded — recovery may relocate).
+type Fingerprint = (Vec<String>, Vec<(Oid, Vec<u8>)>);
+
+fn fingerprint(db: &Database, node: ClassId) -> Fingerprint {
+    let attrs = db.class(node).unwrap().attrs.iter();
+    let attrs = attrs
+        .map(|a| format!("{} {:?} {:?}", a.name, a.domain, a.composite))
+        .collect();
     let mut out = Vec::new();
     for oid in db.instances_of(node, false) {
         let obj = db.get(oid).unwrap();
@@ -298,11 +320,11 @@ fn fingerprint(db: &Database, node: ClassId) -> Vec<(Oid, Vec<u8>)> {
         out.push((oid, buf));
     }
     out.sort();
-    out
+    (attrs, out)
 }
 
 /// The oracle: a fresh twin replaying `ops` with no faults armed.
-fn replay(ops: &[Op]) -> Vec<(Oid, Vec<u8>)> {
+fn replay(ops: &[Op]) -> Fingerprint {
     let (mut db, node) = node_db();
     for op in ops {
         apply(&mut db, node, op).expect("oracle replay sees no faults");
@@ -343,7 +365,7 @@ fn run_until_fault(db: &mut Database, node: ClassId, ops: &[Op]) -> Result<Optio
 /// The states recovery may land on after `stop`: exactly the answered one,
 /// or — for an `Err` that left the store degraded or poisoned, the answer
 /// in doubt — either side of the op.
-fn allowed(ops: &[Op], stop: &Stop) -> Vec<Vec<(Oid, Vec<u8>)>> {
+fn allowed(ops: &[Op], stop: &Stop) -> Vec<Fingerprint> {
     let pre = || replay(&ops[..stop.at]);
     let post = || replay(&ops[..=stop.at]);
     match (stop.ok, stop.healthy) {
@@ -387,8 +409,8 @@ proptest! {
                     allowed.contains(&recovered),
                     "fault {:?} in op {} ({:?}, answered ok={}) recovered to another state: \
                      {} objects vs allowed {:?}",
-                    fault, stop.at, ops[stop.at], stop.ok, recovered.len(),
-                    allowed.iter().map(Vec::len).collect::<Vec<_>>()
+                    fault, stop.at, ops[stop.at], stop.ok, recovered.1.len(),
+                    allowed.iter().map(|a| a.1.len()).collect::<Vec<_>>()
                 );
                 db.verify_integrity().unwrap();
                 // The recovered engine keeps working.
@@ -455,8 +477,8 @@ proptest! {
                     allowed.contains(&recovered),
                     "file-backed fault {:?} in op {} ({:?}, answered ok={}) reopened to \
                      another state: {} objects vs allowed {:?}",
-                    fault, stop.at, ops[stop.at], stop.ok, recovered.len(),
-                    allowed.iter().map(Vec::len).collect::<Vec<_>>()
+                    fault, stop.at, ops[stop.at], stop.ok, recovered.1.len(),
+                    allowed.iter().map(|a| a.1.len()).collect::<Vec<_>>()
                 );
             }
             None => {
