@@ -58,8 +58,9 @@ pub struct DbConfig {
     /// Storage tuning.
     pub store: StoreConfig,
     /// Number of object-table / extension stripes (rounded up to a power
-    /// of two, minimum 1). `1` collapses the striping into one map behind
-    /// one lock; it selects no other behaviour. See [`crate::shard`].
+    /// of two, minimum 1). The stripes partition the rebuild's bulk load;
+    /// `1` collapses them into one map and selects no other behaviour.
+    /// See [`crate::shard`].
     pub shards: usize,
 }
 
@@ -76,10 +77,12 @@ impl Default for DbConfig {
 /// The CORION database engine.
 ///
 /// The read path — [`Database::get`], [`Database::get_attr`], and every §3
-/// traversal/predicate — takes `&self` and is internally synchronised, so
-/// any number of threads may read one engine concurrently (`Database:
-/// Sync`); see [`Database::components_of_many`]. Mutations take `&mut self`
-/// and therefore never race a reader.
+/// traversal/predicate — takes `&self`, so any number of threads may read
+/// one engine concurrently (`Database: Sync`); see
+/// [`Database::components_of_many`]. Mutations take `&mut self` and
+/// therefore never race a reader: the borrow (or, shared across threads,
+/// the engine latch of `corion-concurrent`) is the only lock on engine
+/// state.
 pub struct Database {
     pub(crate) catalog: Catalog,
     pub(crate) store: ObjectStore,
@@ -347,7 +350,8 @@ impl Database {
         crate::evolution::deferred::apply_pending(self, obj)
     }
 
-    /// Direct instances of `class`; with `deep`, instances of subclasses too.
+    /// Direct instances of `class`; with `deep`, instances of subclasses too;
+    /// in OID order, inside a transaction or not.
     pub fn instances_of(&self, class: ClassId, deep: bool) -> Vec<Oid> {
         match &self.txn {
             Some(txn) => self.view_over(&txn.overlay).instances_of(class, deep),
@@ -355,21 +359,18 @@ impl Database {
         }
     }
 
-    /// [`Database::instances_of`] of the committed base.
+    /// [`Database::instances_of`] of the committed base, sorted.
     pub(crate) fn base_instances_of(&self, class: ClassId, deep: bool) -> Vec<Oid> {
-        let mut out: Vec<Oid> = self.shards.class_members_sorted(class);
+        let mut classes = vec![class];
         if deep {
-            for sub in lattice::descendants(&self.catalog, class) {
-                out.extend(self.shards.class_members_sorted(sub));
-            }
+            classes.extend(lattice::descendants(&self.catalog, class));
         }
-        out
+        self.shards.members_sorted(&classes)
     }
 
     /// Total number of live objects (the open transaction's creations and
-    /// deletions included). Outside a transaction a lock-free sum of
-    /// per-shard counters — never a map walk, so statistics never stall
-    /// writers.
+    /// deletions included). Outside a transaction the sum of the stripe
+    /// table lengths — never a map walk.
     pub fn object_count(&self) -> usize {
         match &self.txn {
             Some(txn) => self.view_over(&txn.overlay).object_count(),
@@ -464,8 +465,7 @@ impl Database {
     /// before and after a workload.
     pub fn metrics_snapshot(&self) -> corion_obs::MetricsSnapshot {
         // Occupancy gauges are refreshed lazily, at observation time, from
-        // the stripes' incremental counters — the write path never pays
-        // for them.
+        // the stripe table lengths — the write path never pays for them.
         for (gauge, n) in self
             .metrics
             .shard_occupancy

@@ -73,8 +73,8 @@ pub struct CoreMetrics {
     /// was opened with (constant for the life of the handle).
     pub shard_count: corion_obs::Gauge,
     /// `corion_shard_occupancy_<i>`: live objects in stripe `i`,
-    /// refreshed on every metrics snapshot from the incremental
-    /// per-stripe counters.
+    /// refreshed on every metrics snapshot from the stripe table
+    /// lengths.
     pub shard_occupancy: Vec<corion_obs::Gauge>,
 }
 

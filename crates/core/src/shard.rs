@@ -1,14 +1,13 @@
-//! Striped object-table and class-extension state.
+//! Partitioned object-table and class-extension state.
 //!
 //! The engine's two derived maps — OID → physical address, and class →
-//! member set — used to be two flat `HashMap`s touched by every read and
-//! write. The paper's premise is that composite objects partition the
-//! database into independently lockable subtrees (§7); once the lock
-//! protocol admits disjoint-composite writers in parallel, a single flat
-//! map re-serialises them. `Shards` splits both maps by OID hash into a
-//! fixed power-of-two number of segments, each behind its own
-//! reader-writer stripe, so lookups touch exactly one stripe and
-//! placement work can fan out shard-local.
+//! member set — split by OID hash into a fixed power-of-two number of
+//! stripes. They carry no lock of their own: the engine latch guards
+//! them like the rest of engine state (DESIGN.md §17). Reads take
+//! `&self` and mutations `&mut self`, and `overlay_apply(&mut self)`
+//! is the only writer, so the borrow checker proves no reader races a
+//! write. The partitioning is kept for the rebuild's parallel bulk load
+//! (`Shards::load`), which hands each worker its own stripes.
 //!
 //! Invariants:
 //!
@@ -20,21 +19,11 @@
 //!   scan order or sorted-OID order, both shard-count-independent.
 //! * **Same-stripe extension membership** — the extension entry for a
 //!   member OID lives in the *member's* stripe (not a stripe picked by
-//!   class), so one lock covers the table entry and the extension entry
-//!   of any object, and bulk placement partitions cleanly by shard.
-//! * **Incremental counts** — each stripe maintains a live-object
-//!   counter; `Shards::len` sums them instead of walking any map, so
-//!   statistics paths never take a stripe lock.
-//!
-//! Locking discipline: every method locks at most one stripe at a time
-//! (whole-table iteration locks stripes one after another), so stripe
-//! locks can never deadlock against each other.
+//!   class), so the rebuild partitions cleanly by stripe.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use corion_storage::{fnv1a64, PhysId};
-use parking_lot::RwLock;
 
 use crate::oid::{ClassId, Oid};
 
@@ -46,28 +35,20 @@ pub const DEFAULT_SHARDS: usize = 16;
 pub(crate) type Buckets = Vec<Vec<(Oid, PhysId)>>;
 
 /// One stripe's slice of the derived maps.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct ShardState {
     /// OID → physical address, for OIDs hashing to this stripe.
     table: HashMap<Oid, PhysId>,
     /// Class → members *of this stripe* (each class's full extension is
-    /// the union across stripes; per-stripe sets are `BTreeSet` so every
-    /// merged iteration comes out in sorted-OID order).
+    /// the union across stripes).
     ext: HashMap<ClassId, BTreeSet<Oid>>,
 }
 
-struct Stripe {
-    state: RwLock<ShardState>,
-    /// Live objects in this stripe's table (maintained on insert/remove,
-    /// summed lock-free by [`Shards::len`]).
-    live: AtomicUsize,
-}
-
-/// The striped object table + class extensions. See the [module
+/// The partitioned object table + class extensions. See the [module
 /// docs](self) for invariants.
 pub(crate) struct Shards {
     mask: u64,
-    stripes: Vec<Stripe>,
+    stripes: Vec<ShardState>,
 }
 
 impl Shards {
@@ -76,12 +57,7 @@ impl Shards {
         let n = n.clamp(1, 1 << 16).next_power_of_two();
         Shards {
             mask: (n - 1) as u64,
-            stripes: (0..n)
-                .map(|_| Stripe {
-                    state: RwLock::new(ShardState::default()),
-                    live: AtomicUsize::new(0),
-                })
-                .collect(),
+            stripes: (0..n).map(|_| ShardState::default()).collect(),
         }
     }
 
@@ -99,58 +75,50 @@ impl Shards {
         (fnv1a64(&bytes) & self.mask) as usize
     }
 
-    fn stripe(&self, oid: Oid) -> &Stripe {
+    fn stripe(&self, oid: Oid) -> &ShardState {
         &self.stripes[self.shard_of(oid)]
     }
 
+    fn stripe_mut(&mut self, oid: Oid) -> &mut ShardState {
+        let i = self.shard_of(oid);
+        &mut self.stripes[i]
+    }
+
     // ------------------------------------------------------------------
-    // Point operations (one stripe, one lock)
+    // Point operations (one stripe)
     // ------------------------------------------------------------------
 
     /// Physical address of `oid`, if live.
     pub(crate) fn get(&self, oid: Oid) -> Option<PhysId> {
-        self.stripe(oid).state.read().table.get(&oid).copied()
+        self.stripe(oid).table.get(&oid).copied()
     }
 
     /// True if `oid` has a table entry.
     pub(crate) fn contains(&self, oid: Oid) -> bool {
-        self.stripe(oid).state.read().table.contains_key(&oid)
+        self.stripe(oid).table.contains_key(&oid)
     }
 
     /// Sets the table entry alone (relocation: the object is already a
     /// member of its class extension).
-    pub(crate) fn set_phys(&self, oid: Oid, phys: PhysId) {
-        let stripe = self.stripe(oid);
-        let mut st = stripe.state.write();
-        if st.table.insert(oid, phys).is_none() {
-            stripe.live.fetch_add(1, Ordering::Relaxed);
-        }
+    pub(crate) fn set_phys(&mut self, oid: Oid, phys: PhysId) {
+        self.stripe_mut(oid).table.insert(oid, phys);
     }
 
-    /// Inserts both the table entry and the extension membership under
-    /// one stripe lock.
-    pub(crate) fn insert(&self, oid: Oid, phys: PhysId) {
-        let stripe = self.stripe(oid);
-        let mut st = stripe.state.write();
-        if st.table.insert(oid, phys).is_none() {
-            stripe.live.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Inserts both the table entry and the extension membership.
+    pub(crate) fn insert(&mut self, oid: Oid, phys: PhysId) {
+        let st = self.stripe_mut(oid);
+        st.table.insert(oid, phys);
         st.ext.entry(oid.class).or_default().insert(oid);
     }
 
     /// Removes both the table entry and the extension membership; returns
     /// the old physical address.
-    pub(crate) fn remove(&self, oid: Oid) -> Option<PhysId> {
-        let stripe = self.stripe(oid);
-        let mut st = stripe.state.write();
-        let old = st.table.remove(&oid);
-        if old.is_some() {
-            stripe.live.fetch_sub(1, Ordering::Relaxed);
-        }
+    pub(crate) fn remove(&mut self, oid: Oid) -> Option<PhysId> {
+        let st = self.stripe_mut(oid);
         if let Some(ext) = st.ext.get_mut(&oid.class) {
             ext.remove(&oid);
         }
-        old
+        st.table.remove(&oid)
     }
 
     // ------------------------------------------------------------------
@@ -159,28 +127,28 @@ impl Shards {
 
     /// Registers `class` in every stripe so its (possibly empty)
     /// extension exists.
-    pub(crate) fn ensure_class(&self, class: ClassId) {
-        for stripe in &self.stripes {
-            stripe.state.write().ext.entry(class).or_default();
+    pub(crate) fn ensure_class(&mut self, class: ClassId) {
+        for st in &mut self.stripes {
+            st.ext.entry(class).or_default();
         }
     }
 
     /// Drops `class`'s extension from every stripe.
-    pub(crate) fn remove_class(&self, class: ClassId) {
-        for stripe in &self.stripes {
-            stripe.state.write().ext.remove(&class);
+    pub(crate) fn remove_class(&mut self, class: ClassId) {
+        for st in &mut self.stripes {
+            st.ext.remove(&class);
         }
     }
 
-    /// Direct members of `class`, in sorted-OID order (the union of every
-    /// stripe's sorted slice, merged by a full sort).
-    pub(crate) fn class_members_sorted(&self, class: ClassId) -> Vec<Oid> {
-        let mut out = Vec::new();
-        for stripe in &self.stripes {
-            if let Some(ext) = stripe.state.read().ext.get(&class) {
-                out.extend(ext.iter().copied());
-            }
-        }
+    /// Direct members of every class in `classes`, in one sorted-OID
+    /// order (one collection across the stripes, one sort).
+    pub(crate) fn members_sorted(&self, classes: &[ClassId]) -> Vec<Oid> {
+        let mut out: Vec<Oid> = self
+            .stripes
+            .iter()
+            .flat_map(|st| classes.iter().filter_map(|c| st.ext.get(c)).flatten())
+            .copied()
+            .collect();
         out.sort_unstable();
         out
     }
@@ -193,28 +161,21 @@ impl Shards {
     /// `repair()` and other order-sensitive passes.
     pub(crate) fn all_oids_sorted(&self) -> Vec<Oid> {
         let mut out = Vec::with_capacity(self.len());
-        for stripe in &self.stripes {
-            out.extend(stripe.state.read().table.keys().copied());
+        for st in &self.stripes {
+            out.extend(st.table.keys().copied());
         }
         out.sort_unstable();
         out
     }
 
-    /// Live objects across all stripes — a lock-free sum of per-stripe
-    /// counters, never a map walk.
+    /// Live objects across all stripes.
     pub(crate) fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.live.load(Ordering::Relaxed))
-            .sum()
+        self.stripes.iter().map(|st| st.table.len()).sum()
     }
 
     /// Live objects in each stripe, in stripe order (occupancy metrics).
     pub(crate) fn occupancy(&self) -> Vec<usize> {
-        self.stripes
-            .iter()
-            .map(|s| s.live.load(Ordering::Relaxed))
-            .collect()
+        self.stripes.iter().map(|st| st.table.len()).collect()
     }
 
     // ------------------------------------------------------------------
@@ -223,34 +184,35 @@ impl Shards {
 
     /// Replaces every stripe's table and extensions with `parts`: per
     /// rebuild worker, in scan order, the [`Buckets`] of its records.
-    /// Stripes build in parallel on `workers` threads, each from its
-    /// entries sorted by OID —
-    /// stably, so an OID found twice resolves to the record last in scan
-    /// order, whatever the number of workers. The table is built at its
-    /// known size, each class extension in bulk from its sorted run, and
-    /// every class in `classes` keeps an (empty) extension in every
-    /// stripe.
-    pub(crate) fn load(&self, classes: &[ClassId], parts: &[Buckets], workers: usize) {
-        let build = |w: usize| {
-            for (i, stripe) in self.stripes.iter().enumerate().skip(w).step_by(workers) {
-                let mut entries: Vec<(Oid, PhysId)> =
-                    parts.iter().flat_map(|p| p[i].iter().copied()).collect();
-                // Stable: an OID's entries stay in scan order, and the
-                // table keeps the last of them.
-                entries.sort_by_key(|&(oid, _)| oid);
-                let table: HashMap<Oid, PhysId> = entries.iter().copied().collect();
-                // A class's run replaces the empty extension it starts with.
-                let runs = entries.chunk_by(|a, b| a.0.class == b.0.class);
-                let ext = (classes.iter().map(|&c| (c, BTreeSet::new())))
-                    .chain(runs.map(|run| (run[0].0.class, run.iter().map(|e| e.0).collect())))
-                    .collect();
-                stripe.live.store(table.len(), Ordering::Relaxed);
-                *stripe.state.write() = ShardState { table, ext };
-            }
-        };
+    /// Stripes build in parallel on up to `workers` threads, each owning
+    /// a contiguous run of stripes, each stripe from its entries sorted
+    /// by OID — stably, so an OID found twice resolves to the record last
+    /// in scan order, whatever the number of workers. The table is built
+    /// at its known size, each class extension in bulk from its sorted
+    /// run, and every class in `classes` keeps an (empty) extension in
+    /// every stripe.
+    pub(crate) fn load(&mut self, classes: &[ClassId], parts: &[Buckets], workers: usize) {
+        let per_worker = self.stripes.len().div_ceil(workers.max(1));
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                scope.spawn(move || build(w));
+            for (w, run) in self.stripes.chunks_mut(per_worker).enumerate() {
+                scope.spawn(move || {
+                    for (j, st) in run.iter_mut().enumerate() {
+                        let i = w * per_worker + j;
+                        let mut entries: Vec<(Oid, PhysId)> =
+                            parts.iter().flat_map(|p| p[i].iter().copied()).collect();
+                        // Stable: an OID's entries stay in scan order, and
+                        // the table keeps the last of them.
+                        entries.sort_by_key(|&(oid, _)| oid);
+                        let table = entries.iter().copied().collect();
+                        // A class's run replaces the empty extension it
+                        // starts with.
+                        let runs = entries.chunk_by(|a, b| a.0.class == b.0.class);
+                        let ext = (classes.iter().map(|&c| (c, BTreeSet::new())))
+                            .chain(runs.map(|r| (r[0].0.class, r.iter().map(|e| e.0).collect())))
+                            .collect();
+                        *st = ShardState { table, ext };
+                    }
+                });
             }
         });
     }
@@ -293,8 +255,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_maintain_counters_and_extensions() {
-        let s = Shards::new(4);
+    fn insert_remove_maintain_counts_and_extensions() {
+        let mut s = Shards::new(4);
         let c = ClassId(1);
         s.ensure_class(c);
         let oids: Vec<Oid> = (0..100).map(|i| oid(1, i)).collect();
@@ -303,7 +265,7 @@ mod tests {
         }
         assert_eq!(s.len(), 100);
         assert_eq!(s.occupancy().iter().sum::<usize>(), 100);
-        assert_eq!(s.class_members_sorted(c), oids);
+        assert_eq!(s.members_sorted(&[c]), oids);
         assert_eq!(s.all_oids_sorted(), oids);
         assert_eq!(s.get(oids[3]), Some(phys(3)));
         assert_eq!(s.remove(oids[3]), Some(phys(3)));
@@ -317,43 +279,57 @@ mod tests {
 
     #[test]
     fn set_phys_relocates_without_touching_extensions() {
-        let s = Shards::new(2);
+        let mut s = Shards::new(2);
         let o = oid(1, 7);
         s.insert(o, phys(1));
         s.set_phys(o, phys(2));
         assert_eq!(s.get(o), Some(phys(2)));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.class_members_sorted(ClassId(1)), vec![o]);
+        assert_eq!(s.members_sorted(&[ClassId(1)]), vec![o]);
     }
 
     #[test]
     fn load_keeps_classes_and_resolves_a_duplicate_to_the_last_record() {
         for n in [1, 4, 16] {
-            let s = Shards::new(n);
-            let (c, empty) = (ClassId(2), ClassId(3));
-            s.insert(oid(5, 1), phys(99));
+            let (c, empty, stale) = (ClassId(2), ClassId(3), ClassId(5));
             let oids: Vec<Oid> = (0..200).map(|i| oid(2, i)).collect();
-            // Two workers' parts; OID 7 is in both, and in the second
-            // worker's part twice: the later record wins.
-            let mut parts = vec![vec![Vec::new(); s.shard_count()]; 2];
+            // Two rebuild workers' parts; OID 7 is in both, and in the
+            // second worker's part twice: the later record wins.
+            let shape = Shards::new(n);
+            let mut parts = vec![vec![Vec::new(); shape.shard_count()]; 2];
             for (i, &o) in oids.iter().enumerate() {
-                parts[i % 2][s.shard_of(o)].push((o, phys(i as u64)));
+                parts[i % 2][shape.shard_of(o)].push((o, phys(i as u64)));
             }
             let dup = oid(2, 7);
-            parts[1][s.shard_of(dup)].push((dup, phys(1000)));
-            parts[1][s.shard_of(dup)].push((dup, phys(1001)));
-            parts[0][s.shard_of(dup)].push((dup, phys(1002)));
-            s.load(&[c, empty], &parts, 2);
-            assert_eq!(s.len(), 200, "n={n}");
-            assert_eq!(s.get(dup), Some(phys(1001)), "n={n}");
-            assert!(!s.contains(oid(5, 1)), "load replaces what was there");
-            assert_eq!(s.class_members_sorted(c), oids);
-            assert_eq!(s.all_oids_sorted(), oids);
-            assert!(s.class_members_sorted(empty).is_empty());
-            assert!(s
+            parts[1][shape.shard_of(dup)].push((dup, phys(1000)));
+            parts[1][shape.shard_of(dup)].push((dup, phys(1001)));
+            parts[0][shape.shard_of(dup)].push((dup, phys(1002)));
+            let build = |workers: usize| {
+                let mut s = Shards::new(n);
+                // A stale entry in every stripe: a stripe no worker built
+                // would keep it.
+                let mut serial = 0;
+                while (0..n).any(|i| !s.stripes[i].table.keys().any(|o| o.class == stale)) {
+                    s.insert(oid(5, serial), phys(99));
+                    serial += 1;
+                }
+                s.load(&[c, empty], &parts, workers);
+                s
+            };
+            let reference = build(1);
+            assert_eq!(reference.len(), 200, "n={n}");
+            assert_eq!(reference.get(dup), Some(phys(1001)), "n={n}");
+            assert_eq!(reference.members_sorted(&[c]), oids);
+            assert_eq!(reference.all_oids_sorted(), oids);
+            assert!(reference.members_sorted(&[empty, stale]).is_empty());
+            assert!(reference
                 .stripes
                 .iter()
-                .all(|st| st.state.read().ext.contains_key(&empty)));
+                .all(|st| st.ext.contains_key(&empty)));
+            for workers in [2, 3, 5, n, n + 1] {
+                let s = build(workers);
+                assert_eq!(s.stripes, reference.stripes, "n={n} workers={workers}");
+            }
         }
     }
 }

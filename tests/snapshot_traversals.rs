@@ -359,7 +359,7 @@ fn check_transaction_view_equals_reference(
         }
         for &class in &classes {
             let seen: DbResult<Vec<Oid>> = txn.with_view(&[], |v| Ok(v.instances_of(class, true)));
-            assert_eq!(seen.unwrap(), sorted(twin.instances_of(class, true)));
+            assert_eq!(seen.unwrap(), twin.instances_of(class, true));
         }
     }
     // Committed, the engine itself answers the same.
@@ -490,6 +490,36 @@ fn instances_of_merges_a_thousand_versioned_instances() {
         survivors,
         "and the base agrees with the newest pin"
     );
+}
+
+/// A deep `instances_of` answers in one order wherever it is asked:
+/// the engine outside a transaction, inside one, a write transaction's
+/// view and a pinned snapshot. The subclass defined first holds the
+/// lower OID; the lattice walk visits it last.
+#[test]
+fn a_deep_instances_of_answers_in_one_order_everywhere() {
+    let mut db = Database::new();
+    let a = db.define_class(ClassBuilder::new("A")).unwrap();
+    let b = db
+        .define_class(ClassBuilder::new("B").superclass(a))
+        .unwrap();
+    let c = db
+        .define_class(ClassBuilder::new("C").superclass(a))
+        .unwrap();
+    let want = vec![
+        db.make(b, vec![], vec![]).unwrap(),
+        db.make(c, vec![], vec![]).unwrap(),
+    ];
+    assert_eq!(db.instances_of(a, true), want, "outside a transaction");
+    db.begin_transaction().unwrap();
+    assert_eq!(db.instances_of(a, true), want, "inside a transaction");
+    db.abort_transaction().unwrap();
+
+    let cdb = ConcurrentDb::from_database(db);
+    assert_eq!(cdb.begin_read().instances_of(a, true).unwrap(), want);
+    let mut txn = cdb.begin_write();
+    let seen: DbResult<Vec<Oid>> = txn.with_view(&[], |v| Ok(v.instances_of(a, true)));
+    assert_eq!(seen.unwrap(), want, "a write transaction's view");
 }
 
 /// One `Item` held by one `Holder` through two shared composite
